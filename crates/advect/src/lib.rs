@@ -19,7 +19,7 @@
 mod recovery;
 mod solver;
 
-pub use recovery::{attempt, run_with_recovery, AttemptResult, RecoveryOutcome, RecoverySetup};
+pub use recovery::{AttemptResult, RecoverySetup};
 pub use solver::{AdvectConfig, AdvectSolver, AdvectTimers};
 
 /// Initial condition of §III-B: four spherical fronts, implemented as

@@ -2,10 +2,9 @@
 //! checkpointing plus a restart driver that survives injected rank
 //! crashes.
 //!
-//! The supervisor logic lives in `forust-resilience`; this module
-//! implements its [`Recoverable`] contract for the advection dG solver
-//! and keeps the original thin driver API ([`run_with_recovery`],
-//! [`attempt`]) used by tests and harnesses. Because every quantity the
+//! The supervisor logic (`attempt`, `run_with_recovery`) lives in
+//! `forust-resilience`; this module implements its [`Recoverable`]
+//! contract for the advection dG solver. Because every quantity the
 //! time loop evolves is either carried bitwise in the checkpoint
 //! (solution, `time`, step count) or recomputed by an exact
 //! deterministic reduction (`dt`), the recovered result is bitwise
@@ -22,9 +21,9 @@ use std::sync::Arc;
 use forust::connectivity::Connectivity;
 use forust::dim::D3;
 use forust::forest::{CheckpointError, Forest};
-use forust_comm::{Communicator, FaultPlan, RankCrashed};
+use forust_comm::Communicator;
 use forust_geom::Mapping;
-use forust_resilience::{Recoverable, RecoveryOptions};
+use forust_resilience::Recoverable;
 
 use crate::{AdvectConfig, AdvectSolver};
 
@@ -58,17 +57,6 @@ pub struct AttemptResult {
     pub time: f64,
     /// Steps taken in total (including steps replayed from a restart).
     pub steps: usize,
-}
-
-/// Outcome of [`run_with_recovery`].
-#[derive(Debug, Clone)]
-pub struct RecoveryOutcome {
-    /// The completed run's result.
-    pub result: AttemptResult,
-    /// SPMD launches needed (1 = no fault fired).
-    pub attempts: usize,
-    /// The injected crash that was caught, if any.
-    pub injected_crash: Option<RankCrashed>,
 }
 
 impl Recoverable for RecoverySetup {
@@ -155,52 +143,5 @@ impl Recoverable for RecoverySetup {
             time: solver.time,
             steps: solver.timers.steps,
         }
-    }
-}
-
-/// One SPMD attempt: restore from the newest valid checkpoint under
-/// `ckpt_root` (fresh start if none validates), run to `setup.steps`
-/// steps with periodic checkpoints, and gather the global solution.
-///
-/// Public so harnesses can run calibration passes (e.g. count a
-/// fault-free `ChaosComm` run's communication calls to place a crash).
-pub fn attempt<C: Communicator>(
-    comm: &C,
-    setup: &RecoverySetup,
-    ckpt_root: &Path,
-) -> AttemptResult {
-    forust_resilience::attempt(comm, setup, ckpt_root, &RecoveryOptions::default()).0
-}
-
-/// Run the experiment under fault injection with checkpoint/restart
-/// recovery.
-///
-/// The first attempt launches `ranks` ranks, each wrapped in a
-/// `ChaosComm` (when a `plan` is given) underneath the self-healing
-/// `ReliableComm` layer. If the run dies (e.g. the plan's injected crash
-/// fires), subsequent attempts launch `restart_ranks` ranks *without*
-/// fault injection and resume from the newest valid checkpoint under
-/// `ckpt_root`. Panics other than an injected [`RankCrashed`] after
-/// `max_attempts` launches are resumed to the caller.
-pub fn run_with_recovery(
-    ranks: usize,
-    restart_ranks: usize,
-    plan: Option<FaultPlan>,
-    ckpt_root: &Path,
-    setup: &RecoverySetup,
-    max_attempts: usize,
-) -> RecoveryOutcome {
-    let outcome = forust_resilience::run_with_recovery(
-        ranks,
-        restart_ranks,
-        plan,
-        ckpt_root,
-        setup,
-        max_attempts,
-    );
-    RecoveryOutcome {
-        result: outcome.result,
-        attempts: outcome.attempts,
-        injected_crash: outcome.injected_crash,
     }
 }

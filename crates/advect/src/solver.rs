@@ -5,24 +5,22 @@ use std::time::{Duration, Instant};
 
 use forust::connectivity::{Connectivity, TreeId};
 use forust::dim::D3;
-use forust::forest::{BalanceType, CheckpointError, Forest};
+use forust::forest::{BalanceType, CheckpointError, Forest, SolverFormat};
 use forust::linear;
 use forust::octant::Octant;
-use forust_comm::{Communicator, Wire};
+use forust_comm::Communicator;
 use forust_dg::element::RefElement;
 use forust_dg::geometry::MeshGeometry;
 use forust_dg::halo::{HaloData, HaloExchange};
 use forust_dg::kernels::{self, KernelWorkspace};
-use forust_dg::lserk::{LSERK_A, LSERK_B};
+use forust_dg::lserk::lserk_step;
 use forust_dg::mesh::{DgMesh, ElemRef, FaceConn};
+use forust_dg::stepper::{ElementKernel, Stepper};
 use forust_dg::transfer::transfer_fields;
 use forust_geom::Mapping;
-use forust_pool::{DisjointSlice, PerLane, SyncMutPtr};
 
-/// Elements per pool chunk in the RHS sweeps. Chunk boundaries are a
-/// function of the element count and this constant only, never of the
-/// worker count — part of the bitwise-determinism contract.
-const RHS_GRAIN: usize = 8;
+/// Magic header of the solver's checkpoint scalar state.
+const SOLVER_MAGIC: u64 = 0x464f_5255_4144_5653; // "FORU ADVS"
 
 /// Parameters of the advection experiment (defaults follow §III-B).
 #[derive(Debug, Clone)]
@@ -90,44 +88,18 @@ pub struct AdvectSolver {
     velocity: fn([f64; 3]) -> [f64; 3],
     /// The transported field, `num_elements * (N+1)^3` values.
     pub c: Vec<f64>,
-    resid: Vec<f64>,
     /// Simulated time.
     pub time: f64,
     /// Current stable step size (recomputed after each adapt).
     pub dt: f64,
     /// Wall-time split.
     pub timers: AdvectTimers,
-    // Cached per-degree constants.
-    wv: Vec<f64>,
-    wf: Vec<f64>,
-    face_idx: Vec<Vec<usize>>,
-    /// Kernel-engine scratch arena (gradient panels, face traces, mortar
-    /// buffers), sized once per mesh (re)build. Lane 0 of the worker
-    /// pool (the rank thread) runs on this one.
-    pub ws: KernelWorkspace,
-    /// Scratch for pool lanes `1..width` (slot 0 exists but is unused:
-    /// lane 0 stays on [`ws`](Self::ws)). Rebuilt only when the
-    /// configured worker count changes; reconfigured per adapt so
-    /// steady-state stepping allocates nothing.
-    ws_lanes: PerLane<KernelWorkspace>,
-    /// RK stage buffer, hoisted out of [`step`](Self::step) so steady-state
-    /// stepping allocates nothing.
-    stage_k: Vec<f64>,
-    /// Velocity at every volume node, cached at mesh (re)build instead of a
-    /// fn-pointer evaluation per node per stage.
-    vel: Vec<[f64; 3]>,
-    /// Velocity at every mortar point of 2:1 faces, flat across
-    /// `(element, face, sub, face node)`.
-    mortar_vel: Vec<[f64; 3]>,
-    /// Offset into `mortar_vel` per `(element, face)` (`u32::MAX` when the
-    /// face carries no mortar).
-    mortar_off: Vec<u32>,
-    /// Inverse Jacobians repacked as SoA planes (`9 * npe` per element,
-    /// [`kernels::pack_volume_soa`] layout) so the fused volume
-    /// contraction loads unit-stride.
-    metr_soa: Vec<f64>,
-    /// Nodal velocities as SoA planes (`3 * npe` per element).
-    vel_soa: Vec<f64>,
+    /// The shared split-phase LSERK driver: RK registers and one kernel
+    /// workspace per pool lane, sized once so steady-state stepping
+    /// allocates nothing.
+    pub stepper: Stepper,
+    /// What the element kernel reads besides the mesh and its metric.
+    caches: Caches,
 }
 
 impl AdvectSolver {
@@ -144,8 +116,8 @@ impl AdvectSolver {
         let mut forest = forest;
         // Static pre-adaptation: refine where the initial condition is
         // rough, up to max_level, then balance and partition.
+        let re = RefElement::new(config.degree);
         for _ in config.initial_level..config.max_level {
-            let re = RefElement::new(config.degree);
             let needs: Vec<(TreeId, Octant<D3>)> = {
                 let mut v = Vec::new();
                 for (t, o) in forest.iter_local() {
@@ -166,43 +138,46 @@ impl AdvectSolver {
         forest.balance(comm, BalanceType::Full);
         forest.partition(comm);
 
+        Self::assemble(comm, forest, map, config, velocity, 0.0, 0, |geo| {
+            geo.pos.iter().map(|&x| init(x)).collect()
+        })
+    }
+
+    /// Put a solver together on `forest` at `(time, steps)`, with the
+    /// field given on the freshly built geometry — the common tail of
+    /// [`new`](Self::new) and the two restore paths.
+    #[allow(clippy::too_many_arguments)]
+    fn assemble(
+        comm: &impl Communicator,
+        forest: Forest<D3>,
+        map: Arc<dyn Mapping<D3> + Send + Sync>,
+        config: AdvectConfig,
+        velocity: fn([f64; 3]) -> [f64; 3],
+        time: f64,
+        steps: usize,
+        field: impl FnOnce(&MeshGeometry) -> Vec<f64>,
+    ) -> Self {
         let mesh = DgMesh::build(&forest, comm, config.degree);
         let geo = MeshGeometry::build(&mesh, &*map);
-        let halo = HaloExchange::build(&mesh);
-        let re = &mesh.re;
-        let c: Vec<f64> = geo.pos.iter().map(|&x| init(x)).collect();
-        let resid = vec![0.0; c.len()];
-        let (wv, wf, face_idx) = cache_constants(re);
-        let (npe, npf) = (re.nodes_per_elem(3), re.nodes_per_face(3));
         let caches = velocity_caches(&mesh, &geo, velocity);
-        let mut ws = KernelWorkspace::new();
-        ws.configure(npe, npf, 1);
-        let ws_lanes = lane_workspaces(npe, npf);
-
+        let re = &mesh.re;
         let mut s = AdvectSolver {
+            halo: HaloExchange::build(&mesh),
+            c: field(&geo),
+            stepper: Stepper::new(re.nodes_per_elem(3), re.nodes_per_face(3), 1),
             config,
             forest,
             mesh,
             geo,
-            halo,
             map,
             velocity,
-            c,
-            resid,
-            time: 0.0,
+            time,
             dt: 0.0,
-            timers: AdvectTimers::default(),
-            wv,
-            wf,
-            face_idx,
-            ws,
-            ws_lanes,
-            stage_k: Vec::new(),
-            vel: caches.vel,
-            mortar_vel: caches.mortar_vel,
-            mortar_off: caches.mortar_off,
-            metr_soa: caches.metr_soa,
-            vel_soa: caches.vel_soa,
+            timers: AdvectTimers {
+                steps,
+                ..AdvectTimers::default()
+            },
+            caches,
         };
         s.dt = s.stable_dt(comm);
         s
@@ -226,7 +201,7 @@ impl AdvectSolver {
         for e in 0..self.mesh.num_elements() {
             let inv = self.geo.elem_inv(e);
             for v in 0..npe {
-                let u = self.vel[e * npe + v];
+                let u = self.caches.vel[e * npe + v];
                 let mut lam = 0.0;
                 for r in 0..3 {
                     let a = u[0] * inv[v][r][0] + u[1] * inv[v][r][1] + u[2] * inv[v][r][2];
@@ -242,260 +217,30 @@ impl AdvectSolver {
 
     /// Advance one RK step; adapt every `adapt_every` steps.
     ///
-    /// Steady-state allocation-free: the stage vector and the kernel
-    /// workspace are solver-owned and only (re)sized when the mesh grows.
+    /// The stages, the split-phase ghost exchange and the pool sweeps are
+    /// the shared [`Stepper`]'s; this solver contributes [`Kernel`].
+    /// Steady-state allocation-free.
     pub fn step(&mut self, comm: &impl Communicator) {
         {
             let _span = forust_obs::span!("advect.step");
             let t0 = Instant::now();
-            self.ensure_lane_workspaces();
-            // 2N-storage RK with a hand-rolled loop so the ghost exchange can
-            // borrow disjoint fields. The stage buffer and workspace are
-            // moved out of `self` for the duration of the stages so
-            // `compute_rhs` can borrow `self` immutably alongside them.
-            let mut k = std::mem::take(&mut self.stage_k);
-            k.resize(self.c.len(), 0.0);
-            let mut ws = std::mem::take(&mut self.ws);
-            self.resid.fill(0.0);
-            for s in 0..5 {
-                let _stage = forust_obs::span!("rk.stage");
-                self.compute_rhs(comm, &mut ws, &mut k);
-                let _update = forust_obs::span!("rk.update");
-                for i in 0..self.c.len() {
-                    self.resid[i] = LSERK_A[s] * self.resid[i] + self.dt * k[i];
-                    self.c[i] += LSERK_B[s] * self.resid[i];
-                }
-            }
-            ws.check_steady();
-            self.ws = ws;
-            self.stage_k = k;
-            self.time += self.dt;
-            self.timers.integrate += t0.elapsed();
-            self.timers.steps += 1;
-            if self.timers.steps % self.config.adapt_every == 0 {
-                self.adapt(comm);
-            }
+            let kernel = Kernel {
+                mesh: &self.mesh,
+                geo: &self.geo,
+                caches: &self.caches,
+                velocity: self.velocity,
+            };
+            self.stepper
+                .step(comm, &self.halo, &mut self.c, self.time, self.dt, &kernel);
+            self.finish_step(comm, t0);
         }
         // Outside the block so the step's spans have closed: the mark
         // slices everything above into this step's time-series record.
         forust_obs::step_mark(self.timers.steps as u64);
     }
 
-    /// The upwind nodal dG right-hand side (advective volume form plus
-    /// upwind surface correction, mortar-consistent on 2:1 faces).
-    ///
-    /// Split-phase: the face-trace ghost exchange goes on the wire first,
-    /// interior elements (which read no ghost) are computed while the
-    /// messages fly, then the boundary elements finish after the traces
-    /// arrive. Each sweep fans out over the rank's worker pool in fixed
-    /// chunks; element results are independent and written to disjoint
-    /// windows, so the result is bitwise identical to the serial
-    /// exchange-then-sweep loop at any worker count.
-    fn compute_rhs(&self, comm: &impl Communicator, ws: &mut KernelWorkspace, out: &mut [f64]) {
-        let pending = self.halo.begin(comm, &self.c, 1);
-        let lane0 = SyncMutPtr(ws as *mut KernelWorkspace);
-        {
-            let _span = forust_obs::span!("rhs.interior");
-            self.rhs_sweep(self.halo.interior(), None, &lane0, out);
-        }
-        let traces = {
-            let _span = forust_obs::span!("rhs.exchange_wait");
-            pending.finish()
-        };
-        let _span = forust_obs::span!("rhs.boundary");
-        self.rhs_sweep(self.halo.boundary(), Some(&traces), &lane0, out);
-        forust_obs::counter_add("kernels.rhs_elements", self.mesh.num_elements() as u64);
-    }
-
-    /// Pool sweep over one element list: lane 0 works on the
-    /// solver-owned workspace behind `lane0`, lanes `1..` on their
-    /// [`PerLane`] slots, and every element writes only its own
-    /// `npe`-window of `out`.
-    fn rhs_sweep(
-        &self,
-        list: &[u32],
-        traces: Option<&HaloData<'_, D3>>,
-        lane0: &SyncMutPtr<KernelWorkspace>,
-        out: &mut [f64],
-    ) {
-        let npe = self.mesh.re.nodes_per_elem(3);
-        let slots = DisjointSlice::new(out);
-        forust_pool::par_for_each(list.len(), RHS_GRAIN, |r, lane| {
-            // SAFETY: the pool runs each lane on exactly one thread per
-            // job, so the workspace borrow is unique.
-            let ws = unsafe {
-                if lane == 0 {
-                    &mut *lane0.0
-                } else {
-                    self.ws_lanes.lane(lane)
-                }
-            };
-            for i in r {
-                let e = list[i] as usize;
-                // SAFETY: distinct elements own disjoint npe-windows.
-                let out_e = unsafe { slots.slice(e * npe..(e + 1) * npe) };
-                self.rhs_element(e, traces, ws, out_e);
-            }
-        });
-    }
-
-    /// (Re)build the worker-lane workspaces when the configured pool
-    /// width changed since the last step (the worker-matrix tests flip
-    /// it between runs); in steady state this is a no-op so stepping
-    /// stays allocation-free.
-    fn ensure_lane_workspaces(&mut self) {
-        if self.ws_lanes.len() != forust_pool::configured_workers() {
-            let re = &self.mesh.re;
-            self.ws_lanes = lane_workspaces(re.nodes_per_elem(3), re.nodes_per_face(3));
-        }
-    }
-
-    /// RHS of a single element via the kernel engine: fused volume pass
-    /// (reference gradient → metric contraction → flux accumulation),
-    /// cached nodal/mortar velocities, and workspace-backed face buffers —
-    /// zero heap allocations. `traces` carries the received ghost face
-    /// traces; `None` is only valid for interior elements. `out_e` is
-    /// the element's own `npe`-window of the RHS vector — the element
-    /// touches nothing outside it, which is what lets the sweeps above
-    /// run elements concurrently.
-    fn rhs_element(
-        &self,
-        e: usize,
-        traces: Option<&HaloData<'_, D3>>,
-        ws: &mut KernelWorkspace,
-        out_e: &mut [f64],
-    ) {
-        let re = &self.mesh.re;
-        let npe = re.nodes_per_elem(3);
-        let npf = re.nodes_per_face(3);
-        // Split-borrow the workspace: cm lives in face_a, the interpolated
-        // neighbor/mortar trace in face_b, the raw neighbor trace in nbr.
-        let KernelWorkspace {
-            grad,
-            face_a,
-            face_b,
-            nbr: nbr_buf,
-            ..
-        } = ws;
-        // Face trace of a neighbor (its `nbr_face`, face-lattice order).
-        let nbr_trace = |r: ElemRef, nbr_face: usize, buf: &mut Vec<f64>| match r {
-            ElemRef::Local(i) => {
-                let nv = &self.c[i as usize * npe..(i as usize + 1) * npe];
-                buf.clear();
-                buf.extend(self.face_idx[nbr_face].iter().map(|&n| nv[n]));
-            }
-            ElemRef::Ghost(g) => {
-                traces
-                    .expect("interior element classified with a ghost face")
-                    .face_values(g as usize, nbr_face, 0, buf);
-            }
-        };
-
-        {
-            let ce = &self.c[e * npe..(e + 1) * npe];
-            let det = self.geo.elem_det(e);
-            // Volume term: -(u . grad C), fused in one kernel pass over
-            // the SoA metric/velocity planes.
-            kernels::advect_volume_rhs(
-                &re.diff,
-                re.np,
-                ce,
-                &self.metr_soa[e * 9 * npe..(e + 1) * 9 * npe],
-                &self.vel_soa[e * 3 * npe..(e + 1) * 3 * npe],
-                &mut grad[..3 * npe],
-                out_e,
-            );
-            // Surface terms.
-            for f in 0..6 {
-                let fg = self.geo.face(e, f, self.mesh.nfaces);
-                let fidx = &self.face_idx[f];
-                let cm = &mut face_a[..npf];
-                for (c, &i) in cm.iter_mut().zip(fidx.iter()) {
-                    *c = ce[i];
-                }
-                match self.mesh.face(e, f) {
-                    FaceConn::Boundary => {
-                        // Tangential velocity at shell boundaries: the
-                        // reflective flux difference vanishes identically.
-                    }
-                    FaceConn::Conforming {
-                        nbr,
-                        nbr_face,
-                        from_nbr,
-                    }
-                    | FaceConn::CoarseNbr {
-                        nbr,
-                        nbr_face,
-                        from_nbr,
-                    } => {
-                        nbr_trace(*nbr, *nbr_face, nbr_buf);
-                        let cp = &mut face_b[..npf];
-                        from_nbr.matvec_into(nbr_buf, cp);
-                        for j in 0..npf {
-                            let v = fidx[j];
-                            let u = self.vel[e * npe + v];
-                            let n = fg.normal[j];
-                            let un = u[0] * n[0] + u[1] * n[1] + u[2] * n[2];
-                            let fstar = if un >= 0.0 { un * cm[j] } else { un * cp[j] };
-                            let coef = self.wf[j] * fg.sj[j] / (self.wv[v] * det[v]);
-                            out_e[v] += coef * (un * cm[j] - fstar);
-                        }
-                    }
-                    FaceConn::FineNbrs { subs } => {
-                        let moff = self.mortar_off[e * self.mesh.nfaces + f] as usize;
-                        for (s, sub) in subs.iter().enumerate() {
-                            let sg = &fg.subs[s];
-                            let mine_at_fine = &mut face_b[..npf];
-                            sub.to_fine.matvec_into(cm, mine_at_fine);
-                            nbr_trace(sub.nbr, sub.nbr_face, nbr_buf);
-                            let their = &*nbr_buf;
-                            for j in 0..npf {
-                                let u = self.mortar_vel[moff + s * npf + j];
-                                let n = sg.normal[j];
-                                let un = u[0] * n[0] + u[1] * n[1] + u[2] * n[2];
-                                let fstar = if un >= 0.0 {
-                                    un * mine_at_fine[j]
-                                } else {
-                                    un * their[j]
-                                };
-                                let diff = un * mine_at_fine[j] - fstar;
-                                // Lift back through the mortar transpose.
-                                let w = self.wf[j] * sg.sj[j] * diff;
-                                if w != 0.0 {
-                                    for i in 0..npf {
-                                        let v = fidx[i];
-                                        out_e[v] += sub.to_fine.data[j * npf + i] * w
-                                            / (self.wv[v] * det[v]);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// **Test oracle.** One RK step through the pre-kernel-engine RHS
-    /// path: per-element `gradient`/`matvec` allocations and fn-pointer
-    /// velocity evaluation per node per stage. Retained verbatim
-    /// (precedent: `morton_reference`, `balance_ripple`) so regression
-    /// tests can assert that [`step`](Self::step) through the specialized
-    /// engine stays bitwise identical across adapt cycles.
-    pub fn step_reference(&mut self, comm: &impl Communicator) {
-        let _span = forust_obs::span!("advect.step");
-        let t0 = Instant::now();
-        let mut k = vec![0.0; self.c.len()];
-        self.resid.fill(0.0);
-        for s in 0..5 {
-            let _stage = forust_obs::span!("rk.stage");
-            self.compute_rhs_reference(comm, &mut k);
-            let _update = forust_obs::span!("rk.update");
-            for i in 0..self.c.len() {
-                self.resid[i] = LSERK_A[s] * self.resid[i] + self.dt * k[i];
-                self.c[i] += LSERK_B[s] * self.resid[i];
-            }
-        }
+    /// Bookkeeping after the RK stages of one step.
+    fn finish_step(&mut self, comm: &impl Communicator, t0: Instant) {
         self.time += self.dt;
         self.timers.integrate += t0.elapsed();
         self.timers.steps += 1;
@@ -504,135 +249,28 @@ impl AdvectSolver {
         }
     }
 
-    /// Oracle RHS driver behind [`step_reference`](Self::step_reference).
-    fn compute_rhs_reference(&self, comm: &impl Communicator, out: &mut [f64]) {
-        let pending = self.halo.begin(comm, &self.c, 1);
-        let mut nbr_buf = Vec::with_capacity(self.mesh.re.nodes_per_face(3));
-        {
-            let _span = forust_obs::span!("rhs.interior");
-            for &e in self.halo.interior() {
-                self.rhs_element_reference(e as usize, None, &mut nbr_buf, out);
-            }
-        }
-        let traces = {
-            let _span = forust_obs::span!("rhs.exchange_wait");
-            pending.finish()
+    /// **Test oracle.** One RK step through the pre-kernel-engine RHS
+    /// path: per-element `gradient`/`matvec` allocations and fn-pointer
+    /// velocity evaluation per node per stage, serial sweeps, driven by
+    /// the plain [`lserk_step`]. Retained (precedent: `morton_reference`,
+    /// `balance_ripple`) so regression tests can assert that
+    /// [`step`](Self::step) through the specialized engine and the shared
+    /// stepper stays bitwise identical across adapt cycles.
+    pub fn step_reference(&mut self, comm: &impl Communicator) {
+        let _span = forust_obs::span!("advect.step");
+        let t0 = Instant::now();
+        let kernel = Kernel {
+            mesh: &self.mesh,
+            geo: &self.geo,
+            caches: &self.caches,
+            velocity: self.velocity,
         };
-        let _span = forust_obs::span!("rhs.boundary");
-        for &e in self.halo.boundary() {
-            self.rhs_element_reference(e as usize, Some(&traces), &mut nbr_buf, out);
-        }
-    }
-
-    /// Oracle per-element RHS: the pre-kernel-engine implementation,
-    /// verbatim (allocating `gradient`, `matvec`, per-face `collect`, and
-    /// fn-pointer velocity evaluation at every node).
-    fn rhs_element_reference(
-        &self,
-        e: usize,
-        traces: Option<&HaloData<'_, D3>>,
-        nbr_buf: &mut Vec<f64>,
-        out: &mut [f64],
-    ) {
-        let re = &self.mesh.re;
-        let npe = re.nodes_per_elem(3);
-        let npf = re.nodes_per_face(3);
-        // Face trace of a neighbor (its `nbr_face`, face-lattice order).
-        let nbr_trace = |r: ElemRef, nbr_face: usize, buf: &mut Vec<f64>| match r {
-            ElemRef::Local(i) => {
-                let nv = &self.c[i as usize * npe..(i as usize + 1) * npe];
-                buf.clear();
-                buf.extend(self.face_idx[nbr_face].iter().map(|&n| nv[n]));
-            }
-            ElemRef::Ghost(g) => {
-                traces
-                    .expect("interior element classified with a ghost face")
-                    .face_values(g as usize, nbr_face, 0, buf);
-            }
-        };
-
-        {
-            let ce = &self.c[e * npe..(e + 1) * npe];
-            let inv = self.geo.elem_inv(e);
-            let det = self.geo.elem_det(e);
-            let pos = self.geo.elem_pos(e);
-            // Volume term: -(u . grad C).
-            let grads = re.gradient(ce, 3);
-            for v in 0..npe {
-                let u = (self.velocity)(pos[v]);
-                let mut adv = 0.0;
-                for i in 0..3 {
-                    let mut gi = 0.0;
-                    for r in 0..3 {
-                        gi += inv[v][r][i] * grads[r][v];
-                    }
-                    adv += u[i] * gi;
-                }
-                out[e * npe + v] = -adv;
-            }
-            // Surface terms.
-            for f in 0..6 {
-                let fg = self.geo.face(e, f, 6);
-                let fidx = &self.face_idx[f];
-                let cm: Vec<f64> = fidx.iter().map(|&i| ce[i]).collect();
-                match self.mesh.face(e, f) {
-                    FaceConn::Boundary => {
-                        // Tangential velocity at shell boundaries: the
-                        // reflective flux difference vanishes identically.
-                    }
-                    FaceConn::Conforming {
-                        nbr,
-                        nbr_face,
-                        from_nbr,
-                    }
-                    | FaceConn::CoarseNbr {
-                        nbr,
-                        nbr_face,
-                        from_nbr,
-                    } => {
-                        nbr_trace(*nbr, *nbr_face, nbr_buf);
-                        let cp = from_nbr.matvec(nbr_buf);
-                        for j in 0..npf {
-                            let v = fidx[j];
-                            let u = (self.velocity)(pos[v]);
-                            let n = fg.normal[j];
-                            let un = u[0] * n[0] + u[1] * n[1] + u[2] * n[2];
-                            let fstar = if un >= 0.0 { un * cm[j] } else { un * cp[j] };
-                            let coef = self.wf[j] * fg.sj[j] / (self.wv[v] * det[v]);
-                            out[e * npe + v] += coef * (un * cm[j] - fstar);
-                        }
-                    }
-                    FaceConn::FineNbrs { subs } => {
-                        for (s, sub) in subs.iter().enumerate() {
-                            let sg = &fg.subs[s];
-                            let mine_at_fine = sub.to_fine.matvec(&cm);
-                            nbr_trace(sub.nbr, sub.nbr_face, nbr_buf);
-                            let their = &*nbr_buf;
-                            for j in 0..npf {
-                                let u = (self.velocity)(sg.pos[j]);
-                                let n = sg.normal[j];
-                                let un = u[0] * n[0] + u[1] * n[1] + u[2] * n[2];
-                                let fstar = if un >= 0.0 {
-                                    un * mine_at_fine[j]
-                                } else {
-                                    un * their[j]
-                                };
-                                let diff = un * mine_at_fine[j] - fstar;
-                                // Lift back through the mortar transpose.
-                                let w = self.wf[j] * sg.sj[j] * diff;
-                                if w != 0.0 {
-                                    for i in 0..npf {
-                                        let v = fidx[i];
-                                        out[e * npe + v] += sub.to_fine.data[j * npf + i] * w
-                                            / (self.wv[v] * det[v]);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        let halo = &self.halo;
+        let mut resid = vec![0.0; self.c.len()];
+        lserk_step(&mut self.c, &mut resid, self.time, self.dt, |_, c, out| {
+            kernel.rhs_reference(comm, halo, c, out)
+        });
+        self.finish_step(comm, t0);
     }
 
     /// Adapt the mesh to the current solution and repartition, carrying
@@ -640,8 +278,7 @@ impl AdvectSolver {
     pub fn adapt(&mut self, comm: &impl Communicator) {
         let _span = forust_obs::span!("advect.adapt");
         let t0 = Instant::now();
-        let re = RefElement::new(self.config.degree);
-        let npe = re.nodes_per_elem(3);
+        let npe = self.mesh.re.nodes_per_elem(3);
 
         // Per-element indicator: nodal range.
         let old = self.forest.clone();
@@ -689,32 +326,21 @@ impl AdvectSolver {
         // Transfer the solution to the new local mesh, then repartition.
         {
             let _span = forust_obs::span!("adapt.transfer");
-            self.c = transfer_fields(&re, &old, &self.c, &self.forest, 1);
+            self.c = transfer_fields(&self.mesh.re, &old, &self.c, &self.forest, 1);
         }
         let chunks: Vec<Vec<f64>> = self.c.chunks(npe).map(|c| c.to_vec()).collect();
         let moved = self.forest.partition_with_payload(comm, |_, _| 1, chunks);
         self.c = moved.into_iter().flatten().collect();
 
-        // Rebuild mesh-dependent state.
+        // Rebuild mesh-dependent state, the same sequence as `assemble`
+        // but assigned piece by piece: each old part is freed before the
+        // next new one is built, which keeps the cycle's peak memory at
+        // one generation of each plus the one being replaced.
         let _rebuild = forust_obs::span!("adapt.rebuild");
         self.mesh = DgMesh::build(&self.forest, comm, self.config.degree);
         self.geo = MeshGeometry::build(&self.mesh, &*self.map);
         self.halo.rebuild(&self.mesh);
-        self.resid = vec![0.0; self.c.len()];
-        let (wv, wf, face_idx) = cache_constants(&self.mesh.re);
-        self.wv = wv;
-        self.wf = wf;
-        self.face_idx = face_idx;
-        let caches = velocity_caches(&self.mesh, &self.geo, self.velocity);
-        self.vel = caches.vel;
-        self.mortar_vel = caches.mortar_vel;
-        self.mortar_off = caches.mortar_off;
-        self.metr_soa = caches.metr_soa;
-        self.vel_soa = caches.vel_soa;
-        self.ws.configure(npe, self.mesh.re.nodes_per_face(3), 1);
-        for ws in self.ws_lanes.iter_mut() {
-            ws.configure(npe, self.mesh.re.nodes_per_face(3), 1);
-        }
+        self.caches = velocity_caches(&self.mesh, &self.geo, self.velocity);
         self.dt = self.stable_dt(comm);
         self.timers.amr += t0.elapsed();
         self.timers.adapts += 1;
@@ -729,7 +355,7 @@ impl AdvectSolver {
         for e in 0..self.mesh.num_elements() {
             let det = self.geo.elem_det(e);
             for v in 0..npe {
-                m += self.wv[v] * det[v] * self.c[e * npe + v];
+                m += self.caches.wv[v] * det[v] * self.c[e * npe + v];
             }
         }
         comm.allreduce_sum_f64(m)
@@ -745,7 +371,7 @@ impl AdvectSolver {
             let pos = self.geo.elem_pos(e);
             for v in 0..npe {
                 let d = self.c[e * npe + v] - reference(pos[v]);
-                err += self.wv[v] * det[v] * d * d;
+                err += self.caches.wv[v] * det[v] * d * d;
             }
         }
         comm.allreduce_sum_f64(err).sqrt()
@@ -757,10 +383,9 @@ impl AdvectSolver {
         self.mesh.num_elements()
     }
 
-    /// Write a recoverable checkpoint of the solver into `dir`: the
-    /// forest with the per-element solution as payload (epoch = step
-    /// count), plus a CRC-trailed `solver.fst` holding the exact scalar
-    /// state (`time` bits, step count). Collective.
+    /// Write a recoverable checkpoint of the solver into `dir`
+    /// ([`Forest::save_solver`]: the solution rides as payload, `time`
+    /// bits and step count in `solver.fst`). Collective.
     ///
     /// Everything else in the solver — mesh, metric terms, `dt`, cached
     /// quadrature constants — is a deterministic function of the forest
@@ -771,47 +396,17 @@ impl AdvectSolver {
         comm: &impl Communicator,
         dir: &std::path::Path,
     ) -> Result<(), CheckpointError> {
-        let npe = self.mesh.re.nodes_per_elem(3);
-        let chunks: Vec<Vec<f64>> = self.c.chunks(npe).map(|c| c.to_vec()).collect();
+        let fmt = checkpoint_format(&self.config);
         self.forest
-            .save_with_payload(comm, dir, self.timers.steps as u64, Some(&chunks))?;
-        if comm.rank() == 0 {
-            let buf = self.scalar_state_bytes();
-            let tmp = dir.join("solver.fst.tmp");
-            std::fs::write(&tmp, &buf)?;
-            std::fs::rename(tmp, dir.join("solver.fst"))?;
-        }
-        comm.barrier();
-        Ok(())
-    }
-
-    /// The CRC-trailed scalar-state blob (`solver.fst` body): simulated
-    /// time bits and step count. Replicated on every rank.
-    fn scalar_state_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        SOLVER_MAGIC.encode(&mut buf);
-        self.time.to_bits().encode(&mut buf);
-        (self.timers.steps as u64).encode(&mut buf);
-        buf.extend_from_slice(&forust_comm::crc32(&buf).to_le_bytes());
-        buf
+            .save_solver(comm, dir, fmt, self.time, self.timers.steps, &self.c)
     }
 
     /// This rank's checkpoint as one in-memory byte blob for diskless
-    /// buddy mirroring: `[u64 segment length] ++ forest segment ++ scalar
-    /// state`, where the forest segment is byte-identical to what
-    /// [`AdvectSolver::save_checkpoint`] would write to disk. Purely
-    /// local.
+    /// buddy mirroring ([`Forest::solver_segment_bytes`]). Purely local.
     pub fn checkpoint_segment(&self, saved_ranks: usize) -> Vec<u8> {
-        let npe = self.mesh.re.nodes_per_elem(3);
-        let chunks: Vec<Vec<f64>> = self.c.chunks(npe).map(|c| c.to_vec()).collect();
-        let seg = self
-            .forest
-            .segment_bytes(saved_ranks, self.timers.steps as u64, Some(&chunks));
-        let mut blob = Vec::with_capacity(8 + seg.len() + 28);
-        (seg.len() as u64).encode(&mut blob);
-        blob.extend_from_slice(&seg);
-        blob.extend_from_slice(&self.scalar_state_bytes());
-        blob
+        let fmt = checkpoint_format(&self.config);
+        self.forest
+            .solver_segment_bytes(saved_ranks, fmt, self.time, self.timers.steps, &self.c)
     }
 
     /// [`AdvectSolver::restore`] from in-memory blobs produced by
@@ -824,17 +419,19 @@ impl AdvectSolver {
         velocity: fn([f64; 3]) -> [f64; 3],
         segments: &[Vec<u8>],
     ) -> Result<Self, CheckpointError> {
-        let (segs, scalar) = split_segment_blobs(segments)?;
-        let (forest, chunks, meta) = Forest::load_from_segment_bytes::<f64>(conn, comm, &segs)?;
-        let origin = std::path::PathBuf::from("<memory solver state>");
-        let (time, steps) = parse_scalar_state(&scalar, &origin)?;
-        if steps as u64 != meta.epoch {
-            return Err(CheckpointError::Format {
-                file: origin,
-                detail: "solver step count disagrees with checkpoint epoch".to_string(),
-            });
-        }
-        Self::from_restored(comm, forest, chunks, time, steps, map, config, velocity)
+        let fmt = checkpoint_format(&config);
+        let (forest, c, time, steps) =
+            Forest::load_solver_from_segments(conn, comm, segments, fmt)?;
+        Ok(Self::assemble(
+            comm,
+            forest,
+            map,
+            config,
+            velocity,
+            time,
+            steps,
+            |_| c,
+        ))
     }
 
     /// Restore a solver from a checkpoint written by
@@ -851,187 +448,325 @@ impl AdvectSolver {
         velocity: fn([f64; 3]) -> [f64; 3],
         dir: &std::path::Path,
     ) -> Result<Self, CheckpointError> {
-        let (forest, chunks, meta) = Forest::load_with_payload::<f64>(conn, comm, dir)?;
-        let spath = dir.join("solver.fst");
-        let bytes = std::fs::read(&spath)?;
-        let (time, steps) = parse_scalar_state(&bytes, &spath)?;
-        if steps as u64 != meta.epoch {
-            return Err(CheckpointError::Format {
-                file: spath,
-                detail: "solver step count disagrees with checkpoint epoch".to_string(),
-            });
-        }
-        Self::from_restored(comm, forest, chunks, time, steps, map, config, velocity)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn from_restored(
-        comm: &impl Communicator,
-        forest: Forest<D3>,
-        chunks: Vec<Vec<f64>>,
-        time: f64,
-        steps: usize,
-        map: Arc<dyn Mapping<D3> + Send + Sync>,
-        config: AdvectConfig,
-        velocity: fn([f64; 3]) -> [f64; 3],
-    ) -> Result<Self, CheckpointError> {
-        let bad = |detail: &str| CheckpointError::Format {
-            file: std::path::PathBuf::from("<payload>"),
-            detail: detail.to_string(),
-        };
-        let mesh = DgMesh::build(&forest, comm, config.degree);
-        let geo = MeshGeometry::build(&mesh, &*map);
-        let halo = HaloExchange::build(&mesh);
-        let npe = mesh.re.nodes_per_elem(3);
-        let c: Vec<f64> = chunks.into_iter().flatten().collect();
-        if c.len() != mesh.num_elements() * npe {
-            return Err(bad("solution payload does not match the mesh size"));
-        }
-        let resid = vec![0.0; c.len()];
-        let (wv, wf, face_idx) = cache_constants(&mesh.re);
-        let npf = mesh.re.nodes_per_face(3);
-        let caches = velocity_caches(&mesh, &geo, velocity);
-        let mut ws = KernelWorkspace::new();
-        ws.configure(npe, npf, 1);
-        let ws_lanes = lane_workspaces(npe, npf);
-        let mut solver = AdvectSolver {
-            config,
+        let fmt = checkpoint_format(&config);
+        let (forest, c, time, steps) = Forest::load_solver(conn, comm, dir, fmt)?;
+        Ok(Self::assemble(
+            comm,
             forest,
-            mesh,
-            geo,
-            halo,
             map,
+            config,
             velocity,
-            c,
-            resid,
             time,
-            dt: 0.0,
-            timers: AdvectTimers {
-                steps,
-                ..AdvectTimers::default()
-            },
-            wv,
-            wf,
-            face_idx,
-            ws,
-            ws_lanes,
-            stage_k: Vec::new(),
-            vel: caches.vel,
-            mortar_vel: caches.mortar_vel,
-            mortar_off: caches.mortar_off,
-            metr_soa: caches.metr_soa,
-            vel_soa: caches.vel_soa,
-        };
-        solver.dt = solver.stable_dt(comm);
-        Ok(solver)
+            steps,
+            |_| c,
+        ))
     }
 }
 
-/// Magic header of the solver scalar-state checkpoint file.
-const SOLVER_MAGIC: u64 = 0x464f_5255_4144_5653; // "FORU ADVS"
-
-/// Validate the CRC trailer of a scalar-state blob and decode
-/// `(time, steps)`.
-fn parse_scalar_state(
-    bytes: &[u8],
-    origin: &std::path::Path,
-) -> Result<(f64, usize), CheckpointError> {
-    let bad = |detail: &str| CheckpointError::Format {
-        file: origin.to_path_buf(),
-        detail: detail.to_string(),
-    };
-    if bytes.len() < 4 {
-        return Err(bad("too short to carry a CRC trailer"));
+/// Checkpoint format of a run with this configuration: the solver's
+/// magic and one value per volume node.
+fn checkpoint_format(config: &AdvectConfig) -> SolverFormat {
+    SolverFormat {
+        magic: SOLVER_MAGIC,
+        per_element: (config.degree + 1).pow(3),
     }
-    let (body, trailer) = bytes.split_at(bytes.len() - 4);
-    let expected = u32::from_le_bytes(trailer.try_into().unwrap());
-    let actual = forust_comm::crc32(body);
-    if expected != actual {
-        return Err(CheckpointError::Crc {
-            file: origin.to_path_buf(),
-            expected,
-            actual,
-        });
-    }
-    let mut s = body;
-    if u64::decode(&mut s) != Some(SOLVER_MAGIC) {
-        return Err(bad("not a solver state blob"));
-    }
-    let time = f64::from_bits(u64::decode(&mut s).ok_or_else(|| bad("truncated time"))?);
-    let steps = u64::decode(&mut s).ok_or_else(|| bad("truncated step count"))? as usize;
-    Ok((time, steps))
 }
 
-/// Split buddy blobs (`[u64 len] ++ forest segment ++ scalar state`) into
-/// the per-rank forest segments and one scalar-state blob (replicated in
-/// every blob; the first is used).
-fn split_segment_blobs(blobs: &[Vec<u8>]) -> Result<(Vec<Vec<u8>>, Vec<u8>), CheckpointError> {
-    let origin = std::path::PathBuf::from("<memory solver state>");
-    let mut segs = Vec::with_capacity(blobs.len());
-    let mut scalar: Option<Vec<u8>> = None;
-    for blob in blobs {
-        let mut s = blob.as_slice();
-        let len = u64::decode(&mut s).ok_or_else(|| CheckpointError::Format {
-            file: origin.clone(),
-            detail: "truncated segment length".to_string(),
-        })? as usize;
-        if s.len() < len {
-            return Err(CheckpointError::Format {
-                file: origin.clone(),
-                detail: "segment blob shorter than its declared length".to_string(),
-            });
-        }
-        let (seg, rest) = s.split_at(len);
-        segs.push(seg.to_vec());
-        scalar.get_or_insert_with(|| rest.to_vec());
-    }
-    let scalar = scalar.ok_or(CheckpointError::NoCheckpoint {
-        dir: std::path::PathBuf::from("<memory>"),
-    })?;
-    Ok((segs, scalar))
+/// The upwind nodal dG element kernel (advective volume form plus upwind
+/// surface correction, mortar-consistent on 2:1 faces): a borrowed view
+/// of what the RHS of one element reads.
+struct Kernel<'a> {
+    mesh: &'a DgMesh<D3>,
+    geo: &'a MeshGeometry,
+    caches: &'a Caches,
+    velocity: fn([f64; 3]) -> [f64; 3],
 }
 
-/// Kernel workspaces for pool lanes `1..width`, each configured for the
-/// current degree so steady-state stepping never grows them (slot 0 is
-/// provisioned but idle: lane 0 runs on the solver-owned workspace).
-fn lane_workspaces(npe: usize, npf: usize) -> PerLane<KernelWorkspace> {
-    PerLane::new(forust_pool::configured_workers(), |_| {
-        let mut ws = KernelWorkspace::new();
-        ws.configure(npe, npf, 1);
-        ws
-    })
-}
+impl ElementKernel<D3> for Kernel<'_> {
+    const NCOMP: usize = 1;
+    const GRAIN: usize = 8;
 
-/// Volume quadrature weights, face quadrature weights, and face node
-/// indices, cached per degree.
-fn cache_constants(re: &RefElement) -> (Vec<f64>, Vec<f64>, Vec<Vec<usize>>) {
-    let np = re.np;
-    let mut wv = Vec::with_capacity(np * np * np);
-    for k in 0..np {
-        for j in 0..np {
-            for i in 0..np {
-                wv.push(re.weights[i] * re.weights[j] * re.weights[k]);
+    /// RHS of a single element via the kernel engine: fused volume pass
+    /// (reference gradient → metric contraction → flux accumulation),
+    /// cached nodal/mortar velocities, and workspace-backed face buffers —
+    /// zero heap allocations.
+    fn rhs_element(
+        &self,
+        q: &[f64],
+        e: usize,
+        _t: f64,
+        traces: Option<&HaloData<'_, D3>>,
+        ws: &mut KernelWorkspace,
+        out_e: &mut [f64],
+    ) {
+        let cache = self.caches;
+        let re = &self.mesh.re;
+        let npe = re.nodes_per_elem(3);
+        let npf = re.nodes_per_face(3);
+        // Split-borrow the workspace: cm lives in face_a, the interpolated
+        // neighbor/mortar trace in face_b, the raw neighbor trace in nbr.
+        let KernelWorkspace {
+            grad,
+            face_a,
+            face_b,
+            nbr: nbr_buf,
+            ..
+        } = ws;
+        {
+            let ce = &q[e * npe..(e + 1) * npe];
+            let det = self.geo.elem_det(e);
+            // Volume term: -(u . grad C), fused in one kernel pass over
+            // the SoA metric/velocity planes.
+            kernels::advect_volume_rhs(
+                &re.diff,
+                re.np,
+                ce,
+                &cache.metr_soa[e * 9 * npe..(e + 1) * 9 * npe],
+                &cache.vel_soa[e * 3 * npe..(e + 1) * 3 * npe],
+                &mut grad[..3 * npe],
+                out_e,
+            );
+            // Surface terms.
+            for f in 0..6 {
+                let fg = self.geo.face(e, f, self.mesh.nfaces);
+                let fidx = &cache.face_idx[f];
+                let cm = &mut face_a[..npf];
+                for (c, &i) in cm.iter_mut().zip(fidx.iter()) {
+                    *c = ce[i];
+                }
+                match self.mesh.face(e, f) {
+                    FaceConn::Boundary => {
+                        // Tangential velocity at shell boundaries: the
+                        // reflective flux difference vanishes identically.
+                    }
+                    FaceConn::Conforming {
+                        nbr,
+                        nbr_face,
+                        from_nbr,
+                    }
+                    | FaceConn::CoarseNbr {
+                        nbr,
+                        nbr_face,
+                        from_nbr,
+                    } => {
+                        self.nbr_trace(q, traces, *nbr, *nbr_face, nbr_buf);
+                        let cp = &mut face_b[..npf];
+                        from_nbr.matvec_into(nbr_buf, cp);
+                        for j in 0..npf {
+                            let v = fidx[j];
+                            let u = cache.vel[e * npe + v];
+                            let n = fg.normal[j];
+                            let un = u[0] * n[0] + u[1] * n[1] + u[2] * n[2];
+                            let fstar = if un >= 0.0 { un * cm[j] } else { un * cp[j] };
+                            let coef = cache.wf[j] * fg.sj[j] / (cache.wv[v] * det[v]);
+                            out_e[v] += coef * (un * cm[j] - fstar);
+                        }
+                    }
+                    FaceConn::FineNbrs { subs } => {
+                        let moff = cache.mortar_off[e * self.mesh.nfaces + f] as usize;
+                        for (s, sub) in subs.iter().enumerate() {
+                            let sg = &fg.subs[s];
+                            let mine_at_fine = &mut face_b[..npf];
+                            sub.to_fine.matvec_into(cm, mine_at_fine);
+                            self.nbr_trace(q, traces, sub.nbr, sub.nbr_face, nbr_buf);
+                            let their = &*nbr_buf;
+                            for j in 0..npf {
+                                let u = cache.mortar_vel[moff + s * npf + j];
+                                let n = sg.normal[j];
+                                let un = u[0] * n[0] + u[1] * n[1] + u[2] * n[2];
+                                let fstar = if un >= 0.0 {
+                                    un * mine_at_fine[j]
+                                } else {
+                                    un * their[j]
+                                };
+                                let diff = un * mine_at_fine[j] - fstar;
+                                // Lift back through the mortar transpose.
+                                let w = cache.wf[j] * sg.sj[j] * diff;
+                                if w != 0.0 {
+                                    for i in 0..npf {
+                                        let v = fidx[i];
+                                        out_e[v] += sub.to_fine.data[j * npf + i] * w
+                                            / (cache.wv[v] * det[v]);
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
             }
         }
     }
-    let mut wf = Vec::with_capacity(np * np);
-    for b in 0..np {
-        for a in 0..np {
-            wf.push(re.weights[a] * re.weights[b]);
-        }
-    }
-    let face_idx: Vec<Vec<usize>> = (0..6).map(|f| re.face_nodes(3, f)).collect();
-    (wv, wf, face_idx)
 }
 
-/// Per-mesh caches for the kernel-engine RHS: nodal and mortar
-/// velocities, plus the volume metric/velocity repacked as SoA planes for
-/// the fused volume kernel.
-struct VolumeCaches {
+impl Kernel<'_> {
+    /// Face trace of neighbor `r` on its `nbr_face` (face-lattice order):
+    /// gathered from `q` for a local neighbor, read from the received
+    /// `traces` for a ghost.
+    fn nbr_trace(
+        &self,
+        q: &[f64],
+        traces: Option<&HaloData<'_, D3>>,
+        r: ElemRef,
+        nbr_face: usize,
+        buf: &mut Vec<f64>,
+    ) {
+        match r {
+            ElemRef::Local(i) => {
+                let npe = self.mesh.re.nodes_per_elem(3);
+                let nv = &q[i as usize * npe..(i as usize + 1) * npe];
+                buf.clear();
+                buf.extend(self.caches.face_idx[nbr_face].iter().map(|&n| nv[n]));
+            }
+            ElemRef::Ghost(g) => traces
+                .expect("interior element classified with a ghost face")
+                .face_values(g as usize, nbr_face, 0, buf),
+        }
+    }
+
+    /// Oracle RHS behind [`step_reference`](AdvectSolver::step_reference):
+    /// blocking exchange, then one serial sweep over all elements.
+    fn rhs_reference(
+        &self,
+        comm: &impl Communicator,
+        halo: &HaloExchange<D3>,
+        q: &[f64],
+        out: &mut [f64],
+    ) {
+        let traces = halo.exchange(comm, q, 1);
+        let mut nbr_buf = Vec::with_capacity(self.mesh.re.nodes_per_face(3));
+        for e in 0..self.mesh.num_elements() {
+            self.rhs_element_reference(q, e, Some(&traces), &mut nbr_buf, out);
+        }
+    }
+
+    /// Oracle per-element RHS: the pre-kernel-engine implementation,
+    /// verbatim (allocating `gradient`, `matvec`, per-face `collect`, and
+    /// fn-pointer velocity evaluation at every node).
+    /// Oracle per-element RHS: the pre-kernel-engine implementation,
+    /// verbatim (allocating `gradient`, `matvec`, per-face `collect`, and
+    /// fn-pointer velocity evaluation at every node).
+    fn rhs_element_reference(
+        &self,
+        q: &[f64],
+        e: usize,
+        traces: Option<&HaloData<'_, D3>>,
+        nbr_buf: &mut Vec<f64>,
+        out: &mut [f64],
+    ) {
+        let cache = self.caches;
+        let re = &self.mesh.re;
+        let npe = re.nodes_per_elem(3);
+        let npf = re.nodes_per_face(3);
+        {
+            let ce = &q[e * npe..(e + 1) * npe];
+            let inv = self.geo.elem_inv(e);
+            let det = self.geo.elem_det(e);
+            let pos = self.geo.elem_pos(e);
+            // Volume term: -(u . grad C).
+            let grads = re.gradient(ce, 3);
+            for v in 0..npe {
+                let u = (self.velocity)(pos[v]);
+                let mut adv = 0.0;
+                for i in 0..3 {
+                    let mut gi = 0.0;
+                    for r in 0..3 {
+                        gi += inv[v][r][i] * grads[r][v];
+                    }
+                    adv += u[i] * gi;
+                }
+                out[e * npe + v] = -adv;
+            }
+            // Surface terms.
+            for f in 0..6 {
+                let fg = self.geo.face(e, f, 6);
+                let fidx = &cache.face_idx[f];
+                let cm: Vec<f64> = fidx.iter().map(|&i| ce[i]).collect();
+                match self.mesh.face(e, f) {
+                    FaceConn::Boundary => {
+                        // Tangential velocity at shell boundaries: the
+                        // reflective flux difference vanishes identically.
+                    }
+                    FaceConn::Conforming {
+                        nbr,
+                        nbr_face,
+                        from_nbr,
+                    }
+                    | FaceConn::CoarseNbr {
+                        nbr,
+                        nbr_face,
+                        from_nbr,
+                    } => {
+                        self.nbr_trace(q, traces, *nbr, *nbr_face, nbr_buf);
+                        let cp = from_nbr.matvec(nbr_buf);
+                        for j in 0..npf {
+                            let v = fidx[j];
+                            let u = (self.velocity)(pos[v]);
+                            let n = fg.normal[j];
+                            let un = u[0] * n[0] + u[1] * n[1] + u[2] * n[2];
+                            let fstar = if un >= 0.0 { un * cm[j] } else { un * cp[j] };
+                            let coef = cache.wf[j] * fg.sj[j] / (cache.wv[v] * det[v]);
+                            out[e * npe + v] += coef * (un * cm[j] - fstar);
+                        }
+                    }
+                    FaceConn::FineNbrs { subs } => {
+                        for (s, sub) in subs.iter().enumerate() {
+                            let sg = &fg.subs[s];
+                            let mine_at_fine = sub.to_fine.matvec(&cm);
+                            self.nbr_trace(q, traces, sub.nbr, sub.nbr_face, nbr_buf);
+                            let their = &*nbr_buf;
+                            for j in 0..npf {
+                                let u = (self.velocity)(sg.pos[j]);
+                                let n = sg.normal[j];
+                                let un = u[0] * n[0] + u[1] * n[1] + u[2] * n[2];
+                                let fstar = if un >= 0.0 {
+                                    un * mine_at_fine[j]
+                                } else {
+                                    un * their[j]
+                                };
+                                let diff = un * mine_at_fine[j] - fstar;
+                                // Lift back through the mortar transpose.
+                                let w = cache.wf[j] * sg.sj[j] * diff;
+                                if w != 0.0 {
+                                    for i in 0..npf {
+                                        let v = fidx[i];
+                                        out[e * npe + v] += sub.to_fine.data[j * npf + i] * w
+                                            / (cache.wv[v] * det[v]);
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Per-mesh caches for the kernel-engine RHS: quadrature weights and face
+/// node tables of the degree, nodal and mortar velocities, plus the
+/// volume metric/velocity repacked as SoA planes for the fused volume
+/// kernel.
+struct Caches {
+    /// Volume quadrature weights.
+    wv: Vec<f64>,
+    /// Face quadrature weights.
+    wf: Vec<f64>,
+    /// Volume node indices of each face's nodes.
+    face_idx: Vec<Vec<usize>>,
+    /// Velocity at every volume node, cached at mesh (re)build instead of a
+    /// fn-pointer evaluation per node per stage.
     vel: Vec<[f64; 3]>,
+    /// Velocity at every mortar point of 2:1 faces, flat across
+    /// `(element, face, sub, face node)`.
     mortar_vel: Vec<[f64; 3]>,
+    /// Offset into `mortar_vel` per `(element, face)` (`u32::MAX` when the
+    /// face carries no mortar).
     mortar_off: Vec<u32>,
+    /// Inverse Jacobians repacked as SoA planes (`9 * npe` per element,
+    /// [`kernels::pack_volume_soa`] layout) so the fused volume
+    /// contraction loads unit-stride.
     metr_soa: Vec<f64>,
+    /// Nodal velocities as SoA planes (`3 * npe` per element).
     vel_soa: Vec<f64>,
 }
 
@@ -1046,7 +781,7 @@ fn velocity_caches(
     mesh: &DgMesh<D3>,
     geo: &MeshGeometry,
     velocity: fn([f64; 3]) -> [f64; 3],
-) -> VolumeCaches {
+) -> Caches {
     let vel: Vec<[f64; 3]> = geo.pos.iter().map(|&x| velocity(x)).collect();
     let mut mortar_vel = Vec::new();
     let mut mortar_off = vec![u32::MAX; mesh.num_elements() * mesh.nfaces];
@@ -1072,7 +807,10 @@ fn velocity_caches(
             &mut vel_soa[e * 3 * npe..(e + 1) * 3 * npe],
         );
     }
-    VolumeCaches {
+    Caches {
+        wv: mesh.re.tensor_weights(3),
+        wf: mesh.re.tensor_weights(2),
+        face_idx: mesh.re.face_node_table(3),
         vel,
         mortar_vel,
         mortar_off,

@@ -82,6 +82,6 @@ fn steady_state_step_allocates_less_than_one_per_element() {
             during < nel,
             "steady-state step made {during} allocations over {nel} elements"
         );
-        assert_eq!(s.ws.grow_events(), 0);
+        assert_eq!(s.stepper.grow_events(), 0);
     });
 }

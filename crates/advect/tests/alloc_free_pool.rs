@@ -82,7 +82,7 @@ fn steady_state_step_with_pool_allocates_less_than_one_per_element() {
             during < nel,
             "steady-state pooled step made {during} allocations over {nel} elements"
         );
-        assert_eq!(s.ws.grow_events(), 0);
+        assert_eq!(s.stepper.grow_events(), 0);
     });
     forust_pool::set_worker_override(None);
 }

@@ -7,11 +7,13 @@ use std::sync::Arc;
 
 use forust::connectivity::{builders, Connectivity};
 use forust::dim::D3;
-use forust_advect::{attempt, rotation_velocity, run_with_recovery, AdvectConfig, RecoverySetup};
+use forust::forest::CheckpointError;
+use forust_advect::{rotation_velocity, AdvectConfig, RecoverySetup};
 use forust_comm::{run_spmd, run_spmd_with, ChaosComm, CommConfig, FaultPlan, RankCrashed};
 use forust_geom::{Mapping, ShellMap};
 use forust_resilience::{
-    run_with_recovery_opts, BuddyStore, CheckpointMode, RecoveryOptions, RestoreSource,
+    attempt, run_with_recovery, run_with_recovery_opts, BuddyStore, CheckpointMode, Recoverable,
+    RecoveryOptions, RestoreSource,
 };
 
 fn build_conn() -> Connectivity<D3> {
@@ -82,7 +84,9 @@ fn crash_recovery_is_bitwise_identical_to_fault_free_run() {
     // Fault-free reference, no checkpoints taken at all.
     let ref_dir = tmpdir("reference");
     let s_nockpt = setup(STEPS, usize::MAX);
-    let reference = run_spmd(RANKS, move |comm| attempt(comm, &s_nockpt, &ref_dir));
+    let reference = run_spmd(RANKS, move |comm| {
+        attempt(comm, &s_nockpt, &ref_dir, &RecoveryOptions::default()).0
+    });
 
     // Calibration pass: a transparent ChaosComm (no faults) running the
     // real checkpointing schedule, to learn (a) that checkpointing does
@@ -95,7 +99,12 @@ fn crash_recovery_is_bitwise_identical_to_fault_free_run() {
         RANKS,
         CommConfig::default(),
         |tc| ChaosComm::new(tc, FaultPlan::new(1)),
-        move |comm| (attempt(comm, &s_calib, &calib_dir), comm.calls()),
+        move |comm| {
+            (
+                attempt(comm, &s_calib, &calib_dir, &RecoveryOptions::default()).0,
+                comm.calls(),
+            )
+        },
     );
     assert_bitwise_equal(&reference[0], &calib[0].0);
 
@@ -133,7 +142,9 @@ fn crash_before_first_checkpoint_recovers_from_scratch() {
     let ref_dir = tmpdir("early_ref");
     let s = setup(STEPS, usize::MAX);
     let s_ref = s.clone();
-    let reference = run_spmd(RANKS, move |comm| attempt(comm, &s_ref, &ref_dir));
+    let reference = run_spmd(RANKS, move |comm| {
+        attempt(comm, &s_ref, &ref_dir, &RecoveryOptions::default()).0
+    });
 
     let chaos_dir = tmpdir("early_chaos");
     // Crash very early: call 5 is long before the first step completes.
@@ -161,7 +172,9 @@ fn buddy_checkpoints_restore_disklessly_after_single_rank_crash() {
 
     let ref_dir = tmpdir("buddy_ref");
     let s_nockpt = setup(STEPS, usize::MAX);
-    let reference = run_spmd(RANKS, move |comm| attempt(comm, &s_nockpt, &ref_dir));
+    let reference = run_spmd(RANKS, move |comm| {
+        attempt(comm, &s_nockpt, &ref_dir, &RecoveryOptions::default()).0
+    });
 
     // Calibration under the buddy checkpoint schedule (mirroring adds
     // point-to-point traffic, so call counts differ from disk mode).
@@ -178,7 +191,7 @@ fn buddy_checkpoints_restore_disklessly_after_single_rank_crash() {
         CommConfig::default(),
         |tc| ChaosComm::new(tc, FaultPlan::new(1)),
         move |comm| {
-            let (result, _) = forust_resilience::attempt(comm, &s_calib, &calib_dir, &calib_opts);
+            let (result, _) = attempt(comm, &s_calib, &calib_dir, &calib_opts);
             (result, comm.calls())
         },
     );
@@ -231,11 +244,13 @@ fn corruption_heals_in_band_without_restart() {
     let ref_dir = tmpdir("heal_ref");
     let s = setup(STEPS, usize::MAX);
     let s_ref = s.clone();
-    let reference = run_spmd(RANKS, move |comm| attempt(comm, &s_ref, &ref_dir));
+    let reference = run_spmd(RANKS, move |comm| {
+        attempt(comm, &s_ref, &ref_dir, &RecoveryOptions::default()).0
+    });
 
     let chaos_dir = tmpdir("heal_chaos");
     let plan = FaultPlan::new(23).with_corruption(0.05).with_delay(0.05);
-    let outcome = forust_resilience::run_with_recovery(RANKS, RANKS, Some(plan), &chaos_dir, &s, 3);
+    let outcome = run_with_recovery(RANKS, RANKS, Some(plan), &chaos_dir, &s, 3);
 
     assert_eq!(outcome.attempts, 1, "healing must not need a restart");
     assert!(outcome.injected_crash.is_none());
@@ -267,7 +282,9 @@ fn crash_writes_validated_postmortem_bundle() {
 
     let ref_dir = tmpdir("pm_ref");
     let s_nockpt = setup(STEPS, usize::MAX);
-    let reference = run_spmd(RANKS, move |comm| attempt(comm, &s_nockpt, &ref_dir));
+    let reference = run_spmd(RANKS, move |comm| {
+        attempt(comm, &s_nockpt, &ref_dir, &RecoveryOptions::default()).0
+    });
 
     let calib_dir = tmpdir("pm_calib");
     let s_ckpt = setup(STEPS, CKPT_EVERY);
@@ -276,7 +293,12 @@ fn crash_writes_validated_postmortem_bundle() {
         RANKS,
         CommConfig::default(),
         |tc| ChaosComm::new(tc, FaultPlan::new(1)),
-        move |comm| (attempt(comm, &s_calib, &calib_dir), comm.calls()),
+        move |comm| {
+            (
+                attempt(comm, &s_calib, &calib_dir, &RecoveryOptions::default()).0,
+                comm.calls(),
+            )
+        },
     );
     let at_call = calib[1].1 * 3 / 5;
     assert!(at_call > 0);
@@ -320,4 +342,43 @@ fn crash_writes_validated_postmortem_bundle() {
         summary.events_total > 0,
         "surviving window carries recent span events"
     );
+}
+
+#[test]
+fn epoch_without_scalar_state_is_rejected_and_attempt_falls_back() {
+    // An epoch whose manifest and segments validate but whose
+    // `solver.fst` is gone — what a crash between the two used to leave
+    // behind when the scalar state was written after the manifest — must
+    // be a typed error, and the restart scan must fall back to the
+    // previous epoch and still finish bitwise identical.
+    const STEPS: usize = 7;
+    const RANKS: usize = 2;
+
+    let ref_dir = tmpdir("noscalar_reference");
+    let s_ref = setup(STEPS, usize::MAX);
+    let reference = run_spmd(RANKS, move |comm| {
+        attempt(comm, &s_ref, &ref_dir, &RecoveryOptions::default()).0
+    });
+
+    // Five steps with a checkpoint every two: epochs 2 and 4.
+    let root = tmpdir("noscalar");
+    let (s_first, dir) = (setup(5, 2), root.clone());
+    run_spmd(RANKS, move |comm| {
+        attempt(comm, &s_first, &dir, &RecoveryOptions::default());
+    });
+    let newest = root.join("epoch_4");
+    assert!(newest.join("manifest.fst").exists() && root.join("epoch_2").exists());
+    std::fs::remove_file(newest.join("solver.fst")).unwrap();
+
+    let (s_resume, dir) = (setup(STEPS, usize::MAX), root.clone());
+    let resumed = run_spmd(RANKS, move |comm| {
+        let err = s_resume
+            .restore(comm, &dir.join("epoch_4"))
+            .err()
+            .expect("an epoch without solver.fst restored");
+        assert!(matches!(err, CheckpointError::Io(_)), "{err:?}");
+        attempt(comm, &s_resume, &dir, &RecoveryOptions::default())
+    });
+    assert_eq!(resumed[0].1, RestoreSource::Disk(2));
+    assert_bitwise_equal(&reference[0], &resumed[0].0);
 }

@@ -61,7 +61,7 @@ fn step_matches_reference_bitwise_across_adapts() {
             assert_eq!(engine.time.to_bits(), oracle.time.to_bits());
             // The workspace never regrew: the capacity contract held
             // through every stage and adapt-triggered reconfigure.
-            assert_eq!(engine.ws.grow_events(), 0);
+            assert_eq!(engine.stepper.grow_events(), 0);
         });
     }
 }

@@ -23,6 +23,11 @@
 //!   per local octant ([`Forest::save_with_payload`]); payloads ride in
 //!   the same SFC order as the octants, so a restore onto fewer ranks
 //!   re-partitions field data together with the mesh.
+//! - **Solver checkpoints**: [`Forest::save_solver`] and its siblings are
+//!   the one codec for an explicit solver's cross-step state — the values
+//!   ride as payload, `(time, steps)` in a CRC-trailed `solver.fst` that
+//!   is durable *before* the manifest and carries the solver's own magic,
+//!   so one solver never restores another's state.
 
 use std::io::{Read, Write as IoWrite};
 use std::path::{Path, PathBuf};
@@ -173,28 +178,35 @@ fn write_atomic(path: &Path, mut buf: Vec<u8>) -> Result<(), CheckpointError> {
     Ok(())
 }
 
-/// Read a CRC-trailed file written by [`write_atomic`], validating and
-/// stripping the trailer.
-fn read_checked(path: &Path) -> Result<Vec<u8>, CheckpointError> {
-    let mut bytes = Vec::new();
-    std::fs::File::open(path)?.read_to_end(&mut bytes)?;
+/// Validate the CRC32 trailer of `bytes` and return the body before it.
+/// `origin` labels errors.
+fn strip_crc<'a>(bytes: &'a [u8], origin: &Path) -> Result<&'a [u8], CheckpointError> {
     if bytes.len() < 4 {
-        return Err(CheckpointError::Format {
-            file: path.to_path_buf(),
-            detail: format!("{} bytes is too short to carry a CRC trailer", bytes.len()),
-        });
+        return Err(format_err(
+            origin,
+            format!("{} bytes is too short to carry a CRC trailer", bytes.len()),
+        ));
     }
     let (body, trailer) = bytes.split_at(bytes.len() - 4);
     let expected = u32::from_le_bytes(trailer.try_into().unwrap());
     let actual = crc32(body);
     if expected != actual {
         return Err(CheckpointError::Crc {
-            file: path.to_path_buf(),
+            file: origin.to_path_buf(),
             expected,
             actual,
         });
     }
-    bytes.truncate(bytes.len() - 4);
+    Ok(body)
+}
+
+/// Read a CRC-trailed file written by [`write_atomic`], validating and
+/// stripping the trailer.
+fn read_checked(path: &Path) -> Result<Vec<u8>, CheckpointError> {
+    let mut bytes = Vec::new();
+    std::fs::File::open(path)?.read_to_end(&mut bytes)?;
+    let body_len = strip_crc(&bytes, path)?.len();
+    bytes.truncate(body_len);
     Ok(bytes)
 }
 
@@ -229,23 +241,7 @@ fn parse_segment<D: Dim>(path: &Path) -> Result<Segment<D>, CheckpointError> {
 /// Validate the CRC trailer of an in-memory segment blob (as produced by
 /// [`Forest::segment_bytes`]) and decode it. `origin` labels errors.
 fn parse_segment_mem<D: Dim>(bytes: &[u8], origin: &Path) -> Result<Segment<D>, CheckpointError> {
-    if bytes.len() < 4 {
-        return Err(format_err(
-            origin,
-            format!("{} bytes is too short to carry a CRC trailer", bytes.len()),
-        ));
-    }
-    let (body, trailer) = bytes.split_at(bytes.len() - 4);
-    let expected = u32::from_le_bytes(trailer.try_into().unwrap());
-    let actual = crc32(body);
-    if expected != actual {
-        return Err(CheckpointError::Crc {
-            file: origin.to_path_buf(),
-            expected,
-            actual,
-        });
-    }
-    parse_segment_body(body, origin)
+    parse_segment_body(strip_crc(bytes, origin)?, origin)
 }
 
 fn parse_segment_body<D: Dim>(bytes: &[u8], path: &Path) -> Result<Segment<D>, CheckpointError> {
@@ -407,11 +403,30 @@ impl<D: Dim> Forest<D> {
         epoch: u64,
         payload: Option<&[Vec<T>]>,
     ) -> Result<(), CheckpointError> {
+        self.save_files(comm, dir, epoch, payload, None)
+    }
+
+    /// [`Forest::save_with_payload`], plus an optional `sidecar` file
+    /// (name, body) that rank 0 writes — atomically, CRC-trailed and
+    /// synced like a segment — *before* the manifest, so a manifest that
+    /// validates implies the sidecar is durable too.
+    fn save_files<T: Wire>(
+        &self,
+        comm: &impl Communicator,
+        dir: &Path,
+        epoch: u64,
+        payload: Option<&[Vec<T>]>,
+        sidecar: Option<(&str, Vec<u8>)>,
+    ) -> Result<(), CheckpointError> {
         std::fs::create_dir_all(dir)?;
         let buf = self.encode_segment_body(comm.size(), epoch, payload);
         write_atomic(&segment_path(dir, comm.rank()), buf)?;
+        if let (0, Some((name, body))) = (comm.rank(), sidecar) {
+            write_atomic(&dir.join(name), body)?;
+        }
 
-        // All segments durable before the manifest names them.
+        // All segments (and the sidecar) durable before the manifest
+        // names them.
         comm.barrier();
         if comm.rank() == 0 {
             let global = self.num_global();
@@ -598,6 +613,186 @@ impl<D: Dim> Forest<D> {
             }
         }
         Ok((Forest::from_parts(conn, trees, comm), payloads, meta))
+    }
+}
+
+/// Name of the scalar-state file of a solver checkpoint.
+const SOLVER_FILE: &str = "solver.fst";
+
+/// What distinguishes one solver's checkpoints from another's.
+#[derive(Debug, Clone, Copy)]
+pub struct SolverFormat {
+    /// Magic header of the solver's scalar-state blob.
+    pub magic: u64,
+    /// `f64` state values per element (nodes × components).
+    pub per_element: usize,
+}
+
+impl SolverFormat {
+    /// Body of the scalar-state blob (before its CRC trailer): magic,
+    /// time bits, step count. Replicated on every rank.
+    fn scalar_body(self, time: f64, steps: usize) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(24);
+        self.magic.encode(&mut buf);
+        time.to_bits().encode(&mut buf);
+        (steps as u64).encode(&mut buf);
+        buf
+    }
+
+    /// The per-element payload chunks of a flat state vector.
+    fn chunks(self, state: &[f64]) -> Vec<Vec<f64>> {
+        state
+            .chunks(self.per_element)
+            .map(<[f64]>::to_vec)
+            .collect()
+    }
+}
+
+/// Decode `(time, steps)` from a CRC-checked scalar-state body.
+fn parse_scalar_state(
+    body: &[u8],
+    magic: u64,
+    origin: &Path,
+) -> Result<(f64, usize), CheckpointError> {
+    let mut s = body;
+    if u64::decode(&mut s) != Some(magic) {
+        return Err(format_err(origin, "not a state blob of this solver"));
+    }
+    let time = u64::decode(&mut s).ok_or_else(|| format_err(origin, "truncated time"))?;
+    let steps = u64::decode(&mut s).ok_or_else(|| format_err(origin, "truncated step count"))?;
+    Ok((f64::from_bits(time), steps as usize))
+}
+
+/// Split buddy blobs (`[u64 len] ++ forest segment ++ scalar state`) into
+/// the per-rank forest segments and one scalar-state blob (replicated in
+/// every blob; the first is used).
+fn split_segment_blobs(blobs: &[Vec<u8>]) -> Result<(Vec<Vec<u8>>, &[u8]), CheckpointError> {
+    let origin = Path::new("<memory solver state>");
+    let mut segs = Vec::with_capacity(blobs.len());
+    let mut scalar = None;
+    for blob in blobs {
+        let mut s = blob.as_slice();
+        let len = u64::decode(&mut s)
+            .ok_or_else(|| format_err(origin, "truncated segment length"))?
+            as usize;
+        if s.len() < len {
+            let detail = "segment blob shorter than its declared length";
+            return Err(format_err(origin, detail));
+        }
+        let (seg, rest) = s.split_at(len);
+        segs.push(seg.to_vec());
+        scalar.get_or_insert(rest);
+    }
+    let scalar = scalar.ok_or(CheckpointError::NoCheckpoint {
+        dir: PathBuf::from("<memory>"),
+    })?;
+    Ok((segs, scalar))
+}
+
+/// An explicit solver's state restored from a checkpoint onto this rank:
+/// the forest, `per_element` values per local element in SFC order (the
+/// saved `f64` bits), simulated time (from its bits), and steps taken.
+pub type SolverState<D> = (Forest<D>, Vec<f64>, f64, usize);
+
+impl<D: Dim> Forest<D> {
+    /// Write a recoverable checkpoint of an explicit solver into `dir`:
+    /// this forest with `state` (`fmt.per_element` values per local
+    /// element) as payload and epoch = `steps`, plus the CRC-trailed
+    /// `solver.fst` holding the exact scalars (`time` bits, step count)
+    /// under the solver's magic. Collective.
+    ///
+    /// Everything else a solver holds must be a deterministic function of
+    /// the forest and its configuration, so that what
+    /// [`Forest::load_solver`] hands back continues bitwise identically,
+    /// even on a different rank count.
+    pub fn save_solver(
+        &self,
+        comm: &impl Communicator,
+        dir: &Path,
+        fmt: SolverFormat,
+        time: f64,
+        steps: usize,
+        state: &[f64],
+    ) -> Result<(), CheckpointError> {
+        let sidecar = (SOLVER_FILE, fmt.scalar_body(time, steps));
+        let chunks = fmt.chunks(state);
+        self.save_files(comm, dir, steps as u64, Some(&chunks), Some(sidecar))
+    }
+
+    /// This rank's solver checkpoint as one in-memory byte blob for
+    /// diskless buddy mirroring: `[u64 segment length] ++ forest segment
+    /// ++ scalar state`, the two parts byte-identical to the segment file
+    /// and the `solver.fst` that [`Forest::save_solver`] would write.
+    /// Purely local.
+    pub fn solver_segment_bytes(
+        &self,
+        saved_ranks: usize,
+        fmt: SolverFormat,
+        time: f64,
+        steps: usize,
+        state: &[f64],
+    ) -> Vec<u8> {
+        let seg = self.segment_bytes(saved_ranks, steps as u64, Some(&fmt.chunks(state)));
+        let scalars = fmt.scalar_body(time, steps);
+        let mut blob = Vec::with_capacity(8 + seg.len() + scalars.len() + 4);
+        (seg.len() as u64).encode(&mut blob);
+        blob.extend_from_slice(&seg);
+        blob.extend_from_slice(&scalars);
+        blob.extend_from_slice(&crc32(&scalars).to_le_bytes());
+        blob
+    }
+
+    /// Restore a solver checkpoint written by [`Forest::save_solver`],
+    /// possibly onto a different rank count. On top of
+    /// [`Forest::load_with_payload`]'s validation, `solver.fst` must
+    /// exist, pass its CRC, carry `fmt.magic` and decode fully; its step
+    /// count must equal the manifest epoch; and every local element must
+    /// carry exactly `fmt.per_element` values.
+    pub fn load_solver(
+        conn: std::sync::Arc<crate::connectivity::Connectivity<D>>,
+        comm: &impl Communicator,
+        dir: &Path,
+        fmt: SolverFormat,
+    ) -> Result<SolverState<D>, CheckpointError> {
+        let loaded = Self::load_with_payload::<f64>(conn, comm, dir)?;
+        let spath = dir.join(SOLVER_FILE);
+        let scalars = read_checked(&spath)?;
+        Self::assemble_solver(loaded, &scalars, &spath, fmt)
+    }
+
+    /// [`Forest::load_solver`] from in-memory blobs produced by
+    /// [`Forest::solver_segment_bytes`], one per saved rank in saved-rank
+    /// order — the diskless (buddy) path.
+    pub fn load_solver_from_segments(
+        conn: std::sync::Arc<crate::connectivity::Connectivity<D>>,
+        comm: &impl Communicator,
+        blobs: &[Vec<u8>],
+        fmt: SolverFormat,
+    ) -> Result<SolverState<D>, CheckpointError> {
+        let (segs, scalars) = split_segment_blobs(blobs)?;
+        let loaded = Self::load_from_segment_bytes::<f64>(conn, comm, &segs)?;
+        let origin = Path::new("<memory solver state>");
+        Self::assemble_solver(loaded, strip_crc(scalars, origin)?, origin, fmt)
+    }
+
+    /// Shared tail of the two solver restore paths: decode the scalars
+    /// and check them and the payload against the restored forest.
+    fn assemble_solver(
+        (forest, chunks, meta): (Self, Vec<Vec<f64>>, CheckpointMeta),
+        scalars: &[u8],
+        origin: &Path,
+        fmt: SolverFormat,
+    ) -> Result<SolverState<D>, CheckpointError> {
+        let (time, steps) = parse_scalar_state(scalars, fmt.magic, origin)?;
+        if steps as u64 != meta.epoch {
+            let detail = "solver step count disagrees with checkpoint epoch";
+            return Err(format_err(origin, detail));
+        }
+        if chunks.len() != forest.num_local() || chunks.iter().any(|c| c.len() != fmt.per_element) {
+            let detail = "state payload does not match the mesh size";
+            return Err(format_err(Path::new("<payload>"), detail));
+        }
+        Ok((forest, chunks.into_iter().flatten().collect(), time, steps))
     }
 }
 

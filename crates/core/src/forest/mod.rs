@@ -30,7 +30,7 @@ mod partition;
 mod search;
 
 pub use balance::BalanceType;
-pub use checkpoint::{CheckpointError, CheckpointMeta};
+pub use checkpoint::{CheckpointError, CheckpointMeta, SolverFormat, SolverState};
 pub use ghost::{GhostDataPending, GhostLayer, TAG_GHOST_EXCHANGE};
 pub use iterate::{
     CornerVisit, EdgeVisit, EntitySharer, FaceSide, FaceVisit, LeafRef, OwnedRoute, Visit,

@@ -168,6 +168,26 @@ impl RefElement {
         }
         out
     }
+
+    /// [`face_nodes`](Self::face_nodes) of every face, indexed by face.
+    pub fn face_node_table(&self, dim: usize) -> Vec<Vec<usize>> {
+        (0..2 * dim).map(|f| self.face_nodes(dim, f)).collect()
+    }
+
+    /// Tensor-product LGL quadrature weights on the `dim`-dimensional
+    /// lattice (x-fastest, lowest axis multiplied first): `dim = 3` gives
+    /// the volume weights of a hexahedron, `dim = 2` those of its faces.
+    pub fn tensor_weights(&self, dim: usize) -> Vec<f64> {
+        let mut w = self.weights.clone();
+        for _ in 1..dim {
+            w = self
+                .weights
+                .iter()
+                .flat_map(|&hi| w.iter().map(move |&lo| lo * hi))
+                .collect();
+        }
+        w
+    }
 }
 
 #[cfg(test)]

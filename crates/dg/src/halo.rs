@@ -33,10 +33,14 @@
 //! ```text
 //! [ mask: u8 × n_entries ]  one face-visibility byte per mirror entry,
 //!                           in the ghost layer's per-rank mirror order
-//! [ payload: f64-LE ]       for each entry, for each component c,
+//! [ payload: R-LE ]         for each entry, for each component c,
 //!                           the entry's trace nodes (sorted volume-node
 //!                           order), densely packed
 //! ```
+//!
+//! `R` is the lane's precision ([`HaloLane`]): `f64` on the host lane,
+//! `f32` on the device lane, which has its own tag and scratch but shares
+//! every line of pack, unpack and read-view code.
 //!
 //! The mask bytes are a cheap integrity cross-check: the receiver asserts
 //! each against its independently derived face set, so a connectivity
@@ -50,6 +54,7 @@ use forust::dim::Dim;
 use forust_comm::{Communicator, PendingExchange, TAG_COLLECTIVE};
 
 use crate::mesh::{DgMesh, ElemRef, FaceConn};
+use crate::real::Real;
 
 /// Message tag of the face-trace halo exchange: its own lane just below
 /// the reserved collective tag space (and distinct from the full-payload
@@ -65,6 +70,44 @@ pub const TAG_HALO_EXCHANGE: u32 = TAG_COLLECTIVE - 32;
 /// which is how the ≤ 0.55× bytes contract is asserted.
 pub const TAG_HALO_EXCHANGE_F32: u32 = TAG_COLLECTIVE - 80;
 
+/// A precision the trace exchange can travel in, with the facts that
+/// differ between the lanes: `f64` is the host lane, `f32` the device
+/// lane. Everything else — pack, wire layout, unpack, read view — is one
+/// implementation generic over the lane.
+pub trait HaloLane: Real {
+    /// Message tag of this lane.
+    const TAG: u32;
+    /// Span around packing and posting the messages.
+    const SPAN_BEGIN: &'static str;
+    /// Span around waiting for and unpacking the messages.
+    const SPAN_FINISH: &'static str;
+    /// How the unpack assertions name the lane.
+    const LABEL: &'static str;
+    /// This lane's unpack scratch. The lanes have independent scratches,
+    /// so a device exchange may overlap a host exchange.
+    fn scratch<D: Dim>(halo: &HaloExchange<D>) -> &Mutex<Scratch<Self>>;
+}
+
+impl HaloLane for f64 {
+    const TAG: u32 = TAG_HALO_EXCHANGE;
+    const SPAN_BEGIN: &'static str = "halo.begin";
+    const SPAN_FINISH: &'static str = "halo.finish";
+    const LABEL: &'static str = "halo exchange";
+    fn scratch<D: Dim>(halo: &HaloExchange<D>) -> &Mutex<Scratch<f64>> {
+        &halo.scratch
+    }
+}
+
+impl HaloLane for f32 {
+    const TAG: u32 = TAG_HALO_EXCHANGE_F32;
+    const SPAN_BEGIN: &'static str = "halo.begin_f32";
+    const SPAN_FINISH: &'static str = "halo.finish_f32";
+    const LABEL: &'static str = "f32 halo exchange";
+    fn scratch<D: Dim>(halo: &HaloExchange<D>) -> &Mutex<Scratch<f32>> {
+        &halo.scratch32
+    }
+}
+
 /// One mirror element's contribution to one destination rank.
 #[derive(Debug, Clone)]
 struct SendEntry {
@@ -76,22 +119,14 @@ struct SendEntry {
     nodes: Vec<u16>,
 }
 
-/// Reusable unpack target of the trace exchange.
+/// Reusable unpack target of one lane of the trace exchange.
 #[derive(Debug, Default)]
-struct Scratch {
+pub struct Scratch<R> {
     /// Ghost traces, ghost-major: ghost `g` occupies
     /// `off[g] * ncomp ..` with component-major layout `[c][node]`.
-    data: Vec<f64>,
+    data: Vec<R>,
     /// Times `data` had to grow. Steady-state RK stages must not bump
     /// this — asserted by a debug-counter test.
-    grow_events: u64,
-}
-
-/// Reusable unpack target of the **f32** trace exchange (the device
-/// lane). Same layout contract as [`Scratch`], half the bytes.
-#[derive(Debug, Default)]
-struct Scratch32 {
-    data: Vec<f32>,
     grow_events: u64,
 }
 
@@ -126,8 +161,8 @@ pub struct HaloExchange<D: Dim> {
     interior: Vec<u32>,
     /// Local elements with at least one ghost-face neighbor.
     boundary: Vec<u32>,
-    scratch: Mutex<Scratch>,
-    scratch32: Mutex<Scratch32>,
+    scratch: Mutex<Scratch<f64>>,
+    scratch32: Mutex<Scratch<f32>>,
     _dim: std::marker::PhantomData<D>,
 }
 
@@ -259,40 +294,35 @@ impl<D: Dim> HaloExchange<D> {
             ghosts_of_rank,
             interior,
             boundary,
-            scratch: Mutex::new(Scratch::default()),
-            scratch32: Mutex::new(Scratch32::default()),
+            scratch: Mutex::default(),
+            scratch32: Mutex::default(),
             _dim: std::marker::PhantomData,
         }
     }
 
     /// Rebuild the exchange for a changed mesh (after adapt, partition
-    /// or checkpoint restore), **reusing** the unpack scratch buffer.
+    /// or checkpoint restore), **reusing** the unpack scratch buffers.
     ///
     /// Dropping the old `HaloExchange` and calling [`build`](Self::build)
     /// would throw the steady-state allocation away, forcing a scratch
     /// grow on the first exchange after every adapt; `rebuild` carries
-    /// the buffer's capacity over and resets
+    /// the buffers' capacity over and resets
     /// [`scratch_grow_events`](Self::scratch_grow_events) to zero, so the
     /// counter always reads "grow events since this mesh was built" and
     /// an adapt on a shrinking-or-equal mesh allocates nothing.
     pub fn rebuild(&mut self, mesh: &DgMesh<D>) {
         let _span = forust_obs::span!("halo.rebuild");
         let fresh = Self::build(mesh);
-        {
-            let mut old = self.lock_scratch();
-            let mut new = fresh.lock_scratch();
-            std::mem::swap(&mut new.data, &mut old.data);
-            new.data.clear();
-            new.grow_events = 0;
-        }
-        {
-            let mut old = self.lock_scratch32();
-            let mut new = fresh.lock_scratch32();
-            std::mem::swap(&mut new.data, &mut old.data);
-            new.data.clear();
-            new.grow_events = 0;
-        }
+        fresh.adopt_scratch::<f64>(self);
+        fresh.adopt_scratch::<f32>(self);
         *self = fresh;
+    }
+
+    /// Take over `old`'s lane-`R` scratch allocation, emptied.
+    fn adopt_scratch<R: HaloLane>(&self, old: &Self) {
+        let mut new = self.lock_scratch::<R>();
+        std::mem::swap(&mut new.data, &mut old.lock_scratch::<R>().data);
+        new.data.clear();
     }
 
     /// Local elements with no ghost-face neighbor, safe to update while
@@ -307,10 +337,10 @@ impl<D: Dim> HaloExchange<D> {
         &self.boundary
     }
 
-    /// Times the reusable unpack scratch had to grow. Constant across
-    /// steady-state RK stages (the first exchange sizes it).
-    pub fn scratch_grow_events(&self) -> u64 {
-        self.lock_scratch().grow_events
+    /// Times lane `R`'s reusable unpack scratch had to grow. Constant
+    /// across steady-state RK stages (the first exchange sizes it).
+    pub fn scratch_grow_events<R: HaloLane>(&self) -> u64 {
+        self.lock_scratch::<R>().grow_events
     }
 
     /// Total trace dofs received per exchange, per component — the
@@ -322,19 +352,7 @@ impl<D: Dim> HaloExchange<D> {
     /// Bytes this rank puts on the wire per exchange of `ncomp`
     /// components (payload only, before CRC framing).
     pub fn send_bytes_per_exchange(&self, ncomp: usize) -> u64 {
-        self.send_entries
-            .iter()
-            .flatten()
-            .map(|e| (e.nodes.len() * ncomp * 8 + 1) as u64)
-            .sum()
-    }
-
-    fn lock_scratch(&self) -> MutexGuard<'_, Scratch> {
-        self.scratch.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn lock_scratch32(&self) -> MutexGuard<'_, Scratch32> {
-        self.scratch32.lock().unwrap_or_else(|e| e.into_inner())
+        self.send_bytes::<f64>(ncomp)
     }
 
     /// Bytes this rank puts on the wire per **f32** exchange of `ncomp`
@@ -343,155 +361,61 @@ impl<D: Dim> HaloExchange<D> {
     /// of the f64 lane per entry, i.e. strictly under 0.55× for any
     /// non-empty trace with `ncomp ≥ 1`.
     pub fn send_bytes_per_exchange_f32(&self, ncomp: usize) -> u64 {
+        self.send_bytes::<f32>(ncomp)
+    }
+
+    fn send_bytes<R: Real>(&self, ncomp: usize) -> u64 {
         self.send_entries
             .iter()
             .flatten()
-            .map(|e| (e.nodes.len() * ncomp * 4 + 1) as u64)
+            .map(|e| (e.nodes.len() * ncomp * R::WIRE_BYTES + 1) as u64)
             .sum()
     }
 
-    /// Times the f32 unpack scratch had to grow (device-lane mirror of
-    /// [`scratch_grow_events`](Self::scratch_grow_events)).
-    pub fn scratch32_grow_events(&self) -> u64 {
-        self.lock_scratch32().grow_events
+    fn lock_scratch<R: HaloLane>(&self) -> MutexGuard<'_, Scratch<R>> {
+        // A panicking holder leaves nothing half-updated that the next
+        // exchange does not overwrite, so a poisoned lock is recovered.
+        R::scratch(self).lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Start the **single-precision** trace exchange of `ncomp`
-    /// components, reading values through `get(elem, comp, node)` instead
-    /// of a borrowed AoS slice — the device backend's state lives in
-    /// lane-batched SoA arenas, and the accessor lets it pack straight
-    /// from them without materializing a host-layout copy. Wire format is
-    /// the f64 lane's (mask byte per mirror entry, then per entry ×
-    /// component × sorted trace node), with f32-LE values on its own tag
-    /// [`TAG_HALO_EXCHANGE_F32`]. Bytes land in the same
-    /// `halo.bytes_sent` counter and `halo.bytes_per_exchange` histogram,
-    /// so the halved traffic is visible to the existing dashboards.
-    pub fn begin_f32_with<'a, C: Communicator, F>(
+    /// Start the trace exchange of `ncomp` components in precision `R`,
+    /// reading values through `get(elem, comp, node)` instead of a
+    /// borrowed slice — the device backend's state lives in lane-batched
+    /// SoA arenas, and the accessor lets it pack straight from them
+    /// without materializing a host-layout copy. Every message goes on
+    /// the wire under the lane's own tag; complete with
+    /// [`HaloPending::finish`]. Both lanes' bytes land in the same
+    /// `halo.bytes_sent` counter and `halo.bytes_per_exchange`
+    /// histogram, so the f32 lane's halved traffic is visible to the
+    /// same dashboards.
+    pub fn begin_with<'a, R, C, F>(
         &'a self,
         comm: &'a C,
         get: F,
         ncomp: usize,
-    ) -> HaloPendingF32<'a, C, D>
+    ) -> HaloPending<'a, C, D, R>
     where
-        F: Fn(usize, usize, usize) -> f32 + Sync,
+        R: HaloLane,
+        C: Communicator,
+        F: Fn(usize, usize, usize) -> R + Sync,
     {
-        let _span = forust_obs::span!("halo.begin_f32");
-        let outgoing: Vec<Vec<u8>> = forust_pool::par_map(self.send_entries.len(), 1, |r| {
-            let entries = &self.send_entries[r];
-            let payload: usize = entries.iter().map(|en| en.nodes.len()).sum();
-            let mut buf = Vec::with_capacity(entries.len() + payload * ncomp * 4);
-            for en in entries {
-                buf.push(en.mask);
-            }
-            for en in entries {
-                for c in 0..ncomp {
-                    for &n in &en.nodes {
-                        let v = get(en.elem as usize, c, n as usize);
-                        buf.extend_from_slice(&v.to_le_bytes());
-                    }
-                }
-            }
-            buf
-        });
-        let bytes_sent: u64 = outgoing.iter().map(|b| b.len() as u64).sum();
-        forust_obs::counter_add("halo.bytes_sent", bytes_sent);
-        forust_obs::histogram!("halo.bytes_per_exchange", bytes_sent);
-        HaloPendingF32 {
-            halo: self,
-            pending: comm.start_alltoallv_bytes(outgoing, TAG_HALO_EXCHANGE_F32),
-            ncomp,
-        }
-    }
-
-    /// Blocking wrapper around [`begin_f32_with`](Self::begin_f32_with).
-    pub fn exchange_f32_with<'a, C: Communicator, F>(
-        &'a self,
-        comm: &'a C,
-        get: F,
-        ncomp: usize,
-    ) -> HaloDataF32<'a, D>
-    where
-        F: Fn(usize, usize, usize) -> f32 + Sync,
-    {
-        self.begin_f32_with(comm, get, ncomp).finish()
-    }
-
-    /// Unpack the received f32 buffers into the f32 scratch.
-    fn unpack_f32(&self, incoming: Vec<Vec<u8>>, ncomp: usize) -> HaloDataF32<'_, D> {
-        let mut scratch = self.lock_scratch32();
-        let needed = self.trace_len() * ncomp;
-        if needed > scratch.data.capacity() {
-            scratch.grow_events += 1;
-            forust_obs::counter_add("halo.scratch_grow", 1);
-            let additional = needed - scratch.data.len();
-            scratch.data.reserve(additional);
-        }
-        scratch.data.clear();
-        scratch.data.resize(needed, 0.0);
-        for (r, buf) in incoming.iter().enumerate() {
-            let ghosts = &self.ghosts_of_rank[r];
-            let payload: usize = ghosts
-                .iter()
-                .map(|&g| self.recv_nodes[g as usize].len())
-                .sum();
-            assert_eq!(
-                buf.len(),
-                ghosts.len() + payload * ncomp * 4,
-                "f32 halo exchange: rank {r} sent a malformed trace buffer"
-            );
-            let mut cur = ghosts.len();
-            for (i, &g) in ghosts.iter().enumerate() {
-                let g = g as usize;
-                assert_eq!(
-                    buf[i], self.recv_mask[g],
-                    "f32 halo exchange: face-visibility mask mismatch for ghost {g} from rank {r}"
-                );
-                let len = self.recv_nodes[g].len();
-                let base = self.recv_off[g] * ncomp;
-                for k in 0..len * ncomp {
-                    let raw: [u8; 4] = buf[cur..cur + 4].try_into().unwrap();
-                    scratch.data[base + k] = f32::from_le_bytes(raw);
-                    cur += 4;
-                }
-            }
-        }
-        HaloDataF32 {
-            halo: self,
-            scratch,
-            ncomp,
-        }
-    }
-
-    /// Start the trace exchange: restrict `local` (`ncomp` components
-    /// per element, component-major within the element: value `v` of
-    /// component `c` of element `e` at `local[(e * ncomp + c) * npe/npe
-    /// ... ]` — i.e. `e`'s chunk is `npe * ncomp` long with layout
-    /// `[c][node]`) to the visible face traces and put every message on
-    /// the wire. Complete with [`HaloPending::finish`].
-    pub fn begin<'a, C: Communicator>(
-        &'a self,
-        comm: &'a C,
-        local: &[f64],
-        ncomp: usize,
-    ) -> HaloPending<'a, C, D> {
-        let _span = forust_obs::span!("halo.begin");
-        let chunk = self.npe * ncomp;
+        let _span = forust_obs::span!(R::SPAN_BEGIN);
         // One message buffer per destination rank, each packed serially
         // from read-only state: fanning the per-rank packs out over the
         // worker pool leaves every byte of every buffer unchanged.
         let outgoing: Vec<Vec<u8>> = forust_pool::par_map(self.send_entries.len(), 1, |r| {
             let entries = &self.send_entries[r];
             let payload: usize = entries.iter().map(|en| en.nodes.len()).sum();
-            let mut buf = Vec::with_capacity(entries.len() + payload * ncomp * 8);
-            for en in entries {
-                buf.push(en.mask);
+            let mut buf = vec![0u8; entries.len() + payload * ncomp * R::WIRE_BYTES];
+            for (b, en) in buf.iter_mut().zip(entries) {
+                *b = en.mask;
             }
+            let mut cur = entries.len();
             for en in entries {
-                let base = en.elem as usize * chunk;
                 for c in 0..ncomp {
-                    let comp = &local[base + c * self.npe..base + (c + 1) * self.npe];
                     for &n in &en.nodes {
-                        buf.extend_from_slice(&comp[n as usize].to_le_bytes());
+                        get(en.elem as usize, c, n as usize).write_le(&mut buf[cur..]);
+                        cur += R::WIRE_BYTES;
                     }
                 }
             }
@@ -502,9 +426,24 @@ impl<D: Dim> HaloExchange<D> {
         forust_obs::histogram!("halo.bytes_per_exchange", bytes_sent);
         HaloPending {
             halo: self,
-            pending: comm.start_alltoallv_bytes(outgoing, TAG_HALO_EXCHANGE),
+            pending: comm.start_alltoallv_bytes(outgoing, R::TAG),
             ncomp,
+            _lane: std::marker::PhantomData,
         }
+    }
+
+    /// Start the f64 trace exchange of a host-layout field: `local`
+    /// holds `ncomp` components per element, component-major within the
+    /// element (`e`'s chunk is `npe * ncomp` long with layout
+    /// `[c][node]`). Complete with [`HaloPending::finish`].
+    pub fn begin<'a, C: Communicator>(
+        &'a self,
+        comm: &'a C,
+        local: &[f64],
+        ncomp: usize,
+    ) -> HaloPending<'a, C, D> {
+        let npe = self.npe;
+        self.begin_with(comm, |e, c, n| local[(e * ncomp + c) * npe + n], ncomp)
     }
 
     /// Blocking wrapper: [`begin`](Self::begin) followed immediately by
@@ -518,10 +457,10 @@ impl<D: Dim> HaloExchange<D> {
         self.begin(comm, local, ncomp).finish()
     }
 
-    /// Unpack the received buffers into the scratch and hand out the
-    /// read view.
-    fn unpack(&self, incoming: Vec<Vec<u8>>, ncomp: usize) -> HaloData<'_, D> {
-        let mut scratch = self.lock_scratch();
+    /// Unpack the received buffers into lane `R`'s scratch and hand out
+    /// the read view.
+    fn unpack<R: HaloLane>(&self, incoming: Vec<Vec<u8>>, ncomp: usize) -> HaloData<'_, D, R> {
+        let mut scratch = self.lock_scratch::<R>();
         let needed = self.trace_len() * ncomp;
         if needed > scratch.data.capacity() {
             scratch.grow_events += 1;
@@ -530,7 +469,7 @@ impl<D: Dim> HaloExchange<D> {
             scratch.data.reserve(additional);
         }
         scratch.data.clear();
-        scratch.data.resize(needed, 0.0);
+        scratch.data.resize(needed, R::ZERO);
         for (r, buf) in incoming.iter().enumerate() {
             let ghosts = &self.ghosts_of_rank[r];
             let payload: usize = ghosts
@@ -539,22 +478,24 @@ impl<D: Dim> HaloExchange<D> {
                 .sum();
             assert_eq!(
                 buf.len(),
-                ghosts.len() + payload * ncomp * 8,
-                "halo exchange: rank {r} sent a malformed trace buffer"
+                ghosts.len() + payload * ncomp * R::WIRE_BYTES,
+                "{}: rank {r} sent a malformed trace buffer",
+                R::LABEL
             );
             let mut cur = ghosts.len();
             for (i, &g) in ghosts.iter().enumerate() {
                 let g = g as usize;
                 assert_eq!(
-                    buf[i], self.recv_mask[g],
-                    "halo exchange: face-visibility mask mismatch for ghost {g} from rank {r}"
+                    buf[i],
+                    self.recv_mask[g],
+                    "{}: face-visibility mask mismatch for ghost {g} from rank {r}",
+                    R::LABEL
                 );
                 let len = self.recv_nodes[g].len();
                 let base = self.recv_off[g] * ncomp;
                 for k in 0..len * ncomp {
-                    let raw: [u8; 8] = buf[cur..cur + 8].try_into().unwrap();
-                    scratch.data[base + k] = f64::from_le_bytes(raw);
-                    cur += 8;
+                    scratch.data[base + k] = R::read_le(&buf[cur..]);
+                    cur += R::WIRE_BYTES;
                 }
             }
         }
@@ -566,16 +507,17 @@ impl<D: Dim> HaloExchange<D> {
     }
 }
 
-/// An in-flight halo exchange: complete it with
+/// An in-flight halo exchange on lane `R`: complete it with
 /// [`finish`](Self::finish) once the interior work is done.
 #[must_use = "complete the halo exchange with finish()"]
-pub struct HaloPending<'a, C: Communicator, D: Dim> {
+pub struct HaloPending<'a, C: Communicator, D: Dim, R: HaloLane = f64> {
     halo: &'a HaloExchange<D>,
     pending: PendingExchange<'a, C>,
     ncomp: usize,
+    _lane: std::marker::PhantomData<R>,
 }
 
-impl<'a, C: Communicator, D: Dim> HaloPending<'a, C, D> {
+impl<'a, C: Communicator, D: Dim, R: HaloLane> HaloPending<'a, C, D, R> {
     /// Receive whatever has already arrived, without blocking; `true`
     /// once every peer's buffer is in (then `finish` will not block).
     pub fn poll(&mut self) -> bool {
@@ -583,84 +525,22 @@ impl<'a, C: Communicator, D: Dim> HaloPending<'a, C, D> {
     }
 
     /// Block until the exchange completes and unpack the ghost traces.
-    pub fn finish(self) -> HaloData<'a, D> {
-        let _span = forust_obs::span!("halo.finish");
+    pub fn finish(self) -> HaloData<'a, D, R> {
+        let _span = forust_obs::span!(R::SPAN_FINISH);
         let incoming = self.pending.wait();
         self.halo.unpack(incoming, self.ncomp)
     }
 }
 
-/// An in-flight **f32** halo exchange (device lane); complete it with
-/// [`finish`](Self::finish).
-#[must_use = "complete the halo exchange with finish()"]
-pub struct HaloPendingF32<'a, C: Communicator, D: Dim> {
+/// Read view of the received ghost face traces of lane `R` (holds that
+/// lane's scratch lock until dropped).
+pub struct HaloData<'a, D: Dim, R: HaloLane = f64> {
     halo: &'a HaloExchange<D>,
-    pending: PendingExchange<'a, C>,
+    scratch: MutexGuard<'a, Scratch<R>>,
     ncomp: usize,
 }
 
-impl<'a, C: Communicator, D: Dim> HaloPendingF32<'a, C, D> {
-    /// Receive whatever has already arrived, without blocking.
-    pub fn poll(&mut self) -> bool {
-        self.pending.poll()
-    }
-
-    /// Block until the exchange completes and unpack the ghost traces.
-    pub fn finish(self) -> HaloDataF32<'a, D> {
-        let _span = forust_obs::span!("halo.finish_f32");
-        let incoming = self.pending.wait();
-        self.halo.unpack_f32(incoming, self.ncomp)
-    }
-}
-
-/// Read view of the received **f32** ghost face traces (holds the f32
-/// scratch lock until dropped). The f64 and f32 lanes have independent
-/// scratches, so a device exchange may overlap a host exchange.
-pub struct HaloDataF32<'a, D: Dim> {
-    halo: &'a HaloExchange<D>,
-    scratch: MutexGuard<'a, Scratch32>,
-    ncomp: usize,
-}
-
-impl<D: Dim> HaloDataF32<'_, D> {
-    /// True if `face` of ghost `g` was exchanged.
-    pub fn has_face(&self, g: usize, face: usize) -> bool {
-        self.halo.face_pos[g][face].is_some()
-    }
-
-    /// Write the trace of component `comp` of ghost `g` on `face` into
-    /// `out` (face-lattice order). Values are bitwise equal to demoting
-    /// the sender's f64 nodal values to f32 — the wire truncates
-    /// precision exactly once, at pack time.
-    pub fn face_values(&self, g: usize, face: usize, comp: usize, out: &mut Vec<f32>) {
-        debug_assert!(comp < self.ncomp);
-        let pos = self.halo.face_pos[g][face]
-            .as_deref()
-            .unwrap_or_else(|| panic!("halo exchange: face {face} of ghost {g} was not exchanged"));
-        let len = self.halo.recv_nodes[g].len();
-        let base = self.halo.recv_off[g] * self.ncomp + comp * len;
-        out.clear();
-        out.extend(pos.iter().map(|&k| self.scratch.data[base + k as usize]));
-    }
-
-    /// The raw trace of component `comp` of ghost `g` (sorted
-    /// volume-node order).
-    pub fn trace(&self, g: usize, comp: usize) -> &[f32] {
-        let len = self.halo.recv_nodes[g].len();
-        let base = self.halo.recv_off[g] * self.ncomp + comp * len;
-        &self.scratch.data[base..base + len]
-    }
-}
-
-/// Read view of the received ghost face traces (holds the scratch lock
-/// until dropped).
-pub struct HaloData<'a, D: Dim> {
-    halo: &'a HaloExchange<D>,
-    scratch: MutexGuard<'a, Scratch>,
-    ncomp: usize,
-}
-
-impl<D: Dim> HaloData<'_, D> {
+impl<D: Dim, R: HaloLane> HaloData<'_, D, R> {
     /// True if `face` of ghost `g` was exchanged (i.e. some local
     /// element reads it).
     pub fn has_face(&self, g: usize, face: usize) -> bool {
@@ -672,21 +552,22 @@ impl<D: Dim> HaloData<'_, D> {
     ///
     /// Values are bitwise equal to indexing the ghost's full volume data
     /// with `RefElement::face_nodes` — the exchange moves fewer bytes,
-    /// not different ones.
-    pub fn face_values(&self, g: usize, face: usize, comp: usize, out: &mut Vec<f64>) {
+    /// not different ones. (On the f32 lane that data is the sender's
+    /// values as its accessor demoted them: the wire truncates precision
+    /// exactly once, at pack time.)
+    pub fn face_values(&self, g: usize, face: usize, comp: usize, out: &mut Vec<R>) {
         debug_assert!(comp < self.ncomp);
         let pos = self.halo.face_pos[g][face]
             .as_deref()
             .unwrap_or_else(|| panic!("halo exchange: face {face} of ghost {g} was not exchanged"));
-        let len = self.halo.recv_nodes[g].len();
-        let base = self.halo.recv_off[g] * self.ncomp + comp * len;
         out.clear();
-        out.extend(pos.iter().map(|&k| self.scratch.data[base + k as usize]));
+        let trace = self.trace(g, comp);
+        out.extend(pos.iter().map(|&k| trace[k as usize]));
     }
 
     /// The raw trace of component `comp` of ghost `g` (sorted
     /// volume-node order, length = the ghost's trace length).
-    pub fn trace(&self, g: usize, comp: usize) -> &[f64] {
+    pub fn trace(&self, g: usize, comp: usize) -> &[R] {
         let len = self.halo.recv_nodes[g].len();
         let base = self.halo.recv_off[g] * self.ncomp + comp * len;
         &self.scratch.data[base..base + len]
@@ -874,22 +755,22 @@ mod tests {
             let ncomp = 3;
             let u = synthetic_field(&mesh, npe, ncomp);
             let halo = HaloExchange::build(&mesh);
-            assert_eq!(halo.scratch_grow_events(), 0);
+            assert_eq!(halo.scratch_grow_events::<f64>(), 0);
             drop(halo.exchange(comm, &u, ncomp));
-            let after_first = halo.scratch_grow_events();
+            let after_first = halo.scratch_grow_events::<f64>();
             assert!(after_first <= 1);
             for _ in 0..5 {
                 drop(halo.exchange(comm, &u, ncomp));
             }
             assert_eq!(
-                halo.scratch_grow_events(),
+                halo.scratch_grow_events::<f64>(),
                 after_first,
                 "steady-state halo exchange reallocated its scratch"
             );
             // Smaller payloads fit in the same allocation, too.
             let u1 = synthetic_field(&mesh, npe, 1);
             drop(halo.exchange(comm, &u1, 1));
-            assert_eq!(halo.scratch_grow_events(), after_first);
+            assert_eq!(halo.scratch_grow_events::<f64>(), after_first);
         });
     }
 
@@ -905,16 +786,16 @@ mod tests {
             let u = synthetic_field(&mesh, npe, ncomp);
             let mut halo = HaloExchange::build(&mesh);
             drop(halo.exchange(comm, &u, ncomp));
-            let grew = halo.scratch_grow_events();
+            let grew = halo.scratch_grow_events::<f64>();
 
             // Same mesh again: the rebuilt halo needs exactly the same
             // scratch, which rebuild carried over — zero grow events both
             // right after the rebuild and after the next exchange.
             halo.rebuild(&mesh);
-            assert_eq!(halo.scratch_grow_events(), 0);
+            assert_eq!(halo.scratch_grow_events::<f64>(), 0);
             drop(halo.exchange(comm, &u, ncomp));
             assert_eq!(
-                halo.scratch_grow_events(),
+                halo.scratch_grow_events::<f64>(),
                 0,
                 "rebuild dropped the scratch allocation"
             );
@@ -924,7 +805,7 @@ mod tests {
             let cold = HaloExchange::build(&mesh);
             drop(cold.exchange(comm, &u, ncomp));
             assert_eq!(
-                cold.scratch_grow_events(),
+                cold.scratch_grow_events::<f64>(),
                 grew,
                 "fresh build should repeat the first-exchange grow"
             );

@@ -13,12 +13,17 @@
 //!   operator application and 2:1 half-interval interpolation;
 //! - [`lserk`]: the five-stage fourth-order low-storage Runge–Kutta scheme
 //!   used by every time-dependent solver in the paper;
+//! - [`stepper`]: the one split-phase dG driver — LSERK stages, halo
+//!   `begin → interior sweep → finish → boundary sweep` on the worker
+//!   pool, per-lane scratch — that a solver plugs an [`ElementKernel`]
+//!   into;
 //! - [`mesh`]: the dG element mesh extracted from a balanced forest and its
 //!   ghost layer — neighbor classification per face (conforming, 2:1
 //!   mortar, inter-tree with rotation) and ghost field exchange;
 //! - [`halo`]: the split-phase, face-trace-only ghost exchange — restricts
 //!   mirror payloads to the dofs actually read across the partition
-//!   boundary and overlaps the messages with interior element work;
+//!   boundary and overlaps the messages with interior element work; one
+//!   implementation generic over the wire precision ([`HaloLane`]);
 //! - [`kernels`]: the allocation-free, degree-specialized sum-factorization
 //!   engine behind the solvers' RHS hot loops — axis-specialized operator
 //!   sweeps, const-generic instances for the paper's production degrees,
@@ -45,13 +50,14 @@ pub mod matrix;
 pub mod mesh;
 pub mod real;
 pub mod soa;
+pub mod stepper;
 pub mod transfer;
 
 pub use element::RefElement;
 pub use halo::{
-    HaloData, HaloDataF32, HaloExchange, HaloPending, HaloPendingF32, TAG_HALO_EXCHANGE,
-    TAG_HALO_EXCHANGE_F32,
+    HaloData, HaloExchange, HaloLane, HaloPending, TAG_HALO_EXCHANGE, TAG_HALO_EXCHANGE_F32,
 };
 pub use kernels::KernelWorkspace;
 pub use matrix::Matrix;
 pub use real::Real;
+pub use stepper::{ElementKernel, Stepper};

@@ -213,3 +213,20 @@ fn workspace_capacity_contract() {
     ws.check_steady();
     assert!(ws.grow_events() > 0, "regrow must be counted");
 }
+
+#[test]
+fn tensor_weights_are_the_left_to_right_products() {
+    // The solvers' cached constants are pinned to these exact bits.
+    let re = RefElement::new(3);
+    let (np, w) = (re.np, &re.weights);
+    let (wv, wf) = (re.tensor_weights(3), re.tensor_weights(2));
+    for k in 0..np {
+        for j in 0..np {
+            assert_eq!(wf[k * np + j].to_bits(), (w[j] * w[k]).to_bits());
+            for i in 0..np {
+                let want = w[i] * w[j] * w[k];
+                assert_eq!(wv[(k * np + j) * np + i].to_bits(), want.to_bits());
+            }
+        }
+    }
+}

@@ -193,8 +193,8 @@ impl MantleSolver {
         let lam_max = self.power_iteration(comm, &du, &dp, 8);
         self.timers.vcycle += t0.elapsed(); // setup cost bucket (small)
 
-        let precond = |me: &mut Self, comm: &dyn CommObj, r: &[f64], z: &mut [f64]| {
-            me.apply_preconditioner(comm, &du, &dp, lam_max, r, z);
+        let precond = |me: &mut Self, r: &[f64], z: &mut [f64]| {
+            me.apply_preconditioner(&du, &dp, lam_max, r, z);
         };
 
         // Paige–Saunders MINRES.
@@ -210,7 +210,7 @@ impl MantleSolver {
         let mut z = vec![0.0; n];
         {
             let tv = Instant::now();
-            precond(self, &comm_obj(comm), &r1, &mut z);
+            precond(self, &r1, &mut z);
             vc_time += tv.elapsed();
         }
         let mut beta1 = self.fem.dot(comm, &r1, &z);
@@ -251,7 +251,7 @@ impl MantleSolver {
             r1 = std::mem::replace(&mut r2, ay);
             {
                 let tv = Instant::now();
-                precond(self, &comm_obj(comm), &r2, &mut y);
+                precond(self, &r2, &mut y);
                 vc_time += tv.elapsed();
             }
             oldb = beta;
@@ -291,15 +291,7 @@ impl MantleSolver {
 
     /// Block preconditioner: Chebyshev–Jacobi sweeps on the viscous block
     /// (the V-cycle stand-in) and the inverse-viscosity pressure mass.
-    fn apply_preconditioner(
-        &self,
-        _comm: &dyn CommObj,
-        du: &[f64],
-        dp: &[f64],
-        lam_max: f64,
-        r: &[f64],
-        z: &mut [f64],
-    ) {
+    fn apply_preconditioner(&self, du: &[f64], dp: &[f64], lam_max: f64, r: &[f64], z: &mut [f64]) {
         let nn = self.fem.nn;
         // Chebyshev on the velocity block would need operator products on
         // the velocity subspace; a diagonal-scaled fixed polynomial keeps
@@ -548,14 +540,6 @@ impl MantleSolver {
             timers: MantleTimers::default(),
         })
     }
-}
-
-/// Object-safe communicator shim for preconditioner closures.
-trait CommObj {}
-struct CommShim;
-impl CommObj for CommShim {}
-fn comm_obj(_c: &impl Communicator) -> CommShim {
-    CommShim
 }
 
 #[cfg(test)]

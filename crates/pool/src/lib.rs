@@ -601,18 +601,6 @@ impl<'a, T> DisjointSlice<'a, T> {
     }
 }
 
-/// A `Sync` raw-pointer wrapper for handing the calling thread's
-/// exclusive scratch (`&mut T`) to lane 0 of a job. The solvers use this
-/// so lane 0 keeps running on the solver-owned workspace (whose
-/// steady-state growth the regression tests watch) while lanes `1..`
-/// use [`PerLane`] slots.
-pub struct SyncMutPtr<T>(pub *mut T);
-
-// SAFETY: the wrapper only moves the pointer across threads; the caller
-// promises at the dereference site that exactly one lane uses it.
-unsafe impl<T: Send> Sync for SyncMutPtr<T> {}
-unsafe impl<T: Send> Send for SyncMutPtr<T> {}
-
 /// Per-lane mutable state (scratch workspaces): slot `l` may only be
 /// touched by the thread currently running as lane `l`, which the pool
 /// guarantees is unique per job.

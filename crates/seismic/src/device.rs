@@ -35,14 +35,17 @@
 //! identity — plane-wave closed forms in [`crate::model`] anchor the
 //! absolute error.
 
+use forust::dim::D3;
 use forust_comm::Communicator;
+use forust_dg::halo::HaloData;
 use forust_dg::lserk::{LSERK_A, LSERK_B, LSERK_C};
 use forust_dg::mesh::{ElemRef, FaceConn};
+use forust_dg::real::demote_slice;
 use forust_dg::soa::{self, LANES};
 use forust_pool::{DisjointSlice, PerLane};
 
 use crate::model::ricker;
-use crate::solver::{SeismicSolver, NCOMP};
+use crate::solver::{penalty_flux, SeismicSolver, NCOMP};
 
 /// Blocks per pool chunk in the device sweeps. One block is already
 /// `LANES` elements of heavy work; unit grain keeps the chunk boundaries
@@ -322,24 +325,10 @@ impl DeviceState {
         self.transfers += 1;
 
         // Shared per-mesh constants.
-        self.diff.clear();
-        self.diff.extend(re.diff.data.iter().map(|&x| x as f32));
-        self.wv.clear();
-        for k in 0..np {
-            for j in 0..np {
-                for i in 0..np {
-                    self.wv
-                        .push((re.weights[i] * re.weights[j] * re.weights[k]) as f32);
-                }
-            }
-        }
-        self.wf.clear();
-        for b in 0..np {
-            for a in 0..np {
-                self.wf.push((re.weights[a] * re.weights[b]) as f32);
-            }
-        }
-        self.face_idx = (0..6).map(|f| re.face_nodes(3, f)).collect();
+        demote_slice(&re.diff.data, &mut self.diff);
+        demote_slice(&re.tensor_weights(3), &mut self.wv);
+        demote_slice(&re.tensor_weights(2), &mut self.wf);
+        self.face_idx = re.face_node_table(3);
         self.src_dir = [
             s.config.src_dir[0] as f32,
             s.config.src_dir[1] as f32,
@@ -620,11 +609,8 @@ impl DeviceState {
         let npe = np * np * np;
         let q = &self.q;
         // f32 face-trace exchange, packed straight from the SoA arena.
-        let traces = s.halo.exchange_f32_with(
-            comm,
-            |e, c, n| q[(((e / LANES) * NCOMP + c) * npe + n) * LANES + (e % LANES)],
-            NCOMP,
-        );
+        let get = |e: usize, c, n| q[(((e / LANES) * NCOMP + c) * npe + n) * LANES + (e % LANES)];
+        let traces = s.halo.begin_with(comm, get, NCOMP).finish();
         let amp = ricker(t, s.config.f0, 1.2 / s.config.f0) as f32;
         // Trace-extraction sweep: compact every element-face's own trace
         // into contiguous panels. The flux sweep then reads a neighbor
@@ -672,7 +658,7 @@ impl DeviceState {
         &self,
         b: usize,
         amp: f32,
-        traces: &forust_dg::HaloDataF32<'_, forust::dim::D3>,
+        traces: &HaloData<'_, D3, f32>,
         ws: &mut DeviceWs,
         out: &mut [f32],
     ) {
@@ -841,7 +827,7 @@ impl DeviceState {
         l: usize,
         f: usize,
         mi: u32,
-        traces: &forust_dg::HaloDataF32<'_, forust::dim::D3>,
+        traces: &HaloData<'_, D3, f32>,
         ws: &mut DeviceWs,
         out: &mut [f32],
     ) {
@@ -870,9 +856,11 @@ impl DeviceState {
             for j in 0..npf {
                 let vmat = fidx[j];
                 let x = vmat * LANES + l;
-                let (rh, lm, m2) = (self.rho[b * plane + x], self.lam[b * plane + x], {
-                    2.0 * self.mu[b * plane + x]
-                });
+                let m = [
+                    self.rho[b * plane + x],
+                    self.lam[b * plane + x],
+                    self.mu[b * plane + x],
+                ];
                 let n = [sub.normal[j], sub.normal[npf + j], sub.normal[2 * npf + j]];
                 let mut qmj = [0.0f32; NCOMP];
                 let mut qpj = [0.0f32; NCOMP];
@@ -880,7 +868,7 @@ impl DeviceState {
                     qmj[c] = ws.qms[c * npf + j];
                     qpj[c] = ws.qps[c * npf + j];
                 }
-                let d = lane_flux(&qmj, &qpj, n, rh, lm, m2);
+                let d = penalty_flux(&qmj, &qpj, n, m);
                 let w = self.wf[j] * sub.sj[j];
                 for (i, &v) in fidx.iter().enumerate() {
                     let coef = to_fine[j * npf + i] * w / (self.wv[v] * det[v * LANES + l]);
@@ -919,7 +907,7 @@ impl DeviceState {
         nbr: NbrRef,
         nbr_face: usize,
         c: usize,
-        traces: &forust_dg::HaloDataF32<'_, forust::dim::D3>,
+        traces: &HaloData<'_, D3, f32>,
         buf: &mut Vec<f32>,
     ) {
         let npf = self.np * self.np;
@@ -944,57 +932,6 @@ fn matvec32(m: &[f32], n: usize, x: &[f32], out: &mut [f32]) {
         }
         *o = acc;
     }
-}
-
-/// Scalar f32 impedance penalty flux of one trace pair (the mortar
-/// lanes' per-point kernel; same algebra as the host's `apply_flux`).
-fn lane_flux(
-    qm: &[f32; NCOMP],
-    qp: &[f32; NCOMP],
-    n: [f32; 3],
-    rho: f32,
-    lam: f32,
-    mu2: f32,
-) -> [f32; NCOMP] {
-    let cp = ((lam + mu2) / rho).sqrt();
-    let z = rho * cp;
-    let sig = |s: &[f32; NCOMP]| -> [f32; 6] {
-        let tr = s[3] + s[4] + s[5];
-        [
-            mu2 * s[3] + lam * tr,
-            mu2 * s[4] + lam * tr,
-            mu2 * s[5] + lam * tr,
-            mu2 * s[6],
-            mu2 * s[7],
-            mu2 * s[8],
-        ]
-    };
-    let sgm = sig(qm);
-    let sgp = sig(qp);
-    let sn = |sg: &[f32; 6]| -> [f32; 3] {
-        [
-            sg[0] * n[0] + sg[5] * n[1] + sg[4] * n[2],
-            sg[5] * n[0] + sg[1] * n[1] + sg[3] * n[2],
-            sg[4] * n[0] + sg[3] * n[1] + sg[2] * n[2],
-        ]
-    };
-    let tm = sn(&sgm);
-    let tp = sn(&sgp);
-    let mut d = [0.0f32; NCOMP];
-    let mut dvs = [0.0f32; 3];
-    for i in 0..3 {
-        let tstar = 0.5 * (tm[i] + tp[i]) + 0.5 * z * (qp[i] - qm[i]);
-        d[i] = (tstar - tm[i]) / rho;
-        let vstar = 0.5 * (qm[i] + qp[i]) + 0.5 / z * (tp[i] - tm[i]);
-        dvs[i] = vstar - qm[i];
-    }
-    d[3] = n[0] * dvs[0];
-    d[4] = n[1] * dvs[1];
-    d[5] = n[2] * dvs[2];
-    d[6] = 0.5 * (n[1] * dvs[2] + n[2] * dvs[1]);
-    d[7] = 0.5 * (n[0] * dvs[2] + n[2] * dvs[0]);
-    d[8] = 0.5 * (n[0] * dvs[1] + n[1] * dvs[0]);
-    d
 }
 
 #[cfg(test)]

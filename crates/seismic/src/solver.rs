@@ -16,25 +16,24 @@ use std::time::{Duration, Instant};
 
 use forust::connectivity::Connectivity;
 use forust::dim::D3;
-use forust::forest::{BalanceType, CheckpointError, Forest};
-use forust_comm::{Communicator, Wire};
+use forust::forest::{BalanceType, CheckpointError, Forest, SolverFormat};
+use forust_comm::Communicator;
 use forust_dg::geometry::MeshGeometry;
 use forust_dg::halo::{HaloData, HaloExchange};
 use forust_dg::kernels::{self, KernelWorkspace};
-use forust_dg::lserk::{LSERK_A, LSERK_B, LSERK_C};
+use forust_dg::lserk::lserk_step;
 use forust_dg::mesh::{DgMesh, ElemRef, FaceConn};
+use forust_dg::real::Real;
+use forust_dg::stepper::{ElementKernel, Stepper};
 use forust_geom::Mapping;
-use forust_pool::{DisjointSlice, PerLane, SyncMutPtr};
 
 use crate::model::{ricker, Material};
 
-/// Elements per pool chunk in the RHS sweeps. Chunk boundaries are a
-/// function of the element count and this constant only, never of the
-/// worker count — part of the bitwise-determinism contract.
-const RHS_GRAIN: usize = 4;
-
 /// Number of state components: `(vx, vy, vz, Exx, Eyy, Ezz, Eyz, Exz, Exy)`.
 pub const NCOMP: usize = 9;
+
+/// Magic header of the solver's checkpoint scalar state.
+const SOLVER_MAGIC: u64 = 0x464f_5255_5345_4953; // "FORU SEIS"
 
 /// Seismic experiment parameters.
 #[derive(Debug, Clone)]
@@ -97,7 +96,6 @@ pub struct SeismicSolver {
     pub halo: HaloExchange<D3>,
     /// State, `num_elements * npe * NCOMP`, component-major per element.
     pub q: Vec<f64>,
-    resid: Vec<f64>,
     /// Nodal material: (rho, lambda, mu) per volume node.
     pub mat: Vec<[f64; 3]>,
     /// Simulated time and step size.
@@ -106,20 +104,14 @@ pub struct SeismicSolver {
     pub dt: f64,
     /// Wall-time split.
     pub timers: SeismicTimers,
+    /// The shared split-phase LSERK driver: RK registers and one kernel
+    /// workspace per pool lane, sized once at mesh build so steady-state
+    /// stepping allocates nothing.
+    pub stepper: Stepper,
+    /// Volume / face quadrature weights and face→volume node maps.
     wv: Vec<f64>,
     wf: Vec<f64>,
     face_idx: Vec<Vec<usize>>,
-    /// Kernel-engine scratch arena (gradient panels for all 9 fields,
-    /// nodal stress, flat face traces), sized once at mesh build. Lane 0
-    /// of the worker pool (the rank thread) runs on this one.
-    pub ws: KernelWorkspace,
-    /// Scratch for pool lanes `1..width` (slot 0 exists but is unused:
-    /// lane 0 stays on [`ws`](Self::ws)). Rebuilt only when the
-    /// configured worker count changes.
-    ws_lanes: PerLane<KernelWorkspace>,
-    /// RK stage buffer, hoisted out of [`step`](Self::step) so
-    /// steady-state stepping allocates nothing.
-    stage_k: Vec<f64>,
 }
 
 impl SeismicSolver {
@@ -184,14 +176,32 @@ impl SeismicSolver {
         forest.balance(comm, BalanceType::Full);
         forest.partition(comm);
 
+        Self::assemble(comm, forest, map, config, model, Some(t0), None)
+    }
+
+    /// Build everything that is a function of the forest — mesh, metric
+    /// terms, halo, nodal material, constants, scratch, `dt` — around a
+    /// state: a restored checkpoint, or rest at time zero. `meshing_t0`
+    /// is when mesh generation started; the span to the end of the halo
+    /// build lands in `timers.meshing`.
+    fn assemble(
+        comm: &impl Communicator,
+        forest: Forest<D3>,
+        map: Arc<dyn Mapping<D3> + Send + Sync>,
+        config: SeismicConfig,
+        model: impl Fn([f64; 3]) -> Material + Copy,
+        meshing_t0: Option<Instant>,
+        restored: Option<(Vec<f64>, f64, usize)>,
+    ) -> Self {
         let mesh = DgMesh::build(&forest, comm, config.degree);
         let geo = MeshGeometry::build(&mesh, &*map);
         let halo = HaloExchange::build(&mesh);
-        let meshing = t0.elapsed();
+        let meshing = meshing_t0.map_or(Duration::ZERO, |t0| t0.elapsed());
 
-        let npe = mesh.re.nodes_per_elem(3);
-        let q = vec![0.0; mesh.num_elements() * npe * NCOMP];
-        let resid = vec![0.0; q.len()];
+        let re = &mesh.re;
+        let (npe, npf) = (re.nodes_per_elem(3), re.nodes_per_face(3));
+        let (q, time, steps) =
+            restored.unwrap_or_else(|| (vec![0.0; mesh.num_elements() * npe * NCOMP], 0.0, 0));
         let mat: Vec<[f64; 3]> = geo
             .pos
             .iter()
@@ -200,31 +210,25 @@ impl SeismicSolver {
                 [m.rho, m.lambda(), m.mu()]
             })
             .collect();
-        let (wv, wf, face_idx) = cache_constants(&mesh.re);
-        let mut ws = KernelWorkspace::new();
-        ws.configure(npe, mesh.re.nodes_per_face(3), NCOMP);
-        let ws_lanes = lane_workspaces(npe, mesh.re.nodes_per_face(3));
         let mut s = SeismicSolver {
+            stepper: Stepper::new(npe, npf, NCOMP),
+            wv: re.tensor_weights(3),
+            wf: re.tensor_weights(2),
+            face_idx: re.face_node_table(3),
             config,
             forest,
             mesh,
             geo,
             halo,
             q,
-            resid,
             mat,
-            time: 0.0,
+            time,
             dt: 0.0,
             timers: SeismicTimers {
                 meshing,
+                steps,
                 ..Default::default()
             },
-            wv,
-            wf,
-            face_idx,
-            ws,
-            ws_lanes,
-            stage_k: Vec::new(),
         };
         s.dt = s.stable_dt(comm);
         s
@@ -257,32 +261,33 @@ impl SeismicSolver {
         self.config.cfl * 2.0 / (global * (n + 1.0) * (n + 1.0))
     }
 
+    /// The disjoint parts of a step: the stepper, the halo, the state,
+    /// and the element kernel reading everything else.
+    fn parts(&mut self) -> (&mut Stepper, &HaloExchange<D3>, &mut Vec<f64>, Kernel<'_>) {
+        let kernel = Kernel {
+            config: &self.config,
+            mesh: &self.mesh,
+            geo: &self.geo,
+            mat: &self.mat,
+            wv: &self.wv,
+            wf: &self.wf,
+            face_idx: &self.face_idx,
+        };
+        (&mut self.stepper, &self.halo, &mut self.q, kernel)
+    }
+
     /// Advance one RK step.
     ///
-    /// Steady-state allocation-free: the stage vector and the kernel
-    /// workspace are solver-owned and reused every stage.
+    /// The stages, the split-phase ghost exchange and the pool sweeps are
+    /// the shared [`Stepper`]'s; this solver contributes [`Kernel`].
+    /// Steady-state allocation-free.
     pub fn step(&mut self, comm: &impl Communicator) {
         {
             let _span = forust_obs::span!("seismic.step");
             let t0 = Instant::now();
-            self.ensure_lane_workspaces();
-            let mut k = std::mem::take(&mut self.stage_k);
-            k.resize(self.q.len(), 0.0);
-            let mut ws = std::mem::take(&mut self.ws);
-            self.resid.fill(0.0);
-            for s in 0..5 {
-                let _stage = forust_obs::span!("rk.stage");
-                let ts = self.time + LSERK_C[s] * self.dt;
-                self.compute_rhs(comm, ts, &mut ws, &mut k);
-                let _update = forust_obs::span!("rk.update");
-                for i in 0..self.q.len() {
-                    self.resid[i] = LSERK_A[s] * self.resid[i] + self.dt * k[i];
-                    self.q[i] += LSERK_B[s] * self.resid[i];
-                }
-            }
-            ws.check_steady();
-            self.ws = ws;
-            self.stage_k = k;
+            let (time, dt) = (self.time, self.dt);
+            let (stepper, halo, q, kernel) = self.parts();
+            stepper.step(comm, halo, q, time, dt, &kernel);
             self.time += self.dt;
             self.timers.wave_prop += t0.elapsed();
             self.timers.steps += 1;
@@ -293,25 +298,20 @@ impl SeismicSolver {
     }
 
     /// **Test oracle.** One RK step through the pre-kernel-engine RHS
-    /// path (per-element gradient/`matvec`/trace allocations). Retained
-    /// verbatim (precedent: `morton_reference`, `balance_ripple`) so
-    /// regression tests can assert that [`step`](Self::step) through the
-    /// specialized engine stays bitwise identical.
+    /// path (per-element gradient/`matvec`/trace allocations, serial
+    /// sweeps), driven by the plain [`lserk_step`]. Retained (precedent:
+    /// `morton_reference`, `balance_ripple`) so regression tests can
+    /// assert that [`step`](Self::step) through the specialized engine
+    /// and the shared stepper stays bitwise identical.
     pub fn step_reference(&mut self, comm: &impl Communicator) {
         let _span = forust_obs::span!("seismic.step");
         let t0 = Instant::now();
-        let mut k = vec![0.0; self.q.len()];
-        self.resid.fill(0.0);
-        for s in 0..5 {
-            let _stage = forust_obs::span!("rk.stage");
-            let ts = self.time + LSERK_C[s] * self.dt;
-            self.compute_rhs_reference(comm, ts, &mut k);
-            let _update = forust_obs::span!("rk.update");
-            for i in 0..self.q.len() {
-                self.resid[i] = LSERK_A[s] * self.resid[i] + self.dt * k[i];
-                self.q[i] += LSERK_B[s] * self.resid[i];
-            }
-        }
+        let (time, dt) = (self.time, self.dt);
+        let (_, halo, q, kernel) = self.parts();
+        let mut resid = vec![0.0; q.len()];
+        lserk_step(q, &mut resid, time, dt, |t, q, out| {
+            kernel.rhs_reference(comm, halo, q, t, out)
+        });
         self.time += self.dt;
         self.timers.wave_prop += t0.elapsed();
         self.timers.steps += 1;
@@ -342,7 +342,7 @@ impl SeismicSolver {
         for e in 0..self.mesh.num_elements() {
             let det = self.geo.elem_det(e);
             for v in 0..npe {
-                let s = self.state(e, v);
+                let s = node_state(&self.q, npe, e, v);
                 let m = self.mat[e * npe + v];
                 let (lam, mu) = (m[1], m[2]);
                 let tr = s[3] + s[4] + s[5];
@@ -361,104 +361,189 @@ impl SeismicSolver {
         comm.allreduce_sum_f64(en)
     }
 
-    #[inline]
-    fn state(&self, e: usize, v: usize) -> [f64; NCOMP] {
-        let npe = self.mesh.re.nodes_per_elem(3);
-        let base = e * npe * NCOMP;
-        let mut s = [0.0; NCOMP];
-        for (c, item) in s.iter_mut().enumerate() {
-            *item = self.q[base + c * npe + v];
-        }
-        s
-    }
-
-    /// The dG right-hand side at time `t` (source active).
+    /// Write a recoverable checkpoint of the solver into `dir`
+    /// ([`Forest::save_solver`]: the state rides as payload, `time` bits
+    /// and step count in `solver.fst`). Collective.
     ///
-    /// Split-phase: the face-trace ghost exchange goes on the wire first,
-    /// interior elements (which read no ghost) are computed while the
-    /// messages fly, then the boundary elements finish after the traces
-    /// arrive. Each sweep fans out over the rank's worker pool in fixed
-    /// chunks; element results are independent and written to disjoint
-    /// windows, so the result is bitwise identical to the serial
-    /// exchange-then-sweep loop at any worker count.
-    fn compute_rhs(
+    /// Everything else — mesh, metric terms, nodal material, `dt` — is a
+    /// deterministic function of the forest, configuration, and material
+    /// model, and is rebuilt bitwise identically on
+    /// [`SeismicSolver::restore`], even on a different rank count.
+    pub fn save_checkpoint(
         &self,
         comm: &impl Communicator,
-        t: f64,
-        ws: &mut KernelWorkspace,
-        out: &mut [f64],
-    ) {
-        let pending = self.halo.begin(comm, &self.q, NCOMP);
-        out.fill(0.0);
-        let lane0 = SyncMutPtr(ws as *mut KernelWorkspace);
-        {
-            let _span = forust_obs::span!("rhs.interior");
-            self.rhs_sweep(self.halo.interior(), t, None, &lane0, out);
-        }
-        let traces = {
-            let _span = forust_obs::span!("rhs.exchange_wait");
-            pending.finish()
-        };
-        let _span = forust_obs::span!("rhs.boundary");
-        self.rhs_sweep(self.halo.boundary(), t, Some(&traces), &lane0, out);
-        forust_obs::counter_add("kernels.rhs_elements", self.mesh.num_elements() as u64);
+        dir: &std::path::Path,
+    ) -> Result<(), CheckpointError> {
+        let fmt = checkpoint_format(&self.config);
+        self.forest
+            .save_solver(comm, dir, fmt, self.time, self.timers.steps, &self.q)
     }
 
-    /// Pool sweep over one element list: lane 0 works on the
-    /// solver-owned workspace behind `lane0`, lanes `1..` on their
-    /// [`PerLane`] slots, and every element writes only its own
-    /// `npe * NCOMP`-window of `out`.
-    fn rhs_sweep(
-        &self,
-        list: &[u32],
-        t: f64,
-        traces: Option<&HaloData<'_, D3>>,
-        lane0: &SyncMutPtr<KernelWorkspace>,
-        out: &mut [f64],
-    ) {
-        let chunk = self.mesh.re.nodes_per_elem(3) * NCOMP;
-        let slots = DisjointSlice::new(out);
-        forust_pool::par_for_each(list.len(), RHS_GRAIN, |r, lane| {
-            // SAFETY: the pool runs each lane on exactly one thread per
-            // job, so the workspace borrow is unique.
-            let ws = unsafe {
-                if lane == 0 {
-                    &mut *lane0.0
-                } else {
-                    self.ws_lanes.lane(lane)
-                }
-            };
-            for i in r {
-                let e = list[i] as usize;
-                // SAFETY: distinct elements own disjoint state windows.
-                let out_e = unsafe { slots.slice(e * chunk..(e + 1) * chunk) };
-                self.rhs_element(e, t, traces, ws, out_e);
+    /// This rank's checkpoint as one in-memory byte blob for diskless
+    /// buddy mirroring ([`Forest::solver_segment_bytes`]). Purely local.
+    pub fn checkpoint_segment(&self, saved_ranks: usize) -> Vec<u8> {
+        let fmt = checkpoint_format(&self.config);
+        self.forest
+            .solver_segment_bytes(saved_ranks, fmt, self.time, self.timers.steps, &self.q)
+    }
+
+    /// Restore a solver from a checkpoint written by
+    /// [`SeismicSolver::save_checkpoint`], possibly onto a different rank
+    /// count; the restored state continues bitwise identically to an
+    /// uninterrupted run.
+    pub fn restore(
+        comm: &impl Communicator,
+        conn: Arc<Connectivity<D3>>,
+        map: Arc<dyn Mapping<D3> + Send + Sync>,
+        config: SeismicConfig,
+        model: impl Fn([f64; 3]) -> Material + Copy,
+        dir: &std::path::Path,
+    ) -> Result<Self, CheckpointError> {
+        let fmt = checkpoint_format(&config);
+        let (forest, q, time, steps) = Forest::load_solver(conn, comm, dir, fmt)?;
+        let restored = Some((q, time, steps));
+        Ok(Self::assemble(
+            comm, forest, map, config, model, None, restored,
+        ))
+    }
+
+    /// [`SeismicSolver::restore`] from in-memory blobs produced by
+    /// [`SeismicSolver::checkpoint_segment`] — the diskless (buddy) path.
+    pub fn restore_from_segments(
+        comm: &impl Communicator,
+        conn: Arc<Connectivity<D3>>,
+        map: Arc<dyn Mapping<D3> + Send + Sync>,
+        config: SeismicConfig,
+        model: impl Fn([f64; 3]) -> Material + Copy,
+        segments: &[Vec<u8>],
+    ) -> Result<Self, CheckpointError> {
+        let fmt = checkpoint_format(&config);
+        let (forest, q, time, steps) =
+            Forest::load_solver_from_segments(conn, comm, segments, fmt)?;
+        let restored = Some((q, time, steps));
+        Ok(Self::assemble(
+            comm, forest, map, config, model, None, restored,
+        ))
+    }
+
+    /// Maximum velocity magnitude (diagnostic / wavefront indicator).
+    pub fn max_velocity(&self, comm: &impl Communicator) -> f64 {
+        let npe = self.mesh.re.nodes_per_elem(3);
+        let mut m: f64 = 0.0;
+        for e in 0..self.mesh.num_elements() {
+            for v in 0..npe {
+                let s = node_state(&self.q, npe, e, v);
+                m = m.max((s[0] * s[0] + s[1] * s[1] + s[2] * s[2]).sqrt());
             }
-        });
-    }
-
-    /// (Re)build the worker-lane workspaces when the configured pool
-    /// width changed since the last step (the worker-matrix tests flip
-    /// it between runs); in steady state this is a no-op so stepping
-    /// stays allocation-free.
-    fn ensure_lane_workspaces(&mut self) {
-        if self.ws_lanes.len() != forust_pool::configured_workers() {
-            let re = &self.mesh.re;
-            self.ws_lanes = lane_workspaces(re.nodes_per_elem(3), re.nodes_per_face(3));
         }
+        comm.allreduce_max_f64(m)
     }
+}
+
+/// Checkpoint format of a run with this configuration: the solver's
+/// magic and `NCOMP` values per volume node.
+fn checkpoint_format(config: &SeismicConfig) -> SolverFormat {
+    SolverFormat {
+        magic: SOLVER_MAGIC,
+        per_element: (config.degree + 1).pow(3) * NCOMP,
+    }
+}
+
+/// The nine state components at node `v` of element `e` of `q`.
+#[inline]
+fn node_state(q: &[f64], npe: usize, e: usize, v: usize) -> [f64; NCOMP] {
+    let base = e * npe * NCOMP;
+    let mut s = [0.0; NCOMP];
+    for (c, item) in s.iter_mut().enumerate() {
+        *item = q[base + c * npe + v];
+    }
+    s
+}
+
+/// Hooke's law: the Voigt stress `(xx, yy, zz, yz, xz, xy)` of a state.
+#[inline(always)]
+fn stress<R: Real>(s: &[R; NCOMP], lam: R, mu: R) -> [R; 6] {
+    let mu2 = (R::ONE + R::ONE) * mu;
+    let tr = s[3] + s[4] + s[5];
+    [
+        mu2 * s[3] + lam * tr,
+        mu2 * s[4] + lam * tr,
+        mu2 * s[5] + lam * tr,
+        mu2 * s[6],
+        mu2 * s[7],
+        mu2 * s[8],
+    ]
+}
+
+/// Traction `sigma . n` of a Voigt-stored stress.
+#[inline(always)]
+fn sig_n<R: Real>(sg: &[R; 6], n: [R; 3]) -> [R; 3] {
+    [
+        sg[0] * n[0] + sg[5] * n[1] + sg[4] * n[2],
+        sg[5] * n[0] + sg[1] * n[1] + sg[3] * n[2],
+        sg[4] * n[0] + sg[3] * n[1] + sg[2] * n[2],
+    ]
+}
+
+/// The impedance-weighted penalty flux at one face point: the RHS jump of
+/// all nine components for interior state `qm`, exterior state `qp`,
+/// outward normal `n` and material `m = (rho, lambda, mu)`. One
+/// definition for the host engine, its oracle and the device tier's
+/// scalar mortar lanes.
+#[inline(always)]
+pub(crate) fn penalty_flux<R: Real>(
+    qm: &[R; NCOMP],
+    qp: &[R; NCOMP],
+    n: [R; 3],
+    m: [R; 3],
+) -> [R; NCOMP] {
+    let (rho, lam, mu) = (m[0], m[1], m[2]);
+    let cp = ((lam + (R::ONE + R::ONE) * mu) / rho).sqrt();
+    let z = rho * cp;
+    let tm = sig_n(&stress(qm, lam, mu), n);
+    let tp = sig_n(&stress(qp, lam, mu), n);
+    let mut d = [R::ZERO; NCOMP];
+    let mut dvs = [R::ZERO; 3];
+    for i in 0..3 {
+        // Numerical traces.
+        let tstar = R::HALF * (tm[i] + tp[i]) + R::HALF * z * (qp[i] - qm[i]);
+        let vstar = R::HALF * (qm[i] + qp[i]) + R::HALF / z * (tp[i] - tm[i]);
+        d[i] = (tstar - tm[i]) / rho;
+        dvs[i] = vstar - qm[i];
+    }
+    d[3] = n[0] * dvs[0];
+    d[4] = n[1] * dvs[1];
+    d[5] = n[2] * dvs[2];
+    d[6] = R::HALF * (n[1] * dvs[2] + n[2] * dvs[1]);
+    d[7] = R::HALF * (n[0] * dvs[2] + n[2] * dvs[0]);
+    d[8] = R::HALF * (n[0] * dvs[1] + n[1] * dvs[0]);
+    d
+}
+
+/// The elastic element kernel (velocity–strain volume terms, Ricker
+/// source, impedance-weighted penalty flux, mortar-consistent on 2:1
+/// faces): a borrowed view of what the RHS of one element reads.
+struct Kernel<'a> {
+    config: &'a SeismicConfig,
+    mesh: &'a DgMesh<D3>,
+    geo: &'a MeshGeometry,
+    mat: &'a [[f64; 3]],
+    wv: &'a [f64],
+    wf: &'a [f64],
+    face_idx: &'a [Vec<usize>],
+}
+
+impl ElementKernel<D3> for Kernel<'_> {
+    const NCOMP: usize = NCOMP;
+    const GRAIN: usize = 4;
 
     /// RHS of a single element via the kernel engine: nodal stress in the
     /// workspace, batched 9-field reference gradients (two sweeps share
     /// each operator row), flat component-major face traces, and
     /// `matvec_into` mortar interpolation — zero heap allocations.
-    /// `traces` carries the received ghost face traces; `None` is only
-    /// valid for interior elements. `out_e` is the element's own
-    /// `npe * NCOMP`-window of the RHS vector — the element touches
-    /// nothing outside it, which is what lets the sweeps above run
-    /// elements concurrently.
     fn rhs_element(
         &self,
+        q: &[f64],
         e: usize,
         t: f64,
         traces: Option<&HaloData<'_, D3>>,
@@ -482,46 +567,7 @@ impl SeismicSolver {
             ..
         } = ws;
 
-        // Stress of a state given material.
-        let stress = |s: &[f64; NCOMP], lam: f64, mu: f64| -> [f64; 6] {
-            let tr = s[3] + s[4] + s[5];
-            [
-                2.0 * mu * s[3] + lam * tr,
-                2.0 * mu * s[4] + lam * tr,
-                2.0 * mu * s[5] + lam * tr,
-                2.0 * mu * s[6], // yz
-                2.0 * mu * s[7], // xz
-                2.0 * mu * s[8], // xy
-            ]
-        };
-        // sigma . n for Voigt-stored sigma.
-        let sig_n = |sg: &[f64; 6], n: [f64; 3]| -> [f64; 3] {
-            [
-                sg[0] * n[0] + sg[5] * n[1] + sg[4] * n[2],
-                sg[5] * n[0] + sg[1] * n[1] + sg[3] * n[2],
-                sg[4] * n[0] + sg[3] * n[1] + sg[2] * n[2],
-            ]
-        };
-
-        let cfg = &self.config;
-        // Face trace of one component of a neighbor (its `nbr_face`,
-        // face-lattice order).
-        let nbr_trace = |r: ElemRef, nbr_face: usize, c: usize, buf: &mut Vec<f64>| match r {
-            ElemRef::Local(i) => {
-                let off = i as usize * chunk;
-                buf.clear();
-                buf.extend(
-                    self.face_idx[nbr_face]
-                        .iter()
-                        .map(|&n| self.q[off + c * npe + n]),
-                );
-            }
-            ElemRef::Ghost(g) => {
-                traces
-                    .expect("interior element classified with a ghost face")
-                    .face_values(g as usize, nbr_face, c, buf);
-            }
-        };
+        let cfg = self.config;
         {
             let base = e * chunk;
             let inv = self.geo.elem_inv(e);
@@ -531,7 +577,7 @@ impl SeismicSolver {
             // Nodal stress into the workspace.
             let sig_nodal = &mut nodal[..6 * npe];
             for v in 0..npe {
-                let s = self.state(e, v);
+                let s = node_state(q, npe, e, v);
                 let m = self.mat[e * npe + v];
                 let sg = stress(&s, m[1], m[2]);
                 for c in 0..6 {
@@ -542,14 +588,7 @@ impl SeismicSolver {
             // batched sweeps into disjoint panels of the workspace,
             // layout `[field][axis][node]`.
             let (gv, gs) = grad[..NCOMP * 3 * npe].split_at_mut(3 * 3 * npe);
-            kernels::batched_gradient_into(
-                &re.diff,
-                re.np,
-                3,
-                &self.q[base..base + 3 * npe],
-                3,
-                gv,
-            );
+            kernels::batched_gradient_into(&re.diff, re.np, 3, &q[base..base + 3 * npe], 3, gv);
             kernels::batched_gradient_into(&re.diff, re.np, 3, sig_nodal, 6, gs);
             // Volume terms.
             for v in 0..npe {
@@ -607,7 +646,7 @@ impl SeismicSolver {
                 // My face trace of all components.
                 for c in 0..NCOMP {
                     for (j, &i) in fidx.iter().enumerate() {
-                        face_a[c * npf + j] = self.q[base + c * npe + i];
+                        face_a[c * npf + j] = q[base + c * npe + i];
                     }
                 }
 
@@ -618,12 +657,6 @@ impl SeismicSolver {
                      sjs: &[f64],
                      lift: &mut dyn FnMut(usize, [f64; NCOMP], f64)| {
                         for j in 0..npf {
-                            let v = fidx[j]; // volume node for material
-                            let m = self.mat[e * npe + v];
-                            let (rho, lam, mu) = (m[0], m[1], m[2]);
-                            let cp = ((lam + 2.0 * mu) / rho).sqrt();
-                            let z = rho * cp;
-                            let n = normals[j];
                             // Assemble the nodal states from the flat slabs.
                             let mut qmj = [0.0; NCOMP];
                             let mut qpj = [0.0; NCOMP];
@@ -631,36 +664,20 @@ impl SeismicSolver {
                                 qmj[c] = qm[c * npf + j];
                                 qpj[c] = qp[c * npf + j];
                             }
-                            let sgm = stress(&qmj, lam, mu);
-                            let sgp = stress(&qpj, lam, mu);
-                            let tm = sig_n(&sgm, n);
-                            let tp = sig_n(&sgp, n);
-                            // Numerical traces.
-                            let tstar = [
-                                0.5 * (tm[0] + tp[0]) + 0.5 * z * (qpj[0] - qmj[0]),
-                                0.5 * (tm[1] + tp[1]) + 0.5 * z * (qpj[1] - qmj[1]),
-                                0.5 * (tm[2] + tp[2]) + 0.5 * z * (qpj[2] - qmj[2]),
-                            ];
-                            let vstar = [
-                                0.5 * (qmj[0] + qpj[0]) + 0.5 / z * (tp[0] - tm[0]),
-                                0.5 * (qmj[1] + qpj[1]) + 0.5 / z * (tp[1] - tm[1]),
-                                0.5 * (qmj[2] + qpj[2]) + 0.5 / z * (tp[2] - tm[2]),
-                            ];
-                            let mut d = [0.0; NCOMP];
-                            for i in 0..3 {
-                                d[i] = (tstar[i] - tm[i]) / rho;
-                            }
-                            let dvs = [vstar[0] - qmj[0], vstar[1] - qmj[1], vstar[2] - qmj[2]];
-                            d[3] = n[0] * dvs[0];
-                            d[4] = n[1] * dvs[1];
-                            d[5] = n[2] * dvs[2];
-                            d[6] = 0.5 * (n[1] * dvs[2] + n[2] * dvs[1]);
-                            d[7] = 0.5 * (n[0] * dvs[2] + n[2] * dvs[0]);
-                            d[8] = 0.5 * (n[0] * dvs[1] + n[1] * dvs[0]);
+                            let m = self.mat[e * npe + fidx[j]]; // at the volume node
+                            let d = penalty_flux(&qmj, &qpj, normals[j], m);
                             lift(j, d, sjs[j]);
                         }
                     };
 
+                // Nodal lift of the flux jumps of a boundary or same-size face.
+                let mut lift_nodal = |j: usize, d: [f64; NCOMP], s: f64| {
+                    let v = fidx[j];
+                    let coef = self.wf[j] * s / (self.wv[v] * det[v]);
+                    for (c, dc) in d.iter().enumerate() {
+                        out_e[c * npe + v] += coef * dc;
+                    }
+                };
                 match self.mesh.face(e, f) {
                     FaceConn::Boundary => {
                         // Traction-free: mirror with opposite traction.
@@ -672,13 +689,7 @@ impl SeismicSolver {
                                 face_b[c * npf + j] = if c >= 3 { -s } else { s };
                             }
                         }
-                        apply_flux(face_a, face_b, &fg.normal, &fg.sj, &mut |j, d, s| {
-                            let v = fidx[j];
-                            let coef = self.wf[j] * s / (self.wv[v] * det[v]);
-                            for (c, dc) in d.iter().enumerate() {
-                                out_e[c * npe + v] += coef * dc;
-                            }
-                        });
+                        apply_flux(face_a, face_b, &fg.normal, &fg.sj, &mut lift_nodal);
                     }
                     FaceConn::Conforming {
                         nbr,
@@ -692,16 +703,10 @@ impl SeismicSolver {
                     } => {
                         // Interpolate each component's neighbor trace.
                         for c in 0..NCOMP {
-                            nbr_trace(*nbr, *nbr_face, c, nbr_buf);
+                            self.nbr_trace(q, traces, *nbr, *nbr_face, c, nbr_buf);
                             from_nbr.matvec_into(nbr_buf, &mut face_b[c * npf..(c + 1) * npf]);
                         }
-                        apply_flux(face_a, face_b, &fg.normal, &fg.sj, &mut |j, d, s| {
-                            let v = fidx[j];
-                            let coef = self.wf[j] * s / (self.wv[v] * det[v]);
-                            for (c, dc) in d.iter().enumerate() {
-                                out_e[c * npe + v] += coef * dc;
-                            }
-                        });
+                        apply_flux(face_a, face_b, &fg.normal, &fg.sj, &mut lift_nodal);
                     }
                     FaceConn::FineNbrs { subs } => {
                         for (si, sub) in subs.iter().enumerate() {
@@ -711,13 +716,13 @@ impl SeismicSolver {
                             // face_a (the raw trace is not read again).
                             for c in 0..NCOMP {
                                 for (j, &i) in fidx.iter().enumerate() {
-                                    face_c[j] = self.q[base + c * npe + i];
+                                    face_c[j] = q[base + c * npe + i];
                                 }
                                 sub.to_fine
                                     .matvec_into(face_c, &mut face_a[c * npf..(c + 1) * npf]);
                             }
                             for c in 0..NCOMP {
-                                nbr_trace(sub.nbr, sub.nbr_face, c, nbr_buf);
+                                self.nbr_trace(q, traces, sub.nbr, sub.nbr_face, c, nbr_buf);
                                 face_b[c * npf..(c + 1) * npf].copy_from_slice(nbr_buf);
                             }
                             apply_flux(face_a, face_b, &sg.normal, &sg.sj, &mut |j, d, s| {
@@ -738,41 +743,58 @@ impl SeismicSolver {
             }
         }
     }
+}
 
-    /// Oracle RHS driver behind [`step_reference`](Self::step_reference):
-    /// the pre-kernel-engine implementation, verbatim.
-    fn compute_rhs_reference(&self, comm: &impl Communicator, t: f64, out: &mut [f64]) {
-        let pending = self.halo.begin(comm, &self.q, NCOMP);
-        out.fill(0.0);
+impl Kernel<'_> {
+    /// Face trace of component `c` of neighbor `r` on its `nbr_face`
+    /// (face-lattice order): gathered from `q` for a local neighbor, read
+    /// from the received `traces` for a ghost.
+    fn nbr_trace(
+        &self,
+        q: &[f64],
+        traces: Option<&HaloData<'_, D3>>,
+        r: ElemRef,
+        nbr_face: usize,
+        c: usize,
+        buf: &mut Vec<f64>,
+    ) {
+        match r {
+            ElemRef::Local(i) => {
+                let npe = self.mesh.re.nodes_per_elem(3);
+                let off = (i as usize * NCOMP + c) * npe;
+                buf.clear();
+                buf.extend(self.face_idx[nbr_face].iter().map(|&n| q[off + n]));
+            }
+            ElemRef::Ghost(g) => traces
+                .expect("interior element classified with a ghost face")
+                .face_values(g as usize, nbr_face, c, buf),
+        }
+    }
+
+    /// Oracle RHS behind [`step_reference`](SeismicSolver::step_reference):
+    /// blocking exchange, then one serial sweep over all elements.
+    fn rhs_reference(
+        &self,
+        comm: &impl Communicator,
+        halo: &HaloExchange<D3>,
+        q: &[f64],
+        t: f64,
+        out: &mut [f64],
+    ) {
+        let traces = halo.exchange(comm, q, NCOMP);
         let mut sig_nodal = vec![0.0; 6 * self.mesh.re.nodes_per_elem(3)];
         let mut nbr_buf: Vec<f64> = Vec::new();
-        {
-            let _span = forust_obs::span!("rhs.interior");
-            for &e in self.halo.interior() {
-                self.rhs_element_reference(e as usize, t, None, &mut sig_nodal, &mut nbr_buf, out);
-            }
-        }
-        let traces = {
-            let _span = forust_obs::span!("rhs.exchange_wait");
-            pending.finish()
-        };
-        let _span = forust_obs::span!("rhs.boundary");
-        for &e in self.halo.boundary() {
-            self.rhs_element_reference(
-                e as usize,
-                t,
-                Some(&traces),
-                &mut sig_nodal,
-                &mut nbr_buf,
-                out,
-            );
+        for e in 0..self.mesh.num_elements() {
+            self.rhs_element_reference(q, e, t, Some(&traces), &mut sig_nodal, &mut nbr_buf, out);
         }
     }
 
     /// Oracle per-element RHS: the pre-kernel-engine implementation,
     /// verbatim (allocating per-component `gradient`/`matvec`/`collect`).
+    #[allow(clippy::too_many_arguments)]
     fn rhs_element_reference(
         &self,
+        q: &[f64],
         e: usize,
         t: f64,
         traces: Option<&HaloData<'_, D3>>,
@@ -785,46 +807,7 @@ impl SeismicSolver {
         let npf = re.nodes_per_face(3);
         let chunk = npe * NCOMP;
 
-        // Stress of a state given material.
-        let stress = |s: &[f64; NCOMP], lam: f64, mu: f64| -> [f64; 6] {
-            let tr = s[3] + s[4] + s[5];
-            [
-                2.0 * mu * s[3] + lam * tr,
-                2.0 * mu * s[4] + lam * tr,
-                2.0 * mu * s[5] + lam * tr,
-                2.0 * mu * s[6], // yz
-                2.0 * mu * s[7], // xz
-                2.0 * mu * s[8], // xy
-            ]
-        };
-        // sigma . n for Voigt-stored sigma.
-        let sig_n = |sg: &[f64; 6], n: [f64; 3]| -> [f64; 3] {
-            [
-                sg[0] * n[0] + sg[5] * n[1] + sg[4] * n[2],
-                sg[5] * n[0] + sg[1] * n[1] + sg[3] * n[2],
-                sg[4] * n[0] + sg[3] * n[1] + sg[2] * n[2],
-            ]
-        };
-
-        let cfg = &self.config;
-        // Face trace of one component of a neighbor (its `nbr_face`,
-        // face-lattice order).
-        let nbr_trace = |r: ElemRef, nbr_face: usize, c: usize, buf: &mut Vec<f64>| match r {
-            ElemRef::Local(i) => {
-                let off = i as usize * chunk;
-                buf.clear();
-                buf.extend(
-                    self.face_idx[nbr_face]
-                        .iter()
-                        .map(|&n| self.q[off + c * npe + n]),
-                );
-            }
-            ElemRef::Ghost(g) => {
-                traces
-                    .expect("interior element classified with a ghost face")
-                    .face_values(g as usize, nbr_face, c, buf);
-            }
-        };
+        let cfg = self.config;
         {
             let base = e * chunk;
             let inv = self.geo.elem_inv(e);
@@ -833,7 +816,7 @@ impl SeismicSolver {
 
             // Nodal stress.
             for v in 0..npe {
-                let s = self.state(e, v);
+                let s = node_state(q, npe, e, v);
                 let m = self.mat[e * npe + v];
                 let sg = stress(&s, m[1], m[2]);
                 for c in 0..6 {
@@ -843,7 +826,7 @@ impl SeismicSolver {
             // Reference gradients of velocity (3) and stress (6).
             let mut gv = Vec::with_capacity(3);
             for c in 0..3 {
-                gv.push(re.gradient(&self.q[base + c * npe..base + (c + 1) * npe], 3));
+                gv.push(re.gradient(&q[base + c * npe..base + (c + 1) * npe], 3));
             }
             let mut gs = Vec::with_capacity(6);
             for c in 0..6 {
@@ -909,7 +892,7 @@ impl SeismicSolver {
                         })
                         .collect()
                 };
-                let mine: Vec<[f64; NCOMP]> = trace(&self.q, base, fidx);
+                let mine: Vec<[f64; NCOMP]> = trace(q, base, fidx);
 
                 // Gather the neighbor's aligned trace (or build a boundary
                 // mirror state).
@@ -920,42 +903,8 @@ impl SeismicSolver {
                      sjs: &[f64],
                      lift: &mut dyn FnMut(usize, [f64; NCOMP], f64)| {
                         for j in 0..qm.len() {
-                            let v = fidx[j % npf]; // volume node for material
-                            let m = self.mat[e * npe + v];
-                            let (rho, lam, mu) = (m[0], m[1], m[2]);
-                            let cp = ((lam + 2.0 * mu) / rho).sqrt();
-                            let z = rho * cp;
-                            let n = normals[j];
-                            let sgm = stress(&qm[j], lam, mu);
-                            let sgp = stress(&qp[j], lam, mu);
-                            let tm = sig_n(&sgm, n);
-                            let tp = sig_n(&sgp, n);
-                            // Numerical traces.
-                            let tstar = [
-                                0.5 * (tm[0] + tp[0]) + 0.5 * z * (qp[j][0] - qm[j][0]),
-                                0.5 * (tm[1] + tp[1]) + 0.5 * z * (qp[j][1] - qm[j][1]),
-                                0.5 * (tm[2] + tp[2]) + 0.5 * z * (qp[j][2] - qm[j][2]),
-                            ];
-                            let vstar = [
-                                0.5 * (qm[j][0] + qp[j][0]) + 0.5 / z * (tp[0] - tm[0]),
-                                0.5 * (qm[j][1] + qp[j][1]) + 0.5 / z * (tp[1] - tm[1]),
-                                0.5 * (qm[j][2] + qp[j][2]) + 0.5 / z * (tp[2] - tm[2]),
-                            ];
-                            let mut d = [0.0; NCOMP];
-                            for i in 0..3 {
-                                d[i] = (tstar[i] - tm[i]) / rho;
-                            }
-                            let dvs = [
-                                vstar[0] - qm[j][0],
-                                vstar[1] - qm[j][1],
-                                vstar[2] - qm[j][2],
-                            ];
-                            d[3] = n[0] * dvs[0];
-                            d[4] = n[1] * dvs[1];
-                            d[5] = n[2] * dvs[2];
-                            d[6] = 0.5 * (n[1] * dvs[2] + n[2] * dvs[1]);
-                            d[7] = 0.5 * (n[0] * dvs[2] + n[2] * dvs[0]);
-                            d[8] = 0.5 * (n[0] * dvs[1] + n[1] * dvs[0]);
+                            let m = self.mat[e * npe + fidx[j % npf]]; // at the volume node
+                            let d = penalty_flux(&qm[j], &qp[j], normals[j], m);
                             lift(j, d, sjs[j]);
                         }
                     };
@@ -997,7 +946,7 @@ impl SeismicSolver {
                         // Interpolate each component's neighbor trace.
                         let mut qp = vec![[0.0; NCOMP]; npf];
                         for c in 0..NCOMP {
-                            nbr_trace(*nbr, *nbr_face, c, nbr_buf);
+                            self.nbr_trace(q, traces, *nbr, *nbr_face, c, nbr_buf);
                             let gp = from_nbr.matvec(nbr_buf);
                             for j in 0..npf {
                                 qp[j][c] = gp[j];
@@ -1018,7 +967,7 @@ impl SeismicSolver {
                             let mut qm = vec![[0.0; NCOMP]; npf];
                             for c in 0..NCOMP {
                                 let myface: Vec<f64> =
-                                    fidx.iter().map(|&i| self.q[base + c * npe + i]).collect();
+                                    fidx.iter().map(|&i| q[base + c * npe + i]).collect();
                                 let at_fine = sub.to_fine.matvec(&myface);
                                 for j in 0..npf {
                                     qm[j][c] = at_fine[j];
@@ -1026,7 +975,7 @@ impl SeismicSolver {
                             }
                             let mut qp = vec![[0.0; NCOMP]; npf];
                             for c in 0..NCOMP {
-                                nbr_trace(sub.nbr, sub.nbr_face, c, nbr_buf);
+                                self.nbr_trace(q, traces, sub.nbr, sub.nbr_face, c, nbr_buf);
                                 for j in 0..npf {
                                     qp[j][c] = nbr_buf[j];
                                 }
@@ -1049,278 +998,4 @@ impl SeismicSolver {
             }
         }
     }
-
-    /// Write a recoverable checkpoint of the solver into `dir`: the
-    /// forest with the per-element state as payload (epoch = step count),
-    /// plus a CRC-trailed `solver.fst` holding the exact scalar state
-    /// (`time` bits, step count). Collective.
-    ///
-    /// Everything else — mesh, metric terms, nodal material, `dt` — is a
-    /// deterministic function of the forest, configuration, and material
-    /// model, and is rebuilt bitwise identically on
-    /// [`SeismicSolver::restore`], even on a different rank count.
-    pub fn save_checkpoint(
-        &self,
-        comm: &impl Communicator,
-        dir: &std::path::Path,
-    ) -> Result<(), CheckpointError> {
-        let chunk = self.mesh.re.nodes_per_elem(3) * NCOMP;
-        let chunks: Vec<Vec<f64>> = self.q.chunks(chunk).map(|c| c.to_vec()).collect();
-        self.forest
-            .save_with_payload(comm, dir, self.timers.steps as u64, Some(&chunks))?;
-        if comm.rank() == 0 {
-            let buf = self.scalar_state_bytes();
-            let tmp = dir.join("solver.fst.tmp");
-            std::fs::write(&tmp, &buf)?;
-            std::fs::rename(tmp, dir.join("solver.fst"))?;
-        }
-        comm.barrier();
-        Ok(())
-    }
-
-    /// The CRC-trailed scalar-state blob (`solver.fst` body): simulated
-    /// time bits and step count. Replicated on every rank.
-    fn scalar_state_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        SOLVER_MAGIC.encode(&mut buf);
-        self.time.to_bits().encode(&mut buf);
-        (self.timers.steps as u64).encode(&mut buf);
-        buf.extend_from_slice(&forust_comm::crc32(&buf).to_le_bytes());
-        buf
-    }
-
-    /// This rank's checkpoint as one in-memory byte blob for diskless
-    /// buddy mirroring: `[u64 segment length] ++ forest segment ++ scalar
-    /// state`, where the forest segment is byte-identical to what
-    /// [`SeismicSolver::save_checkpoint`] would write to disk. Purely
-    /// local.
-    pub fn checkpoint_segment(&self, saved_ranks: usize) -> Vec<u8> {
-        let chunk = self.mesh.re.nodes_per_elem(3) * NCOMP;
-        let chunks: Vec<Vec<f64>> = self.q.chunks(chunk).map(|c| c.to_vec()).collect();
-        let seg = self
-            .forest
-            .segment_bytes(saved_ranks, self.timers.steps as u64, Some(&chunks));
-        let mut blob = Vec::with_capacity(8 + seg.len() + 28);
-        (seg.len() as u64).encode(&mut blob);
-        blob.extend_from_slice(&seg);
-        blob.extend_from_slice(&self.scalar_state_bytes());
-        blob
-    }
-
-    /// Restore a solver from a checkpoint written by
-    /// [`SeismicSolver::save_checkpoint`], possibly onto a different rank
-    /// count; the restored state continues bitwise identically to an
-    /// uninterrupted run.
-    pub fn restore(
-        comm: &impl Communicator,
-        conn: Arc<Connectivity<D3>>,
-        map: Arc<dyn Mapping<D3> + Send + Sync>,
-        config: SeismicConfig,
-        model: impl Fn([f64; 3]) -> Material + Copy,
-        dir: &std::path::Path,
-    ) -> Result<Self, CheckpointError> {
-        let (forest, chunks, meta) = Forest::load_with_payload::<f64>(conn, comm, dir)?;
-        let spath = dir.join("solver.fst");
-        let bytes = std::fs::read(&spath)?;
-        let (time, steps) = parse_scalar_state(&bytes, &spath)?;
-        if steps as u64 != meta.epoch {
-            return Err(CheckpointError::Format {
-                file: spath,
-                detail: "solver step count disagrees with checkpoint epoch".to_string(),
-            });
-        }
-        Self::from_restored(comm, forest, chunks, time, steps, map, config, model)
-    }
-
-    /// [`SeismicSolver::restore`] from in-memory blobs produced by
-    /// [`SeismicSolver::checkpoint_segment`] — the diskless (buddy) path.
-    pub fn restore_from_segments(
-        comm: &impl Communicator,
-        conn: Arc<Connectivity<D3>>,
-        map: Arc<dyn Mapping<D3> + Send + Sync>,
-        config: SeismicConfig,
-        model: impl Fn([f64; 3]) -> Material + Copy,
-        segments: &[Vec<u8>],
-    ) -> Result<Self, CheckpointError> {
-        let (segs, scalar) = split_segment_blobs(segments)?;
-        let (forest, chunks, meta) = Forest::load_from_segment_bytes::<f64>(conn, comm, &segs)?;
-        let origin = std::path::PathBuf::from("<memory solver state>");
-        let (time, steps) = parse_scalar_state(&scalar, &origin)?;
-        if steps as u64 != meta.epoch {
-            return Err(CheckpointError::Format {
-                file: origin,
-                detail: "solver step count disagrees with checkpoint epoch".to_string(),
-            });
-        }
-        Self::from_restored(comm, forest, chunks, time, steps, map, config, model)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn from_restored(
-        comm: &impl Communicator,
-        forest: Forest<D3>,
-        chunks: Vec<Vec<f64>>,
-        time: f64,
-        steps: usize,
-        map: Arc<dyn Mapping<D3> + Send + Sync>,
-        config: SeismicConfig,
-        model: impl Fn([f64; 3]) -> Material + Copy,
-    ) -> Result<Self, CheckpointError> {
-        let mesh = DgMesh::build(&forest, comm, config.degree);
-        let geo = MeshGeometry::build(&mesh, &*map);
-        let halo = HaloExchange::build(&mesh);
-        let npe = mesh.re.nodes_per_elem(3);
-        let q: Vec<f64> = chunks.into_iter().flatten().collect();
-        if q.len() != mesh.num_elements() * npe * NCOMP {
-            return Err(CheckpointError::Format {
-                file: std::path::PathBuf::from("<payload>"),
-                detail: "state payload does not match the mesh size".to_string(),
-            });
-        }
-        let resid = vec![0.0; q.len()];
-        let mat: Vec<[f64; 3]> = geo
-            .pos
-            .iter()
-            .map(|&x| {
-                let m = model(x);
-                [m.rho, m.lambda(), m.mu()]
-            })
-            .collect();
-        let (wv, wf, face_idx) = cache_constants(&mesh.re);
-        let mut ws = KernelWorkspace::new();
-        ws.configure(npe, mesh.re.nodes_per_face(3), NCOMP);
-        let ws_lanes = lane_workspaces(npe, mesh.re.nodes_per_face(3));
-        let mut solver = SeismicSolver {
-            config,
-            forest,
-            mesh,
-            geo,
-            halo,
-            q,
-            resid,
-            mat,
-            time,
-            dt: 0.0,
-            timers: SeismicTimers {
-                steps,
-                ..Default::default()
-            },
-            wv,
-            wf,
-            face_idx,
-            ws,
-            ws_lanes,
-            stage_k: Vec::new(),
-        };
-        solver.dt = solver.stable_dt(comm);
-        Ok(solver)
-    }
-
-    /// Maximum velocity magnitude (diagnostic / wavefront indicator).
-    pub fn max_velocity(&self, comm: &impl Communicator) -> f64 {
-        let npe = self.mesh.re.nodes_per_elem(3);
-        let mut m: f64 = 0.0;
-        for e in 0..self.mesh.num_elements() {
-            for v in 0..npe {
-                let s = self.state(e, v);
-                m = m.max((s[0] * s[0] + s[1] * s[1] + s[2] * s[2]).sqrt());
-            }
-        }
-        comm.allreduce_max_f64(m)
-    }
-}
-
-/// Magic header of the solver scalar-state checkpoint blob.
-const SOLVER_MAGIC: u64 = 0x464f_5255_5345_4953; // "FORU SEIS"
-
-/// Validate the CRC trailer of a scalar-state blob and decode
-/// `(time, steps)`.
-fn parse_scalar_state(
-    bytes: &[u8],
-    origin: &std::path::Path,
-) -> Result<(f64, usize), CheckpointError> {
-    let bad = |detail: &str| CheckpointError::Format {
-        file: origin.to_path_buf(),
-        detail: detail.to_string(),
-    };
-    if bytes.len() < 4 {
-        return Err(bad("too short to carry a CRC trailer"));
-    }
-    let (body, trailer) = bytes.split_at(bytes.len() - 4);
-    let expected = u32::from_le_bytes(trailer.try_into().unwrap());
-    let actual = forust_comm::crc32(body);
-    if expected != actual {
-        return Err(CheckpointError::Crc {
-            file: origin.to_path_buf(),
-            expected,
-            actual,
-        });
-    }
-    let mut s = body;
-    if u64::decode(&mut s) != Some(SOLVER_MAGIC) {
-        return Err(bad("not a solver state blob"));
-    }
-    let time = f64::from_bits(u64::decode(&mut s).ok_or_else(|| bad("truncated time"))?);
-    let steps = u64::decode(&mut s).ok_or_else(|| bad("truncated step count"))? as usize;
-    Ok((time, steps))
-}
-
-/// Split buddy blobs (`[u64 len] ++ forest segment ++ scalar state`) into
-/// the per-rank forest segments and one scalar-state blob (replicated in
-/// every blob; the first is used).
-fn split_segment_blobs(blobs: &[Vec<u8>]) -> Result<(Vec<Vec<u8>>, Vec<u8>), CheckpointError> {
-    let origin = std::path::PathBuf::from("<memory solver state>");
-    let mut segs = Vec::with_capacity(blobs.len());
-    let mut scalar: Option<Vec<u8>> = None;
-    for blob in blobs {
-        let mut s = blob.as_slice();
-        let len = u64::decode(&mut s).ok_or_else(|| CheckpointError::Format {
-            file: origin.clone(),
-            detail: "truncated segment length".to_string(),
-        })? as usize;
-        if s.len() < len {
-            return Err(CheckpointError::Format {
-                file: origin.clone(),
-                detail: "segment blob shorter than its declared length".to_string(),
-            });
-        }
-        let (seg, rest) = s.split_at(len);
-        segs.push(seg.to_vec());
-        scalar.get_or_insert_with(|| rest.to_vec());
-    }
-    let scalar = scalar.ok_or(CheckpointError::NoCheckpoint {
-        dir: std::path::PathBuf::from("<memory>"),
-    })?;
-    Ok((segs, scalar))
-}
-
-/// Kernel workspaces for pool lanes `1..width`, each configured for the
-/// current degree so steady-state stepping never grows them (slot 0 is
-/// provisioned but idle: lane 0 runs on the solver-owned workspace).
-fn lane_workspaces(npe: usize, npf: usize) -> PerLane<KernelWorkspace> {
-    PerLane::new(forust_pool::configured_workers(), |_| {
-        let mut ws = KernelWorkspace::new();
-        ws.configure(npe, npf, NCOMP);
-        ws
-    })
-}
-
-fn cache_constants(re: &forust_dg::RefElement) -> (Vec<f64>, Vec<f64>, Vec<Vec<usize>>) {
-    let np = re.np;
-    let mut wv = Vec::with_capacity(np * np * np);
-    for k in 0..np {
-        for j in 0..np {
-            for i in 0..np {
-                wv.push(re.weights[i] * re.weights[j] * re.weights[k]);
-            }
-        }
-    }
-    let mut wf = Vec::with_capacity(np * np);
-    for b in 0..np {
-        for a in 0..np {
-            wf.push(re.weights[a] * re.weights[b]);
-        }
-    }
-    let face_idx: Vec<Vec<usize>> = (0..6).map(|f| re.face_nodes(3, f)).collect();
-    (wv, wf, face_idx)
 }

@@ -51,7 +51,7 @@ fn step_matches_reference_bitwise() {
                 );
             }
             // The workspace never regrew mid-stage.
-            assert_eq!(engine.ws.grow_events(), 0);
+            assert_eq!(engine.stepper.grow_events(), 0);
         });
     }
 }

@@ -10,7 +10,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use extreme_amr::advect::{attempt, four_fronts, rotation_velocity, AdvectConfig, RecoverySetup};
+use extreme_amr::advect::{four_fronts, rotation_velocity, AdvectConfig, RecoverySetup};
 use extreme_amr::comm::{run_spmd_with, ChaosComm, CommConfig, Communicator, FaultPlan};
 use extreme_amr::forust::connectivity::{builders, Connectivity};
 use extreme_amr::forust::dim::D3;
@@ -18,7 +18,7 @@ use extreme_amr::geom::{Mapping, ShellMap};
 use extreme_amr::obs;
 use extreme_amr::obs::metrics::Registry;
 use extreme_amr::obs::postmortem::validate_postmortem;
-use extreme_amr::resilience::{run_with_recovery_opts, RecoveryOptions};
+use extreme_amr::resilience::{attempt, run_with_recovery_opts, RecoveryOptions};
 
 fn build_conn() -> Connectivity<D3> {
     builders::cubed_sphere()
@@ -75,7 +75,7 @@ fn main() {
             let t_wall = Instant::now();
             let result = {
                 let _span = obs::span!("recovery.attempt");
-                attempt(comm, &s_ref, &ref_dir)
+                attempt(comm, &s_ref, &ref_dir, &RecoveryOptions::default()).0
             };
             // Fault-site counters (zero on the fault-free reference)
             // flow through the same counter API as everything else.
@@ -198,7 +198,7 @@ fn main() {
             obs::install(comm.rank());
             let _ = {
                 let _span = obs::span!("recovery.attempt");
-                attempt(comm, &s_delay, &delay_dir)
+                attempt(comm, &s_delay, &delay_dir, &RecoveryOptions::default()).0
             };
             for (name, n) in comm.fault_counts() {
                 obs::counter_add(name, n);
