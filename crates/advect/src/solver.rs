@@ -19,9 +19,6 @@ use forust_dg::stepper::{ElementKernel, Stepper};
 use forust_dg::transfer::transfer_fields;
 use forust_geom::Mapping;
 
-/// Magic header of the solver's checkpoint scalar state.
-const SOLVER_MAGIC: u64 = 0x464f_5255_4144_5653; // "FORU ADVS"
-
 /// Parameters of the advection experiment (defaults follow §III-B).
 #[derive(Debug, Clone)]
 pub struct AdvectConfig {
@@ -267,12 +264,274 @@ impl AdvectSolver {
         };
         let halo = &self.halo;
         let mut resid = vec![0.0; self.c.len()];
+        let mut nbr_buf = Vec::with_capacity(self.mesh.re.nodes_per_face(3));
+        // Oracle RHS: blocking exchange, then one serial element sweep.
         lserk_step(&mut self.c, &mut resid, self.time, self.dt, |_, c, out| {
-            kernel.rhs_reference(comm, halo, c, out)
+            let traces = halo.exchange(comm, c, 1);
+            for e in 0..kernel.mesh.num_elements() {
+                kernel.rhs_element_reference(c, e, Some(&traces), &mut nbr_buf, out);
+            }
         });
         self.finish_step(comm, t0);
     }
+}
 
+/// The upwind nodal dG element kernel (advective volume form plus upwind
+/// surface correction, mortar-consistent on 2:1 faces): a borrowed view
+/// of what the RHS of one element reads.
+struct Kernel<'a> {
+    mesh: &'a DgMesh<D3>,
+    geo: &'a MeshGeometry,
+    caches: &'a Caches,
+    velocity: fn([f64; 3]) -> [f64; 3],
+}
+
+impl ElementKernel<D3> for Kernel<'_> {
+    const NCOMP: usize = 1;
+    const GRAIN: usize = 8;
+
+    /// RHS of a single element via the kernel engine: fused volume pass
+    /// (reference gradient → metric contraction → flux accumulation),
+    /// cached nodal/mortar velocities, and workspace-backed face buffers —
+    /// zero heap allocations.
+    fn rhs_element(
+        &self,
+        q: &[f64],
+        e: usize,
+        _t: f64,
+        traces: Option<&HaloData<'_, D3>>,
+        ws: &mut KernelWorkspace,
+        out_e: &mut [f64],
+    ) {
+        let cache = self.caches;
+        let re = &self.mesh.re;
+        let npe = re.nodes_per_elem(3);
+        let npf = re.nodes_per_face(3);
+        // Split-borrow the workspace: cm lives in face_a, the interpolated
+        // neighbor/mortar trace in face_b, the raw neighbor trace in nbr.
+        let KernelWorkspace {
+            grad,
+            face_a,
+            face_b,
+            nbr: nbr_buf,
+            ..
+        } = ws;
+        // Face trace of a neighbor (its `nbr_face`, face-lattice order).
+        let nbr_trace = |r: ElemRef, nbr_face: usize, buf: &mut Vec<f64>| match r {
+            ElemRef::Local(i) => {
+                let nv = &q[i as usize * npe..(i as usize + 1) * npe];
+                buf.clear();
+                buf.extend(cache.face_idx[nbr_face].iter().map(|&n| nv[n]));
+            }
+            ElemRef::Ghost(g) => {
+                traces
+                    .expect("interior element classified with a ghost face")
+                    .face_values(g as usize, nbr_face, 0, buf);
+            }
+        };
+
+        {
+            let ce = &q[e * npe..(e + 1) * npe];
+            let det = self.geo.elem_det(e);
+            // Volume term: -(u . grad C), fused in one kernel pass over
+            // the SoA metric/velocity planes.
+            kernels::advect_volume_rhs(
+                &re.diff,
+                re.np,
+                ce,
+                &cache.metr_soa[e * 9 * npe..(e + 1) * 9 * npe],
+                &cache.vel_soa[e * 3 * npe..(e + 1) * 3 * npe],
+                &mut grad[..3 * npe],
+                out_e,
+            );
+            // Surface terms.
+            for f in 0..6 {
+                let fg = self.geo.face(e, f, self.mesh.nfaces);
+                let fidx = &cache.face_idx[f];
+                let cm = &mut face_a[..npf];
+                for (c, &i) in cm.iter_mut().zip(fidx.iter()) {
+                    *c = ce[i];
+                }
+                match self.mesh.face(e, f) {
+                    FaceConn::Boundary => {
+                        // Tangential velocity at shell boundaries: the
+                        // reflective flux difference vanishes identically.
+                    }
+                    FaceConn::Conforming {
+                        nbr,
+                        nbr_face,
+                        from_nbr,
+                    }
+                    | FaceConn::CoarseNbr {
+                        nbr,
+                        nbr_face,
+                        from_nbr,
+                    } => {
+                        nbr_trace(*nbr, *nbr_face, nbr_buf);
+                        let cp = &mut face_b[..npf];
+                        from_nbr.matvec_into(nbr_buf, cp);
+                        for j in 0..npf {
+                            let v = fidx[j];
+                            let u = cache.vel[e * npe + v];
+                            let n = fg.normal[j];
+                            let un = u[0] * n[0] + u[1] * n[1] + u[2] * n[2];
+                            let fstar = if un >= 0.0 { un * cm[j] } else { un * cp[j] };
+                            let coef = cache.wf[j] * fg.sj[j] / (cache.wv[v] * det[v]);
+                            out_e[v] += coef * (un * cm[j] - fstar);
+                        }
+                    }
+                    FaceConn::FineNbrs { subs } => {
+                        let moff = cache.mortar_off[e * self.mesh.nfaces + f] as usize;
+                        for (s, sub) in subs.iter().enumerate() {
+                            let sg = &fg.subs[s];
+                            let mine_at_fine = &mut face_b[..npf];
+                            sub.to_fine.matvec_into(cm, mine_at_fine);
+                            nbr_trace(sub.nbr, sub.nbr_face, nbr_buf);
+                            let their = &*nbr_buf;
+                            for j in 0..npf {
+                                let u = cache.mortar_vel[moff + s * npf + j];
+                                let n = sg.normal[j];
+                                let un = u[0] * n[0] + u[1] * n[1] + u[2] * n[2];
+                                let fstar = if un >= 0.0 {
+                                    un * mine_at_fine[j]
+                                } else {
+                                    un * their[j]
+                                };
+                                let diff = un * mine_at_fine[j] - fstar;
+                                // Lift back through the mortar transpose.
+                                let w = cache.wf[j] * sg.sj[j] * diff;
+                                if w != 0.0 {
+                                    for i in 0..npf {
+                                        let v = fidx[i];
+                                        out_e[v] += sub.to_fine.data[j * npf + i] * w
+                                            / (cache.wv[v] * det[v]);
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+impl Kernel<'_> {
+    /// Oracle per-element RHS: the pre-kernel-engine implementation,
+    /// verbatim (allocating `gradient`, `matvec`, per-face `collect`, and
+    /// fn-pointer velocity evaluation at every node).
+    fn rhs_element_reference(
+        &self,
+        q: &[f64],
+        e: usize,
+        traces: Option<&HaloData<'_, D3>>,
+        nbr_buf: &mut Vec<f64>,
+        out: &mut [f64],
+    ) {
+        let cache = self.caches;
+        let re = &self.mesh.re;
+        let npe = re.nodes_per_elem(3);
+        let npf = re.nodes_per_face(3);
+        // Face trace of a neighbor (its `nbr_face`, face-lattice order).
+        let nbr_trace = |r: ElemRef, nbr_face: usize, buf: &mut Vec<f64>| match r {
+            ElemRef::Local(i) => {
+                let nv = &q[i as usize * npe..(i as usize + 1) * npe];
+                buf.clear();
+                buf.extend(cache.face_idx[nbr_face].iter().map(|&n| nv[n]));
+            }
+            ElemRef::Ghost(g) => {
+                traces
+                    .expect("interior element classified with a ghost face")
+                    .face_values(g as usize, nbr_face, 0, buf);
+            }
+        };
+
+        {
+            let ce = &q[e * npe..(e + 1) * npe];
+            let inv = self.geo.elem_inv(e);
+            let det = self.geo.elem_det(e);
+            let pos = self.geo.elem_pos(e);
+            // Volume term: -(u . grad C).
+            let grads = re.gradient(ce, 3);
+            for v in 0..npe {
+                let u = (self.velocity)(pos[v]);
+                let mut adv = 0.0;
+                for i in 0..3 {
+                    let mut gi = 0.0;
+                    for r in 0..3 {
+                        gi += inv[v][r][i] * grads[r][v];
+                    }
+                    adv += u[i] * gi;
+                }
+                out[e * npe + v] = -adv;
+            }
+            // Surface terms.
+            for f in 0..6 {
+                let fg = self.geo.face(e, f, 6);
+                let fidx = &cache.face_idx[f];
+                let cm: Vec<f64> = fidx.iter().map(|&i| ce[i]).collect();
+                match self.mesh.face(e, f) {
+                    FaceConn::Boundary => {
+                        // Tangential velocity at shell boundaries: the
+                        // reflective flux difference vanishes identically.
+                    }
+                    FaceConn::Conforming {
+                        nbr,
+                        nbr_face,
+                        from_nbr,
+                    }
+                    | FaceConn::CoarseNbr {
+                        nbr,
+                        nbr_face,
+                        from_nbr,
+                    } => {
+                        nbr_trace(*nbr, *nbr_face, nbr_buf);
+                        let cp = from_nbr.matvec(nbr_buf);
+                        for j in 0..npf {
+                            let v = fidx[j];
+                            let u = (self.velocity)(pos[v]);
+                            let n = fg.normal[j];
+                            let un = u[0] * n[0] + u[1] * n[1] + u[2] * n[2];
+                            let fstar = if un >= 0.0 { un * cm[j] } else { un * cp[j] };
+                            let coef = cache.wf[j] * fg.sj[j] / (cache.wv[v] * det[v]);
+                            out[e * npe + v] += coef * (un * cm[j] - fstar);
+                        }
+                    }
+                    FaceConn::FineNbrs { subs } => {
+                        for (s, sub) in subs.iter().enumerate() {
+                            let sg = &fg.subs[s];
+                            let mine_at_fine = sub.to_fine.matvec(&cm);
+                            nbr_trace(sub.nbr, sub.nbr_face, nbr_buf);
+                            let their = &*nbr_buf;
+                            for j in 0..npf {
+                                let u = (self.velocity)(sg.pos[j]);
+                                let n = sg.normal[j];
+                                let un = u[0] * n[0] + u[1] * n[1] + u[2] * n[2];
+                                let fstar = if un >= 0.0 {
+                                    un * mine_at_fine[j]
+                                } else {
+                                    un * their[j]
+                                };
+                                let diff = un * mine_at_fine[j] - fstar;
+                                // Lift back through the mortar transpose.
+                                let w = cache.wf[j] * sg.sj[j] * diff;
+                                if w != 0.0 {
+                                    for i in 0..npf {
+                                        let v = fidx[i];
+                                        out[e * npe + v] += sub.to_fine.data[j * npf + i] * w
+                                            / (cache.wv[v] * det[v]);
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+impl AdvectSolver {
     /// Adapt the mesh to the current solution and repartition, carrying
     /// the field along (the paper's every-32-steps cycle).
     pub fn adapt(&mut self, comm: &impl Communicator) {
@@ -463,282 +722,15 @@ impl AdvectSolver {
     }
 }
 
+/// Magic header of the solver's checkpoint scalar state.
+const SOLVER_MAGIC: u64 = 0x464f_5255_4144_5653; // "FORU ADVS"
+
 /// Checkpoint format of a run with this configuration: the solver's
 /// magic and one value per volume node.
 fn checkpoint_format(config: &AdvectConfig) -> SolverFormat {
     SolverFormat {
         magic: SOLVER_MAGIC,
         per_element: (config.degree + 1).pow(3),
-    }
-}
-
-/// The upwind nodal dG element kernel (advective volume form plus upwind
-/// surface correction, mortar-consistent on 2:1 faces): a borrowed view
-/// of what the RHS of one element reads.
-struct Kernel<'a> {
-    mesh: &'a DgMesh<D3>,
-    geo: &'a MeshGeometry,
-    caches: &'a Caches,
-    velocity: fn([f64; 3]) -> [f64; 3],
-}
-
-impl ElementKernel<D3> for Kernel<'_> {
-    const NCOMP: usize = 1;
-    const GRAIN: usize = 8;
-
-    /// RHS of a single element via the kernel engine: fused volume pass
-    /// (reference gradient → metric contraction → flux accumulation),
-    /// cached nodal/mortar velocities, and workspace-backed face buffers —
-    /// zero heap allocations.
-    fn rhs_element(
-        &self,
-        q: &[f64],
-        e: usize,
-        _t: f64,
-        traces: Option<&HaloData<'_, D3>>,
-        ws: &mut KernelWorkspace,
-        out_e: &mut [f64],
-    ) {
-        let cache = self.caches;
-        let re = &self.mesh.re;
-        let npe = re.nodes_per_elem(3);
-        let npf = re.nodes_per_face(3);
-        // Split-borrow the workspace: cm lives in face_a, the interpolated
-        // neighbor/mortar trace in face_b, the raw neighbor trace in nbr.
-        let KernelWorkspace {
-            grad,
-            face_a,
-            face_b,
-            nbr: nbr_buf,
-            ..
-        } = ws;
-        {
-            let ce = &q[e * npe..(e + 1) * npe];
-            let det = self.geo.elem_det(e);
-            // Volume term: -(u . grad C), fused in one kernel pass over
-            // the SoA metric/velocity planes.
-            kernels::advect_volume_rhs(
-                &re.diff,
-                re.np,
-                ce,
-                &cache.metr_soa[e * 9 * npe..(e + 1) * 9 * npe],
-                &cache.vel_soa[e * 3 * npe..(e + 1) * 3 * npe],
-                &mut grad[..3 * npe],
-                out_e,
-            );
-            // Surface terms.
-            for f in 0..6 {
-                let fg = self.geo.face(e, f, self.mesh.nfaces);
-                let fidx = &cache.face_idx[f];
-                let cm = &mut face_a[..npf];
-                for (c, &i) in cm.iter_mut().zip(fidx.iter()) {
-                    *c = ce[i];
-                }
-                match self.mesh.face(e, f) {
-                    FaceConn::Boundary => {
-                        // Tangential velocity at shell boundaries: the
-                        // reflective flux difference vanishes identically.
-                    }
-                    FaceConn::Conforming {
-                        nbr,
-                        nbr_face,
-                        from_nbr,
-                    }
-                    | FaceConn::CoarseNbr {
-                        nbr,
-                        nbr_face,
-                        from_nbr,
-                    } => {
-                        self.nbr_trace(q, traces, *nbr, *nbr_face, nbr_buf);
-                        let cp = &mut face_b[..npf];
-                        from_nbr.matvec_into(nbr_buf, cp);
-                        for j in 0..npf {
-                            let v = fidx[j];
-                            let u = cache.vel[e * npe + v];
-                            let n = fg.normal[j];
-                            let un = u[0] * n[0] + u[1] * n[1] + u[2] * n[2];
-                            let fstar = if un >= 0.0 { un * cm[j] } else { un * cp[j] };
-                            let coef = cache.wf[j] * fg.sj[j] / (cache.wv[v] * det[v]);
-                            out_e[v] += coef * (un * cm[j] - fstar);
-                        }
-                    }
-                    FaceConn::FineNbrs { subs } => {
-                        let moff = cache.mortar_off[e * self.mesh.nfaces + f] as usize;
-                        for (s, sub) in subs.iter().enumerate() {
-                            let sg = &fg.subs[s];
-                            let mine_at_fine = &mut face_b[..npf];
-                            sub.to_fine.matvec_into(cm, mine_at_fine);
-                            self.nbr_trace(q, traces, sub.nbr, sub.nbr_face, nbr_buf);
-                            let their = &*nbr_buf;
-                            for j in 0..npf {
-                                let u = cache.mortar_vel[moff + s * npf + j];
-                                let n = sg.normal[j];
-                                let un = u[0] * n[0] + u[1] * n[1] + u[2] * n[2];
-                                let fstar = if un >= 0.0 {
-                                    un * mine_at_fine[j]
-                                } else {
-                                    un * their[j]
-                                };
-                                let diff = un * mine_at_fine[j] - fstar;
-                                // Lift back through the mortar transpose.
-                                let w = cache.wf[j] * sg.sj[j] * diff;
-                                if w != 0.0 {
-                                    for i in 0..npf {
-                                        let v = fidx[i];
-                                        out_e[v] += sub.to_fine.data[j * npf + i] * w
-                                            / (cache.wv[v] * det[v]);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-impl Kernel<'_> {
-    /// Face trace of neighbor `r` on its `nbr_face` (face-lattice order):
-    /// gathered from `q` for a local neighbor, read from the received
-    /// `traces` for a ghost.
-    fn nbr_trace(
-        &self,
-        q: &[f64],
-        traces: Option<&HaloData<'_, D3>>,
-        r: ElemRef,
-        nbr_face: usize,
-        buf: &mut Vec<f64>,
-    ) {
-        match r {
-            ElemRef::Local(i) => {
-                let npe = self.mesh.re.nodes_per_elem(3);
-                let nv = &q[i as usize * npe..(i as usize + 1) * npe];
-                buf.clear();
-                buf.extend(self.caches.face_idx[nbr_face].iter().map(|&n| nv[n]));
-            }
-            ElemRef::Ghost(g) => traces
-                .expect("interior element classified with a ghost face")
-                .face_values(g as usize, nbr_face, 0, buf),
-        }
-    }
-
-    /// Oracle RHS behind [`step_reference`](AdvectSolver::step_reference):
-    /// blocking exchange, then one serial sweep over all elements.
-    fn rhs_reference(
-        &self,
-        comm: &impl Communicator,
-        halo: &HaloExchange<D3>,
-        q: &[f64],
-        out: &mut [f64],
-    ) {
-        let traces = halo.exchange(comm, q, 1);
-        let mut nbr_buf = Vec::with_capacity(self.mesh.re.nodes_per_face(3));
-        for e in 0..self.mesh.num_elements() {
-            self.rhs_element_reference(q, e, Some(&traces), &mut nbr_buf, out);
-        }
-    }
-
-    /// Oracle per-element RHS: the pre-kernel-engine implementation,
-    /// verbatim (allocating `gradient`, `matvec`, per-face `collect`, and
-    /// fn-pointer velocity evaluation at every node).
-    /// Oracle per-element RHS: the pre-kernel-engine implementation,
-    /// verbatim (allocating `gradient`, `matvec`, per-face `collect`, and
-    /// fn-pointer velocity evaluation at every node).
-    fn rhs_element_reference(
-        &self,
-        q: &[f64],
-        e: usize,
-        traces: Option<&HaloData<'_, D3>>,
-        nbr_buf: &mut Vec<f64>,
-        out: &mut [f64],
-    ) {
-        let cache = self.caches;
-        let re = &self.mesh.re;
-        let npe = re.nodes_per_elem(3);
-        let npf = re.nodes_per_face(3);
-        {
-            let ce = &q[e * npe..(e + 1) * npe];
-            let inv = self.geo.elem_inv(e);
-            let det = self.geo.elem_det(e);
-            let pos = self.geo.elem_pos(e);
-            // Volume term: -(u . grad C).
-            let grads = re.gradient(ce, 3);
-            for v in 0..npe {
-                let u = (self.velocity)(pos[v]);
-                let mut adv = 0.0;
-                for i in 0..3 {
-                    let mut gi = 0.0;
-                    for r in 0..3 {
-                        gi += inv[v][r][i] * grads[r][v];
-                    }
-                    adv += u[i] * gi;
-                }
-                out[e * npe + v] = -adv;
-            }
-            // Surface terms.
-            for f in 0..6 {
-                let fg = self.geo.face(e, f, 6);
-                let fidx = &cache.face_idx[f];
-                let cm: Vec<f64> = fidx.iter().map(|&i| ce[i]).collect();
-                match self.mesh.face(e, f) {
-                    FaceConn::Boundary => {
-                        // Tangential velocity at shell boundaries: the
-                        // reflective flux difference vanishes identically.
-                    }
-                    FaceConn::Conforming {
-                        nbr,
-                        nbr_face,
-                        from_nbr,
-                    }
-                    | FaceConn::CoarseNbr {
-                        nbr,
-                        nbr_face,
-                        from_nbr,
-                    } => {
-                        self.nbr_trace(q, traces, *nbr, *nbr_face, nbr_buf);
-                        let cp = from_nbr.matvec(nbr_buf);
-                        for j in 0..npf {
-                            let v = fidx[j];
-                            let u = (self.velocity)(pos[v]);
-                            let n = fg.normal[j];
-                            let un = u[0] * n[0] + u[1] * n[1] + u[2] * n[2];
-                            let fstar = if un >= 0.0 { un * cm[j] } else { un * cp[j] };
-                            let coef = cache.wf[j] * fg.sj[j] / (cache.wv[v] * det[v]);
-                            out[e * npe + v] += coef * (un * cm[j] - fstar);
-                        }
-                    }
-                    FaceConn::FineNbrs { subs } => {
-                        for (s, sub) in subs.iter().enumerate() {
-                            let sg = &fg.subs[s];
-                            let mine_at_fine = sub.to_fine.matvec(&cm);
-                            self.nbr_trace(q, traces, sub.nbr, sub.nbr_face, nbr_buf);
-                            let their = &*nbr_buf;
-                            for j in 0..npf {
-                                let u = (self.velocity)(sg.pos[j]);
-                                let n = sg.normal[j];
-                                let un = u[0] * n[0] + u[1] * n[1] + u[2] * n[2];
-                                let fstar = if un >= 0.0 {
-                                    un * mine_at_fine[j]
-                                } else {
-                                    un * their[j]
-                                };
-                                let diff = un * mine_at_fine[j] - fstar;
-                                // Lift back through the mortar transpose.
-                                let w = cache.wf[j] * sg.sj[j] * diff;
-                                if w != 0.0 {
-                                    for i in 0..npf {
-                                        let v = fidx[i];
-                                        out[e * npe + v] += sub.to_fine.data[j * npf + i] * w
-                                            / (cache.wv[v] * det[v]);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
     }
 }
 

@@ -238,12 +238,6 @@ fn parse_segment<D: Dim>(path: &Path) -> Result<Segment<D>, CheckpointError> {
     parse_segment_body(&bytes, path)
 }
 
-/// Validate the CRC trailer of an in-memory segment blob (as produced by
-/// [`Forest::segment_bytes`]) and decode it. `origin` labels errors.
-fn parse_segment_mem<D: Dim>(bytes: &[u8], origin: &Path) -> Result<Segment<D>, CheckpointError> {
-    parse_segment_body(strip_crc(bytes, origin)?, origin)
-}
-
 fn parse_segment_body<D: Dim>(bytes: &[u8], path: &Path) -> Result<Segment<D>, CheckpointError> {
     let mut s = bytes;
     let mut field = |name: &str| -> Result<u64, CheckpointError> {
@@ -365,9 +359,10 @@ impl<D: Dim> Forest<D> {
             .enumerate()
             .map(|(r, bytes)| {
                 let origin = PathBuf::from(format!("<memory segment {r}>"));
-                parse_segment_mem::<D>(bytes, &origin).map(|s| (origin, s))
+                let body = strip_crc(bytes, &origin)?;
+                parse_segment_body::<D>(body, &origin).map(|s| (origin, s))
             })
-            .collect::<Result<Vec<_>, _>>()?;
+            .collect::<Result<Vec<_>, CheckpointError>>()?;
         if parsed.is_empty() {
             return Err(CheckpointError::NoCheckpoint {
                 dir: PathBuf::from("<memory>"),

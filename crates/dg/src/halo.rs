@@ -73,8 +73,9 @@ pub const TAG_HALO_EXCHANGE_F32: u32 = TAG_COLLECTIVE - 80;
 /// A precision the trace exchange can travel in, with the facts that
 /// differ between the lanes: `f64` is the host lane, `f32` the device
 /// lane. Everything else — pack, wire layout, unpack, read view — is one
-/// implementation generic over the lane.
-pub trait HaloLane: Real {
+/// implementation generic over the lane. Sealed: the lanes are the two
+/// below, each with its own unpack scratch inside [`HaloExchange`].
+pub trait HaloLane: Real + sealed::Lane {
     /// Message tag of this lane.
     const TAG: u32;
     /// Span around packing and posting the messages.
@@ -83,9 +84,6 @@ pub trait HaloLane: Real {
     const SPAN_FINISH: &'static str;
     /// How the unpack assertions name the lane.
     const LABEL: &'static str;
-    /// This lane's unpack scratch. The lanes have independent scratches,
-    /// so a device exchange may overlap a host exchange.
-    fn scratch<D: Dim>(halo: &HaloExchange<D>) -> &Mutex<Scratch<Self>>;
 }
 
 impl HaloLane for f64 {
@@ -93,9 +91,6 @@ impl HaloLane for f64 {
     const SPAN_BEGIN: &'static str = "halo.begin";
     const SPAN_FINISH: &'static str = "halo.finish";
     const LABEL: &'static str = "halo exchange";
-    fn scratch<D: Dim>(halo: &HaloExchange<D>) -> &Mutex<Scratch<f64>> {
-        &halo.scratch
-    }
 }
 
 impl HaloLane for f32 {
@@ -103,10 +98,44 @@ impl HaloLane for f32 {
     const SPAN_BEGIN: &'static str = "halo.begin_f32";
     const SPAN_FINISH: &'static str = "halo.finish_f32";
     const LABEL: &'static str = "f32 halo exchange";
-    fn scratch<D: Dim>(halo: &HaloExchange<D>) -> &Mutex<Scratch<f32>> {
-        &halo.scratch32
+}
+
+/// The crate-private half of [`HaloLane`]: which scratch a lane unpacks
+/// into. Unnameable outside this module, so no other crate can implement
+/// a lane or reach (and hold) an exchange's scratch lock.
+mod sealed {
+    use super::{Dim, HaloExchange, Mutex};
+
+    /// Reusable unpack target of one lane of the trace exchange.
+    #[derive(Debug, Default)]
+    pub struct Scratch<R> {
+        /// Ghost traces, ghost-major: ghost `g` occupies
+        /// `off[g] * ncomp ..` with component-major layout `[c][node]`.
+        pub data: Vec<R>,
+        /// Times `data` had to grow. Steady-state RK stages must not bump
+        /// this — asserted by a debug-counter test.
+        pub grow_events: u64,
+    }
+
+    pub trait Lane: Sized {
+        /// This lane's unpack scratch. The lanes have independent
+        /// scratches, so a device exchange may overlap a host exchange.
+        fn scratch<D: Dim>(halo: &HaloExchange<D>) -> &Mutex<Scratch<Self>>;
+    }
+
+    impl Lane for f64 {
+        fn scratch<D: Dim>(halo: &HaloExchange<D>) -> &Mutex<Scratch<f64>> {
+            &halo.scratch
+        }
+    }
+
+    impl Lane for f32 {
+        fn scratch<D: Dim>(halo: &HaloExchange<D>) -> &Mutex<Scratch<f32>> {
+            &halo.scratch32
+        }
     }
 }
+use sealed::Scratch;
 
 /// One mirror element's contribution to one destination rank.
 #[derive(Debug, Clone)]
@@ -117,17 +146,6 @@ struct SendEntry {
     mask: u8,
     /// Sorted union of the volume-node indices on the visible faces.
     nodes: Vec<u16>,
-}
-
-/// Reusable unpack target of one lane of the trace exchange.
-#[derive(Debug, Default)]
-pub struct Scratch<R> {
-    /// Ghost traces, ghost-major: ghost `g` occupies
-    /// `off[g] * ncomp ..` with component-major layout `[c][node]`.
-    data: Vec<R>,
-    /// Times `data` had to grow. Steady-state RK stages must not bump
-    /// this — asserted by a debug-counter test.
-    grow_events: u64,
 }
 
 /// Precomputed split-phase, face-trace ghost exchange of one mesh.

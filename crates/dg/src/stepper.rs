@@ -56,6 +56,7 @@ pub trait ElementKernel<D: Dim>: Sync {
 
 /// LSERK registers and per-lane kernel scratch of one solver, sized once
 /// for its element shape so steady-state stepping allocates nothing.
+#[derive(Default)]
 pub struct Stepper {
     /// The 2N-storage register.
     resid: Vec<f64>,
@@ -75,13 +76,10 @@ impl Stepper {
     /// `ncomp` components.
     pub fn new(npe: usize, npf: usize, ncomp: usize) -> Self {
         Stepper {
-            resid: Vec::new(),
-            stage: Vec::new(),
-            lanes: PerLane::new(0, |_| KernelWorkspace::new()),
             npe,
             npf,
             ncomp,
-            grow_events: 0,
+            ..Default::default()
         }
     }
 

@@ -612,6 +612,13 @@ pub struct PerLane<T> {
 // pool runs one thread per lane per job).
 unsafe impl<T: Send> Sync for PerLane<T> {}
 
+/// No lanes provisioned yet.
+impl<T> Default for PerLane<T> {
+    fn default() -> Self {
+        PerLane { slots: Vec::new() }
+    }
+}
+
 impl<T> PerLane<T> {
     /// Build `width` slots with `mk(lane)`.
     pub fn new(width: usize, mut mk: impl FnMut(usize) -> T) -> Self {

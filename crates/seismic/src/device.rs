@@ -185,6 +185,7 @@ impl DeviceWs {
 
 /// The device-resident state of one solver: lane-batched f32 SoA arenas
 /// with persistent capacity across transfers.
+#[derive(Default)]
 pub struct DeviceState {
     /// State, `((b * NCOMP + c) * npe + v) * LANES + l`.
     q: Vec<f32>,
@@ -246,45 +247,11 @@ fn fit<T: Clone + Default>(buf: &mut Vec<T>, want: usize) -> bool {
     grew
 }
 
-impl Default for DeviceState {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl DeviceState {
     /// Empty device state; populate it with
     /// [`transfer_from_host`](Self::transfer_from_host).
     pub fn new() -> Self {
-        DeviceState {
-            q: Vec::new(),
-            resid: Vec::new(),
-            rhs: Vec::new(),
-            inv: Vec::new(),
-            rho: Vec::new(),
-            lam: Vec::new(),
-            mu: Vec::new(),
-            det: Vec::new(),
-            srcw: Vec::new(),
-            nrm: Vec::new(),
-            coef: Vec::new(),
-            tr: Vec::new(),
-            plans: Vec::new(),
-            mortars: Vec::new(),
-            ops: Vec::new(),
-            diff: Vec::new(),
-            wv: Vec::new(),
-            wf: Vec::new(),
-            face_idx: Vec::new(),
-            src_dir: [0.0; 3],
-            np: 0,
-            nel: 0,
-            nblocks: 0,
-            time: 0.0,
-            transfers: 0,
-            transfer_grow: 0,
-            ws_lanes: PerLane::new(0, |_| DeviceWs::default()),
-        }
+        Self::default()
     }
 
     /// "Transfer the mesh and other initial data from CPU to GPU
@@ -479,18 +446,21 @@ impl DeviceState {
             + self.coef.len())
     }
 
+    /// The live lanes of `arena` (state layout) in the host solver's
+    /// order `(e * NCOMP + c) * npe + v`.
+    fn live<'a>(&'a self, arena: &'a [f32]) -> impl Iterator<Item = f32> + 'a {
+        let chunk = NCOMP * self.np * self.np * self.np;
+        (0..self.nel * chunk).map(move |i| {
+            let (e, cv) = (i / chunk, i % chunk);
+            arena[((e / LANES) * chunk + cv) * LANES + e % LANES]
+        })
+    }
+
     /// Copy the live lanes of the state back to the host solver (end of
     /// the device phase; the paper's GPU→CPU transfer before re-adapt).
     pub fn to_host(&self, s: &mut SeismicSolver) {
-        let npe = self.np * self.np * self.np;
-        for e in 0..self.nel {
-            let (b, l) = (e / LANES, e % LANES);
-            for c in 0..NCOMP {
-                for v in 0..npe {
-                    s.q[(e * NCOMP + c) * npe + v] =
-                        self.q[((b * NCOMP + c) * npe + v) * LANES + l] as f64;
-                }
-            }
+        for (h, d) in s.q.iter_mut().zip(self.live(&self.q)) {
+            *h = d as f64;
         }
         s.time = self.time;
     }
@@ -499,19 +469,12 @@ impl DeviceState {
     /// determinism assertions: a device step must be bitwise invariant
     /// of worker count, lane batching and block placement.
     pub fn state_bits(&self) -> Vec<u32> {
-        let npe = self.np * self.np * self.np;
-        let mut out = Vec::with_capacity(self.nel * NCOMP * npe * 2);
-        for arena in [&self.q, &self.resid] {
-            for e in 0..self.nel {
-                let (b, l) = (e / LANES, e % LANES);
-                for c in 0..NCOMP {
-                    for v in 0..npe {
-                        out.push(arena[((b * NCOMP + c) * npe + v) * LANES + l].to_bits());
-                    }
-                }
-            }
-        }
-        out
+        let arenas = [&self.q, &self.resid];
+        arenas
+            .iter()
+            .flat_map(|a| self.live(a))
+            .map(f32::to_bits)
+            .collect()
     }
 
     /// The live lanes of the device state as an f64 vector in the host
@@ -519,18 +482,7 @@ impl DeviceState {
     /// diagnostics that compare against a reference without mutating a
     /// solver.
     pub fn state_f64(&self) -> Vec<f64> {
-        let npe = self.np * self.np * self.np;
-        let mut out = vec![0.0; self.nel * NCOMP * npe];
-        for e in 0..self.nel {
-            let (b, l) = (e / LANES, e % LANES);
-            for c in 0..NCOMP {
-                for v in 0..npe {
-                    out[(e * NCOMP + c) * npe + v] =
-                        self.q[((b * NCOMP + c) * npe + v) * LANES + l] as f64;
-                }
-            }
-        }
-        out
+        self.live(&self.q).map(f64::from).collect()
     }
 
     /// Global relative L∞ error of the device state against the host
@@ -538,19 +490,11 @@ impl DeviceState {
     /// quantity the accuracy tests bound (paper methodology: the f64
     /// run is the reference; single precision is checked against it).
     pub fn rel_error_vs_host(&self, s: &SeismicSolver, comm: &impl Communicator) -> f64 {
-        let npe = self.np * self.np * self.np;
         let mut num = 0.0f64;
         let mut den = 0.0f64;
-        for e in 0..self.nel {
-            let (b, l) = (e / LANES, e % LANES);
-            for c in 0..NCOMP {
-                for v in 0..npe {
-                    let h = s.q[(e * NCOMP + c) * npe + v];
-                    let d = self.q[((b * NCOMP + c) * npe + v) * LANES + l] as f64;
-                    num = num.max((d - h).abs());
-                    den = den.max(h.abs());
-                }
-            }
+        for (&h, d) in s.q.iter().zip(self.live(&self.q)) {
+            num = num.max((d as f64 - h).abs());
+            den = den.max(h.abs());
         }
         let num = comm.allreduce(num, f64::max);
         let den = comm.allreduce(den, f64::max);
@@ -748,20 +692,15 @@ impl DeviceState {
             // for them (equal traces ⇒ zero jump).
             for l in 0..LANES {
                 let e = b * LANES + l;
-                let plan = if e < self.nel {
-                    &self.plans[e * 6 + f]
-                } else {
-                    &FacePlan::Boundary
-                };
-                match plan {
-                    FacePlan::Boundary if e >= self.nel => {
+                match (e < self.nel).then(|| &self.plans[e * 6 + f]) {
+                    None | Some(FacePlan::Mortar(_)) => {
                         for c in 0..NCOMP {
                             for j in 0..npf {
                                 ws.qp[(c * npf + j) * LANES + l] = ws.qm[(c * npf + j) * LANES + l];
                             }
                         }
                     }
-                    FacePlan::Boundary => {
+                    Some(FacePlan::Boundary) => {
                         for c in 0..NCOMP {
                             for j in 0..npf {
                                 let s0 = ws.qm[(c * npf + j) * LANES + l];
@@ -769,19 +708,12 @@ impl DeviceState {
                             }
                         }
                     }
-                    FacePlan::Conforming { nbr, nbr_face, op } => {
+                    Some(FacePlan::Conforming { nbr, nbr_face, op }) => {
                         for c in 0..NCOMP {
                             self.gather_nbr_trace(*nbr, *nbr_face as usize, c, traces, &mut ws.nbr);
                             matvec32(&self.ops[*op as usize], npf, &ws.nbr, &mut ws.tmp);
                             for j in 0..npf {
                                 ws.qp[(c * npf + j) * LANES + l] = ws.tmp[j];
-                            }
-                        }
-                    }
-                    FacePlan::Mortar(_) => {
-                        for c in 0..NCOMP {
-                            for j in 0..npf {
-                                ws.qp[(c * npf + j) * LANES + l] = ws.qm[(c * npf + j) * LANES + l];
                             }
                         }
                     }

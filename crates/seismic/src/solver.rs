@@ -32,9 +32,6 @@ use crate::model::{ricker, Material};
 /// Number of state components: `(vx, vy, vz, Exx, Eyy, Ezz, Eyz, Exz, Exy)`.
 pub const NCOMP: usize = 9;
 
-/// Magic header of the solver's checkpoint scalar state.
-const SOLVER_MAGIC: u64 = 0x464f_5255_5345_4953; // "FORU SEIS"
-
 /// Seismic experiment parameters.
 #[derive(Debug, Clone)]
 pub struct SeismicConfig {
@@ -309,8 +306,15 @@ impl SeismicSolver {
         let (time, dt) = (self.time, self.dt);
         let (_, halo, q, kernel) = self.parts();
         let mut resid = vec![0.0; q.len()];
+        let mut sig_nodal = vec![0.0; 6 * kernel.mesh.re.nodes_per_elem(3)];
+        let mut nbr_buf: Vec<f64> = Vec::new();
+        // Oracle RHS: blocking exchange, then one serial element sweep.
         lserk_step(q, &mut resid, time, dt, |t, q, out| {
-            kernel.rhs_reference(comm, halo, q, t, out)
+            let traces = halo.exchange(comm, q, NCOMP);
+            let traces = Some(&traces);
+            for e in 0..kernel.mesh.num_elements() {
+                kernel.rhs_element_reference(q, e, t, traces, &mut sig_nodal, &mut nbr_buf, out);
+            }
         });
         self.time += self.dt;
         self.timers.wave_prop += t0.elapsed();
@@ -360,93 +364,6 @@ impl SeismicSolver {
         }
         comm.allreduce_sum_f64(en)
     }
-
-    /// Write a recoverable checkpoint of the solver into `dir`
-    /// ([`Forest::save_solver`]: the state rides as payload, `time` bits
-    /// and step count in `solver.fst`). Collective.
-    ///
-    /// Everything else — mesh, metric terms, nodal material, `dt` — is a
-    /// deterministic function of the forest, configuration, and material
-    /// model, and is rebuilt bitwise identically on
-    /// [`SeismicSolver::restore`], even on a different rank count.
-    pub fn save_checkpoint(
-        &self,
-        comm: &impl Communicator,
-        dir: &std::path::Path,
-    ) -> Result<(), CheckpointError> {
-        let fmt = checkpoint_format(&self.config);
-        self.forest
-            .save_solver(comm, dir, fmt, self.time, self.timers.steps, &self.q)
-    }
-
-    /// This rank's checkpoint as one in-memory byte blob for diskless
-    /// buddy mirroring ([`Forest::solver_segment_bytes`]). Purely local.
-    pub fn checkpoint_segment(&self, saved_ranks: usize) -> Vec<u8> {
-        let fmt = checkpoint_format(&self.config);
-        self.forest
-            .solver_segment_bytes(saved_ranks, fmt, self.time, self.timers.steps, &self.q)
-    }
-
-    /// Restore a solver from a checkpoint written by
-    /// [`SeismicSolver::save_checkpoint`], possibly onto a different rank
-    /// count; the restored state continues bitwise identically to an
-    /// uninterrupted run.
-    pub fn restore(
-        comm: &impl Communicator,
-        conn: Arc<Connectivity<D3>>,
-        map: Arc<dyn Mapping<D3> + Send + Sync>,
-        config: SeismicConfig,
-        model: impl Fn([f64; 3]) -> Material + Copy,
-        dir: &std::path::Path,
-    ) -> Result<Self, CheckpointError> {
-        let fmt = checkpoint_format(&config);
-        let (forest, q, time, steps) = Forest::load_solver(conn, comm, dir, fmt)?;
-        let restored = Some((q, time, steps));
-        Ok(Self::assemble(
-            comm, forest, map, config, model, None, restored,
-        ))
-    }
-
-    /// [`SeismicSolver::restore`] from in-memory blobs produced by
-    /// [`SeismicSolver::checkpoint_segment`] — the diskless (buddy) path.
-    pub fn restore_from_segments(
-        comm: &impl Communicator,
-        conn: Arc<Connectivity<D3>>,
-        map: Arc<dyn Mapping<D3> + Send + Sync>,
-        config: SeismicConfig,
-        model: impl Fn([f64; 3]) -> Material + Copy,
-        segments: &[Vec<u8>],
-    ) -> Result<Self, CheckpointError> {
-        let fmt = checkpoint_format(&config);
-        let (forest, q, time, steps) =
-            Forest::load_solver_from_segments(conn, comm, segments, fmt)?;
-        let restored = Some((q, time, steps));
-        Ok(Self::assemble(
-            comm, forest, map, config, model, None, restored,
-        ))
-    }
-
-    /// Maximum velocity magnitude (diagnostic / wavefront indicator).
-    pub fn max_velocity(&self, comm: &impl Communicator) -> f64 {
-        let npe = self.mesh.re.nodes_per_elem(3);
-        let mut m: f64 = 0.0;
-        for e in 0..self.mesh.num_elements() {
-            for v in 0..npe {
-                let s = node_state(&self.q, npe, e, v);
-                m = m.max((s[0] * s[0] + s[1] * s[1] + s[2] * s[2]).sqrt());
-            }
-        }
-        comm.allreduce_max_f64(m)
-    }
-}
-
-/// Checkpoint format of a run with this configuration: the solver's
-/// magic and `NCOMP` values per volume node.
-fn checkpoint_format(config: &SeismicConfig) -> SolverFormat {
-    SolverFormat {
-        magic: SOLVER_MAGIC,
-        per_element: (config.degree + 1).pow(3) * NCOMP,
-    }
 }
 
 /// The nine state components at node `v` of element `e` of `q`.
@@ -488,8 +405,8 @@ fn sig_n<R: Real>(sg: &[R; 6], n: [R; 3]) -> [R; 3] {
 /// The impedance-weighted penalty flux at one face point: the RHS jump of
 /// all nine components for interior state `qm`, exterior state `qp`,
 /// outward normal `n` and material `m = (rho, lambda, mu)`. One
-/// definition for the host engine, its oracle and the device tier's
-/// scalar mortar lanes.
+/// definition for the host engine and the device tier's scalar mortar
+/// lanes; the oracle keeps its own copy, on purpose.
 #[inline(always)]
 pub(crate) fn penalty_flux<R: Real>(
     qm: &[R; NCOMP],
@@ -568,6 +485,24 @@ impl ElementKernel<D3> for Kernel<'_> {
         } = ws;
 
         let cfg = self.config;
+        // Face trace of one component of a neighbor (its `nbr_face`,
+        // face-lattice order).
+        let nbr_trace = |r: ElemRef, nbr_face: usize, c: usize, buf: &mut Vec<f64>| match r {
+            ElemRef::Local(i) => {
+                let off = i as usize * chunk;
+                buf.clear();
+                buf.extend(
+                    self.face_idx[nbr_face]
+                        .iter()
+                        .map(|&n| q[off + c * npe + n]),
+                );
+            }
+            ElemRef::Ghost(g) => {
+                traces
+                    .expect("interior element classified with a ghost face")
+                    .face_values(g as usize, nbr_face, c, buf);
+            }
+        };
         {
             let base = e * chunk;
             let inv = self.geo.elem_inv(e);
@@ -703,7 +638,7 @@ impl ElementKernel<D3> for Kernel<'_> {
                     } => {
                         // Interpolate each component's neighbor trace.
                         for c in 0..NCOMP {
-                            self.nbr_trace(q, traces, *nbr, *nbr_face, c, nbr_buf);
+                            nbr_trace(*nbr, *nbr_face, c, nbr_buf);
                             from_nbr.matvec_into(nbr_buf, &mut face_b[c * npf..(c + 1) * npf]);
                         }
                         apply_flux(face_a, face_b, &fg.normal, &fg.sj, &mut lift_nodal);
@@ -722,7 +657,7 @@ impl ElementKernel<D3> for Kernel<'_> {
                                     .matvec_into(face_c, &mut face_a[c * npf..(c + 1) * npf]);
                             }
                             for c in 0..NCOMP {
-                                self.nbr_trace(q, traces, sub.nbr, sub.nbr_face, c, nbr_buf);
+                                nbr_trace(sub.nbr, sub.nbr_face, c, nbr_buf);
                                 face_b[c * npf..(c + 1) * npf].copy_from_slice(nbr_buf);
                             }
                             apply_flux(face_a, face_b, &sg.normal, &sg.sj, &mut |j, d, s| {
@@ -746,49 +681,6 @@ impl ElementKernel<D3> for Kernel<'_> {
 }
 
 impl Kernel<'_> {
-    /// Face trace of component `c` of neighbor `r` on its `nbr_face`
-    /// (face-lattice order): gathered from `q` for a local neighbor, read
-    /// from the received `traces` for a ghost.
-    fn nbr_trace(
-        &self,
-        q: &[f64],
-        traces: Option<&HaloData<'_, D3>>,
-        r: ElemRef,
-        nbr_face: usize,
-        c: usize,
-        buf: &mut Vec<f64>,
-    ) {
-        match r {
-            ElemRef::Local(i) => {
-                let npe = self.mesh.re.nodes_per_elem(3);
-                let off = (i as usize * NCOMP + c) * npe;
-                buf.clear();
-                buf.extend(self.face_idx[nbr_face].iter().map(|&n| q[off + n]));
-            }
-            ElemRef::Ghost(g) => traces
-                .expect("interior element classified with a ghost face")
-                .face_values(g as usize, nbr_face, c, buf),
-        }
-    }
-
-    /// Oracle RHS behind [`step_reference`](SeismicSolver::step_reference):
-    /// blocking exchange, then one serial sweep over all elements.
-    fn rhs_reference(
-        &self,
-        comm: &impl Communicator,
-        halo: &HaloExchange<D3>,
-        q: &[f64],
-        t: f64,
-        out: &mut [f64],
-    ) {
-        let traces = halo.exchange(comm, q, NCOMP);
-        let mut sig_nodal = vec![0.0; 6 * self.mesh.re.nodes_per_elem(3)];
-        let mut nbr_buf: Vec<f64> = Vec::new();
-        for e in 0..self.mesh.num_elements() {
-            self.rhs_element_reference(q, e, t, Some(&traces), &mut sig_nodal, &mut nbr_buf, out);
-        }
-    }
-
     /// Oracle per-element RHS: the pre-kernel-engine implementation,
     /// verbatim (allocating per-component `gradient`/`matvec`/`collect`).
     #[allow(clippy::too_many_arguments)]
@@ -807,7 +699,46 @@ impl Kernel<'_> {
         let npf = re.nodes_per_face(3);
         let chunk = npe * NCOMP;
 
+        // Stress of a state given material.
+        let stress = |s: &[f64; NCOMP], lam: f64, mu: f64| -> [f64; 6] {
+            let tr = s[3] + s[4] + s[5];
+            [
+                2.0 * mu * s[3] + lam * tr,
+                2.0 * mu * s[4] + lam * tr,
+                2.0 * mu * s[5] + lam * tr,
+                2.0 * mu * s[6], // yz
+                2.0 * mu * s[7], // xz
+                2.0 * mu * s[8], // xy
+            ]
+        };
+        // sigma . n for Voigt-stored sigma.
+        let sig_n = |sg: &[f64; 6], n: [f64; 3]| -> [f64; 3] {
+            [
+                sg[0] * n[0] + sg[5] * n[1] + sg[4] * n[2],
+                sg[5] * n[0] + sg[1] * n[1] + sg[3] * n[2],
+                sg[4] * n[0] + sg[3] * n[1] + sg[2] * n[2],
+            ]
+        };
+
         let cfg = self.config;
+        // Face trace of one component of a neighbor (its `nbr_face`,
+        // face-lattice order).
+        let nbr_trace = |r: ElemRef, nbr_face: usize, c: usize, buf: &mut Vec<f64>| match r {
+            ElemRef::Local(i) => {
+                let off = i as usize * chunk;
+                buf.clear();
+                buf.extend(
+                    self.face_idx[nbr_face]
+                        .iter()
+                        .map(|&n| q[off + c * npe + n]),
+                );
+            }
+            ElemRef::Ghost(g) => {
+                traces
+                    .expect("interior element classified with a ghost face")
+                    .face_values(g as usize, nbr_face, c, buf);
+            }
+        };
         {
             let base = e * chunk;
             let inv = self.geo.elem_inv(e);
@@ -903,8 +834,42 @@ impl Kernel<'_> {
                      sjs: &[f64],
                      lift: &mut dyn FnMut(usize, [f64; NCOMP], f64)| {
                         for j in 0..qm.len() {
-                            let m = self.mat[e * npe + fidx[j % npf]]; // at the volume node
-                            let d = penalty_flux(&qm[j], &qp[j], normals[j], m);
+                            let v = fidx[j % npf]; // volume node for material
+                            let m = self.mat[e * npe + v];
+                            let (rho, lam, mu) = (m[0], m[1], m[2]);
+                            let cp = ((lam + 2.0 * mu) / rho).sqrt();
+                            let z = rho * cp;
+                            let n = normals[j];
+                            let sgm = stress(&qm[j], lam, mu);
+                            let sgp = stress(&qp[j], lam, mu);
+                            let tm = sig_n(&sgm, n);
+                            let tp = sig_n(&sgp, n);
+                            // Numerical traces.
+                            let tstar = [
+                                0.5 * (tm[0] + tp[0]) + 0.5 * z * (qp[j][0] - qm[j][0]),
+                                0.5 * (tm[1] + tp[1]) + 0.5 * z * (qp[j][1] - qm[j][1]),
+                                0.5 * (tm[2] + tp[2]) + 0.5 * z * (qp[j][2] - qm[j][2]),
+                            ];
+                            let vstar = [
+                                0.5 * (qm[j][0] + qp[j][0]) + 0.5 / z * (tp[0] - tm[0]),
+                                0.5 * (qm[j][1] + qp[j][1]) + 0.5 / z * (tp[1] - tm[1]),
+                                0.5 * (qm[j][2] + qp[j][2]) + 0.5 / z * (tp[2] - tm[2]),
+                            ];
+                            let mut d = [0.0; NCOMP];
+                            for i in 0..3 {
+                                d[i] = (tstar[i] - tm[i]) / rho;
+                            }
+                            let dvs = [
+                                vstar[0] - qm[j][0],
+                                vstar[1] - qm[j][1],
+                                vstar[2] - qm[j][2],
+                            ];
+                            d[3] = n[0] * dvs[0];
+                            d[4] = n[1] * dvs[1];
+                            d[5] = n[2] * dvs[2];
+                            d[6] = 0.5 * (n[1] * dvs[2] + n[2] * dvs[1]);
+                            d[7] = 0.5 * (n[0] * dvs[2] + n[2] * dvs[0]);
+                            d[8] = 0.5 * (n[0] * dvs[1] + n[1] * dvs[0]);
                             lift(j, d, sjs[j]);
                         }
                     };
@@ -946,7 +911,7 @@ impl Kernel<'_> {
                         // Interpolate each component's neighbor trace.
                         let mut qp = vec![[0.0; NCOMP]; npf];
                         for c in 0..NCOMP {
-                            self.nbr_trace(q, traces, *nbr, *nbr_face, c, nbr_buf);
+                            nbr_trace(*nbr, *nbr_face, c, nbr_buf);
                             let gp = from_nbr.matvec(nbr_buf);
                             for j in 0..npf {
                                 qp[j][c] = gp[j];
@@ -975,7 +940,7 @@ impl Kernel<'_> {
                             }
                             let mut qp = vec![[0.0; NCOMP]; npf];
                             for c in 0..NCOMP {
-                                self.nbr_trace(q, traces, sub.nbr, sub.nbr_face, c, nbr_buf);
+                                nbr_trace(sub.nbr, sub.nbr_face, c, nbr_buf);
                                 for j in 0..npf {
                                     qp[j][c] = nbr_buf[j];
                                 }
@@ -997,5 +962,97 @@ impl Kernel<'_> {
                 }
             }
         }
+    }
+}
+
+impl SeismicSolver {
+    /// Write a recoverable checkpoint of the solver into `dir`
+    /// ([`Forest::save_solver`]: the state rides as payload, `time` bits
+    /// and step count in `solver.fst`). Collective.
+    ///
+    /// Everything else — mesh, metric terms, nodal material, `dt` — is a
+    /// deterministic function of the forest, configuration, and material
+    /// model, and is rebuilt bitwise identically on
+    /// [`SeismicSolver::restore`], even on a different rank count.
+    pub fn save_checkpoint(
+        &self,
+        comm: &impl Communicator,
+        dir: &std::path::Path,
+    ) -> Result<(), CheckpointError> {
+        let fmt = checkpoint_format(&self.config);
+        self.forest
+            .save_solver(comm, dir, fmt, self.time, self.timers.steps, &self.q)
+    }
+
+    /// This rank's checkpoint as one in-memory byte blob for diskless
+    /// buddy mirroring ([`Forest::solver_segment_bytes`]). Purely local.
+    pub fn checkpoint_segment(&self, saved_ranks: usize) -> Vec<u8> {
+        let fmt = checkpoint_format(&self.config);
+        self.forest
+            .solver_segment_bytes(saved_ranks, fmt, self.time, self.timers.steps, &self.q)
+    }
+
+    /// Restore a solver from a checkpoint written by
+    /// [`SeismicSolver::save_checkpoint`], possibly onto a different rank
+    /// count; the restored state continues bitwise identically to an
+    /// uninterrupted run.
+    pub fn restore(
+        comm: &impl Communicator,
+        conn: Arc<Connectivity<D3>>,
+        map: Arc<dyn Mapping<D3> + Send + Sync>,
+        config: SeismicConfig,
+        model: impl Fn([f64; 3]) -> Material + Copy,
+        dir: &std::path::Path,
+    ) -> Result<Self, CheckpointError> {
+        let fmt = checkpoint_format(&config);
+        let (forest, q, time, steps) = Forest::load_solver(conn, comm, dir, fmt)?;
+        let restored = Some((q, time, steps));
+        Ok(Self::assemble(
+            comm, forest, map, config, model, None, restored,
+        ))
+    }
+
+    /// [`SeismicSolver::restore`] from in-memory blobs produced by
+    /// [`SeismicSolver::checkpoint_segment`] — the diskless (buddy) path.
+    pub fn restore_from_segments(
+        comm: &impl Communicator,
+        conn: Arc<Connectivity<D3>>,
+        map: Arc<dyn Mapping<D3> + Send + Sync>,
+        config: SeismicConfig,
+        model: impl Fn([f64; 3]) -> Material + Copy,
+        segments: &[Vec<u8>],
+    ) -> Result<Self, CheckpointError> {
+        let fmt = checkpoint_format(&config);
+        let (forest, q, time, steps) =
+            Forest::load_solver_from_segments(conn, comm, segments, fmt)?;
+        let restored = Some((q, time, steps));
+        Ok(Self::assemble(
+            comm, forest, map, config, model, None, restored,
+        ))
+    }
+
+    /// Maximum velocity magnitude (diagnostic / wavefront indicator).
+    pub fn max_velocity(&self, comm: &impl Communicator) -> f64 {
+        let npe = self.mesh.re.nodes_per_elem(3);
+        let mut m: f64 = 0.0;
+        for e in 0..self.mesh.num_elements() {
+            for v in 0..npe {
+                let s = node_state(&self.q, npe, e, v);
+                m = m.max((s[0] * s[0] + s[1] * s[1] + s[2] * s[2]).sqrt());
+            }
+        }
+        comm.allreduce_max_f64(m)
+    }
+}
+
+/// Magic header of the solver's checkpoint scalar state.
+const SOLVER_MAGIC: u64 = 0x464f_5255_5345_4953; // "FORU SEIS"
+
+/// Checkpoint format of a run with this configuration: the solver's
+/// magic and `NCOMP` values per volume node.
+fn checkpoint_format(config: &SeismicConfig) -> SolverFormat {
+    SolverFormat {
+        magic: SOLVER_MAGIC,
+        per_element: (config.degree + 1).pow(3) * NCOMP,
     }
 }

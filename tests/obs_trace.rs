@@ -59,13 +59,17 @@ fn three_rank_advect_trace_has_one_track_per_rank() {
 
     // Phase report: identical on all ranks, covers the instrumented
     // window, and carries the expected pipeline phases.
-    let (report, wall) = &outcomes[0];
+    let (report, _) = &outcomes[0];
     for (other, _) in &outcomes[1..] {
         assert_eq!(other.phases.len(), report.phases.len());
         assert_eq!(other.counters.len(), report.counters.len());
     }
     assert_eq!(report.ranks, RANKS);
-    let coverage = report.coverage(*wall);
+    // The report sums cross-rank *mean* self times, so the wall to hold it
+    // against is the mean over ranks too: ranks leave the last step at
+    // different times, and one rank's wall can fall short of the mean.
+    let wall = outcomes.iter().map(|(_, w)| w).sum::<f64>() / RANKS as f64;
+    let coverage = report.coverage(wall);
     assert!(
         coverage > 0.5 && coverage <= 1.0 + 1e-9,
         "phase self-times should tile most of the run, got coverage {coverage:.3}"
