@@ -17,6 +17,7 @@ use forust_dg::lserk::lserk_step;
 use forust_dg::mesh::{DgMesh, ElemRef, FaceConn};
 use forust_dg::stepper::{ElementKernel, Stepper};
 use forust_dg::transfer::transfer_fields;
+use forust_dg::FaceOp;
 use forust_geom::Mapping;
 
 /// Parameters of the advection experiment (defaults follow §III-B).
@@ -307,28 +308,34 @@ impl ElementKernel<D3> for Kernel<'_> {
         let re = &self.mesh.re;
         let npe = re.nodes_per_elem(3);
         let npf = re.nodes_per_face(3);
-        // Split-borrow the workspace: cm lives in face_a, the interpolated
-        // neighbor/mortar trace in face_b, the raw neighbor trace in nbr.
+        // Split-borrow the workspace: cm lives in face_a, the neighbor's
+        // aligned trace (or mine at the mortar points, then the weighted
+        // mortar flux) in face_b, the fine neighbor's trace and the
+        // lifted flux in nbr; face_c is the face operators' scratch.
         let KernelWorkspace {
             grad,
             face_a,
             face_b,
+            face_c,
             nbr: nbr_buf,
             ..
         } = ws;
-        // Face trace of a neighbor (its `nbr_face`, face-lattice order).
-        let nbr_trace = |r: ElemRef, nbr_face: usize, buf: &mut Vec<f64>| match r {
-            ElemRef::Local(i) => {
-                let nv = &q[i as usize * npe..(i as usize + 1) * npe];
-                buf.clear();
-                buf.extend(cache.face_idx[nbr_face].iter().map(|&n| nv[n]));
-            }
-            ElemRef::Ghost(g) => {
-                traces
-                    .expect("interior element classified with a ghost face")
-                    .face_values(g as usize, nbr_face, 0, buf);
-            }
-        };
+        let tab = &re.face_tables;
+        // A neighbor's trace on its `nbr_face`, taken through `op` into
+        // `out`: one gather straight out of `q` or the ghost traces.
+        let nbr_trace =
+            |op: FaceOp, r: ElemRef, nbr_face: usize, tmp: &mut [f64], out: &mut [f64]| match r {
+                ElemRef::Local(i) => {
+                    let nv = &q[i as usize * npe..(i as usize + 1) * npe];
+                    op.apply_indexed(tab, 3, nv, &cache.face_idx[nbr_face], tmp, out);
+                }
+                ElemRef::Ghost(g) => {
+                    let (trace, pos) = traces
+                        .expect("interior element classified with a ghost face")
+                        .face_source(g as usize, nbr_face, 0);
+                    op.apply_indexed(tab, 3, trace, pos, tmp, out);
+                }
+            };
 
         {
             let ce = &q[e * npe..(e + 1) * npe];
@@ -357,19 +364,10 @@ impl ElementKernel<D3> for Kernel<'_> {
                         // Tangential velocity at shell boundaries: the
                         // reflective flux difference vanishes identically.
                     }
-                    FaceConn::Conforming {
-                        nbr,
-                        nbr_face,
-                        from_nbr,
-                    }
-                    | FaceConn::CoarseNbr {
-                        nbr,
-                        nbr_face,
-                        from_nbr,
-                    } => {
-                        nbr_trace(*nbr, *nbr_face, nbr_buf);
+                    FaceConn::Conforming { nbr, nbr_face, op }
+                    | FaceConn::CoarseNbr { nbr, nbr_face, op } => {
                         let cp = &mut face_b[..npf];
-                        from_nbr.matvec_into(nbr_buf, cp);
+                        nbr_trace(*op, *nbr, *nbr_face, face_c, cp);
                         for j in 0..npf {
                             let v = fidx[j];
                             let u = cache.vel[e * npe + v];
@@ -384,29 +382,25 @@ impl ElementKernel<D3> for Kernel<'_> {
                         let moff = cache.mortar_off[e * self.mesh.nfaces + f] as usize;
                         for (s, sub) in subs.iter().enumerate() {
                             let sg = &fg.subs[s];
-                            let mine_at_fine = &mut face_b[..npf];
-                            sub.to_fine.matvec_into(cm, mine_at_fine);
-                            nbr_trace(sub.nbr, sub.nbr_face, nbr_buf);
-                            let their = &*nbr_buf;
+                            let mortar = &mut face_b[..npf];
+                            let their = &mut nbr_buf[..npf];
+                            sub.op.apply(tab, 3, cm, face_c, mortar);
+                            nbr_trace(FaceOp::IDENTITY, sub.nbr, sub.nbr_face, face_c, their);
+                            // Quadrature-weighted upwind flux difference
+                            // at the mortar points, in place of my trace.
                             for j in 0..npf {
                                 let u = cache.mortar_vel[moff + s * npf + j];
                                 let n = sg.normal[j];
                                 let un = u[0] * n[0] + u[1] * n[1] + u[2] * n[2];
-                                let fstar = if un >= 0.0 {
-                                    un * mine_at_fine[j]
-                                } else {
-                                    un * their[j]
-                                };
-                                let diff = un * mine_at_fine[j] - fstar;
-                                // Lift back through the mortar transpose.
-                                let w = cache.wf[j] * sg.sj[j] * diff;
-                                if w != 0.0 {
-                                    for i in 0..npf {
-                                        let v = fidx[i];
-                                        out_e[v] += sub.to_fine.data[j * npf + i] * w
-                                            / (cache.wv[v] * det[v]);
-                                    }
-                                }
+                                let mine = mortar[j];
+                                let fstar = if un >= 0.0 { un * mine } else { un * their[j] };
+                                mortar[j] = cache.wf[j] * sg.sj[j] * (un * mine - fstar);
+                            }
+                            // Lift back through the mortar transpose.
+                            let lifted = their;
+                            sub.op.apply_transpose(tab, 3, mortar, face_c, lifted);
+                            for (&v, h) in fidx.iter().zip(lifted.iter()) {
+                                out_e[v] += h / (cache.wv[v] * det[v]);
                             }
                         }
                     }
@@ -475,18 +469,10 @@ impl Kernel<'_> {
                         // Tangential velocity at shell boundaries: the
                         // reflective flux difference vanishes identically.
                     }
-                    FaceConn::Conforming {
-                        nbr,
-                        nbr_face,
-                        from_nbr,
-                    }
-                    | FaceConn::CoarseNbr {
-                        nbr,
-                        nbr_face,
-                        from_nbr,
-                    } => {
+                    FaceConn::Conforming { nbr, nbr_face, op }
+                    | FaceConn::CoarseNbr { nbr, nbr_face, op } => {
                         nbr_trace(*nbr, *nbr_face, nbr_buf);
-                        let cp = from_nbr.matvec(nbr_buf);
+                        let cp = op.to_dense(&re.face_tables, 3).matvec(nbr_buf);
                         for j in 0..npf {
                             let v = fidx[j];
                             let u = (self.velocity)(pos[v]);
@@ -500,7 +486,8 @@ impl Kernel<'_> {
                     FaceConn::FineNbrs { subs } => {
                         for (s, sub) in subs.iter().enumerate() {
                             let sg = &fg.subs[s];
-                            let mine_at_fine = sub.to_fine.matvec(&cm);
+                            let dense = sub.op.to_dense(&re.face_tables, 3);
+                            let mine_at_fine = dense.matvec(&cm);
                             nbr_trace(sub.nbr, sub.nbr_face, nbr_buf);
                             let their = &*nbr_buf;
                             for j in 0..npf {
@@ -518,8 +505,8 @@ impl Kernel<'_> {
                                 if w != 0.0 {
                                     for i in 0..npf {
                                         let v = fidx[i];
-                                        out[e * npe + v] += sub.to_fine.data[j * npf + i] * w
-                                            / (cache.wv[v] * det[v]);
+                                        out[e * npe + v] +=
+                                            dense.data[j * npf + i] * w / (cache.wv[v] * det[v]);
                                     }
                                 }
                             }

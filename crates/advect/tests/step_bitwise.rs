@@ -1,7 +1,16 @@
-//! The kernel-engine `step` must produce **bitwise** the same solution as
-//! the retained pre-engine `step_reference` oracle — across adapt cycles
-//! (mortar faces appear and disappear, caches rebuild) and on several
-//! rank counts (ghost traces flow through the workspace path too).
+//! The kernel-engine `step` against the retained pre-engine
+//! `step_reference` oracle, which applies every face operator as a dense
+//! matrix ([`FaceOp::to_dense`]) with the allocating `matvec`.
+//!
+//! - On a **conforming** mesh the engine's face work is an exact index
+//!   gather, so the two must agree **bitwise**.
+//! - Across **2:1 faces** the engine's sum-factorised mortar adds the
+//!   same products in a different order; there the two must agree to
+//!   [`MORTAR_REL_TOL`] of the field's magnitude — across adapt cycles
+//!   (mortar faces appear and disappear, caches rebuild) and on several
+//!   rank counts (ghost traces flow through the same path).
+//!
+//! [`FaceOp::to_dense`]: forust_dg::FaceOp::to_dense
 
 use std::sync::Arc;
 
@@ -10,22 +19,17 @@ use forust::dim::D3;
 use forust::forest::Forest;
 use forust_advect::{rotation_velocity, AdvectConfig, AdvectSolver};
 use forust_comm::{run_spmd, Communicator};
+use forust_dg::mesh::FaceConn;
 use forust_geom::ShellMap;
 
-fn adaptive_solver(comm: &impl Communicator) -> AdvectSolver {
+/// Engine vs dense-operator oracle on meshes with 2:1 faces, relative to
+/// the largest field value.
+const MORTAR_REL_TOL: f64 = 1e-12;
+
+fn solver(comm: &impl Communicator, config: AdvectConfig) -> AdvectSolver {
     let conn = Arc::new(builders::cubed_sphere());
-    let forest = Forest::<D3>::new_uniform(Arc::clone(&conn), comm, 1);
+    let forest = Forest::<D3>::new_uniform(Arc::clone(&conn), comm, config.initial_level);
     let map = Arc::new(ShellMap::new(conn, 0.55, 1.0));
-    let config = AdvectConfig {
-        degree: 3, // np = 4: exercises the const-generic instance
-        initial_level: 1,
-        min_level: 1,
-        max_level: 3,
-        adapt_every: 3,
-        cfl: 0.4,
-        refine_tol: 0.05,
-        coarsen_tol: 0.02,
-    };
     AdvectSolver::new(
         comm,
         forest,
@@ -36,19 +40,58 @@ fn adaptive_solver(comm: &impl Communicator) -> AdvectSolver {
     )
 }
 
+fn adaptive_config(degree: usize, adapt_every: usize) -> AdvectConfig {
+    AdvectConfig {
+        degree,
+        initial_level: 1,
+        min_level: 1,
+        max_level: 3,
+        adapt_every,
+        cfl: 0.4,
+        refine_tol: 0.05,
+        coarsen_tol: 0.02,
+    }
+}
+
+fn has_mortar_faces(s: &AdvectSolver) -> bool {
+    s.mesh
+        .faces
+        .iter()
+        .any(|f| matches!(f, FaceConn::FineNbrs { .. } | FaceConn::CoarseNbr { .. }))
+}
+
+fn assert_within_mortar_tol(engine: &AdvectSolver, oracle: &AdvectSolver, what: &str) {
+    assert_eq!(engine.c.len(), oracle.c.len(), "{what}: meshes diverged");
+    let scale = oracle.c.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+    for (i, (a, b)) in engine.c.iter().zip(&oracle.c).enumerate() {
+        assert!(
+            (a - b).abs() <= MORTAR_REL_TOL * scale,
+            "{what} dof {i}: {a} vs {b}"
+        );
+    }
+    assert_eq!(engine.time.to_bits(), oracle.time.to_bits());
+}
+
 #[test]
-fn step_matches_reference_bitwise_across_adapts() {
-    for ranks in [1usize, 3, 5] {
+fn step_matches_reference_bitwise_on_conforming_mesh() {
+    for ranks in [1usize, 3] {
         run_spmd(ranks, |comm| {
-            let mut engine = adaptive_solver(comm);
-            let mut oracle = adaptive_solver(comm);
+            // Uniform level 2 on the rotated cubed-sphere trees, never
+            // adapted: every inter-tree face is a pure gather.
+            let config = AdvectConfig {
+                initial_level: 2,
+                min_level: 2,
+                max_level: 2,
+                ..adaptive_config(3, usize::MAX)
+            };
+            let mut engine = solver(comm, config.clone());
+            let mut oracle = solver(comm, config);
+            assert!(!has_mortar_faces(&engine));
             assert_eq!(engine.dt.to_bits(), oracle.dt.to_bits());
-            for _ in 0..7 {
+            for _ in 0..4 {
                 engine.step(comm);
                 oracle.step_reference(comm);
             }
-            assert!(engine.timers.adapts >= 2, "adapt cycles must have run");
-            assert_eq!(engine.c.len(), oracle.c.len(), "meshes diverged");
             for (i, (a, b)) in engine.c.iter().zip(&oracle.c).enumerate() {
                 assert_eq!(
                     a.to_bits(),
@@ -58,7 +101,32 @@ fn step_matches_reference_bitwise_across_adapts() {
                     ranks,
                 );
             }
-            assert_eq!(engine.time.to_bits(), oracle.time.to_bits());
+            assert_eq!(engine.stepper.grow_events(), 0);
+        });
+    }
+}
+
+#[test]
+fn step_matches_reference_across_adapts() {
+    for ranks in [1usize, 3, 5] {
+        run_spmd(ranks, |comm| {
+            // Degree 3 (np = 4) exercises the const-generic instance.
+            let mut engine = solver(comm, adaptive_config(3, 3));
+            let mut oracle = solver(comm, adaptive_config(3, 3));
+            assert_eq!(engine.dt.to_bits(), oracle.dt.to_bits());
+            let mut saw_mortars = false;
+            for _ in 0..7 {
+                saw_mortars |= has_mortar_faces(&engine);
+                engine.step(comm);
+                oracle.step_reference(comm);
+            }
+            assert!(engine.timers.adapts >= 2, "adapt cycles must have run");
+            assert!(
+                comm.allreduce_sum_u64(saw_mortars as u64) > 0,
+                "no 2:1 faces"
+            );
+            let what = format!("rank {} of {ranks}", comm.rank());
+            assert_within_mortar_tol(&engine, &oracle, &what);
             // The workspace never regrew: the capacity contract held
             // through every stage and adapt-triggered reconfigure.
             assert_eq!(engine.stepper.grow_events(), 0);
@@ -68,41 +136,14 @@ fn step_matches_reference_bitwise_across_adapts() {
 
 #[test]
 fn runtime_degree_also_matches_reference() {
-    // Degree 2 (np = 3) takes the runtime-np fallback; it must be just as
-    // bitwise-identical as the monomorphized degrees.
+    // Degree 2 (np = 3) takes the runtime-np fallback.
     run_spmd(2, |comm| {
-        let conn = Arc::new(builders::cubed_sphere());
-        let forest = Forest::<D3>::new_uniform(Arc::clone(&conn), comm, 1);
-        let map = Arc::new(ShellMap::new(conn, 0.55, 1.0));
-        let config = AdvectConfig {
-            degree: 2,
-            initial_level: 1,
-            min_level: 1,
-            max_level: 3,
-            adapt_every: 4,
-            cfl: 0.4,
-            refine_tol: 0.05,
-            coarsen_tol: 0.02,
-        };
-        let mk = || {
-            AdvectSolver::new(
-                comm,
-                forest.clone(),
-                Arc::clone(&map) as _,
-                config.clone(),
-                forust_advect::four_fronts,
-                rotation_velocity,
-            )
-        };
-        let mut engine = mk();
-        let mut oracle = mk();
+        let mut engine = solver(comm, adaptive_config(2, 4));
+        let mut oracle = solver(comm, adaptive_config(2, 4));
         for _ in 0..5 {
             engine.step(comm);
             oracle.step_reference(comm);
         }
-        assert_eq!(engine.c.len(), oracle.c.len());
-        for (a, b) in engine.c.iter().zip(&oracle.c) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
+        assert_within_mortar_tol(&engine, &oracle, "degree 2");
     });
 }

@@ -25,7 +25,7 @@ use forust_comm::SerialComm;
 use forust_dg::kernels::{self, KernelWorkspace};
 use forust_dg::real::{demote_slice, Real};
 use forust_dg::soa::{self, LANES};
-use forust_dg::{Matrix, RefElement};
+use forust_dg::{FaceOp, RefElement};
 use forust_obs::metrics::{MetricsReport, Registry};
 
 fn time_us(f: &mut impl FnMut()) -> f64 {
@@ -416,36 +416,49 @@ fn bench_degree(records: &mut Vec<Record>, degree: usize, elements: usize, reps:
         },
     );
 
-    // --- mortar interpolation: allocating matvec vs matvec_into.
-    let to_fine = Matrix::from_vec(npf, npf, synth_field(npf * npf, degree + 2));
+    // --- face operators: the structured `FaceOp` the engines apply (an
+    // index gather across a rotated same-size face; gather plus two
+    // tensor sweeps across a 2:1 face) against the same operator as a
+    // dense `npf x npf` matvec.
     let face = synth_field(npf, degree + 3);
     let mut face_out = vec![0.0; npf];
+    let mut face_tmp = vec![0.0; npf];
     let nfaces = elements * 6;
-    run_pair(
-        records,
-        format!("mortar_matvec_n{degree}"),
-        format!("mortar_matvec_into_n{degree}"),
-        degree,
-        np,
-        elements,
-        reps,
-        || {
-            let mut acc = 0.0;
-            for _ in 0..nfaces {
-                let y = to_fine.matvec(&face);
-                acc += y[0];
-            }
-            black_box(acc);
-        },
-        || {
-            let mut acc = 0.0;
-            for _ in 0..nfaces {
-                to_fine.matvec_into(&face, &mut face_out);
-                acc += face_out[0];
-            }
-            black_box(acc);
-        },
-    );
+    let tab = &re.face_tables;
+    let rotated = FaceOp::orientation([true, false], true);
+    for (kind, half) in [("gather", None), ("tensor", Some([1, 0]))] {
+        let op = FaceOp {
+            orient: rotated,
+            half,
+        };
+        let dense = op.to_dense(tab, 3);
+        let mut dense_out = vec![0.0; npf];
+        run_pair(
+            records,
+            format!("face_dense_{kind}_n{degree}"),
+            format!("face_{kind}_n{degree}"),
+            degree,
+            np,
+            elements,
+            reps,
+            || {
+                let mut acc = 0.0;
+                for _ in 0..nfaces {
+                    dense.matvec_into(black_box(&face), &mut dense_out);
+                    acc += dense_out[0];
+                }
+                black_box(acc);
+            },
+            || {
+                let mut acc = 0.0;
+                for _ in 0..nfaces {
+                    op.apply(tab, 3, black_box(&face), &mut face_tmp, &mut face_out);
+                    acc += face_out[0];
+                }
+                black_box(acc);
+            },
+        );
+    }
 
     // --- precision tiers of the lane-batched SoA engine (the device
     // backend's hot loops): the same fused volume RHS monomorphized at

@@ -110,13 +110,9 @@ mod tests {
 
     #[test]
     fn distinct_small_keys_do_not_collide_trivially() {
-        use std::hash::{BuildHasher, Hash};
+        use std::hash::BuildHasher;
         let b = FxBuildHasher::default();
-        let h = |k: &(u32, u64)| {
-            let mut s = b.build_hasher();
-            k.hash(&mut s);
-            s.finish()
-        };
+        let h = |k: &(u32, u64)| b.hash_one(k);
         let mut seen = std::collections::HashSet::new();
         for t in 0..32u32 {
             for m in 0..32u64 {

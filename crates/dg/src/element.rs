@@ -1,6 +1,7 @@
 //! The reference element: tensor-product LGL basis with sum-factorized
 //! operator application, face extraction, and 2:1 mortar operators.
 
+use crate::faceop::FaceTables;
 use crate::legendre::{
     barycentric_weights, differentiation_matrix, lagrange_eval, lgl_nodes, lgl_weights,
 };
@@ -25,6 +26,10 @@ pub struct RefElement {
     /// `interp_half[c]` maps parent nodal values to the child-`c` nodes
     /// (`c = 0`: `[-1, 0]`, `c = 1`: `[0, 1]`).
     pub interp_half: [Matrix; 2],
+    /// What every [`FaceOp`](crate::faceop::FaceOp) of a mesh of this
+    /// degree indexes: the face-lattice permutations of all inter-tree
+    /// orientations and `interp_half` with its transposes.
+    pub face_tables: FaceTables<f64>,
 }
 
 impl RefElement {
@@ -51,8 +56,15 @@ impl RefElement {
             weights,
             bary,
             diff,
+            face_tables: FaceTables::new(np, &halves),
             interp_half: halves,
         }
+    }
+
+    /// Heap bytes of the element's tables.
+    pub fn heap_bytes(&self) -> usize {
+        let np = self.np;
+        (3 * np + 3 * np * np) * size_of::<f64>() + self.face_tables.heap_bytes()
     }
 
     /// Evaluate all Lagrange basis functions at reference coordinate `x`.

@@ -40,7 +40,8 @@ pub struct FaceGeo {
     /// face area of *this element's* face).
     pub sj: Vec<f64>,
     /// For a coarse 2:1 face: geometry at the fine mortar points of each
-    /// sub-face (aligned with `FineSub::to_fine` rows).
+    /// sub-face (in the fine neighbor's face-lattice order, the receiver
+    /// side of `FineSub::op`).
     pub subs: Vec<SubGeo>,
 }
 

@@ -574,13 +574,23 @@ impl<D: Dim, R: HaloLane> HaloData<'_, D, R> {
     /// values as its accessor demoted them: the wire truncates precision
     /// exactly once, at pack time.)
     pub fn face_values(&self, g: usize, face: usize, comp: usize, out: &mut Vec<R>) {
+        let (trace, pos) = self.face_source(g, face, comp);
+        out.clear();
+        out.extend(pos.iter().map(|&k| trace[k as usize]));
+    }
+
+    /// Where the trace of component `comp` of ghost `g` on `face` lives:
+    /// the ghost's raw trace and, per face node (face-lattice order), its
+    /// position in it — what [`FaceOp::apply_indexed`] gathers through,
+    /// without a staging copy.
+    ///
+    /// [`FaceOp::apply_indexed`]: crate::faceop::FaceOp::apply_indexed
+    pub fn face_source(&self, g: usize, face: usize, comp: usize) -> (&[R], &[u16]) {
         debug_assert!(comp < self.ncomp);
         let pos = self.halo.face_pos[g][face]
             .as_deref()
             .unwrap_or_else(|| panic!("halo exchange: face {face} of ghost {g} was not exchanged"));
-        out.clear();
-        let trace = self.trace(g, comp);
-        out.extend(pos.iter().map(|&k| trace[k as usize]));
+        (self.trace(g, comp), pos)
     }
 
     /// The raw trace of component `comp` of ghost `g` (sorted

@@ -68,8 +68,8 @@ pub fn apply_axis_into(
 /// row-major `npo x np` slice in the same scalar tier as the data. The
 /// f64 instantiation is the exact code the concrete path compiled to
 /// before the tier split (same loop bodies, same accumulation order), so
-/// the bitwise oracle contract is unchanged; the f32 instantiation feeds
-/// the device backend's runtime-np mortar ops.
+/// the bitwise oracle contract is unchanged; the f32 instantiation serves
+/// the device tier's face operators at the non-specialized degrees.
 pub fn apply_axis_any<R: Real>(
     op: &[R],
     np: usize,
@@ -384,13 +384,14 @@ pub struct KernelWorkspace {
     pub face_a: Vec<f64>,
     /// Face trace buffer B, `nf * npf` (neighbor trace, component-major).
     pub face_b: Vec<f64>,
-    /// Face trace buffer C, `npf` (per-component staging for mortar
-    /// interpolation).
+    /// Face buffer C, `npf`: the scratch of the
+    /// [`FaceOp`](crate::faceop::FaceOp) sweeps.
     pub face_c: Vec<f64>,
-    /// Neighbor face trace, `npf` values. Capacity contract: every
-    /// `HaloData::face_values` / local-trace fill writes exactly one
-    /// face (`npf` values) — `configure` reserves that once so the
-    /// per-face clear+refill pattern never regrows it mid-stage.
+    /// Face buffer D, `npf`: one component's fine-neighbor trace or
+    /// lifted mortar flux. Capacity contract: every use writes exactly
+    /// one face (`npf` values, also through the clear+refill of
+    /// `HaloData::face_values`) — `configure` reserves that once so it
+    /// never regrows mid-stage.
     pub nbr: Vec<f64>,
     /// Buffer capacities recorded by `configure` — the steady-state
     /// contract checked by `check_steady` (any change means a buffer

@@ -11,6 +11,9 @@
 //! - [`matrix`]: small dense operators;
 //! - [`element`]: the tensor-product reference element with sum-factorized
 //!   operator application and 2:1 half-interval interpolation;
+//! - [`faceop`]: structured face operators — a face is an orientation
+//!   index plus, across a 2:1 face, two half-interval selectors; applied
+//!   as an index gather and two tensor sweeps, never as a dense matrix;
 //! - [`lserk`]: the five-stage fourth-order low-storage Runge–Kutta scheme
 //!   used by every time-dependent solver in the paper;
 //! - [`stepper`]: the one split-phase dG driver — LSERK stages, halo
@@ -41,6 +44,7 @@
 
 pub mod cg;
 pub mod element;
+pub mod faceop;
 pub mod geometry;
 pub mod halo;
 pub mod kernels;
@@ -54,6 +58,7 @@ pub mod stepper;
 pub mod transfer;
 
 pub use element::RefElement;
+pub use faceop::{FaceOp, FaceTables};
 pub use halo::{
     HaloData, HaloExchange, HaloLane, HaloPending, TAG_HALO_EXCHANGE, TAG_HALO_EXCHANGE_F32,
 };

@@ -48,10 +48,9 @@ impl Matrix {
         y
     }
 
-    /// Matrix-vector product into a caller-owned buffer (the hot-loop
-    /// form: every mortar interpolation reuses a workspace slice instead
-    /// of allocating per face). `out.len()` must equal `rows`; results
-    /// are bitwise identical to [`matvec`](Self::matvec).
+    /// Matrix-vector product into a caller-owned buffer. `out.len()` must
+    /// equal `rows`; results are bitwise identical to
+    /// [`matvec`](Self::matvec).
     pub fn matvec_into(&self, x: &[f64], out: &mut [f64]) {
         assert_eq!(x.len(), self.cols);
         assert_eq!(out.len(), self.rows);

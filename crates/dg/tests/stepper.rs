@@ -14,7 +14,7 @@ use forust::forest::{BalanceType, Forest};
 use forust_comm::{run_spmd, Communicator};
 use forust_dg::lserk::lserk_step;
 use forust_dg::mesh::{DgMesh, ElemRef, FaceConn};
-use forust_dg::{ElementKernel, HaloData, HaloExchange, KernelWorkspace, Stepper};
+use forust_dg::{ElementKernel, FaceOp, HaloData, HaloExchange, KernelWorkspace, Stepper};
 
 const NCOMP: usize = 2;
 const STEPS: usize = 3;
@@ -50,37 +50,28 @@ impl ElementKernel<D3> for Toy<'_> {
                 out_e[c * npe + n] = -0.5 * qe[c * npe + n] + t * (c + 1) as f64;
             }
         }
-        let KernelWorkspace { face_b, nbr, .. } = ws;
+        let KernelWorkspace { face_b, face_c, .. } = ws;
+        let tab = &self.mesh.re.face_tables;
         for f in 0..6 {
-            let (from, nbr_face, interp) = match self.mesh.face(e, f) {
+            let (from, nbr_face, op) = match self.mesh.face(e, f) {
                 FaceConn::Boundary => continue,
-                FaceConn::Conforming {
-                    nbr,
-                    nbr_face,
-                    from_nbr,
-                }
-                | FaceConn::CoarseNbr {
-                    nbr,
-                    nbr_face,
-                    from_nbr,
-                } => (*nbr, *nbr_face, Some(from_nbr)),
-                FaceConn::FineNbrs { subs } => (subs[0].nbr, subs[0].nbr_face, None),
+                FaceConn::Conforming { nbr, nbr_face, op }
+                | FaceConn::CoarseNbr { nbr, nbr_face, op } => (*nbr, *nbr_face, *op),
+                FaceConn::FineNbrs { subs } => (subs[0].nbr, subs[0].nbr_face, FaceOp::IDENTITY),
             };
             for c in 0..NCOMP {
+                let theirs = &mut face_b[..npf];
                 match from {
                     ElemRef::Local(i) => {
-                        let base = (i as usize * NCOMP + c) * npe;
-                        nbr.clear();
-                        nbr.extend(self.face_idx[nbr_face].iter().map(|&n| q[base + n]));
+                        let slab = &q[(i as usize * NCOMP + c) * npe..][..npe];
+                        op.apply_indexed(tab, 3, slab, &self.face_idx[nbr_face], face_c, theirs);
                     }
-                    ElemRef::Ghost(g) => traces
-                        .expect("interior element classified with a ghost face")
-                        .face_values(g as usize, nbr_face, c, nbr),
-                }
-                let theirs = &mut face_b[..npf];
-                match interp {
-                    Some(m) => m.matvec_into(nbr, theirs),
-                    None => theirs.copy_from_slice(nbr),
+                    ElemRef::Ghost(g) => {
+                        let (trace, pos) = traces
+                            .expect("interior element classified with a ghost face")
+                            .face_source(g as usize, nbr_face, c);
+                        op.apply_indexed(tab, 3, trace, pos, face_c, theirs);
+                    }
                 }
                 for (j, &v) in self.face_idx[f].iter().enumerate() {
                     out_e[c * npe + v] += 0.1 * (theirs[j] - qe[c * npe + v]);

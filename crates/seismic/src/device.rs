@@ -12,10 +12,13 @@
 //!   elements — the CPU analogue of the GPU batching one element per
 //!   thread block. The volume pipeline (nodal stress, batched 9-field
 //!   gradients, metric contraction, source) and the penalty flux of
-//!   boundary/conforming faces are fully lane-batched; non-conforming
-//!   mortar faces diverge per lane and run the scalar f32 runtime-np
-//!   path (their lanes opt out of the batched flux via `qp = qm ⇒ d =
-//!   0`), so adapted meshes no longer fall back to the host.
+//!   boundary/conforming faces are fully lane-batched; a neighbor's
+//!   trace is aligned per lane through the face's
+//!   [`FaceOp`](forust_dg::FaceOp) in the f32 copy of the mesh's face
+//!   tables — the same operator the host engine applies, and the whole
+//!   operator arena. Non-conforming mortar faces diverge per lane and
+//!   run a scalar f32 path (their lanes opt out of the batched flux via
+//!   `qp = qm ⇒ d = 0`), so adapted meshes stay on the device.
 //! - **Persistent arenas.** [`transfer_from_host`](DeviceState::transfer_from_host)
 //!   reuses arena capacity across adapt/transfer cycles; an
 //!   already-transferred state that must actually allocate bumps the
@@ -42,6 +45,7 @@ use forust_dg::lserk::{LSERK_A, LSERK_B, LSERK_C};
 use forust_dg::mesh::{ElemRef, FaceConn};
 use forust_dg::real::demote_slice;
 use forust_dg::soa::{self, LANES};
+use forust_dg::{FaceOp, FaceTables};
 use forust_pool::{DisjointSlice, PerLane};
 
 use crate::model::ricker;
@@ -117,9 +121,13 @@ impl NbrRef {
 enum FacePlan {
     /// Traction-free boundary: mirror trace with negated strain.
     Boundary,
-    /// Conforming or coarse neighbor: interpolate its trace with the
-    /// f32 copy of `from_nbr` (index into the operator arena).
-    Conforming { nbr: NbrRef, nbr_face: u8, op: u32 },
+    /// Conforming or coarse neighbor: its trace through the face's
+    /// operator, in the f32 tables.
+    Conforming {
+        nbr: NbrRef,
+        nbr_face: u8,
+        op: FaceOp,
+    },
     /// 2:1 mortar (my face is the coarse side): scalar per-lane path
     /// through the f32 mortar table entry.
     Mortar(u32),
@@ -131,8 +139,9 @@ enum FacePlan {
 struct MortarSub {
     nbr: NbrRef,
     nbr_face: u8,
-    /// Operator-arena index of the `npf x npf` `to_fine` interpolation.
-    to_fine: u32,
+    /// Takes my face trace to the fine neighbor's face nodes; its
+    /// transpose lifts the mortar flux back.
+    op: FaceOp,
     /// Mortar-point normals, `[i * npf + j]`.
     normal: Vec<f32>,
     /// Mortar-point surface Jacobians (fine-face measure), `npf`.
@@ -156,10 +165,14 @@ struct DeviceWs {
     frho: Vec<f32>,
     flam: Vec<f32>,
     fmu: Vec<f32>,
-    /// Scalar gather / interpolation staging, `npf` each.
+    /// Scalar staging, `npf` each: an aligned neighbor trace or a lifted
+    /// mortar flux in `nbr`, one lane's raw trace in `tmp`, the face
+    /// operators' scratch in `sweep`.
     nbr: Vec<f32>,
     tmp: Vec<f32>,
-    /// Scalar mortar traces, `NCOMP * npf` each.
+    sweep: Vec<f32>,
+    /// Scalar mortar traces, `NCOMP * npf` each (`qms` turns into the
+    /// weighted flux jumps in place).
     qms: Vec<f32>,
     qps: Vec<f32>,
 }
@@ -178,6 +191,7 @@ impl DeviceWs {
         self.fmu.resize(fp, 0.0);
         self.nbr.resize(npf, 0.0);
         self.tmp.resize(npf, 0.0);
+        self.sweep.resize(npf, 0.0);
         self.qms.resize(NCOMP * npf, 0.0);
         self.qps.resize(NCOMP * npf, 0.0);
     }
@@ -218,8 +232,8 @@ pub struct DeviceState {
     plans: Vec<FacePlan>,
     /// Mortar table (indexed by `FacePlan::Mortar`).
     mortars: Vec<Vec<MortarSub>>,
-    /// f32 interpolation operator arena (`npf x npf`, row-major).
-    ops: Vec<Vec<f32>>,
+    /// f32 copy of the mesh's face tables: the whole operator arena.
+    face_tab: FaceTables<f32>,
     /// f32 differentiation matrix, `np x np`.
     diff: Vec<f32>,
     /// Volume / face quadrature weights and face→volume node maps.
@@ -296,6 +310,7 @@ impl DeviceState {
         demote_slice(&re.tensor_weights(3), &mut self.wv);
         demote_slice(&re.tensor_weights(2), &mut self.wf);
         self.face_idx = re.face_node_table(3);
+        self.face_tab = re.face_tables.cast();
         self.src_dir = [
             s.config.src_dir[0] as f32,
             s.config.src_dir[1] as f32,
@@ -304,7 +319,6 @@ impl DeviceState {
 
         // Volume arenas: identity metric / unit material on padding
         // lanes keeps their (all-zero) state inert without NaNs.
-        let sw = 0.02f64;
         for b in 0..nblocks {
             for v in 0..npe {
                 for l in 0..LANES {
@@ -323,11 +337,7 @@ impl DeviceState {
                         self.lam[x] = m[1] as f32;
                         self.mu[x] = m[2] as f32;
                         self.det[x] = s.geo.elem_det(e)[v] as f32;
-                        let p = s.geo.elem_pos(e)[v];
-                        let r2 = (p[0] - s.config.src[0]).powi(2)
-                            + (p[1] - s.config.src[1]).powi(2)
-                            + (p[2] - s.config.src[2]).powi(2);
-                        self.srcw[x] = (-r2 / (2.0 * sw * sw)).exp() as f32;
+                        self.srcw[x] = s.srcw[e * npe + v] as f32;
                         for c in 0..NCOMP {
                             self.q[((b * NCOMP + c) * npe + v) * LANES + l] =
                                 s.q[(e * NCOMP + c) * npe + v] as f32;
@@ -349,11 +359,6 @@ impl DeviceState {
         // and zero lift coefficient.
         self.plans.clear();
         self.mortars.clear();
-        self.ops.clear();
-        let push_op = |ops: &mut Vec<Vec<f32>>, m: &forust_dg::Matrix| -> u32 {
-            ops.push(m.data.iter().map(|&x| x as f32).collect());
-            (ops.len() - 1) as u32
-        };
         for e in 0..nel {
             let b = e / LANES;
             let l = e % LANES;
@@ -372,19 +377,11 @@ impl DeviceState {
                 }
                 let plan = match s.mesh.face(e, f) {
                     FaceConn::Boundary => FacePlan::Boundary,
-                    FaceConn::Conforming {
-                        nbr,
-                        nbr_face,
-                        from_nbr,
-                    }
-                    | FaceConn::CoarseNbr {
-                        nbr,
-                        nbr_face,
-                        from_nbr,
-                    } => FacePlan::Conforming {
+                    FaceConn::Conforming { nbr, nbr_face, op }
+                    | FaceConn::CoarseNbr { nbr, nbr_face, op } => FacePlan::Conforming {
                         nbr: NbrRef::of(nbr),
                         nbr_face: *nbr_face as u8,
-                        op: push_op(&mut self.ops, from_nbr),
+                        op: *op,
                     },
                     FaceConn::FineNbrs { subs } => {
                         let devsubs: Vec<MortarSub> = subs
@@ -401,7 +398,7 @@ impl DeviceState {
                                 MortarSub {
                                     nbr: NbrRef::of(&sub.nbr),
                                     nbr_face: sub.nbr_face as u8,
-                                    to_fine: push_op(&mut self.ops, &sub.to_fine),
+                                    op: sub.op,
                                     normal,
                                     sj: sg.sj.iter().map(|&x| x as f32).collect(),
                                 }
@@ -710,10 +707,17 @@ impl DeviceState {
                     }
                     Some(FacePlan::Conforming { nbr, nbr_face, op }) => {
                         for c in 0..NCOMP {
-                            self.gather_nbr_trace(*nbr, *nbr_face as usize, c, traces, &mut ws.nbr);
-                            matvec32(&self.ops[*op as usize], npf, &ws.nbr, &mut ws.tmp);
+                            self.nbr_trace(
+                                *op,
+                                *nbr,
+                                *nbr_face as usize,
+                                c,
+                                traces,
+                                &mut ws.sweep,
+                                &mut ws.nbr,
+                            );
                             for j in 0..npf {
-                                ws.qp[(c * npf + j) * LANES + l] = ws.tmp[j];
+                                ws.qp[(c * npf + j) * LANES + l] = ws.nbr[j];
                             }
                         }
                     }
@@ -769,22 +773,29 @@ impl DeviceState {
         let plane = npe * LANES;
         let fidx = &self.face_idx[f];
         let det = &self.det[b * plane..(b + 1) * plane];
+        let tab = &self.face_tab;
         for sub in &self.mortars[mi as usize] {
-            let to_fine = &self.ops[sub.to_fine as usize];
-            // My trace at the fine mortar points.
             for c in 0..NCOMP {
+                // My trace at the fine mortar points.
                 for j in 0..npf {
                     ws.tmp[j] = ws.qm[(c * npf + j) * LANES + l];
                 }
-                let (qms_c, _) = ws.qms[c * npf..].split_at_mut(npf);
-                matvec32(to_fine, npf, &ws.tmp, qms_c);
+                let at = c * npf..(c + 1) * npf;
+                sub.op
+                    .apply(tab, 3, &ws.tmp, &mut ws.sweep, &mut ws.qms[at.clone()]);
+                // The fine neighbor's trace, directly at its own face nodes.
+                self.nbr_trace(
+                    FaceOp::IDENTITY,
+                    sub.nbr,
+                    sub.nbr_face as usize,
+                    c,
+                    traces,
+                    &mut ws.sweep,
+                    &mut ws.qps[at],
+                );
             }
-            // The fine neighbor's trace, directly at its own face nodes.
-            for c in 0..NCOMP {
-                self.gather_nbr_trace(sub.nbr, sub.nbr_face as usize, c, traces, &mut ws.nbr);
-                ws.qps[c * npf..(c + 1) * npf].copy_from_slice(&ws.nbr);
-            }
-            // Flux + mortar-transpose lift per mortar point.
+            // Quadrature-weighted flux jump per mortar point, in place of
+            // my mortar trace.
             for j in 0..npf {
                 let vmat = fidx[j];
                 let x = vmat * LANES + l;
@@ -802,11 +813,16 @@ impl DeviceState {
                 }
                 let d = penalty_flux(&qmj, &qpj, n, m);
                 let w = self.wf[j] * sub.sj[j];
-                for (i, &v) in fidx.iter().enumerate() {
-                    let coef = to_fine[j * npf + i] * w / (self.wv[v] * det[v * LANES + l]);
-                    for (c, dc) in d.iter().enumerate() {
-                        out[c * plane + v * LANES + l] += coef * dc;
-                    }
+                for (c, dc) in d.iter().enumerate() {
+                    ws.qms[c * npf + j] = w * dc;
+                }
+            }
+            // Lift through the mortar transpose, component by component.
+            for (c, g) in ws.qms.chunks_exact(npf).enumerate() {
+                sub.op
+                    .apply_transpose(tab, 3, g, &mut ws.sweep, &mut ws.nbr);
+                for (&v, h) in fidx.iter().zip(&ws.nbr) {
+                    out[c * plane + v * LANES + l] += h / (self.wv[v] * det[v * LANES + l]);
                 }
             }
         }
@@ -832,37 +848,32 @@ impl DeviceState {
         }
     }
 
-    /// Gather one component of a neighbor's face trace (its `nbr_face`,
-    /// face-lattice order) from the device arena or the f32 halo.
-    fn gather_nbr_trace(
+    /// Component `c` of a neighbor's trace on its `nbr_face`, taken
+    /// through `op` into `out` — from the compacted trace arena or the
+    /// f32 halo.
+    #[allow(clippy::too_many_arguments)]
+    fn nbr_trace(
         &self,
+        op: FaceOp,
         nbr: NbrRef,
         nbr_face: usize,
         c: usize,
         traces: &HaloData<'_, D3, f32>,
-        buf: &mut Vec<f32>,
+        scratch: &mut [f32],
+        out: &mut [f32],
     ) {
         let npf = self.np * self.np;
+        let tab = &self.face_tab;
         match nbr {
             NbrRef::Local(i) => {
-                let i = i as usize;
-                buf.clear();
-                buf.extend_from_slice(&self.tr[((i * 6 + nbr_face) * NCOMP + c) * npf..][..npf]);
+                let theirs = &self.tr[((i as usize * 6 + nbr_face) * NCOMP + c) * npf..][..npf];
+                op.apply(tab, 3, theirs, scratch, out);
             }
-            NbrRef::Ghost(g) => traces.face_values(g as usize, nbr_face, c, buf),
+            NbrRef::Ghost(g) => {
+                let (trace, pos) = traces.face_source(g as usize, nbr_face, c);
+                op.apply_indexed(tab, 3, trace, pos, scratch, out);
+            }
         }
-    }
-}
-
-/// Dense f32 `n x n` matvec (runtime-np mortar/alignment operator).
-fn matvec32(m: &[f32], n: usize, x: &[f32], out: &mut [f32]) {
-    for (a, o) in out[..n].iter_mut().enumerate() {
-        let row = &m[a * n..(a + 1) * n];
-        let mut acc = 0.0f32;
-        for q in 0..n {
-            acc += row[q] * x[q];
-        }
-        *o = acc;
     }
 }
 

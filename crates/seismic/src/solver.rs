@@ -25,12 +25,16 @@ use forust_dg::lserk::lserk_step;
 use forust_dg::mesh::{DgMesh, ElemRef, FaceConn};
 use forust_dg::real::Real;
 use forust_dg::stepper::{ElementKernel, Stepper};
+use forust_dg::FaceOp;
 use forust_geom::Mapping;
 
 use crate::model::{ricker, Material};
 
 /// Number of state components: `(vx, vy, vz, Exx, Eyy, Ezz, Eyz, Exz, Exy)`.
 pub const NCOMP: usize = 9;
+
+/// Standard deviation of the source's Gaussian spatial weight.
+const SOURCE_WIDTH: f64 = 0.02;
 
 /// Seismic experiment parameters.
 #[derive(Debug, Clone)]
@@ -95,6 +99,9 @@ pub struct SeismicSolver {
     pub q: Vec<f64>,
     /// Nodal material: (rho, lambda, mu) per volume node.
     pub mat: Vec<[f64; 3]>,
+    /// Spatial weight of the source per volume node: a Gaussian of width
+    /// [`SOURCE_WIDTH`] about `config.src`, evaluated once at assembly.
+    pub(crate) srcw: Vec<f64>,
     /// Simulated time and step size.
     pub time: f64,
     /// Stable step size.
@@ -207,8 +214,22 @@ impl SeismicSolver {
                 [m.rho, m.lambda(), m.mu()]
             })
             .collect();
+        let srcw: Vec<f64> = geo
+            .pos
+            .iter()
+            .map(|p| {
+                let dx = [
+                    p[0] - config.src[0],
+                    p[1] - config.src[1],
+                    p[2] - config.src[2],
+                ];
+                let r2 = dx[0] * dx[0] + dx[1] * dx[1] + dx[2] * dx[2];
+                (-r2 / (2.0 * SOURCE_WIDTH * SOURCE_WIDTH)).exp()
+            })
+            .collect();
         let mut s = SeismicSolver {
             stepper: Stepper::new(npe, npf, NCOMP),
+            srcw,
             wv: re.tensor_weights(3),
             wf: re.tensor_weights(2),
             face_idx: re.face_node_table(3),
@@ -266,6 +287,7 @@ impl SeismicSolver {
             mesh: &self.mesh,
             geo: &self.geo,
             mat: &self.mat,
+            srcw: &self.srcw,
             wv: &self.wv,
             wf: &self.wf,
             face_idx: &self.face_idx,
@@ -321,17 +343,33 @@ impl SeismicSolver {
         self.timers.steps += 1;
     }
 
-    /// Approximate floating-point operations per RHS evaluation, counted
-    /// by hand like the paper's Tflops column.
+    /// Floating-point operations of one RHS evaluation on this rank,
+    /// counted by hand like the paper's Tflops column. The count covers
+    /// what the engine executes: the 27 tensor gradient sweeps (3 velocity
+    /// and 6 stress fields, 3 axes, `2·npe·np` flops each), the nodal work
+    /// (Hooke's law, metric contraction, source: ~140 flops per node), the
+    /// point flux and lift of all six faces (~90 flops per face node) and,
+    /// on 2:1 faces only, the tensor mortar sweeps (`2·npf·np` flops each:
+    /// two per component on the fine side, four — interpolation and lift —
+    /// per component and sub-face on the coarse side). Same-size faces add
+    /// nothing: aligning a neighbor's trace is an index gather.
     pub fn flops_per_rhs(&self) -> u64 {
         let np = self.mesh.re.np as u64;
         let npe = np * np * np;
         let npf = np * np;
         let nel = self.mesh.num_elements() as u64;
-        // 15 tensor gradient applications (3 velocity + 6 stress fields
-        // need 9 + 18 reference derivatives, each 2*npe*np flops) plus
-        // nodal work (~120 flops/node) plus surface (~6 faces * npf * 90).
+        let mortar_sweeps: u64 = self
+            .mesh
+            .faces
+            .iter()
+            .map(|f| match f {
+                FaceConn::CoarseNbr { .. } => 2,
+                FaceConn::FineNbrs { subs } => 4 * subs.len() as u64,
+                _ => 0,
+            })
+            .sum();
         nel * (27 * 2 * npe * np + 140 * npe + 6 * npf * 90)
+            + NCOMP as u64 * mortar_sweeps * 2 * npf * np
     }
 
     /// Total flops per full RK step (5 stages).
@@ -445,6 +483,7 @@ struct Kernel<'a> {
     mesh: &'a DgMesh<D3>,
     geo: &'a MeshGeometry,
     mat: &'a [[f64; 3]],
+    srcw: &'a [f64],
     wv: &'a [f64],
     wf: &'a [f64],
     face_idx: &'a [Vec<usize>],
@@ -457,7 +496,9 @@ impl ElementKernel<D3> for Kernel<'_> {
     /// RHS of a single element via the kernel engine: nodal stress in the
     /// workspace, batched 9-field reference gradients (two sweeps share
     /// each operator row), flat component-major face traces, and
-    /// `matvec_into` mortar interpolation — zero heap allocations.
+    /// neighbor traces through the faces' [`FaceOp`]s (a gather, plus
+    /// tensor sweeps and their transposed lift on 2:1 faces) — zero heap
+    /// allocations.
     fn rhs_element(
         &self,
         q: &[f64],
@@ -472,42 +513,47 @@ impl ElementKernel<D3> for Kernel<'_> {
         let npf = re.nodes_per_face(3);
         let chunk = npe * NCOMP;
         // Split-borrow the workspace: nodal stress in `nodal`, batched
-        // gradients in `grad`, my face trace in `face_a`, the neighbor's
-        // in `face_b`, mortar staging in `face_c`.
+        // gradients in `grad` (free again by the surface terms, where it
+        // holds the weighted mortar fluxes), my face trace in `face_a`,
+        // the neighbor's in `face_b`; `face_c` is the face operators'
+        // scratch and `nbr` takes the lifted mortar flux.
         let KernelWorkspace {
             grad,
             nodal,
             face_a,
             face_b,
             face_c,
-            nbr: nbr_buf,
+            nbr: lifted,
             ..
         } = ws;
 
-        let cfg = self.config;
-        // Face trace of one component of a neighbor (its `nbr_face`,
-        // face-lattice order).
-        let nbr_trace = |r: ElemRef, nbr_face: usize, c: usize, buf: &mut Vec<f64>| match r {
-            ElemRef::Local(i) => {
-                let off = i as usize * chunk;
-                buf.clear();
-                buf.extend(
-                    self.face_idx[nbr_face]
-                        .iter()
-                        .map(|&n| q[off + c * npe + n]),
-                );
-            }
-            ElemRef::Ghost(g) => {
-                traces
-                    .expect("interior element classified with a ghost face")
-                    .face_values(g as usize, nbr_face, c, buf);
+        let tab = &re.face_tables;
+        // Component `c` of a neighbor's trace on its `nbr_face`, taken
+        // through `op` into `out`: one gather straight out of `q` or the
+        // ghost traces.
+        let nbr_trace = |op: FaceOp,
+                         r: ElemRef,
+                         nbr_face: usize,
+                         c: usize,
+                         tmp: &mut [f64],
+                         out: &mut [f64]| {
+            match r {
+                ElemRef::Local(i) => {
+                    let nv = &q[i as usize * chunk + c * npe..][..npe];
+                    op.apply_indexed(tab, 3, nv, &self.face_idx[nbr_face], tmp, out);
+                }
+                ElemRef::Ghost(g) => {
+                    let (trace, pos) = traces
+                        .expect("interior element classified with a ghost face")
+                        .face_source(g as usize, nbr_face, c);
+                    op.apply_indexed(tab, 3, trace, pos, tmp, out);
+                }
             }
         };
         {
             let base = e * chunk;
             let inv = self.geo.elem_inv(e);
             let det = self.geo.elem_det(e);
-            let pos = self.geo.elem_pos(e);
 
             // Nodal stress into the workspace.
             let sig_nodal = &mut nodal[..6 * npe];
@@ -525,7 +571,10 @@ impl ElementKernel<D3> for Kernel<'_> {
             let (gv, gs) = grad[..NCOMP * 3 * npe].split_at_mut(3 * 3 * npe);
             kernels::batched_gradient_into(&re.diff, re.np, 3, &q[base..base + 3 * npe], 3, gv);
             kernels::batched_gradient_into(&re.diff, re.np, 3, sig_nodal, 6, gs);
-            // Volume terms.
+            // Volume terms. The source is Gaussian in space (cached per
+            // node at assembly) times a Ricker wavelet in time.
+            let src_t = ricker(t, self.config.f0, 1.2 / self.config.f0);
+            let srcw = &self.srcw[e * npe..(e + 1) * npe];
             for v in 0..npe {
                 let m = self.mat[e * npe + v];
                 let rho = m[0];
@@ -555,17 +604,9 @@ impl ElementKernel<D3> for Kernel<'_> {
                     0.5 * (gvx[2] + gvz[0]),
                     0.5 * (gvx[1] + gvy[0]),
                 ];
-                // Source: Gaussian-in-space Ricker-in-time body force.
-                let dx = [
-                    pos[v][0] - cfg.src[0],
-                    pos[v][1] - cfg.src[1],
-                    pos[v][2] - cfg.src[2],
-                ];
-                let r2 = dx[0] * dx[0] + dx[1] * dx[1] + dx[2] * dx[2];
-                let sw = 0.02;
-                let amp = ricker(t, cfg.f0, 1.2 / cfg.f0) * (-r2 / (2.0 * sw * sw)).exp();
+                let amp = src_t * srcw[v];
                 for c in 0..3 {
-                    out_e[c * npe + v] = dv[c] + amp * cfg.src_dir[c] / rho;
+                    out_e[c * npe + v] = dv[c] + amp * self.config.src_dir[c] / rho;
                 }
                 for c in 0..6 {
                     out_e[(3 + c) * npe + v] = de[c];
@@ -626,52 +667,59 @@ impl ElementKernel<D3> for Kernel<'_> {
                         }
                         apply_flux(face_a, face_b, &fg.normal, &fg.sj, &mut lift_nodal);
                     }
-                    FaceConn::Conforming {
-                        nbr,
-                        nbr_face,
-                        from_nbr,
-                    }
-                    | FaceConn::CoarseNbr {
-                        nbr,
-                        nbr_face,
-                        from_nbr,
-                    } => {
-                        // Interpolate each component's neighbor trace.
-                        for c in 0..NCOMP {
-                            nbr_trace(*nbr, *nbr_face, c, nbr_buf);
-                            from_nbr.matvec_into(nbr_buf, &mut face_b[c * npf..(c + 1) * npf]);
+                    FaceConn::Conforming { nbr, nbr_face, op }
+                    | FaceConn::CoarseNbr { nbr, nbr_face, op } => {
+                        // Each component's neighbor trace at my face nodes.
+                        for (c, qp) in face_b.chunks_exact_mut(npf).enumerate() {
+                            nbr_trace(*op, *nbr, *nbr_face, c, face_c, qp);
                         }
                         apply_flux(face_a, face_b, &fg.normal, &fg.sj, &mut lift_nodal);
                     }
                     FaceConn::FineNbrs { subs } => {
+                        let flux = &mut grad[..NCOMP * npf];
                         for (si, sub) in subs.iter().enumerate() {
                             let sg = &fg.subs[si];
-                            // My trace at the fine mortar points: stage the
-                            // raw face values in face_c, interpolate into
-                            // face_a (the raw trace is not read again).
+                            // My trace at the fine mortar points, straight
+                            // out of `q` (the raw trace in face_a is not
+                            // read again), against the fine neighbor's
+                            // trace at its own face nodes.
                             for c in 0..NCOMP {
-                                for (j, &i) in fidx.iter().enumerate() {
-                                    face_c[j] = q[base + c * npe + i];
-                                }
-                                sub.to_fine
-                                    .matvec_into(face_c, &mut face_a[c * npf..(c + 1) * npf]);
+                                let mine = &q[base + c * npe..][..npe];
+                                let at = c * npf..(c + 1) * npf;
+                                sub.op.apply_indexed(
+                                    tab,
+                                    3,
+                                    mine,
+                                    fidx,
+                                    face_c,
+                                    &mut face_a[at.clone()],
+                                );
+                                let their = &mut face_b[at];
+                                nbr_trace(
+                                    FaceOp::IDENTITY,
+                                    sub.nbr,
+                                    sub.nbr_face,
+                                    c,
+                                    face_c,
+                                    their,
+                                );
                             }
-                            for c in 0..NCOMP {
-                                nbr_trace(sub.nbr, sub.nbr_face, c, nbr_buf);
-                                face_b[c * npf..(c + 1) * npf].copy_from_slice(nbr_buf);
-                            }
+                            // Quadrature-weighted flux jumps at the mortar
+                            // points, then the lift through the mortar
+                            // transpose, component by component.
                             apply_flux(face_a, face_b, &sg.normal, &sg.sj, &mut |j, d, s| {
-                                // Lift through the mortar transpose.
                                 let w = self.wf[j] * s;
-                                for i in 0..npf {
-                                    let v = fidx[i];
-                                    let coef =
-                                        sub.to_fine.data[j * npf + i] * w / (self.wv[v] * det[v]);
-                                    for (c, dc) in d.iter().enumerate() {
-                                        out_e[c * npe + v] += coef * dc;
-                                    }
+                                for (c, dc) in d.iter().enumerate() {
+                                    flux[c * npf + j] = w * dc;
                                 }
                             });
+                            let lifted = &mut lifted[..npf];
+                            for (c, g) in flux.chunks_exact(npf).enumerate() {
+                                sub.op.apply_transpose(tab, 3, g, face_c, lifted);
+                                for (&v, h) in fidx.iter().zip(lifted.iter()) {
+                                    out_e[c * npe + v] += h / (self.wv[v] * det[v]);
+                                }
+                            }
                         }
                     }
                 }
@@ -898,17 +946,10 @@ impl Kernel<'_> {
                             }
                         });
                     }
-                    FaceConn::Conforming {
-                        nbr,
-                        nbr_face,
-                        from_nbr,
-                    }
-                    | FaceConn::CoarseNbr {
-                        nbr,
-                        nbr_face,
-                        from_nbr,
-                    } => {
+                    FaceConn::Conforming { nbr, nbr_face, op }
+                    | FaceConn::CoarseNbr { nbr, nbr_face, op } => {
                         // Interpolate each component's neighbor trace.
+                        let from_nbr = op.to_dense(&re.face_tables, 3);
                         let mut qp = vec![[0.0; NCOMP]; npf];
                         for c in 0..NCOMP {
                             nbr_trace(*nbr, *nbr_face, c, nbr_buf);
@@ -928,12 +969,13 @@ impl Kernel<'_> {
                     FaceConn::FineNbrs { subs } => {
                         for (si, sub) in subs.iter().enumerate() {
                             let sg = &fg.subs[si];
+                            let dense = sub.op.to_dense(&re.face_tables, 3);
                             // My trace at the fine mortar points.
                             let mut qm = vec![[0.0; NCOMP]; npf];
                             for c in 0..NCOMP {
                                 let myface: Vec<f64> =
                                     fidx.iter().map(|&i| q[base + c * npe + i]).collect();
-                                let at_fine = sub.to_fine.matvec(&myface);
+                                let at_fine = dense.matvec(&myface);
                                 for j in 0..npf {
                                     qm[j][c] = at_fine[j];
                                 }
@@ -950,8 +992,7 @@ impl Kernel<'_> {
                                 let w = self.wf[j] * s;
                                 for i in 0..npf {
                                     let v = fidx[i];
-                                    let coef =
-                                        sub.to_fine.data[j * npf + i] * w / (self.wv[v] * det[v]);
+                                    let coef = dense.data[j * npf + i] * w / (self.wv[v] * det[v]);
                                     for (c, dc) in d.iter().enumerate() {
                                         out[base + c * npe + v] += coef * dc;
                                     }
