@@ -10,7 +10,7 @@ use forust::linear;
 use forust::octant::Octant;
 use forust_comm::Communicator;
 use forust_dg::element::RefElement;
-use forust_dg::geometry::MeshGeometry;
+use forust_dg::geometry::{Carry, MeshGeometry};
 use forust_dg::halo::{HaloData, HaloExchange};
 use forust_dg::kernels::{self, KernelWorkspace};
 use forust_dg::lserk::lserk_step;
@@ -156,8 +156,10 @@ impl AdvectSolver {
         field: impl FnOnce(&MeshGeometry) -> Vec<f64>,
     ) -> Self {
         let mesh = DgMesh::build(&forest, comm, config.degree);
-        let geo = MeshGeometry::build(&mesh, &*map);
-        let caches = velocity_caches(&mesh, &geo, velocity);
+        let mut geo = MeshGeometry::default();
+        let carry = geo.rebuild(&[], &mesh, &*map);
+        let mut caches = Caches::new(&mesh.re);
+        caches.rebuild(&carry, &mesh, &geo, velocity);
         let re = &mesh.re;
         let mut s = AdvectSolver {
             halo: HaloExchange::build(&mesh),
@@ -579,14 +581,18 @@ impl AdvectSolver {
         self.c = moved.into_iter().flatten().collect();
 
         // Rebuild mesh-dependent state, the same sequence as `assemble`
-        // but assigned piece by piece: each old part is freed before the
-        // next new one is built, which keeps the cycle's peak memory at
-        // one generation of each plus the one being replaced.
+        // but piece by piece: each old part is freed before the next new
+        // one is built, which keeps the cycle's peak memory at one
+        // generation of each plus the one being replaced. Metric and
+        // caches of elements that survived on this rank are moved; only
+        // refined, coarsened and newly arrived ones are evaluated.
         let _rebuild = forust_obs::span!("adapt.rebuild");
+        let old_elements = std::mem::take(&mut self.mesh.elements);
         self.mesh = DgMesh::build(&self.forest, comm, self.config.degree);
-        self.geo = MeshGeometry::build(&self.mesh, &*self.map);
+        let carry = self.geo.rebuild(&old_elements, &self.mesh, &*self.map);
         self.halo.rebuild(&self.mesh);
-        self.caches = velocity_caches(&self.mesh, &self.geo, self.velocity);
+        self.caches
+            .rebuild(&carry, &self.mesh, &self.geo, self.velocity);
         self.dt = self.stable_dt(comm);
         self.timers.amr += t0.elapsed();
         self.timers.adapts += 1;
@@ -725,6 +731,7 @@ fn checkpoint_format(config: &AdvectConfig) -> SolverFormat {
 /// node tables of the degree, nodal and mortar velocities, plus the
 /// volume metric/velocity repacked as SoA planes for the fused volume
 /// kernel.
+#[derive(Default)]
 struct Caches {
     /// Volume quadrature weights.
     wv: Vec<f64>,
@@ -749,52 +756,85 @@ struct Caches {
     vel_soa: Vec<f64>,
 }
 
-/// Evaluate the velocity field once per mesh (re)build: at every volume
-/// node and at every mortar point of 2:1 faces. The nodes are exactly the
-/// positions the old per-stage fn-pointer path evaluated (`geo.pos` and
-/// `FaceGeo::subs[s].pos`), so the cached values are bitwise identical.
-/// The volume metric and velocity are additionally repacked into the SoA
-/// plane layout of [`kernels::pack_volume_soa`] (same values, unit-stride
-/// loads in the fused volume contraction).
-fn velocity_caches(
-    mesh: &DgMesh<D3>,
-    geo: &MeshGeometry,
-    velocity: fn([f64; 3]) -> [f64; 3],
-) -> Caches {
-    let vel: Vec<[f64; 3]> = geo.pos.iter().map(|&x| velocity(x)).collect();
-    let mut mortar_vel = Vec::new();
-    let mut mortar_off = vec![u32::MAX; mesh.num_elements() * mesh.nfaces];
-    for e in 0..mesh.num_elements() {
-        for f in 0..mesh.nfaces {
-            if matches!(mesh.face(e, f), FaceConn::FineNbrs { .. }) {
-                mortar_off[e * mesh.nfaces + f] = mortar_vel.len() as u32;
-                for sg in &geo.face(e, f, mesh.nfaces).subs {
-                    mortar_vel.extend(sg.pos.iter().map(|&x| velocity(x)));
+impl Caches {
+    /// The per-degree tables; the per-mesh parts start empty.
+    fn new(re: &RefElement) -> Self {
+        Caches {
+            wv: re.tensor_weights(3),
+            wf: re.tensor_weights(2),
+            face_idx: re.face_node_table(3),
+            ..Caches::default()
+        }
+    }
+
+    /// Bring the per-mesh parts to `mesh`, the way `geo` got there: blocks
+    /// of carried elements are moved, the velocity field is evaluated —
+    /// at every volume node and every mortar point of 2:1 faces — and the
+    /// SoA planes of [`kernels::pack_volume_soa`] packed only on fresh
+    /// ones. The points are exactly the ones the per-stage fn-pointer
+    /// path evaluated (`geo.pos`, `FaceGeo::subs[s].pos`), so the cached
+    /// values are bitwise identical to it.
+    fn rebuild(
+        &mut self,
+        carry: &Carry,
+        mesh: &DgMesh<D3>,
+        geo: &MeshGeometry,
+        velocity: fn([f64; 3]) -> [f64; 3],
+    ) {
+        let (npe, nf) = (mesh.re.nodes_per_elem(3), mesh.nfaces);
+        let per_sub = mesh.re.nodes_per_face(3);
+        let nel = mesh.num_elements();
+        let old = std::mem::take(self);
+        *self = Caches {
+            wv: old.wv,
+            wf: old.wf,
+            face_idx: old.face_idx,
+            vel: Vec::with_capacity(nel * npe),
+            mortar_vel: Vec::with_capacity(old.mortar_vel.len()),
+            mortar_off: Vec::with_capacity(nel * nf),
+            metr_soa: Vec::with_capacity(nel * 9 * npe),
+            vel_soa: Vec::with_capacity(nel * 3 * npe),
+        };
+        for (e, &src) in carry.src.iter().enumerate() {
+            let from = src.map(|i| i as usize);
+            if let Some(i) = from {
+                self.vel.extend_from_slice(&old.vel[i * npe..][..npe]);
+                self.metr_soa
+                    .extend_from_slice(&old.metr_soa[i * 9 * npe..][..9 * npe]);
+                self.vel_soa
+                    .extend_from_slice(&old.vel_soa[i * 3 * npe..][..3 * npe]);
+            } else {
+                self.vel
+                    .extend(geo.elem_pos(e).iter().map(|&x| velocity(x)));
+                let (m, v) = (self.metr_soa.len(), self.vel_soa.len());
+                self.metr_soa.resize(m + 9 * npe, 0.0);
+                self.vel_soa.resize(v + 3 * npe, 0.0);
+                kernels::pack_volume_soa(
+                    geo.elem_inv(e),
+                    &self.vel[e * npe..],
+                    &mut self.metr_soa[m..],
+                    &mut self.vel_soa[v..],
+                );
+            }
+            for f in 0..nf {
+                let FaceConn::FineNbrs { subs } = mesh.face(e, f) else {
+                    self.mortar_off.push(u32::MAX);
+                    continue;
+                };
+                self.mortar_off.push(self.mortar_vel.len() as u32);
+                // `geo` kept this face's `subs` iff it was a mortar before.
+                let kept = from.map(|i| old.mortar_off[i * nf + f]);
+                if let Some(o) = kept.filter(|&o| o != u32::MAX) {
+                    let n = subs.len() * per_sub;
+                    self.mortar_vel
+                        .extend_from_slice(&old.mortar_vel[o as usize..][..n]);
+                } else {
+                    for sg in &geo.face(e, f, nf).subs {
+                        self.mortar_vel.extend(sg.pos.iter().map(|&x| velocity(x)));
+                    }
                 }
             }
         }
-    }
-    let npe = mesh.re.nodes_per_elem(3);
-    let nel = mesh.num_elements();
-    let mut metr_soa = vec![0.0; nel * 9 * npe];
-    let mut vel_soa = vec![0.0; nel * 3 * npe];
-    for e in 0..nel {
-        kernels::pack_volume_soa(
-            geo.elem_inv(e),
-            &vel[e * npe..(e + 1) * npe],
-            &mut metr_soa[e * 9 * npe..(e + 1) * 9 * npe],
-            &mut vel_soa[e * 3 * npe..(e + 1) * 3 * npe],
-        );
-    }
-    Caches {
-        wv: mesh.re.tensor_weights(3),
-        wf: mesh.re.tensor_weights(2),
-        face_idx: mesh.re.face_node_table(3),
-        vel,
-        mortar_vel,
-        mortar_off,
-        metr_soa,
-        vel_soa,
     }
 }
 

@@ -9,6 +9,8 @@
 //!   [`MORTAR_REL_TOL`] of the field's magnitude — across adapt cycles
 //!   (mortar faces appear and disappear, caches rebuild) and on several
 //!   rank counts (ghost traces flow through the same path).
+//! - The metric and caches `adapt` **carries** across a cycle must step
+//!   bitwise like ones built from scratch on the same mesh.
 //!
 //! [`FaceOp::to_dense`]: forust_dg::FaceOp::to_dense
 
@@ -146,4 +148,54 @@ fn runtime_degree_also_matches_reference() {
         }
         assert_within_mortar_tol(&engine, &oracle, "degree 2");
     });
+}
+
+#[test]
+fn carried_geometry_steps_like_one_built_from_scratch() {
+    // `adapt` moves metric and caches of surviving elements; a solver
+    // restored from a checkpoint builds all of it from nothing. Taking
+    // that detour after every adapt must not change a bit of the run.
+    // A restore deals the elements to the ranks anew and `coarsen` only
+    // joins families that sit on one rank, so the multi-rank twin runs
+    // without coarsening and is compared through the global field.
+    for (ranks, coarsen_tol) in [(1usize, 0.02), (3, 0.0)] {
+        run_spmd(ranks, |comm| {
+            let config = AdvectConfig {
+                coarsen_tol,
+                ..adaptive_config(3, 3)
+            };
+            let mut carried = solver(comm, config.clone());
+            let mut scratch = solver(comm, config.clone());
+            for _ in 0..10 {
+                carried.step(comm);
+                scratch.step(comm);
+                if scratch.timers.steps % config.adapt_every == 0 {
+                    let conn = Arc::clone(&scratch.forest.conn);
+                    let map = Arc::new(ShellMap::new(Arc::clone(&conn), 0.55, 1.0));
+                    let segments = comm.allgather_bytes(scratch.checkpoint_segment(comm.size()));
+                    scratch = AdvectSolver::restore_from_segments(
+                        comm,
+                        conn,
+                        map,
+                        config.clone(),
+                        rotation_velocity,
+                        &segments,
+                    )
+                    .expect("restore");
+                }
+            }
+            assert_eq!(carried.timers.adapts, 3);
+            assert_eq!(carried.dt.to_bits(), scratch.dt.to_bits());
+            assert_eq!(carried.time.to_bits(), scratch.time.to_bits());
+            let global_bits = |s: &AdvectSolver| -> Vec<u64> {
+                let c = comm.allgatherv(&s.c).into_iter().flatten();
+                c.map(f64::to_bits).collect()
+            };
+            assert_eq!(
+                global_bits(&carried),
+                global_bits(&scratch),
+                "ranks={ranks}"
+            );
+        });
+    }
 }

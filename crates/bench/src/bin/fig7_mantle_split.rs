@@ -31,7 +31,9 @@ fn main() {
         "{:>5} {:>9} {:>10} {:>9} {:>9} {:>9} {:>8}",
         "P", "elems", "unknowns", "solve%", "vcycle%", "AMR%", "krylov"
     );
-    let mut csv = String::from("ranks,elements,unknowns,solve_s,vcycle_s,amr_s,krylov_iters\n");
+    let mut csv = String::from(
+        "ranks,elements,unknowns,solve_s,vcycle_s,amr_s,krylov_iters,converged,rel_residual\n",
+    );
     for p in [1usize, 2, 4] {
         let results = run_spmd(p, |comm| {
             let conn = Arc::new(builders::cubed_sphere());
@@ -46,7 +48,12 @@ fn main() {
                 ..Default::default()
             };
             let mut s = MantleSolver::new(comm, forest, map, config);
-            s.solve(comm);
+            // Every Picard step's MINRES outcome (global, equal on all ranks).
+            let mut outcomes = Vec::with_capacity(picard);
+            while s.picard_done < picard {
+                s.picard_step(comm);
+                outcomes.extend(s.last_krylov);
+            }
             (
                 s.forest.num_global(),
                 s.fem.num_global_unknowns(),
@@ -54,12 +61,15 @@ fn main() {
                 s.timers.vcycle.as_secs_f64(),
                 s.timers.amr.as_secs_f64(),
                 s.timers.krylov_iters,
+                outcomes,
             )
         });
         let r = results
             .into_iter()
-            .reduce(|a, b| (a.0, a.1, a.2.max(b.2), a.3.max(b.3), a.4.max(b.4), a.5))
+            .reduce(|a, b| (a.0, a.1, a.2.max(b.2), a.3.max(b.3), a.4.max(b.4), a.5, a.6))
             .expect("ranks");
+        let converged = r.6.iter().all(|k| k.converged);
+        let rel_residual = r.6.iter().map(|k| k.rel_residual).fold(0.0, f64::max);
         let total = r.2 + r.3 + r.4;
         println!(
             "{:>5} {:>9} {:>10} {:>8.1}% {:>8.1}% {:>8.2}% {:>8}",
@@ -71,8 +81,17 @@ fn main() {
             100.0 * r.4 / total,
             r.5
         );
+        for (step, k) in r.6.iter().enumerate().filter(|(_, k)| !k.converged) {
+            println!(
+                "NOT CONVERGED: P={p} Picard step {}: MINRES stopped after {} iterations at \
+                 relative residual {:.3e}",
+                step + 1,
+                k.iters,
+                k.rel_residual
+            );
+        }
         csv.push_str(&format!(
-            "{p},{},{},{},{},{},{}\n",
+            "{p},{},{},{},{},{},{},{converged},{rel_residual:e}\n",
             r.0, r.1, r.2, r.3, r.4, r.5
         ));
     }

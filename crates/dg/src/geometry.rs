@@ -6,11 +6,17 @@
 //! For 2:1 faces the fine sub-face points of the mortar get their own
 //! normals and surface Jacobians so both sides integrate the identical
 //! physical flux (discrete conservation across the mortar).
+//!
+//! The metric of an element is computed once and lives as long as the
+//! element does on this rank: [`MeshGeometry::rebuild`] moves it across
+//! an adapt cycle and evaluates the map only for elements that are new.
 
+use forust::connectivity::TreeId;
 use forust::dim::Dim;
+use forust::octant::Octant;
 use forust_geom::{octant_ref_coords, Mapping};
 
-use crate::mesh::{DgMesh, FaceConn};
+use crate::mesh::{tangential, DgMesh, ElemRef, FaceConn, FineSub};
 
 /// 3x3 inverse and determinant (2D maps embed with a unit z column).
 fn invert3(j: [[f64; 3]; 3]) -> ([[f64; 3]; 3], f64) {
@@ -32,7 +38,7 @@ fn invert3(j: [[f64; 3]; 3]) -> ([[f64; 3]; 3], f64) {
 }
 
 /// Geometry of one face's quadrature points.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FaceGeo {
     /// Outward unit normal per face node.
     pub normal: Vec<[f64; 3]>,
@@ -61,7 +67,7 @@ pub struct SubGeo {
 }
 
 /// All metric terms of one mesh + mapping combination.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct MeshGeometry {
     /// Physical node positions, `num_elem * npe` entries.
     pub pos: Vec<[f64; 3]>,
@@ -75,27 +81,64 @@ pub struct MeshGeometry {
     pub npe: usize,
 }
 
+/// What [`MeshGeometry::rebuild`] kept: the old↔new element index map.
+#[derive(Debug)]
+pub struct Carry {
+    /// Per new local element, the old local index its metric was moved
+    /// from; `None` for an element with no predecessor on this rank
+    /// (refined, coarsened or newly arrived), which was evaluated.
+    pub src: Vec<Option<u32>>,
+}
+
+impl Carry {
+    /// Number of elements whose metric was moved, not evaluated.
+    pub fn carried(&self) -> usize {
+        self.src.iter().flatten().count()
+    }
+}
+
 impl MeshGeometry {
     /// Compute metric terms for every local element of `mesh` under `map`.
     pub fn build<D: Dim>(mesh: &DgMesh<D>, map: &dyn Mapping<D>) -> Self {
+        let mut geo = MeshGeometry::default();
+        geo.rebuild(&[], mesh, map);
+        geo
+    }
+
+    /// Turn the geometry of the SFC-sorted `old_elements` into that of
+    /// `mesh` under the same `map`. Both lists are walked in lockstep:
+    /// the volume block and face metric of every `(tree, octant)` present
+    /// in both are moved, everything else — refined, coarsened, newly
+    /// arrived — is evaluated. Mortar `subs` are kept while a face stays
+    /// `FineNbrs`, dropped when it stops being one, evaluated when it
+    /// becomes one. Bit-identical to a build from nothing.
+    pub fn rebuild<D: Dim>(
+        &mut self,
+        old_elements: &[(TreeId, Octant<D>)],
+        mesh: &DgMesh<D>,
+        map: &dyn Mapping<D>,
+    ) -> Carry {
         let re = &mesh.re;
         let dim = D::DIM as usize;
         let npe = re.nodes_per_elem(dim);
+        let npf = re.nodes_per_face(dim);
         let np = re.np;
         let nel = mesh.elements.len();
         let big = D::root_len() as f64;
+        let face_idx = re.face_node_table(dim);
 
+        let mut old = std::mem::take(self);
+        let old_nodes = old_elements.len() * npe;
+        assert_eq!(old.det_jac.len(), old_nodes, "not this geometry's elements");
         let mut pos = Vec::with_capacity(nel * npe);
         let mut inv_jac = Vec::with_capacity(nel * npe);
         let mut det_jac = Vec::with_capacity(nel * npe);
-        let mut faces = Vec::with_capacity(nel * D::FACES);
+        let mut faces: Vec<FaceGeo> = Vec::with_capacity(nel * D::FACES);
+        let mut src = Vec::with_capacity(nel);
 
         // Jacobian of x(xi) at a reference point of an octant: tree map
         // jacobian times the octant scaling h/(2*big) per axis.
-        let jac_at = |t: forust::connectivity::TreeId,
-                      o: &forust::octant::Octant<D>,
-                      frac: [f64; 3]|
-         -> ([[f64; 3]; 3], [f64; 3]) {
+        let jac_at = |t: TreeId, o: &Octant<D>, frac: [f64; 3]| -> ([[f64; 3]; 3], [f64; 3]) {
             let xi = octant_ref_coords(o, frac);
             let jt = map.jacobian(t, xi);
             let scale = o.len() as f64 / (2.0 * big);
@@ -124,138 +167,124 @@ impl MeshGeometry {
             }
             (j, map.map(t, xi))
         };
-
-        for &(t, o) in &mesh.elements {
-            // Volume nodes.
-            let nk = if dim == 3 { np } else { 1 };
-            for k in 0..nk {
-                for jj in 0..np {
-                    for i in 0..np {
-                        let frac = [
-                            0.5 * (re.nodes[i] + 1.0),
-                            0.5 * (re.nodes[jj] + 1.0),
-                            if dim == 3 {
-                                0.5 * (re.nodes[k] + 1.0)
-                            } else {
-                                0.0
-                            },
-                        ];
-                        let (j, x) = jac_at(t, &o, frac);
-                        let (inv, det) = invert3(j);
-                        pos.push(x);
-                        inv_jac.push(inv);
-                        // Tree frames may be left-handed in physical space
-                        // (the cubed-sphere caps are placed by corner
-                        // positions); the volume measure is |det|.
-                        det_jac.push(det.abs());
-                    }
-                }
-            }
-        }
-
-        // Face geometry, including fine mortar points.
-        let nanson = |j: [[f64; 3]; 3], f: usize| -> ([f64; 3], f64) {
-            let (inv, det) = invert3(j);
+        // Nanson: a = |det| J^{-T} n_ref. The absolute value corrects the
+        // orientation for left-handed tree frames, so `a` always points
+        // outward through face f.
+        let nanson = |inv: &[[f64; 3]; 3], det_abs: f64, f: usize| -> ([f64; 3], f64) {
             let axis = f / 2;
             let sgn = if f % 2 == 1 { 1.0 } else { -1.0 };
-            // Nanson: a = |det| J^{-T} n_ref. The absolute value corrects
-            // the orientation for left-handed tree frames, so `a` always
-            // points outward through face f.
             let a = [
-                sgn * det.abs() * inv[axis][0],
-                sgn * det.abs() * inv[axis][1],
-                sgn * det.abs() * inv[axis][2],
+                sgn * det_abs * inv[axis][0],
+                sgn * det_abs * inv[axis][1],
+                sgn * det_abs * inv[axis][2],
             ];
             let sj = (a[0] * a[0] + a[1] * a[1] + a[2] * a[2]).sqrt();
             ([a[0] / sj, a[1] / sj, a[2] / sj], sj)
         };
-        // Reference fractions of face node (a, b) of face f.
-        let face_frac = |f: usize, a: usize, b: usize| -> [f64; 3] {
-            let axis = f / 2;
-            let tang: Vec<usize> = (0..dim).filter(|&d| d != axis).collect();
-            let mut frac = [0.0; 3];
-            frac[axis] = if f % 2 == 1 { 1.0 } else { 0.0 };
-            frac[tang[0]] = 0.5 * (re.nodes[a] + 1.0);
-            if dim == 3 {
-                frac[tang[1]] = 0.5 * (re.nodes[b] + 1.0);
+        // Mortar metric: MY jacobian at the fine sub-face's node points
+        // (their reference fractions in my element recovered from the
+        // integer octant geometry), so both mortar sides integrate
+        // identical physical fluxes.
+        let sub_scale = 0.5f64.powi(dim as i32 - 1);
+        let sub_geo = |me: &(TreeId, Octant<D>), f: usize, sub: &FineSub| -> SubGeo {
+            let fine = match sub.nbr {
+                ElemRef::Local(i) => mesh.elements[i as usize],
+                ElemRef::Ghost(i) => mesh.ghost.ghosts[i as usize],
+            };
+            let mut g = SubGeo {
+                normal: Vec::with_capacity(npf),
+                sj: Vec::with_capacity(npf),
+                pos: Vec::with_capacity(npf),
+            };
+            for ab in 0..npf {
+                let frac = my_frac_of_fine_point(re, me, &fine, sub.nbr_face, ab, mesh);
+                let (j, x) = jac_at(me.0, &me.1, frac);
+                let (inv, det) = invert3(j);
+                let (n, s) = nanson(&inv, det.abs(), f);
+                g.normal.push(n);
+                g.sj.push(s * sub_scale);
+                g.pos.push(x);
             }
-            frac
+            g
         };
 
-        for (e, &(t, o)) in mesh.elements.iter().enumerate() {
+        let mut i = 0;
+        for (e, me) in mesh.elements.iter().enumerate() {
+            while i < old_elements.len() && old_elements[i] < *me {
+                i += 1;
+            }
+            if old_elements.get(i) == Some(me) {
+                let nodes = i * npe..(i + 1) * npe;
+                pos.extend_from_slice(&old.pos[nodes.clone()]);
+                inv_jac.extend_from_slice(&old.inv_jac[nodes.clone()]);
+                det_jac.extend_from_slice(&old.det_jac[nodes]);
+                let mine = &mut old.faces[i * D::FACES..(i + 1) * D::FACES];
+                faces.extend(mine.iter_mut().map(std::mem::take));
+                src.push(Some(i as u32));
+            } else {
+                for v in 0..npe {
+                    let lattice = [v % np, v / np % np, v / (np * np)];
+                    let frac = lattice.map(|l| 0.5 * (re.nodes[l] + 1.0));
+                    let (j, x) = jac_at(me.0, &me.1, frac);
+                    let (inv, det) = invert3(j);
+                    pos.push(x);
+                    inv_jac.push(inv);
+                    // Tree frames may be left-handed in physical space
+                    // (the cubed-sphere caps are placed by corner
+                    // positions); the volume measure is |det|.
+                    det_jac.push(det.abs());
+                }
+                // LGL end nodes are exactly ±1: every face node is a
+                // volume node, its metric already evaluated above.
+                for (f, idx) in face_idx.iter().enumerate() {
+                    let at = |&v: &usize| nanson(&inv_jac[e * npe + v], det_jac[e * npe + v], f);
+                    let (normal, sj) = idx.iter().map(at).unzip();
+                    let subs = Vec::new();
+                    faces.push(FaceGeo { normal, sj, subs });
+                }
+                src.push(None);
+            }
             for f in 0..D::FACES {
-                let nb = if dim == 3 { np } else { 1 };
-                let mut normal = Vec::with_capacity(re.nodes_per_face(dim));
-                let mut sj = Vec::with_capacity(re.nodes_per_face(dim));
-                for b in 0..nb {
-                    for a in 0..np {
-                        let (j, _) = jac_at(t, &o, face_frac(f, a, b));
-                        let (n, s) = nanson(j, f);
-                        normal.push(n);
-                        sj.push(s);
+                let fg = &mut faces[e * D::FACES + f];
+                match mesh.face(e, f) {
+                    FaceConn::FineNbrs { subs } if fg.subs.is_empty() => {
+                        fg.subs = subs.iter().map(|sub| sub_geo(me, f, sub)).collect();
                     }
+                    FaceConn::FineNbrs { .. } => {}
+                    _ => fg.subs = Vec::new(),
                 }
-                // Fine mortar points: same face of MY element, but at the
-                // reference positions of each fine sub-face.
-                let mut subs = Vec::new();
-                if let FaceConn::FineNbrs { subs: fs } = mesh.face(e, f) {
-                    // Mortar metric: evaluate MY jacobian at the fine
-                    // sub-face node points (their reference fractions in
-                    // my element recovered from the fine octant geometry),
-                    // so both mortar sides integrate identical physical
-                    // fluxes.
-                    let sub_scale = 0.5f64.powi(dim as i32 - 1);
-                    for sub in fs {
-                        let fine = match sub.nbr {
-                            crate::mesh::ElemRef::Local(i) => mesh.elements[i as usize],
-                            crate::mesh::ElemRef::Ghost(i) => mesh.ghost.ghosts[i as usize],
-                        };
-                        let mut ns = Vec::with_capacity(re.nodes_per_face(dim));
-                        let mut ss = Vec::with_capacity(re.nodes_per_face(dim));
-                        let mut ps = Vec::with_capacity(re.nodes_per_face(dim));
-                        // Fine face node physical position equals a point
-                        // on my face; find its reference fraction in MY
-                        // element by comparing integer geometry.
-                        for b in 0..nb {
-                            for a in 0..np {
-                                let frac = my_frac_of_fine_point::<D>(
-                                    re,
-                                    dim,
-                                    &o,
-                                    f,
-                                    &fine.1,
-                                    sub.nbr_face,
-                                    a,
-                                    b,
-                                    t,
-                                    fine.0,
-                                    mesh,
-                                );
-                                let (j, x) = jac_at(t, &o, frac);
-                                let (n, s) = nanson(j, f);
-                                ns.push(n);
-                                ss.push(s * sub_scale);
-                                ps.push(x);
-                            }
-                        }
-                        subs.push(SubGeo {
-                            normal: ns,
-                            sj: ss,
-                            pos: ps,
-                        });
-                    }
-                }
-                faces.push(FaceGeo { normal, sj, subs });
             }
         }
 
-        MeshGeometry {
+        *self = MeshGeometry {
             pos,
             inv_jac,
             det_jac,
             faces,
             npe,
-        }
+        };
+        let carry = Carry { src };
+        let carried = carry.carried();
+        forust_obs::counter_add("geometry.elements_carried", carried as u64);
+        forust_obs::counter_add("geometry.elements_evaluated", (nel - carried) as u64);
+        forust_obs::gauge_set("mem.geometry_bytes", self.heap_bytes() as u64);
+        carry
+    }
+
+    /// Heap bytes of the metric: volume blocks, face normals and surface
+    /// Jacobians, mortar sub-faces. Published as gauge
+    /// `mem.geometry_bytes` at every (re)build.
+    pub fn heap_bytes(&self) -> usize {
+        let point = size_of::<[f64; 3]>() + size_of::<f64>();
+        let per_face = |fg: &FaceGeo| {
+            let subs: usize = fg.subs.iter().map(|s| s.sj.len()).sum();
+            fg.sj.len() * point
+                + fg.subs.len() * size_of::<SubGeo>()
+                + subs * (point + size_of::<[f64; 3]>())
+        };
+        self.det_jac.len() * (point + size_of::<[[f64; 3]; 3]>())
+            + self.faces.len() * size_of::<FaceGeo>()
+            + self.faces.iter().map(per_face).sum::<usize>()
     }
 
     /// Metric slice helpers.
@@ -279,43 +308,38 @@ impl MeshGeometry {
     }
 }
 
-/// Reference fraction, within coarse octant `o` (tree `t`), of face node
-/// `(a, b)` of the fine neighbor's face across the 2:1 face `f`.
-#[allow(clippy::too_many_arguments)]
+/// Reference fraction, within the coarse element `me`, of face node `ab`
+/// (face-lattice index) of the `fine` neighbor's face `fine_face` across
+/// a 2:1 face.
 fn my_frac_of_fine_point<D: Dim>(
     re: &crate::element::RefElement,
-    dim: usize,
-    o: &forust::octant::Octant<D>,
-    _f: usize,
-    fine: &forust::octant::Octant<D>,
+    me: &(TreeId, Octant<D>),
+    fine: &(TreeId, Octant<D>),
     fine_face: usize,
-    a: usize,
-    b: usize,
-    t: forust::connectivity::TreeId,
-    fine_tree: forust::connectivity::TreeId,
+    ab: usize,
     mesh: &DgMesh<D>,
 ) -> [f64; 3] {
     // Fine face node position in the fine element's tree coordinates.
-    let hf = fine.len() as f64;
+    let hf = fine.1.len() as f64;
     let axisf = fine_face / 2;
-    let tangf: Vec<usize> = (0..dim).filter(|&d| d != axisf).collect();
-    let cf = fine.coords();
+    let tangf = tangential::<D>(fine_face);
+    let cf = fine.1.coords();
     let mut x = [cf[0] as f64, cf[1] as f64, cf[2] as f64];
     x[axisf] += if fine_face % 2 == 1 { hf } else { 0.0 };
-    x[tangf[0]] += 0.5 * (re.nodes[a] + 1.0) * hf;
-    if dim == 3 {
-        x[tangf[1]] += 0.5 * (re.nodes[b] + 1.0) * hf;
+    x[tangf[0]] += 0.5 * (re.nodes[ab % re.np] + 1.0) * hf;
+    if D::DIM == 3 {
+        x[tangf[1]] += 0.5 * (re.nodes[ab / re.np] + 1.0) * hf;
     }
     // Map into MY tree's coordinates if the fine neighbor is across a
     // macro-face.
-    let x_my = if fine_tree == t {
+    let x_my = if fine.0 == me.0 {
         x
     } else {
         // The transform from the fine tree into mine is the transform
         // across the fine element's face toward us.
         let tr = mesh
             .conn
-            .face_transform(fine_tree, fine_face)
+            .face_transform(fine.0, fine_face)
             .expect("fine neighbor across a macro-face must have a transform");
         let mut out = [0.0; 3];
         for d in 0..3 {
@@ -323,12 +347,12 @@ fn my_frac_of_fine_point<D: Dim>(
         }
         out
     };
-    let h = o.len() as f64;
-    let c = o.coords();
+    let h = me.1.len() as f64;
+    let c = me.1.coords();
     [
         ((x_my[0] - c[0] as f64) / h).clamp(0.0, 1.0),
         ((x_my[1] - c[1] as f64) / h).clamp(0.0, 1.0),
-        if dim == 3 {
+        if D::DIM == 3 {
             ((x_my[2] - c[2] as f64) / h).clamp(0.0, 1.0)
         } else {
             0.0

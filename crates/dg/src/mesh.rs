@@ -116,16 +116,17 @@ impl<D: Dim> DgMesh<D> {
         let elements: Vec<(TreeId, Octant<D>)> =
             forest.iter_local().map(|(t, o)| (t, *o)).collect();
 
-        // Local element index by (tree, octant), for mirror association.
+        // Local element index by (tree, octant), for mirror association:
+        // the per-tree index plus the leaves of all earlier trees.
+        let mut tree_offset = vec![0usize; forest.conn.num_trees()];
+        for t in 1..tree_offset.len() {
+            tree_offset[t] = tree_offset[t - 1] + forest.tree(t as TreeId - 1).len();
+        }
         let elem_index = |t: TreeId, o: &Octant<D>| -> Option<u32> {
             forest
                 .find_local_containing(t, o)
                 .filter(|(_, leaf)| *leaf == o)
-                .map(|(i, _)| {
-                    // Convert per-tree index to global local index.
-                    let before: usize = (0..t).map(|tt| forest.tree(tt).len()).sum();
-                    (before + i) as u32
-                })
+                .map(|(i, _)| (tree_offset[t as usize] + i) as u32)
         };
         let mirror_elem: Vec<u32> = ghost
             .mirrors
@@ -230,7 +231,7 @@ impl<D: Dim> DgMesh<D> {
 
 /// The tangential axes of face `f`, ascending (the face-lattice axis
 /// order); only the first is meaningful in 2-D.
-fn tangential<D: Dim>(f: usize) -> [usize; 2] {
+pub(crate) fn tangential<D: Dim>(f: usize) -> [usize; 2] {
     match D::face_axis(f) {
         0 => [1, 2],
         1 => [0, 2],

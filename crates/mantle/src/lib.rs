@@ -27,4 +27,4 @@ mod solver;
 pub use fem::StokesFem;
 pub use recovery::{MantleAttemptResult, MantleRecoverySetup};
 pub use rheology::{plate_boundary_factor, synthetic_temperature, viscosity, RheologyParams};
-pub use solver::{MantleConfig, MantleSolver, MantleTimers};
+pub use solver::{KrylovOutcome, MantleConfig, MantleSolver, MantleTimers};

@@ -63,6 +63,18 @@ pub struct MantleTimers {
     pub krylov_iters: usize,
 }
 
+/// How one MINRES solve ended.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct KrylovOutcome {
+    /// The residual estimate fell below `minres_tol` before the iteration
+    /// cap (or the preconditioner losing positivity) ended the solve.
+    pub converged: bool,
+    /// Iterations taken.
+    pub iters: usize,
+    /// Final preconditioned residual norm relative to the initial one.
+    pub rel_residual: f64,
+}
+
 /// The nonlinear mantle-flow solver.
 pub struct MantleSolver {
     /// Parameters.
@@ -78,6 +90,10 @@ pub struct MantleSolver {
     pub picard_done: usize,
     /// Wall-time split (Fig. 7).
     pub timers: MantleTimers,
+    /// Outcome of the latest Picard step's MINRES solve (`None` before
+    /// the first). Also published as counter `mantle.krylov_not_converged`
+    /// and gauge `mantle.krylov_rel_residual` (in units of 1e-12).
+    pub last_krylov: Option<KrylovOutcome>,
 }
 
 impl MantleSolver {
@@ -138,6 +154,7 @@ impl MantleSolver {
             x,
             picard_done: 0,
             timers: MantleTimers::default(),
+            last_krylov: None,
         };
         s.timers.amr += t0.elapsed();
         s
@@ -166,7 +183,11 @@ impl MantleSolver {
         let b = self.fem.buoyancy_rhs(comm, self.config.ra);
         self.timers.solve += t0.elapsed();
 
-        self.minres(comm, &b);
+        let outcome = self.minres(comm, &b);
+        forust_obs::counter_add("mantle.krylov_not_converged", !outcome.converged as u64);
+        let rel = (outcome.rel_residual * 1e12) as u64;
+        forust_obs::gauge_set("mantle.krylov_rel_residual", rel);
+        self.last_krylov = Some(outcome);
 
         if (it + 1) % self.config.amr_every == 0 && it + 1 < self.config.picard_iters {
             self.adapt(comm);
@@ -185,7 +206,7 @@ impl MantleSolver {
     }
 
     /// Preconditioned MINRES on the saddle system.
-    fn minres(&mut self, comm: &impl Communicator, b: &[f64]) {
+    fn minres(&mut self, comm: &impl Communicator, b: &[f64]) -> KrylovOutcome {
         let t0 = Instant::now();
         let n = self.fem.vec_len();
         let (du, dp) = self.fem.preconditioner_diagonals(comm);
@@ -214,9 +235,14 @@ impl MantleSolver {
             vc_time += tv.elapsed();
         }
         let mut beta1 = self.fem.dot(comm, &r1, &z);
+        let mut outcome = KrylovOutcome {
+            converged: beta1 == 0.0,
+            iters: 0,
+            rel_residual: 0.0,
+        };
         if beta1 <= 0.0 {
             self.timers.solve += t_solve.elapsed();
-            return;
+            return outcome;
         }
         beta1 = beta1.sqrt();
         let tol = self.config.minres_tol * beta1;
@@ -230,6 +256,7 @@ impl MantleSolver {
 
         for _ in 0..self.config.minres_iters {
             self.timers.krylov_iters += 1;
+            outcome.iters += 1;
             // Lanczos step.
             let s = 1.0 / beta;
             let v: Vec<f64> = y.iter().map(|&yi| yi * s).collect();
@@ -281,12 +308,15 @@ impl MantleSolver {
                 self.x[i] += phi * wi;
             }
             if phibar < tol {
+                outcome.converged = true;
                 break;
             }
         }
+        outcome.rel_residual = phibar / beta1;
         solve_time += t_solve.elapsed() - vc_time;
         self.timers.solve += solve_time;
         self.timers.vcycle += vc_time;
+        outcome
     }
 
     /// Block preconditioner: Chebyshev–Jacobi sweeps on the viscous block
@@ -538,6 +568,7 @@ impl MantleSolver {
             x,
             picard_done: meta.epoch as usize,
             timers: MantleTimers::default(),
+            last_krylov: None,
         })
     }
 }
@@ -578,6 +609,37 @@ mod tests {
             let rn = s.fem.dot(comm, &r, &r).sqrt();
             let bn = s.fem.dot(comm, &b, &b).sqrt();
             assert!(rn < 0.7 * bn, "MINRES made no progress: {rn} vs {bn}");
+        });
+    }
+
+    #[test]
+    fn krylov_outcome_says_whether_minres_converged() {
+        run_spmd(1, |comm| {
+            let outcome = |minres_iters: usize, minres_tol: f64| {
+                let conn = Arc::new(builders::cubed_sphere());
+                let forest = Forest::<D3>::new_uniform(Arc::clone(&conn), comm, 1);
+                let map: Arc<dyn Mapping<D3> + Send + Sync> =
+                    Arc::new(ShellMap::new(conn, 0.55, 1.0));
+                let config = MantleConfig {
+                    max_level: 1,
+                    minres_iters,
+                    minres_tol,
+                    ..Default::default()
+                };
+                let mut s = MantleSolver::new(comm, forest, map, config);
+                assert_eq!(s.last_krylov, None);
+                s.picard_step(comm);
+                s.last_krylov.expect("a Picard step records its outcome")
+            };
+            // Hits the cap: says so, and reports where it stopped.
+            let capped = outcome(5, 1e-12);
+            assert!(!capped.converged);
+            assert_eq!(capped.iters, 5);
+            assert!(capped.rel_residual > 1e-12 && capped.rel_residual < 1.0);
+            // A tolerance the residual does reach.
+            let loose = outcome(60, 0.5);
+            assert!(loose.converged, "{loose:?}");
+            assert!(loose.iters < 60 && loose.rel_residual < 0.5);
         });
     }
 
