@@ -15,7 +15,7 @@ use forust_dg::halo::{HaloData, HaloExchange};
 use forust_dg::kernels::{self, KernelWorkspace};
 use forust_dg::lserk::lserk_step;
 use forust_dg::mesh::{DgMesh, ElemRef, FaceConn};
-use forust_dg::stepper::{ElementKernel, Stepper};
+use forust_dg::stepper::{RhsKernel, Stepper};
 use forust_dg::transfer::transfer_fields;
 use forust_dg::FaceOp;
 use forust_geom::Mapping;
@@ -160,11 +160,10 @@ impl AdvectSolver {
         let carry = geo.rebuild(&[], &mesh, &*map);
         let mut caches = Caches::new(&mesh.re);
         caches.rebuild(&carry, &mesh, &geo, velocity);
-        let re = &mesh.re;
         let mut s = AdvectSolver {
             halo: HaloExchange::build(&mesh),
             c: field(&geo),
-            stepper: Stepper::new(re.nodes_per_elem(3), re.nodes_per_face(3), 1),
+            stepper: Stepper::default(),
             config,
             forest,
             mesh,
@@ -224,14 +223,15 @@ impl AdvectSolver {
         {
             let _span = forust_obs::span!("advect.step");
             let t0 = Instant::now();
-            let kernel = Kernel {
+            let mut kernel = Kernel {
                 mesh: &self.mesh,
                 geo: &self.geo,
                 caches: &self.caches,
                 velocity: self.velocity,
             };
+            let (t, dt) = (self.time, self.dt);
             self.stepper
-                .step(comm, &self.halo, &mut self.c, self.time, self.dt, &kernel);
+                .step(comm, &self.halo, &mut self.c, t, dt, &mut kernel);
             self.finish_step(comm, t0);
         }
         // Outside the block so the step's spans have closed: the mark
@@ -289,15 +289,29 @@ struct Kernel<'a> {
     velocity: fn([f64; 3]) -> [f64; 3],
 }
 
-impl ElementKernel<D3> for Kernel<'_> {
+/// One unit is one element: `npe` values of the single component.
+impl RhsKernel<D3> for Kernel<'_> {
+    type Real = f64;
+    type Scratch = KernelWorkspace;
     const NCOMP: usize = 1;
     const GRAIN: usize = 8;
+
+    fn unit_len(&self) -> usize {
+        self.mesh.re.nodes_per_elem(3)
+    }
+
+    fn new_scratch(&self) -> KernelWorkspace {
+        let re = &self.mesh.re;
+        let mut ws = KernelWorkspace::new();
+        ws.configure(re.nodes_per_elem(3), re.nodes_per_face(3), 1);
+        ws
+    }
 
     /// RHS of a single element via the kernel engine: fused volume pass
     /// (reference gradient → metric contraction → flux accumulation),
     /// cached nodal/mortar velocities, and workspace-backed face buffers —
     /// zero heap allocations.
-    fn rhs_element(
+    fn rhs_unit(
         &self,
         q: &[f64],
         e: usize,

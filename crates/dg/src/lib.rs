@@ -17,9 +17,9 @@
 //! - [`lserk`]: the five-stage fourth-order low-storage Runge–Kutta scheme
 //!   used by every time-dependent solver in the paper;
 //! - [`stepper`]: the one split-phase dG driver — LSERK stages, halo
-//!   `begin → interior sweep → finish → boundary sweep` on the worker
-//!   pool, per-lane scratch — that a solver plugs an [`ElementKernel`]
-//!   into;
+//!   `begin → interior sweep → finish → boundary sweep → update` on the
+//!   worker pool, per-lane scratch — that every solver tier, f64 host or
+//!   f32 device, plugs an [`RhsKernel`] into;
 //! - [`mesh`]: the dG element mesh extracted from a balanced forest and its
 //!   ghost layer — neighbor classification per face (conforming, 2:1
 //!   mortar, inter-tree with rotation) and ghost field exchange;
@@ -65,4 +65,4 @@ pub use halo::{
 pub use kernels::KernelWorkspace;
 pub use matrix::Matrix;
 pub use real::Real;
-pub use stepper::{ElementKernel, Stepper};
+pub use stepper::{LaneScratch, RhsKernel, Stepper};

@@ -209,87 +209,6 @@ pub fn soa_advect_volume_rhs<R: Real>(
     }
 }
 
-/// Lane-batched impedance penalty flux on one face of a SoA block —
-/// the device counterpart of the host's `apply_flux` closure.
-///
-/// Inputs are `[quantity][face node][lane]` panels of `npf * LANES`
-/// values each: `qm`/`qp` carry the 9 trace components of my side and
-/// the neighbor side (`ncomp * npf * LANES`), `nrm` the three unit
-/// normal components, and `rho`/`lam`/`mu` the face-node material.
-/// Writes the 9 jump components `d` (same panel layout); the caller
-/// lifts them with its per-lane quadrature coefficient. A lane whose
-/// `qp == qm` produces exactly `d == 0` (identical traces ⇒ zero jump),
-/// which is how divergent lanes (mortar faces, padding) opt out of the
-/// batched flux.
-#[allow(clippy::too_many_arguments)]
-pub fn soa_penalty_flux<R: Real>(
-    npf: usize,
-    qm: &[R],
-    qp: &[R],
-    nrm: &[R],
-    rho: &[R],
-    lam: &[R],
-    mu: &[R],
-    d: &mut [R],
-) {
-    let fp = npf * LANES;
-    debug_assert_eq!(qm.len(), 9 * fp);
-    debug_assert_eq!(qp.len(), 9 * fp);
-    debug_assert_eq!(nrm.len(), 3 * fp);
-    debug_assert_eq!(rho.len(), fp);
-    debug_assert_eq!(d.len(), 9 * fp);
-    let two = R::ONE + R::ONE;
-    let qmc: [&[R]; 9] = std::array::from_fn(|c| &qm[c * fp..(c + 1) * fp]);
-    let qpc: [&[R]; 9] = std::array::from_fn(|c| &qp[c * fp..(c + 1) * fp]);
-    let n: [&[R]; 3] = std::array::from_fn(|i| &nrm[i * fp..(i + 1) * fp]);
-    for x in 0..fp {
-        let (rh, lm, m2) = (rho[x], lam[x], two * mu[x]);
-        let cp = ((lm + m2) / rh).sqrt();
-        let z = rh * cp;
-        // Voigt stress of both traces.
-        let sig = |q: &[&[R]; 9]| -> [R; 6] {
-            let tr = q[3][x] + q[4][x] + q[5][x];
-            [
-                m2 * q[3][x] + lm * tr,
-                m2 * q[4][x] + lm * tr,
-                m2 * q[5][x] + lm * tr,
-                m2 * q[6][x],
-                m2 * q[7][x],
-                m2 * q[8][x],
-            ]
-        };
-        let sgm = sig(&qmc);
-        let sgp = sig(&qpc);
-        let nx = [n[0][x], n[1][x], n[2][x]];
-        let sn = |sg: &[R; 6]| -> [R; 3] {
-            [
-                sg[0] * nx[0] + sg[5] * nx[1] + sg[4] * nx[2],
-                sg[5] * nx[0] + sg[1] * nx[1] + sg[3] * nx[2],
-                sg[4] * nx[0] + sg[3] * nx[1] + sg[2] * nx[2],
-            ]
-        };
-        let tm = sn(&sgm);
-        let tp = sn(&sgp);
-        let mut dv = [R::ZERO; 3];
-        let mut dvs = [R::ZERO; 3];
-        for i in 0..3 {
-            let tstar = R::HALF * (tm[i] + tp[i]) + R::HALF * z * (qpc[i][x] - qmc[i][x]);
-            dv[i] = (tstar - tm[i]) / rh;
-            let vstar = R::HALF * (qmc[i][x] + qpc[i][x]) + R::HALF / z * (tp[i] - tm[i]);
-            dvs[i] = vstar - qmc[i][x];
-        }
-        d[x] = dv[0];
-        d[fp + x] = dv[1];
-        d[2 * fp + x] = dv[2];
-        d[3 * fp + x] = nx[0] * dvs[0];
-        d[4 * fp + x] = nx[1] * dvs[1];
-        d[5 * fp + x] = nx[2] * dvs[2];
-        d[6 * fp + x] = R::HALF * (nx[1] * dvs[2] + nx[2] * dvs[1]);
-        d[7 * fp + x] = R::HALF * (nx[0] * dvs[2] + nx[2] * dvs[0]);
-        d[8 * fp + x] = R::HALF * (nx[0] * dvs[1] + nx[1] * dvs[0]);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -335,29 +254,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// Identical traces must produce a zero jump — the lane opt-out
-    /// mechanism for divergent (mortar/padding) lanes.
-    #[test]
-    fn penalty_flux_zero_jump_on_equal_traces() {
-        let npf = 16;
-        let fp = npf * LANES;
-        let mut qm = vec![0.0f32; 9 * fp];
-        for (i, v) in qm.iter_mut().enumerate() {
-            *v = (i % 17) as f32 * 0.03 - 0.2;
-        }
-        let qp = qm.clone();
-        let mut nrm = vec![0.0f32; 3 * fp];
-        nrm[..fp].fill(1.0);
-        let rho = vec![1.1f32; fp];
-        let lam = vec![0.8f32; fp];
-        let mu = vec![0.5f32; fp];
-        let mut d = vec![1.0f32; 9 * fp];
-        soa_penalty_flux(npf, &qm, &qp, &nrm, &rho, &lam, &mu, &mut d);
-        assert!(
-            d.iter().all(|&x| x == 0.0),
-            "equal traces must yield d == 0"
-        );
     }
 }

@@ -1,104 +1,158 @@
-//! The split-phase dG time-step driver shared by every solver.
+//! The split-phase dG time-step driver shared by every solver and tier.
 //!
 //! In the paper `mangll` gives every application its LSERK loop and hides
-//! the ghost exchange behind volume work (SC10 §III); the solvers only
-//! supply physics. [`Stepper`] is that layer: it owns the 2N-storage
-//! register, the stage buffer and one [`KernelWorkspace`] per worker-pool
+//! the ghost exchange behind volume work (SC10 §III), and dGea runs that
+//! same loop on CPUs and GPUs, swapping only the element kernels (§IV-B);
+//! the solvers supply physics. [`Stepper`] is that layer: it owns the
+//! 2N-storage register, the stage buffer and one scratch per worker-pool
 //! lane, and its [`step`](Stepper::step) runs the five stages. Each stage
-//! puts the face-trace exchange on the wire, sweeps the *interior*
-//! elements (which read no ghost) while the messages fly, completes the
-//! exchange, and sweeps the *boundary* elements. A solver is an
-//! [`ElementKernel`]: the right-hand side of one element.
+//! puts the face-trace exchange on the wire, sweeps the *interior* work
+//! units (which read no ghost) while the messages fly, completes the
+//! exchange, sweeps the *boundary* units and updates the state on the
+//! pool. A solver tier is an [`RhsKernel`]: the right-hand side of one
+//! work unit — a window of the state vector, one element on the f64 host
+//! tier, one lane-batched block of elements on the f32 device tier.
 //!
-//! Both sweeps fan out over the rank's worker pool in fixed chunks, and
-//! elements write disjoint windows of the stage buffer, so a step is
-//! bitwise identical to the serial exchange-then-sweep loop through
+//! Sweeps and update fan out over the rank's worker pool in chunks fixed
+//! by the unit count or the state length alone, and units write disjoint
+//! windows of the stage buffer, so a step is bitwise identical to the
+//! serial exchange-then-sweep loop through
 //! [`lserk_step`](crate::lserk::lserk_step) at any worker count.
 
 use forust::dim::Dim;
 use forust_comm::Communicator;
 use forust_pool::{DisjointSlice, PerLane};
 
-use crate::halo::{HaloData, HaloExchange};
+use crate::halo::{HaloData, HaloExchange, HaloLane};
 use crate::kernels::KernelWorkspace;
 use crate::lserk::{LSERK_A, LSERK_B, LSERK_C};
 
-/// The physics a solver hands to [`Stepper::step`]: the dG right-hand
-/// side of a single element.
-pub trait ElementKernel<D: Dim>: Sync {
-    /// State components per node. Element `e`'s window of a state or RHS
-    /// vector is `npe * NCOMP` long, component-major (`[c][node]`).
+/// State values per pool chunk of the RK update: a function of the state
+/// length only, like every other chunk boundary of a step.
+const UPDATE_GRAIN: usize = 8192;
+
+/// The per-pool-lane scratch of a kernel.
+pub trait LaneScratch: Send {
+    /// Times this scratch had to regrow, as of now. Called after every
+    /// step; a scratch of fixed-size buffers keeps the default.
+    fn regrow_events(&mut self) -> u64 {
+        0
+    }
+}
+
+impl LaneScratch for KernelWorkspace {
+    fn regrow_events(&mut self) -> u64 {
+        self.check_steady();
+        self.grow_events()
+    }
+}
+
+/// What a solver tier hands to [`Stepper::step`]: the dG right-hand side
+/// of one work unit, and the few facts about its state layout that differ
+/// between tiers. Everything else about a step is the stepper's.
+pub trait RhsKernel<D: Dim>: Sync {
+    /// Precision of the state, the RK registers and the halo lane.
+    type Real: HaloLane;
+    /// Scratch of one pool lane.
+    type Scratch: LaneScratch;
+    /// State components per node.
     const NCOMP: usize;
-    /// Elements per pool chunk in the RHS sweeps. Chunk boundaries are a
-    /// function of the element count and this constant only, never of
-    /// the worker count — part of the bitwise-determinism contract.
+    /// Units per pool chunk in the RHS sweeps. Chunk boundaries are a
+    /// function of the unit count and this constant only, never of the
+    /// worker count — part of the bitwise-determinism contract.
     const GRAIN: usize;
 
-    /// Write the time derivative of element `e` of state `q` at time `t`
-    /// into `out_e`, the element's own window of the RHS vector.
+    /// Length of one unit's window of a state or RHS vector: unit `u`
+    /// owns `u * unit_len .. (u + 1) * unit_len`.
+    fn unit_len(&self) -> usize;
+
+    /// A scratch sized for this kernel's units. The stepper builds one
+    /// per pool lane, again whenever the pool width or `unit_len` changes.
+    fn new_scratch(&self) -> Self::Scratch;
+
+    /// `(element, component, node) -> value` over state `q`: how the
+    /// trace exchange packs straight out of this tier's layout. Default:
+    /// one element per unit, component-major.
+    fn accessor<'a>(
+        &'a self,
+        q: &'a [Self::Real],
+    ) -> impl Fn(usize, usize, usize) -> Self::Real + Sync + 'a {
+        let npe = self.unit_len() / Self::NCOMP;
+        move |e, c, n| q[(e * Self::NCOMP + c) * npe + n]
+    }
+
+    /// `[interior, boundary]`: the units that read no ghost trace, swept
+    /// while the exchange is in flight (may be empty), and the others,
+    /// swept once the traces are in. Together they name every unit
+    /// exactly once. Default: one element per unit, the halo's lists.
+    fn units<'a>(&'a self, halo: &'a HaloExchange<D>) -> [&'a [u32]; 2] {
+        [halo.interior(), halo.boundary()]
+    }
+
+    /// Floating-point environment of this tier's arithmetic: the guard is
+    /// held around every pool job the stepper runs for the kernel, the RK
+    /// update included.
+    fn fp_scope() -> impl Sized {}
+
+    /// Once per stage, after the exchange is posted and before the first
+    /// sweep: whatever the sweeps read that is derived from all of `q`.
+    fn pre_stage(&mut self, _q: &[Self::Real]) {}
+
+    /// Write the time derivative of unit `u` of state `q` at time `t`
+    /// into `out`, the unit's own window of the RHS vector.
     ///
-    /// Every entry of `out_e` must be assigned (it holds the previous
+    /// Every entry of `out` must be assigned (it holds the previous
     /// stage's values on entry) and nothing outside it may be written —
-    /// that is what lets the sweeps run elements concurrently. `traces`
+    /// that is what lets the sweeps run units concurrently. `traces`
     /// carries the received ghost face traces; it is `None` for interior
-    /// elements, which have no ghost-face neighbor. `ws` is the calling
-    /// lane's scratch, sized for `NCOMP` fields.
-    fn rhs_element(
+    /// units. `ws` is the calling lane's scratch.
+    fn rhs_unit(
         &self,
-        q: &[f64],
-        e: usize,
+        q: &[Self::Real],
+        u: usize,
         t: f64,
-        traces: Option<&HaloData<'_, D>>,
-        ws: &mut KernelWorkspace,
-        out_e: &mut [f64],
+        traces: Option<&HaloData<'_, D, Self::Real>>,
+        ws: &mut Self::Scratch,
+        out: &mut [Self::Real],
     );
 }
 
-/// LSERK registers and per-lane kernel scratch of one solver, sized once
-/// for its element shape so steady-state stepping allocates nothing.
+/// LSERK registers and per-lane kernel scratch of one solver tier, kept
+/// across steps so steady-state stepping allocates nothing. Starts empty
+/// (`Stepper::default()`); the first step sizes it from its kernel.
 #[derive(Default)]
-pub struct Stepper {
-    /// The 2N-storage register.
-    resid: Vec<f64>,
+pub struct Stepper<R = f64, S = KernelWorkspace> {
+    /// The 2N-storage register. Zeroed at the start of every step, so a
+    /// step is a pure function of `(q, t)` — a restart from a checkpoint
+    /// of `q` alone continues bit for bit.
+    resid: Vec<R>,
     /// The RHS of the current stage.
-    stage: Vec<f64>,
-    /// One workspace per pool lane (lane 0 is the rank thread). Rebuilt
-    /// only when the configured worker count changes.
-    lanes: PerLane<KernelWorkspace>,
-    npe: usize,
-    npf: usize,
-    ncomp: usize,
+    stage: Vec<R>,
+    /// One scratch per pool lane (lane 0 is the rank thread), built for
+    /// units of `unit` values.
+    lanes: PerLane<S>,
+    unit: usize,
     grow_events: u64,
 }
 
-impl Stepper {
-    /// A stepper for elements of `npe` volume / `npf` face nodes carrying
-    /// `ncomp` components.
-    pub fn new(npe: usize, npf: usize, ncomp: usize) -> Self {
-        Stepper {
-            npe,
-            npf,
-            ncomp,
-            ..Default::default()
-        }
+impl<R: HaloLane, S: LaneScratch> Stepper<R, S> {
+    /// Size the registers for a state of `n` values and zero the 2N
+    /// register; `true` if that had to allocate. Every step starts here;
+    /// a tier that accounts for its allocations calls it ahead of time.
+    pub fn fit(&mut self, n: usize) -> bool {
+        let grew = self.resid.capacity() < n || self.stage.capacity() < n;
+        self.stage.resize(n, R::ZERO);
+        self.resid.clear();
+        self.resid.resize(n, R::ZERO);
+        grew
     }
 
-    /// (Re)build the lane workspaces when the configured pool width is
-    /// not the one they were built for: on the first step, and whenever
-    /// it changed since the last (the worker-matrix tests flip it between
-    /// runs). In steady state this is a no-op.
-    fn ensure_lanes(&mut self) {
-        if self.lanes.len() != forust_pool::configured_workers() {
-            let (npe, npf, ncomp) = (self.npe, self.npf, self.ncomp);
-            self.lanes = PerLane::new(forust_pool::configured_workers(), |_| {
-                let mut ws = KernelWorkspace::new();
-                ws.configure(npe, npf, ncomp);
-                ws
-            });
-        }
+    /// The 2N register as the last step (or [`fit`](Self::fit)) left it.
+    pub fn register(&self) -> &[R] {
+        &self.resid
     }
 
-    /// Times a lane workspace regrew mid-stage, as of the end of the last
+    /// Times a lane scratch regrew mid-stage, as of the end of the last
     /// step (see [`KernelWorkspace::check_steady`]). Zero in steady state.
     pub fn grow_events(&self) -> u64 {
         self.grow_events
@@ -107,77 +161,90 @@ impl Stepper {
     /// Advance `q` from `t` by one five-stage LSERK step of size `dt`.
     /// Collective: every stage exchanges ghost face traces through `halo`,
     /// which must be built for the mesh `q` lives on.
-    pub fn step<D: Dim, C: Communicator, K: ElementKernel<D>>(
+    pub fn step<D: Dim, C: Communicator, K>(
         &mut self,
         comm: &C,
         halo: &HaloExchange<D>,
-        q: &mut [f64],
+        q: &mut [R],
         t: f64,
         dt: f64,
-        kernel: &K,
-    ) {
-        assert_eq!(K::NCOMP, self.ncomp, "stepper sized for another kernel");
-        self.ensure_lanes();
+        kernel: &mut K,
+    ) where
+        K: RhsKernel<D, Real = R, Scratch = S>,
+    {
+        let unit = kernel.unit_len();
+        let width = forust_pool::configured_workers();
+        // In steady state a no-op: the lanes are rebuilt on the first
+        // step and when the pool width (the worker-matrix tests flip it
+        // between runs) or the unit shape changed since the last.
+        if self.lanes.len() != width || self.unit != unit {
+            self.lanes = PerLane::new(width, |_| kernel.new_scratch());
+            self.unit = unit;
+        }
         let n = q.len();
-        let chunk = self.npe * self.ncomp;
+        let [interior, boundary] = kernel.units(halo);
         assert_eq!(
             n,
-            (halo.interior().len() + halo.boundary().len()) * chunk,
-            "state vector does not match the halo's mesh"
+            (interior.len() + boundary.len()) * unit,
+            "state vector does not match the kernel's units"
         );
-        self.stage.resize(n, 0.0);
-        self.resid.clear();
-        self.resid.resize(n, 0.0);
+        let elements = (halo.interior().len() + halo.boundary().len()) as u64;
+        self.fit(n);
         for s in 0..5 {
             let _stage = forust_obs::span!("rk.stage");
             let ts = t + LSERK_C[s] * dt;
-            let pending = halo.begin(comm, q, K::NCOMP);
-            // Pool sweep over one element list: each lane works on its own
-            // workspace, and every element writes only its own window.
-            let sweep = |list: &[u32], traces: Option<&HaloData<'_, D>>, out: &mut [f64]| {
+            let pending = halo.begin_with(comm, kernel.accessor(q), K::NCOMP);
+            let span = forust_obs::span!("rhs.interior");
+            kernel.pre_stage(q);
+            let (kernel, q_in) = (&*kernel, &*q);
+            let [interior, boundary] = kernel.units(halo);
+            // Pool sweep over one unit list: each lane works on its own
+            // scratch, and every unit writes only its own window.
+            let sweep = |list: &[u32], traces: Option<&HaloData<'_, D, R>>, out: &mut [R]| {
                 let slots = DisjointSlice::new(out);
                 forust_pool::par_for_each(list.len(), K::GRAIN, |r, lane| {
+                    let _fp = K::fp_scope();
                     // SAFETY: the pool runs each lane on exactly one thread
                     // per job, and nothing else borrows the lanes meanwhile.
                     let ws = unsafe { self.lanes.lane(lane) };
                     for i in r {
-                        let e = list[i] as usize;
-                        // SAFETY: `list` is one side of the halo's
+                        let u = list[i] as usize;
+                        // SAFETY: `list` is one side of the kernel's
                         // interior/boundary partition, which names each
-                        // element at most once, so the windows are disjoint.
-                        let out_e = unsafe { slots.slice(e * chunk..(e + 1) * chunk) };
-                        kernel.rhs_element(q, e, ts, traces, ws, out_e);
+                        // unit at most once, so the windows are disjoint.
+                        let out_u = unsafe { slots.slice(u * unit..(u + 1) * unit) };
+                        kernel.rhs_unit(q_in, u, ts, traces, ws, out_u);
                     }
                 });
             };
-            {
-                let _span = forust_obs::span!("rhs.interior");
-                sweep(halo.interior(), None, &mut self.stage);
-            }
+            sweep(interior, None, &mut self.stage);
+            drop(span);
             let traces = {
                 let _span = forust_obs::span!("rhs.exchange_wait");
                 pending.finish()
             };
             {
                 let _span = forust_obs::span!("rhs.boundary");
-                sweep(halo.boundary(), Some(&traces), &mut self.stage);
-                forust_obs::counter_add("kernels.rhs_elements", (n / chunk) as u64);
+                sweep(boundary, Some(&traces), &mut self.stage);
+                forust_obs::counter_add("kernels.rhs_elements", elements);
             }
             drop(traces);
             let _update = forust_obs::span!("rk.update");
-            let (resid, k) = (&mut self.resid[..n], &self.stage[..n]);
-            for i in 0..n {
-                resid[i] = LSERK_A[s] * resid[i] + dt * k[i];
-                q[i] += LSERK_B[s] * resid[i];
-            }
+            let (a, b) = (R::from_f64(LSERK_A[s]), R::from_f64(LSERK_B[s]));
+            let h = R::from_f64(dt);
+            let k = &self.stage;
+            let (qs, rs) = (DisjointSlice::new(q), DisjointSlice::new(&mut self.resid));
+            forust_pool::par_for_each(n, UPDATE_GRAIN, |w, _| {
+                let _fp = K::fp_scope();
+                // SAFETY: the pool hands out pairwise disjoint ranges of
+                // `0..n`, and `q` and the register are `n` long.
+                let (qw, rw) = unsafe { (qs.slice(w.clone()), rs.slice(w.clone())) };
+                for ((qv, rv), kv) in qw.iter_mut().zip(rw).zip(&k[w]) {
+                    *rv = a * *rv + h * *kv;
+                    *qv += b * *rv;
+                }
+            });
         }
-        self.grow_events = self
-            .lanes
-            .iter_mut()
-            .map(|ws| {
-                ws.check_steady();
-                ws.grow_events()
-            })
-            .sum();
+        self.grow_events = self.lanes.iter_mut().map(|ws| ws.regrow_events()).sum();
     }
 }

@@ -24,12 +24,16 @@
 //!   already-transferred state that must actually allocate bumps the
 //!   `device.transfer_grow` counter (mirroring `kernels.scratch_grow`).
 //! - **f32 halo traffic.** Each RHS evaluation exchanges ghost face
-//!   traces through the PR-3 split-phase halo on its own f32 wire lane
+//!   traces through the split-phase halo on its own f32 wire lane
 //!   ([`forust_dg::halo::TAG_HALO_EXCHANGE_F32`]) — half the payload
 //!   bytes of the f64 lane on top of the existing trace restriction.
-//! - **Worker-pool sweeps.** Blocks fan out over the rank's persistent
-//!   worker pool with deterministic chunking; each block writes only its
-//!   own RHS window, so device steps are bitwise identical across
+//! - **The shared time loop.** As in the paper, the device tier runs the
+//!   host's driver and swaps the kernel: a step is
+//!   [`forust_dg::Stepper::step`] at `R = f32` over [`BlockKernel`],
+//!   whose work unit is one SoA block. A block is *boundary* iff a live
+//!   lane of it has a ghost-face neighbor; the other blocks are swept
+//!   while the exchange is in flight. Each block writes only its own RHS
+//!   window, so device steps are bitwise identical across
 //!   `FORUST_WORKERS` settings (the f32 determinism contract).
 //!
 //! Accuracy follows the paper's methodology: the f64 engine run is the
@@ -40,29 +44,26 @@
 
 use forust::dim::D3;
 use forust_comm::Communicator;
-use forust_dg::halo::HaloData;
-use forust_dg::lserk::{LSERK_A, LSERK_B, LSERK_C};
-use forust_dg::mesh::{ElemRef, FaceConn};
+use forust_dg::halo::{HaloData, HaloExchange};
+use forust_dg::mesh::{DgMesh, ElemRef, FaceConn, FineSub};
 use forust_dg::real::demote_slice;
 use forust_dg::soa::{self, LANES};
+use forust_dg::stepper::{LaneScratch, RhsKernel, Stepper};
 use forust_dg::{FaceOp, FaceTables};
-use forust_pool::{DisjointSlice, PerLane};
+use forust_pool::DisjointSlice;
 
 use crate::model::ricker;
-use crate::solver::{penalty_flux, SeismicSolver, NCOMP};
-
-/// Blocks per pool chunk in the device sweeps. One block is already
-/// `LANES` elements of heavy work; unit grain keeps the chunk boundaries
-/// trivially deterministic (they depend only on the block count).
-const DEVICE_GRAIN: usize = 1;
+use crate::solver::{penalty_flux, soa_penalty_flux, SeismicSolver, NCOMP};
 
 /// Flush-to-zero scope for the f32 device sweeps. GPUs flush f32
 /// subnormals by default (CUDA's FTZ mode); on x86 we mirror that by
 /// setting the FTZ and DAZ bits of MXCSR for the duration of one device
-/// job. Without it, the near-zero fields early in a run (a ramping
-/// Ricker source times a Gaussian spatial decay) are subnormal in f32 —
-/// normal in the host's f64 — and every flux FLOP traps into the
-/// microcode assist path, which measured as a ~5x whole-step slowdown.
+/// job — every pool job the stepper runs for [`BlockKernel`], the RK
+/// update included (its f32 bits depend on it). Without it, the near-zero
+/// fields early in a run (a ramping Ricker source times a Gaussian spatial
+/// decay) are subnormal in f32 — normal in the host's f64 — and every
+/// flux FLOP traps into the microcode assist path, which measured as a
+/// ~5x whole-step slowdown.
 /// The previous control word is restored on drop so host f64 sweeps on
 /// the same pool threads keep strict IEEE subnormals.
 struct FtzScope {
@@ -100,54 +101,6 @@ impl Drop for FtzScope {
     }
 }
 
-/// A neighbor reference in device index space.
-#[derive(Debug, Clone, Copy)]
-enum NbrRef {
-    Local(u32),
-    Ghost(u32),
-}
-
-impl NbrRef {
-    fn of(r: &ElemRef) -> Self {
-        match r {
-            ElemRef::Local(i) => NbrRef::Local(*i),
-            ElemRef::Ghost(g) => NbrRef::Ghost(*g),
-        }
-    }
-}
-
-/// Per-(element, face) flux plan, precomputed at transfer time.
-#[derive(Debug, Clone)]
-enum FacePlan {
-    /// Traction-free boundary: mirror trace with negated strain.
-    Boundary,
-    /// Conforming or coarse neighbor: its trace through the face's
-    /// operator, in the f32 tables.
-    Conforming {
-        nbr: NbrRef,
-        nbr_face: u8,
-        op: FaceOp,
-    },
-    /// 2:1 mortar (my face is the coarse side): scalar per-lane path
-    /// through the f32 mortar table entry.
-    Mortar(u32),
-}
-
-/// One fine sub-face of a device mortar face (f32 copies of the host's
-/// `FineSub` + sub-face geometry).
-#[derive(Debug, Clone)]
-struct MortarSub {
-    nbr: NbrRef,
-    nbr_face: u8,
-    /// Takes my face trace to the fine neighbor's face nodes; its
-    /// transpose lifts the mortar flux back.
-    op: FaceOp,
-    /// Mortar-point normals, `[i * npf + j]`.
-    normal: Vec<f32>,
-    /// Mortar-point surface Jacobians (fine-face measure), `npf`.
-    sj: Vec<f32>,
-}
-
 /// Per-worker-lane scratch of the device sweeps (block-sized panels).
 #[derive(Debug, Default)]
 struct DeviceWs {
@@ -178,35 +131,36 @@ struct DeviceWs {
 }
 
 impl DeviceWs {
-    fn configure(&mut self, npe: usize, npf: usize) {
+    fn new(npe: usize, npf: usize) -> Self {
         let plane = npe * LANES;
         let fp = npf * LANES;
-        self.fields.resize(NCOMP * plane, 0.0);
-        self.grad.resize(NCOMP * 3 * plane, 0.0);
-        self.qm.resize(NCOMP * fp, 0.0);
-        self.qp.resize(NCOMP * fp, 0.0);
-        self.d.resize(NCOMP * fp, 0.0);
-        self.frho.resize(fp, 0.0);
-        self.flam.resize(fp, 0.0);
-        self.fmu.resize(fp, 0.0);
-        self.nbr.resize(npf, 0.0);
-        self.tmp.resize(npf, 0.0);
-        self.sweep.resize(npf, 0.0);
-        self.qms.resize(NCOMP * npf, 0.0);
-        self.qps.resize(NCOMP * npf, 0.0);
+        DeviceWs {
+            fields: vec![0.0; NCOMP * plane],
+            grad: vec![0.0; NCOMP * 3 * plane],
+            qm: vec![0.0; NCOMP * fp],
+            qp: vec![0.0; NCOMP * fp],
+            d: vec![0.0; NCOMP * fp],
+            frho: vec![0.0; fp],
+            flam: vec![0.0; fp],
+            fmu: vec![0.0; fp],
+            nbr: vec![0.0; npf],
+            tmp: vec![0.0; npf],
+            sweep: vec![0.0; npf],
+            qms: vec![0.0; NCOMP * npf],
+            qps: vec![0.0; NCOMP * npf],
+        }
     }
 }
 
-/// The device-resident state of one solver: lane-batched f32 SoA arenas
-/// with persistent capacity across transfers.
+/// Fixed-size panels, indexed only: they cannot regrow.
+impl LaneScratch for DeviceWs {}
+
+/// What the block kernel reads besides the state: the host solver's mesh
+/// data demoted to f32 and repacked lane-batched, written by
+/// [`DeviceState::transfer_from_host`]. Topology is not copied — the
+/// kernel reads the host mesh's [`FaceConn`]s directly.
 #[derive(Default)]
-pub struct DeviceState {
-    /// State, `((b * NCOMP + c) * npe + v) * LANES + l`.
-    q: Vec<f32>,
-    /// RK residual, same layout.
-    resid: Vec<f32>,
-    /// RHS / stage vector, same layout.
-    rhs: Vec<f32>,
+struct Arenas {
     /// Inverse Jacobian planes, `((b * 9 + (r*3+i)) * npe + v) * LANES + l`.
     inv: Vec<f32>,
     /// Material planes, `(b * npe + v) * LANES + l`.
@@ -223,15 +177,13 @@ pub struct DeviceState {
     /// Face lift coefficient `wf[j]·sj / (wv[v]·det[v])`,
     /// `((b*6 + f) * npf + j) * LANES + l` (zero on padding lanes).
     coef: Vec<f32>,
-    /// Per-stage local face-trace arena, `((e*6 + f) * NCOMP + c) * npf + j`
-    /// (neighbor-face lattice order). Extracted in a dedicated sweep so
-    /// that the flux sweep reads neighbor traces from contiguous panels
-    /// instead of lane-strided gathers across the whole `q` arena.
-    tr: Vec<f32>,
-    /// Per-(element, face) flux plans, `e * 6 + f`.
-    plans: Vec<FacePlan>,
-    /// Mortar table (indexed by `FacePlan::Mortar`).
-    mortars: Vec<Vec<MortarSub>>,
+    /// First sub-face slot of face `e * 6 + f` in the two mortar arenas;
+    /// meaningful where the mesh classifies the face `FineNbrs`.
+    mortar_off: Vec<u32>,
+    /// Mortar-point normals of 2:1 sub-faces, `(slot * 3 + i) * npf + j`.
+    mortar_nrm: Vec<f32>,
+    /// Mortar-point surface Jacobians (fine-face measure), `slot * npf + j`.
+    mortar_sj: Vec<f32>,
     /// f32 copy of the mesh's face tables: the whole operator arena.
     face_tab: FaceTables<f32>,
     /// f32 differentiation matrix, `np x np`.
@@ -244,13 +196,31 @@ pub struct DeviceState {
     src_dir: [f32; 3],
     np: usize,
     nel: usize,
-    nblocks: usize,
+    /// Blocks none of whose live lanes has a ghost-face neighbor, and the
+    /// rest: the stepper's interior and boundary unit lists.
+    interior: Vec<u32>,
+    boundary: Vec<u32>,
+}
+
+/// The device-resident state of one solver: lane-batched f32 SoA arenas
+/// with persistent capacity across transfers.
+#[derive(Default)]
+pub struct DeviceState {
+    /// State, `((b * NCOMP + c) * npe + v) * LANES + l`.
+    q: Vec<f32>,
+    /// Per-stage local face-trace arena, `((e*6 + f) * NCOMP + c) * npf + j`
+    /// (neighbor-face lattice order). Extracted in a dedicated sweep so
+    /// that the flux sweep reads neighbor traces from contiguous panels
+    /// instead of lane-strided gathers across the whole `q` arena.
+    tr: Vec<f32>,
+    arenas: Arenas,
+    /// The shared LSERK driver at `R = f32`: RK register, stage buffer
+    /// and one [`DeviceWs`] per pool lane.
+    stepper: Stepper<f32, DeviceWs>,
     /// Device clock (f64 so the Ricker stage times match the host's).
     pub time: f64,
     transfers: u64,
     transfer_grow: u64,
-    /// Per-worker-lane scratch, rebuilt when the pool width changes.
-    ws_lanes: PerLane<DeviceWs>,
 }
 
 /// Capacity-reusing resize: `true` if the buffer had to allocate.
@@ -284,20 +254,20 @@ impl DeviceState {
         let nblocks = soa::num_blocks(nel);
         let plane = npe * LANES;
         let fp = npf * LANES;
+        let a = &mut self.arenas;
 
         let first = self.transfers == 0;
         let mut grew = false;
         grew |= fit(&mut self.q, nblocks * NCOMP * plane);
-        grew |= fit(&mut self.resid, nblocks * NCOMP * plane);
-        grew |= fit(&mut self.rhs, nblocks * NCOMP * plane);
-        grew |= fit(&mut self.inv, nblocks * 9 * plane);
-        grew |= fit(&mut self.rho, nblocks * plane);
-        grew |= fit(&mut self.lam, nblocks * plane);
-        grew |= fit(&mut self.mu, nblocks * plane);
-        grew |= fit(&mut self.det, nblocks * plane);
-        grew |= fit(&mut self.srcw, nblocks * plane);
-        grew |= fit(&mut self.nrm, nblocks * 6 * 3 * fp);
-        grew |= fit(&mut self.coef, nblocks * 6 * fp);
+        grew |= self.stepper.fit(nblocks * NCOMP * plane);
+        grew |= fit(&mut a.inv, nblocks * 9 * plane);
+        grew |= fit(&mut a.rho, nblocks * plane);
+        grew |= fit(&mut a.lam, nblocks * plane);
+        grew |= fit(&mut a.mu, nblocks * plane);
+        grew |= fit(&mut a.det, nblocks * plane);
+        grew |= fit(&mut a.srcw, nblocks * plane);
+        grew |= fit(&mut a.nrm, nblocks * 6 * 3 * fp);
+        grew |= fit(&mut a.coef, nblocks * 6 * fp);
         grew |= fit(&mut self.tr, nblocks * LANES * 6 * NCOMP * npf);
         if grew && !first {
             self.transfer_grow += 1;
@@ -306,16 +276,12 @@ impl DeviceState {
         self.transfers += 1;
 
         // Shared per-mesh constants.
-        demote_slice(&re.diff.data, &mut self.diff);
-        demote_slice(&re.tensor_weights(3), &mut self.wv);
-        demote_slice(&re.tensor_weights(2), &mut self.wf);
-        self.face_idx = re.face_node_table(3);
-        self.face_tab = re.face_tables.cast();
-        self.src_dir = [
-            s.config.src_dir[0] as f32,
-            s.config.src_dir[1] as f32,
-            s.config.src_dir[2] as f32,
-        ];
+        demote_slice(&re.diff.data, &mut a.diff);
+        demote_slice(&re.tensor_weights(3), &mut a.wv);
+        demote_slice(&re.tensor_weights(2), &mut a.wf);
+        a.face_idx = re.face_node_table(3);
+        a.face_tab = re.face_tables.cast();
+        a.src_dir = s.config.src_dir.map(|x| x as f32);
 
         // Volume arenas: identity metric / unit material on padding
         // lanes keeps their (all-zero) state inert without NaNs.
@@ -328,93 +294,77 @@ impl DeviceState {
                         let ivj = s.geo.elem_inv(e)[v];
                         for r in 0..3 {
                             for i in 0..3 {
-                                self.inv[((b * 9 + (r * 3 + i)) * npe + v) * LANES + l] =
+                                a.inv[((b * 9 + (r * 3 + i)) * npe + v) * LANES + l] =
                                     ivj[r][i] as f32;
                             }
                         }
                         let m = s.mat[e * npe + v];
-                        self.rho[x] = m[0] as f32;
-                        self.lam[x] = m[1] as f32;
-                        self.mu[x] = m[2] as f32;
-                        self.det[x] = s.geo.elem_det(e)[v] as f32;
-                        self.srcw[x] = s.srcw[e * npe + v] as f32;
+                        a.rho[x] = m[0] as f32;
+                        a.lam[x] = m[1] as f32;
+                        a.mu[x] = m[2] as f32;
+                        a.det[x] = s.geo.elem_det(e)[v] as f32;
+                        a.srcw[x] = s.srcw[e * npe + v] as f32;
                         for c in 0..NCOMP {
                             self.q[((b * NCOMP + c) * npe + v) * LANES + l] =
                                 s.q[(e * NCOMP + c) * npe + v] as f32;
                         }
                     } else {
                         for i in 0..3 {
-                            self.inv[((b * 9 + (i * 3 + i)) * npe + v) * LANES + l] = 1.0;
+                            a.inv[((b * 9 + (i * 3 + i)) * npe + v) * LANES + l] = 1.0;
                         }
-                        self.rho[x] = 1.0;
-                        self.lam[x] = 1.0;
-                        self.mu[x] = 1.0;
-                        self.det[x] = 1.0;
+                        a.rho[x] = 1.0;
+                        a.lam[x] = 1.0;
+                        a.mu[x] = 1.0;
+                        a.det[x] = 1.0;
                     }
                 }
             }
         }
 
-        // Face arenas + flux plans. Padding lanes get a unit x-normal
-        // and zero lift coefficient.
-        self.plans.clear();
-        self.mortars.clear();
+        // Face arenas, and the f32 geometry of the 2:1 sub-faces. Padding
+        // lanes get a unit x-normal and zero lift coefficient.
+        a.mortar_off.clear();
+        a.mortar_nrm.clear();
+        a.mortar_sj.clear();
         for e in 0..nel {
             let b = e / LANES;
             let l = e % LANES;
             for f in 0..6 {
                 let fg = s.geo.face(e, f, s.mesh.nfaces);
-                let fidx = &self.face_idx[f];
+                let fidx = &a.face_idx[f];
                 for j in 0..npf {
                     for i in 0..3 {
-                        self.nrm[(((b * 6 + f) * 3 + i) * npf + j) * LANES + l] =
+                        a.nrm[(((b * 6 + f) * 3 + i) * npf + j) * LANES + l] =
                             fg.normal[j][i] as f32;
                     }
                     let v = fidx[j];
                     let x = (b * npe + v) * LANES + l;
-                    self.coef[((b * 6 + f) * npf + j) * LANES + l] =
-                        self.wf[j] * fg.sj[j] as f32 / (self.wv[v] * self.det[x]);
+                    a.coef[((b * 6 + f) * npf + j) * LANES + l] =
+                        a.wf[j] * fg.sj[j] as f32 / (a.wv[v] * a.det[x]);
                 }
-                let plan = match s.mesh.face(e, f) {
-                    FaceConn::Boundary => FacePlan::Boundary,
-                    FaceConn::Conforming { nbr, nbr_face, op }
-                    | FaceConn::CoarseNbr { nbr, nbr_face, op } => FacePlan::Conforming {
-                        nbr: NbrRef::of(nbr),
-                        nbr_face: *nbr_face as u8,
-                        op: *op,
-                    },
-                    FaceConn::FineNbrs { subs } => {
-                        let devsubs: Vec<MortarSub> = subs
-                            .iter()
-                            .enumerate()
-                            .map(|(si, sub)| {
-                                let sg = &fg.subs[si];
-                                let mut normal = vec![0.0f32; 3 * npf];
-                                for j in 0..npf {
-                                    for i in 0..3 {
-                                        normal[i * npf + j] = sg.normal[j][i] as f32;
-                                    }
-                                }
-                                MortarSub {
-                                    nbr: NbrRef::of(&sub.nbr),
-                                    nbr_face: sub.nbr_face as u8,
-                                    op: sub.op,
-                                    normal,
-                                    sj: sg.sj.iter().map(|&x| x as f32).collect(),
-                                }
-                            })
-                            .collect();
-                        self.mortars.push(devsubs);
-                        FacePlan::Mortar((self.mortars.len() - 1) as u32)
+                a.mortar_off.push((a.mortar_sj.len() / npf) as u32);
+                for sg in &fg.subs {
+                    for i in 0..3 {
+                        a.mortar_nrm.extend(sg.normal.iter().map(|n| n[i] as f32));
                     }
-                };
-                self.plans.push(plan);
+                    a.mortar_sj.extend(sg.sj.iter().map(|&x| x as f32));
+                }
             }
         }
 
-        self.np = np;
-        self.nel = nel;
-        self.nblocks = nblocks;
+        // A block is boundary iff a live lane of it is a boundary element
+        // (the halo lists them in ascending order); the others read no
+        // ghost trace and are swept while the exchange is in flight.
+        a.boundary.clear();
+        a.boundary
+            .extend(s.halo.boundary().iter().map(|&e| e / LANES as u32));
+        a.boundary.dedup();
+        a.interior.clear();
+        a.interior
+            .extend((0..nblocks as u32).filter(|b| a.boundary.binary_search(b).is_err()));
+
+        a.np = np;
+        a.nel = nel;
         self.time = s.time;
     }
 
@@ -434,20 +384,21 @@ impl DeviceState {
 
     /// Bytes moved by the host→device transfer (bandwidth reporting).
     pub fn transfer_bytes(&self) -> usize {
+        let a = &self.arenas;
         4 * (self.q.len()
-            + self.inv.len()
-            + self.rho.len() * 3
-            + self.det.len()
-            + self.srcw.len()
-            + self.nrm.len()
-            + self.coef.len())
+            + a.inv.len()
+            + a.rho.len() * 3
+            + a.det.len()
+            + a.srcw.len()
+            + a.nrm.len()
+            + a.coef.len())
     }
 
     /// The live lanes of `arena` (state layout) in the host solver's
     /// order `(e * NCOMP + c) * npe + v`.
     fn live<'a>(&'a self, arena: &'a [f32]) -> impl Iterator<Item = f32> + 'a {
-        let chunk = NCOMP * self.np * self.np * self.np;
-        (0..self.nel * chunk).map(move |i| {
+        let chunk = NCOMP * self.arenas.np.pow(3);
+        (0..self.arenas.nel * chunk).map(move |i| {
             let (e, cv) = (i / chunk, i % chunk);
             arena[((e / LANES) * chunk + cv) * LANES + e % LANES]
         })
@@ -462,11 +413,12 @@ impl DeviceState {
         s.time = self.time;
     }
 
-    /// Raw bits of the live lanes of the f32 state (q then resid), for
-    /// determinism assertions: a device step must be bitwise invariant
-    /// of worker count, lane batching and block placement.
+    /// Raw bits of the live lanes of the f32 state (q then the RK
+    /// register as the last step left it), for determinism assertions: a
+    /// device step must be bitwise invariant of worker count, lane
+    /// batching and block placement, and a pure function of `(q, t)`.
     pub fn state_bits(&self) -> Vec<u32> {
-        let arenas = [&self.q, &self.resid];
+        let arenas = [&self.q[..], self.stepper.register()];
         arenas
             .iter()
             .flat_map(|a| self.live(a))
@@ -498,122 +450,118 @@ impl DeviceState {
         num / den.max(1e-300)
     }
 
-    fn ensure_ws(&mut self) {
-        let width = forust_pool::configured_workers();
-        let npe = self.np * self.np * self.np;
-        let npf = self.np * self.np;
-        if self.ws_lanes.len() != width {
-            self.ws_lanes = PerLane::new(width, |_| DeviceWs::default());
-        }
-        for ws in self.ws_lanes.iter_mut() {
-            ws.configure(npe, npf);
-        }
-    }
-
-    /// One full LSERK RK step on the device. The host solver supplies
-    /// the (static) mesh topology, the halo exchange and `dt`; all state
-    /// arithmetic runs in f32 on the SoA arenas, and the per-stage ghost
-    /// trace exchange travels on the f32 wire lane.
+    /// One full LSERK step on the device: the shared [`Stepper`] over
+    /// [`BlockKernel`]. The host solver supplies the (static) mesh
+    /// topology, the halo exchange and `dt`; all state arithmetic runs in
+    /// f32 on the SoA arenas, and the per-stage ghost trace exchange
+    /// travels on the f32 wire lane, overlapped with the interior blocks.
     pub fn step(&mut self, s: &SeismicSolver, comm: &impl Communicator) {
         let _span = forust_obs::span!("device.step");
-        self.ensure_ws();
-        let dt = s.dt;
-        let dtf = dt as f32;
-        for stage in 0..5 {
-            let ts = self.time + LSERK_C[stage] * dt;
-            self.compute_rhs(s, comm, ts);
-            let (a, b) = (LSERK_A[stage] as f32, LSERK_B[stage] as f32);
-            let (q, resid, rhs) = (&mut self.q, &mut self.resid, &self.rhs);
-            let qs = DisjointSlice::new(q);
-            let rs = DisjointSlice::new(resid);
-            let n = rhs.len();
-            forust_pool::par_for_each(soa::num_blocks(n), 1024, |range, _| {
-                let _ftz = FtzScope::new();
-                let lo = (range.start * LANES).min(n);
-                let hi = (range.end * LANES).min(n);
-                // SAFETY: chunks are disjoint ranges of the arenas.
-                let qw = unsafe { qs.slice(lo..hi) };
-                let rw = unsafe { rs.slice(lo..hi) };
-                for (i, (qv, rv)) in qw.iter_mut().zip(rw.iter_mut()).enumerate() {
-                    *rv = a * *rv + dtf * rhs[lo + i];
-                    *qv += b * *rv;
-                }
-            });
-        }
-        self.time += dt;
+        let mut kernel = BlockKernel {
+            a: &self.arenas,
+            mesh: &s.mesh,
+            f0: s.config.f0,
+            tr: &mut self.tr,
+        };
+        self.stepper
+            .step(comm, &s.halo, &mut self.q, self.time, s.dt, &mut kernel);
+        self.time += s.dt;
+    }
+}
+
+/// The device tier's kernel: the lane-batched f32 elastic RHS of one SoA
+/// block (the "thread block" kernel), over the transferred arenas and the
+/// host mesh's face classification.
+struct BlockKernel<'a> {
+    a: &'a Arenas,
+    mesh: &'a DgMesh<D3>,
+    /// Source peak frequency.
+    f0: f64,
+    tr: &'a mut [f32],
+}
+
+/// One unit is one block: `NCOMP * npe * LANES` values, lanes innermost.
+impl RhsKernel<D3> for BlockKernel<'_> {
+    type Real = f32;
+    type Scratch = DeviceWs;
+    const NCOMP: usize = NCOMP;
+    /// One block is already `LANES` elements of heavy work.
+    const GRAIN: usize = 1;
+
+    fn unit_len(&self) -> usize {
+        NCOMP * self.a.np.pow(3) * LANES
     }
 
-    /// One device RHS evaluation at stage time `t`: f32 halo exchange,
-    /// then a lane-batched sweep over all blocks on the worker pool.
-    fn compute_rhs(&mut self, s: &SeismicSolver, comm: &impl Communicator, t: f64) {
-        let np = self.np;
-        let npe = np * np * np;
-        let q = &self.q;
-        // f32 face-trace exchange, packed straight from the SoA arena.
-        let get = |e: usize, c, n| q[(((e / LANES) * NCOMP + c) * npe + n) * LANES + (e % LANES)];
-        let traces = s.halo.begin_with(comm, get, NCOMP).finish();
-        let amp = ricker(t, s.config.f0, 1.2 / s.config.f0) as f32;
-        // Trace-extraction sweep: compact every element-face's own trace
-        // into contiguous panels. The flux sweep then reads a neighbor
-        // trace as one 64-byte run per component instead of `npf`
-        // lane-strided loads scattered across the `q` arena — that
-        // gather pattern dominated the whole device step.
-        let npf = np * np;
-        let mut tr = std::mem::take(&mut self.tr);
-        {
-            let slots = DisjointSlice::new(&mut tr);
-            let chunk = LANES * 6 * NCOMP * npf;
-            let this = &*self;
-            forust_pool::par_for_each(this.nblocks, DEVICE_GRAIN, |range, _| {
-                for b in range {
-                    // SAFETY: distinct blocks own disjoint trace windows.
-                    let out = unsafe { slots.slice(b * chunk..(b + 1) * chunk) };
-                    this.extract_traces(b, out);
-                }
-            });
-        }
-        self.tr = tr;
-        let mut rhs = std::mem::take(&mut self.rhs);
-        {
-            let slots = DisjointSlice::new(&mut rhs);
-            let chunk = NCOMP * npe * LANES;
-            let this = &*self;
-            forust_pool::par_for_each(this.nblocks, DEVICE_GRAIN, |range, lane| {
-                let _ftz = FtzScope::new();
-                // SAFETY: the pool runs each lane on one thread per job.
-                let ws = unsafe { this.ws_lanes.lane(lane) };
-                for b in range {
-                    // SAFETY: distinct blocks own disjoint RHS windows.
-                    let out = unsafe { slots.slice(b * chunk..(b + 1) * chunk) };
-                    this.rhs_block(b, amp, &traces, ws, out);
-                }
-            });
-        }
-        drop(traces);
-        self.rhs = rhs;
-        forust_obs::counter_add("device.rhs_elements", self.nel as u64);
+    fn new_scratch(&self) -> DeviceWs {
+        DeviceWs::new(self.a.np.pow(3), self.a.np.pow(2))
     }
 
-    /// Lane-batched RHS of one SoA block (the "thread block" kernel).
-    fn rhs_block(
+    fn accessor<'a>(&'a self, q: &'a [f32]) -> impl Fn(usize, usize, usize) -> f32 + Sync + 'a {
+        let npe = self.a.np.pow(3);
+        move |e, c, n| q[(((e / LANES) * NCOMP + c) * npe + n) * LANES + e % LANES]
+    }
+
+    fn units<'a>(&'a self, _halo: &'a HaloExchange<D3>) -> [&'a [u32]; 2] {
+        [&self.a.interior, &self.a.boundary]
+    }
+
+    fn fp_scope() -> impl Sized {
+        FtzScope::new()
+    }
+
+    /// Trace-extraction sweep: compact every live element-face's own
+    /// trace out of the SoA state into contiguous panels, one window per
+    /// block. The flux sweep then reads a neighbor trace as one 64-byte
+    /// run per component instead of `npf` lane-strided loads scattered
+    /// across the `q` arena — that gather pattern dominated the whole
+    /// device step.
+    fn pre_stage(&mut self, q: &[f32]) {
+        let a = self.a;
+        let (npe, npf) = (a.np.pow(3), a.np.pow(2));
+        let chunk = LANES * 6 * NCOMP * npf;
+        let slots = DisjointSlice::new(self.tr);
+        forust_pool::par_for_each(soa::num_blocks(a.nel), Self::GRAIN, |range, _| {
+            for b in range {
+                // SAFETY: distinct blocks own disjoint trace windows.
+                let out = unsafe { slots.slice(b * chunk..(b + 1) * chunk) };
+                for l in 0..LANES.min(a.nel - b * LANES) {
+                    for (f, fidx) in a.face_idx.iter().enumerate() {
+                        for c in 0..NCOMP {
+                            let dst = &mut out[((l * 6 + f) * NCOMP + c) * npf..][..npf];
+                            let src = &q[(b * NCOMP + c) * npe * LANES + l..];
+                            for (d, &v) in dst.iter_mut().zip(fidx) {
+                                *d = src[v * LANES];
+                            }
+                        }
+                    }
+                }
+            }
+        });
+    }
+
+    /// Lane-batched RHS of block `b`.
+    fn rhs_unit(
         &self,
+        q: &[f32],
         b: usize,
-        amp: f32,
-        traces: &HaloData<'_, D3, f32>,
+        t: f64,
+        traces: Option<&HaloData<'_, D3, f32>>,
         ws: &mut DeviceWs,
         out: &mut [f32],
     ) {
-        let np = self.np;
+        let a = self.a;
+        let np = a.np;
         let npe = np * np * np;
         let npf = np * np;
         let plane = npe * LANES;
         let fp = npf * LANES;
-        let qb = &self.q[b * NCOMP * plane..(b + 1) * NCOMP * plane];
-        let rho = &self.rho[b * plane..(b + 1) * plane];
-        let lam = &self.lam[b * plane..(b + 1) * plane];
-        let mu = &self.mu[b * plane..(b + 1) * plane];
-        let srcw = &self.srcw[b * plane..(b + 1) * plane];
-        let inv = &self.inv[b * 9 * plane..(b + 1) * 9 * plane];
+        let qb = &q[b * NCOMP * plane..(b + 1) * NCOMP * plane];
+        let rho = &a.rho[b * plane..(b + 1) * plane];
+        let lam = &a.lam[b * plane..(b + 1) * plane];
+        let mu = &a.mu[b * plane..(b + 1) * plane];
+        let srcw = &a.srcw[b * plane..(b + 1) * plane];
+        let inv = &a.inv[b * 9 * plane..(b + 1) * 9 * plane];
+        let amp = ricker(t, self.f0, 1.2 / self.f0) as f32;
 
         // Gradient input: velocity planes verbatim, stress planes from
         // the strain components (lane-batched Hooke's law).
@@ -634,7 +582,7 @@ impl DeviceState {
                 sig[5 * plane + x] = m2 * e_o[2 * plane + x];
             }
         }
-        soa::soa_batched_gradient(&self.diff, np, &ws.fields, NCOMP, &mut ws.grad);
+        soa::soa_batched_gradient(&a.diff, np, &ws.fields, NCOMP, &mut ws.grad);
 
         // Volume contraction + source, fully lane-batched.
         let g = &ws.grad;
@@ -658,7 +606,7 @@ impl DeviceState {
             let gvz = [dphys(2, 0), dphys(2, 1), dphys(2, 2)];
             let src = amp * srcw[x] / rh;
             for c in 0..3 {
-                out[c * plane + x] = dv[c] + src * self.src_dir[c];
+                out[c * plane + x] = dv[c] + src * a.src_dir[c];
             }
             out[3 * plane + x] = gvx[0];
             out[4 * plane + x] = gvy[1];
@@ -670,7 +618,7 @@ impl DeviceState {
 
         // Surface terms.
         for f in 0..6 {
-            let fidx = &self.face_idx[f];
+            let fidx = &a.face_idx[f];
             // My trace panels + face-node material planes (row copies,
             // unit stride in the lane dimension).
             for (j, &v) in fidx.iter().enumerate() {
@@ -684,20 +632,21 @@ impl DeviceState {
                     .copy_from_slice(&lam[v * LANES..(v + 1) * LANES]);
                 ws.fmu[j * LANES..(j + 1) * LANES].copy_from_slice(&mu[v * LANES..(v + 1) * LANES]);
             }
-            // Neighbor trace panels, per lane by plan. Mortar and
-            // padding lanes copy `qm` so the batched flux is a no-op
-            // for them (equal traces ⇒ zero jump).
+            // Neighbor trace panels, per lane by the mesh's face
+            // classification. Mortar and padding lanes copy `qm` so the
+            // batched flux is a no-op for them (equal traces ⇒ zero jump).
             for l in 0..LANES {
                 let e = b * LANES + l;
-                match (e < self.nel).then(|| &self.plans[e * 6 + f]) {
-                    None | Some(FacePlan::Mortar(_)) => {
+                match (e < a.nel).then(|| self.mesh.face(e, f)) {
+                    None | Some(FaceConn::FineNbrs { .. }) => {
                         for c in 0..NCOMP {
                             for j in 0..npf {
                                 ws.qp[(c * npf + j) * LANES + l] = ws.qm[(c * npf + j) * LANES + l];
                             }
                         }
                     }
-                    Some(FacePlan::Boundary) => {
+                    // Traction-free: mirror trace with negated strain.
+                    Some(FaceConn::Boundary) => {
                         for c in 0..NCOMP {
                             for j in 0..npf {
                                 let s0 = ws.qm[(c * npf + j) * LANES + l];
@@ -705,12 +654,15 @@ impl DeviceState {
                             }
                         }
                     }
-                    Some(FacePlan::Conforming { nbr, nbr_face, op }) => {
+                    Some(
+                        FaceConn::Conforming { nbr, nbr_face, op }
+                        | FaceConn::CoarseNbr { nbr, nbr_face, op },
+                    ) => {
                         for c in 0..NCOMP {
                             self.nbr_trace(
                                 *op,
                                 *nbr,
-                                *nbr_face as usize,
+                                *nbr_face,
                                 c,
                                 traces,
                                 &mut ws.sweep,
@@ -724,11 +676,11 @@ impl DeviceState {
                 }
             }
             // Lane-batched penalty flux + lift of the non-divergent lanes.
-            let nrm = &self.nrm[(b * 6 + f) * 3 * fp..((b * 6 + f) * 3 + 3) * fp];
-            soa::soa_penalty_flux(
+            let nrm = &a.nrm[(b * 6 + f) * 3 * fp..((b * 6 + f) * 3 + 3) * fp];
+            soa_penalty_flux(
                 npf, &ws.qm, &ws.qp, nrm, &ws.frho, &ws.flam, &ws.fmu, &mut ws.d,
             );
-            let coef = &self.coef[(b * 6 + f) * fp..(b * 6 + f + 1) * fp];
+            let coef = &a.coef[(b * 6 + f) * fp..(b * 6 + f + 1) * fp];
             for (j, &v) in fidx.iter().enumerate() {
                 let cj = &coef[j * LANES..(j + 1) * LANES];
                 for c in 0..NCOMP {
@@ -740,18 +692,16 @@ impl DeviceState {
                 }
             }
             // Divergent lanes: scalar f32 mortar path (runtime np).
-            for l in 0..LANES {
-                let e = b * LANES + l;
-                if e >= self.nel {
-                    continue;
-                }
-                if let FacePlan::Mortar(mi) = &self.plans[e * 6 + f] {
-                    self.mortar_lane(b, l, f, *mi, traces, ws, out);
+            for l in 0..LANES.min(a.nel - b * LANES) {
+                if let FaceConn::FineNbrs { subs } = self.mesh.face(b * LANES + l, f) {
+                    self.mortar_lane(b, l, f, subs, traces, ws, out);
                 }
             }
         }
     }
+}
 
+impl BlockKernel<'_> {
     /// Scalar f32 mortar flux of one lane's coarse 2:1 face — the
     /// runtime-np port of the host's `FineNbrs` arm: interpolate my
     /// trace to each fine sub-face, flux against the fine neighbor's
@@ -762,19 +712,23 @@ impl DeviceState {
         b: usize,
         l: usize,
         f: usize,
-        mi: u32,
-        traces: &HaloData<'_, D3, f32>,
+        subs: &[FineSub],
+        traces: Option<&HaloData<'_, D3, f32>>,
         ws: &mut DeviceWs,
         out: &mut [f32],
     ) {
-        let np = self.np;
+        let a = self.a;
+        let np = a.np;
         let npe = np * np * np;
         let npf = np * np;
         let plane = npe * LANES;
-        let fidx = &self.face_idx[f];
-        let det = &self.det[b * plane..(b + 1) * plane];
-        let tab = &self.face_tab;
-        for sub in &self.mortars[mi as usize] {
+        let fidx = &a.face_idx[f];
+        let det = &a.det[b * plane..(b + 1) * plane];
+        let tab = &a.face_tab;
+        let slot0 = a.mortar_off[(b * LANES + l) * 6 + f] as usize;
+        for (si, sub) in subs.iter().enumerate() {
+            let normal = &a.mortar_nrm[(slot0 + si) * 3 * npf..][..3 * npf];
+            let sj = &a.mortar_sj[(slot0 + si) * npf..][..npf];
             for c in 0..NCOMP {
                 // My trace at the fine mortar points.
                 for j in 0..npf {
@@ -787,7 +741,7 @@ impl DeviceState {
                 self.nbr_trace(
                     FaceOp::IDENTITY,
                     sub.nbr,
-                    sub.nbr_face as usize,
+                    sub.nbr_face,
                     c,
                     traces,
                     &mut ws.sweep,
@@ -797,14 +751,9 @@ impl DeviceState {
             // Quadrature-weighted flux jump per mortar point, in place of
             // my mortar trace.
             for j in 0..npf {
-                let vmat = fidx[j];
-                let x = vmat * LANES + l;
-                let m = [
-                    self.rho[b * plane + x],
-                    self.lam[b * plane + x],
-                    self.mu[b * plane + x],
-                ];
-                let n = [sub.normal[j], sub.normal[npf + j], sub.normal[2 * npf + j]];
+                let x = b * plane + fidx[j] * LANES + l;
+                let m = [a.rho[x], a.lam[x], a.mu[x]];
+                let n = [normal[j], normal[npf + j], normal[2 * npf + j]];
                 let mut qmj = [0.0f32; NCOMP];
                 let mut qpj = [0.0f32; NCOMP];
                 for c in 0..NCOMP {
@@ -812,7 +761,7 @@ impl DeviceState {
                     qpj[c] = ws.qps[c * npf + j];
                 }
                 let d = penalty_flux(&qmj, &qpj, n, m);
-                let w = self.wf[j] * sub.sj[j];
+                let w = a.wf[j] * sj[j];
                 for (c, dc) in d.iter().enumerate() {
                     ws.qms[c * npf + j] = w * dc;
                 }
@@ -822,27 +771,7 @@ impl DeviceState {
                 sub.op
                     .apply_transpose(tab, 3, g, &mut ws.sweep, &mut ws.nbr);
                 for (&v, h) in fidx.iter().zip(&ws.nbr) {
-                    out[c * plane + v * LANES + l] += h / (self.wv[v] * det[v * LANES + l]);
-                }
-            }
-        }
-    }
-
-    /// Compact one block's live-lane face traces out of the SoA `q`
-    /// arena into the contiguous trace arena (one window per block).
-    fn extract_traces(&self, b: usize, out: &mut [f32]) {
-        let np = self.np;
-        let npe = np * np * np;
-        let npf = np * np;
-        let live = self.nel.saturating_sub(b * LANES).min(LANES);
-        for l in 0..live {
-            for (f, fidx) in self.face_idx.iter().enumerate() {
-                for c in 0..NCOMP {
-                    let dst = &mut out[((l * 6 + f) * NCOMP + c) * npf..][..npf];
-                    let src = &self.q[(b * NCOMP + c) * npe * LANES + l..];
-                    for (d, &v) in dst.iter_mut().zip(fidx.iter()) {
-                        *d = src[v * LANES];
-                    }
+                    out[c * plane + v * LANES + l] += h / (a.wv[v] * det[v * LANES + l]);
                 }
             }
         }
@@ -855,22 +784,24 @@ impl DeviceState {
     fn nbr_trace(
         &self,
         op: FaceOp,
-        nbr: NbrRef,
+        nbr: ElemRef,
         nbr_face: usize,
         c: usize,
-        traces: &HaloData<'_, D3, f32>,
+        traces: Option<&HaloData<'_, D3, f32>>,
         scratch: &mut [f32],
         out: &mut [f32],
     ) {
-        let npf = self.np * self.np;
-        let tab = &self.face_tab;
+        let npf = self.a.np * self.a.np;
+        let tab = &self.a.face_tab;
         match nbr {
-            NbrRef::Local(i) => {
+            ElemRef::Local(i) => {
                 let theirs = &self.tr[((i as usize * 6 + nbr_face) * NCOMP + c) * npf..][..npf];
                 op.apply(tab, 3, theirs, scratch, out);
             }
-            NbrRef::Ghost(g) => {
-                let (trace, pos) = traces.face_source(g as usize, nbr_face, c);
+            ElemRef::Ghost(g) => {
+                let (trace, pos) = traces
+                    .expect("interior block classified with a ghost face")
+                    .face_source(g as usize, nbr_face, c);
                 op.apply_indexed(tab, 3, trace, pos, scratch, out);
             }
         }

@@ -24,7 +24,8 @@ use forust_dg::kernels::{self, KernelWorkspace};
 use forust_dg::lserk::lserk_step;
 use forust_dg::mesh::{DgMesh, ElemRef, FaceConn};
 use forust_dg::real::Real;
-use forust_dg::stepper::{ElementKernel, Stepper};
+use forust_dg::soa::LANES;
+use forust_dg::stepper::{RhsKernel, Stepper};
 use forust_dg::FaceOp;
 use forust_geom::Mapping;
 
@@ -203,7 +204,7 @@ impl SeismicSolver {
         let meshing = meshing_t0.map_or(Duration::ZERO, |t0| t0.elapsed());
 
         let re = &mesh.re;
-        let (npe, npf) = (re.nodes_per_elem(3), re.nodes_per_face(3));
+        let npe = re.nodes_per_elem(3);
         let (q, time, steps) =
             restored.unwrap_or_else(|| (vec![0.0; mesh.num_elements() * npe * NCOMP], 0.0, 0));
         let mat: Vec<[f64; 3]> = geo
@@ -228,7 +229,7 @@ impl SeismicSolver {
             })
             .collect();
         let mut s = SeismicSolver {
-            stepper: Stepper::new(npe, npf, NCOMP),
+            stepper: Stepper::default(),
             srcw,
             wv: re.tensor_weights(3),
             wf: re.tensor_weights(2),
@@ -305,8 +306,8 @@ impl SeismicSolver {
             let _span = forust_obs::span!("seismic.step");
             let t0 = Instant::now();
             let (time, dt) = (self.time, self.dt);
-            let (stepper, halo, q, kernel) = self.parts();
-            stepper.step(comm, halo, q, time, dt, &kernel);
+            let (stepper, halo, q, mut kernel) = self.parts();
+            stepper.step(comm, halo, q, time, dt, &mut kernel);
             self.time += self.dt;
             self.timers.wave_prop += t0.elapsed();
             self.timers.steps += 1;
@@ -443,8 +444,9 @@ fn sig_n<R: Real>(sg: &[R; 6], n: [R; 3]) -> [R; 3] {
 /// The impedance-weighted penalty flux at one face point: the RHS jump of
 /// all nine components for interior state `qm`, exterior state `qp`,
 /// outward normal `n` and material `m = (rho, lambda, mu)`. One
-/// definition for the host engine and the device tier's scalar mortar
-/// lanes; the oracle keeps its own copy, on purpose.
+/// definition for the host engine and both device paths (lane-batched
+/// through [`soa_penalty_flux`], scalar on mortar lanes); the oracle
+/// keeps its own copy, on purpose.
 #[inline(always)]
 pub(crate) fn penalty_flux<R: Real>(
     qm: &[R; NCOMP],
@@ -475,6 +477,49 @@ pub(crate) fn penalty_flux<R: Real>(
     d
 }
 
+/// [`penalty_flux`] over one face of a SoA block, `LANES` elements at a
+/// time: the device tier's batched form of the same statement.
+///
+/// Inputs are `[quantity][face node][lane]` panels of `npf * LANES`
+/// values each: `qm`/`qp` carry the 9 trace components of my side and
+/// the neighbor side, `nrm` the three unit normal components, and
+/// `rho`/`lam`/`mu` the face-node material. Writes the 9 jump components
+/// `d` (same panel layout); the caller lifts them with its per-lane
+/// quadrature coefficient. A lane whose `qp == qm` produces exactly
+/// `d == 0` (identical traces ⇒ zero jump), which is how divergent lanes
+/// (mortar faces, padding) opt out of the batched flux.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn soa_penalty_flux<R: Real>(
+    npf: usize,
+    qm: &[R],
+    qp: &[R],
+    nrm: &[R],
+    rho: &[R],
+    lam: &[R],
+    mu: &[R],
+    d: &mut [R],
+) {
+    let fp = npf * LANES;
+    assert_eq!(d.len(), NCOMP * fp);
+    let qmc: [&[R]; NCOMP] = std::array::from_fn(|c| &qm[c * fp..(c + 1) * fp]);
+    let qpc: [&[R]; NCOMP] = std::array::from_fn(|c| &qp[c * fp..(c + 1) * fp]);
+    let n: [&[R]; 3] = std::array::from_fn(|i| &nrm[i * fp..(i + 1) * fp]);
+    let (rho, lam, mu) = (&rho[..fp], &lam[..fp], &mu[..fp]);
+    for x in 0..fp {
+        let qmx = std::array::from_fn(|c| qmc[c][x]);
+        let qpx = std::array::from_fn(|c| qpc[c][x]);
+        let dx = penalty_flux(
+            &qmx,
+            &qpx,
+            [n[0][x], n[1][x], n[2][x]],
+            [rho[x], lam[x], mu[x]],
+        );
+        for (c, dc) in dx.into_iter().enumerate() {
+            d[c * fp + x] = dc;
+        }
+    }
+}
+
 /// The elastic element kernel (velocity–strain volume terms, Ricker
 /// source, impedance-weighted penalty flux, mortar-consistent on 2:1
 /// faces): a borrowed view of what the RHS of one element reads.
@@ -489,9 +534,23 @@ struct Kernel<'a> {
     face_idx: &'a [Vec<usize>],
 }
 
-impl ElementKernel<D3> for Kernel<'_> {
+/// One unit is one element: `npe * NCOMP` values, component-major.
+impl RhsKernel<D3> for Kernel<'_> {
+    type Real = f64;
+    type Scratch = KernelWorkspace;
     const NCOMP: usize = NCOMP;
     const GRAIN: usize = 4;
+
+    fn unit_len(&self) -> usize {
+        self.mesh.re.nodes_per_elem(3) * NCOMP
+    }
+
+    fn new_scratch(&self) -> KernelWorkspace {
+        let re = &self.mesh.re;
+        let mut ws = KernelWorkspace::new();
+        ws.configure(re.nodes_per_elem(3), re.nodes_per_face(3), NCOMP);
+        ws
+    }
 
     /// RHS of a single element via the kernel engine: nodal stress in the
     /// workspace, batched 9-field reference gradients (two sweeps share
@@ -499,7 +558,7 @@ impl ElementKernel<D3> for Kernel<'_> {
     /// neighbor traces through the faces' [`FaceOp`]s (a gather, plus
     /// tensor sweeps and their transposed lift on 2:1 faces) — zero heap
     /// allocations.
-    fn rhs_element(
+    fn rhs_unit(
         &self,
         q: &[f64],
         e: usize,
@@ -1095,5 +1154,34 @@ fn checkpoint_format(config: &SeismicConfig) -> SolverFormat {
     SolverFormat {
         magic: SOLVER_MAGIC,
         per_element: (config.degree + 1).pow(3) * NCOMP,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Identical traces must produce a zero jump — the lane opt-out
+    /// mechanism for divergent (mortar/padding) lanes.
+    #[test]
+    fn penalty_flux_zero_jump_on_equal_traces() {
+        let npf = 16;
+        let fp = npf * LANES;
+        let mut qm = vec![0.0f32; 9 * fp];
+        for (i, v) in qm.iter_mut().enumerate() {
+            *v = (i % 17) as f32 * 0.03 - 0.2;
+        }
+        let qp = qm.clone();
+        let mut nrm = vec![0.0f32; 3 * fp];
+        nrm[..fp].fill(1.0);
+        let rho = vec![1.1f32; fp];
+        let lam = vec![0.8f32; fp];
+        let mu = vec![0.5f32; fp];
+        let mut d = vec![1.0f32; 9 * fp];
+        soa_penalty_flux(npf, &qm, &qp, &nrm, &rho, &lam, &mu, &mut d);
+        assert!(
+            d.iter().all(|&x| x == 0.0),
+            "equal traces must yield d == 0"
+        );
     }
 }

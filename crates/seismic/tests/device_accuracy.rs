@@ -10,7 +10,11 @@
 //!   as the f64 run up to single-precision rounding;
 //! - `transfer_from_host` reuses arena capacity across adapt/transfer
 //!   cycles (`device.transfer_grow` stays zero until the mesh outgrows
-//!   every prior transfer).
+//!   every prior transfer);
+//! - a device step is a pure function of `(q, t)`: a state rebuilt from
+//!   the host copy before every step — what a checkpoint restart does —
+//!   stays bit-identical, RK register included, to one stepped straight
+//!   through.
 
 use std::sync::Arc;
 
@@ -172,6 +176,32 @@ fn plane_wave_anchor_bounds_both_tiers() {
             dev_err / scale,
             host_err / scale
         );
+    });
+}
+
+/// The 2N register is zeroed at the start of every step, not carried: a
+/// carried register enters stage 0 as `0 · resid`, whose sign follows the
+/// old value, and leaves exact zeros of the other sign behind wherever
+/// the stage vector is itself a (flushed) zero.
+#[test]
+fn device_step_is_a_pure_function_of_state_and_time() {
+    run_spmd(2, |comm| {
+        let mut host = build_shell(comm, 2);
+        let mut straight = DeviceState::from_host(&host);
+        for step in 1..=7 {
+            straight.to_host(&mut host);
+            let mut restarted = DeviceState::from_host(&host);
+            restarted.step(&host, comm);
+            straight.step(&host, comm);
+            let (a, b) = (straight.state_bits(), restarted.state_bits());
+            let differing = a.iter().zip(&b).filter(|(x, y)| x != y).count();
+            assert_eq!(
+                differing,
+                0,
+                "step {step}: {differing} of {} state words depend on the previous step's register",
+                a.len()
+            );
+        }
     });
 }
 
