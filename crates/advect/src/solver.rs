@@ -223,7 +223,7 @@ impl AdvectSolver {
         {
             let _span = forust_obs::span!("advect.step");
             let t0 = Instant::now();
-            let mut kernel = Kernel {
+            let kernel = Kernel {
                 mesh: &self.mesh,
                 geo: &self.geo,
                 caches: &self.caches,
@@ -231,7 +231,7 @@ impl AdvectSolver {
             };
             let (t, dt) = (self.time, self.dt);
             self.stepper
-                .step(comm, &self.halo, &mut self.c, t, dt, &mut kernel);
+                .step(comm, &self.halo, &mut self.c, t, dt, &kernel);
             self.finish_step(comm, t0);
         }
         // Outside the block so the step's spans have closed: the mark
@@ -292,7 +292,6 @@ struct Kernel<'a> {
 /// One unit is one element: `npe` values of the single component.
 impl RhsKernel<D3> for Kernel<'_> {
     type Real = f64;
-    type Scratch = KernelWorkspace;
     const NCOMP: usize = 1;
     const GRAIN: usize = 8;
 

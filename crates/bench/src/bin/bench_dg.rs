@@ -23,8 +23,7 @@ use std::time::Instant;
 use forust_bench::sentinel;
 use forust_comm::SerialComm;
 use forust_dg::kernels::{self, KernelWorkspace};
-use forust_dg::real::{demote_slice, Real};
-use forust_dg::soa::{self, LANES};
+use forust_dg::real::demote_slice;
 use forust_dg::{FaceOp, RefElement};
 use forust_obs::metrics::{MetricsReport, Registry};
 
@@ -138,8 +137,7 @@ fn write_json(
     s.push_str("{\n");
     s.push_str("  \"bench\": \"bench_dg\",\n");
     s.push_str(&format!("  \"git_rev\": \"{}\",\n", git_rev()));
-    // Pool width and physical core count, as in BENCH_core.json: the
-    // f32-vs-f64 gate only fires where the runner has real cores.
+    // Pool width and physical core count, as in BENCH_core.json.
     s.push_str(&format!(
         "  \"workers\": {},\n",
         forust_pool::configured_workers()
@@ -148,7 +146,6 @@ fn write_json(
         "  \"cores\": {},\n",
         std::thread::available_parallelism().map_or(1, |n| n.get())
     ));
-    s.push_str(&format!("  \"lanes\": {LANES},\n"));
     s.push_str("  \"kernels\": [\n");
     for (i, r) in records.iter().enumerate() {
         s.push_str(&format!(
@@ -237,27 +234,6 @@ fn synth_metrics(n: usize) -> (Vec<[[f64; 3]; 3]>, Vec<[f64; 3]>) {
         })
         .collect();
     (inv, pos)
-}
-
-/// Repack element-major AoSoA data (`ncomp` planes of `npe` per
-/// element) into lane-batched SoA blocks at precision `R`
-/// (`[(block, comp, node, lane)]`). `elements` must be a multiple of
-/// `LANES` (the bench batches are).
-fn pack_soa<R: Real>(src: &[f64], npe: usize, ncomp: usize, elements: usize) -> Vec<R> {
-    assert_eq!(elements % LANES, 0, "bench batch must fill whole blocks");
-    let nb = elements / LANES;
-    let mut out = vec![R::ZERO; nb * ncomp * npe * LANES];
-    for b in 0..nb {
-        for c in 0..ncomp {
-            for v in 0..npe {
-                for l in 0..LANES {
-                    out[((b * ncomp + c) * npe + v) * LANES + l] =
-                        R::from_f64(src[(b * LANES + l) * ncomp * npe + c * npe + v]);
-                }
-            }
-        }
-    }
-    out
 }
 
 /// All kernels at one degree over a batch of `elements` elements.
@@ -416,6 +392,28 @@ fn bench_degree(records: &mut Vec<Record>, degree: usize, elements: usize, reps:
         },
     );
 
+    // --- the same production gradient at the device tier's precision:
+    // `batched_gradient_any::<f32>` over demoted operator and fields.
+    let mut diff32: Vec<f32> = Vec::new();
+    demote_slice(&re.diff.data, &mut diff32);
+    let mut seis32: Vec<f32> = Vec::new();
+    demote_slice(&seis_fields, &mut seis32);
+    let mut grad32 = vec![0.0f32; 9 * 3 * npe];
+    let mut best_us = f64::MAX;
+    for _ in 0..reps {
+        best_us = best_us.min(time_us(&mut || {
+            let mut acc = 0.0f32;
+            for e in 0..nseis {
+                let fields = &seis32[e * 9 * npe..(e + 1) * 9 * npe];
+                kernels::batched_gradient_any(&diff32, np, 3, fields, 9, &mut grad32);
+                acc += grad32[0];
+            }
+            black_box(acc);
+        }));
+    }
+    let name = format!("gradient_9f_batched_f32_n{degree}");
+    record(records, name, degree, np, nseis, best_us);
+
     // --- face operators: the structured `FaceOp` the engines apply (an
     // index gather across a rotated same-size face; gather plus two
     // tensor sweeps across a 2:1 face) against the same operator as a
@@ -459,143 +457,6 @@ fn bench_degree(records: &mut Vec<Record>, degree: usize, elements: usize, reps:
             },
         );
     }
-
-    // --- precision tiers of the lane-batched SoA engine (the device
-    // backend's hot loops): the same fused volume RHS monomorphized at
-    // f64 and f32. The Fig.-10 analogue — the f32 tier should win on
-    // both arithmetic width and memory traffic.
-    let nb = elements / LANES;
-    let mut diff32: Vec<f32> = Vec::new();
-    demote_slice(&re.diff.data, &mut diff32);
-    let ce64 = pack_soa::<f64>(&fields, npe, 1, elements);
-    let me64 = pack_soa::<f64>(&metr_soa, npe, 9, elements);
-    let ve64 = pack_soa::<f64>(&vel_soa, npe, 3, elements);
-    let ce32 = pack_soa::<f32>(&fields, npe, 1, elements);
-    let me32 = pack_soa::<f32>(&metr_soa, npe, 9, elements);
-    let ve32 = pack_soa::<f32>(&vel_soa, npe, 3, elements);
-    let plane = npe * LANES;
-    let mut grad64 = vec![0.0f64; 3 * plane];
-    let mut soa_out64 = vec![0.0f64; plane];
-    let mut grad32 = vec![0.0f32; 3 * plane];
-    let mut soa_out32 = vec![0.0f32; plane];
-    run_pair(
-        records,
-        format!("volume_rhs_soa_f64_n{degree}"),
-        format!("volume_rhs_soa_f32_n{degree}"),
-        degree,
-        np,
-        elements,
-        reps,
-        || {
-            let mut acc = 0.0;
-            for b in 0..nb {
-                soa::soa_advect_volume_rhs(
-                    &re.diff.data,
-                    np,
-                    &ce64[b * plane..(b + 1) * plane],
-                    &me64[b * 9 * plane..(b + 1) * 9 * plane],
-                    &ve64[b * 3 * plane..(b + 1) * 3 * plane],
-                    &mut grad64,
-                    &mut soa_out64,
-                );
-                acc += soa_out64[0];
-            }
-            black_box(acc);
-        },
-        || {
-            let mut acc = 0.0f32;
-            for b in 0..nb {
-                soa::soa_advect_volume_rhs(
-                    &diff32,
-                    np,
-                    &ce32[b * plane..(b + 1) * plane],
-                    &me32[b * 9 * plane..(b + 1) * 9 * plane],
-                    &ve32[b * 3 * plane..(b + 1) * 3 * plane],
-                    &mut grad32,
-                    &mut soa_out32,
-                );
-                acc += soa_out32[0];
-            }
-            black_box(acc);
-        },
-    );
-
-    // --- 9-field batched gradient at both SoA tiers (the seismic device
-    // volume sweep).
-    let nseis_soa = nseis.next_multiple_of(LANES);
-    let seis_src = synth_field(nseis_soa * 9 * npe, degree + 1);
-    let seis64 = pack_soa::<f64>(&seis_src, npe, 9, nseis_soa);
-    let seis32 = pack_soa::<f32>(&seis_src, npe, 9, nseis_soa);
-    let mut sgrad64 = vec![0.0f64; 9 * 3 * plane];
-    let mut sgrad32 = vec![0.0f32; 9 * 3 * plane];
-    run_pair(
-        records,
-        format!("gradient_9f_soa_f64_n{degree}"),
-        format!("gradient_9f_soa_f32_n{degree}"),
-        degree,
-        np,
-        nseis_soa,
-        reps,
-        || {
-            let mut acc = 0.0;
-            for b in 0..nseis_soa / LANES {
-                soa::soa_batched_gradient(
-                    &re.diff.data,
-                    np,
-                    &seis64[b * 9 * plane..(b + 1) * 9 * plane],
-                    9,
-                    &mut sgrad64,
-                );
-                acc += sgrad64[0];
-            }
-            black_box(acc);
-        },
-        || {
-            let mut acc = 0.0f32;
-            for b in 0..nseis_soa / LANES {
-                soa::soa_batched_gradient(
-                    &diff32,
-                    np,
-                    &seis32[b * 9 * plane..(b + 1) * 9 * plane],
-                    9,
-                    &mut sgrad32,
-                );
-                acc += sgrad32[0];
-            }
-            black_box(acc);
-        },
-    );
-
-    // --- transfer cost: host→device repack of the tracer field at both
-    // wire widths. The f32 column moves half the bytes — this is the
-    // transfer-cost side of the Fig.-10 trade.
-    let mut tplane64 = vec![0.0f64; plane];
-    let mut tplane32 = vec![0.0f32; plane];
-    run_pair(
-        records,
-        format!("transfer_pack_f64_n{degree}"),
-        format!("transfer_pack_f32_n{degree}"),
-        degree,
-        np,
-        elements,
-        reps,
-        || {
-            let mut acc = 0.0;
-            for b in 0..nb {
-                soa::pack_plane(&fields, npe, elements, b * LANES, &mut tplane64);
-                acc += tplane64[0];
-            }
-            black_box(acc);
-        },
-        || {
-            let mut acc = 0.0f32;
-            for b in 0..nb {
-                soa::pack_plane(&fields, npe, elements, b * LANES, &mut tplane32);
-                acc += tplane32[0];
-            }
-            black_box(acc);
-        },
-    );
 }
 
 fn main() {
@@ -638,16 +499,9 @@ fn main() {
     }
     println!();
     for degree in [3usize, 5, 6] {
-        let f64_us = lookup(&format!("volume_rhs_fused_n{degree}"));
-        let f32_us = lookup(&format!("volume_rhs_soa_f32_n{degree}"));
-        let t64 = lookup(&format!("transfer_pack_f64_n{degree}"));
-        let t32 = lookup(&format!("transfer_pack_f32_n{degree}"));
-        println!(
-            "volume RHS N={degree}: f32 SoA is {:.2}x the f64 engine; \
-             f32 transfer pack is {:.2}x the f64 pack",
-            f64_us / f32_us,
-            t64 / t32
-        );
+        let ratio = lookup(&format!("gradient_9f_batched_n{degree}"))
+            / lookup(&format!("gradient_9f_batched_f32_n{degree}"));
+        println!("9-field gradient N={degree}: f32 is {ratio:.2}x the f64 engine");
     }
 
     let obs_comm = SerialComm::new();

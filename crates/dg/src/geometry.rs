@@ -17,6 +17,7 @@ use forust::octant::Octant;
 use forust_geom::{octant_ref_coords, Mapping};
 
 use crate::mesh::{tangential, DgMesh, ElemRef, FaceConn, FineSub};
+use crate::real::{refill, Real};
 
 /// 3x3 inverse and determinant (2D maps embed with a unit z column).
 fn invert3(j: [[f64; 3]; 3]) -> ([[f64; 3]; 3], f64) {
@@ -37,18 +38,20 @@ fn invert3(j: [[f64; 3]; 3]) -> ([[f64; 3]; 3], f64) {
     (inv, det)
 }
 
-/// Geometry of one face's quadrature points.
+/// Geometry of one face's quadrature points, in scalar tier `R`: the
+/// metric is evaluated at `f64`; the f32 device tier reads a demoted copy
+/// ([`FaceGeo::demote_into`]).
 #[derive(Debug, Clone, Default)]
-pub struct FaceGeo {
+pub struct FaceGeo<R = f64> {
     /// Outward unit normal per face node.
-    pub normal: Vec<[f64; 3]>,
+    pub normal: Vec<[R; 3]>,
     /// Surface Jacobian per face node (physical area per unit reference
     /// face area of *this element's* face).
-    pub sj: Vec<f64>,
+    pub sj: Vec<R>,
     /// For a coarse 2:1 face: geometry at the fine mortar points of each
     /// sub-face (in the fine neighbor's face-lattice order, the receiver
     /// side of `FineSub::op`).
-    pub subs: Vec<SubGeo>,
+    pub subs: Vec<SubGeo<R>>,
 }
 
 /// Geometry at one fine sub-face's mortar points, as seen from the coarse
@@ -56,14 +59,35 @@ pub struct FaceGeo {
 /// `2^-(d-1)` sub-face scale is folded in), so they match what the fine
 /// element computes on its own face — both mortar sides integrate the
 /// identical physical flux.
-#[derive(Debug, Clone)]
-pub struct SubGeo {
+#[derive(Debug, Clone, Default)]
+pub struct SubGeo<R = f64> {
     /// Outward unit normal (of the coarse element) per mortar point.
-    pub normal: Vec<[f64; 3]>,
+    pub normal: Vec<[R; 3]>,
     /// Surface Jacobian per mortar point, fine-face reference measure.
-    pub sj: Vec<f64>,
-    /// Physical position per mortar point.
+    pub sj: Vec<R>,
+    /// Physical position per mortar point, in the precision the map is
+    /// evaluated in (empty in a demoted copy: no kernel reads it).
     pub pos: Vec<[f64; 3]>,
+}
+
+impl FaceGeo {
+    /// Copy this face's geometry into `out` in scalar tier `R`, reusing
+    /// `out`'s allocations; `true` if the face's own normals or surface
+    /// Jacobians had to allocate. (The mortar `subs` follow the mesh's 2:1
+    /// faces, here as in [`MeshGeometry::rebuild`]: they are re-created
+    /// where a face became one.)
+    pub fn demote_into<R: Real>(&self, out: &mut FaceGeo<R>) -> bool {
+        let point = |n: &[f64; 3]| n.map(R::from_f64);
+        let scalar = |&x: &f64| R::from_f64(x);
+        let grew =
+            refill(&mut out.normal, &self.normal, point) | refill(&mut out.sj, &self.sj, scalar);
+        out.subs.resize_with(self.subs.len(), SubGeo::default);
+        for (sub, o) in self.subs.iter().zip(&mut out.subs) {
+            refill(&mut o.normal, &sub.normal, point);
+            refill(&mut o.sj, &sub.sj, scalar);
+        }
+        grew
+    }
 }
 
 /// All metric terms of one mesh + mapping combination.

@@ -396,28 +396,22 @@ impl<D: Dim> HaloExchange<D> {
         R::scratch(self).lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Start the trace exchange of `ncomp` components in precision `R`,
-    /// reading values through `get(elem, comp, node)` instead of a
-    /// borrowed slice — the device backend's state lives in lane-batched
-    /// SoA arenas, and the accessor lets it pack straight from them
-    /// without materializing a host-layout copy. Every message goes on
-    /// the wire under the lane's own tag; complete with
-    /// [`HaloPending::finish`]. Both lanes' bytes land in the same
-    /// `halo.bytes_sent` counter and `halo.bytes_per_exchange`
-    /// histogram, so the f32 lane's halved traffic is visible to the
-    /// same dashboards.
-    pub fn begin_with<'a, R, C, F>(
+    /// Start the trace exchange of a host-layout field in precision `R`:
+    /// `local` holds `ncomp` components per element, component-major
+    /// within the element (`e`'s chunk is `npe * ncomp` long with layout
+    /// `[c][node]`). Every message goes on the wire under the lane's own
+    /// tag; complete with [`HaloPending::finish`]. Both lanes' bytes land
+    /// in the same `halo.bytes_sent` counter and `halo.bytes_per_exchange`
+    /// histogram, so the f32 lane's halved traffic is visible to the same
+    /// dashboards.
+    pub fn begin<'a, R: HaloLane, C: Communicator>(
         &'a self,
         comm: &'a C,
-        get: F,
+        local: &[R],
         ncomp: usize,
-    ) -> HaloPending<'a, C, D, R>
-    where
-        R: HaloLane,
-        C: Communicator,
-        F: Fn(usize, usize, usize) -> R + Sync,
-    {
+    ) -> HaloPending<'a, C, D, R> {
         let _span = forust_obs::span!(R::SPAN_BEGIN);
+        let npe = self.npe;
         // One message buffer per destination rank, each packed serially
         // from read-only state: fanning the per-rank packs out over the
         // worker pool leaves every byte of every buffer unchanged.
@@ -431,8 +425,9 @@ impl<D: Dim> HaloExchange<D> {
             let mut cur = entries.len();
             for en in entries {
                 for c in 0..ncomp {
+                    let comp = &local[(en.elem as usize * ncomp + c) * npe..][..npe];
                     for &n in &en.nodes {
-                        get(en.elem as usize, c, n as usize).write_le(&mut buf[cur..]);
+                        comp[n as usize].write_le(&mut buf[cur..]);
                         cur += R::WIRE_BYTES;
                     }
                 }
@@ -450,28 +445,14 @@ impl<D: Dim> HaloExchange<D> {
         }
     }
 
-    /// Start the f64 trace exchange of a host-layout field: `local`
-    /// holds `ncomp` components per element, component-major within the
-    /// element (`e`'s chunk is `npe * ncomp` long with layout
-    /// `[c][node]`). Complete with [`HaloPending::finish`].
-    pub fn begin<'a, C: Communicator>(
-        &'a self,
-        comm: &'a C,
-        local: &[f64],
-        ncomp: usize,
-    ) -> HaloPending<'a, C, D> {
-        let npe = self.npe;
-        self.begin_with(comm, |e, c, n| local[(e * ncomp + c) * npe + n], ncomp)
-    }
-
     /// Blocking wrapper: [`begin`](Self::begin) followed immediately by
     /// [`HaloPending::finish`].
-    pub fn exchange<'a, C: Communicator>(
+    pub fn exchange<'a, R: HaloLane, C: Communicator>(
         &'a self,
         comm: &'a C,
-        local: &[f64],
+        local: &[R],
         ncomp: usize,
-    ) -> HaloData<'a, D> {
+    ) -> HaloData<'a, D, R> {
         self.begin(comm, local, ncomp).finish()
     }
 
@@ -570,9 +551,7 @@ impl<D: Dim, R: HaloLane> HaloData<'_, D, R> {
     ///
     /// Values are bitwise equal to indexing the ghost's full volume data
     /// with `RefElement::face_nodes` — the exchange moves fewer bytes,
-    /// not different ones. (On the f32 lane that data is the sender's
-    /// values as its accessor demoted them: the wire truncates precision
-    /// exactly once, at pack time.)
+    /// not different ones.
     pub fn face_values(&self, g: usize, face: usize, comp: usize, out: &mut Vec<R>) {
         let (trace, pos) = self.face_source(g, face, comp);
         out.clear();

@@ -68,8 +68,8 @@ pub fn apply_axis_into(
 /// row-major `npo x np` slice in the same scalar tier as the data. The
 /// f64 instantiation is the exact code the concrete path compiled to
 /// before the tier split (same loop bodies, same accumulation order), so
-/// the bitwise oracle contract is unchanged; the f32 instantiation serves
-/// the device tier's face operators at the non-specialized degrees.
+/// the bitwise oracle contract is unchanged; the f32 instantiation is
+/// the device tier's.
 pub fn apply_axis_any<R: Real>(
     op: &[R],
     np: usize,
@@ -362,7 +362,8 @@ fn advect_contract<R: Real>(
     }
 }
 
-/// Per-solver scratch arena of the kernel engine.
+/// Per-solver scratch arena of the kernel engine, in the scalar tier `R`
+/// of the kernel that works in it.
 ///
 /// Created once per solver, sized by [`configure`](Self::configure) at
 /// every mesh (re)build, and reused across elements and RK stages. All
@@ -374,25 +375,25 @@ fn advect_contract<R: Real>(
 /// `kernels.scratch_grow` obs counter on violation), exactly like PR-3's
 /// `halo.scratch_grow`.
 #[derive(Debug, Default)]
-pub struct KernelWorkspace {
+pub struct KernelWorkspace<R = f64> {
     /// Gradient panels, `nf * dim * npe` values (`[field][axis][node]`).
-    pub grad: Vec<f64>,
+    pub grad: Vec<R>,
     /// Nodal per-element scratch, `nf * npe` values (seismic's nodal
     /// stress lives here).
-    pub nodal: Vec<f64>,
+    pub nodal: Vec<R>,
     /// Face trace buffer A, `nf * npf` (my trace, component-major).
-    pub face_a: Vec<f64>,
+    pub face_a: Vec<R>,
     /// Face trace buffer B, `nf * npf` (neighbor trace, component-major).
-    pub face_b: Vec<f64>,
+    pub face_b: Vec<R>,
     /// Face buffer C, `npf`: the scratch of the
     /// [`FaceOp`](crate::faceop::FaceOp) sweeps.
-    pub face_c: Vec<f64>,
+    pub face_c: Vec<R>,
     /// Face buffer D, `npf`: one component's fine-neighbor trace or
     /// lifted mortar flux. Capacity contract: every use writes exactly
     /// one face (`npf` values, also through the clear+refill of
     /// `HaloData::face_values`) — `configure` reserves that once so it
     /// never regrows mid-stage.
-    pub nbr: Vec<f64>,
+    pub nbr: Vec<R>,
     /// Buffer capacities recorded by `configure` — the steady-state
     /// contract checked by `check_steady` (any change means a buffer
     /// regrew mid-stage).
@@ -400,7 +401,7 @@ pub struct KernelWorkspace {
     grow_events: u64,
 }
 
-impl KernelWorkspace {
+impl<R: Real> KernelWorkspace<R> {
     /// Empty workspace; call [`configure`](Self::configure) before use.
     pub fn new() -> Self {
         Self::default()
@@ -414,7 +415,7 @@ impl KernelWorkspace {
     pub fn configure(&mut self, npe: usize, npf: usize, nf: usize) {
         let first = self.caps == [0; 6];
         let wanted = [nf * 3 * npe, nf * npe, nf * npf, nf * npf, npf, npf];
-        let bufs: [&mut Vec<f64>; 6] = [
+        let bufs: [&mut Vec<R>; 6] = [
             &mut self.grad,
             &mut self.nodal,
             &mut self.face_a,
@@ -430,7 +431,7 @@ impl KernelWorkspace {
                 buf.reserve(want - buf.len());
             }
             buf.clear();
-            buf.resize(want, 0.0);
+            buf.resize(want, R::ZERO);
             *slot = buf.capacity();
         }
         if grew && !first {

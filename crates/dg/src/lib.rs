@@ -18,8 +18,8 @@
 //!   used by every time-dependent solver in the paper;
 //! - [`stepper`]: the one split-phase dG driver — LSERK stages, halo
 //!   `begin → interior sweep → finish → boundary sweep → update` on the
-//!   worker pool, per-lane scratch — that every solver tier, f64 host or
-//!   f32 device, plugs an [`RhsKernel`] into;
+//!   worker pool, per-lane workspaces — that every solver tier, f64 host
+//!   or f32 device, plugs an element [`RhsKernel`] into;
 //! - [`mesh`]: the dG element mesh extracted from a balanced forest and its
 //!   ghost layer — neighbor classification per face (conforming, 2:1
 //!   mortar, inter-tree with rotation) and ghost field exchange;
@@ -34,11 +34,8 @@
 //!   arena (with `element::RefElement::apply_axis` kept as the bitwise
 //!   test oracle);
 //! - [`real`]: the precision tier seam — the [`Real`] scalar trait with
-//!   the bitwise-pinned `f64` host tier and the `f32` device tier;
-//! - [`soa`]: the lane-batched structure-of-arrays engine — packs
-//!   [`soa::LANES`] elements per sweep so the `target-cpu=native` build
-//!   vectorizes *across* elements the way the paper's GPU port batches
-//!   threads (Fig. 10 analogue);
+//!   the bitwise-pinned `f64` host tier and the `f32` device tier, which
+//!   runs the same kernels (Fig. 10 analogue);
 //! - [`cg`]: continuous-Galerkin hanging-node interpolation built on
 //!   `forust`'s `Nodes`.
 
@@ -53,7 +50,6 @@ pub mod lserk;
 pub mod matrix;
 pub mod mesh;
 pub mod real;
-pub mod soa;
 pub mod stepper;
 pub mod transfer;
 
@@ -65,4 +61,4 @@ pub use halo::{
 pub use kernels::KernelWorkspace;
 pub use matrix::Matrix;
 pub use real::Real;
-pub use stepper::{LaneScratch, RhsKernel, Stepper};
+pub use stepper::{RhsKernel, Stepper};

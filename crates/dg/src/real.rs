@@ -3,12 +3,13 @@
 //! The paper's GPU port (dGea, Fig. 10) runs wave propagation in single
 //! precision on the device while the octree and the reference solution stay
 //! in double precision on the host. [`Real`] is the seam that makes the
-//! sum-factorization engine generic over that choice: `f64` is the
-//! bitwise-pinned default tier (every existing oracle suite keeps passing
-//! unchanged, because monomorphizing the generic loop bodies at `R = f64`
-//! produces the exact instructions the concrete code compiled to), and
-//! `f32` is the device tier consumed by the lane-batched SoA engine in
-//! [`crate::soa`] and the seismic device backend.
+//! sum-factorization engine, the face operators, the halo lane, the
+//! stepper and the elastic element kernel generic over that choice: `f64`
+//! is the bitwise-pinned default tier (every existing oracle suite keeps
+//! passing unchanged, because monomorphizing the generic loop bodies at
+//! `R = f64` produces the exact instructions the concrete code compiled
+//! to), and `f32` is the device tier — the same code instantiated once
+//! more, over demoted copies of the mesh data.
 //!
 //! The trait is deliberately tiny — arithmetic, a couple of transcendental
 //! helpers the solvers need, and a little-endian wire codec used by the f32
@@ -149,12 +150,19 @@ impl Real for f32 {
     }
 }
 
-/// Demote an f64 operator (or any nodal table) to the `R` tier. The
-/// device backend uses this to build its f32 operator arenas once per
-/// transfer.
-pub fn demote_slice<R: Real>(src: &[f64], dst: &mut Vec<R>) {
+/// Capacity-reusing converting copy `dst ← f(src)`: `true` if `dst` had to
+/// allocate. The one way a tier's copy of host data is (re)written.
+pub fn refill<S, T>(dst: &mut Vec<T>, src: &[S], f: impl Fn(&S) -> T) -> bool {
+    let grew = dst.capacity() < src.len();
     dst.clear();
-    dst.extend(src.iter().map(|&x| R::from_f64(x)));
+    dst.extend(src.iter().map(f));
+    grew
+}
+
+/// Demote an f64 operator (or any nodal table) to the `R` tier, into
+/// `dst`'s allocation.
+pub fn demote_slice<R: Real>(src: &[f64], dst: &mut Vec<R>) {
+    refill(dst, src, |&x| R::from_f64(x));
 }
 
 #[cfg(test)]

@@ -53,9 +53,8 @@ fn check_f32_matches_demoted_f64<C: Communicator>(comm: &C, seed: u64) -> u64 {
     let halo = HaloExchange::build(&mesh);
 
     let d64 = halo.exchange(comm, &u, NCOMP);
-    let d32 = halo
-        .begin_with(comm, |e, c, n| u[(e * NCOMP + c) * npe + n] as f32, NCOMP)
-        .finish();
+    let u32: Vec<f32> = u.iter().map(|&x| x as f32).collect();
+    let d32 = halo.begin::<f32, _>(comm, &u32, NCOMP).finish();
 
     let mut checked = 0u64;
     let mut o64: Vec<f64> = Vec::new();
@@ -132,51 +131,6 @@ fn f32_exchange_halves_wire_bytes() {
             );
         });
     }
-}
-
-/// The f64 lane has one pack: the accessor form must put the same bytes
-/// on the wire (same tag, same count) and deliver bit-identical traces as
-/// the slice form, which is a thin caller of it.
-#[test]
-fn f64_accessor_exchange_matches_slice_exchange() {
-    run_spmd(3, |comm| {
-        let mesh = rotcubes_mesh(comm, 2);
-        let npe = mesh.re.nodes_per_elem(3);
-        let u = synthetic_field(&mesh, npe, 3);
-        let halo = HaloExchange::build(&mesh);
-        let wire = || comm.stats().tag_traffic(TAG_HALO_EXCHANGE).bytes;
-
-        let before = wire();
-        let by_slice: Vec<Vec<u64>> = {
-            let d = halo.exchange(comm, &u, NCOMP);
-            (0..mesh.ghost.ghosts.len())
-                .flat_map(|g| (0..NCOMP).map(move |c| (g, c)))
-                .map(|(g, c)| d.trace(g, c).iter().map(|v| v.to_bits()).collect())
-                .collect()
-        };
-        let slice_bytes = wire() - before;
-
-        let d = halo
-            .begin_with::<f64, _, _>(comm, |e, c, n| u[(e * NCOMP + c) * npe + n], NCOMP)
-            .finish();
-        assert_eq!(
-            wire() - before,
-            2 * slice_bytes,
-            "accessor pack sized differently"
-        );
-        assert_eq!(comm.stats().tag_traffic(TAG_HALO_EXCHANGE_F32).bytes, 0);
-        let mut traces = by_slice.iter();
-        for g in 0..mesh.ghost.ghosts.len() {
-            for c in 0..NCOMP {
-                let got: Vec<u64> = d.trace(g, c).iter().map(|v| v.to_bits()).collect();
-                assert_eq!(&got, traces.next().unwrap(), "ghost {g} comp {c}");
-            }
-        }
-        assert!(
-            comm.allreduce_sum_u64(slice_bytes) > 0,
-            "nothing was exchanged"
-        );
-    });
 }
 
 /// Single-rank run: no ghosts, both lanes quiet, nothing panics.

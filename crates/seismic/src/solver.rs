@@ -18,15 +18,14 @@ use forust::connectivity::Connectivity;
 use forust::dim::D3;
 use forust::forest::{BalanceType, CheckpointError, Forest, SolverFormat};
 use forust_comm::Communicator;
-use forust_dg::geometry::MeshGeometry;
-use forust_dg::halo::{HaloData, HaloExchange};
+use forust_dg::geometry::{FaceGeo, MeshGeometry};
+use forust_dg::halo::{HaloData, HaloExchange, HaloLane};
 use forust_dg::kernels::{self, KernelWorkspace};
 use forust_dg::lserk::lserk_step;
 use forust_dg::mesh::{DgMesh, ElemRef, FaceConn};
 use forust_dg::real::Real;
-use forust_dg::soa::LANES;
 use forust_dg::stepper::{RhsKernel, Stepper};
-use forust_dg::FaceOp;
+use forust_dg::{FaceOp, FaceTables};
 use forust_geom::Mapping;
 
 use crate::model::{ricker, Material};
@@ -114,9 +113,9 @@ pub struct SeismicSolver {
     /// stepping allocates nothing.
     pub stepper: Stepper,
     /// Volume / face quadrature weights and face→volume node maps.
-    wv: Vec<f64>,
-    wf: Vec<f64>,
-    face_idx: Vec<Vec<usize>>,
+    pub(crate) wv: Vec<f64>,
+    pub(crate) wf: Vec<f64>,
+    pub(crate) face_idx: Vec<Vec<usize>>,
 }
 
 impl SeismicSolver {
@@ -281,17 +280,24 @@ impl SeismicSolver {
     }
 
     /// The disjoint parts of a step: the stepper, the halo, the state,
-    /// and the element kernel reading everything else.
-    fn parts(&mut self) -> (&mut Stepper, &HaloExchange<D3>, &mut Vec<f64>, Kernel<'_>) {
+    /// and the element kernel reading everything else — in place: the
+    /// f64 view borrows the solver's own mesh data.
+    pub(crate) fn parts(&mut self) -> (&mut Stepper, &HaloExchange<D3>, &mut Vec<f64>, Kernel<'_>) {
+        let re = &self.mesh.re;
         let kernel = Kernel {
-            config: &self.config,
             mesh: &self.mesh,
-            geo: &self.geo,
+            inv: &self.geo.inv_jac,
+            det: &self.geo.det_jac,
+            faces: &self.geo.faces,
             mat: &self.mat,
             srcw: &self.srcw,
             wv: &self.wv,
             wf: &self.wf,
             face_idx: &self.face_idx,
+            diff: &re.diff.data,
+            tab: &re.face_tables,
+            f0: self.config.f0,
+            src_dir: self.config.src_dir,
         };
         (&mut self.stepper, &self.halo, &mut self.q, kernel)
     }
@@ -306,8 +312,8 @@ impl SeismicSolver {
             let _span = forust_obs::span!("seismic.step");
             let t0 = Instant::now();
             let (time, dt) = (self.time, self.dt);
-            let (stepper, halo, q, mut kernel) = self.parts();
-            stepper.step(comm, halo, q, time, dt, &mut kernel);
+            let (stepper, halo, q, kernel) = self.parts();
+            stepper.step(comm, halo, q, time, dt, &kernel);
             self.time += self.dt;
             self.timers.wave_prop += t0.elapsed();
             self.timers.steps += 1;
@@ -326,19 +332,19 @@ impl SeismicSolver {
     pub fn step_reference(&mut self, comm: &impl Communicator) {
         let _span = forust_obs::span!("seismic.step");
         let t0 = Instant::now();
-        let (time, dt) = (self.time, self.dt);
-        let (_, halo, q, kernel) = self.parts();
+        let mut q = std::mem::take(&mut self.q);
         let mut resid = vec![0.0; q.len()];
-        let mut sig_nodal = vec![0.0; 6 * kernel.mesh.re.nodes_per_elem(3)];
+        let mut sig_nodal = vec![0.0; 6 * self.mesh.re.nodes_per_elem(3)];
         let mut nbr_buf: Vec<f64> = Vec::new();
         // Oracle RHS: blocking exchange, then one serial element sweep.
-        lserk_step(q, &mut resid, time, dt, |t, q, out| {
-            let traces = halo.exchange(comm, q, NCOMP);
+        lserk_step(&mut q, &mut resid, self.time, self.dt, |t, q, out| {
+            let traces = self.halo.exchange(comm, q, NCOMP);
             let traces = Some(&traces);
-            for e in 0..kernel.mesh.num_elements() {
-                kernel.rhs_element_reference(q, e, t, traces, &mut sig_nodal, &mut nbr_buf, out);
+            for e in 0..self.mesh.num_elements() {
+                self.rhs_element_reference(q, e, t, traces, &mut sig_nodal, &mut nbr_buf, out);
             }
         });
+        self.q = q;
         self.time += self.dt;
         self.timers.wave_prop += t0.elapsed();
         self.timers.steps += 1;
@@ -407,9 +413,9 @@ impl SeismicSolver {
 
 /// The nine state components at node `v` of element `e` of `q`.
 #[inline]
-fn node_state(q: &[f64], npe: usize, e: usize, v: usize) -> [f64; NCOMP] {
+fn node_state<R: Real>(q: &[R], npe: usize, e: usize, v: usize) -> [R; NCOMP] {
     let base = e * npe * NCOMP;
-    let mut s = [0.0; NCOMP];
+    let mut s = [R::ZERO; NCOMP];
     for (c, item) in s.iter_mut().enumerate() {
         *item = q[base + c * npe + v];
     }
@@ -444,9 +450,7 @@ fn sig_n<R: Real>(sg: &[R; 6], n: [R; 3]) -> [R; 3] {
 /// The impedance-weighted penalty flux at one face point: the RHS jump of
 /// all nine components for interior state `qm`, exterior state `qp`,
 /// outward normal `n` and material `m = (rho, lambda, mu)`. One
-/// definition for the host engine and both device paths (lane-batched
-/// through [`soa_penalty_flux`], scalar on mortar lanes); the oracle
-/// keeps its own copy, on purpose.
+/// definition for both tiers; the oracle keeps its own copy, on purpose.
 #[inline(always)]
 pub(crate) fn penalty_flux<R: Real>(
     qm: &[R; NCOMP],
@@ -477,67 +481,51 @@ pub(crate) fn penalty_flux<R: Real>(
     d
 }
 
-/// [`penalty_flux`] over one face of a SoA block, `LANES` elements at a
-/// time: the device tier's batched form of the same statement.
-///
-/// Inputs are `[quantity][face node][lane]` panels of `npf * LANES`
-/// values each: `qm`/`qp` carry the 9 trace components of my side and
-/// the neighbor side, `nrm` the three unit normal components, and
-/// `rho`/`lam`/`mu` the face-node material. Writes the 9 jump components
-/// `d` (same panel layout); the caller lifts them with its per-lane
-/// quadrature coefficient. A lane whose `qp == qm` produces exactly
-/// `d == 0` (identical traces ⇒ zero jump), which is how divergent lanes
-/// (mortar faces, padding) opt out of the batched flux.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn soa_penalty_flux<R: Real>(
-    npf: usize,
-    qm: &[R],
-    qp: &[R],
-    nrm: &[R],
-    rho: &[R],
-    lam: &[R],
-    mu: &[R],
-    d: &mut [R],
-) {
-    let fp = npf * LANES;
-    assert_eq!(d.len(), NCOMP * fp);
-    let qmc: [&[R]; NCOMP] = std::array::from_fn(|c| &qm[c * fp..(c + 1) * fp]);
-    let qpc: [&[R]; NCOMP] = std::array::from_fn(|c| &qp[c * fp..(c + 1) * fp]);
-    let n: [&[R]; 3] = std::array::from_fn(|i| &nrm[i * fp..(i + 1) * fp]);
-    let (rho, lam, mu) = (&rho[..fp], &lam[..fp], &mu[..fp]);
-    for x in 0..fp {
-        let qmx = std::array::from_fn(|c| qmc[c][x]);
-        let qpx = std::array::from_fn(|c| qpc[c][x]);
-        let dx = penalty_flux(
-            &qmx,
-            &qpx,
-            [n[0][x], n[1][x], n[2][x]],
-            [rho[x], lam[x], mu[x]],
-        );
-        for (c, dc) in dx.into_iter().enumerate() {
-            d[c * fp + x] = dc;
-        }
-    }
+/// A scalar tier the elastic kernel runs in: `f64` on the host, `f32` on
+/// the device ([`crate::device`]), each with the floating-point
+/// environment its pool jobs run under.
+pub(crate) trait Tier: HaloLane {
+    /// Enter the tier's floating-point environment: the guard is held
+    /// around every pool job of a step in this tier.
+    fn fp_scope() -> impl Sized;
+}
+
+/// The host tier: strict IEEE, nothing to set.
+impl Tier for f64 {
+    fn fp_scope() -> impl Sized {}
 }
 
 /// The elastic element kernel (velocity–strain volume terms, Ricker
 /// source, impedance-weighted penalty flux, mortar-consistent on 2:1
-/// faces): a borrowed view of what the RHS of one element reads.
-struct Kernel<'a> {
-    config: &'a SeismicConfig,
-    mesh: &'a DgMesh<D3>,
-    geo: &'a MeshGeometry,
-    mat: &'a [[f64; 3]],
-    srcw: &'a [f64],
-    wv: &'a [f64],
-    wf: &'a [f64],
-    face_idx: &'a [Vec<usize>],
+/// faces): a borrowed view, in scalar tier `R`, of what the RHS of one
+/// element reads. The host solver fills it in place from its own mesh
+/// data ([`SeismicSolver::parts`]); the device tier from the f32 copies
+/// its transfer made. Topology is the host mesh's in both.
+pub(crate) struct Kernel<'a, R = f64> {
+    pub mesh: &'a DgMesh<D3>,
+    /// Inverse Jacobian and determinant per volume node.
+    pub inv: &'a [[[R; 3]; 3]],
+    pub det: &'a [R],
+    /// Face metric, `e * 6 + f`.
+    pub faces: &'a [FaceGeo<R>],
+    /// `(rho, lambda, mu)` and source weight per volume node.
+    pub mat: &'a [[R; 3]],
+    pub srcw: &'a [R],
+    /// Volume / face quadrature weights and face→volume node maps.
+    pub wv: &'a [R],
+    pub wf: &'a [R],
+    pub face_idx: &'a [Vec<usize>],
+    /// Differentiation matrix, `np x np` row-major.
+    pub diff: &'a [R],
+    pub tab: &'a FaceTables<R>,
+    /// Source peak frequency and direction.
+    pub f0: f64,
+    pub src_dir: [R; 3],
 }
 
 /// One unit is one element: `npe * NCOMP` values, component-major.
-impl RhsKernel<D3> for Kernel<'_> {
-    type Real = f64;
-    type Scratch = KernelWorkspace;
+impl<R: Tier> RhsKernel<D3> for Kernel<'_, R> {
+    type Real = R;
     const NCOMP: usize = NCOMP;
     const GRAIN: usize = 4;
 
@@ -545,11 +533,15 @@ impl RhsKernel<D3> for Kernel<'_> {
         self.mesh.re.nodes_per_elem(3) * NCOMP
     }
 
-    fn new_scratch(&self) -> KernelWorkspace {
+    fn new_scratch(&self) -> KernelWorkspace<R> {
         let re = &self.mesh.re;
         let mut ws = KernelWorkspace::new();
         ws.configure(re.nodes_per_elem(3), re.nodes_per_face(3), NCOMP);
         ws
+    }
+
+    fn fp_scope() -> impl Sized {
+        R::fp_scope()
     }
 
     /// RHS of a single element via the kernel engine: nodal stress in the
@@ -558,14 +550,20 @@ impl RhsKernel<D3> for Kernel<'_> {
     /// neighbor traces through the faces' [`FaceOp`]s (a gather, plus
     /// tensor sweeps and their transposed lift on 2:1 faces) — zero heap
     /// allocations.
+    ///
+    /// Never inlined: generic, it is instantiated next to the stepper's
+    /// sweep closure, and folded into it the gradient and face sections
+    /// measured 5–15 % slower than as the function of its own the
+    /// concrete f64 kernel used to be.
+    #[inline(never)]
     fn rhs_unit(
         &self,
-        q: &[f64],
+        q: &[R],
         e: usize,
         t: f64,
-        traces: Option<&HaloData<'_, D3>>,
-        ws: &mut KernelWorkspace,
-        out_e: &mut [f64],
+        traces: Option<&HaloData<'_, D3, R>>,
+        ws: &mut KernelWorkspace<R>,
+        out_e: &mut [R],
     ) {
         let re = &self.mesh.re;
         let npe = re.nodes_per_elem(3);
@@ -586,63 +584,66 @@ impl RhsKernel<D3> for Kernel<'_> {
             ..
         } = ws;
 
-        let tab = &re.face_tables;
+        let tab = self.tab;
         // Component `c` of a neighbor's trace on its `nbr_face`, taken
         // through `op` into `out`: one gather straight out of `q` or the
         // ghost traces.
-        let nbr_trace = |op: FaceOp,
-                         r: ElemRef,
-                         nbr_face: usize,
-                         c: usize,
-                         tmp: &mut [f64],
-                         out: &mut [f64]| {
-            match r {
-                ElemRef::Local(i) => {
-                    let nv = &q[i as usize * chunk + c * npe..][..npe];
-                    op.apply_indexed(tab, 3, nv, &self.face_idx[nbr_face], tmp, out);
+        let nbr_trace =
+            |op: FaceOp, r: ElemRef, nbr_face: usize, c: usize, tmp: &mut [R], out: &mut [R]| {
+                match r {
+                    ElemRef::Local(i) => {
+                        let nv = &q[i as usize * chunk + c * npe..][..npe];
+                        op.apply_indexed(tab, 3, nv, &self.face_idx[nbr_face], tmp, out);
+                    }
+                    ElemRef::Ghost(g) => {
+                        let (trace, pos) = traces
+                            .expect("interior element classified with a ghost face")
+                            .face_source(g as usize, nbr_face, c);
+                        op.apply_indexed(tab, 3, trace, pos, tmp, out);
+                    }
                 }
-                ElemRef::Ghost(g) => {
-                    let (trace, pos) = traces
-                        .expect("interior element classified with a ghost face")
-                        .face_source(g as usize, nbr_face, c);
-                    op.apply_indexed(tab, 3, trace, pos, tmp, out);
-                }
-            }
-        };
+            };
         {
             let base = e * chunk;
-            let inv = self.geo.elem_inv(e);
-            let det = self.geo.elem_det(e);
+            let inv = &self.inv[e * npe..(e + 1) * npe];
+            let det = &self.det[e * npe..(e + 1) * npe];
 
             // Nodal stress into the workspace.
             let sig_nodal = &mut nodal[..6 * npe];
+            // One slice per stress plane, so the node loop's stores are
+            // provably disjoint from each other and it vectorizes.
+            let qe = &q[base..base + chunk];
+            let mat_e = &self.mat[e * npe..(e + 1) * npe];
+            let mut planes = sig_nodal.chunks_exact_mut(npe);
+            let sig: [&mut [R]; 6] = std::array::from_fn(|_| planes.next().expect("six planes"));
             for v in 0..npe {
-                let s = node_state(q, npe, e, v);
-                let m = self.mat[e * npe + v];
-                let sg = stress(&s, m[1], m[2]);
+                let s: [R; NCOMP] = std::array::from_fn(|c| qe[c * npe + v]);
+                let sg = stress(&s, mat_e[v][1], mat_e[v][2]);
                 for c in 0..6 {
-                    sig_nodal[c * npe + v] = sg[c];
+                    sig[c][v] = sg[c];
                 }
             }
             // Reference gradients of velocity (3) and stress (6): two
             // batched sweeps into disjoint panels of the workspace,
             // layout `[field][axis][node]`.
             let (gv, gs) = grad[..NCOMP * 3 * npe].split_at_mut(3 * 3 * npe);
-            kernels::batched_gradient_into(&re.diff, re.np, 3, &q[base..base + 3 * npe], 3, gv);
-            kernels::batched_gradient_into(&re.diff, re.np, 3, sig_nodal, 6, gs);
+            kernels::batched_gradient_any(self.diff, re.np, 3, &q[base..base + 3 * npe], 3, gv);
+            kernels::batched_gradient_any(self.diff, re.np, 3, sig_nodal, 6, gs);
             // Volume terms. The source is Gaussian in space (cached per
             // node at assembly) times a Ricker wavelet in time.
-            let src_t = ricker(t, self.config.f0, 1.2 / self.config.f0);
+            let src_t = R::from_f64(ricker(t, self.f0, 1.2 / self.f0));
             let srcw = &self.srcw[e * npe..(e + 1) * npe];
             for v in 0..npe {
                 let m = self.mat[e * npe + v];
                 let rho = m[0];
                 // Physical derivative d(field)/dx_i = sum_r inv[r][i] dref_r
-                // of field `fld` of a batched gradient panel.
-                let dphys = |g: &[f64], fld: usize, i: usize| -> f64 {
-                    (0..3)
-                        .map(|r| inv[v][r][i] * g[(fld * 3 + r) * npe + v])
-                        .sum()
+                // of field `fld` of a batched gradient panel. Written out:
+                // `.sum()` through a generic `R: Sum` bound costs this loop
+                // 5x at either precision, and `(a + b) + c` is bit for bit
+                // what the float fold from `-0.0` computes.
+                let dphys = |g: &[R], fld: usize, i: usize| -> R {
+                    let term = |r: usize| inv[v][r][i] * g[(fld * 3 + r) * npe + v];
+                    term(0) + term(1) + term(2)
                 };
                 // Momentum: rho v_i' = sum_j d sigma_ij / dx_j.
                 // Voigt: row x = (sxx, sxy, sxz) = (0, 5, 4), etc.
@@ -659,13 +660,13 @@ impl RhsKernel<D3> for Kernel<'_> {
                     gvx[0],
                     gvy[1],
                     gvz[2],
-                    0.5 * (gvy[2] + gvz[1]),
-                    0.5 * (gvx[2] + gvz[0]),
-                    0.5 * (gvx[1] + gvy[0]),
+                    R::HALF * (gvy[2] + gvz[1]),
+                    R::HALF * (gvx[2] + gvz[0]),
+                    R::HALF * (gvx[1] + gvy[0]),
                 ];
                 let amp = src_t * srcw[v];
                 for c in 0..3 {
-                    out_e[c * npe + v] = dv[c] + amp * self.config.src_dir[c] / rho;
+                    out_e[c * npe + v] = dv[c] + amp * self.src_dir[c] / rho;
                 }
                 for c in 0..6 {
                     out_e[(3 + c) * npe + v] = de[c];
@@ -676,7 +677,7 @@ impl RhsKernel<D3> for Kernel<'_> {
             // workspace slabs (`[component][face node]`, `npf` stride):
             // `face_a` is my trace, `face_b` the neighbor's.
             for f in 0..6 {
-                let fg = self.geo.face(e, f, self.mesh.nfaces);
+                let fg = &self.faces[e * 6 + f];
                 let fidx = &self.face_idx[f];
                 // My face trace of all components.
                 for c in 0..NCOMP {
@@ -686,15 +687,15 @@ impl RhsKernel<D3> for Kernel<'_> {
                 }
 
                 let apply_flux =
-                    |qm: &[f64],
-                     qp: &[f64],
-                     normals: &[[f64; 3]],
-                     sjs: &[f64],
-                     lift: &mut dyn FnMut(usize, [f64; NCOMP], f64)| {
+                    |qm: &[R],
+                     qp: &[R],
+                     normals: &[[R; 3]],
+                     sjs: &[R],
+                     lift: &mut dyn FnMut(usize, [R; NCOMP], R)| {
                         for j in 0..npf {
                             // Assemble the nodal states from the flat slabs.
-                            let mut qmj = [0.0; NCOMP];
-                            let mut qpj = [0.0; NCOMP];
+                            let mut qmj = [R::ZERO; NCOMP];
+                            let mut qpj = [R::ZERO; NCOMP];
                             for c in 0..NCOMP {
                                 qmj[c] = qm[c * npf + j];
                                 qpj[c] = qp[c * npf + j];
@@ -706,11 +707,11 @@ impl RhsKernel<D3> for Kernel<'_> {
                     };
 
                 // Nodal lift of the flux jumps of a boundary or same-size face.
-                let mut lift_nodal = |j: usize, d: [f64; NCOMP], s: f64| {
+                let mut lift_nodal = |j: usize, d: [R; NCOMP], s: R| {
                     let v = fidx[j];
                     let coef = self.wf[j] * s / (self.wv[v] * det[v]);
                     for (c, dc) in d.iter().enumerate() {
-                        out_e[c * npe + v] += coef * dc;
+                        out_e[c * npe + v] += coef * *dc;
                     }
                 };
                 match self.mesh.face(e, f) {
@@ -769,14 +770,14 @@ impl RhsKernel<D3> for Kernel<'_> {
                             apply_flux(face_a, face_b, &sg.normal, &sg.sj, &mut |j, d, s| {
                                 let w = self.wf[j] * s;
                                 for (c, dc) in d.iter().enumerate() {
-                                    flux[c * npf + j] = w * dc;
+                                    flux[c * npf + j] = w * *dc;
                                 }
                             });
                             let lifted = &mut lifted[..npf];
                             for (c, g) in flux.chunks_exact(npf).enumerate() {
                                 sub.op.apply_transpose(tab, 3, g, face_c, lifted);
                                 for (&v, h) in fidx.iter().zip(lifted.iter()) {
-                                    out_e[c * npe + v] += h / (self.wv[v] * det[v]);
+                                    out_e[c * npe + v] += *h / (self.wv[v] * det[v]);
                                 }
                             }
                         }
@@ -787,7 +788,7 @@ impl RhsKernel<D3> for Kernel<'_> {
     }
 }
 
-impl Kernel<'_> {
+impl SeismicSolver {
     /// Oracle per-element RHS: the pre-kernel-engine implementation,
     /// verbatim (allocating per-component `gradient`/`matvec`/`collect`).
     #[allow(clippy::too_many_arguments)]
@@ -827,7 +828,7 @@ impl Kernel<'_> {
             ]
         };
 
-        let cfg = self.config;
+        let cfg = &self.config;
         // Face trace of one component of a neighbor (its `nbr_face`,
         // face-lattice order).
         let nbr_trace = |r: ElemRef, nbr_face: usize, c: usize, buf: &mut Vec<f64>| match r {
@@ -1063,9 +1064,7 @@ impl Kernel<'_> {
             }
         }
     }
-}
 
-impl SeismicSolver {
     /// Write a recoverable checkpoint of the solver into `dir`
     /// ([`Forest::save_solver`]: the state rides as payload, `time` bits
     /// and step count in `solver.fst`). Collective.
@@ -1160,28 +1159,109 @@ fn checkpoint_format(config: &SeismicConfig) -> SolverFormat {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::device::DeviceState;
+    use crate::model::prem_like_at;
+    use forust::connectivity::builders;
+    use forust_comm::run_spmd;
+    use forust_geom::ShellMap;
 
-    /// Identical traces must produce a zero jump — the lane opt-out
-    /// mechanism for divergent (mortar/padding) lanes.
-    #[test]
-    fn penalty_flux_zero_jump_on_equal_traces() {
-        let npf = 16;
-        let fp = npf * LANES;
-        let mut qm = vec![0.0f32; 9 * fp];
-        for (i, v) in qm.iter_mut().enumerate() {
-            *v = (i % 17) as f32 * 0.03 - 0.2;
+    /// One RHS evaluation of every local element through `kernel`, behind
+    /// a blocking trace exchange in the kernel's own precision.
+    fn rhs_all<R: Tier>(
+        kernel: &Kernel<'_, R>,
+        halo: &HaloExchange<D3>,
+        comm: &impl Communicator,
+        q: &[R],
+        t: f64,
+    ) -> Vec<R> {
+        let _fp = R::fp_scope();
+        let traces = halo.exchange(comm, q, NCOMP);
+        let mut ws = kernel.new_scratch();
+        let mut out = vec![R::ZERO; q.len()];
+        for (e, out_e) in out.chunks_mut(kernel.unit_len()).enumerate() {
+            kernel.rhs_unit(q, e, t, Some(&traces), &mut ws, out_e);
         }
-        let qp = qm.clone();
-        let mut nrm = vec![0.0f32; 3 * fp];
-        nrm[..fp].fill(1.0);
-        let rho = vec![1.1f32; fp];
-        let lam = vec![0.8f32; fp];
-        let mu = vec![0.5f32; fp];
-        let mut d = vec![1.0f32; 9 * fp];
-        soa_penalty_flux(npf, &qm, &qp, &nrm, &rho, &lam, &mu, &mut d);
-        assert!(
-            d.iter().all(|&x| x == 0.0),
-            "equal traces must yield d == 0"
-        );
+        out
+    }
+
+    /// One kernel, two precisions: on an adapted shell with every face
+    /// kind and ghost faces, the f32 instantiation of one RHS evaluation
+    /// of a random O(1) state is the f64 one up to single-precision
+    /// rounding (measured 1.6–2.0e-7 relative L∞).
+    #[test]
+    fn kernel_f32_is_kernel_f64_per_rhs_up_to_rounding() {
+        for degree in [3usize, 4] {
+            run_spmd(3, |comm| {
+                let conn = Arc::new(builders::shell24());
+                let forest = Forest::<D3>::new_uniform(Arc::clone(&conn), comm, 1);
+                let map: Arc<dyn Mapping<D3> + Send + Sync> =
+                    Arc::new(ShellMap::new(conn, 0.55, 1.0));
+                let config = SeismicConfig {
+                    degree,
+                    min_level: 1,
+                    max_level: 2,
+                    f0: 3.0,
+                    ppw: 6.0,
+                    ..Default::default()
+                };
+                let t = 1.2 / config.f0; // the Ricker peak
+                let mut host = SeismicSolver::new(comm, forest, map, config, prem_like_at);
+
+                // Every face kind, and ghost faces, are in the run.
+                let mut kinds = [0u64; 5];
+                for face in &host.mesh.faces {
+                    let (kind, ghost) = match face {
+                        FaceConn::Boundary => (0, false),
+                        FaceConn::Conforming { nbr, .. } => (1, matches!(nbr, ElemRef::Ghost(_))),
+                        FaceConn::CoarseNbr { nbr, .. } => (2, matches!(nbr, ElemRef::Ghost(_))),
+                        FaceConn::FineNbrs { subs } => {
+                            (3, subs.iter().any(|s| matches!(s.nbr, ElemRef::Ghost(_))))
+                        }
+                    };
+                    kinds[kind] += 1;
+                    kinds[4] += u64::from(ghost);
+                }
+                for (kind, n) in kinds.into_iter().enumerate() {
+                    assert!(comm.allreduce_sum_u64(n) > 0, "no face of kind {kind}");
+                }
+
+                // Seeded random state in [-1, 1].
+                let mut state = 0x5eed_0000 + comm.rank() as u64;
+                for v in host.q.iter_mut() {
+                    state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    *v = (state >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0;
+                }
+                let mut dev = DeviceState::from_host(&host);
+
+                let r32 = {
+                    let (_, q, kernel) = dev.parts(&host);
+                    rhs_all(&kernel, &host.halo, comm, q, t)
+                };
+                let r64 = {
+                    let (_, halo, q, kernel) = host.parts();
+                    rhs_all(&kernel, halo, comm, q, t)
+                };
+
+                let mut num = 0.0f64;
+                let mut den = 0.0f64;
+                for (&a, &b) in r64.iter().zip(&r32) {
+                    num = num.max((a - f64::from(b)).abs());
+                    den = den.max(a.abs());
+                }
+                let num = comm.allreduce_max_f64(num);
+                let den = comm.allreduce_max_f64(den);
+                assert!(den > 0.0);
+                if comm.rank() == 0 {
+                    println!("degree {degree}: f32 vs f64 RHS {:.3e}", num / den);
+                }
+                assert!(
+                    num / den <= 2e-6,
+                    "degree {degree}: f32 RHS off the f64 RHS by {:.3e}",
+                    num / den
+                );
+            });
+        }
     }
 }

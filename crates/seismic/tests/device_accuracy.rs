@@ -8,9 +8,11 @@
 //!   f64 reference on 1, 3 and 5 ranks;
 //! - against the closed-form plane wave the device run is as accurate
 //!   as the f64 run up to single-precision rounding;
-//! - `transfer_from_host` reuses arena capacity across adapt/transfer
+//! - `transfer_from_host` reuses buffer capacity across adapt/transfer
 //!   cycles (`device.transfer_grow` stays zero until the mesh outgrows
 //!   every prior transfer);
+//! - `to_host` hands back the clock and the step count, so a checkpoint
+//!   written after a device phase records both;
 //! - a device step is a pure function of `(q, t)`: a state rebuilt from
 //!   the host copy before every step — what a checkpoint restart does —
 //!   stays bit-identical, RK register included, to one stepped straight
@@ -51,8 +53,7 @@ fn build_shell(comm: &impl Communicator, max_level: u8) -> SeismicSolver {
     build_shell_deg(comm, max_level, 3)
 }
 
-/// Count this rank's 2:1 mortar faces (the lanes that take the scalar
-/// f32 path on the device).
+/// Count this rank's 2:1 mortar faces.
 fn mortar_faces(s: &SeismicSolver) -> u64 {
     let mut n = 0;
     for e in 0..s.mesh.num_elements() {
@@ -205,7 +206,38 @@ fn device_step_is_a_pure_function_of_state_and_time() {
     });
 }
 
-/// Satellite (a): arena capacity persists across adapt/transfer cycles.
+/// The device counts its steps from the host's count at transfer and
+/// `to_host` hands both clock and count back: no caller patches
+/// `timers.steps` by hand, and a checkpoint after a device phase is not
+/// stale.
+#[test]
+fn to_host_restores_clock_and_step_count() {
+    run_spmd(2, |comm| {
+        let mut host = build_shell(comm, 2);
+        let dt = host.dt;
+        let mut dev = DeviceState::from_host(&host);
+        let k = 3;
+        let mut time = 0.0;
+        for _ in 0..k {
+            dev.step(&host, comm);
+            time += dt;
+        }
+        assert_eq!(host.timers.steps, 0, "the host solver has not stepped");
+        dev.to_host(&mut host);
+        assert_eq!(host.timers.steps, k);
+        assert_eq!(host.time.to_bits(), time.to_bits(), "time is k steps of dt");
+        assert!((host.time - k as f64 * dt).abs() <= 1e-15 * host.time);
+
+        // A second device phase continues the count where the host is.
+        host.step(comm);
+        dev.transfer_from_host(&host);
+        dev.step(&host, comm);
+        dev.to_host(&mut host);
+        assert_eq!(host.timers.steps, k + 2);
+    });
+}
+
+/// Buffer capacity persists across adapt/transfer cycles.
 #[test]
 fn transfer_reuses_capacity_across_adapt_cycles() {
     run_spmd(1, |comm| {
@@ -230,7 +262,7 @@ fn transfer_reuses_capacity_across_adapt_cycles() {
 
         // A genuinely larger state must grow — and be counted. Doubled
         // ppw forces deeper wavelength refinement, and degree 4 (np = 5)
-        // also exercises the runtime-np device path.
+        // also exercises the runtime-np kernel path.
         let conn = Arc::new(builders::shell24());
         let forest = Forest::<D3>::new_uniform(Arc::clone(&conn), comm, 1);
         let map: Arc<dyn Mapping<D3> + Send + Sync> = Arc::new(ShellMap::new(conn, 0.55, 1.0));

@@ -120,7 +120,6 @@ impl Recoverable for DeviceRecoverySetup {
         let (host, dev) = solver;
         dev.step(host, comm);
         dev.to_host(host);
-        host.timers.steps += 1;
     }
 
     fn finish<C: Communicator>(&self, solver: &Self::Solver, comm: &C) -> SeismicAttemptResult {
