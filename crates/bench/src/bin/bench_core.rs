@@ -245,10 +245,6 @@ fn main() {
         let mut f = forest3.clone();
         f.balance(&comm3, BalanceType::Full);
     });
-    run(&mut records, "balance_oracle_l3", n3, REPS_BIG, || {
-        let mut f = forest3.clone();
-        f.balance_rounds(&comm3, BalanceType::Full);
-    });
     let mut balanced3 = forest3.clone();
     balanced3.balance(&comm3, BalanceType::Full);
     let nb3 = balanced3.num_local();

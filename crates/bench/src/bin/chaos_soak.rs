@@ -83,7 +83,6 @@ fn mantle_setup(checkpoint_every: usize) -> MantleRecoverySetup {
             max_level: 2,
             minres_iters: 25,
             minres_tol: 1e-3,
-            cheby_sweeps: 2,
             ..Default::default()
         },
         initial_level: 1,

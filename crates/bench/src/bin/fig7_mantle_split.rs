@@ -26,7 +26,7 @@ fn main() {
         .unwrap_or(4);
 
     println!("# Fig. 7 reproduction: runtime split of adaptive mantle convection");
-    println!("# shell24, trilinear velocity-pressure, Picard + MINRES + V-cycle standin\n");
+    println!("# shell24, trilinear velocity-pressure, Picard + MINRES + weighted block Jacobi (the vcycle% column)\n");
     println!(
         "{:>5} {:>9} {:>10} {:>9} {:>9} {:>9} {:>8}",
         "P", "elems", "unknowns", "solve%", "vcycle%", "AMR%", "krylov"

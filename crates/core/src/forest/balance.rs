@@ -166,10 +166,8 @@ impl<D: Dim> Forest<D> {
     /// skip the exterior-image machinery entirely. Refinement is monotone
     /// and bounded by `MAX_LEVEL`, so the iteration terminates, and the
     /// closure operator is confluent, so the result is the same least
-    /// fixed point as both retained oracles: the per-round batched
-    /// formulation ([`Forest::balance_rounds`], the benchmark oracle) and
-    /// the one-split-at-a-time ripple ([`Forest::balance_ripple`], the
-    /// fuzz oracle).
+    /// fixed point as the retained oracle, the one-split-at-a-time ripple
+    /// ([`Forest::balance_ripple`], which the fuzz suite compares against).
     pub fn balance(&mut self, comm: &impl Communicator, btype: BalanceType) {
         let _span = forust_obs::span!("forest.balance");
         let p = comm.size();
@@ -266,102 +264,6 @@ impl<D: Dim> Forest<D> {
                     pending[t as usize].push(m);
                 }
             }
-            for (ti, reqs) in pending.iter().enumerate() {
-                if !reqs.is_empty() {
-                    let t = ti as TreeId;
-                    apply_requirements(self.tree_mut(t), reqs, t, &mut work);
-                }
-            }
-            if !comm.allreduce_or(!work.is_empty()) {
-                break;
-            }
-        }
-        self.update_meta(comm);
-    }
-
-    /// The per-round batched formulation [`Forest::balance`] replaced:
-    /// every round interleaves one communication exchange with one batch
-    /// of local applications, instead of closing the local fixed point
-    /// first. Retained verbatim as the benchmark equivalence oracle (the
-    /// `morton_reference` pattern); the fuzz suite asserts the production
-    /// path, this and [`Forest::balance_ripple`] produce octant-for-octant
-    /// identical forests. Not public API.
-    #[doc(hidden)]
-    pub fn balance_rounds(&mut self, comm: &impl Communicator, btype: BalanceType) {
-        let p = comm.size();
-        let me = comm.rank();
-        let dirs = directions::<D>(btype);
-        // Round 0: every local leaf's insulation could be violated.
-        let mut work: Vec<(TreeId, Octant<D>)> = self.iter_local().map(|(t, o)| (t, *o)).collect();
-
-        loop {
-            let mut remote: Vec<Vec<(u32, Octant<D>)>> = (0..p).map(|_| Vec::new()).collect();
-            let mut pending: Vec<Vec<Octant<D>>> = vec![Vec::new(); self.conn.num_trees()];
-            // Requirement emission is embarrassingly parallel: each work
-            // item only reads the connectivity and the partition markers.
-            // Chunks fold back in ascending order, and every consumer of
-            // `remote`/`pending` sorts + dedups along the curve anyway, so
-            // the outcome is bitwise independent of the worker count.
-            {
-                let this = &*self;
-                let items = &work[..];
-                let dirs = &dirs[..];
-                forust_pool::par_map_reduce(
-                    items.len(),
-                    BALANCE_GRAIN,
-                    |range, _| {
-                        let mut rem: Vec<Vec<(u32, Octant<D>)>> =
-                            (0..p).map(|_| Vec::new()).collect();
-                        let mut pend: Vec<Vec<Octant<D>>> = vec![Vec::new(); this.conn.num_trees()];
-                        for &(t, o) in &items[range] {
-                            // A requirement at level o.level - 1 <= 0 never
-                            // splits.
-                            if o.level <= 1 {
-                                continue;
-                            }
-                            for d in dirs {
-                                let n = o.neighbor(d[0], d[1], d[2]);
-                                for (k2, m) in this.conn.exterior_images(t, &n) {
-                                    let (rlo, rhi) = this.owner_range(k2, &m);
-                                    if rlo != rhi {
-                                        // The region spans ranks, so every
-                                        // overlapping leaf is finer than m:
-                                        // nothing to enforce.
-                                        continue;
-                                    }
-                                    if rlo == me {
-                                        pend[k2 as usize].push(m);
-                                    } else {
-                                        rem[rlo].push((k2, m));
-                                    }
-                                }
-                            }
-                        }
-                        (rem, pend)
-                    },
-                    |(rem, pend)| {
-                        for (dst, src) in remote.iter_mut().zip(rem) {
-                            dst.extend(src);
-                        }
-                        for (dst, src) in pending.iter_mut().zip(pend) {
-                            dst.extend(src);
-                        }
-                    },
-                );
-            }
-            work.clear();
-            for v in &mut remote {
-                v.sort_by_cached_key(|(t, o)| sfc_pos(*t, o));
-                v.dedup();
-            }
-            let incoming = comm.alltoallv(remote);
-            for part in incoming {
-                for (t, m) in part {
-                    pending[t as usize].push(m);
-                }
-            }
-            // Batched split application: one linear pass per touched tree.
-            // Octants created here seed the next round's worklist.
             for (ti, reqs) in pending.iter().enumerate() {
                 if !reqs.is_empty() {
                     let t = ti as TreeId;

@@ -1020,10 +1020,10 @@ fn set_hanging(drafts: &mut [Draft], i: u32, parents: Vec<u32>, rel: [u16; 2], e
     }
 }
 
-/// Base message tag of the split-phase cG assembly: a 16-lane block in
-/// the reserved space below the collective tags, so concurrent per-field
-/// assemblies neither steal each other's messages nor interleave with
-/// collectives issued between begin and end.
+/// Message tag of the split-phase cG assembly, in the reserved space
+/// below the collective tags so collectives issued between begin and end
+/// cannot steal its messages. One tag: at most one assembly may be in
+/// flight per communicator (multi-component fields travel together).
 pub const TAG_ASSEMBLE: u32 = TAG_COLLECTIVE - 48;
 
 /// An in-flight [`Nodes::assemble_add_begin`] reduction; complete it with
@@ -1052,10 +1052,30 @@ impl<D: Dim> Nodes<D> {
         self.keys.len()
     }
 
+    /// Component count of a component-major field of `len` values
+    /// (`len = k · num_local()`, component `c` at `c · num_local()..`).
+    fn components(&self, len: usize) -> usize {
+        let nn = self.keys.len();
+        let k = len.checked_div(nn).unwrap_or(0);
+        assert_eq!(len, k * nn, "field is not a whole number of components");
+        k
+    }
+
+    /// Field indices of one peer's message in wire order: component-major
+    /// over the peer's shared-node list, so all `k` components of a node
+    /// ride in the same message.
+    fn wire_order<'a>(&self, k: usize, shared: &'a [u32]) -> impl Iterator<Item = usize> + 'a {
+        let nn = self.keys.len();
+        (0..k).flat_map(move |c| shared.iter().map(move |&i| c * nn + i as usize))
+    }
+
     /// Sum-reduce shared dof values across ranks: every borrower's partial
     /// is added at the owner, and the total is broadcast back, so all
     /// copies of each dof agree afterwards. (The cG scatter-gather of
     /// paper §II-E.) Hanging-node entries are ignored.
+    ///
+    /// `values` is a component-major field of `k · num_local()` entries;
+    /// all `k` components of a shared node travel in one message per peer.
     ///
     /// Generic over the scalar so the same plan assembles `f64` fields and
     /// the fixed-point `i128` fields of the bitwise-reproducible path
@@ -1065,41 +1085,33 @@ impl<D: Dim> Nodes<D> {
     where
         T: Wire + Copy + std::ops::AddAssign,
     {
-        let pending = self.assemble_add_begin(comm, values, 0);
+        let pending = self.assemble_add_begin(comm, values);
         self.assemble_add_end(comm, pending, values);
     }
 
     /// Start the borrower-to-owner leg of [`Nodes::assemble_add`]: the
     /// partials of `values` at borrowed dofs go on the wire and the call
-    /// returns immediately. Independent local work (e.g. accumulating the
-    /// next field's element integrals) proceeds while the messages fly;
-    /// [`Nodes::assemble_add_end`] completes the reduction. Up to 16
-    /// assemblies may be in flight at once, each on its own `lane`.
+    /// returns immediately. Independent local work proceeds while the
+    /// messages fly; [`Nodes::assemble_add_end`] completes the reduction.
+    /// At most one assembly may be in flight per communicator.
     pub fn assemble_add_begin<'a, C: Communicator, T: Wire + Copy>(
         &self,
         comm: &'a C,
         values: &[T],
-        lane: u32,
     ) -> AssemblePending<'a, C> {
         let _span = forust_obs::span!("nodes.assemble_begin");
-        assert_eq!(values.len(), self.keys.len());
-        assert!(
-            lane < 16,
-            "assembly lane {lane} out of the reserved tag range"
-        );
-        let p = comm.size();
+        let k = self.components(values.len());
         // Borrower -> owner partials.
-        let outgoing: Vec<Vec<u8>> = (0..p)
-            .map(|r| {
-                let partials: Vec<T> = self.borrowed_by_rank[r]
-                    .iter()
-                    .map(|&i| values[i as usize])
-                    .collect();
+        let outgoing: Vec<Vec<u8>> = self
+            .borrowed_by_rank
+            .iter()
+            .map(|borrowed| {
+                let partials: Vec<T> = self.wire_order(k, borrowed).map(|i| values[i]).collect();
                 write_vec(&partials)
             })
             .collect();
         AssemblePending {
-            pending: comm.start_alltoallv_bytes(outgoing, TAG_ASSEMBLE + lane),
+            pending: comm.start_alltoallv_bytes(outgoing, TAG_ASSEMBLE),
         }
     }
 
@@ -1116,32 +1128,30 @@ impl<D: Dim> Nodes<D> {
         T: Wire + Copy + std::ops::AddAssign,
     {
         let _span = forust_obs::span!("nodes.assemble_end");
-        assert_eq!(values.len(), self.keys.len());
-        for (r, buf) in pending.pending.wait().into_iter().enumerate() {
+        let k = self.components(values.len());
+        for (lent, buf) in self.lent_to_rank.iter().zip(pending.pending.wait()) {
             let partials: Vec<T> = read_vec(&buf);
-            for (&i, v) in self.lent_to_rank[r].iter().zip(partials) {
-                values[i as usize] += v;
+            assert_eq!(partials.len(), k * lent.len(), "assembly message size");
+            for (i, v) in self.wire_order(k, lent).zip(partials) {
+                values[i] += v;
             }
         }
         self.broadcast_owned(comm, values);
     }
 
-    /// Overwrite every borrowed dof with the owner's value.
+    /// Overwrite every borrowed dof with the owner's value, all components
+    /// of a component-major field in one message per peer.
     pub fn broadcast_owned<T: Wire + Copy>(&self, comm: &impl Communicator, values: &mut [T]) {
-        assert_eq!(values.len(), self.keys.len());
-        let p = comm.size();
-        let out: Vec<Vec<T>> = (0..p)
-            .map(|r| {
-                self.lent_to_rank[r]
-                    .iter()
-                    .map(|&i| values[i as usize])
-                    .collect()
-            })
+        let k = self.components(values.len());
+        let out: Vec<Vec<T>> = self
+            .lent_to_rank
+            .iter()
+            .map(|lent| self.wire_order(k, lent).map(|i| values[i]).collect())
             .collect();
-        let incoming = comm.alltoallv(out);
-        for (r, vals) in incoming.into_iter().enumerate() {
-            for (&i, v) in self.borrowed_by_rank[r].iter().zip(vals) {
-                values[i as usize] = v;
+        for (borrowed, vals) in self.borrowed_by_rank.iter().zip(comm.alltoallv(out)) {
+            assert_eq!(vals.len(), k * borrowed.len(), "broadcast message size");
+            for (i, v) in self.wire_order(k, borrowed).zip(vals) {
+                values[i] = v;
             }
         }
     }
@@ -1378,6 +1388,53 @@ mod tests {
             let max = values.iter().cloned().fold(0.0, f64::max);
             assert_eq!(max, 8.0);
         });
+    }
+
+    /// A component-major field assembles exactly like its components one
+    /// by one, in one `TAG_ASSEMBLE` message per peer instead of `k`.
+    #[test]
+    fn fused_assembly_is_the_per_component_assembly() {
+        fn check<T>(comm: &impl Communicator, nodes: &Nodes<crate::dim::D3>, mk: impl Fn(u64) -> T)
+        where
+            T: Wire + Copy + PartialEq + std::fmt::Debug + std::ops::AddAssign,
+        {
+            const K: usize = 4;
+            let nn = nodes.num_local();
+            let field: Vec<T> = (0..K * nn)
+                .map(|i| {
+                    let h = (i as u64 + 1 + ((comm.rank() as u64) << 40))
+                        .wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                    mk(h >> 20)
+                })
+                .collect();
+            let sent = || comm.stats().tag_traffic(TAG_ASSEMBLE).msgs;
+            let peers = comm.size() as u64 - 1;
+
+            let mut fused = field.clone();
+            let before = sent();
+            nodes.assemble_add(comm, &mut fused);
+            assert_eq!(sent() - before, peers, "one message per peer");
+
+            let mut split = field;
+            let before = sent();
+            for comp in split.chunks_exact_mut(nn) {
+                nodes.assemble_add(comm, comp);
+            }
+            assert_eq!(sent() - before, K as u64 * peers);
+            assert_eq!(fused, split);
+        }
+        for p in [1usize, 2, 3] {
+            run_spmd(p, |comm| {
+                // The mesh of `hanging_edges_3d`: hanging faces and edges.
+                let (_, nodes) = build(comm, builders::unit3d(), 1, 1, |_, o| {
+                    o.level < 2 && o.z == 0 && !(o.x > 0 && o.y > 0)
+                });
+                let hangs = |s: &NodeStatus| matches!(s, NodeStatus::Hanging { .. });
+                assert!(comm.allreduce_or(nodes.status.iter().any(hangs)));
+                check(comm, &nodes, |h| h as f64 / 4096.0 - 1e9);
+                check(comm, &nodes, |h| h as i128 - (1 << 43));
+            });
+        }
     }
 
     #[test]

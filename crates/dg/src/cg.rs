@@ -10,7 +10,6 @@
 
 use forust::dim::Dim;
 use forust::nodes::{NodeStatus, Nodes};
-use forust_comm::Communicator;
 
 use crate::legendre::{barycentric_weights, lagrange_eval, lgl_nodes};
 
@@ -147,20 +146,6 @@ impl HangingInterp {
             values[*i as usize] = 0;
         }
     }
-}
-
-/// Full cG field synchronization: collect hanging contributions into
-/// parents, sum shared dofs across ranks, then re-interpolate hanging
-/// values — the scatter-gather cycle of one assembled residual.
-pub fn assemble_field<D: Dim>(
-    nodes: &Nodes<D>,
-    interp: &HangingInterp,
-    comm: &impl Communicator,
-    values: &mut [f64],
-) {
-    interp.collect_add(values);
-    nodes.assemble_add(comm, values);
-    interp.distribute(values);
 }
 
 #[cfg(test)]

@@ -17,7 +17,6 @@ use forust::nodes::{NodeStatus, Nodes};
 use forust_comm::{allreduce_sum_f64_exact, Communicator, FixedPoint};
 use forust_dg::cg::HangingInterp;
 use forust_geom::{octant_ref_coords, Mapping};
-use forust_pool::DisjointSlice;
 
 use crate::rheology::{synthetic_temperature, viscosity, RheologyParams};
 
@@ -28,6 +27,10 @@ use crate::rheology::{synthetic_temperature, viscosity, RheologyParams};
 /// written to its own window; the cross-element scatter happens later on
 /// the serial fixed-point assembly path).
 const FEM_GRAIN: usize = 32;
+
+/// One element's nodal contributions, `[component][corner]`: three
+/// velocity components and the pressure.
+type ElemContrib = [[f64; 8]; 4];
 
 /// Gauss points of the 2-point rule on [-1, 1].
 const GP: [f64; 2] = [
@@ -241,46 +244,46 @@ impl StokesFem {
     pub fn update_viscosity(&mut self, p: &RheologyParams, x: &[f64]) {
         let nn = self.nn;
         let mut eta = std::mem::take(&mut self.eta_qp);
-        {
-            let this = &*self;
-            let slots = DisjointSlice::new(&mut eta);
-            forust_pool::par_for_each(this.num_elements(), FEM_GRAIN, |range, _| {
-                for e in range {
-                    let en: Vec<usize> =
-                        this.nodes.element(e).iter().map(|&i| i as usize).collect();
-                    // SAFETY: distinct elements own disjoint 8-windows.
-                    let eta_e = unsafe { slots.slice(e * 8..(e + 1) * 8) };
-                    for q in 0..8 {
-                        let g = &this.qp_grads[e * 8 + q];
-                        // Strain rate second invariant at the quadrature point.
-                        let mut grad = [[0.0f64; 3]; 3];
-                        for (j, &ni) in en.iter().enumerate() {
-                            for d in 0..3 {
-                                for i in 0..3 {
-                                    grad[d][i] += x[d * nn + ni] * g[j][i];
-                                }
-                            }
+        forust_pool::par_chunks_mut(&mut eta, 8, FEM_GRAIN, |e, eta_e, _| {
+            let en = self.element_nodes(e);
+            for (q, eta_q) in eta_e.iter_mut().enumerate() {
+                let g = &self.qp_grads[e * 8 + q];
+                // Strain rate second invariant at the quadrature point.
+                let mut grad = [[0.0f64; 3]; 3];
+                for (j, &ni) in en.iter().enumerate() {
+                    for d in 0..3 {
+                        for i in 0..3 {
+                            grad[d][i] += x[d * nn + ni] * g[j][i];
                         }
-                        let mut eps2 = 0.0;
-                        for d in 0..3 {
-                            for i in 0..3 {
-                                let s = 0.5 * (grad[d][i] + grad[i][d]);
-                                eps2 += s * s;
-                            }
-                        }
-                        let eps_ii = eps2.sqrt().max(1e-8);
-                        let pos = this.qp_pos[e * 8 + q];
-                        // Temperature at the qp from the nodal field.
-                        let mut t = 0.0;
-                        for (j, &ni) in en.iter().enumerate() {
-                            t += this.basis[q][j] * this.temp[ni];
-                        }
-                        eta_e[q] = viscosity(p, pos, t, eps_ii);
                     }
                 }
-            });
-        }
+                let mut eps2 = 0.0;
+                for d in 0..3 {
+                    for i in 0..3 {
+                        let s = 0.5 * (grad[d][i] + grad[i][d]);
+                        eps2 += s * s;
+                    }
+                }
+                let eps_ii = eps2.sqrt().max(1e-8);
+                let pos = self.qp_pos[e * 8 + q];
+                // Temperature at the qp from the nodal field.
+                let mut t = 0.0;
+                for (j, &ni) in en.iter().enumerate() {
+                    t += self.basis[q][j] * self.temp[ni];
+                }
+                *eta_q = viscosity(p, pos, t, eps_ii);
+            }
+        });
         self.eta_qp = eta;
+    }
+
+    /// Local node indices of element `e`'s eight corners.
+    fn element_nodes(&self, e: usize) -> [usize; 8] {
+        let mut en = [0usize; 8];
+        for (d, &i) in en.iter_mut().zip(self.nodes.element(e)) {
+            *d = i as usize;
+        }
+        en
     }
 
     /// Apply boundary/hanging pre-state: distribute hanging values,
@@ -301,32 +304,33 @@ impl StokesFem {
         z
     }
 
-    /// Assemble per-element nodal contributions into globally consistent
-    /// component fields, bitwise independently of the partition.
+    /// The one element-integration and assembly driver: `out` (component-
+    /// major, `4 nn`) becomes the globally consistent sum over all elements
+    /// of `element(e, nodes_of_e)`, bitwise independently of the partition
+    /// and of the worker count.
     ///
-    /// `contribs[c][e * 8 + j]` is component `c`'s contribution of local
-    /// element `e` at its corner `j`. Each element's contributions depend
-    /// only on that element's own geometry and nodal state — never on
-    /// which rank integrates it — so the global multiset of contributions
-    /// is rank-count invariant. They are quantized onto a shared
-    /// fixed-point grid (`forust_comm::repro`, `shift = 2` so the dyadic
-    /// hanging weights `{1/2, 1/4}` stay exact), and the hanging collect,
-    /// cross-rank reduction, and owner broadcast all run in `i128`:
+    /// The element closure runs on the pool, each element writing its own
+    /// 32-value window. Its result depends only on that element's geometry
+    /// and nodal state — never on which rank integrates it — so the global
+    /// multiset of contributions is rank-count invariant. They are
+    /// quantized onto a shared fixed-point grid (`forust_comm::repro`,
+    /// `shift = 2` so the dyadic hanging weights `{1/2, 1/4}` stay exact),
+    /// and the scatter, hanging collect, cross-rank reduction (all four
+    /// components in one assembly) and owner broadcast run in `i128`:
     /// associative, hence identical bits on any rank count.
-    ///
-    /// The per-component reductions are split-phase: component `c`'s
-    /// borrower partials fly while component `c + 1` is still being
-    /// quantized locally, each on its own assembly lane.
-    fn assemble_contributions(
+    fn integrate(
         &self,
         comm: &impl Communicator,
-        contribs: &[Vec<f64>],
-    ) -> Vec<Vec<f64>> {
+        out: &mut [f64],
+        element: impl Fn(usize, &[usize; 8]) -> ElemContrib + Sync,
+    ) {
         let nn = self.nn;
-        let local_max = contribs
-            .iter()
-            .flat_map(|c| c.iter())
-            .fold(0.0f64, |m, &v| m.max(v.abs()));
+        assert_eq!(out.len(), 4 * nn);
+        let mut contribs = vec![0.0f64; self.num_elements() * 32];
+        forust_pool::par_chunks_mut(&mut contribs, 32, FEM_GRAIN, |e, window, _| {
+            window.copy_from_slice(element(e, &self.element_nodes(e)).as_flattened());
+        });
+        let local_max = contribs.iter().fold(0.0f64, |m, &v| m.max(v.abs()));
         let gmax = comm.allreduce_max_f64(local_max);
         // All ranks see the same reduced max, so all take the same branch.
         let Some(fx) = FixedPoint::for_global_max(gmax, 2) else {
@@ -334,29 +338,25 @@ impl StokesFem {
                 gmax == 0.0,
                 "non-finite element contribution (global max {gmax})"
             );
-            return contribs.iter().map(|_| vec![0.0; nn]).collect();
+            out.fill(0.0);
+            return;
         };
-        let mut encoded: Vec<Vec<i128>> = Vec::with_capacity(contribs.len());
-        let mut pending = Vec::with_capacity(contribs.len());
-        for (lane, comp) in contribs.iter().enumerate() {
-            let mut acc = vec![0i128; nn];
-            for e in 0..self.num_elements() {
-                for (j, &ni) in self.nodes.element(e).iter().enumerate() {
-                    acc[ni as usize] += fx.encode(comp[e * 8 + j]);
+        let mut acc = vec![0i128; 4 * nn];
+        for (e, window) in contribs.chunks_exact(32).enumerate() {
+            let en = self.element_nodes(e);
+            for (c, w) in window.chunks_exact(8).enumerate() {
+                for (&ni, &v) in en.iter().zip(w) {
+                    acc[c * nn + ni] += fx.encode(v);
                 }
             }
-            self.interp.collect_add_i128(&mut acc);
-            pending.push(self.nodes.assemble_add_begin(comm, &acc, lane as u32));
-            encoded.push(acc);
         }
-        pending
-            .into_iter()
-            .zip(encoded)
-            .map(|(p, mut acc)| {
-                self.nodes.assemble_add_end(comm, p, &mut acc);
-                acc.iter().map(|&q| fx.decode(q)).collect()
-            })
-            .collect()
+        for c in 0..4 {
+            self.interp.collect_add_i128(&mut acc[c * nn..(c + 1) * nn]);
+        }
+        self.nodes.assemble_add(comm, &mut acc);
+        for (o, &q) in out.iter_mut().zip(&acc) {
+            *o = fx.decode(q);
+        }
     }
 
     /// Enforce identity rows for Dirichlet and hanging slots after an
@@ -386,197 +386,127 @@ impl StokesFem {
     pub fn apply(&self, comm: &impl Communicator, x: &[f64], y: &mut [f64]) {
         let nn = self.nn;
         let z = self.pre(x);
-        // Element contributions go into per-element buffers (not straight
-        // into `y`) so `assemble_contributions` can reduce them on the
-        // rank-count-invariant fixed-point path. The integration fans out
-        // over the worker pool: each element accumulates locally and
-        // writes only its own 8-window of each component, so the buffers
-        // are bitwise identical to the serial sweep at any worker count.
-        let mut contribs: Vec<Vec<f64>> =
-            (0..4).map(|_| vec![0.0; self.num_elements() * 8]).collect();
-        {
-            let slots: Vec<DisjointSlice<'_, f64>> = contribs
-                .iter_mut()
-                .map(|c| DisjointSlice::new(c.as_mut_slice()))
-                .collect();
-            forust_pool::par_for_each(self.num_elements(), FEM_GRAIN, |range, _| {
-                for e in range {
-                    let en: Vec<usize> =
-                        self.nodes.element(e).iter().map(|&i| i as usize).collect();
-                    let mut comp_e = [[0.0f64; 8]; 4];
-                    // Element-mean pressure for the stabilization.
-                    let (mut pbar, mut vol) = (0.0, 0.0);
-                    let mut eta_bar = 0.0;
-                    for q in 0..8 {
-                        let w = self.qp_wdet[e * 8 + q];
-                        let mut pq = 0.0;
-                        for (j, &ni) in en.iter().enumerate() {
-                            pq += self.basis[q][j] * z[3 * nn + ni];
-                        }
-                        pbar += w * pq;
-                        vol += w;
-                        eta_bar += w * self.eta_qp[e * 8 + q];
-                    }
-                    pbar /= vol;
-                    eta_bar /= vol;
+        self.integrate(comm, y, |e, en| {
+            let mut comp_e = ElemContrib::default();
+            // Element-mean pressure for the stabilization.
+            let (mut pbar, mut vol) = (0.0, 0.0);
+            let mut eta_bar = 0.0;
+            for q in 0..8 {
+                let w = self.qp_wdet[e * 8 + q];
+                let mut pq = 0.0;
+                for (j, &ni) in en.iter().enumerate() {
+                    pq += self.basis[q][j] * z[3 * nn + ni];
+                }
+                pbar += w * pq;
+                vol += w;
+                eta_bar += w * self.eta_qp[e * 8 + q];
+            }
+            pbar /= vol;
+            eta_bar /= vol;
 
-                    for q in 0..8 {
-                        let w = self.qp_wdet[e * 8 + q];
-                        let g = &self.qp_grads[e * 8 + q];
-                        let eta = self.eta_qp[e * 8 + q];
-                        // State at the quadrature point.
-                        let mut grad = [[0.0f64; 3]; 3];
-                        let mut pq = 0.0;
-                        for (j, &ni) in en.iter().enumerate() {
-                            pq += self.basis[q][j] * z[3 * nn + ni];
-                            for d in 0..3 {
-                                for i in 0..3 {
-                                    grad[d][i] += z[d * nn + ni] * g[j][i];
-                                }
-                            }
+            for q in 0..8 {
+                let w = self.qp_wdet[e * 8 + q];
+                let g = &self.qp_grads[e * 8 + q];
+                let eta = self.eta_qp[e * 8 + q];
+                // State at the quadrature point.
+                let mut grad = [[0.0f64; 3]; 3];
+                let mut pq = 0.0;
+                for (j, &ni) in en.iter().enumerate() {
+                    pq += self.basis[q][j] * z[3 * nn + ni];
+                    for d in 0..3 {
+                        for i in 0..3 {
+                            grad[d][i] += z[d * nn + ni] * g[j][i];
                         }
-                        let divu = grad[0][0] + grad[1][1] + grad[2][2];
-                        let mut sym = [[0.0f64; 3]; 3];
-                        for d in 0..3 {
-                            for i in 0..3 {
-                                sym[d][i] = 0.5 * (grad[d][i] + grad[i][d]);
-                            }
-                        }
-                        // Test against every basis function.
-                        for (j, _) in en.iter().enumerate() {
-                            let gj = g[j];
-                            for (d, comp) in comp_e.iter_mut().take(3).enumerate() {
-                                // 2 eta eps(u) : eps(phi_j e_d) = 2 eta
-                                // sum_i sym[d][i] gj[i] (symmetry halves fold in).
-                                let mut a = 0.0;
-                                for i in 0..3 {
-                                    a += sym[d][i] * gj[i];
-                                }
-                                comp[j] += w * (2.0 * eta * a - pq * gj[d]);
-                            }
-                            // Pressure row: B u - C p.
-                            let stab = (pq - pbar) * (self.basis[q][j] - 0.125);
-                            comp_e[3][j] += w * (self.basis[q][j] * divu - stab / eta_bar);
-                        }
-                    }
-                    for (c, slot) in slots.iter().enumerate() {
-                        // SAFETY: distinct elements own disjoint 8-windows.
-                        unsafe { slot.slice(e * 8..(e + 1) * 8) }.copy_from_slice(&comp_e[c]);
                     }
                 }
-            });
-        }
-        for (c, f) in self
-            .assemble_contributions(comm, &contribs)
-            .into_iter()
-            .enumerate()
-        {
-            y[c * nn..(c + 1) * nn].copy_from_slice(&f);
-        }
+                let divu = grad[0][0] + grad[1][1] + grad[2][2];
+                let mut sym = [[0.0f64; 3]; 3];
+                for d in 0..3 {
+                    for i in 0..3 {
+                        sym[d][i] = 0.5 * (grad[d][i] + grad[i][d]);
+                    }
+                }
+                // Test against every basis function.
+                for j in 0..8 {
+                    let gj = g[j];
+                    for (d, comp) in comp_e.iter_mut().take(3).enumerate() {
+                        // 2 eta eps(u) : eps(phi_j e_d) = 2 eta
+                        // sum_i sym[d][i] gj[i] (symmetry halves fold in).
+                        let mut a = 0.0;
+                        for i in 0..3 {
+                            a += sym[d][i] * gj[i];
+                        }
+                        comp[j] += w * (2.0 * eta * a - pq * gj[d]);
+                    }
+                    // Pressure row: B u - C p.
+                    let stab = (pq - pbar) * (self.basis[q][j] - 0.125);
+                    comp_e[3][j] += w * (self.basis[q][j] * divu - stab / eta_bar);
+                }
+            }
+            comp_e
+        });
         self.identity_rows(x, y);
     }
 
     /// Buoyancy right-hand side: `f = Ra T r_hat` tested against the
     /// velocity basis (pressure RHS zero).
     pub fn buoyancy_rhs(&self, comm: &impl Communicator, ra: f64) -> Vec<f64> {
-        let nn = self.nn;
-        let mut contribs: Vec<Vec<f64>> =
-            (0..4).map(|_| vec![0.0; self.num_elements() * 8]).collect();
-        {
-            let slots: Vec<DisjointSlice<'_, f64>> = contribs
-                .iter_mut()
-                .map(|c| DisjointSlice::new(c.as_mut_slice()))
-                .collect();
-            forust_pool::par_for_each(self.num_elements(), FEM_GRAIN, |range, _| {
-                for e in range {
-                    let en: Vec<usize> =
-                        self.nodes.element(e).iter().map(|&i| i as usize).collect();
-                    let mut comp_e = [[0.0f64; 8]; 4];
-                    for q in 0..8 {
-                        let w = self.qp_wdet[e * 8 + q];
-                        let x = self.qp_pos[e * 8 + q];
-                        let r = (x[0] * x[0] + x[1] * x[1] + x[2] * x[2]).sqrt().max(1e-12);
-                        let mut t = 0.0;
-                        for (j, &ni) in en.iter().enumerate() {
-                            t += self.basis[q][j] * self.temp[ni];
-                        }
-                        // Hot material rises: force along +r_hat proportional to T.
-                        let f = ra * (t - 0.5);
-                        for j in 0..en.len() {
-                            for (d, comp) in comp_e.iter_mut().take(3).enumerate() {
-                                comp[j] += w * self.basis[q][j] * f * x[d] / r;
-                            }
-                        }
-                    }
-                    for (c, slot) in slots.iter().enumerate().take(3) {
-                        // SAFETY: distinct elements own disjoint 8-windows.
-                        unsafe { slot.slice(e * 8..(e + 1) * 8) }.copy_from_slice(&comp_e[c]);
+        let mut b = vec![0.0; 4 * self.nn];
+        self.integrate(comm, &mut b, |e, en| {
+            let mut comp_e = ElemContrib::default();
+            for q in 0..8 {
+                let w = self.qp_wdet[e * 8 + q];
+                let x = self.qp_pos[e * 8 + q];
+                let r = (x[0] * x[0] + x[1] * x[1] + x[2] * x[2]).sqrt().max(1e-12);
+                let mut t = 0.0;
+                for (j, &ni) in en.iter().enumerate() {
+                    t += self.basis[q][j] * self.temp[ni];
+                }
+                // Hot material rises: force along +r_hat proportional to T.
+                let f = ra * (t - 0.5);
+                for j in 0..8 {
+                    for (d, comp) in comp_e.iter_mut().take(3).enumerate() {
+                        comp[j] += w * self.basis[q][j] * f * x[d] / r;
                     }
                 }
-            });
-        }
-        let mut b = vec![0.0; 4 * nn];
-        for (c, f) in self
-            .assemble_contributions(comm, &contribs)
-            .into_iter()
-            .enumerate()
-        {
-            b[c * nn..(c + 1) * nn].copy_from_slice(&f);
-        }
-        let zero = vec![0.0; 4 * nn];
+            }
+            comp_e
+        });
+        let zero = vec![0.0; 4 * self.nn];
         self.identity_rows(&zero, &mut b);
         b
     }
 
-    /// Assembled diagonal of the viscous block (for Jacobi/Chebyshev) and
-    /// of the inverse-viscosity pressure mass (Schur approximation).
+    /// Assembled diagonal of the viscous block (for block Jacobi) and of
+    /// the inverse-viscosity pressure mass (Schur approximation).
     pub fn preconditioner_diagonals(&self, comm: &impl Communicator) -> (Vec<f64>, Vec<f64>) {
         let nn = self.nn;
-        let mut contribs: Vec<Vec<f64>> =
-            (0..4).map(|_| vec![0.0; self.num_elements() * 8]).collect();
-        {
-            let slots: Vec<DisjointSlice<'_, f64>> = contribs
-                .iter_mut()
-                .map(|c| DisjointSlice::new(c.as_mut_slice()))
-                .collect();
-            forust_pool::par_for_each(self.num_elements(), FEM_GRAIN, |range, _| {
-                for e in range {
-                    let en: Vec<usize> =
-                        self.nodes.element(e).iter().map(|&i| i as usize).collect();
-                    let mut comp_e = [[0.0f64; 8]; 4];
-                    let mut eta_bar = 0.0;
-                    let mut vol = 0.0;
-                    for q in 0..8 {
-                        eta_bar += self.qp_wdet[e * 8 + q] * self.eta_qp[e * 8 + q];
-                        vol += self.qp_wdet[e * 8 + q];
+        let mut du = vec![0.0; 4 * nn];
+        self.integrate(comm, &mut du, |e, _| {
+            let mut comp_e = ElemContrib::default();
+            let mut eta_bar = 0.0;
+            let mut vol = 0.0;
+            for q in 0..8 {
+                eta_bar += self.qp_wdet[e * 8 + q] * self.eta_qp[e * 8 + q];
+                vol += self.qp_wdet[e * 8 + q];
+            }
+            eta_bar /= vol;
+            for q in 0..8 {
+                let w = self.qp_wdet[e * 8 + q];
+                let g = &self.qp_grads[e * 8 + q];
+                let eta = self.eta_qp[e * 8 + q];
+                for j in 0..8 {
+                    let gj = g[j];
+                    let norm2 = gj[0] * gj[0] + gj[1] * gj[1] + gj[2] * gj[2];
+                    for (d, comp) in comp_e.iter_mut().take(3).enumerate() {
+                        comp[j] += w * eta * (norm2 + gj[d] * gj[d]);
                     }
-                    eta_bar /= vol;
-                    for q in 0..8 {
-                        let w = self.qp_wdet[e * 8 + q];
-                        let g = &self.qp_grads[e * 8 + q];
-                        let eta = self.eta_qp[e * 8 + q];
-                        for j in 0..en.len() {
-                            let gj = g[j];
-                            let norm2 = gj[0] * gj[0] + gj[1] * gj[1] + gj[2] * gj[2];
-                            for (d, comp) in comp_e.iter_mut().take(3).enumerate() {
-                                comp[j] += w * eta * (norm2 + gj[d] * gj[d]);
-                            }
-                            comp_e[3][j] += w * self.basis[q][j] * self.basis[q][j] / eta_bar;
-                        }
-                    }
-                    for (c, slot) in slots.iter().enumerate() {
-                        // SAFETY: distinct elements own disjoint 8-windows.
-                        unsafe { slot.slice(e * 8..(e + 1) * 8) }.copy_from_slice(&comp_e[c]);
-                    }
+                    comp_e[3][j] += w * self.basis[q][j] * self.basis[q][j] / eta_bar;
                 }
-            });
-        }
-        let mut fields = self.assemble_contributions(comm, &contribs);
-        let mut dp = fields.pop().expect("pressure diagonal");
-        let mut du = Vec::with_capacity(3 * nn);
-        for f in &fields {
-            du.extend_from_slice(f);
-        }
+            }
+            comp_e
+        });
+        let mut dp = du.split_off(3 * nn);
         // Identity rows.
         for i in 0..nn {
             let hanging = matches!(self.nodes.status[i], NodeStatus::Hanging { .. });

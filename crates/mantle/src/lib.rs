@@ -9,15 +9,16 @@
 //! polynomial pressure projection of Dohrmann & Bochev (paper ref. [40]);
 //! the nonlinear problem is solved by Picard (lagged-viscosity) iterations,
 //! each requiring an implicit variable-viscosity Stokes solve by MINRES
-//! preconditioned with a Chebyshev–Jacobi V-cycle stand-in on the viscous
-//! block (substituting the ML algebraic multigrid — DESIGN.md §3) and an
-//! inverse-viscosity mass approximation of the pressure Schur complement.
+//! preconditioned with weighted block Jacobi: the inverse diagonal of the
+//! viscous block (where the paper runs an ML algebraic-multigrid V-cycle,
+//! not substituted yet — DESIGN.md §3) and an inverse-viscosity mass
+//! approximation of the pressure Schur complement.
 //!
 //! Dynamic AMR is interleaved with the nonlinear iteration exactly as the
 //! paper describes: error indicators built from strain rate and viscosity
 //! gradients drive refinement every few Picard iterations, and the wall
-//! time is split into the three buckets of Fig. 7 — `solve`, `vcycle`,
-//! and `amr`.
+//! time is split into the three buckets of Fig. 7 — `solve`, `vcycle`
+//! (the preconditioner and its diagonal set-up), and `amr`.
 
 mod fem;
 pub mod recovery;

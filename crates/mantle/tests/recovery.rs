@@ -33,7 +33,6 @@ fn setup(checkpoint_every: usize) -> MantleRecoverySetup {
             max_level: 2,
             minres_iters: 25,
             minres_tol: 1e-3,
-            cheby_sweeps: 2,
             ..Default::default()
         },
         initial_level: 1,
@@ -75,9 +74,8 @@ fn assert_bitwise_equal(a: &MantleAttemptResult, b: &MantleAttemptResult) {
 
 #[test]
 fn full_solve_is_rank_count_invariant() {
-    // The whole nonlinear pipeline — Picard, MINRES, power iteration,
-    // interleaved AMR — lands on bitwise-identical global state on 1, 2,
-    // and 3 ranks.
+    // The whole nonlinear pipeline — Picard, MINRES, interleaved AMR —
+    // lands on bitwise-identical global state on 1, 2, and 3 ranks.
     let results: Vec<MantleAttemptResult> = [1usize, 2, 3]
         .iter()
         .map(|&p| {

@@ -29,7 +29,6 @@ fn run_at(workers: usize) -> Vec<(u64, Vec<u64>)> {
             max_level: 2,
             minres_iters: 20,
             minres_tol: 1e-3,
-            cheby_sweeps: 2,
             ..Default::default()
         };
         let mut s = MantleSolver::new(comm, forest, map, config);

@@ -196,6 +196,17 @@ pub fn par_map<T: Send>(n: usize, grain: usize, f: impl Fn(usize) -> T + Sync) -
     with(|p| p.par_map(n, grain, f))
 }
 
+/// Convenience: parallel sweep over disjoint `chunk`-sized windows of
+/// `data` on the calling thread's pool. See [`Pool::par_chunks_mut`].
+pub fn par_chunks_mut<T: Send>(
+    data: &mut [T],
+    chunk: usize,
+    grain: usize,
+    body: impl Fn(usize, &mut [T], usize) + Sync,
+) {
+    with(|p| p.par_chunks_mut(data, chunk, grain, body));
+}
+
 /// Cache-line padding for the per-lane cursors (steals hammer them).
 #[repr(align(64))]
 struct Pad<T>(T);
@@ -448,6 +459,36 @@ impl Pool {
         // panics otherwise), so all n slots are initialized.
         let mut out = std::mem::ManuallyDrop::new(out);
         unsafe { Vec::from_raw_parts(out.as_mut_ptr() as *mut T, n, out.capacity()) }
+    }
+
+    /// Run `body(index, window, lane)` once per `chunk`-sized window of
+    /// `data` (`window = data[index * chunk..(index + 1) * chunk]`; the
+    /// length must be a multiple of `chunk`). The safe form of the
+    /// disjoint-write contract of [`Pool::par_for_each`]: each index owns
+    /// exactly its window. Pool chunks hold `grain` windows and depend on
+    /// `(data.len() / chunk, grain)` only.
+    pub fn par_chunks_mut<T: Send>(
+        &self,
+        data: &mut [T],
+        chunk: usize,
+        grain: usize,
+        body: impl Fn(usize, &mut [T], usize) + Sync,
+    ) {
+        assert!(
+            chunk > 0 && data.len() % chunk == 0,
+            "par_chunks_mut: {} values are not whole windows of {chunk}",
+            data.len()
+        );
+        let n = data.len() / chunk;
+        let windows = DisjointSlice::new(data);
+        self.run_chunked(n, grain, |_, r, lane| {
+            for i in r {
+                // SAFETY: `run_chunked` hands every index to exactly one
+                // call, and windows of distinct indices do not overlap.
+                let window = unsafe { windows.slice(i * chunk..(i + 1) * chunk) };
+                body(i, window, lane);
+            }
+        });
     }
 
     /// The chunked scheduler behind the public APIs: `cb(chunk, range,
@@ -706,6 +747,24 @@ mod tests {
         let v = pool.par_map(257, 10, |i| i * i);
         assert_eq!(v.len(), 257);
         assert!(v.iter().enumerate().all(|(i, &x)| x == i * i));
+    }
+
+    #[test]
+    fn par_chunks_mut_hands_each_index_its_window() {
+        for width in [1, 3] {
+            let pool = Pool::new(width);
+            let mut data = vec![0usize; 5 * 203];
+            pool.par_chunks_mut(&mut data, 5, 8, |i, w, _| {
+                assert_eq!(w.len(), 5);
+                for (j, v) in w.iter_mut().enumerate() {
+                    *v += 10 * i + j;
+                }
+            });
+            assert!(data
+                .iter()
+                .enumerate()
+                .all(|(k, &v)| v == 10 * (k / 5) + k % 5));
+        }
     }
 
     #[test]

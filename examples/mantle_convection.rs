@@ -66,7 +66,7 @@ fn main() {
             let total = t.solve.as_secs_f64() + t.vcycle.as_secs_f64() + t.amr.as_secs_f64();
             println!("velocity norm: {unorm:.3e}");
             println!(
-                "Fig. 7 split: solve {:.1}% | V-cycle {:.1}% | AMR {:.2}% \
+                "Fig. 7 split: solve {:.1}% | preconditioner {:.1}% | AMR {:.2}% \
                  ({} Krylov iterations)",
                 100.0 * t.solve.as_secs_f64() / total,
                 100.0 * t.vcycle.as_secs_f64() / total,
