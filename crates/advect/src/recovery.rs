@@ -10,12 +10,11 @@
 //! deterministic reduction (`dt`), the recovered result is bitwise
 //! identical to a fault-free run.
 //!
-//! Checkpoints live in per-epoch subdirectories `epoch_<steps>` of a
-//! root directory. A crash *during* a checkpoint leaves that epoch
-//! directory invalid (missing manifest, missing segments, or a CRC
-//! failure); the restart scan simply falls back to the previous epoch.
+//! On disk, checkpoints live in per-epoch subdirectories `epoch_<steps>`
+//! of a root directory. A crash *during* a checkpoint leaves that epoch
+//! invalid (missing segments, a CRC failure, or headers that disagree);
+//! the restart scan simply falls back to the previous epoch.
 
-use std::path::Path;
 use std::sync::Arc;
 
 use forust::connectivity::Connectivity;
@@ -80,21 +79,11 @@ impl Recoverable for RecoverySetup {
     fn restore<C: Communicator>(
         &self,
         comm: &C,
-        dir: &Path,
-    ) -> Result<AdvectSolver, CheckpointError> {
-        let conn = Arc::new((self.conn)());
-        let map = (self.map)(Arc::clone(&conn));
-        AdvectSolver::restore(comm, conn, map, self.config.clone(), self.velocity, dir)
-    }
-
-    fn restore_from_segments<C: Communicator>(
-        &self,
-        comm: &C,
         segments: &[Vec<u8>],
     ) -> Result<AdvectSolver, CheckpointError> {
         let conn = Arc::new((self.conn)());
         let map = (self.map)(Arc::clone(&conn));
-        AdvectSolver::restore_from_segments(
+        AdvectSolver::restore(
             comm,
             conn,
             map,
@@ -102,15 +91,6 @@ impl Recoverable for RecoverySetup {
             self.velocity,
             segments,
         )
-    }
-
-    fn save_checkpoint<C: Communicator>(
-        &self,
-        solver: &AdvectSolver,
-        comm: &C,
-        dir: &Path,
-    ) -> Result<(), CheckpointError> {
-        solver.save_checkpoint(comm, dir)
     }
 
     fn checkpoint_segment(&self, solver: &AdvectSolver, saved_ranks: usize) -> Vec<u8> {

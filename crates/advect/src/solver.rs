@@ -648,35 +648,29 @@ impl AdvectSolver {
         self.mesh.num_elements()
     }
 
-    /// Write a recoverable checkpoint of the solver into `dir`
-    /// ([`Forest::save_solver`]: the solution rides as payload, `time`
-    /// bits and step count in `solver.fst`). Collective.
+    /// This rank's checkpoint segment ([`Forest::segment_bytes`]): the
+    /// solution rides as state, the step count as epoch, `time` as its
+    /// bits. Purely local; the same bytes go to disk and to buddy memory.
     ///
     /// Everything else in the solver — mesh, metric terms, `dt`, cached
     /// quadrature constants — is a deterministic function of the forest
     /// and configuration and is rebuilt bitwise identically on
     /// [`AdvectSolver::restore`], even on a different rank count.
-    pub fn save_checkpoint(
-        &self,
-        comm: &impl Communicator,
-        dir: &std::path::Path,
-    ) -> Result<(), CheckpointError> {
-        let fmt = checkpoint_format(&self.config);
-        self.forest
-            .save_solver(comm, dir, fmt, self.time, self.timers.steps, &self.c)
-    }
-
-    /// This rank's checkpoint as one in-memory byte blob for diskless
-    /// buddy mirroring ([`Forest::solver_segment_bytes`]). Purely local.
     pub fn checkpoint_segment(&self, saved_ranks: usize) -> Vec<u8> {
         let fmt = checkpoint_format(&self.config);
+        let steps = self.timers.steps as u64;
         self.forest
-            .solver_segment_bytes(saved_ranks, fmt, self.time, self.timers.steps, &self.c)
+            .segment_bytes(saved_ranks, fmt, steps, self.time, &self.c)
     }
 
-    /// [`AdvectSolver::restore`] from in-memory blobs produced by
-    /// [`AdvectSolver::checkpoint_segment`] — the diskless (buddy) path.
-    pub fn restore_from_segments(
+    /// Restore a solver from the segments of a checkpoint written by
+    /// [`AdvectSolver::checkpoint_segment`] — read back from disk or from
+    /// buddy memory — possibly onto a different rank count. The restored
+    /// state is bitwise identical to the saved one: the solution rides the
+    /// checkpoint exactly (f64 bits), `time` is restored from its saved
+    /// bits, and `dt` is recomputed by the same exact max-reduction that
+    /// produced it.
+    pub fn restore(
         comm: &impl Communicator,
         conn: Arc<Connectivity<D3>>,
         map: Arc<dyn Mapping<D3> + Send + Sync>,
@@ -685,50 +679,22 @@ impl AdvectSolver {
         segments: &[Vec<u8>],
     ) -> Result<Self, CheckpointError> {
         let fmt = checkpoint_format(&config);
-        let (forest, c, time, steps) =
-            Forest::load_solver_from_segments(conn, comm, segments, fmt)?;
+        let (forest, c, meta) = Forest::from_segments(conn, comm, segments, fmt)?;
+        let steps = meta.epoch as usize;
         Ok(Self::assemble(
             comm,
             forest,
             map,
             config,
             velocity,
-            time,
-            steps,
-            |_| c,
-        ))
-    }
-
-    /// Restore a solver from a checkpoint written by
-    /// [`AdvectSolver::save_checkpoint`], possibly onto a different rank
-    /// count. The restored solver's state is bitwise identical to the
-    /// saved one: the solution rides the checkpoint exactly (f64 bits),
-    /// `time` is restored from its saved bits, and `dt` is recomputed by
-    /// the same exact max-reduction that produced it.
-    pub fn restore(
-        comm: &impl Communicator,
-        conn: Arc<Connectivity<D3>>,
-        map: Arc<dyn Mapping<D3> + Send + Sync>,
-        config: AdvectConfig,
-        velocity: fn([f64; 3]) -> [f64; 3],
-        dir: &std::path::Path,
-    ) -> Result<Self, CheckpointError> {
-        let fmt = checkpoint_format(&config);
-        let (forest, c, time, steps) = Forest::load_solver(conn, comm, dir, fmt)?;
-        Ok(Self::assemble(
-            comm,
-            forest,
-            map,
-            config,
-            velocity,
-            time,
+            meta.time,
             steps,
             |_| c,
         ))
     }
 }
 
-/// Magic header of the solver's checkpoint scalar state.
+/// Magic of the solver's checkpoints.
 const SOLVER_MAGIC: u64 = 0x464f_5255_4144_5653; // "FORU ADVS"
 
 /// Checkpoint format of a run with this configuration: the solver's

@@ -7,13 +7,12 @@ use std::sync::Arc;
 
 use forust::connectivity::{builders, Connectivity};
 use forust::dim::D3;
-use forust::forest::CheckpointError;
+use forust::forest::{read_dir, CheckpointError};
 use forust_advect::{rotation_velocity, AdvectConfig, RecoverySetup};
 use forust_comm::{run_spmd, run_spmd_with, ChaosComm, CommConfig, FaultPlan, RankCrashed};
 use forust_geom::{Mapping, ShellMap};
 use forust_resilience::{
-    attempt, run_with_recovery, run_with_recovery_opts, BuddyStore, CheckpointMode, Recoverable,
-    RecoveryOptions, RestoreSource,
+    attempt, run_with_recovery, run_with_recovery_opts, BuddyStore, RecoveryOptions, RestoreSource,
 };
 
 fn build_conn() -> Connectivity<D3> {
@@ -181,7 +180,6 @@ fn buddy_checkpoints_restore_disklessly_after_single_rank_crash() {
     let s_ckpt = setup(STEPS, CKPT_EVERY);
     let calib_dir = tmpdir("buddy_calib");
     let calib_opts = RecoveryOptions {
-        mode: CheckpointMode::Buddy,
         buddy: Some(BuddyStore::new()),
         ..RecoveryOptions::default()
     };
@@ -203,7 +201,6 @@ fn buddy_checkpoints_restore_disklessly_after_single_rank_crash() {
     assert!(at_call > 0);
     let store = BuddyStore::new();
     let opts = RecoveryOptions {
-        mode: CheckpointMode::Buddy,
         buddy: Some(Arc::clone(&store)),
         ..RecoveryOptions::default()
     };
@@ -345,40 +342,56 @@ fn crash_writes_validated_postmortem_bundle() {
 }
 
 #[test]
-fn epoch_without_scalar_state_is_rejected_and_attempt_falls_back() {
-    // An epoch whose manifest and segments validate but whose
-    // `solver.fst` is gone — what a crash between the two used to leave
-    // behind when the scalar state was written after the manifest — must
-    // be a typed error, and the restart scan must fall back to the
+fn damaged_newest_epoch_is_rejected_and_attempt_falls_back() {
+    // An epoch with one segment file removed, or one segment corrupted,
+    // must be a typed error, and the restart scan must fall back to the
     // previous epoch and still finish bitwise identical.
     const STEPS: usize = 7;
     const RANKS: usize = 2;
 
-    let ref_dir = tmpdir("noscalar_reference");
+    let ref_dir = tmpdir("damaged_reference");
     let s_ref = setup(STEPS, usize::MAX);
     let reference = run_spmd(RANKS, move |comm| {
         attempt(comm, &s_ref, &ref_dir, &RecoveryOptions::default()).0
     });
 
-    // Five steps with a checkpoint every two: epochs 2 and 4.
-    let root = tmpdir("noscalar");
-    let (s_first, dir) = (setup(5, 2), root.clone());
-    run_spmd(RANKS, move |comm| {
-        attempt(comm, &s_first, &dir, &RecoveryOptions::default());
-    });
-    let newest = root.join("epoch_4");
-    assert!(newest.join("manifest.fst").exists() && root.join("epoch_2").exists());
-    std::fs::remove_file(newest.join("solver.fst")).unwrap();
+    for damage in ["missing", "corrupt"] {
+        // Five steps with a checkpoint every two: epochs 2 and 4.
+        let root = tmpdir(&format!("damaged_{damage}"));
+        let (s_first, dir) = (setup(5, 2), root.clone());
+        run_spmd(RANKS, move |comm| {
+            attempt(comm, &s_first, &dir, &RecoveryOptions::default());
+        });
+        let segment = root.join("epoch_4").join("forest_1.fst");
+        assert!(segment.exists() && root.join("epoch_2").exists());
+        if damage == "missing" {
+            std::fs::remove_file(&segment).unwrap();
+        } else {
+            let mut bytes = std::fs::read(&segment).unwrap();
+            let mid = bytes.len() / 2;
+            bytes[mid] ^= 0x08;
+            std::fs::write(&segment, bytes).unwrap();
+        }
+        let err = read_dir(&root.join("epoch_4")).expect_err("a damaged epoch read back");
+        match damage {
+            "missing" => assert!(
+                matches!(
+                    err,
+                    CheckpointError::MissingSegment {
+                        rank: 1,
+                        saved_ranks: 2
+                    }
+                ),
+                "{err:?}"
+            ),
+            _ => assert!(matches!(err, CheckpointError::Crc { .. }), "{err:?}"),
+        }
 
-    let (s_resume, dir) = (setup(STEPS, usize::MAX), root.clone());
-    let resumed = run_spmd(RANKS, move |comm| {
-        let err = s_resume
-            .restore(comm, &dir.join("epoch_4"))
-            .err()
-            .expect("an epoch without solver.fst restored");
-        assert!(matches!(err, CheckpointError::Io(_)), "{err:?}");
-        attempt(comm, &s_resume, &dir, &RecoveryOptions::default())
-    });
-    assert_eq!(resumed[0].1, RestoreSource::Disk(2));
-    assert_bitwise_equal(&reference[0], &resumed[0].0);
+        let (s_resume, dir) = (setup(STEPS, usize::MAX), root.clone());
+        let resumed = run_spmd(RANKS, move |comm| {
+            attempt(comm, &s_resume, &dir, &RecoveryOptions::default())
+        });
+        assert_eq!(resumed[0].1, RestoreSource::Disk(2), "{damage}");
+        assert_bitwise_equal(&reference[0], &resumed[0].0);
+    }
 }

@@ -173,7 +173,7 @@ fn carried_geometry_steps_like_one_built_from_scratch() {
                     let conn = Arc::clone(&scratch.forest.conn);
                     let map = Arc::new(ShellMap::new(Arc::clone(&conn), 0.55, 1.0));
                     let segments = comm.allgather_bytes(scratch.checkpoint_segment(comm.size()));
-                    scratch = AdvectSolver::restore_from_segments(
+                    scratch = AdvectSolver::restore(
                         comm,
                         conn,
                         map,

@@ -1,55 +1,77 @@
 //! Forest checkpoint and restore (the `p4est_save`/`p4est_load` analogue),
 //! hardened into a recoverable format.
 //!
-//! Serializes each rank's partition segment with the shared metadata using
-//! the workspace's `Wire` encoding (independent of Rust struct layout, so
-//! checkpoints are portable across builds). Restoring onto a communicator
-//! with a different rank count re-partitions the restored forest.
+//! A checkpoint is one self-contained **segment blob** per saving rank,
+//! encoded by [`Forest::segment_bytes`]: a fixed header, the rank's
+//! octants in SFC order, `per_element` state values per octant and a
+//! CRC32 trailer, all `Wire`-encoded (independent of Rust struct layout,
+//! so checkpoints are portable across builds). Disk and memory hold the
+//! same bytes — [`write_dir`] writes each blob verbatim as
+//! `forest_<rank>.fst`, the buddy scheme mirrors it to a partner rank —
+//! and [`Forest::from_segments`] is the one decoder for both. The blobs,
+//! in saved-rank order, form the global SFC-ordered octant list, so each
+//! current rank takes its contiguous interval of that list (as
+//! `p4est_load` does) and the rank count may differ from the saved one.
 //!
 //! Robustness guarantees (the properties production restart leans on):
 //!
-//! - **Atomic segments**: every file is written to a `.tmp` sibling and
-//!   renamed into place, so a crash mid-write never leaves a plausible
-//!   but truncated segment under the final name.
-//! - **Per-file CRC32**: every segment and the manifest carry a trailing
-//!   CRC32 over their contents; corruption is rejected with a typed
+//! - **Atomic files**: every file is written to a `.tmp` sibling, synced
+//!   and renamed into place, so a crash mid-write never leaves a
+//!   plausible but truncated file under the final name.
+//! - **CRC32 on every blob**: the trailer travels with the blob, so a
+//!   file and a mirrored copy are checked alike; corruption is a typed
 //!   [`CheckpointError::Crc`], never silently decoded.
-//! - **Manifest**: rank 0 writes `manifest.fst` (epoch, saved rank count,
-//!   global octant count) after all segments are durable; `load`
-//!   validates every segment against it, so a missing segment file is a
-//!   typed [`CheckpointError::MissingSegment`] instead of a silently
-//!   truncated forest.
-//! - **Per-octant payloads**: solvers can attach one `Wire`-encoded blob
-//!   per local octant ([`Forest::save_with_payload`]); payloads ride in
-//!   the same SFC order as the octants, so a restore onto fewer ranks
-//!   re-partitions field data together with the mesh.
-//! - **Solver checkpoints**: [`Forest::save_solver`] and its siblings are
-//!   the one codec for an explicit solver's cross-step state — the values
-//!   ride as payload, `(time, steps)` in a CRC-trailed `solver.fst` that
-//!   is durable *before* the manifest and carries the solver's own magic,
-//!   so one solver never restores another's state.
+//! - **One header, checked on both paths**: dimension, tree count, saved
+//!   rank count, global octant count, the writer's solver magic, epoch
+//!   and time bits. Every blob of a set must carry the same header, the
+//!   set must hold `saved_ranks` blobs, and their octants must add up to
+//!   the global count — so a set mixing two epochs or two partitions is a
+//!   typed error whether it came from disk or from memory.
+//! - **Manifest**: after every segment is durable, rank 0 writes its own
+//!   header as `manifest.fst`; [`read_dir`] checks every segment file
+//!   against it, and a missing file is a typed
+//!   [`CheckpointError::MissingSegment`] instead of a silently truncated
+//!   forest.
 
-use std::io::{Read, Write as IoWrite};
+use std::io::Write as IoWrite;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
-use forust_comm::{crc32, write_vec, Communicator, Wire};
+use forust_comm::{crc32, try_read_vec, Communicator, Wire};
 
+use crate::connectivity::Connectivity;
 use crate::dim::Dim;
 use crate::forest::Forest;
 use crate::octant::Octant;
 
-/// Magic header guarding against loading a checkpoint of the wrong
-/// dimension or format version.
-const MAGIC: u64 = 0x464f_5255_5354_0002; // "FORUST" v2
-/// Magic header of the checkpoint manifest.
-const MANIFEST_MAGIC: u64 = 0x464f_5255_4d41_4e46; // "FORU MANF"
+/// First header field of every segment: guards against decoding another
+/// file or an older format version (a v2 file is a `Format` error).
+const MAGIC: u64 = 0x464f_5255_5354_0003; // "FORUST" v3
+/// Bytes of the fixed header: eight `u64` fields.
+const HEADER_LEN: usize = 8 * 8;
+/// Name of the manifest file of a checkpoint directory.
+const MANIFEST: &str = "manifest.fst";
 
-/// Shared metadata of one checkpoint, recorded in `manifest.fst`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// What distinguishes one solver's checkpoints from another's: the magic
+/// written into the header and the state values per element. A restore
+/// under a different magic, or a payload of a different size, is a typed
+/// [`CheckpointError::Format`] error.
+#[derive(Debug, Clone, Copy)]
+pub struct SolverFormat {
+    /// The writer's magic.
+    pub magic: u64,
+    /// State values per element (e.g. nodes × components).
+    pub per_element: usize,
+}
+
+/// The shared scalars of a restored checkpoint, from its header.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CheckpointMeta {
-    /// Caller-supplied epoch (e.g. solver step count at save time).
+    /// Caller-supplied epoch (the solver's step or iteration count).
     pub epoch: u64,
-    /// Number of ranks (= segment files) the checkpoint was saved from.
+    /// Simulated time, restored from its saved bits.
+    pub time: f64,
+    /// Number of ranks (= segments) the checkpoint was saved from.
     pub saved_ranks: usize,
     /// Global octant count across all segments.
     pub global_octants: u64,
@@ -60,19 +82,20 @@ pub struct CheckpointMeta {
 pub enum CheckpointError {
     /// Underlying filesystem error.
     Io(std::io::Error),
-    /// A file failed its CRC32 integrity check.
+    /// A blob failed its CRC32 integrity check.
     Crc {
-        /// The corrupt file.
+        /// The corrupt file or segment.
         file: PathBuf,
-        /// CRC stored in the file.
+        /// CRC stored in the trailer.
         expected: u32,
-        /// CRC recomputed over the file contents.
+        /// CRC recomputed over the contents.
         actual: u32,
     },
-    /// A file decoded inconsistently (bad magic, truncated header,
-    /// non-integral payload, metadata disagreeing with the manifest).
+    /// A blob decoded inconsistently (bad magic, truncated header, another
+    /// solver's magic, a payload of the wrong size, a header disagreeing
+    /// with the rest of the set).
     Format {
-        /// The malformed file.
+        /// The malformed file or segment.
         file: PathBuf,
         /// What went wrong.
         detail: String,
@@ -81,15 +104,15 @@ pub enum CheckpointError {
     /// `rank` is missing — loading the remainder would silently truncate
     /// the forest.
     MissingSegment {
-        /// Index of the missing segment file.
+        /// Index of the missing segment.
         rank: usize,
         /// Total segments the checkpoint was saved with.
         saved_ranks: usize,
     },
-    /// The segments together hold a different octant count than the
-    /// manifest records.
+    /// The segments together hold a different octant count than their
+    /// header records.
     CountMismatch {
-        /// Global octant count recorded in the manifest.
+        /// Global octant count recorded in the header.
         expected: u64,
         /// Sum of octants actually found in the segments.
         actual: u64,
@@ -101,7 +124,7 @@ pub enum CheckpointError {
         /// Dimension of the forest type being restored.
         expected: u32,
     },
-    /// No checkpoint (not even a partial one) exists in the directory.
+    /// No checkpoint (not even a partial one) exists.
     NoCheckpoint {
         /// The directory searched.
         dir: PathBuf,
@@ -118,26 +141,20 @@ impl std::fmt::Display for CheckpointError {
                 actual,
             } => write!(
                 f,
-                "checkpoint file {} is corrupt: stored CRC {expected:#010x}, \
+                "checkpoint {} is corrupt: stored CRC {expected:#010x}, \
                  computed {actual:#010x}",
                 file.display()
             ),
             CheckpointError::Format { file, detail } => {
-                write!(
-                    f,
-                    "checkpoint file {} is malformed: {detail}",
-                    file.display()
-                )
+                write!(f, "checkpoint {} is malformed: {detail}", file.display())
             }
             CheckpointError::MissingSegment { rank, saved_ranks } => write!(
                 f,
-                "checkpoint saved from {saved_ranks} ranks but segment file \
-                 forest_{rank}.fst is missing"
+                "checkpoint saved from {saved_ranks} ranks but segment {rank} is missing"
             ),
             CheckpointError::CountMismatch { expected, actual } => write!(
                 f,
-                "checkpoint manifest records {expected} octants but segments \
-                 hold {actual}"
+                "checkpoint header records {expected} octants but segments hold {actual}"
             ),
             CheckpointError::DimensionMismatch { found, expected } => {
                 write!(f, "checkpoint is {found}-dimensional, expected {expected}")
@@ -164,28 +181,24 @@ impl From<std::io::Error> for CheckpointError {
     }
 }
 
-/// Append a CRC32 trailer and write the buffer atomically: to a `.tmp`
-/// sibling first, then rename into place.
-fn write_atomic(path: &Path, mut buf: Vec<u8>) -> Result<(), CheckpointError> {
-    buf.extend_from_slice(&crc32(&buf).to_le_bytes());
-    let tmp = path.with_extension("fst.tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(&buf)?;
-        f.sync_all()?;
+fn format_err(origin: &Path, detail: impl Into<String>) -> CheckpointError {
+    CheckpointError::Format {
+        file: origin.to_path_buf(),
+        detail: detail.into(),
     }
-    std::fs::rename(&tmp, path)?;
-    Ok(())
+}
+
+/// Append the CRC32 trailer of `buf`.
+fn with_crc(mut buf: Vec<u8>) -> Vec<u8> {
+    buf.extend_from_slice(&crc32(&buf).to_le_bytes());
+    buf
 }
 
 /// Validate the CRC32 trailer of `bytes` and return the body before it.
-/// `origin` labels errors.
 fn strip_crc<'a>(bytes: &'a [u8], origin: &Path) -> Result<&'a [u8], CheckpointError> {
     if bytes.len() < 4 {
-        return Err(format_err(
-            origin,
-            format!("{} bytes is too short to carry a CRC trailer", bytes.len()),
-        ));
+        let detail = format!("{} bytes is too short to carry a CRC trailer", bytes.len());
+        return Err(format_err(origin, detail));
     }
     let (body, trailer) = bytes.split_at(bytes.len() - 4);
     let expected = u32::from_le_bytes(trailer.try_into().unwrap());
@@ -200,325 +213,126 @@ fn strip_crc<'a>(bytes: &'a [u8], origin: &Path) -> Result<&'a [u8], CheckpointE
     Ok(body)
 }
 
-/// Read a CRC-trailed file written by [`write_atomic`], validating and
-/// stripping the trailer.
-fn read_checked(path: &Path) -> Result<Vec<u8>, CheckpointError> {
-    let mut bytes = Vec::new();
-    std::fs::File::open(path)?.read_to_end(&mut bytes)?;
-    let body_len = strip_crc(&bytes, path)?.len();
-    bytes.truncate(body_len);
-    Ok(bytes)
+/// Write `bytes` atomically: to a `.tmp` sibling, synced, then renamed
+/// into place.
+fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
+    let tmp = path.with_extension("fst.tmp");
+    {
+        let mut f = std::fs::File::create(&tmp)?;
+        f.write_all(bytes)?;
+        f.sync_all()?;
+    }
+    std::fs::rename(&tmp, path)?;
+    Ok(())
 }
 
 fn segment_path(dir: &Path, rank: usize) -> PathBuf {
     dir.join(format!("forest_{rank}.fst"))
 }
 
-fn manifest_path(dir: &Path) -> PathBuf {
-    dir.join("manifest.fst")
-}
-
-fn format_err(path: &Path, detail: impl Into<String>) -> CheckpointError {
-    CheckpointError::Format {
-        file: path.to_path_buf(),
-        detail: detail.into(),
-    }
-}
-
-/// One decoded segment: octants plus their optional per-octant payloads.
-struct Segment<D: Dim> {
-    octs: Vec<(u32, Octant<D>)>,
-    payloads: Vec<Vec<u8>>,
+/// The fixed header every segment starts with, and the whole of the
+/// manifest: everything a restore checks before it reads an octant.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Header {
+    dim: u64,
+    trees: u64,
     saved_ranks: u64,
+    global_octants: u64,
+    magic: u64,
     epoch: u64,
+    time_bits: u64,
 }
 
-fn parse_segment<D: Dim>(path: &Path) -> Result<Segment<D>, CheckpointError> {
-    let bytes = read_checked(path)?;
-    parse_segment_body(&bytes, path)
-}
-
-fn parse_segment_body<D: Dim>(bytes: &[u8], path: &Path) -> Result<Segment<D>, CheckpointError> {
-    let mut s = bytes;
-    let mut field = |name: &str| -> Result<u64, CheckpointError> {
-        u64::decode(&mut s).ok_or_else(|| format_err(path, format!("truncated {name}")))
-    };
-    let magic = field("magic")?;
-    if magic != MAGIC {
-        return Err(format_err(path, "not a forust v2 checkpoint segment"));
-    }
-    let dim = field("dimension")?;
-    if dim != D::DIM as u64 {
-        return Err(CheckpointError::DimensionMismatch {
-            found: dim,
-            expected: D::DIM,
-        });
-    }
-    let _trees = field("tree count")?;
-    let saved_ranks = field("saved rank count")?;
-    let epoch = field("epoch")?;
-    let n = field("octant count")? as usize;
-    let mut octs = Vec::with_capacity(n.min(1 << 20));
-    for i in 0..n {
-        let o = <(u32, Octant<D>)>::decode(&mut s)
-            .ok_or_else(|| format_err(path, format!("octant {i} of {n} does not decode")))?;
-        octs.push(o);
-    }
-    let payloads = Vec::<Vec<u8>>::decode(&mut s)
-        .ok_or_else(|| format_err(path, "payload block does not decode"))?;
-    if !payloads.is_empty() && payloads.len() != n {
-        return Err(format_err(
-            path,
-            format!("{} payloads for {n} octants", payloads.len()),
-        ));
-    }
-    if !s.is_empty() {
-        return Err(format_err(path, format!("{} trailing bytes", s.len())));
-    }
-    Ok(Segment {
-        octs,
-        payloads,
-        saved_ranks,
-        epoch,
-    })
-}
-
-impl<D: Dim> Forest<D> {
-    /// Write this rank's partition segment to `dir/forest_<rank>.fst`
-    /// with epoch 0 and no payload. See [`Forest::save_with_payload`].
-    pub fn save(&self, comm: &impl Communicator, dir: &Path) -> Result<(), CheckpointError> {
-        self.save_with_payload::<u8>(comm, dir, 0, None)
+impl Header {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        let Header {
+            dim,
+            trees,
+            saved_ranks,
+            global_octants,
+            magic,
+            epoch,
+            time_bits,
+        } = *self;
+        [
+            MAGIC,
+            dim,
+            trees,
+            saved_ranks,
+            global_octants,
+            magic,
+            epoch,
+            time_bits,
+        ]
+        .encode(buf);
     }
 
-    /// Segment body without the CRC trailer (the trailer is appended by
-    /// [`write_atomic`] for files and by [`Forest::segment_bytes`] for
-    /// in-memory copies, so both carry identical bytes).
-    fn encode_segment_body<T: Wire>(
-        &self,
-        saved_ranks: usize,
-        epoch: u64,
-        payload: Option<&[Vec<T>]>,
-    ) -> Vec<u8> {
-        let octs: Vec<(u32, Octant<D>)> = self.iter_local().map(|(t, o)| (t, *o)).collect();
-        if let Some(p) = payload {
-            assert_eq!(
-                p.len(),
-                octs.len(),
-                "checkpoint: one payload entry per local octant"
-            );
+    /// Check the CRC trailer of `blob`, decode its header, and return the
+    /// header with the body after it.
+    fn parse<'a>(blob: &'a [u8], origin: &Path) -> Result<(Header, &'a [u8]), CheckpointError> {
+        let mut s = strip_crc(blob, origin)?;
+        let fields =
+            <[u64; 8]>::decode(&mut s).ok_or_else(|| format_err(origin, "truncated header"))?;
+        let [magic, dim, trees, saved_ranks, global_octants, solver, epoch, time_bits] = fields;
+        if magic != MAGIC {
+            return Err(format_err(origin, "not a forust v3 checkpoint"));
         }
-        let mut buf = Vec::new();
-        MAGIC.encode(&mut buf);
-        (D::DIM as u64).encode(&mut buf);
-        (self.conn.num_trees() as u64).encode(&mut buf);
-        (saved_ranks as u64).encode(&mut buf);
-        epoch.encode(&mut buf);
-        (octs.len() as u64).encode(&mut buf);
-        buf.extend_from_slice(&write_vec(&octs));
-        let payloads: Vec<Vec<u8>> = match payload {
-            Some(p) => p.iter().map(|chunk| write_vec(chunk)).collect(),
-            None => Vec::new(),
+        let head = Header {
+            dim,
+            trees,
+            saved_ranks,
+            global_octants,
+            magic: solver,
+            epoch,
+            time_bits,
         };
-        payloads.encode(&mut buf);
-        buf
+        Ok((head, s))
     }
+}
 
-    /// This rank's checkpoint segment as a self-contained byte blob —
-    /// byte-identical to the `forest_<rank>.fst` file
-    /// [`Forest::save_with_payload`] would write (CRC32 trailer included),
-    /// but never touching disk. The in-memory buddy-checkpoint scheme
-    /// mirrors these blobs to a partner rank so a crashed rank's state can
-    /// be restored disklessly via [`Forest::load_from_segment_bytes`].
-    ///
-    /// Purely local (no communication): callers coordinate `saved_ranks`
-    /// and `epoch` themselves.
-    pub fn segment_bytes<T: Wire>(
-        &self,
-        saved_ranks: usize,
-        epoch: u64,
-        payload: Option<&[Vec<T>]>,
-    ) -> Vec<u8> {
-        let mut buf = self.encode_segment_body(saved_ranks, epoch, payload);
-        buf.extend_from_slice(&crc32(&buf).to_le_bytes());
-        buf
+/// Write one checkpoint into `dir`: this rank's segment `blob` (from
+/// [`Forest::segment_bytes`]) verbatim as `forest_<rank>.fst`, then —
+/// once every rank's segment is durable — rank 0 writes its own header as
+/// `manifest.fst`. Collective. A crash at any point leaves either no
+/// manifest, or a manifest whose segments are all durable; never a
+/// half-written set that [`read_dir`] would accept as complete.
+pub fn write_dir(comm: &impl Communicator, dir: &Path, blob: &[u8]) -> Result<(), CheckpointError> {
+    std::fs::create_dir_all(dir)?;
+    write_atomic(&segment_path(dir, comm.rank()), blob)?;
+    // All segments durable before the manifest names them.
+    comm.barrier();
+    if comm.rank() == 0 {
+        write_atomic(&dir.join(MANIFEST), &with_crc(blob[..HEADER_LEN].to_vec()))?;
     }
+    // No rank returns (and possibly starts reading) before the manifest
+    // exists.
+    comm.barrier();
+    Ok(())
+}
 
-    /// Restore a forest and payloads from in-memory segment blobs
-    /// (produced by [`Forest::segment_bytes`]), one per saved rank in
-    /// saved-rank order. The same re-partitioning rules as
-    /// [`Forest::load_with_payload`] apply: the current rank count may
-    /// differ from the saved one. Every rank must pass the complete,
-    /// identical segment list.
-    pub fn load_from_segment_bytes<T: Wire>(
-        conn: std::sync::Arc<crate::connectivity::Connectivity<D>>,
-        comm: &impl Communicator,
-        segments: &[Vec<u8>],
-    ) -> Result<(Self, Vec<Vec<T>>, CheckpointMeta), CheckpointError> {
-        let parsed = segments
-            .iter()
-            .enumerate()
-            .map(|(r, bytes)| {
-                let origin = PathBuf::from(format!("<memory segment {r}>"));
-                let body = strip_crc(bytes, &origin)?;
-                parse_segment_body::<D>(body, &origin).map(|s| (origin, s))
-            })
-            .collect::<Result<Vec<_>, CheckpointError>>()?;
-        if parsed.is_empty() {
+/// Read the segment blobs of the checkpoint in `dir`, in saved-rank order,
+/// byte for byte as [`write_dir`] received them.
+///
+/// The manifest fixes the segment count, and every segment's CRC and
+/// header — dimension, epoch and global count included — must agree with
+/// it. Without a manifest (a save interrupted before rank 0 wrote it) the
+/// header of segment 0 stands in, so a gap in the files is still a typed
+/// [`CheckpointError::MissingSegment`].
+pub fn read_dir(dir: &Path) -> Result<Vec<Vec<u8>>, CheckpointError> {
+    let (manifest, first) = (dir.join(MANIFEST), segment_path(dir, 0));
+    let origin = match (manifest.exists(), first.exists()) {
+        (true, _) => manifest,
+        (false, true) => first,
+        (false, false) => {
             return Err(CheckpointError::NoCheckpoint {
-                dir: PathBuf::from("<memory>"),
-            });
-        }
-        let saved_ranks = parsed[0].1.saved_ranks as usize;
-        if parsed.len() != saved_ranks {
-            return Err(CheckpointError::MissingSegment {
-                rank: parsed.len(),
-                saved_ranks,
-            });
-        }
-        Self::assemble_segments(conn, comm, parsed, None)
-    }
-
-    /// Write a checkpoint of this forest, optionally attaching one
-    /// `Wire`-encoded payload per local octant (in local SFC order).
-    ///
-    /// Every rank must call this collectively. Segments are written
-    /// atomically; after all ranks' segments are durable, rank 0 writes
-    /// the manifest — so a crash at any point leaves either the previous
-    /// complete checkpoint (manifest missing/old) or the new complete
-    /// one, never a half-written state that [`Forest::load`] would
-    /// accept.
-    ///
-    /// The forest's octants are saved exactly (topology only — the
-    /// connectivity is rebuilt by the caller, since it is a small static
-    /// structure created by a builder).
-    pub fn save_with_payload<T: Wire>(
-        &self,
-        comm: &impl Communicator,
-        dir: &Path,
-        epoch: u64,
-        payload: Option<&[Vec<T>]>,
-    ) -> Result<(), CheckpointError> {
-        self.save_files(comm, dir, epoch, payload, None)
-    }
-
-    /// [`Forest::save_with_payload`], plus an optional `sidecar` file
-    /// (name, body) that rank 0 writes — atomically, CRC-trailed and
-    /// synced like a segment — *before* the manifest, so a manifest that
-    /// validates implies the sidecar is durable too.
-    fn save_files<T: Wire>(
-        &self,
-        comm: &impl Communicator,
-        dir: &Path,
-        epoch: u64,
-        payload: Option<&[Vec<T>]>,
-        sidecar: Option<(&str, Vec<u8>)>,
-    ) -> Result<(), CheckpointError> {
-        std::fs::create_dir_all(dir)?;
-        let buf = self.encode_segment_body(comm.size(), epoch, payload);
-        write_atomic(&segment_path(dir, comm.rank()), buf)?;
-        if let (0, Some((name, body))) = (comm.rank(), sidecar) {
-            write_atomic(&dir.join(name), body)?;
-        }
-
-        // All segments (and the sidecar) durable before the manifest
-        // names them.
-        comm.barrier();
-        if comm.rank() == 0 {
-            let global = self.num_global();
-            let mut mbuf = Vec::new();
-            MANIFEST_MAGIC.encode(&mut mbuf);
-            (D::DIM as u64).encode(&mut mbuf);
-            (comm.size() as u64).encode(&mut mbuf);
-            epoch.encode(&mut mbuf);
-            global.encode(&mut mbuf);
-            write_atomic(&manifest_path(dir), mbuf)?;
-        }
-        // No rank returns (and possibly starts loading) before the
-        // manifest exists.
-        comm.barrier();
-        Ok(())
-    }
-
-    /// Restore a forest saved with [`Forest::save`]. See
-    /// [`Forest::load_with_payload`].
-    pub fn load(
-        conn: std::sync::Arc<crate::connectivity::Connectivity<D>>,
-        comm: &impl Communicator,
-        dir: &Path,
-    ) -> Result<Self, CheckpointError> {
-        Ok(Self::load_with_payload::<u8>(conn, comm, dir)?.0)
-    }
-
-    /// Restore a forest and its per-octant payloads.
-    ///
-    /// The saved rank count may differ from the current one: the saved
-    /// files, in rank order, form the global SFC-ordered octant list, so
-    /// each current rank reads exactly its contiguous interval of that
-    /// list (as `p4est_load` does from its single-file layout), payloads
-    /// included.
-    ///
-    /// Validation: the manifest's CRC, dimension, segment count and
-    /// global octant count are checked, every segment's CRC and header
-    /// are checked against the manifest, and gaps in the segment files
-    /// are typed [`CheckpointError::MissingSegment`] errors. Without a
-    /// manifest (e.g. a checkpoint interrupted before rank 0 wrote it),
-    /// the `saved_ranks` field every segment records is used instead.
-    pub fn load_with_payload<T: Wire>(
-        conn: std::sync::Arc<crate::connectivity::Connectivity<D>>,
-        comm: &impl Communicator,
-        dir: &Path,
-    ) -> Result<(Self, Vec<Vec<T>>, CheckpointMeta), CheckpointError> {
-        // Learn the checkpoint shape: manifest if present, else the
-        // header of segment 0.
-        let mpath = manifest_path(dir);
-        let manifest: Option<CheckpointMeta> = if mpath.exists() {
-            let bytes = read_checked(&mpath)?;
-            let mut s = bytes.as_slice();
-            let mut field = |name: &str| -> Result<u64, CheckpointError> {
-                u64::decode(&mut s).ok_or_else(|| format_err(&mpath, format!("truncated {name}")))
-            };
-            let magic = field("magic")?;
-            if magic != MANIFEST_MAGIC {
-                return Err(format_err(&mpath, "not a forust checkpoint manifest"));
-            }
-            let dim = field("dimension")?;
-            if dim != D::DIM as u64 {
-                return Err(CheckpointError::DimensionMismatch {
-                    found: dim,
-                    expected: D::DIM,
-                });
-            }
-            let saved_ranks = field("saved rank count")? as usize;
-            let epoch = field("epoch")?;
-            let global_octants = field("global octant count")?;
-            Some(CheckpointMeta {
-                epoch,
-                saved_ranks,
-                global_octants,
+                dir: dir.to_path_buf(),
             })
-        } else {
-            None
-        };
-
-        let saved_ranks = match &manifest {
-            Some(m) => m.saved_ranks,
-            None => {
-                let first = segment_path(dir, 0);
-                if !first.exists() {
-                    return Err(CheckpointError::NoCheckpoint {
-                        dir: dir.to_path_buf(),
-                    });
-                }
-                parse_segment::<D>(&first)?.saved_ranks as usize
-            }
-        };
-        if saved_ranks == 0 {
-            return Err(format_err(&mpath, "manifest records zero saved ranks"));
         }
-
-        // Read every segment.
-        let mut segments = Vec::with_capacity(saved_ranks);
-        for r in 0..saved_ranks {
+    };
+    let want = Header::parse(&std::fs::read(&origin)?, &origin)?.0;
+    let saved_ranks = want.saved_ranks as usize;
+    (0..saved_ranks)
+        .map(|r| {
             let path = segment_path(dir, r);
             if !path.exists() {
                 return Err(CheckpointError::MissingSegment {
@@ -526,268 +340,166 @@ impl<D: Dim> Forest<D> {
                     saved_ranks,
                 });
             }
-            let seg = parse_segment::<D>(&path)?;
-            segments.push((path, seg));
-        }
-        Self::assemble_segments(conn, comm, segments, manifest)
-    }
-
-    /// Shared tail of the file and in-memory restore paths: validate the
-    /// parsed segments against each other (and the manifest, if any),
-    /// then build this rank's contiguous SFC interval of the global
-    /// octant list.
-    fn assemble_segments<T: Wire>(
-        conn: std::sync::Arc<crate::connectivity::Connectivity<D>>,
-        comm: &impl Communicator,
-        segments: Vec<(PathBuf, Segment<D>)>,
-        manifest: Option<CheckpointMeta>,
-    ) -> Result<(Self, Vec<Vec<T>>, CheckpointMeta), CheckpointError> {
-        let saved_ranks = segments.len();
-        let mut total = 0u64;
-        for (path, seg) in &segments {
-            if seg.saved_ranks as usize != saved_ranks {
+            let blob = std::fs::read(&path)?;
+            if Header::parse(&blob, &path)?.0 != want {
                 return Err(format_err(
-                    path,
-                    format!(
-                        "segment records {} saved ranks, expected {saved_ranks}",
-                        seg.saved_ranks
-                    ),
+                    &path,
+                    "segment header disagrees with the manifest",
                 ));
             }
-            if let Some(m) = &manifest {
-                if seg.epoch != m.epoch {
-                    return Err(format_err(
-                        path,
-                        format!("segment epoch {} != manifest epoch {}", seg.epoch, m.epoch),
-                    ));
-                }
-            }
-            total += seg.octs.len() as u64;
-        }
-        if let Some(m) = &manifest {
-            if total != m.global_octants {
-                return Err(CheckpointError::CountMismatch {
-                    expected: m.global_octants,
-                    actual: total,
-                });
-            }
-        }
-        let meta = CheckpointMeta {
-            epoch: segments[0].1.epoch,
-            saved_ranks,
-            global_octants: total,
-        };
-
-        // This rank's contiguous interval of the global SFC-ordered list.
-        let (p, r) = (comm.size() as u64, comm.rank() as u64);
-        let lo = total * r / p;
-        let hi = total * (r + 1) / p;
-        let mut trees: Vec<Vec<Octant<D>>> = vec![Vec::new(); conn.num_trees()];
-        let mut payloads: Vec<Vec<T>> = Vec::with_capacity((hi - lo) as usize);
-        let mut off = 0u64;
-        for (path, seg) in segments {
-            let has_payload = !seg.payloads.is_empty();
-            for (i, (t, o)) in seg.octs.into_iter().enumerate() {
-                if off >= lo && off < hi {
-                    if (t as usize) >= trees.len() {
-                        return Err(format_err(
-                            &path,
-                            format!("octant references tree {t} outside the connectivity"),
-                        ));
-                    }
-                    trees[t as usize].push(o);
-                    if has_payload {
-                        let chunk =
-                            forust_comm::try_read_vec::<T>(&seg.payloads[i]).ok_or_else(|| {
-                                format_err(&path, format!("payload of octant {i} does not decode"))
-                            })?;
-                        payloads.push(chunk);
-                    }
-                }
-                off += 1;
-            }
-        }
-        Ok((Forest::from_parts(conn, trees, comm), payloads, meta))
-    }
+            Ok(blob)
+        })
+        .collect()
 }
-
-/// Name of the scalar-state file of a solver checkpoint.
-const SOLVER_FILE: &str = "solver.fst";
-
-/// What distinguishes one solver's checkpoints from another's.
-#[derive(Debug, Clone, Copy)]
-pub struct SolverFormat {
-    /// Magic header of the solver's scalar-state blob.
-    pub magic: u64,
-    /// `f64` state values per element (nodes × components).
-    pub per_element: usize,
-}
-
-impl SolverFormat {
-    /// Body of the scalar-state blob (before its CRC trailer): magic,
-    /// time bits, step count. Replicated on every rank.
-    fn scalar_body(self, time: f64, steps: usize) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(24);
-        self.magic.encode(&mut buf);
-        time.to_bits().encode(&mut buf);
-        (steps as u64).encode(&mut buf);
-        buf
-    }
-
-    /// The per-element payload chunks of a flat state vector.
-    fn chunks(self, state: &[f64]) -> Vec<Vec<f64>> {
-        state
-            .chunks(self.per_element)
-            .map(<[f64]>::to_vec)
-            .collect()
-    }
-}
-
-/// Decode `(time, steps)` from a CRC-checked scalar-state body.
-fn parse_scalar_state(
-    body: &[u8],
-    magic: u64,
-    origin: &Path,
-) -> Result<(f64, usize), CheckpointError> {
-    let mut s = body;
-    if u64::decode(&mut s) != Some(magic) {
-        return Err(format_err(origin, "not a state blob of this solver"));
-    }
-    let time = u64::decode(&mut s).ok_or_else(|| format_err(origin, "truncated time"))?;
-    let steps = u64::decode(&mut s).ok_or_else(|| format_err(origin, "truncated step count"))?;
-    Ok((f64::from_bits(time), steps as usize))
-}
-
-/// Split buddy blobs (`[u64 len] ++ forest segment ++ scalar state`) into
-/// the per-rank forest segments and one scalar-state blob (replicated in
-/// every blob; the first is used).
-fn split_segment_blobs(blobs: &[Vec<u8>]) -> Result<(Vec<Vec<u8>>, &[u8]), CheckpointError> {
-    let origin = Path::new("<memory solver state>");
-    let mut segs = Vec::with_capacity(blobs.len());
-    let mut scalar = None;
-    for blob in blobs {
-        let mut s = blob.as_slice();
-        let len = u64::decode(&mut s)
-            .ok_or_else(|| format_err(origin, "truncated segment length"))?
-            as usize;
-        if s.len() < len {
-            let detail = "segment blob shorter than its declared length";
-            return Err(format_err(origin, detail));
-        }
-        let (seg, rest) = s.split_at(len);
-        segs.push(seg.to_vec());
-        scalar.get_or_insert(rest);
-    }
-    let scalar = scalar.ok_or(CheckpointError::NoCheckpoint {
-        dir: PathBuf::from("<memory>"),
-    })?;
-    Ok((segs, scalar))
-}
-
-/// An explicit solver's state restored from a checkpoint onto this rank:
-/// the forest, `per_element` values per local element in SFC order (the
-/// saved `f64` bits), simulated time (from its bits), and steps taken.
-pub type SolverState<D> = (Forest<D>, Vec<f64>, f64, usize);
 
 impl<D: Dim> Forest<D> {
-    /// Write a recoverable checkpoint of an explicit solver into `dir`:
-    /// this forest with `state` (`fmt.per_element` values per local
-    /// element) as payload and epoch = `steps`, plus the CRC-trailed
-    /// `solver.fst` holding the exact scalars (`time` bits, step count)
-    /// under the solver's magic. Collective.
+    /// This rank's checkpoint segment: the header (saved under
+    /// `fmt.magic`, with `epoch` and the bits of `time`), the local
+    /// octants, `state` (`fmt.per_element` values per local octant, in
+    /// SFC order), and a CRC32 trailer. Purely local; callers coordinate
+    /// `saved_ranks`, `epoch` and `time` themselves.
     ///
     /// Everything else a solver holds must be a deterministic function of
     /// the forest and its configuration, so that what
-    /// [`Forest::load_solver`] hands back continues bitwise identically,
+    /// [`Forest::from_segments`] hands back continues bitwise identically,
     /// even on a different rank count.
-    pub fn save_solver(
-        &self,
-        comm: &impl Communicator,
-        dir: &Path,
-        fmt: SolverFormat,
-        time: f64,
-        steps: usize,
-        state: &[f64],
-    ) -> Result<(), CheckpointError> {
-        let sidecar = (SOLVER_FILE, fmt.scalar_body(time, steps));
-        let chunks = fmt.chunks(state);
-        self.save_files(comm, dir, steps as u64, Some(&chunks), Some(sidecar))
-    }
-
-    /// This rank's solver checkpoint as one in-memory byte blob for
-    /// diskless buddy mirroring: `[u64 segment length] ++ forest segment
-    /// ++ scalar state`, the two parts byte-identical to the segment file
-    /// and the `solver.fst` that [`Forest::save_solver`] would write.
-    /// Purely local.
-    pub fn solver_segment_bytes(
+    pub fn segment_bytes<T: Wire>(
         &self,
         saved_ranks: usize,
         fmt: SolverFormat,
+        epoch: u64,
         time: f64,
-        steps: usize,
-        state: &[f64],
+        state: &[T],
     ) -> Vec<u8> {
-        let seg = self.segment_bytes(saved_ranks, steps as u64, Some(&fmt.chunks(state)));
-        let scalars = fmt.scalar_body(time, steps);
-        let mut blob = Vec::with_capacity(8 + seg.len() + scalars.len() + 4);
-        (seg.len() as u64).encode(&mut blob);
-        blob.extend_from_slice(&seg);
-        blob.extend_from_slice(&scalars);
-        blob.extend_from_slice(&crc32(&scalars).to_le_bytes());
-        blob
-    }
-
-    /// Restore a solver checkpoint written by [`Forest::save_solver`],
-    /// possibly onto a different rank count. On top of
-    /// [`Forest::load_with_payload`]'s validation, `solver.fst` must
-    /// exist, pass its CRC, carry `fmt.magic` and decode fully; its step
-    /// count must equal the manifest epoch; and every local element must
-    /// carry exactly `fmt.per_element` values.
-    pub fn load_solver(
-        conn: std::sync::Arc<crate::connectivity::Connectivity<D>>,
-        comm: &impl Communicator,
-        dir: &Path,
-        fmt: SolverFormat,
-    ) -> Result<SolverState<D>, CheckpointError> {
-        let loaded = Self::load_with_payload::<f64>(conn, comm, dir)?;
-        let spath = dir.join(SOLVER_FILE);
-        let scalars = read_checked(&spath)?;
-        Self::assemble_solver(loaded, &scalars, &spath, fmt)
-    }
-
-    /// [`Forest::load_solver`] from in-memory blobs produced by
-    /// [`Forest::solver_segment_bytes`], one per saved rank in saved-rank
-    /// order — the diskless (buddy) path.
-    pub fn load_solver_from_segments(
-        conn: std::sync::Arc<crate::connectivity::Connectivity<D>>,
-        comm: &impl Communicator,
-        blobs: &[Vec<u8>],
-        fmt: SolverFormat,
-    ) -> Result<SolverState<D>, CheckpointError> {
-        let (segs, scalars) = split_segment_blobs(blobs)?;
-        let loaded = Self::load_from_segment_bytes::<f64>(conn, comm, &segs)?;
-        let origin = Path::new("<memory solver state>");
-        Self::assemble_solver(loaded, strip_crc(scalars, origin)?, origin, fmt)
-    }
-
-    /// Shared tail of the two solver restore paths: decode the scalars
-    /// and check them and the payload against the restored forest.
-    fn assemble_solver(
-        (forest, chunks, meta): (Self, Vec<Vec<f64>>, CheckpointMeta),
-        scalars: &[u8],
-        origin: &Path,
-        fmt: SolverFormat,
-    ) -> Result<SolverState<D>, CheckpointError> {
-        let (time, steps) = parse_scalar_state(scalars, fmt.magic, origin)?;
-        if steps as u64 != meta.epoch {
-            let detail = "solver step count disagrees with checkpoint epoch";
-            return Err(format_err(origin, detail));
+        let n = self.num_local();
+        assert_eq!(
+            state.len(),
+            n * fmt.per_element,
+            "checkpoint: per_element state values per local octant"
+        );
+        let head = Header {
+            dim: D::DIM as u64,
+            trees: self.conn.num_trees() as u64,
+            saved_ranks: saved_ranks as u64,
+            global_octants: self.num_global(),
+            magic: fmt.magic,
+            epoch,
+            time_bits: time.to_bits(),
+        };
+        let mut buf = Vec::new();
+        head.encode(&mut buf);
+        (n as u64).encode(&mut buf);
+        for (t, o) in self.iter_local() {
+            (t, *o).encode(&mut buf);
         }
-        if chunks.len() != forest.num_local() || chunks.iter().any(|c| c.len() != fmt.per_element) {
-            let detail = "state payload does not match the mesh size";
-            return Err(format_err(Path::new("<payload>"), detail));
+        for v in state {
+            v.encode(&mut buf);
         }
-        Ok((forest, chunks.into_iter().flatten().collect(), time, steps))
+        with_crc(buf)
+    }
+
+    /// Restore a forest and its state from segment blobs, one per saved
+    /// rank in saved-rank order — from [`read_dir`] or from buddy memory.
+    /// Collective; every rank must pass the identical blob set. This rank
+    /// gets its contiguous interval of the global octant list and the
+    /// state values riding with it.
+    ///
+    /// Checks, in order, per blob: CRC, format magic, dimension, solver
+    /// magic, tree count, header equal to segment 0's, no fewer blobs than
+    /// saved ranks, octants and state decoding to exactly
+    /// `fmt.per_element` values per octant; then the octant total against
+    /// the header's global count. Every check depends only on the blobs,
+    /// so all ranks fail alike.
+    pub fn from_segments<T: Wire>(
+        conn: Arc<Connectivity<D>>,
+        comm: &impl Communicator,
+        segments: &[Vec<u8>],
+        fmt: SolverFormat,
+    ) -> Result<(Self, Vec<T>, CheckpointMeta), CheckpointError> {
+        let (p, rank) = (comm.size() as u64, comm.rank() as u64);
+        let pe = fmt.per_element;
+        let mut want: Option<Header> = None;
+        let mut trees: Vec<Vec<Octant<D>>> = vec![Vec::new(); conn.num_trees()];
+        let mut state = Vec::new();
+        let mut total = 0u64;
+        for (i, blob) in segments.iter().enumerate() {
+            let origin = PathBuf::from(format!("<segment {i}>"));
+            let (head, mut s) = Header::parse(blob, &origin)?;
+            if head.dim != D::DIM as u64 {
+                return Err(CheckpointError::DimensionMismatch {
+                    found: head.dim,
+                    expected: D::DIM,
+                });
+            }
+            if head.magic != fmt.magic {
+                let detail = format!(
+                    "written under solver magic {:#x}, expected {:#x}",
+                    head.magic, fmt.magic
+                );
+                return Err(format_err(&origin, detail));
+            }
+            if head.trees != trees.len() as u64 {
+                let detail = format!("{} trees, the connectivity has {}", head.trees, trees.len());
+                return Err(format_err(&origin, detail));
+            }
+            let want = *want.get_or_insert(head);
+            if head != want {
+                return Err(format_err(&origin, "header disagrees with segment 0's"));
+            }
+            let saved_ranks = want.saved_ranks as usize;
+            if segments.len() < saved_ranks {
+                return Err(CheckpointError::MissingSegment {
+                    rank: segments.len(),
+                    saved_ranks,
+                });
+            }
+
+            let octs: Vec<(u32, Octant<D>)> = u64::decode(&mut s)
+                .and_then(|n| (0..n).map(|_| Wire::decode(&mut s)).collect())
+                .ok_or_else(|| format_err(&origin, "octants do not decode"))?;
+            if octs.iter().any(|&(t, _)| t as usize >= trees.len()) {
+                return Err(format_err(&origin, "octant outside the connectivity"));
+            }
+            let mut values = try_read_vec::<T>(s)
+                .ok_or_else(|| format_err(&origin, "state values do not decode"))?;
+            if values.len() != octs.len() * pe {
+                let detail = format!(
+                    "{} state values for {} octants of {pe}",
+                    values.len(),
+                    octs.len()
+                );
+                return Err(format_err(&origin, detail));
+            }
+
+            // The part of this segment inside this rank's interval (u128:
+            // a header's count cannot overflow the cut).
+            let n = octs.len() as u64;
+            let cut = |r: u64| (want.global_octants as u128 * r as u128 / p as u128) as u64;
+            let (lo, hi) = (cut(rank), cut(rank + 1));
+            let a = (lo.clamp(total, total + n) - total) as usize;
+            let b = (hi.clamp(total, total + n) - total) as usize;
+            for &(t, o) in &octs[a..b] {
+                trees[t as usize].push(o);
+            }
+            state.extend(values.drain(a * pe..b * pe));
+            total += n;
+        }
+        let want = want.ok_or_else(|| CheckpointError::NoCheckpoint {
+            dir: PathBuf::from("<no segments>"),
+        })?;
+        if total != want.global_octants {
+            return Err(CheckpointError::CountMismatch {
+                expected: want.global_octants,
+                actual: total,
+            });
+        }
+        let meta = CheckpointMeta {
+            epoch: want.epoch,
+            time: f64::from_bits(want.time_bits),
+            saved_ranks: want.saved_ranks as usize,
+            global_octants: total,
+        };
+        Ok((Forest::from_parts(conn, trees, comm), state, meta))
     }
 }
 
@@ -798,13 +510,38 @@ mod tests {
     use crate::dim::{D2, D3};
     use crate::forest::BalanceType;
     use forust_comm::run_spmd;
-    use std::sync::Arc;
+
+    /// A forest-only checkpoint: no state values.
+    const BARE: SolverFormat = SolverFormat {
+        magic: 0x4241_5245,
+        per_element: 0,
+    };
 
     fn tmpdir(name: &str) -> std::path::PathBuf {
         let d = std::env::temp_dir().join("forust_ckpt").join(name);
         let _ = std::fs::remove_dir_all(&d);
         std::fs::create_dir_all(&d).unwrap();
         d
+    }
+
+    fn save<D: Dim>(
+        f: &Forest<D>,
+        comm: &impl Communicator,
+        dir: &Path,
+    ) -> Result<(), CheckpointError> {
+        write_dir(
+            comm,
+            dir,
+            &f.segment_bytes::<u8>(comm.size(), BARE, 0, 0.0, &[]),
+        )
+    }
+
+    fn load<D: Dim>(
+        conn: Arc<Connectivity<D>>,
+        comm: &impl Communicator,
+        dir: &Path,
+    ) -> Result<Forest<D>, CheckpointError> {
+        Ok(Forest::from_segments::<u8>(conn, comm, &read_dir(dir)?, BARE)?.0)
     }
 
     #[test]
@@ -816,13 +553,13 @@ mod tests {
             let mut f = Forest::<D2>::new_uniform(Arc::clone(&conn), comm, 1);
             f.refine(comm, true, |t, o| t == 2 && o.level < 3);
             f.balance(comm, BalanceType::Full);
-            f.save(comm, &dir2).unwrap();
+            save(&f, comm, &dir2).unwrap();
             f.num_global()
         });
         let dir3 = dir.clone();
         let after = run_spmd(3, move |comm| {
             let conn = Arc::new(builders::moebius());
-            let f = Forest::<D2>::load(conn, comm, &dir3).unwrap();
+            let f = load::<D2>(conn, comm, &dir3).unwrap();
             f.check_valid(comm);
             f.num_global()
         });
@@ -837,13 +574,13 @@ mod tests {
             let conn = Arc::new(builders::rotcubes6());
             let mut f = Forest::<D3>::new_uniform(Arc::clone(&conn), comm, 1);
             f.refine(comm, false, |t, _| t == 0);
-            f.save(comm, &dir2).unwrap();
+            save(&f, comm, &dir2).unwrap();
             f.num_global()
         });
         let dir3 = dir.clone();
         let after = run_spmd(2, move |comm| {
             let conn = Arc::new(builders::rotcubes6());
-            let f = Forest::<D3>::load(conn, comm, &dir3).unwrap();
+            let f = load::<D3>(conn, comm, &dir3).unwrap();
             f.check_valid(comm);
             let counts = f.counts().to_vec();
             assert!(counts.iter().max().unwrap() - counts.iter().min().unwrap() <= 1);
@@ -861,7 +598,7 @@ mod tests {
             let mut f = Forest::<D2>::new_uniform(Arc::clone(&conn), comm, 1);
             f.refine(comm, true, |t, o| t == 1 && o.level < 3);
             f.balance(comm, BalanceType::Full);
-            f.save(comm, &dir).unwrap();
+            save(&f, comm, &dir).unwrap();
             f.num_global()
         })[0]
     }
@@ -870,9 +607,7 @@ mod tests {
         let dir = dir.to_path_buf();
         run_spmd(1, move |comm| {
             let conn = Arc::new(builders::moebius());
-            Forest::<D2>::load(conn, comm, &dir)
-                .map(|_| ())
-                .unwrap_err()
+            load::<D2>(conn, comm, &dir).map(|_| ()).unwrap_err()
         })
         .pop()
         .unwrap()
@@ -959,7 +694,7 @@ mod tests {
         let dir2 = dir.clone();
         let after = run_spmd(2, move |comm| {
             let conn = Arc::new(builders::moebius());
-            let f = Forest::<D2>::load(conn, comm, &dir2).unwrap();
+            let f = load::<D2>(conn, comm, &dir2).unwrap();
             f.check_valid(comm);
             f.num_global()
         });
@@ -984,6 +719,10 @@ mod tests {
         // Per-octant payloads must land on whichever rank owns the
         // octant after restore, in SFC order — the property the solver
         // checkpoint relies on.
+        const PAIRS: SolverFormat = SolverFormat {
+            magic: 0x5041_4952,
+            per_element: 2,
+        };
         let dir = tmpdir("payload");
         let dir2 = dir.clone();
         run_spmd(3, move |comm| {
@@ -992,16 +731,18 @@ mod tests {
             f.refine(comm, true, |t, o| t == 0 && o.level < 3);
             // Payload of octant = its global SFC position, twice.
             let start: u64 = f.counts()[..comm.rank()].iter().sum();
-            let payload: Vec<Vec<u64>> = (0..f.num_local())
-                .map(|i| vec![start + i as u64, 2 * (start + i as u64)])
+            let payload: Vec<u64> = (0..f.num_local())
+                .flat_map(|i| [start + i as u64, 2 * (start + i as u64)])
                 .collect();
-            f.save_with_payload(comm, &dir2, 42, Some(&payload))
-                .unwrap();
+            let blob = f.segment_bytes(comm.size(), PAIRS, 42, 0.0, &payload);
+            write_dir(comm, &dir2, &blob).unwrap();
         });
         run_spmd(2, move |comm| {
             let conn = Arc::new(builders::moebius());
+            let blobs = read_dir(&dir).unwrap();
             let (f, payload, meta) =
-                Forest::<D2>::load_with_payload::<u64>(conn, comm, &dir).unwrap();
+                Forest::<D2>::from_segments::<u64>(conn, comm, &blobs, PAIRS).unwrap();
+            let payload: Vec<Vec<u64>> = payload.chunks(2).map(<[u64]>::to_vec).collect();
             f.check_valid(comm);
             assert_eq!(meta.epoch, 42);
             assert_eq!(meta.saved_ranks, 3);
@@ -1015,19 +756,50 @@ mod tests {
         });
     }
 
+    /// One value per octant: its global SFC position.
+    const POSITION: SolverFormat = SolverFormat {
+        magic: 0x504f_5349,
+        per_element: 1,
+    };
+
+    /// Segment blobs of a refined 2D forest on 3 ranks, each octant
+    /// carrying its global position, saved under `epoch` after
+    /// partitioning with `weight`.
+    fn sample_blobs(epoch: u64, weight: fn(u32) -> u64) -> Vec<Vec<u8>> {
+        run_spmd(3, move |comm| {
+            let conn = Arc::new(builders::moebius());
+            let mut f = Forest::<D2>::new_uniform(Arc::clone(&conn), comm, 1);
+            f.refine(comm, true, |t, o| t == 0 && o.level < 3);
+            f.partition_weighted(comm, |t, _| weight(t));
+            let start: u64 = f.counts()[..comm.rank()].iter().sum();
+            let payload: Vec<u64> = (0..f.num_local()).map(|i| start + i as u64).collect();
+            f.segment_bytes(comm.size(), POSITION, epoch, 0.5, &payload)
+        })
+    }
+
+    fn restore_err(blobs: Vec<Vec<u8>>, fmt: SolverFormat) -> CheckpointError {
+        run_spmd(1, move |comm| {
+            let conn = Arc::new(builders::moebius());
+            Forest::<D2>::from_segments::<u64>(conn, comm, &blobs, fmt)
+                .map(|_| ())
+                .unwrap_err()
+        })
+        .pop()
+        .unwrap()
+    }
+
     #[test]
     fn in_memory_segments_roundtrip_onto_fewer_ranks() {
-        // segment_bytes -> load_from_segment_bytes must behave exactly
-        // like the file path, including payload repartitioning — this is
-        // the diskless buddy-restore building block.
+        // segment_bytes -> from_segments must behave exactly like the
+        // file path, including payload repartitioning — this is the
+        // diskless buddy-restore building block.
         let blobs = run_spmd(3, move |comm| {
             let conn = Arc::new(builders::moebius());
             let mut f = Forest::<D2>::new_uniform(Arc::clone(&conn), comm, 1);
             f.refine(comm, true, |t, o| t == 0 && o.level < 3);
             let start: u64 = f.counts()[..comm.rank()].iter().sum();
-            let payload: Vec<Vec<u64>> =
-                (0..f.num_local()).map(|i| vec![start + i as u64]).collect();
-            f.segment_bytes(comm.size(), 7, Some(&payload))
+            let payload: Vec<u64> = (0..f.num_local()).map(|i| start + i as u64).collect();
+            f.segment_bytes(comm.size(), POSITION, 7, 0.0, &payload)
         });
         // Corruption in a blob is rejected, same as for files.
         {
@@ -1036,7 +808,7 @@ mod tests {
             bad[1][mid] ^= 0x40;
             run_spmd(1, move |comm| {
                 let conn = Arc::new(builders::moebius());
-                let err = Forest::<D2>::load_from_segment_bytes::<u64>(conn, comm, &bad)
+                let err = Forest::<D2>::from_segments::<u64>(conn, comm, &bad, POSITION)
                     .map(|_| ())
                     .unwrap_err();
                 assert!(matches!(err, CheckpointError::Crc { .. }), "{err:?}");
@@ -1045,7 +817,8 @@ mod tests {
         run_spmd(2, move |comm| {
             let conn = Arc::new(builders::moebius());
             let (f, payload, meta) =
-                Forest::<D2>::load_from_segment_bytes::<u64>(conn, comm, &blobs).unwrap();
+                Forest::<D2>::from_segments::<u64>(conn, comm, &blobs, POSITION).unwrap();
+            let payload: Vec<Vec<u64>> = payload.chunks(1).map(<[u64]>::to_vec).collect();
             f.check_valid(comm);
             assert_eq!(meta.epoch, 7);
             assert_eq!(meta.saved_ranks, 3);
@@ -1064,15 +837,126 @@ mod tests {
         run_spmd(1, move |comm| {
             let conn = Arc::new(builders::unit2d());
             let f = Forest::<D2>::new_uniform(conn, comm, 1);
-            f.save(comm, &dir2).unwrap();
+            save(&f, comm, &dir2).unwrap();
         });
         run_spmd(1, move |comm| {
             let conn = Arc::new(builders::unit3d());
-            let err = Forest::<D3>::load(conn, comm, &dir).unwrap_err();
+            let err = load::<D3>(conn, comm, &dir).map(|_| ()).unwrap_err();
             assert!(
                 matches!(err, CheckpointError::DimensionMismatch { found: 2, .. }),
                 "{err:?}"
             );
         });
+    }
+
+    #[test]
+    fn mixed_epochs_rejected_on_both_paths() {
+        // The memory path used to skip the epoch check: a set mixing two
+        // epochs restored as if it were one checkpoint.
+        let (old, new) = (sample_blobs(3, |_| 1), sample_blobs(4, |_| 1));
+        let mixed = vec![new[0].clone(), old[1].clone(), new[2].clone()];
+        let err = restore_err(mixed, POSITION);
+        match err {
+            CheckpointError::Format { file, .. } => assert_eq!(file, Path::new("<segment 1>")),
+            other => panic!("expected a Format error on segment 1, got {other:?}"),
+        }
+        // On disk the manifest catches the stale segment first.
+        let dir = tmpdir("mixed_epochs");
+        for (r, blob) in new.iter().enumerate() {
+            std::fs::write(segment_path(&dir, r), blob).unwrap();
+        }
+        std::fs::write(dir.join(MANIFEST), with_crc(new[0][..HEADER_LEN].to_vec())).unwrap();
+        std::fs::write(segment_path(&dir, 1), &old[1]).unwrap();
+        match read_dir(&dir).unwrap_err() {
+            CheckpointError::Format { file, .. } => assert_eq!(file, segment_path(&dir, 1)),
+            other => panic!("expected a Format error on forest_1.fst, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn count_mismatch_rejected_on_both_paths() {
+        // Two partitions of the same forest at the same epoch: every
+        // header agrees, but a set taking segments from both does not add
+        // up to the global octant count.
+        let even = sample_blobs(5, |_| 1);
+        let skewed = sample_blobs(5, |t| if t == 0 { 9 } else { 1 });
+        assert_eq!(even[0][..HEADER_LEN], skewed[0][..HEADER_LEN]);
+        let mixed = vec![even[0].clone(), skewed[1].clone(), even[2].clone()];
+        let err = restore_err(mixed.clone(), POSITION);
+        assert!(
+            matches!(err, CheckpointError::CountMismatch { expected, actual } if expected != actual),
+            "{err:?}"
+        );
+        let dir = tmpdir("count_mismatch");
+        let d = dir.clone();
+        run_spmd(3, move |comm| {
+            write_dir(comm, &d, &mixed[comm.rank()]).unwrap()
+        });
+        let err = restore_err(read_dir(&dir).unwrap(), POSITION);
+        assert!(
+            matches!(err, CheckpointError::CountMismatch { .. }),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn solver_magic_and_per_element_size_checked() {
+        let blobs = sample_blobs(1, |_| 1);
+        let foreign = SolverFormat {
+            magic: POSITION.magic + 1,
+            ..POSITION
+        };
+        match restore_err(blobs.clone(), foreign) {
+            CheckpointError::Format { file, detail } => {
+                assert_eq!(file, Path::new("<segment 0>"));
+                assert!(detail.contains("magic"), "{detail}");
+            }
+            other => panic!("expected the magic check's Format error, got {other:?}"),
+        }
+        let wider = SolverFormat {
+            per_element: 2,
+            ..POSITION
+        };
+        match restore_err(blobs, wider) {
+            CheckpointError::Format { detail, .. } => {
+                assert!(detail.contains("state values"), "{detail}")
+            }
+            other => panic!("expected the per_element check's Format error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn v2_segment_is_a_format_error() {
+        let dir = tmpdir("v2");
+        let mut body = Vec::new();
+        [0x464f_5255_5354_0002u64, 2, 5, 1, 0, 0, 0, 0, 0].encode(&mut body);
+        std::fs::write(segment_path(&dir, 0), with_crc(body)).unwrap();
+        match read_dir(&dir).unwrap_err() {
+            CheckpointError::Format { detail, .. } => assert!(detail.contains("v3"), "{detail}"),
+            other => panic!("expected a Format error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn manifest_written_after_every_segment() {
+        // Rank 2 writes its segment last; the manifest must still be
+        // younger than it, and present when any rank returns.
+        let dir = tmpdir("manifest_order");
+        let d = dir.clone();
+        run_spmd(3, move |comm| {
+            let conn = Arc::new(builders::moebius());
+            let f = Forest::<D2>::new_uniform(conn, comm, 1);
+            std::thread::sleep(std::time::Duration::from_millis(40 * comm.rank() as u64));
+            save(&f, comm, &d).unwrap();
+            assert!(d.join(MANIFEST).exists());
+        });
+        let mtime = |p: PathBuf| std::fs::metadata(p).unwrap().modified().unwrap();
+        let manifest = mtime(dir.join(MANIFEST));
+        for r in 0..3 {
+            assert!(
+                mtime(segment_path(&dir, r)) <= manifest,
+                "segment {r} after the manifest"
+            );
+        }
     }
 }

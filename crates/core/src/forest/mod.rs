@@ -30,7 +30,7 @@ mod partition;
 mod search;
 
 pub use balance::BalanceType;
-pub use checkpoint::{CheckpointError, CheckpointMeta, SolverFormat, SolverState};
+pub use checkpoint::{read_dir, write_dir, CheckpointError, CheckpointMeta, SolverFormat};
 pub use ghost::{GhostDataPending, GhostLayer, TAG_GHOST_EXCHANGE};
 pub use iterate::{
     CornerVisit, EdgeVisit, EntitySharer, FaceSide, FaceVisit, LeafRef, OwnedRoute, Visit,

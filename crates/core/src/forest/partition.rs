@@ -6,7 +6,7 @@
 //! weighted) octant counts — one `Allgather` of a single `u64` per rank —
 //! then octants move point-to-point. This mirrors p4est exactly.
 
-use forust_comm::Communicator;
+use forust_comm::{Communicator, Wire};
 
 use crate::connectivity::TreeId;
 use crate::dim::Dim;
@@ -23,65 +23,23 @@ impl<D: Dim> Forest<D> {
     /// so each rank receives approximately `total_weight / P`.
     ///
     /// Weights must be positive. With unit weights the split is exact
-    /// (±1 octant).
+    /// (±1 octant). The payload is zero-sized, so the messages are those
+    /// of the bare octant transfer.
     pub fn partition_weighted(
         &mut self,
         comm: &impl Communicator,
-        mut weight: impl FnMut(TreeId, &Octant<D>) -> u64,
+        weight: impl FnMut(TreeId, &Octant<D>) -> u64,
     ) {
-        let _span = forust_obs::span!("forest.partition");
-        let p = comm.size();
-        let weights: Vec<u64> = self.iter_local().map(|(t, o)| weight(t, o)).collect();
-        let local_total: u64 = weights.iter().sum();
-        // One u64 per rank, as in the paper.
-        let my_offset = comm.exscan_sum_u64(local_total);
-        let grand_total = comm.allreduce_sum_u64(local_total);
-        if grand_total == 0 {
-            return;
-        }
-
-        // Destination of an octant whose exclusive weight prefix is `w`:
-        // the rank whose weight bucket [r*W/P, (r+1)*W/P) contains it.
-        // Buckets are computed in u128 to avoid overflow.
-        let dest_of = |w: u64| -> usize {
-            let r = (w as u128 * p as u128 / grand_total as u128) as usize;
-            r.min(p - 1)
-        };
-
-        // Group the local octants into per-destination runs.
-        let mut outgoing: Vec<Vec<(u32, Octant<D>)>> = (0..p).map(|_| Vec::new()).collect();
-        let mut w = my_offset;
-        for ((t, o), wt) in self.iter_local().zip(&weights) {
-            debug_assert!(*wt > 0, "partition weights must be positive");
-            outgoing[dest_of(w)].push((t, *o));
-            w += wt;
-        }
-
-        // Point-to-point transfer; arrival order (by source rank, then SFC
-        // within each source) is globally SFC-sorted already.
-        let incoming = comm.alltoallv(outgoing);
-        let mut trees: Vec<Vec<Octant<D>>> = vec![Vec::new(); self.conn.num_trees()];
-        for part in incoming {
-            for (t, o) in part {
-                trees[t as usize].push(o);
-            }
-        }
-        self.set_trees(trees);
-        self.update_meta(comm);
+        let none = vec![[0u8; 0]; self.num_local()];
+        self.partition_with_payload(comm, weight, none);
     }
-}
 
-impl<D: Dim> Forest<D> {
-    /// As [`Forest::partition_weighted`], moving one payload value per
-    /// octant along with it (element solution data riding the SFC
-    /// repartition, as in the paper's adaptive solvers: fields are
-    /// "redistributed according to the mesh partition", §IV-A).
-    ///
-    /// Octant and payload travel together as `(tree, octant, payload)`
-    /// triples in a **single** `alltoallv` round, halving the message
-    /// count versus separate octant and payload exchanges and making it
-    /// impossible for the two streams to disagree about ordering.
-    pub fn partition_with_payload<T: forust_comm::Wire>(
+    /// As [`Forest::partition_weighted`] — the one place the cut lives —
+    /// moving one payload value per octant with it (fields "redistributed
+    /// according to the mesh partition", §IV-A). Octant and payload travel
+    /// as `(tree, octant, payload)` triples in a **single** `alltoallv`
+    /// round, so the two streams can never disagree about ordering.
+    pub fn partition_with_payload<T: Wire>(
         &mut self,
         comm: &impl Communicator,
         mut weight: impl FnMut(TreeId, &Octant<D>) -> u64,
@@ -97,21 +55,23 @@ impl<D: Dim> Forest<D> {
         if grand_total == 0 {
             return payload;
         }
+
+        // Destination of an octant whose exclusive weight prefix is `w`: the
+        // rank whose bucket [r*W/P, (r+1)*W/P) holds it (u128: no overflow).
         let dest_of = |w: u64| -> usize {
             let r = (w as u128 * p as u128 / grand_total as u128) as usize;
             r.min(p - 1)
         };
         let mut outgoing: Vec<Vec<(u32, Octant<D>, T)>> = (0..p).map(|_| Vec::new()).collect();
         let mut w = my_offset;
-        let octs: Vec<(u32, Octant<D>)> = self.iter_local().map(|(t, o)| (t, *o)).collect();
-        for (((t, o), wt), pl) in octs.into_iter().zip(&weights).zip(payload) {
+        for (((t, o), wt), pl) in self.iter_local().zip(&weights).zip(payload) {
             debug_assert!(*wt > 0, "partition weights must be positive");
-            outgoing[dest_of(w)].push((t, o, pl));
+            outgoing[dest_of(w)].push((t, *o, pl));
             w += wt;
         }
-        // One fused exchange; arrival order (by source rank, then SFC
-        // within each source) is globally SFC-sorted, for octants and
-        // payloads alike.
+
+        // Arrival order (by source rank, then SFC within each source) is
+        // globally SFC-sorted already, for octants and payloads alike.
         let incoming = comm.alltoallv(outgoing);
         let mut trees: Vec<Vec<Octant<D>>> = vec![Vec::new(); self.conn.num_trees()];
         let mut pay = Vec::new();

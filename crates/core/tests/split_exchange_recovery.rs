@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use forust::connectivity::builders;
 use forust::dim::D3;
-use forust::forest::{BalanceType, Forest};
+use forust::forest::{read_dir, write_dir, BalanceType, Forest, SolverFormat};
 use forust::octant::Octant;
 use forust_comm::{
     run_spmd, run_spmd_with, ChaosComm, CommConfig, Communicator, FaultPlan, RankCrashed,
@@ -25,6 +25,12 @@ fn tmpdir(name: &str) -> PathBuf {
     std::fs::create_dir_all(&d).unwrap();
     d
 }
+
+/// Three payload values per leaf.
+const LEAF: SolverFormat = SolverFormat {
+    magic: 0x4c45_4146,
+    per_element: 3,
+};
 
 /// Per-leaf payload derived from the leaf identity alone, so the expected
 /// recovered state is computable on any rank count.
@@ -59,8 +65,16 @@ fn program(comm: &ChaosComm<ThreadComm>, dir: &Path) -> (u64, Vec<u64>, Vec<u64>
     f.refine(comm, true, |_, o| o.level < 2 && o.x == 0);
     f.balance(comm, BalanceType::Full);
     f.partition(comm);
-    let chunks: Vec<Vec<f64>> = f.iter_local().map(|(t, o)| leaf_payload(t, o)).collect();
-    f.save_with_payload(comm, dir, 1, Some(&chunks)).unwrap();
+    let chunks: Vec<f64> = f
+        .iter_local()
+        .flat_map(|(t, o)| leaf_payload(t, o))
+        .collect();
+    write_dir(
+        comm,
+        dir,
+        &f.segment_bytes(comm.size(), LEAF, 1, 0.0, &chunks),
+    )
+    .unwrap();
 
     let ghost = f.ghost(comm);
     let values: Vec<u64> = ghost
@@ -120,15 +134,16 @@ fn crash_between_exchange_begin_and_end_recovers_from_checkpoint() {
     // on the recovered forest.
     run_spmd(RANKS - 1, move |comm| {
         let conn = Arc::new(builders::rotcubes6());
+        let blobs = read_dir(&crash_dir).expect("recoverable");
         let (f, chunks, meta) =
-            Forest::load_with_payload::<f64>(conn, comm, &crash_dir).expect("recoverable");
+            Forest::from_segments::<f64>(conn, comm, &blobs, LEAF).expect("recoverable");
         assert_eq!(meta.epoch, 1);
         assert_eq!(
             global_signature(comm, &f),
             reference_signature,
             "recovered forest differs from the pre-crash state"
         );
-        for ((t, o), chunk) in f.iter_local().zip(&chunks) {
+        for ((t, o), chunk) in f.iter_local().zip(chunks.chunks(3)) {
             assert_eq!(chunk, &leaf_payload(t, o), "payload mismatch at {t}/{o:?}");
         }
 

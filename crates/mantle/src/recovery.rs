@@ -9,7 +9,6 @@
 //! recovered from a checkpoint — on any rank count — finishes bitwise
 //! identical to a fault-free run.
 
-use std::path::Path;
 use std::sync::Arc;
 
 use forust::connectivity::Connectivity;
@@ -63,30 +62,11 @@ impl Recoverable for MantleRecoverySetup {
     fn restore<C: Communicator>(
         &self,
         comm: &C,
-        dir: &Path,
-    ) -> Result<MantleSolver, CheckpointError> {
-        let conn = Arc::new((self.conn)());
-        let map = (self.map)(Arc::clone(&conn));
-        MantleSolver::restore(comm, conn, map, self.config.clone(), dir)
-    }
-
-    fn restore_from_segments<C: Communicator>(
-        &self,
-        comm: &C,
         segments: &[Vec<u8>],
     ) -> Result<MantleSolver, CheckpointError> {
         let conn = Arc::new((self.conn)());
         let map = (self.map)(Arc::clone(&conn));
-        MantleSolver::restore_from_segments(comm, conn, map, self.config.clone(), segments)
-    }
-
-    fn save_checkpoint<C: Communicator>(
-        &self,
-        solver: &MantleSolver,
-        comm: &C,
-        dir: &Path,
-    ) -> Result<(), CheckpointError> {
-        solver.save_checkpoint(comm, dir)
+        MantleSolver::restore(comm, conn, map, self.config.clone(), segments)
     }
 
     fn checkpoint_segment(&self, solver: &MantleSolver, saved_ranks: usize) -> Vec<u8> {

@@ -5,7 +5,7 @@ use std::time::{Duration, Instant};
 
 use forust::connectivity::Connectivity;
 use forust::dim::D3;
-use forust::forest::{BalanceType, CheckpointError, CheckpointMeta, Forest};
+use forust::forest::{BalanceType, CheckpointError, Forest, SolverFormat};
 use forust_comm::Communicator;
 use forust_geom::Mapping;
 
@@ -44,6 +44,13 @@ impl Default for MantleConfig {
         }
     }
 }
+
+/// Format of the solver's checkpoints: its magic and the 4 components ×
+/// 8 corners of each element.
+const CHECKPOINT: SolverFormat = SolverFormat {
+    magic: 0x464f_5255_4d41_4e54, // "FORU MANT"
+    per_element: 4 * 8,
+};
 
 /// Fig. 7's wall-time buckets.
 #[derive(Debug, Clone, Copy, Default)]
@@ -358,126 +365,54 @@ impl MantleSolver {
         self.timers.amr += t0.elapsed();
     }
 
-    /// Per-element corner values of the solution, the checkpoint payload:
-    /// 4 components × 8 corners per element, independent of the rank
-    /// count (shared corners carry identical replicas of the nodal value,
-    /// so duplicate writes on restore are benign).
-    fn corner_chunks(&self) -> Vec<Vec<f64>> {
+    /// Flat per-element corner values of the solution, the checkpoint
+    /// state: 4 components × 8 corners per element. Unlike the nodal
+    /// vector `x`, this layout is independent of the rank count and global
+    /// dof numbering (shared corners carry identical replicas of the nodal
+    /// value), so gathered copies compare bitwise across partitions.
+    pub fn corner_values(&self) -> Vec<f64> {
         let nn = self.fem.nn;
         (0..self.fem.num_elements())
-            .map(|e| {
+            .flat_map(|e| {
                 let el = self.fem.nodes.element(e);
-                let mut v = Vec::with_capacity(4 * el.len());
-                for c in 0..4 {
-                    for &ni in el {
-                        v.push(self.x[c * nn + ni as usize]);
-                    }
-                }
-                v
+                (0..4).flat_map(move |c| el.iter().map(move |&ni| self.x[c * nn + ni as usize]))
             })
             .collect()
     }
 
-    /// Flat per-element corner values of the solution (the checkpoint
-    /// payload layout, 32 values per element). Unlike the nodal vector
-    /// `x`, this layout is independent of the rank count and global dof
-    /// numbering, so gathered copies compare bitwise across partitions.
-    pub fn corner_values(&self) -> Vec<f64> {
-        self.corner_chunks().into_iter().flatten().collect()
-    }
-
-    /// Write a recoverable checkpoint of the solver into `dir`: the forest
-    /// with the per-element corner solution as payload, epoch = Picard
-    /// iterations completed. Everything else — FEM state, viscosity,
-    /// preconditioner — is a deterministic function of `(forest, x)` and
-    /// is rebuilt bitwise identically on [`MantleSolver::restore`], even
-    /// on a different rank count. Collective.
-    pub fn save_checkpoint(
-        &self,
-        comm: &impl Communicator,
-        dir: &std::path::Path,
-    ) -> Result<(), CheckpointError> {
-        self.forest.save_with_payload(
-            comm,
-            dir,
-            self.picard_done as u64,
-            Some(&self.corner_chunks()),
-        )
-    }
-
-    /// This rank's checkpoint as an in-memory byte blob (the same bytes a
-    /// disk checkpoint segment would hold), for diskless buddy mirroring.
-    /// Purely local.
+    /// This rank's checkpoint segment ([`Forest::segment_bytes`]): the
+    /// corner values ride as state under the mantle magic, the Picard
+    /// iterations completed as epoch. Everything else — FEM state,
+    /// viscosity, preconditioner — is a deterministic function of
+    /// `(forest, x)` and is rebuilt bitwise identically on
+    /// [`MantleSolver::restore`], even on a different rank count. Purely
+    /// local; the same bytes go to disk and to buddy memory.
     pub fn checkpoint_segment(&self, saved_ranks: usize) -> Vec<u8> {
-        self.forest.segment_bytes(
-            saved_ranks,
-            self.picard_done as u64,
-            Some(&self.corner_chunks()),
-        )
+        let epoch = self.picard_done as u64;
+        self.forest
+            .segment_bytes(saved_ranks, CHECKPOINT, epoch, 0.0, &self.corner_values())
     }
 
-    /// Restore a solver from a checkpoint written by
-    /// [`MantleSolver::save_checkpoint`], possibly onto a different rank
-    /// count. The restored solver continues bitwise identically to an
-    /// uninterrupted run: the solution rides the checkpoint exactly and
-    /// the FEM state is a deterministic rebuild.
+    /// Restore a solver from the segments of a checkpoint written by
+    /// [`MantleSolver::checkpoint_segment`] — read back from disk or from
+    /// buddy memory — possibly onto a different rank count. The restored
+    /// solver continues bitwise identically to an uninterrupted run: the
+    /// solution rides the checkpoint exactly and the FEM state is a
+    /// deterministic rebuild. Shared corners are written once per element
+    /// that holds them, all with the same value.
     pub fn restore(
-        comm: &impl Communicator,
-        conn: Arc<Connectivity<D3>>,
-        map: Arc<dyn Mapping<D3> + Send + Sync>,
-        config: MantleConfig,
-        dir: &std::path::Path,
-    ) -> Result<Self, CheckpointError> {
-        let (forest, chunks, meta) = Forest::load_with_payload::<f64>(conn, comm, dir)?;
-        Self::from_restored(comm, forest, chunks, &meta, map, config)
-    }
-
-    /// [`MantleSolver::restore`] from in-memory segment blobs produced by
-    /// [`MantleSolver::checkpoint_segment`] — the diskless (buddy) path.
-    pub fn restore_from_segments(
         comm: &impl Communicator,
         conn: Arc<Connectivity<D3>>,
         map: Arc<dyn Mapping<D3> + Send + Sync>,
         config: MantleConfig,
         segments: &[Vec<u8>],
     ) -> Result<Self, CheckpointError> {
-        let (forest, chunks, meta) = Forest::load_from_segment_bytes::<f64>(conn, comm, segments)?;
-        Self::from_restored(comm, forest, chunks, &meta, map, config)
-    }
-
-    fn from_restored(
-        comm: &impl Communicator,
-        forest: Forest<D3>,
-        chunks: Vec<Vec<f64>>,
-        meta: &CheckpointMeta,
-        map: Arc<dyn Mapping<D3> + Send + Sync>,
-        config: MantleConfig,
-    ) -> Result<Self, CheckpointError> {
+        let (forest, corners, meta) = Forest::from_segments(conn, comm, segments, CHECKPOINT)?;
         let fem = StokesFem::build(&forest, comm, &map, &config.rheology);
         let nn = fem.nn;
         let mut x = vec![0.0; fem.vec_len()];
-        if chunks.len() != fem.num_elements() {
-            return Err(CheckpointError::Format {
-                file: std::path::PathBuf::from("<payload>"),
-                detail: format!(
-                    "solution payload carries {} elements, mesh has {}",
-                    chunks.len(),
-                    fem.num_elements()
-                ),
-            });
-        }
-        for (e, ch) in chunks.iter().enumerate() {
+        for (e, ch) in corners.chunks(CHECKPOINT.per_element).enumerate() {
             let el = fem.nodes.element(e);
-            if ch.len() != 4 * el.len() {
-                return Err(CheckpointError::Format {
-                    file: std::path::PathBuf::from("<payload>"),
-                    detail: format!(
-                        "element {e} payload has {} values, expected {}",
-                        ch.len(),
-                        4 * el.len()
-                    ),
-                });
-            }
             for c in 0..4 {
                 for (j, &ni) in el.iter().enumerate() {
                     x[c * nn + ni as usize] = ch[c * el.len() + j];

@@ -7,20 +7,20 @@
 //! supervisor:
 //!
 //! - [`Recoverable`] is the contract a solver experiment implements —
-//!   build fresh, checkpoint (to disk *and* as in-memory byte segments),
-//!   restore (from either), advance one unit, and produce a gathered,
-//!   rank-count-independent final result. All three workspace experiments
-//!   (advection dG, seismic dG, mantle Stokes cG) implement it.
+//!   build fresh, checkpoint (one CRC-framed segment blob per rank),
+//!   restore from a set of those blobs, advance one unit, and produce a
+//!   gathered, rank-count-independent final result. All three workspace
+//!   experiments (advection dG, seismic dG, mantle Stokes cG) implement it.
 //! - [`run_with_recovery`] launches SPMD attempts under an optional
 //!   [`FaultPlan`], stacking [`ReliableComm`] *above* the fault layer so
 //!   transient corruption heals in-band (NACK/retransmit), while crashes
 //!   surface as panics that the supervisor catches; restarts — possibly on
 //!   fewer ranks — resume from the newest checkpoint that validates.
-//! - [`BuddyStore`] adds diskless recovery: at each checkpoint epoch every
-//!   rank mirrors its CRC-framed checkpoint segment to a partner rank
-//!   (`(r+1) % p`) over a reserved tag, so a single-rank crash restores
-//!   entirely from surviving memory, never touching the filesystem. The
-//!   store is the driver-side stand-in for the survivors' address spaces.
+//! - Checkpoints go to disk ([`write_dir`], one directory per epoch) or,
+//!   with a [`BuddyStore`], nowhere but memory: at each checkpoint epoch
+//!   every rank mirrors its segment to a partner rank (`(r+1) % p`) over a
+//!   reserved tag, so a single-rank crash restores entirely from surviving
+//!   memory. Both restore through the same [`Recoverable::restore`].
 //!
 //! Because every solver carries its cross-epoch state bitwise in the
 //! checkpoint and rebuilds the rest by exact deterministic reductions, a
@@ -33,7 +33,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use forust::forest::CheckpointError;
+use forust::forest::{read_dir, write_dir, CheckpointError};
 use forust_comm::{
     run_spmd_with, ChaosComm, CommConfig, Communicator, FaultPlan, RankCrashed, ReliableComm,
     RetryPolicy, TAG_COLLECTIVE,
@@ -42,6 +42,10 @@ use forust_comm::{
 /// Reserved tag lane for buddy-checkpoint mirroring (below the collective,
 /// ghost, halo, and assembly lanes).
 pub const TAG_BUDDY: u32 = TAG_COLLECTIVE - 64;
+
+/// Receive deadline of every attempt's transport: a wedged rank becomes a
+/// diagnostic panic (and thus a restart) instead of a hang.
+const DEADLINE: Duration = Duration::from_secs(60);
 
 /// The contract between a solver experiment and the recovery supervisor.
 ///
@@ -59,28 +63,16 @@ pub trait Recoverable: Sync {
 
     /// Fresh build on this communicator (no checkpoint found).
     fn build<C: Communicator>(&self, comm: &C) -> Self::Solver;
-    /// Restore from a disk checkpoint directory. Collective; must fail
-    /// identically on every rank for a given directory state.
+    /// Restore from the segment blobs of one checkpoint, in saved-rank
+    /// order — read back from disk or from buddy memory. Collective; must
+    /// fail identically on every rank for a given blob set.
     fn restore<C: Communicator>(
-        &self,
-        comm: &C,
-        dir: &Path,
-    ) -> Result<Self::Solver, CheckpointError>;
-    /// Restore from per-rank in-memory segment blobs (the buddy path).
-    fn restore_from_segments<C: Communicator>(
         &self,
         comm: &C,
         segments: &[Vec<u8>],
     ) -> Result<Self::Solver, CheckpointError>;
-    /// Write a disk checkpoint into `dir`. Collective.
-    fn save_checkpoint<C: Communicator>(
-        &self,
-        solver: &Self::Solver,
-        comm: &C,
-        dir: &Path,
-    ) -> Result<(), CheckpointError>;
-    /// This rank's checkpoint as one opaque byte blob (CRC-protected by
-    /// the implementor). Purely local.
+    /// This rank's checkpoint as one CRC-framed segment blob. Purely
+    /// local.
     fn checkpoint_segment(&self, solver: &Self::Solver, saved_ranks: usize) -> Vec<u8>;
     /// Units completed so far (restored bitwise by the checkpoint).
     fn units_done(&self, solver: &Self::Solver) -> usize;
@@ -107,27 +99,24 @@ struct BuddyEpoch {
 }
 
 impl BuddyEpoch {
-    /// The full segment set if one copy of every segment survives.
-    fn segments(&self) -> Option<Vec<Vec<u8>>> {
+    /// One surviving copy of every segment, if there is one.
+    fn copies(&self) -> Option<Vec<&Vec<u8>>> {
         (0..self.saved_ranks)
-            .map(|i| {
-                self.primary[i]
-                    .as_ref()
-                    .or(self.mirror[i].as_ref())
-                    .cloned()
-            })
+            .map(|i| self.primary[i].as_ref().or(self.mirror[i].as_ref()))
             .collect()
     }
 }
 
 /// Driver-side stand-in for the ranks' in-memory checkpoint copies.
 ///
-/// In a real deployment each rank would keep its newest segment and its
-/// buddy's in RAM; here rank threads share the driver's address space, so
-/// the store *is* that memory, and [`BuddyStore::mark_dead`] models the
-/// loss of one rank's RAM. The mirrored copy still travels over the
-/// communicator (tag [`TAG_BUDDY`]) so the fault/healing stack exercises
-/// the transfer.
+/// Each rank keeps its own segments and its predecessor's mirrored ones
+/// for the two newest restorable epochs, plus any newer epoch still being
+/// mirrored — so a crash mid-mirror always finds a full fallback, and the
+/// memory does not grow with the length of the run. Rank threads share
+/// the driver's address space, so the store *is* that memory, and
+/// [`BuddyStore::mark_dead`] models the loss of one rank's RAM. The
+/// mirrored copy still travels over the communicator (tag [`TAG_BUDDY`])
+/// so the fault/healing stack exercises the transfer.
 #[derive(Default)]
 pub struct BuddyStore {
     epochs: Mutex<HashMap<u64, BuddyEpoch>>,
@@ -141,7 +130,8 @@ impl BuddyStore {
 
     /// Record what rank `rank` holds after the epoch-`epoch` mirror round:
     /// its own segment plus (on multi-rank runs) the copy received from
-    /// its predecessor.
+    /// its predecessor. Epochs older than the second-newest restorable
+    /// one are dropped.
     fn put(
         &self,
         epoch: u64,
@@ -159,6 +149,15 @@ impl BuddyStore {
         e.primary[rank] = Some(own);
         if let Some((from, seg)) = mirrored {
             e.mirror[from] = Some(seg);
+        }
+        let mut restorable: Vec<u64> = epochs
+            .iter()
+            .filter(|(_, e)| e.copies().is_some())
+            .map(|(&n, _)| n)
+            .collect();
+        restorable.sort_unstable_by(|a, b| b.cmp(a));
+        if let Some(&oldest_kept) = restorable.get(1) {
+            epochs.retain(|&n, _| n >= oldest_kept);
         }
     }
 
@@ -178,7 +177,7 @@ impl BuddyStore {
         let epochs = self.epochs.lock().unwrap();
         let mut out: Vec<(u64, Vec<Vec<u8>>)> = epochs
             .iter()
-            .filter_map(|(&n, e)| e.segments().map(|s| (n, s)))
+            .filter_map(|(&n, e)| Some((n, e.copies()?.into_iter().cloned().collect())))
             .collect();
         out.sort_by_key(|(n, _)| std::cmp::Reverse(*n));
         out
@@ -194,17 +193,6 @@ impl BuddyStore {
             .map(Vec::len)
             .sum()
     }
-}
-
-/// Where attempts write checkpoints and restarts look for them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CheckpointMode {
-    /// Per-epoch subdirectories of the checkpoint root (durable).
-    Disk,
-    /// Buddy-mirrored in-memory segments only (diskless).
-    Buddy,
-    /// Both: buddy preferred on restore, disk as the fallback.
-    Both,
 }
 
 /// Where a successful attempt got its starting state from.
@@ -223,35 +211,25 @@ pub enum RestoreSource {
 pub struct RecoveryOptions {
     /// SPMD launches before the last failure is resumed to the caller.
     pub max_attempts: usize,
-    /// Receive deadline of the underlying transport: a wedged rank
-    /// becomes a diagnostic panic (and thus a restart) instead of a hang.
-    pub deadline: Duration,
-    /// Self-healing transport policy; `None` runs bare (no retransmit).
-    pub retry: Option<RetryPolicy>,
-    /// Checkpoint placement.
-    pub mode: CheckpointMode,
-    /// The buddy memory (required for `Buddy`/`Both` modes).
+    /// Diskless checkpointing: `Some` mirrors every checkpoint into this
+    /// buddy memory and restores from it alone, never touching the
+    /// checkpoint root; `None` writes one directory per epoch there.
     pub buddy: Option<Arc<BuddyStore>>,
     /// Where to write the crash post-mortem bundle. `Some(path)` turns
     /// the flight recorder on: every rank records spans/counters during
-    /// attempts, deposits its last [`RecoveryOptions::flight_window_ms`]
-    /// on a crash, and the supervisor writes the bundle when it catches
-    /// an injected rank death.
+    /// attempts, deposits its last
+    /// [`forust_obs::DEFAULT_FLIGHT_WINDOW_MS`] on a crash, and the
+    /// supervisor writes the bundle when it catches an injected rank
+    /// death.
     pub postmortem: Option<PathBuf>,
-    /// Flight-recorder lookback window, ms.
-    pub flight_window_ms: u64,
 }
 
 impl Default for RecoveryOptions {
     fn default() -> Self {
         RecoveryOptions {
             max_attempts: 3,
-            deadline: Duration::from_secs(60),
-            retry: Some(RetryPolicy::default()),
-            mode: CheckpointMode::Disk,
             buddy: None,
             postmortem: None,
-            flight_window_ms: forust_obs::DEFAULT_FLIGHT_WINDOW_MS,
         }
     }
 }
@@ -296,77 +274,44 @@ pub fn epochs_newest_first(root: &Path) -> Vec<(u64, PathBuf)> {
 }
 
 /// One SPMD attempt: restore from the newest checkpoint that validates
-/// (buddy segments preferred over disk at equal epoch, fresh build if
-/// nothing validates), run to completion with periodic checkpoints, and
-/// gather the final result.
+/// (buddy memory with a [`BuddyStore`], the epoch directories under
+/// `ckpt_root` without; fresh build if nothing validates), run to
+/// completion with periodic checkpoints, and gather the final result.
 pub fn attempt<C: Communicator, R: Recoverable>(
     comm: &C,
     exp: &R,
     ckpt_root: &Path,
     opts: &RecoveryOptions,
 ) -> (R::Final, RestoreSource) {
-    let buddy = opts.buddy.as_deref();
-
-    // Candidates newest-epoch-first; every rank scans the same shared
-    // state with the same logic, so all ranks agree on the pick without
-    // communicating.
-    let mut candidates: Vec<(u64, RestoreSource)> = Vec::new();
-    if opts.mode != CheckpointMode::Disk {
-        if let Some(store) = buddy {
-            for (n, _) in store.epochs_newest_first() {
-                candidates.push((n, RestoreSource::Buddy(n)));
-            }
-        }
-    }
-    if opts.mode != CheckpointMode::Buddy {
-        for (n, _) in epochs_newest_first(ckpt_root) {
-            candidates.push((n, RestoreSource::Disk(n)));
-        }
-    }
-    // Stable sort: at equal epoch the buddy copy (pushed first) wins —
-    // it is the copy that never left memory.
-    candidates.sort_by_key(|(n, _)| std::cmp::Reverse(*n));
-
-    let mut restored = RestoreSource::Fresh;
-    let mut solver = None;
-    for (n, source) in candidates {
-        let r = match source {
-            RestoreSource::Buddy(_) => {
-                let segments = buddy
-                    .and_then(|s| {
-                        s.epochs_newest_first()
-                            .into_iter()
-                            .find(|(e, _)| *e == n)
-                            .map(|(_, segs)| segs)
-                    })
-                    .expect("buddy epoch listed but vanished");
-                exp.restore_from_segments(comm, &segments)
-            }
-            RestoreSource::Disk(_) => exp.restore(comm, &ckpt_root.join(format!("epoch_{n}"))),
-            RestoreSource::Fresh => unreachable!(),
-        };
-        if let Ok(s) = r {
-            restored = source;
-            solver = Some(s);
-            break;
-        }
-    }
-    let mut solver = solver.unwrap_or_else(|| exp.build(comm));
+    // Every rank scans the same shared state with the same logic, so all
+    // ranks agree on the pick without communicating.
+    let found = match &opts.buddy {
+        Some(store) => store
+            .epochs_newest_first()
+            .into_iter()
+            .find_map(|(n, segments)| {
+                let solver = exp.restore(comm, &segments).ok()?;
+                Some((solver, RestoreSource::Buddy(n)))
+            }),
+        None => epochs_newest_first(ckpt_root)
+            .into_iter()
+            .find_map(|(n, dir)| {
+                let solver = read_dir(&dir).and_then(|s| exp.restore(comm, &s)).ok()?;
+                Some((solver, RestoreSource::Disk(n)))
+            }),
+    };
+    let (mut solver, restored) = found.unwrap_or_else(|| (exp.build(comm), RestoreSource::Fresh));
 
     while exp.units_done(&solver) < exp.total_units() {
         exp.advance(&mut solver, comm);
         let done = exp.units_done(&solver);
         if done % exp.checkpoint_every() == 0 && done < exp.total_units() {
             let _span = forust_obs::span!("resilience.checkpoint");
-            if opts.mode != CheckpointMode::Buddy {
-                let dir = ckpt_root.join(format!("epoch_{done}"));
-                exp.save_checkpoint(&solver, comm, &dir)
-                    .unwrap_or_else(|e| panic!("rank {}: checkpoint failed: {e}", comm.rank()));
-            }
-            if opts.mode != CheckpointMode::Disk {
-                if let Some(store) = buddy {
-                    mirror_segments(comm, exp, &solver, store, done as u64);
-                }
+            let own = exp.checkpoint_segment(&solver, comm.size());
+            match &opts.buddy {
+                Some(store) => mirror_segment(comm, store, done as u64, own),
+                None => write_dir(comm, &ckpt_root.join(format!("epoch_{done}")), &own)
+                    .unwrap_or_else(|e| panic!("rank {}: checkpoint failed: {e}", comm.rank())),
             }
         }
     }
@@ -378,16 +323,9 @@ pub fn attempt<C: Communicator, R: Recoverable>(
 /// `(r+1) % p`, receive my predecessor's, record both in the store. The
 /// copy travels through the full communicator stack, so injected faults
 /// hit it and the reliable layer heals it like any other traffic.
-fn mirror_segments<C: Communicator, R: Recoverable>(
-    comm: &C,
-    exp: &R,
-    solver: &R::Solver,
-    store: &BuddyStore,
-    epoch: u64,
-) {
+fn mirror_segment<C: Communicator>(comm: &C, store: &BuddyStore, epoch: u64, own: Vec<u8>) {
     let p = comm.size();
     let r = comm.rank();
-    let own = exp.checkpoint_segment(solver, p);
     forust_obs::counter_add("resilience.buddy_bytes", own.len() as u64);
     let mirrored = if p > 1 {
         let partner = (r + 1) % p;
@@ -402,15 +340,14 @@ fn mirror_segments<C: Communicator, R: Recoverable>(
 }
 
 /// Run an experiment under fault injection with checkpoint/restart
-/// recovery, with default options ([`CheckpointMode::Disk`], self-healing
-/// transport on).
+/// recovery, with default options (disk checkpoints, no post-mortem).
 ///
 /// The first attempt launches `ranks` ranks, each wrapped in a
-/// [`ChaosComm`] (when a `plan` is given) underneath a [`ReliableComm`];
-/// corruption and delay heal in-band, crashes kill the attempt. If the
-/// run dies, subsequent attempts launch `restart_ranks` ranks *without*
-/// fault injection and resume from the newest valid checkpoint. Panics
-/// beyond `max_attempts` launches are resumed to the caller.
+/// [`ChaosComm`] running `plan` underneath a [`ReliableComm`]; corruption
+/// and delay heal in-band, crashes kill the attempt. If the run dies,
+/// subsequent attempts launch `restart_ranks` ranks *without* fault
+/// injection and resume from the newest valid checkpoint. Panics beyond
+/// `max_attempts` launches are resumed to the caller.
 pub fn run_with_recovery<R: Recoverable>(
     ranks: usize,
     restart_ranks: usize,
@@ -440,7 +377,7 @@ struct RankReport<F> {
 /// the attempt, and on a panic — the rank's own injected crash, or the
 /// deadline/peer-death panic a survivor hits once the victim is gone —
 /// forwards the stack's counters (`on_crash`) and deposits the rank's
-/// last `flight_window_ms` of spans and counters into the process-wide
+/// last flight window of spans and counters into the process-wide
 /// flight store before resuming the unwind to the supervisor.
 fn flight_guarded_attempt<C: Communicator, R: Recoverable>(
     comm: &C,
@@ -466,7 +403,7 @@ fn flight_guarded_attempt<C: Communicator, R: Recoverable>(
         }
         Err(payload) => {
             on_crash();
-            forust_obs::flight_deposit(opts.flight_window_ms);
+            forust_obs::flight_deposit(forust_obs::DEFAULT_FLIGHT_WINDOW_MS);
             if !had_recorder {
                 forust_obs::uninstall();
             }
@@ -495,24 +432,16 @@ fn write_crash_postmortem(
     opts: &RecoveryOptions,
     dumps: Vec<forust_obs::FlightDump>,
 ) {
-    let mut newest_epoch: Option<u64> = None;
-    if opts.mode != CheckpointMode::Buddy {
-        newest_epoch = epochs_newest_first(ckpt_root).first().map(|&(n, _)| n);
-    }
-    if opts.mode != CheckpointMode::Disk {
-        if let Some(store) = &opts.buddy {
-            if let Some((n, _)) = store.epochs_newest_first().first() {
-                let n = *n;
-                newest_epoch = Some(newest_epoch.map_or(n, |m| m.max(n)));
-            }
-        }
-    }
+    let newest_epoch = match &opts.buddy {
+        Some(store) => store.epochs_newest_first().first().map(|&(n, _)| n),
+        None => epochs_newest_first(ckpt_root).first().map(|&(n, _)| n),
+    };
     let pm = forust_obs::postmortem::Postmortem {
         dead_rank: rc.rank,
         dead_call: format!("call {}", rc.call),
         attempt: attempt_idx,
         checkpoint_epoch: newest_epoch,
-        window_ms: opts.flight_window_ms,
+        window_ms: forust_obs::DEFAULT_FLIGHT_WINDOW_MS,
         ranks: dumps,
     };
     if let Err(e) = forust_obs::postmortem::write_postmortem(path, &pm) {
@@ -520,8 +449,12 @@ fn write_crash_postmortem(
     }
 }
 
-/// [`run_with_recovery`] with full control over transport healing,
-/// checkpoint placement, and buddy memory.
+/// [`run_with_recovery`] with full control over checkpoint placement,
+/// buddy memory and the post-mortem bundle.
+///
+/// Every attempt runs on one stack, `ReliableComm<ChaosComm<ThreadComm>>`
+/// under the default [`RetryPolicy`]: the first with `plan`, restarts with
+/// the empty [`FaultPlan`], under which the chaos layer is a pass-through.
 pub fn run_with_recovery_opts<R: Recoverable>(
     ranks: usize,
     restart_ranks: usize,
@@ -530,7 +463,6 @@ pub fn run_with_recovery_opts<R: Recoverable>(
     exp: &R,
     opts: &RecoveryOptions,
 ) -> RecoveryOutcome<R::Final> {
-    let config = CommConfig::with_deadline(opts.deadline);
     let mut attempts = 0;
     let mut injected_crash = None;
     let mut failures = Vec::new();
@@ -545,95 +477,35 @@ pub fn run_with_recovery_opts<R: Recoverable>(
         } else {
             Some(forust_obs::span!("comm.recover"))
         };
+        let faults = match (first, &plan) {
+            (true, Some(plan)) => plan.clone(),
+            _ => FaultPlan::default(),
+        };
         let run = catch_unwind(AssertUnwindSafe(|| -> Vec<RankReport<R::Final>> {
-            match (first, &plan, &opts.retry) {
-                (true, Some(plan), Some(policy)) => {
-                    let (plan, policy) = (plan.clone(), policy.clone());
-                    run_spmd_with(
-                        p,
-                        config.clone(),
-                        move |tc| {
-                            ReliableComm::new(ChaosComm::new(tc, plan.clone()), policy.clone())
-                        },
-                        |comm| {
-                            let (result, source) =
-                                flight_guarded_attempt(comm, exp, ckpt_root, opts, || {
-                                    forward_counter_pairs(&comm.retry_counts());
-                                    forust_obs::histogram_merge(
-                                        "comm.retry.heal_us",
-                                        &comm.retry_latency_buckets(),
-                                    );
-                                    forward_counter_pairs(&comm.inner().fault_counts());
-                                });
-                            RankReport {
-                                result,
-                                source,
-                                retry: comm.retry_counts(),
-                                faults: comm.inner().fault_counts(),
-                            }
-                        },
-                    )
-                }
-                (true, Some(plan), None) => {
-                    let plan = plan.clone();
-                    run_spmd_with(
-                        p,
-                        config.clone(),
-                        move |tc| ChaosComm::new(tc, plan.clone()),
-                        |comm| {
-                            let (result, source) =
-                                flight_guarded_attempt(comm, exp, ckpt_root, opts, || {
-                                    forward_counter_pairs(&comm.fault_counts());
-                                });
-                            RankReport {
-                                result,
-                                source,
-                                retry: Vec::new(),
-                                faults: comm.fault_counts(),
-                            }
-                        },
-                    )
-                }
-                (_, _, Some(policy)) => {
-                    let policy = policy.clone();
-                    run_spmd_with(
-                        p,
-                        config.clone(),
-                        move |tc| ReliableComm::new(tc, policy.clone()),
-                        |comm| {
-                            let (result, source) =
-                                flight_guarded_attempt(comm, exp, ckpt_root, opts, || {
-                                    forward_counter_pairs(&comm.retry_counts());
-                                    forust_obs::histogram_merge(
-                                        "comm.retry.heal_us",
-                                        &comm.retry_latency_buckets(),
-                                    );
-                                });
-                            RankReport {
-                                result,
-                                source,
-                                retry: comm.retry_counts(),
-                                faults: Vec::new(),
-                            }
-                        },
-                    )
-                }
-                (_, _, None) => run_spmd_with(
-                    p,
-                    config.clone(),
-                    |tc| tc,
-                    |comm| {
-                        let (result, source) =
-                            flight_guarded_attempt(comm, exp, ckpt_root, opts, || {});
-                        RankReport {
-                            result,
-                            source,
-                            retry: Vec::new(),
-                            faults: Vec::new(),
-                        }
-                    },
-                ),
-            }
+            run_spmd_with(
+                p,
+                CommConfig::with_deadline(DEADLINE),
+                move |tc| {
+                    ReliableComm::new(ChaosComm::new(tc, faults.clone()), RetryPolicy::default())
+                },
+                |comm| {
+                    let (result, source) =
+                        flight_guarded_attempt(comm, exp, ckpt_root, opts, || {
+                            forward_counter_pairs(&comm.retry_counts());
+                            forust_obs::histogram_merge(
+                                "comm.retry.heal_us",
+                                &comm.retry_latency_buckets(),
+                            );
+                            forward_counter_pairs(&comm.inner().fault_counts());
+                        });
+                    RankReport {
+                        result,
+                        source,
+                        retry: comm.retry_counts(),
+                        faults: comm.inner().fault_counts(),
+                    }
+                },
+            )
         }));
         match run {
             Ok(mut reports) => {
@@ -774,6 +646,34 @@ mod tests {
             .map(|(n, _)| n)
             .collect();
         assert_eq!(epochs, vec![5, 2]);
+    }
+
+    #[test]
+    fn store_keeps_two_newest_complete_epochs() {
+        // A long run must not grow its diskless checkpoint memory: after
+        // six complete epochs the store holds two epochs' worth (3 ranks ×
+        // (primary + mirror) × 4 bytes each).
+        let store = BuddyStore::new();
+        for epoch in 1..=6 {
+            fill_epoch(&store, epoch, 3);
+        }
+        assert_eq!(store.bytes(), 2 * 24);
+        let kept: Vec<u64> = store
+            .epochs_newest_first()
+            .iter()
+            .map(|(n, _)| *n)
+            .collect();
+        assert_eq!(kept, vec![6, 5]);
+        // An epoch still being mirrored keeps both complete fallbacks.
+        store.put(7, 3, 0, vec![0; 4], Some((2, vec![2; 4])));
+        assert_eq!(store.bytes(), 2 * 24 + 8);
+        store.mark_dead(0);
+        let kept: Vec<u64> = store
+            .epochs_newest_first()
+            .iter()
+            .map(|(n, _)| *n)
+            .collect();
+        assert_eq!(kept, vec![6, 5]);
     }
 
     #[test]

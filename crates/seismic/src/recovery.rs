@@ -7,7 +7,6 @@
 //! of the forest and configuration, so a run recovered from a checkpoint
 //! — on any rank count — finishes bitwise identical to a fault-free run.
 
-use std::path::Path;
 use std::sync::Arc;
 
 use forust::connectivity::Connectivity;
@@ -64,37 +63,11 @@ impl Recoverable for SeismicRecoverySetup {
     fn restore<C: Communicator>(
         &self,
         comm: &C,
-        dir: &Path,
-    ) -> Result<SeismicSolver, CheckpointError> {
-        let conn = Arc::new((self.conn)());
-        let map = (self.map)(Arc::clone(&conn));
-        SeismicSolver::restore(comm, conn, map, self.config.clone(), self.model, dir)
-    }
-
-    fn restore_from_segments<C: Communicator>(
-        &self,
-        comm: &C,
         segments: &[Vec<u8>],
     ) -> Result<SeismicSolver, CheckpointError> {
         let conn = Arc::new((self.conn)());
         let map = (self.map)(Arc::clone(&conn));
-        SeismicSolver::restore_from_segments(
-            comm,
-            conn,
-            map,
-            self.config.clone(),
-            self.model,
-            segments,
-        )
-    }
-
-    fn save_checkpoint<C: Communicator>(
-        &self,
-        solver: &SeismicSolver,
-        comm: &C,
-        dir: &Path,
-    ) -> Result<(), CheckpointError> {
-        solver.save_checkpoint(comm, dir)
+        SeismicSolver::restore(comm, conn, map, self.config.clone(), self.model, segments)
     }
 
     fn checkpoint_segment(&self, solver: &SeismicSolver, saved_ranks: usize) -> Vec<u8> {

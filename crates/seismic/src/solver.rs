@@ -1065,55 +1065,26 @@ impl SeismicSolver {
         }
     }
 
-    /// Write a recoverable checkpoint of the solver into `dir`
-    /// ([`Forest::save_solver`]: the state rides as payload, `time` bits
-    /// and step count in `solver.fst`). Collective.
+    /// This rank's checkpoint segment ([`Forest::segment_bytes`]): the
+    /// state rides as state, the step count as epoch, `time` as its bits.
+    /// Purely local; the same bytes go to disk and to buddy memory.
     ///
     /// Everything else — mesh, metric terms, nodal material, `dt` — is a
     /// deterministic function of the forest, configuration, and material
     /// model, and is rebuilt bitwise identically on
     /// [`SeismicSolver::restore`], even on a different rank count.
-    pub fn save_checkpoint(
-        &self,
-        comm: &impl Communicator,
-        dir: &std::path::Path,
-    ) -> Result<(), CheckpointError> {
-        let fmt = checkpoint_format(&self.config);
-        self.forest
-            .save_solver(comm, dir, fmt, self.time, self.timers.steps, &self.q)
-    }
-
-    /// This rank's checkpoint as one in-memory byte blob for diskless
-    /// buddy mirroring ([`Forest::solver_segment_bytes`]). Purely local.
     pub fn checkpoint_segment(&self, saved_ranks: usize) -> Vec<u8> {
         let fmt = checkpoint_format(&self.config);
+        let steps = self.timers.steps as u64;
         self.forest
-            .solver_segment_bytes(saved_ranks, fmt, self.time, self.timers.steps, &self.q)
+            .segment_bytes(saved_ranks, fmt, steps, self.time, &self.q)
     }
 
-    /// Restore a solver from a checkpoint written by
-    /// [`SeismicSolver::save_checkpoint`], possibly onto a different rank
-    /// count; the restored state continues bitwise identically to an
-    /// uninterrupted run.
+    /// Restore a solver from the segments of a checkpoint written by
+    /// [`SeismicSolver::checkpoint_segment`] — read back from disk or from
+    /// buddy memory — possibly onto a different rank count; the restored
+    /// state continues bitwise identically to an uninterrupted run.
     pub fn restore(
-        comm: &impl Communicator,
-        conn: Arc<Connectivity<D3>>,
-        map: Arc<dyn Mapping<D3> + Send + Sync>,
-        config: SeismicConfig,
-        model: impl Fn([f64; 3]) -> Material + Copy,
-        dir: &std::path::Path,
-    ) -> Result<Self, CheckpointError> {
-        let fmt = checkpoint_format(&config);
-        let (forest, q, time, steps) = Forest::load_solver(conn, comm, dir, fmt)?;
-        let restored = Some((q, time, steps));
-        Ok(Self::assemble(
-            comm, forest, map, config, model, None, restored,
-        ))
-    }
-
-    /// [`SeismicSolver::restore`] from in-memory blobs produced by
-    /// [`SeismicSolver::checkpoint_segment`] — the diskless (buddy) path.
-    pub fn restore_from_segments(
         comm: &impl Communicator,
         conn: Arc<Connectivity<D3>>,
         map: Arc<dyn Mapping<D3> + Send + Sync>,
@@ -1122,9 +1093,8 @@ impl SeismicSolver {
         segments: &[Vec<u8>],
     ) -> Result<Self, CheckpointError> {
         let fmt = checkpoint_format(&config);
-        let (forest, q, time, steps) =
-            Forest::load_solver_from_segments(conn, comm, segments, fmt)?;
-        let restored = Some((q, time, steps));
+        let (forest, q, meta) = Forest::from_segments(conn, comm, segments, fmt)?;
+        let restored = Some((q, meta.time, meta.epoch as usize));
         Ok(Self::assemble(
             comm, forest, map, config, model, None, restored,
         ))
@@ -1144,7 +1114,7 @@ impl SeismicSolver {
     }
 }
 
-/// Magic header of the solver's checkpoint scalar state.
+/// Magic of the solver's checkpoints.
 const SOLVER_MAGIC: u64 = 0x464f_5255_5345_4953; // "FORU SEIS"
 
 /// Checkpoint format of a run with this configuration: the solver's

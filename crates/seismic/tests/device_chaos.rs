@@ -10,7 +10,7 @@
 //! demotes the same values back, so a replayed device step sees bitwise
 //! the state the crashed attempt saw.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 
 use forust::connectivity::{builders, Connectivity};
@@ -63,44 +63,18 @@ impl Recoverable for DeviceRecoverySetup {
     fn restore<C: Communicator>(
         &self,
         comm: &C,
-        dir: &Path,
-    ) -> Result<Self::Solver, CheckpointError> {
-        let (conn, map) = geom(Arc::new(builders::shell24()));
-        let host = SeismicSolver::restore(comm, conn, map, self.config.clone(), prem_like_at, dir)?;
-        let dev = DeviceState::from_host(&host);
-        Ok((host, dev))
-    }
-
-    fn restore_from_segments<C: Communicator>(
-        &self,
-        comm: &C,
         segments: &[Vec<u8>],
     ) -> Result<Self::Solver, CheckpointError> {
         let (conn, map) = geom(Arc::new(builders::shell24()));
-        let host = SeismicSolver::restore_from_segments(
-            comm,
-            conn,
-            map,
-            self.config.clone(),
-            prem_like_at,
-            segments,
-        )?;
+        let host =
+            SeismicSolver::restore(comm, conn, map, self.config.clone(), prem_like_at, segments)?;
         let dev = DeviceState::from_host(&host);
         Ok((host, dev))
     }
 
-    fn save_checkpoint<C: Communicator>(
-        &self,
-        solver: &Self::Solver,
-        comm: &C,
-        dir: &Path,
-    ) -> Result<(), CheckpointError> {
+    fn checkpoint_segment(&self, solver: &Self::Solver, saved_ranks: usize) -> Vec<u8> {
         // `advance` mirrors the device state into the host after every
         // step, so the host checkpoint *is* the device checkpoint.
-        solver.0.save_checkpoint(comm, dir)
-    }
-
-    fn checkpoint_segment(&self, solver: &Self::Solver, saved_ranks: usize) -> Vec<u8> {
         solver.0.checkpoint_segment(saved_ranks)
     }
 
