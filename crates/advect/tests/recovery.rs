@@ -9,7 +9,7 @@ use forust::connectivity::{builders, Connectivity};
 use forust::dim::D3;
 use forust::forest::{read_dir, CheckpointError};
 use forust_advect::{rotation_velocity, AdvectConfig, RecoverySetup};
-use forust_comm::{run_spmd, run_spmd_with, ChaosComm, CommConfig, FaultPlan, RankCrashed};
+use forust_comm::{run_spmd, run_spmd_with, ChaosComm, FaultPlan, RankCrashed};
 use forust_geom::{Mapping, ShellMap};
 use forust_resilience::{
     attempt, run_with_recovery, run_with_recovery_opts, BuddyStore, RecoveryOptions, RestoreSource,
@@ -96,7 +96,7 @@ fn crash_recovery_is_bitwise_identical_to_fault_free_run() {
     let s_calib = s_ckpt.clone();
     let calib = run_spmd_with(
         RANKS,
-        CommConfig::default(),
+        None,
         |tc| ChaosComm::new(tc, FaultPlan::new(1)),
         move |comm| {
             (
@@ -186,7 +186,7 @@ fn buddy_checkpoints_restore_disklessly_after_single_rank_crash() {
     let s_calib = s_ckpt.clone();
     let calib = run_spmd_with(
         RANKS,
-        CommConfig::default(),
+        None,
         |tc| ChaosComm::new(tc, FaultPlan::new(1)),
         move |comm| {
             let (result, _) = attempt(comm, &s_calib, &calib_dir, &calib_opts);
@@ -288,7 +288,7 @@ fn crash_writes_validated_postmortem_bundle() {
     let s_calib = s_ckpt.clone();
     let calib = run_spmd_with(
         RANKS,
-        CommConfig::default(),
+        None,
         |tc| ChaosComm::new(tc, FaultPlan::new(1)),
         move |comm| {
             (

@@ -155,15 +155,12 @@ fn carried_geometry_steps_like_one_built_from_scratch() {
     // `adapt` moves metric and caches of surviving elements; a solver
     // restored from a checkpoint builds all of it from nothing. Taking
     // that detour after every adapt must not change a bit of the run.
-    // A restore deals the elements to the ranks anew and `coarsen` only
-    // joins families that sit on one rank, so the multi-rank twin runs
-    // without coarsening and is compared through the global field.
-    for (ranks, coarsen_tol) in [(1usize, 0.02), (3, 0.0)] {
+    // A restore onto the saving rank count cuts the curve where Partition
+    // cut it, so every rank gets its own elements back and coarsening
+    // sees the same families on both twins.
+    for ranks in [1usize, 3] {
         run_spmd(ranks, |comm| {
-            let config = AdvectConfig {
-                coarsen_tol,
-                ..adaptive_config(3, 3)
-            };
+            let config = adaptive_config(3, 3);
             let mut carried = solver(comm, config.clone());
             let mut scratch = solver(comm, config.clone());
             for _ in 0..10 {

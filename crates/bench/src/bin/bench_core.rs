@@ -24,16 +24,14 @@ use forust::dim::D3;
 use forust::forest::{BalanceType, Forest};
 use forust_advect::{four_fronts, rotation_velocity, AdvectConfig, AdvectSolver};
 use forust_bench::sentinel;
-use forust_comm::{
-    run_spmd, run_spmd_with, CommConfig, Communicator, ReliableComm, RetryPolicy, SerialComm,
-};
+use forust_comm::{run_spmd, run_spmd_with, Communicator, ReliableComm, ThreadComm};
 use forust_dg::halo::HaloExchange;
 use forust_dg::mesh::DgMesh;
 use forust_geom::ShellMap;
 use forust_obs::metrics::{MetricsReport, Registry};
 
-fn fractal_forest(level: u8) -> (SerialComm, Forest<D3>) {
-    let comm = SerialComm::new();
+fn fractal_forest(level: u8) -> (ThreadComm, Forest<D3>) {
+    let comm = ThreadComm::create(1).pop().unwrap();
     let conn = Arc::new(builders::rotcubes6());
     let mut f = Forest::<D3>::new_uniform(conn, &comm, level);
     let maxl = level + 2;
@@ -305,88 +303,83 @@ fn main() {
     // measures both the bare transport (via `inner()`) and the reliable
     // path — the steady-state, fault-free cost of resilience framing on
     // the dG hot loop.
-    let halo = run_spmd_with(
-        4,
-        CommConfig::default(),
-        |tc| ReliableComm::new(tc, RetryPolicy::default()),
-        |rcomm| {
-            let comm = rcomm.inner();
-            // Each SPMD rank is its own OS thread with its own
-            // thread-local recorder: install one per rank so the halo
-            // spans land somewhere instead of being silently dropped,
-            // and so worker-pool busy counters attribute to the right
-            // rank. The cross-rank report is collected before the
-            // recorder is uninstalled and returned for the no-cross-talk
-            // assertion below.
-            forust_obs::install(comm.rank());
-            let conn = Arc::new(builders::rotcubes6());
-            let mut f = Forest::<D3>::new_uniform(conn, comm, 3);
-            let maxl = 5;
-            f.refine(comm, true, |_, o| {
-                o.level < maxl && matches!(o.child_id(), 0 | 3 | 5 | 6)
-            });
-            f.balance(comm, BalanceType::Full);
-            f.partition(comm);
-            let mesh = DgMesh::build(&f, comm, 3);
-            let halo = HaloExchange::build(&mesh);
-            let npe = mesh.re.nodes_per_elem(3);
-            let nghost = mesh.ghost.ghosts.len();
-            let u: Vec<f64> = (0..mesh.num_elements() * npe)
-                .map(|i| (i % 97) as f64)
-                .collect();
+    let halo = run_spmd_with(4, None, ReliableComm::new, |rcomm| {
+        let comm = rcomm.inner();
+        // Each SPMD rank is its own OS thread with its own
+        // thread-local recorder: install one per rank so the halo
+        // spans land somewhere instead of being silently dropped,
+        // and so worker-pool busy counters attribute to the right
+        // rank. The cross-rank report is collected before the
+        // recorder is uninstalled and returned for the no-cross-talk
+        // assertion below.
+        forust_obs::install(comm.rank());
+        let conn = Arc::new(builders::rotcubes6());
+        let mut f = Forest::<D3>::new_uniform(conn, comm, 3);
+        let maxl = 5;
+        f.refine(comm, true, |_, o| {
+            o.level < maxl && matches!(o.child_id(), 0 | 3 | 5 | 6)
+        });
+        f.balance(comm, BalanceType::Full);
+        f.partition(comm);
+        let mesh = DgMesh::build(&f, comm, 3);
+        let halo = HaloExchange::build(&mesh);
+        let npe = mesh.re.nodes_per_elem(3);
+        let nghost = mesh.ghost.ghosts.len();
+        let u: Vec<f64> = (0..mesh.num_elements() * npe)
+            .map(|i| (i % 97) as f64)
+            .collect();
 
-            let octants = comm.allreduce_sum_u64(mesh.num_elements() as u64) as usize;
-            let full_local: u64 = mesh
-                .ghost
-                .mirror_idx_by_rank
-                .iter()
-                .map(|v| (v.len() * npe * 8) as u64)
-                .sum();
-            let full_bytes = comm.allreduce_sum_u64(full_local);
-            let trace_bytes = comm.allreduce_sum_u64(halo.send_bytes_per_exchange(1));
+        let octants = comm.allreduce_sum_u64(mesh.num_elements() as u64) as usize;
+        let full_local: u64 = mesh
+            .ghost
+            .mirror_idx_by_rank
+            .iter()
+            .map(|v| (v.len() * npe * 8) as u64)
+            .sum();
+        let full_bytes = comm.allreduce_sum_u64(full_local);
+        let trace_bytes = comm.allreduce_sum_u64(halo.send_bytes_per_exchange(1));
 
-            // The halo section dominates the bench's wall time; the short
-            // sweep keeps CI fast while `FORUST_BENCH_FULL=1` restores the
-            // full 9-rep medians for real measurement runs.
-            let reps: usize = if std::env::var("FORUST_BENCH_FULL").is_ok() {
-                9
-            } else {
-                3
-            };
-            let full_us = median_us_sync(comm, reps, || {
-                let g = mesh.exchange_element_data(comm, &u, npe);
-                assert_eq!(g.len(), nghost * npe);
-            });
-            let trace_us = median_us_sync(comm, reps, || {
-                drop(halo.exchange(comm, &u, 1));
-            });
-            let trace_rel_us = median_us_sync(rcomm, reps, || {
-                drop(halo.exchange(rcomm, &u, 1));
-            });
-            let mut begin_acc = Vec::new();
-            let begin_us = median_us_sync(comm, reps, || {
-                let t0 = Instant::now();
-                let pending = halo.begin(comm, &u, 1);
-                begin_acc.push(t0.elapsed().as_secs_f64() * 1e6);
-                drop(pending.finish());
-            });
-            let _ = begin_us; // outer timer includes the finish; use inner one
-            begin_acc.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            let begin_us = begin_acc[begin_acc.len() / 2];
-            let rank_report = Registry::collect(comm);
-            forust_obs::uninstall();
-            (
-                octants,
-                full_bytes,
-                trace_bytes,
-                full_us,
-                trace_us,
-                trace_rel_us,
-                begin_us,
-                rank_report,
-            )
-        },
-    );
+        // The halo section dominates the bench's wall time; the short
+        // sweep keeps CI fast while `FORUST_BENCH_FULL=1` restores the
+        // full 9-rep medians for real measurement runs.
+        let reps: usize = if std::env::var("FORUST_BENCH_FULL").is_ok() {
+            9
+        } else {
+            3
+        };
+        let full_us = median_us_sync(comm, reps, || {
+            let g = mesh.exchange_element_data(comm, &u, npe);
+            assert_eq!(g.len(), nghost * npe);
+        });
+        let trace_us = median_us_sync(comm, reps, || {
+            drop(halo.exchange(comm, &u, 1));
+        });
+        let trace_rel_us = median_us_sync(rcomm, reps, || {
+            drop(halo.exchange(rcomm, &u, 1));
+        });
+        let mut begin_acc = Vec::new();
+        let begin_us = median_us_sync(comm, reps, || {
+            let t0 = Instant::now();
+            let pending = halo.begin(comm, &u, 1);
+            begin_acc.push(t0.elapsed().as_secs_f64() * 1e6);
+            drop(pending.finish());
+        });
+        let _ = begin_us; // outer timer includes the finish; use inner one
+        begin_acc.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let begin_us = begin_acc[begin_acc.len() / 2];
+        let rank_report = Registry::collect(comm);
+        forust_obs::uninstall();
+        (
+            octants,
+            full_bytes,
+            trace_bytes,
+            full_us,
+            trace_us,
+            trace_rel_us,
+            begin_us,
+            rank_report,
+        )
+    });
     let (octs, full_bytes, trace_bytes, full_us, trace_us, trace_rel_us, begin_us, ref spmd_report) =
         halo[0];
     // The SPMD ranks' spans must have landed in the rank recorders …
@@ -469,7 +462,7 @@ fn main() {
     // --- phase breakdown -------------------------------------------------
     // The paper-style percentage table: self times tile the run, so the
     // rows (plus "(untracked)") sum to 100% of wall time.
-    let obs_comm = SerialComm::new();
+    let obs_comm = ThreadComm::create(1).pop().unwrap();
     let report = Registry::collect(&obs_comm);
     // … and must NOT have leaked into the main-thread recorder: the halo
     // spans only ever ran on SPMD rank threads.

@@ -21,7 +21,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use forust_bench::sentinel;
-use forust_comm::SerialComm;
+use forust_comm::ThreadComm;
 use forust_dg::kernels::{self, KernelWorkspace};
 use forust_dg::real::demote_slice;
 use forust_dg::{FaceOp, RefElement};
@@ -504,7 +504,7 @@ fn main() {
         println!("9-field gradient N={degree}: f32 is {ratio:.2}x the f64 engine");
     }
 
-    let obs_comm = SerialComm::new();
+    let obs_comm = ThreadComm::create(1).pop().unwrap();
     let report = Registry::collect(&obs_comm);
     println!();
     print!("{}", report.phase_table(total_wall_s));

@@ -20,7 +20,7 @@ use std::time::Instant;
 use forust::connectivity::{builders, Connectivity};
 use forust::dim::D3;
 use forust_advect::RecoverySetup;
-use forust_comm::{run_spmd, run_spmd_with, ChaosComm, CommConfig, FaultPlan};
+use forust_comm::{run_spmd, run_spmd_with, ChaosComm, FaultPlan};
 use forust_geom::{Mapping, ShellMap};
 use forust_mantle::{MantleConfig, MantleRecoverySetup};
 use forust_resilience::{attempt, run_with_recovery, Recoverable, RecoveryOptions};
@@ -163,7 +163,7 @@ fn soak<R, B>(
     let opts = RecoveryOptions::default();
     let calib = run_spmd_with(
         ranks,
-        CommConfig::default(),
+        None,
         |tc| ChaosComm::new(tc, FaultPlan::new(1)),
         move |comm| (attempt(comm, &s_calib, &calib_dir, &opts).0, comm.calls()),
     );

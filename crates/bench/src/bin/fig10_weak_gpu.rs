@@ -5,8 +5,9 @@
 //! transfer time, wave-prop time per step normalized by elements per GPU
 //! (microseconds), parallel efficiency (0.997 at 256 GPUs), single
 //! precision Tflops. Substitution: the device is the f32 data-parallel
-//! backend (DESIGN.md §3); "GPUs" are simulated ranks each owning a
-//! device arena, with halo exchange through the host each step.
+//! tier (DESIGN.md §3); "GPUs" are simulated ranks each holding the f32
+//! buffers of its elements, with the halo exchanged on the f32 wire lane
+//! each RHS evaluation.
 
 use std::sync::Arc;
 

@@ -3,7 +3,7 @@
 //! [`FaultPlan`].
 //!
 //! The decorator sits on the *raw byte layer* (`send_bytes` /
-//! `recv_bytes`), below the CRC32 framing that the typed helpers and
+//! `try_recv_bytes`), below the CRC32 framing that the typed helpers and
 //! collectives apply — so an injected bit flip corrupts a framed
 //! envelope, and the receiving rank *detects* it as a typed
 //! [`CommError::Corrupt`](crate::CommError::Corrupt) instead of decoding
@@ -141,9 +141,7 @@ impl SplitMix64 {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Site {
     Send,
-    Recv,
     TryRecv,
-    Poll,
     Retransmit,
     Barrier,
 }
@@ -159,9 +157,7 @@ struct FaultCounters {
     corrupt_send: AtomicU64,
     corrupt_retransmit: AtomicU64,
     crash_send: AtomicU64,
-    crash_recv: AtomicU64,
     crash_try_recv: AtomicU64,
-    crash_poll: AtomicU64,
     crash_retransmit: AtomicU64,
     crash_barrier: AtomicU64,
 }
@@ -170,9 +166,7 @@ impl FaultCounters {
     fn crash_site(&self, site: Site) -> &AtomicU64 {
         match site {
             Site::Send => &self.crash_send,
-            Site::Recv => &self.crash_recv,
             Site::TryRecv => &self.crash_try_recv,
-            Site::Poll => &self.crash_poll,
             Site::Retransmit => &self.crash_retransmit,
             Site::Barrier => &self.crash_barrier,
         }
@@ -231,9 +225,7 @@ impl<C: Communicator> ChaosComm<C> {
             ("chaos.corrupt.send", load(&f.corrupt_send)),
             ("chaos.corrupt.retransmit", load(&f.corrupt_retransmit)),
             ("chaos.crash.send", load(&f.crash_send)),
-            ("chaos.crash.recv", load(&f.crash_recv)),
             ("chaos.crash.try_recv", load(&f.crash_try_recv)),
-            ("chaos.crash.poll", load(&f.crash_poll)),
             ("chaos.crash.retransmit", load(&f.crash_retransmit)),
             ("chaos.crash.barrier", load(&f.crash_barrier)),
         ]
@@ -317,25 +309,10 @@ impl<C: Communicator> Communicator for ChaosComm<C> {
         }
     }
 
-    fn recv_bytes(&self, src: usize, tag: u32) -> Vec<u8> {
-        self.on_call(Site::Recv);
-        self.flush_held();
-        self.inner.recv_bytes(src, tag)
-    }
-
     fn try_recv_bytes(&self, src: usize, tag: u32) -> Result<Vec<u8>, CommError> {
         self.on_call(Site::TryRecv);
         self.flush_held();
         self.inner.try_recv_bytes(src, tag)
-    }
-
-    fn poll_recv_bytes(&self, src: usize, tag: u32) -> Option<Vec<u8>> {
-        // A poll is a communication call: the crash clock advances and
-        // held messages are released, so the wait/poll side of a
-        // split-phase exchange is just as fault-exposed as the start side.
-        self.on_call(Site::Poll);
-        self.flush_held();
-        self.inner.poll_recv_bytes(src, tag)
     }
 
     fn barrier(&self) {
@@ -348,7 +325,7 @@ impl<C: Communicator> Communicator for ChaosComm<C> {
         self.inner.stats()
     }
 
-    fn record_frame(&self, dest: usize, tag: u32, seq: u64, framed: &[u8]) -> bool {
+    fn record_frame(&self, dest: usize, tag: u32, seq: u64, framed: &[u8]) {
         // The retained copy is the sender's durable outbox: it is what a
         // retransmission replays, so it must stay pristine. Faults hit
         // the wire copies (send_bytes above, fetch_retransmit below),
@@ -381,10 +358,6 @@ impl<C: Communicator> Communicator for ChaosComm<C> {
         }
         Some(bytes)
     }
-
-    fn recv_deadline(&self) -> Option<std::time::Duration> {
-        self.inner.recv_deadline()
-    }
 }
 
 impl<C: Communicator> Drop for ChaosComm<C> {
@@ -401,16 +374,16 @@ impl<C: Communicator> Drop for ChaosComm<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::thread::{run_spmd_with, CommConfig};
+    use crate::thread::{run_spmd_with, ThreadComm};
     use std::time::Duration;
 
     fn chaos_run<R: Send>(
         p: usize,
         plan: FaultPlan,
-        f: impl Fn(&ChaosComm<crate::ThreadComm>) -> R + Sync,
+        f: impl Fn(&ChaosComm<ThreadComm>) -> R + Sync,
     ) -> Vec<R> {
-        let cfg = CommConfig::with_deadline(Duration::from_secs(5));
-        run_spmd_with(p, cfg, move |c| ChaosComm::new(c, plan.clone()), f)
+        let deadline = Some(Duration::from_secs(5));
+        run_spmd_with(p, deadline, move |c| ChaosComm::new(c, plan.clone()), f)
     }
 
     #[test]
@@ -516,7 +489,7 @@ mod tests {
         // Crash rank 0 at its very first call, which is a barrier; the
         // site counter must be bumped before the panic unwinds.
         let plan = FaultPlan::new(0).with_crash(0, 1);
-        let inner = crate::SerialComm::new();
+        let inner = ThreadComm::create(1).pop().unwrap();
         let chaos = ChaosComm::new(inner, plan);
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             chaos.barrier();
@@ -550,7 +523,7 @@ mod tests {
         // Probe run (fault-free): measure rank 1's call clock right after
         // start_alltoallv_bytes returns, then schedule the crash one call
         // later — i.e. inside the wait()-side receives.
-        let program = |c: &ChaosComm<crate::ThreadComm>| {
+        let program = |c: &ChaosComm<ThreadComm>| {
             let outgoing: Vec<Vec<u8>> = (0..3).map(|d| vec![d as u8; 4]).collect();
             let pending = c.start_alltoallv_bytes(outgoing, 3);
             let after_start = c.calls();

@@ -1,7 +1,8 @@
 //! The [`Communicator`] trait: MPI-semantics message passing.
 //!
 //! Only four primitives are required of an implementation — rank/size,
-//! point-to-point send/recv of byte buffers, and a barrier. Every collective
+//! point-to-point send/receive of byte buffers, a barrier, and the
+//! replay log the reliable layer retransmits from. Every collective
 //! the AMR algorithms need (`Allgather`, `Allgatherv`, `Allreduce`,
 //! exclusive scan, `Alltoallv`) is provided as a default method built from
 //! those primitives with simple, deadlock-free schedules: sends never block
@@ -10,7 +11,7 @@
 
 use crate::error::CommError;
 use crate::stats::TrafficStats;
-use crate::wire::{frame, read_vec, try_read_vec, unframe, write_vec, FrameError, Wire};
+use crate::wire::{frame, read_vec, try_read_vec, unframe, write_vec, Wire};
 
 /// Tag space reserved for the default collective implementations.
 /// User point-to-point traffic must use tags below this value.
@@ -22,7 +23,8 @@ pub const TAG_COLLECTIVE: u32 = 0xFFFF_0000;
 /// - `send_bytes` never blocks (buffered transport);
 /// - messages between a fixed `(source, destination, tag)` triple are
 ///   delivered in FIFO order;
-/// - `recv_bytes` blocks until a matching message arrives.
+/// - `try_recv_bytes` blocks until a matching message arrives or the
+///   transport's one receive deadline expires.
 pub trait Communicator {
     /// This rank's index in `0..size()`.
     fn rank(&self) -> usize;
@@ -34,28 +36,9 @@ pub trait Communicator {
     fn send_bytes(&self, dest: usize, tag: u32, data: Vec<u8>);
 
     /// Receive the next message from rank `src` with tag `tag`, blocking.
-    fn recv_bytes(&self, src: usize, tag: u32) -> Vec<u8>;
-
-    /// Fallible raw receive: implementations with failure detection (a
-    /// receive deadline, peer-crash detection) return a typed
-    /// [`CommError`] instead of blocking forever. The default simply
-    /// delegates to the infallible [`recv_bytes`](Self::recv_bytes).
-    fn try_recv_bytes(&self, src: usize, tag: u32) -> Result<Vec<u8>, CommError> {
-        Ok(self.recv_bytes(src, tag))
-    }
-
-    /// Nonblocking receive: the next message from `(src, tag)` if one has
-    /// already arrived, `None` otherwise.
-    ///
-    /// This is the progress primitive of the request API
-    /// ([`PendingExchange::poll`]). The default conservatively reports
-    /// "nothing yet"; implementations without a nonblocking transport may
-    /// keep it — requests then complete only in the blocking `wait()`
-    /// path, which is always correct.
-    fn poll_recv_bytes(&self, src: usize, tag: u32) -> Option<Vec<u8>> {
-        let _ = (src, tag);
-        None
-    }
+    /// The one receive primitive: a typed [`CommError`] replaces a hang
+    /// when the transport's deadline expires or a peer has died.
+    fn try_recv_bytes(&self, src: usize, tag: u32) -> Result<Vec<u8>, CommError>;
 
     /// Block until all ranks have entered the barrier.
     fn barrier(&self);
@@ -68,39 +51,24 @@ pub trait Communicator {
     // ------------------------------------------------------------------
 
     /// Retain a copy of a sequenced frame this rank just sent, so a
-    /// receiver detecting corruption can re-request it. Returns `true` if
-    /// the transport supports replay. The default (no retention) returns
-    /// `false`; the reliable layer then treats corruption as fatal, as
-    /// before.
-    fn record_frame(&self, dest: usize, tag: u32, seq: u64, framed: &[u8]) -> bool {
-        let _ = (dest, tag, seq, framed);
-        false
-    }
+    /// receiver detecting corruption can re-request it.
+    fn record_frame(&self, dest: usize, tag: u32, seq: u64, framed: &[u8]);
 
     /// Pull a retransmission of the frame `(src → this rank, tag, seq)`
-    /// from the sender's retained outbox. In a networked transport this
-    /// would be a NACK control message plus a reply; the thread-backed
-    /// transport models it as a pull from the shared replay log. Fault
-    /// decorators override this so the *retransmitted* copy is just as
-    /// exposed to corruption (and the crash clock) as the original send.
-    fn fetch_retransmit(&self, src: usize, tag: u32, seq: u64) -> Option<Vec<u8>> {
-        let _ = (src, tag, seq);
-        None
-    }
-
-    /// The reliable layer's per-receive deadline, if one is configured.
-    /// Split-phase handles surface it as [`CommError::Timeout`] on the
-    /// poll path.
-    fn recv_deadline(&self) -> Option<std::time::Duration> {
-        None
-    }
+    /// from the sender's retained outbox (`None` once it has left the
+    /// replay window). In a networked transport this would be a NACK
+    /// control message plus a reply; the thread-backed transport models it
+    /// as a pull from the shared replay log. Fault decorators override
+    /// this so the *retransmitted* copy is just as exposed to corruption
+    /// (and the crash clock) as the original send.
+    fn fetch_retransmit(&self, src: usize, tag: u32, seq: u64) -> Option<Vec<u8>>;
 
     // ------------------------------------------------------------------
     // Integrity-framed point-to-point (CRC32 envelope)
     // ------------------------------------------------------------------
     //
     // All typed traffic and all collectives travel inside a CRC32 frame
-    // (see [`frame`]/[`unframe`]): the raw `send_bytes`/`recv_bytes`
+    // (see [`frame`]/[`unframe`]): the raw `send_bytes`/`try_recv_bytes`
     // primitives remain the transport boundary, so a fault-injection
     // decorator sitting on the raw layer corrupts *framed* bytes — and the
     // receiver detects it instead of decoding garbage.
@@ -114,16 +82,9 @@ pub trait Communicator {
     /// payload or a typed error naming the faulty `(src, tag)`.
     fn try_recv_framed(&self, src: usize, tag: u32) -> Result<Vec<u8>, CommError> {
         let raw = self.try_recv_bytes(src, tag)?;
-        match unframe(&raw) {
-            Ok(payload) => Ok(payload.to_vec()),
-            Err(FrameError::TooShort(len)) => Err(CommError::Truncated { src, tag, len }),
-            Err(FrameError::Crc { expected, actual }) => Err(CommError::Corrupt {
-                src,
-                tag,
-                expected,
-                actual,
-            }),
-        }
+        unframe(&raw)
+            .map(<[u8]>::to_vec)
+            .map_err(|e| CommError::bad_frame(src, tag, e))
     }
 
     /// Like [`try_recv_framed`](Self::try_recv_framed), panicking with the
@@ -132,27 +93,6 @@ pub trait Communicator {
     fn recv_framed(&self, src: usize, tag: u32) -> Vec<u8> {
         self.try_recv_framed(src, tag)
             .unwrap_or_else(|e| panic!("rank {}: {e}", self.rank()))
-    }
-
-    /// Nonblocking framed receive with integrity validation: `Ok(None)`
-    /// when nothing has arrived, a typed error on a frame that arrived
-    /// broken. This is the single wire path of the split-phase `poll()`
-    /// side, so a reliable decorator overriding it heals the poll path
-    /// too.
-    fn try_poll_recv_framed(&self, src: usize, tag: u32) -> Result<Option<Vec<u8>>, CommError> {
-        match self.poll_recv_bytes(src, tag) {
-            None => Ok(None),
-            Some(raw) => match unframe(&raw) {
-                Ok(payload) => Ok(Some(payload.to_vec())),
-                Err(FrameError::TooShort(len)) => Err(CommError::Truncated { src, tag, len }),
-                Err(FrameError::Crc { expected, actual }) => Err(CommError::Corrupt {
-                    src,
-                    tag,
-                    expected,
-                    actual,
-                }),
-            },
-        }
     }
 
     // ------------------------------------------------------------------
@@ -182,28 +122,10 @@ pub trait Communicator {
     //
     // MPI-style nonblocking semantics: a `start_*` call puts messages on
     // the wire immediately (sends are buffered, so starting never blocks)
-    // and returns a handle; the caller overlaps local work, then `poll()`s
-    // or `wait()`s the handle. The blocking collectives are thin
-    // start+wait wrappers, so there is exactly one wire code path.
-
-    /// Start a nonblocking framed send of `payload` to `dest`.
-    ///
-    /// Sends are buffered by the transport contract, so the message is
-    /// fully in flight when this returns — there is nothing to wait on.
-    fn start_send(&self, dest: usize, tag: u32, payload: &[u8]) {
-        self.send_framed(dest, tag, payload);
-    }
-
-    /// Start a nonblocking receive from `(src, tag)`; complete it with
-    /// [`PendingRecv::poll`] or [`PendingRecv::wait`].
-    fn start_recv(&self, src: usize, tag: u32) -> PendingRecv<'_, Self> {
-        PendingRecv {
-            comm: self,
-            src,
-            tag,
-            got: None,
-        }
-    }
+    // and returns a handle; the caller overlaps local work, then `wait()`s
+    // the handle, which is a blocking receive under the transport's
+    // deadline. The blocking collectives are thin start+wait wrappers, so
+    // there is exactly one wire code path.
 
     /// Start an `MPI_Alltoallv` on the given `tag`: element `d` of
     /// `outgoing` is sent to rank `d` immediately; the returned
@@ -230,7 +152,6 @@ pub trait Communicator {
             comm: self,
             tag,
             slots,
-            started: std::time::Instant::now(),
         }
     }
 
@@ -261,7 +182,6 @@ pub trait Communicator {
             comm: self,
             tag,
             slots,
-            started: std::time::Instant::now(),
         }
     }
 
@@ -354,107 +274,30 @@ pub trait Communicator {
             .map(|b| read_vec(&b))
             .collect()
     }
-
-    /// Broadcast a value from rank `root` to all ranks.
-    fn broadcast<T: Wire + Clone>(&self, root: usize, mine: Option<T>) -> T {
-        let (p, me) = (self.size(), self.rank());
-        if me == root {
-            let v = mine.expect("broadcast: root must supply a value");
-            let buf = write_vec(std::slice::from_ref(&v));
-            self.stats().record_collective(buf.len());
-            for dest in 0..p {
-                if dest != root {
-                    self.send_framed(dest, TAG_COLLECTIVE + 2, &buf);
-                }
-            }
-            v
-        } else {
-            self.stats().record_collective(0);
-            let buf = self.recv_framed(root, TAG_COLLECTIVE + 2);
-            let mut s = buf.as_slice();
-            T::decode(&mut s).expect("broadcast: malformed payload")
-        }
-    }
 }
 
 /// An in-flight all-to-all exchange started by
 /// [`Communicator::start_alltoallv_bytes`].
 ///
 /// The outgoing buffers are already on the wire; this handle owns the
-/// `size()` incoming slots. [`poll`](Self::poll) makes progress without
-/// blocking; [`wait`](Self::wait) blocks until every slot has arrived and
-/// returns the buffers in source-rank order.
-#[must_use = "an exchange must be completed with wait() (or polled to completion)"]
+/// `size()` incoming slots. [`wait`](Self::wait) receives every missing
+/// slot — a blocking receive under the transport's deadline — and returns
+/// the buffers in source-rank order.
+#[must_use = "an exchange must be completed with wait()"]
 pub struct PendingExchange<'a, C: Communicator + ?Sized> {
-    pub(crate) comm: &'a C,
-    pub(crate) tag: u32,
+    comm: &'a C,
+    tag: u32,
     /// `slots[s]` is the payload received from rank `s` (the own-rank slot
     /// is filled at start time).
-    pub(crate) slots: Vec<Option<Vec<u8>>>,
-    /// When the exchange was started — the reference point of the
-    /// reliable layer's poll-path receive deadline.
-    pub(crate) started: std::time::Instant,
+    slots: Vec<Option<Vec<u8>>>,
 }
 
 impl<C: Communicator + ?Sized> PendingExchange<'_, C> {
-    /// The tag this exchange travels on.
-    pub fn tag(&self) -> u32 {
-        self.tag
-    }
-
-    /// True once every incoming buffer has arrived (poll/wait would not
-    /// block).
-    pub fn is_complete(&self) -> bool {
-        self.slots.iter().all(Option::is_some)
-    }
-
-    /// Receive whatever has already arrived, without blocking. Returns
-    /// `true` once the exchange is complete.
-    ///
-    /// On transports without nonblocking progress this is a no-op that
-    /// returns the current completion state; [`wait`](Self::wait) then
-    /// does the receiving.
-    ///
-    /// A corrupt frame panics with the typed diagnostic unless the
-    /// communicator heals it (the reliable layer retries transparently
-    /// inside [`Communicator::try_poll_recv_framed`]); an exchange still
-    /// incomplete when the communicator's receive deadline expires panics
-    /// with [`CommError::Timeout`] naming the first missing source.
-    pub fn poll(&mut self) -> bool {
-        for (src, slot) in self.slots.iter_mut().enumerate() {
-            if slot.is_none() {
-                match self.comm.try_poll_recv_framed(src, self.tag) {
-                    Ok(Some(payload)) => *slot = Some(payload),
-                    Ok(None) => {}
-                    Err(e) => panic!("rank {}: {e}", self.comm.rank()),
-                }
-            }
-        }
-        if !self.is_complete() {
-            if let Some(deadline) = self.comm.recv_deadline() {
-                let waited = self.started.elapsed();
-                if waited >= deadline {
-                    let src = self
-                        .slots
-                        .iter()
-                        .position(Option::is_none)
-                        .expect("incomplete exchange has a missing slot");
-                    self.comm.stats().record_timeout(self.tag);
-                    let e = CommError::Timeout {
-                        src,
-                        tag: self.tag,
-                        waited_ms: waited.as_millis() as u64,
-                    };
-                    panic!("rank {}: {e}", self.comm.rank());
-                }
-            }
-        }
-        self.is_complete()
-    }
-
     /// Block until the exchange completes; returns the received buffers in
     /// source-rank order (the own-rank slot holds the locally addressed
-    /// buffer, unframed and uncopied).
+    /// buffer, unframed and uncopied). A receive that fails — a corrupt
+    /// frame the communicator cannot heal, an expired deadline, a dead
+    /// peer — panics with the typed diagnostic naming its `(src, tag)`.
     pub fn wait(mut self) -> Vec<Vec<u8>> {
         for (src, slot) in self.slots.iter_mut().enumerate() {
             if slot.is_none() {
@@ -462,41 +305,6 @@ impl<C: Communicator + ?Sized> PendingExchange<'_, C> {
             }
         }
         self.slots.into_iter().map(Option::unwrap).collect()
-    }
-}
-
-/// An in-flight single receive started by [`Communicator::start_recv`].
-#[must_use = "a receive must be completed with wait() (or polled to completion)"]
-pub struct PendingRecv<'a, C: Communicator + ?Sized> {
-    pub(crate) comm: &'a C,
-    pub(crate) src: usize,
-    pub(crate) tag: u32,
-    pub(crate) got: Option<Vec<u8>>,
-}
-
-impl<C: Communicator + ?Sized> PendingRecv<'_, C> {
-    /// True once the message has arrived.
-    pub fn is_complete(&self) -> bool {
-        self.got.is_some()
-    }
-
-    /// Check for the message without blocking; `true` once it has arrived.
-    pub fn poll(&mut self) -> bool {
-        if self.got.is_none() {
-            match self.comm.try_poll_recv_framed(self.src, self.tag) {
-                Ok(got) => self.got = got,
-                Err(e) => panic!("rank {}: {e}", self.comm.rank()),
-            }
-        }
-        self.got.is_some()
-    }
-
-    /// Block until the message arrives and return its payload.
-    pub fn wait(mut self) -> Vec<u8> {
-        match self.got.take() {
-            Some(buf) => buf,
-            None => self.comm.recv_framed(self.src, self.tag),
-        }
     }
 }
 
@@ -540,10 +348,9 @@ mod default_collective_tests {
             let outgoing: Vec<Vec<u8>> = (0..p)
                 .map(|d| vec![(10 * c.rank() + d) as u8; d + 1])
                 .collect();
-            let mut pending = c.start_alltoallv_bytes(outgoing, 77);
+            let pending = c.start_alltoallv_bytes(outgoing, 77);
             // Local work while the exchange is in flight.
             let local: u64 = (0..1000).sum();
-            let _ = pending.poll(); // progress is optional and never blocks
             (local, pending.wait())
         });
         for (d, (local, incoming)) in results.into_iter().enumerate() {
@@ -552,46 +359,6 @@ mod default_collective_tests {
                 assert_eq!(buf, vec![(10 * s + d) as u8; d + 1]);
             }
         }
-    }
-
-    #[test]
-    fn poll_alone_completes_an_exchange() {
-        // Sends complete at start time on the buffered transport, so
-        // polling (never a blocking receive) must drain the exchange.
-        let results = run_spmd(3, |c| {
-            let outgoing: Vec<Vec<u8>> = (0..3).map(|d| vec![c.rank() as u8, d as u8]).collect();
-            let mut pending = c.start_alltoallv_bytes(outgoing, 5);
-            let mut spins = 0u64;
-            while !pending.poll() {
-                spins += 1;
-                assert!(spins < 100_000_000, "poll never completed");
-                std::thread::yield_now();
-            }
-            assert!(pending.is_complete());
-            pending.wait() // must not block: every slot already arrived
-        });
-        for (d, incoming) in results.into_iter().enumerate() {
-            for (s, buf) in incoming.into_iter().enumerate() {
-                assert_eq!(buf, vec![s as u8, d as u8]);
-            }
-        }
-    }
-
-    #[test]
-    fn start_recv_pairs_with_start_send() {
-        let results = run_spmd(2, |c| {
-            if c.rank() == 0 {
-                c.start_send(1, 9, &[7u8, 8]);
-                Vec::new()
-            } else {
-                let mut r = c.start_recv(0, 9);
-                while !r.poll() {
-                    std::thread::yield_now();
-                }
-                r.wait()
-            }
-        });
-        assert_eq!(results[1], vec![7, 8]);
     }
 
     #[test]
@@ -609,13 +376,5 @@ mod default_collective_tests {
         for (a, b) in results {
             assert_eq!(a, b);
         }
-    }
-
-    #[test]
-    fn serial_poll_completes_self_exchange() {
-        let c = crate::SerialComm::new();
-        let mut pending = c.start_alltoallv_bytes(vec![vec![1u8, 2, 3]], 4);
-        assert!(pending.poll());
-        assert_eq!(pending.wait(), vec![vec![1, 2, 3]]);
     }
 }

@@ -9,6 +9,8 @@
 
 use std::fmt;
 
+use crate::wire::FrameError;
+
 /// A communication failure observed by one rank.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CommError {
@@ -40,7 +42,8 @@ pub enum CommError {
         /// Message tag of the undecodable message.
         tag: u32,
     },
-    /// No matching message arrived within the configured receive deadline.
+    /// No matching message arrived within the transport's receive
+    /// deadline.
     ///
     /// This is the diagnostic that replaces a silent deadlock: it names the
     /// `(src, tag)` key the rank is blocked on and snapshots the pending
@@ -56,17 +59,8 @@ pub enum CommError {
         /// every key holding buffered messages that did not match.
         pending: Vec<(usize, u32, usize)>,
     },
-    /// A peer rank panicked or exited while this rank was communicating.
-    PeerCrashed {
-        /// Source rank of the receive in flight when the crash was seen.
-        src: usize,
-        /// Tag of the receive in flight when the crash was seen.
-        tag: u32,
-    },
-    /// A peer rank panicked and the failure detector identified *which*
-    /// one — the stronger sibling of [`CommError::PeerCrashed`], produced
-    /// when the poison machinery knows the dead rank's index. Recovery
-    /// drivers print `peer` in their restart log line.
+    /// A peer rank panicked; the poison machinery names *which* one.
+    /// Recovery drivers print `peer` in their restart log line.
     PeerDead {
         /// The rank that died.
         peer: usize,
@@ -75,21 +69,23 @@ pub enum CommError {
         /// Tag of the receive in flight when the crash was seen.
         tag: u32,
     },
-    /// The reliable layer's receive deadline expired with no frame (and no
-    /// retransmittable copy) available. Unlike [`CommError::Deadline`]
-    /// (the transport-level deadlock diagnostic with a mailbox snapshot),
-    /// this is the retry protocol's bounded-wait verdict on one receive.
-    Timeout {
-        /// Source rank the receive was blocked on.
-        src: usize,
-        /// Tag the receive was blocked on.
-        tag: u32,
-        /// How long the rank waited before giving up, in milliseconds.
-        waited_ms: u64,
-    },
 }
 
 impl CommError {
+    /// The typed error of a message from `(src, tag)` that failed to
+    /// unframe.
+    pub(crate) fn bad_frame(src: usize, tag: u32, e: FrameError) -> Self {
+        match e {
+            FrameError::TooShort(len) => CommError::Truncated { src, tag, len },
+            FrameError::Crc { expected, actual } => CommError::Corrupt {
+                src,
+                tag,
+                expected,
+                actual,
+            },
+        }
+    }
+
     /// The `(src, tag)` key the failure is attributed to.
     pub fn key(&self) -> (usize, u32) {
         match *self {
@@ -97,9 +93,7 @@ impl CommError {
             | CommError::Truncated { src, tag, .. }
             | CommError::Decode { src, tag }
             | CommError::Deadline { src, tag, .. }
-            | CommError::PeerCrashed { src, tag }
-            | CommError::PeerDead { src, tag, .. }
-            | CommError::Timeout { src, tag, .. } => (src, tag),
+            | CommError::PeerDead { src, tag, .. } => (src, tag),
         }
     }
 
@@ -159,23 +153,10 @@ impl fmt::Display for CommError {
                 }
                 Ok(())
             }
-            CommError::PeerCrashed { src, tag } => write!(
-                f,
-                "a peer rank panicked while blocked on (src {src}, tag {tag})"
-            ),
             CommError::PeerDead { peer, src, tag } => write!(
                 f,
                 "peer rank {peer} died while this rank was blocked on \
                  (src {src}, tag {tag})"
-            ),
-            CommError::Timeout {
-                src,
-                tag,
-                waited_ms,
-            } => write!(
-                f,
-                "reliable receive timed out after {waited_ms} ms blocked \
-                 on (src {src}, tag {tag})"
             ),
         }
     }

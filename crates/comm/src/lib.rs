@@ -29,9 +29,11 @@
 //!   ([`frame`]/[`unframe`]); corruption surfaces as a typed
 //!   [`CommError`] naming the faulty `(src, tag)`, never as silent
 //!   garbage;
-//! - a configurable receive deadline ([`CommConfig`]) turns deadlocks
-//!   into a [`CommError::Deadline`] diagnostic listing the blocked key
-//!   and the pending mailbox;
+//! - every receive is one blocking call under the transport's one
+//!   receive deadline ([`run_spmd_with`], [`ThreadComm::create_with`]),
+//!   which turns a deadlock into a [`CommError::Deadline`] diagnostic
+//!   listing the blocked key and the pending mailbox; a dead peer surfaces
+//!   as [`CommError::PeerDead`] naming it;
 //! - [`ChaosComm`] wraps any communicator and injects seeded,
 //!   reproducible faults from a [`FaultPlan`]: delivery delay/reordering,
 //!   payload bit-corruption, and rank-crash at the Nth communication
@@ -39,10 +41,9 @@
 //!   payload as the root cause);
 //! - [`ReliableComm`] stacks *above* the fault layer and heals what the
 //!   CRC detects: every framed message carries a per-link sequence
-//!   number, a broken receive triggers a bounded NACK/retransmit round
-//!   from the sender's retained outbox ([`RetryPolicy`]), and a
-//!   configured receive deadline surfaces as [`CommError::Timeout`]
-//!   instead of a hang. Healing activity is counted per tag in
+//!   number, and a broken receive triggers a bounded NACK/retransmit
+//!   round (at most 8 requests) from the sender's retained outbox. It
+//!   adds no deadline of its own. Healing activity is counted per tag in
 //!   [`TrafficStats`] and exported as `comm.retry.*` pairs for the
 //!   observability layer.
 //!
@@ -61,17 +62,15 @@ mod communicator;
 mod error;
 mod reliable;
 pub mod repro;
-mod serial;
 mod stats;
 mod thread;
 mod wire;
 
 pub use chaos::{ChaosComm, CrashPoint, FaultPlan, RankCrashed};
-pub use communicator::{Communicator, PendingExchange, PendingRecv, TAG_COLLECTIVE};
+pub use communicator::{Communicator, PendingExchange, TAG_COLLECTIVE};
 pub use error::CommError;
-pub use reliable::{ReliableComm, RetryPolicy};
+pub use reliable::ReliableComm;
 pub use repro::{allreduce_sum_f64_exact, FixedPoint};
-pub use serial::SerialComm;
 pub use stats::{StatsSnapshot, TagTraffic, TrafficStats};
-pub use thread::{run_spmd, run_spmd_with, CommConfig, ThreadComm};
+pub use thread::{run_spmd, run_spmd_with, ThreadComm};
 pub use wire::{crc32, frame, read_vec, try_read_vec, unframe, write_vec, FrameError, Wire};

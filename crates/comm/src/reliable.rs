@@ -24,7 +24,7 @@
 //!    CRC bad / seq mismatch                                 │
 //!          │                                                │
 //!          ▼                                                │
-//!   attempt < max_attempts? ──no──▶ return original error   │
+//!   attempt < MAX_ATTEMPTS? ──no──▶ return original error   │
 //!          │ yes                    (comm.retry.exhausted)  │
 //!          ▼                                                │
 //!   seeded backoff, fetch_retransmit(src, tag, expected) ───┘
@@ -37,21 +37,22 @@
 //! shared replay log, which has identical failure semantics because the
 //! fault decorator interposes on the pull.
 //!
+//! The protocol has no knobs: at most 8 requests per broken receive,
+//! attempt `n` backing off `n × 20 µs` plus a jitter in `[0, 20 µs)` drawn
+//! from a per-rank stream of seed 0.
+//!
 //! ## Deadlines
 //!
-//! With [`RetryPolicy::recv_deadline`] set, every blocking receive polls
-//! instead of parking and surfaces [`CommError::Timeout`] naming the
-//! blocked `(src, tag)` when the deadline expires; split-phase handles
-//! ([`PendingExchange::poll`](crate::PendingExchange::poll)) apply the
-//! same deadline through [`Communicator::recv_deadline`]. Without a
-//! deadline, blocking receives delegate to the transport in a *single*
-//! call — important under [`ChaosComm`](crate::ChaosComm), whose crash
-//! clock must tick deterministically for crash-point calibration.
+//! The reliable layer has none of its own. Every receive — blocking or the
+//! `wait()` side of a split-phase exchange — is *one* transport call, so
+//! it runs under the transport's receive deadline
+//! ([`ThreadComm::create_with`](crate::ThreadComm::create_with)) and a
+//! [`ChaosComm`](crate::ChaosComm) crash clock underneath ticks with the
+//! program alone, never with wall-clock time.
 //!
 //! ## Counters
 //!
-//! Healing activity is exported two ways: per-tag retransmit/timeout
-//! counts land in the transport's [`TrafficStats`], and protocol-level
+//! Healing activity is exported two ways: per-tag retransmit counts land in the transport's [`TrafficStats`], and protocol-level
 //! counts are exposed by [`ReliableComm::retry_counts`] under the
 //! observability names `comm.retry.*` (this crate sits below the obs
 //! layer and cannot call it directly — drivers forward the pairs
@@ -66,59 +67,7 @@ use crate::chaos::SplitMix64;
 use crate::communicator::Communicator;
 use crate::error::CommError;
 use crate::stats::TrafficStats;
-use crate::wire::{frame, unframe, FrameError};
-
-/// Knobs of the retransmit protocol.
-#[derive(Debug, Clone)]
-pub struct RetryPolicy {
-    /// Maximum retransmission requests per broken receive before the
-    /// original error is surfaced.
-    pub max_attempts: u32,
-    /// Base backoff between retransmission requests; attempt `n` waits
-    /// `n * backoff` plus a seeded jitter in `[0, backoff)`. Zero
-    /// disables the wait (the thread-backed pull is immediate anyway).
-    pub backoff: Duration,
-    /// If set, blocking receives poll and give up with
-    /// [`CommError::Timeout`] after this long; split-phase polls apply
-    /// the same budget from their start time.
-    pub recv_deadline: Option<Duration>,
-    /// Seed of the backoff-jitter stream (per-rank streams are derived
-    /// from it, so runs are reproducible).
-    pub seed: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 8,
-            backoff: Duration::from_micros(20),
-            recv_deadline: None,
-            seed: 0,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The default policy with the given receive deadline.
-    pub fn with_deadline(deadline: Duration) -> Self {
-        RetryPolicy {
-            recv_deadline: Some(deadline),
-            ..RetryPolicy::default()
-        }
-    }
-
-    /// Replace the retry cap.
-    pub fn max_attempts(mut self, n: u32) -> Self {
-        self.max_attempts = n;
-        self
-    }
-
-    /// Replace the jitter seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-}
+use crate::wire::{frame, unframe};
 
 /// Log2 bucket count of the heal-latency histogram; matches
 /// `forust_obs::HIST_BUCKETS` (bucket 0 holds 0, bucket `b >= 1` holds
@@ -139,10 +88,8 @@ struct RetryCounters {
     requested: AtomicU64,
     /// Broken receives healed by a valid retransmission.
     healed: AtomicU64,
-    /// Broken receives abandoned after `max_attempts` requests.
+    /// Broken receives abandoned after [`MAX_ATTEMPTS`] requests.
     exhausted: AtomicU64,
-    /// Blocking receives that hit the configured deadline.
-    timeout: AtomicU64,
     /// Wall-clock of each completed heal loop (healed or exhausted),
     /// log2-bucketed microseconds.
     heal_us: [AtomicU64; LATENCY_BUCKETS],
@@ -155,14 +102,22 @@ impl Default for RetryCounters {
             requested: AtomicU64::new(0),
             healed: AtomicU64::new(0),
             exhausted: AtomicU64::new(0),
-            timeout: AtomicU64::new(0),
             heal_us: std::array::from_fn(|_| AtomicU64::new(0)),
         }
     }
 }
 
-/// How often the deadline path re-polls the transport.
-const DEADLINE_POLL: Duration = Duration::from_micros(200);
+/// Retransmission requests per broken receive before the original error
+/// is surfaced.
+const MAX_ATTEMPTS: u32 = 8;
+
+/// Base backoff between retransmission requests: attempt `n` waits
+/// `n * BACKOFF` plus a seeded jitter in `[0, BACKOFF)`.
+const BACKOFF: Duration = Duration::from_micros(20);
+
+/// Seed of the backoff-jitter stream (per-rank streams derive from it, so
+/// runs are reproducible).
+const JITTER_SEED: u64 = 0;
 
 /// A self-healing decorator around any [`Communicator`].
 ///
@@ -170,7 +125,6 @@ const DEADLINE_POLL: Duration = Duration::from_micros(200);
 /// heals the faults the chaos layer injects below it.
 pub struct ReliableComm<C: Communicator> {
     inner: C,
-    policy: RetryPolicy,
     /// Next sequence number per outgoing `(dest, tag)` link.
     tx_seq: Mutex<HashMap<(usize, u32), u64>>,
     /// Next expected sequence number per incoming `(src, tag)` link.
@@ -180,14 +134,12 @@ pub struct ReliableComm<C: Communicator> {
 }
 
 impl<C: Communicator> ReliableComm<C> {
-    /// Wrap `inner` with the retransmit protocol described by `policy`.
-    pub fn new(inner: C, policy: RetryPolicy) -> Self {
-        let stream = policy
-            .seed
-            .wrapping_add((inner.rank() as u64 + 1).wrapping_mul(0x9E6C_63D0_876A_3F35));
+    /// Wrap `inner` with the retransmit protocol.
+    pub fn new(inner: C) -> Self {
+        let stream =
+            JITTER_SEED.wrapping_add((inner.rank() as u64 + 1).wrapping_mul(0x9E6C_63D0_876A_3F35));
         ReliableComm {
             inner,
-            policy,
             tx_seq: Mutex::new(HashMap::new()),
             rx_seq: Mutex::new(HashMap::new()),
             rng: Mutex::new(SplitMix64(stream)),
@@ -198,11 +150,6 @@ impl<C: Communicator> ReliableComm<C> {
     /// The wrapped communicator.
     pub fn inner(&self) -> &C {
         &self.inner
-    }
-
-    /// The active retry policy.
-    pub fn policy(&self) -> &RetryPolicy {
-        &self.policy
     }
 
     /// Healing activity so far on this rank, as `(name, count)` pairs
@@ -218,7 +165,6 @@ impl<C: Communicator> ReliableComm<C> {
             ("comm.retry.requested", load(&r.requested)),
             ("comm.retry.healed", load(&r.healed)),
             ("comm.retry.exhausted", load(&r.exhausted)),
-            ("comm.retry.timeout", load(&r.timeout)),
         ]
         .into_iter()
         .filter(|&(_, n)| n > 0)
@@ -277,18 +223,7 @@ impl<C: Communicator> ReliableComm<C> {
 
     /// Unframe a raw wire message and split off its sequence stamp.
     fn validate(&self, src: usize, tag: u32, raw: &[u8]) -> Result<(u64, Vec<u8>), CommError> {
-        let body = match unframe(raw) {
-            Ok(body) => body,
-            Err(FrameError::TooShort(len)) => return Err(CommError::Truncated { src, tag, len }),
-            Err(FrameError::Crc { expected, actual }) => {
-                return Err(CommError::Corrupt {
-                    src,
-                    tag,
-                    expected,
-                    actual,
-                })
-            }
-        };
+        let body = unframe(raw).map_err(|e| CommError::bad_frame(src, tag, e))?;
         if body.len() < 8 {
             // CRC-valid but too short to carry a sequence stamp: a peer
             // is not speaking the sequenced protocol.
@@ -298,24 +233,20 @@ impl<C: Communicator> ReliableComm<C> {
         Ok((seq, body[8..].to_vec()))
     }
 
-    /// Sleep `attempt * backoff` plus seeded jitter, modelling the NACK
+    /// Sleep `attempt * BACKOFF` plus seeded jitter, modelling the NACK
     /// round trip.
     fn backoff(&self, attempt: u32) {
-        let base = self.policy.backoff;
-        if base.is_zero() {
-            return;
-        }
         let jitter_ns = {
             let mut rng = self.rng.lock().unwrap_or_else(|e| e.into_inner());
-            rng.next() % (base.as_nanos().max(1) as u64)
+            rng.next() % BACKOFF.as_nanos() as u64
         };
-        std::thread::sleep(base * attempt + Duration::from_nanos(jitter_ns));
+        std::thread::sleep(BACKOFF * attempt + Duration::from_nanos(jitter_ns));
     }
 
     /// The heal loop: bounded retransmission requests for the frame
     /// `(src, tag, expected)`, returning its payload or the original
-    /// receive error once the cap is exhausted (or the transport has no
-    /// replay support).
+    /// receive error once the cap is exhausted (or the frame has left the
+    /// sender's replay window).
     fn heal(
         &self,
         src: usize,
@@ -325,12 +256,11 @@ impl<C: Communicator> ReliableComm<C> {
     ) -> Result<Vec<u8>, CommError> {
         Self::bump(&self.retries.detected);
         let heal_start = Instant::now();
-        for attempt in 1..=self.policy.max_attempts {
+        for attempt in 1..=MAX_ATTEMPTS {
             Self::bump(&self.retries.requested);
             self.backoff(attempt);
             let Some(raw) = self.inner.fetch_retransmit(src, tag, expected) else {
-                // No retained copy: corruption is fatal, as it was before
-                // the reliable layer existed.
+                // No retained copy: the corruption is fatal.
                 Self::bump(&self.retries.exhausted);
                 self.record_heal_latency(heal_start.elapsed());
                 return Err(original);
@@ -384,16 +314,8 @@ impl<C: Communicator> Communicator for ReliableComm<C> {
         self.inner.send_bytes(dest, tag, data);
     }
 
-    fn recv_bytes(&self, src: usize, tag: u32) -> Vec<u8> {
-        self.inner.recv_bytes(src, tag)
-    }
-
     fn try_recv_bytes(&self, src: usize, tag: u32) -> Result<Vec<u8>, CommError> {
         self.inner.try_recv_bytes(src, tag)
-    }
-
-    fn poll_recv_bytes(&self, src: usize, tag: u32) -> Option<Vec<u8>> {
-        self.inner.poll_recv_bytes(src, tag)
     }
 
     fn barrier(&self) {
@@ -404,18 +326,12 @@ impl<C: Communicator> Communicator for ReliableComm<C> {
         self.inner.stats()
     }
 
-    fn record_frame(&self, dest: usize, tag: u32, seq: u64, framed: &[u8]) -> bool {
+    fn record_frame(&self, dest: usize, tag: u32, seq: u64, framed: &[u8]) {
         self.inner.record_frame(dest, tag, seq, framed)
     }
 
     fn fetch_retransmit(&self, src: usize, tag: u32, seq: u64) -> Option<Vec<u8>> {
         self.inner.fetch_retransmit(src, tag, seq)
-    }
-
-    fn recv_deadline(&self) -> Option<Duration> {
-        self.policy
-            .recv_deadline
-            .or_else(|| self.inner.recv_deadline())
     }
 
     fn send_framed(&self, dest: usize, tag: u32, payload: &[u8]) {
@@ -431,38 +347,8 @@ impl<C: Communicator> Communicator for ReliableComm<C> {
     }
 
     fn try_recv_framed(&self, src: usize, tag: u32) -> Result<Vec<u8>, CommError> {
-        let raw = match self.policy.recv_deadline {
-            // No deadline: a single transport call, so a chaos crash
-            // clock underneath ticks deterministically.
-            None => self.inner.try_recv_bytes(src, tag)?,
-            Some(deadline) => {
-                let start = Instant::now();
-                loop {
-                    if let Some(raw) = self.inner.poll_recv_bytes(src, tag) {
-                        break raw;
-                    }
-                    let waited = start.elapsed();
-                    if waited >= deadline {
-                        Self::bump(&self.retries.timeout);
-                        self.inner.stats().record_timeout(tag);
-                        return Err(CommError::Timeout {
-                            src,
-                            tag,
-                            waited_ms: waited.as_millis() as u64,
-                        });
-                    }
-                    std::thread::sleep(DEADLINE_POLL.min(deadline - waited));
-                }
-            }
-        };
+        let raw = self.inner.try_recv_bytes(src, tag)?;
         self.sequenced_receive(src, tag, raw)
-    }
-
-    fn try_poll_recv_framed(&self, src: usize, tag: u32) -> Result<Option<Vec<u8>>, CommError> {
-        match self.inner.poll_recv_bytes(src, tag) {
-            None => Ok(None),
-            Some(raw) => self.sequenced_receive(src, tag, raw).map(Some),
-        }
     }
 }
 
@@ -470,29 +356,29 @@ impl<C: Communicator> Communicator for ReliableComm<C> {
 mod tests {
     use super::*;
     use crate::chaos::{ChaosComm, FaultPlan};
-    use crate::thread::{run_spmd_with, CommConfig, ThreadComm};
-    use crate::SerialComm;
+    use crate::thread::{run_spmd_with, ThreadComm};
 
     type Stack = ReliableComm<ChaosComm<ThreadComm>>;
 
     fn reliable_run<R: Send>(
         p: usize,
+        deadline: Duration,
         plan: FaultPlan,
-        policy: RetryPolicy,
         f: impl Fn(&Stack) -> R + Sync,
     ) -> Vec<R> {
-        let cfg = CommConfig::with_deadline(Duration::from_secs(5));
         run_spmd_with(
             p,
-            cfg,
-            move |c| ReliableComm::new(ChaosComm::new(c, plan.clone()), policy.clone()),
+            Some(deadline),
+            move |c| ReliableComm::new(ChaosComm::new(c, plan.clone())),
             f,
         )
     }
 
+    const DEADLINE: Duration = Duration::from_secs(5);
+
     #[test]
     fn fault_free_traffic_is_transparent() {
-        let results = reliable_run(3, FaultPlan::new(0), RetryPolicy::default(), |c| {
+        let results = reliable_run(3, DEADLINE, FaultPlan::new(0), |c| {
             let next = (c.rank() + 1) % 3;
             let prev = (c.rank() + 2) % 3;
             c.send(next, 2, &[c.rank() as u64]);
@@ -517,7 +403,7 @@ mod tests {
             let plan = FaultPlan::new(seed)
                 .with_corruption(1.0)
                 .with_retransmit_corruption(0.0);
-            let results = reliable_run(2, plan, RetryPolicy::default(), |c| {
+            let results = reliable_run(2, DEADLINE, plan, |c| {
                 if c.rank() == 0 {
                     c.send(1, 7, &[seed, 2, 3]);
                     c.barrier();
@@ -550,8 +436,7 @@ mod tests {
         // exhausted and the original typed error surfaced, with the
         // chaos layer counting every corrupted replay.
         let plan = FaultPlan::new(11).with_corruption(1.0);
-        let policy = RetryPolicy::default().max_attempts(3);
-        let results = reliable_run(2, plan, policy, |c| {
+        let results = reliable_run(2, DEADLINE, plan, |c| {
             if c.rank() == 0 {
                 c.send(1, 4, &[5u64]);
                 c.barrier();
@@ -573,70 +458,59 @@ mod tests {
             retries,
             vec![
                 ("comm.retry.detected", 1),
-                ("comm.retry.requested", 3),
+                ("comm.retry.requested", 8),
                 ("comm.retry.exhausted", 1),
             ]
         );
         assert!(
-            faults.contains(&("chaos.corrupt.retransmit", 3)),
+            faults.contains(&("chaos.corrupt.retransmit", 8)),
             "every replay must pass through the fault layer: {faults:?}"
         );
     }
 
     #[test]
-    fn blocking_receive_times_out_with_typed_error() {
-        let policy = RetryPolicy::with_deadline(Duration::from_millis(50));
-        let results = reliable_run(2, FaultPlan::new(0), policy, |c| {
+    fn one_deadline_governs_blocking_and_split_phase_receives() {
+        // The transport's deadline is the only one: through the full
+        // reliable-over-chaos stack, (a) a blocking receive from a silent
+        // peer returns the mailbox diagnostic, and (b) the wait() side of a
+        // split-phase exchange panics with it, naming the first missing
+        // source.
+        let results = reliable_run(2, Duration::from_millis(50), FaultPlan::new(0), |c| {
             if c.rank() == 0 {
-                // Never send on tag 9; just keep the rank alive through
-                // the peer's timeout window.
+                // Send only on tag 8, then stay alive (in the second
+                // barrier) until rank 1 is done with both receives.
+                c.send(1, 8, &[42u64]);
                 c.barrier();
-                (None, Vec::new(), 0)
+                c.barrier();
+                None
             } else {
-                let err = c.try_recv::<u64>(0, 9).unwrap_err();
                 c.barrier();
-                (Some(err), c.retry_counts(), c.stats().snapshot().timeouts)
+                let err = c.try_recv::<u64>(0, 9).unwrap_err();
+                let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    c.start_allgather_bytes(vec![1u8], 5).wait()
+                }));
+                c.barrier();
+                let msg = caught.unwrap_err().downcast_ref::<String>().cloned();
+                Some((err, msg))
             }
         });
-        let (err, retries, timeouts) = results[1].clone();
-        match err.unwrap() {
-            CommError::Timeout {
+        let (err, msg) = results[1].clone().expect("rank 1 reports");
+        match err {
+            CommError::Deadline {
                 src,
                 tag,
                 waited_ms,
+                pending,
             } => {
                 assert_eq!((src, tag), (0, 9));
                 assert!(waited_ms >= 50);
+                assert_eq!(pending, vec![(0, 8, 1)]);
             }
-            other => panic!("expected Timeout, got {other:?}"),
+            other => panic!("expected Deadline, got {other:?}"),
         }
-        assert_eq!(retries, vec![("comm.retry.timeout", 1)]);
-        assert_eq!(timeouts, 1);
-    }
-
-    #[test]
-    fn exchange_poll_panics_with_timeout_when_peer_is_silent() {
-        let policy = RetryPolicy::with_deadline(Duration::from_millis(50));
-        let results = reliable_run(2, FaultPlan::new(0), policy, |c| {
-            if c.rank() == 0 {
-                // Contribute nothing until well past the peer's deadline.
-                std::thread::sleep(Duration::from_millis(300));
-                None
-            } else {
-                let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let mut pending = c.start_allgather_bytes(vec![1u8], 5);
-                    while !pending.poll() {
-                        std::thread::yield_now();
-                    }
-                    pending.wait()
-                }));
-                let payload = caught.unwrap_err();
-                payload.downcast_ref::<String>().cloned()
-            }
-        });
-        let msg = results[1].clone().expect("timeout panic message");
+        let msg = msg.expect("deadline panic message");
         assert!(
-            msg.contains("timed out") && msg.contains("src 0, tag 5"),
+            msg.contains("receive deadline expired") && msg.contains("src 0, tag 5"),
             "unexpected panic: {msg}"
         );
     }
@@ -649,7 +523,7 @@ mod tests {
         let plan = FaultPlan::new(42)
             .with_corruption(0.5)
             .with_retransmit_corruption(0.0);
-        let results = reliable_run(3, plan, RetryPolicy::default(), |c| {
+        let results = reliable_run(3, DEADLINE, plan, |c| {
             let mut acc = 0u64;
             for i in 0..20 {
                 acc += c.allreduce_sum_u64(i + c.rank() as u64);
@@ -674,10 +548,8 @@ mod tests {
         let plan = FaultPlan::new(1)
             .with_corruption(1.0)
             .with_retransmit_corruption(0.0);
-        let c = ReliableComm::new(
-            ChaosComm::new(SerialComm::new(), plan),
-            RetryPolicy::default(),
-        );
+        let tc = ThreadComm::create(1).pop().unwrap();
+        let c = ReliableComm::new(ChaosComm::new(tc, plan));
         c.send(0, 3, &[9u64, 8]);
         assert_eq!(c.try_recv::<u64>(0, 3).unwrap(), vec![9, 8]);
         assert_eq!(
@@ -694,7 +566,7 @@ mod tests {
     fn sequence_numbers_are_per_link() {
         // Interleaved tags and destinations each carry their own stream;
         // a receiver validates them independently.
-        let results = reliable_run(3, FaultPlan::new(0), RetryPolicy::default(), |c| {
+        let results = reliable_run(3, DEADLINE, FaultPlan::new(0), |c| {
             if c.rank() == 0 {
                 for i in 0..5u64 {
                     c.send(1, 1, &[i]);

@@ -26,7 +26,6 @@ pub struct TrafficStats {
     coll_bytes: AtomicU64,
     retrans_msgs: AtomicU64,
     retrans_bytes: AtomicU64,
-    timeouts: AtomicU64,
     by_tag: Mutex<BTreeMap<u32, TagTraffic>>,
 }
 
@@ -43,8 +42,6 @@ pub struct TagTraffic {
     pub retransmits: u64,
     /// Retransmitted bytes replayed on this tag.
     pub retransmit_bytes: u64,
-    /// Reliable-layer receive timeouts observed on this tag.
-    pub timeouts: u64,
 }
 
 /// A plain-data copy of [`TrafficStats`] at one instant.
@@ -62,8 +59,6 @@ pub struct StatsSnapshot {
     pub retrans_msgs: u64,
     /// Bytes replayed to this rank by retransmissions.
     pub retrans_bytes: u64,
-    /// Reliable-layer receive timeouts observed by this rank.
-    pub timeouts: u64,
 }
 
 impl TrafficStats {
@@ -116,14 +111,6 @@ impl TrafficStats {
         t.retransmit_bytes += bytes as u64;
     }
 
-    /// Record one reliable-layer receive timeout on `tag`.
-    #[inline]
-    pub fn record_timeout(&self, tag: u32) {
-        self.timeouts.fetch_add(1, Ordering::Relaxed);
-        let mut map = self.by_tag.lock().unwrap_or_else(|e| e.into_inner());
-        map.entry(tag).or_default().timeouts += 1;
-    }
-
     /// Read the current counter values.
     pub fn snapshot(&self) -> StatsSnapshot {
         StatsSnapshot {
@@ -133,7 +120,6 @@ impl TrafficStats {
             coll_bytes: self.coll_bytes.load(Ordering::Relaxed),
             retrans_msgs: self.retrans_msgs.load(Ordering::Relaxed),
             retrans_bytes: self.retrans_bytes.load(Ordering::Relaxed),
-            timeouts: self.timeouts.load(Ordering::Relaxed),
         }
     }
 
@@ -145,7 +131,6 @@ impl TrafficStats {
         self.coll_bytes.store(0, Ordering::Relaxed);
         self.retrans_msgs.store(0, Ordering::Relaxed);
         self.retrans_bytes.store(0, Ordering::Relaxed);
-        self.timeouts.store(0, Ordering::Relaxed);
         self.by_tag
             .lock()
             .unwrap_or_else(|e| e.into_inner())
@@ -163,7 +148,6 @@ impl StatsSnapshot {
             coll_bytes: self.coll_bytes - earlier.coll_bytes,
             retrans_msgs: self.retrans_msgs - earlier.retrans_msgs,
             retrans_bytes: self.retrans_bytes - earlier.retrans_bytes,
-            timeouts: self.timeouts - earlier.timeouts,
         }
     }
 
@@ -297,21 +281,16 @@ mod tests {
     }
 
     #[test]
-    fn retransmit_and_timeout_counters_attribute_per_tag() {
+    fn retransmit_counters_attribute_per_tag() {
         let s = TrafficStats::default();
         s.record_p2p(5, 10);
         s.record_retransmit(5, 14);
         s.record_retransmit(5, 14);
-        s.record_timeout(9);
         let snap = s.snapshot();
         assert_eq!(snap.retrans_msgs, 2);
         assert_eq!(snap.retrans_bytes, 28);
-        assert_eq!(snap.timeouts, 1);
         let t5 = s.tag_traffic(5);
         assert_eq!((t5.retransmits, t5.retransmit_bytes), (2, 28));
-        assert_eq!(t5.timeouts, 0);
-        let t9 = s.tag_traffic(9);
-        assert_eq!((t9.msgs, t9.timeouts), (0, 1));
         // Retransmits are accounted separately from first-shot traffic.
         assert_eq!((snap.p2p_msgs, snap.p2p_bytes), (1, 10));
         s.reset();

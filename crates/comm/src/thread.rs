@@ -1,8 +1,8 @@
 //! Thread-backed SPMD execution: `P` ranks as OS threads.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -13,84 +13,33 @@ use crate::stats::TrafficStats;
 
 type Envelope = (usize, u32, Vec<u8>); // (source rank, tag, payload)
 
-/// Failure-detection knobs of a [`ThreadComm`].
-#[derive(Debug, Clone)]
-pub struct CommConfig {
-    /// If set, a receive blocked longer than this returns a
-    /// [`CommError::Deadline`] diagnostic (listing the blocked `(src,
-    /// tag)` key and the pending mailbox) instead of hanging forever.
-    pub recv_deadline: Option<Duration>,
-    /// How often a blocked receive wakes up to check the poison flag and
-    /// the deadline.
-    pub poll_interval: Duration,
-}
+/// How often a blocked receive or barrier wakes up to check the poison
+/// flag and the receive deadline.
+const POLL_INTERVAL: Duration = Duration::from_millis(10);
 
-impl Default for CommConfig {
-    fn default() -> Self {
-        CommConfig {
-            recv_deadline: None,
-            poll_interval: Duration::from_millis(10),
-        }
-    }
-}
-
-impl CommConfig {
-    /// A config with the given receive deadline.
-    pub fn with_deadline(deadline: Duration) -> Self {
-        CommConfig {
-            recv_deadline: Some(deadline),
-            ..CommConfig::default()
-        }
-    }
-}
-
-/// Shared failure-detection state of one communicator: whether any rank
-/// has died, and — when the detector could identify it — *which* rank.
-/// The first identified victim wins; later poisonings keep the original
-/// culprit so every survivor reports the same dead peer.
+/// Shared failure-detection state of one communicator: the index of the
+/// first rank that died, or `usize::MAX` while every rank is healthy. The
+/// first victim wins, so every survivor reports the same dead peer.
 #[derive(Debug)]
-pub(crate) struct PoisonFlag {
-    poisoned: AtomicBool,
-    /// Index of the first identified dead rank, or `usize::MAX` if the
-    /// communicator is healthy (or the victim is unknown).
-    dead: AtomicUsize,
-}
+pub(crate) struct PoisonFlag(AtomicUsize);
 
 impl PoisonFlag {
     fn new() -> Self {
-        PoisonFlag {
-            poisoned: AtomicBool::new(false),
-            dead: AtomicUsize::new(usize::MAX),
-        }
+        PoisonFlag(AtomicUsize::new(usize::MAX))
     }
 
-    /// Mark the communicator poisoned, recording the dead rank if known.
-    pub(crate) fn poison(&self, dead_rank: Option<usize>) {
-        if let Some(r) = dead_rank {
-            let _ = self
-                .dead
-                .compare_exchange(usize::MAX, r, Ordering::Relaxed, Ordering::Relaxed);
-        }
-        self.poisoned.store(true, Ordering::Relaxed);
+    /// Mark the communicator poisoned by the death of `dead_rank`.
+    pub(crate) fn poison(&self, dead_rank: usize) {
+        let _ =
+            self.0
+                .compare_exchange(usize::MAX, dead_rank, Ordering::Relaxed, Ordering::Relaxed);
     }
 
-    pub(crate) fn is_poisoned(&self) -> bool {
-        self.poisoned.load(Ordering::Relaxed)
-    }
-
-    /// The identified dead rank, if any.
+    /// The dead rank, if any rank has died.
     pub(crate) fn dead_rank(&self) -> Option<usize> {
-        match self.dead.load(Ordering::Relaxed) {
+        match self.0.load(Ordering::Relaxed) {
             usize::MAX => None,
             r => Some(r),
-        }
-    }
-
-    /// Human-readable culprit for panic messages.
-    fn culprit(&self) -> String {
-        match self.dead_rank() {
-            Some(r) => format!("peer rank {r} died"),
-            None => "a peer rank panicked".to_string(),
         }
     }
 }
@@ -121,34 +70,20 @@ impl PoisonBarrier {
             self.cv.notify_all();
             return;
         }
-        let mut abort = false;
         while guard.1 == gen {
-            if abort {
-                break;
+            if let Some(dead) = poisoned.dead_rank() {
+                drop(guard);
+                panic!("ThreadComm: peer rank {dead} died; aborting barrier");
             }
-            let (g, _timeout) = self
+            guard = self
                 .cv
-                .wait_timeout(guard, Duration::from_millis(10))
-                .unwrap_or_else(|e| e.into_inner());
-            guard = g;
-            if guard.1 == gen && poisoned.is_poisoned() {
-                abort = true;
-            }
-        }
-        let released = guard.1 != gen;
-        drop(guard);
-        if !released {
-            panic!("ThreadComm: {}; aborting barrier", poisoned.culprit());
+                .wait_timeout(guard, POLL_INTERVAL)
+                .unwrap_or_else(|e| e.into_inner())
+                .0;
         }
     }
 }
 
-/// One rank's endpoint of a thread-backed communicator.
-///
-/// Transport is an unbounded mpsc channel per destination rank, so sends
-/// never block. Receives drain the channel into a private mailbox keyed
-/// by `(source, tag)` until a matching message is found; matching is FIFO
-/// per key, mirroring MPI ordering guarantees.
 /// Per-(source, tag) FIFO queues of received-but-unmatched messages.
 type Mailbox = HashMap<(usize, u32), VecDeque<Vec<u8>>>;
 
@@ -164,6 +99,12 @@ type ReplayMap = HashMap<(usize, usize, u32), VecDeque<(u64, Vec<u8>)>>;
 /// currently blocked on, so a small window is ample.
 const REPLAY_WINDOW: usize = 32;
 
+/// One rank's endpoint of a thread-backed communicator.
+///
+/// Transport is an unbounded mpsc channel per destination rank, so sends
+/// never block. Receives drain the channel into a private mailbox keyed
+/// by `(source, tag)` until a matching message is found; matching is FIFO
+/// per key, mirroring MPI ordering guarantees.
 pub struct ThreadComm {
     rank: usize,
     size: usize,
@@ -172,7 +113,10 @@ pub struct ThreadComm {
     barrier: Arc<PoisonBarrier>,
     mailbox: Mutex<Mailbox>,
     stats: TrafficStats,
-    config: CommConfig,
+    /// If set, a receive blocked longer than this returns a
+    /// [`CommError::Deadline`] diagnostic (listing the blocked `(src,
+    /// tag)` key and the pending mailbox) instead of hanging forever.
+    recv_deadline: Option<Duration>,
     /// Set when any rank of this communicator panics, so blocked peers
     /// fail fast instead of deadlocking on a receive that will never
     /// complete.
@@ -186,12 +130,13 @@ impl ThreadComm {
     ///
     /// Endpoint `r` must be moved to the thread executing rank `r`.
     pub fn create(p: usize) -> Vec<ThreadComm> {
-        Self::create_with(p, CommConfig::default())
+        Self::create_with(p, None)
     }
 
-    /// Like [`create`](Self::create), with explicit failure-detection
-    /// configuration.
-    pub fn create_with(p: usize, config: CommConfig) -> Vec<ThreadComm> {
+    /// Like [`create`](Self::create), with a receive deadline: a receive
+    /// blocked longer than `recv_deadline` returns
+    /// [`CommError::Deadline`] instead of hanging.
+    pub fn create_with(p: usize, recv_deadline: Option<Duration>) -> Vec<ThreadComm> {
         assert!(p >= 1, "communicator needs at least one rank");
         let mut senders = Vec::with_capacity(p);
         let mut receivers = Vec::with_capacity(p);
@@ -214,7 +159,7 @@ impl ThreadComm {
                 barrier: barrier.clone(),
                 mailbox: Mutex::new(HashMap::new()),
                 stats: TrafficStats::default(),
-                config: config.clone(),
+                recv_deadline,
                 poisoned: poisoned.clone(),
                 replay: replay.clone(),
             })
@@ -264,20 +209,11 @@ impl Communicator for ThreadComm {
             // diagnostic a poisoned receive produces, so every surviving
             // rank reports the crash consistently instead of one of them
             // dying on an opaque channel error.
-            self.poisoned.poison(Some(dest));
-            panic!("ThreadComm: peer rank {dest} died; aborting send to rank {dest} (tag {tag})");
+            self.poisoned.poison(dest);
         }
-        if self.poisoned.is_poisoned() {
-            panic!(
-                "ThreadComm: {}; aborting send to rank {dest} (tag {tag})",
-                self.poisoned.culprit()
-            );
+        if let Some(dead) = self.poisoned.dead_rank() {
+            panic!("ThreadComm: peer rank {dead} died; aborting send to rank {dest} (tag {tag})");
         }
-    }
-
-    fn recv_bytes(&self, src: usize, tag: u32) -> Vec<u8> {
-        self.try_recv_bytes(src, tag)
-            .unwrap_or_else(|e| panic!("ThreadComm rank {}: {e}", self.rank))
     }
 
     fn try_recv_bytes(&self, src: usize, tag: u32) -> Result<Vec<u8>, CommError> {
@@ -292,24 +228,20 @@ impl Communicator for ThreadComm {
             {
                 return Ok(buf);
             }
-            match self.inbox.recv_timeout(self.config.poll_interval) {
-                Ok((from, t, data)) => {
-                    if (from, t) == key {
-                        return Ok(data);
+            match self.inbox.recv_timeout(POLL_INTERVAL) {
+                Ok((from, t, data)) if (from, t) == key => return Ok(data),
+                Ok((from, t, data)) => self
+                    .lock_mailbox()
+                    .entry((from, t))
+                    .or_default()
+                    .push_back(data),
+                // A timeout; `Disconnected` cannot happen while this
+                // endpoint holds its own `Sender`, and is treated alike.
+                Err(_) => {
+                    if let Some(peer) = self.poisoned.dead_rank() {
+                        return Err(CommError::PeerDead { peer, src, tag });
                     }
-                    self.lock_mailbox()
-                        .entry((from, t))
-                        .or_default()
-                        .push_back(data);
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    if self.poisoned.is_poisoned() {
-                        return Err(match self.poisoned.dead_rank() {
-                            Some(peer) => CommError::PeerDead { peer, src, tag },
-                            None => CommError::PeerCrashed { src, tag },
-                        });
-                    }
-                    if let Some(deadline) = self.config.recv_deadline {
+                    if let Some(deadline) = self.recv_deadline {
                         let waited = start.elapsed();
                         if waited >= deadline {
                             return Err(CommError::Deadline {
@@ -321,37 +253,8 @@ impl Communicator for ThreadComm {
                         }
                     }
                 }
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(match self.poisoned.dead_rank() {
-                        Some(peer) => CommError::PeerDead { peer, src, tag },
-                        None => CommError::PeerCrashed { src, tag },
-                    });
-                }
             }
         }
-    }
-
-    fn poll_recv_bytes(&self, src: usize, tag: u32) -> Option<Vec<u8>> {
-        assert!(src < self.size, "recv from rank {src} of {}", self.size);
-        let key = (src, tag);
-        if let Some(buf) = self
-            .lock_mailbox()
-            .get_mut(&key)
-            .and_then(VecDeque::pop_front)
-        {
-            return Some(buf);
-        }
-        // Drain whatever has already arrived, without blocking.
-        while let Ok((from, t, data)) = self.inbox.try_recv() {
-            if (from, t) == key {
-                return Some(data);
-            }
-            self.lock_mailbox()
-                .entry((from, t))
-                .or_default()
-                .push_back(data);
-        }
-        None
     }
 
     fn barrier(&self) {
@@ -362,14 +265,13 @@ impl Communicator for ThreadComm {
         &self.stats
     }
 
-    fn record_frame(&self, dest: usize, tag: u32, seq: u64, framed: &[u8]) -> bool {
+    fn record_frame(&self, dest: usize, tag: u32, seq: u64, framed: &[u8]) {
         let mut replay = self.replay.lock().unwrap_or_else(|e| e.into_inner());
         let q = replay.entry((self.rank, dest, tag)).or_default();
         q.push_back((seq, framed.to_vec()));
         while q.len() > REPLAY_WINDOW {
             q.pop_front();
         }
-        true
     }
 
     fn fetch_retransmit(&self, src: usize, tag: u32, seq: u64) -> Option<Vec<u8>> {
@@ -393,25 +295,26 @@ where
     R: Send,
     F: Fn(&ThreadComm) -> R + Sync,
 {
-    run_spmd_with(p, CommConfig::default(), |c| c, f)
+    run_spmd_with(p, None, |c| c, f)
 }
 
-/// Generalized SPMD driver: each rank's [`ThreadComm`] endpoint is passed
+/// Generalized SPMD driver: the endpoints carry `recv_deadline` (see
+/// [`ThreadComm::create_with`]), and each rank's endpoint is passed
 /// through `wrap` before use, so callers can interpose a decorator — most
 /// notably [`ChaosComm`](crate::ChaosComm) for fault injection.
 ///
 /// If several ranks panic, the panic resumed on the caller is the *root
 /// cause* when one can be identified: an injected [`RankCrashed`] payload
-/// wins over the secondary `PeerCrashed`/poison panics it triggers on
+/// wins over the secondary `PeerDead`/poison panics it triggers on
 /// surviving ranks.
-pub fn run_spmd_with<C, R, F, W>(p: usize, config: CommConfig, wrap: W, f: F) -> Vec<R>
+pub fn run_spmd_with<C, R, F, W>(p: usize, recv_deadline: Option<Duration>, wrap: W, f: F) -> Vec<R>
 where
     C: Communicator + Send,
     R: Send,
     F: Fn(&C) -> R + Sync,
     W: Fn(ThreadComm) -> C + Sync,
 {
-    let comms = ThreadComm::create_with(p, config);
+    let comms = ThreadComm::create_with(p, recv_deadline);
     let (f, wrap) = (&f, &wrap);
     let results: Vec<Result<R, Box<dyn std::any::Any + Send>>> = std::thread::scope(|scope| {
         let handles: Vec<_> = comms
@@ -429,7 +332,7 @@ where
                         if r.is_err() {
                             // Name the panicking rank so survivors'
                             // PeerDead diagnostics identify the victim.
-                            poisoned.poison(Some(rank));
+                            poisoned.poison(rank);
                         }
                         r
                     })
@@ -531,15 +434,6 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_from_nonzero_root() {
-        let results = run_spmd(3, |c| {
-            let mine = (c.rank() == 2).then_some(99u32);
-            c.broadcast(2, mine)
-        });
-        assert_eq!(results, vec![99, 99, 99]);
-    }
-
-    #[test]
     fn out_of_order_tags_are_buffered() {
         let results = run_spmd(2, |c| {
             if c.rank() == 0 {
@@ -589,10 +483,9 @@ mod tests {
 
     #[test]
     fn deadline_reports_blocked_key_and_pending_mailbox() {
-        let cfg = CommConfig::with_deadline(Duration::from_millis(100));
         let errs = run_spmd_with(
             2,
-            cfg,
+            Some(Duration::from_millis(100)),
             |c| c,
             |c| {
                 if c.rank() == 0 {
@@ -644,7 +537,7 @@ mod tests {
             .or_else(|| payload.downcast_ref::<String>().cloned())
             .unwrap_or_default();
         assert!(
-            msg.contains("rank 0 dies") || msg.contains("peer rank panicked"),
+            msg.contains("rank 0 dies") || msg.contains("peer rank 0 died"),
             "unexpected panic payload: {msg}"
         );
     }

@@ -12,6 +12,8 @@
 //! in saved-rank order, form the global SFC-ordered octant list, so each
 //! current rank takes its contiguous interval of that list (as
 //! `p4est_load` does) and the rank count may differ from the saved one.
+//! The interval is cut where Partition cuts, so a restore onto the saving
+//! rank count reproduces the saved partition.
 //!
 //! Robustness guarantees (the properties production restart leans on):
 //!
@@ -41,6 +43,7 @@ use forust_comm::{crc32, try_read_vec, Communicator, Wire};
 
 use crate::connectivity::Connectivity;
 use crate::dim::Dim;
+use crate::forest::partition::cut;
 use crate::forest::Forest;
 use crate::octant::Octant;
 
@@ -416,7 +419,7 @@ impl<D: Dim> Forest<D> {
         segments: &[Vec<u8>],
         fmt: SolverFormat,
     ) -> Result<(Self, Vec<T>, CheckpointMeta), CheckpointError> {
-        let (p, rank) = (comm.size() as u64, comm.rank() as u64);
+        let (p, rank) = (comm.size(), comm.rank());
         let pe = fmt.per_element;
         let mut want: Option<Header> = None;
         let mut trees: Vec<Vec<Octant<D>>> = vec![Vec::new(); conn.num_trees()];
@@ -471,11 +474,14 @@ impl<D: Dim> Forest<D> {
                 return Err(format_err(&origin, detail));
             }
 
-            // The part of this segment inside this rank's interval (u128:
-            // a header's count cannot overflow the cut).
+            // The part of this segment inside this rank's interval, cut
+            // where Partition cuts so a restore onto the saving rank count
+            // reproduces the saved partition.
             let n = octs.len() as u64;
-            let cut = |r: u64| (want.global_octants as u128 * r as u128 / p as u128) as u64;
-            let (lo, hi) = (cut(rank), cut(rank + 1));
+            let (lo, hi) = (
+                cut(rank, want.global_octants, p),
+                cut(rank + 1, want.global_octants, p),
+            );
             let a = (lo.clamp(total, total + n) - total) as usize;
             let b = (hi.clamp(total, total + n) - total) as usize;
             for &(t, o) in &octs[a..b] {
@@ -587,6 +593,36 @@ mod tests {
             f.num_global()
         });
         assert_eq!(before[0], after[0]);
+    }
+
+    /// Restore cuts where Partition cuts: with `P ∤ N`, restoring a
+    /// partitioned forest onto the saving rank count hands every rank back
+    /// its own octants and the state riding with them.
+    #[test]
+    fn restore_onto_saving_ranks_reproduces_the_partition() {
+        const FMT: SolverFormat = SolverFormat {
+            magic: 0x4355_5453,
+            per_element: 2,
+        };
+        run_spmd(3, |comm| {
+            let conn = Arc::new(builders::moebius());
+            let mut f = Forest::<D2>::new_uniform(Arc::clone(&conn), comm, 1);
+            f.refine(comm, true, |t, o| t == 2 && o.level < 3);
+            f.balance(comm, BalanceType::Full);
+            f.partition(comm);
+            assert_ne!(f.num_global() % 3, 0, "the sample must not divide evenly");
+            let mine: Vec<(u32, Octant<D2>)> = f.iter_local().map(|(t, o)| (t, *o)).collect();
+            let state: Vec<u64> = mine
+                .iter()
+                .flat_map(|&(t, o)| [t as u64, o.morton()])
+                .collect();
+            let blobs = comm.allgather_bytes(f.segment_bytes(3, FMT, 0, 0.0, &state));
+            let (g, restored, _) =
+                Forest::<D2>::from_segments::<u64>(conn, comm, &blobs, FMT).expect("restore");
+            let got: Vec<(u32, Octant<D2>)> = g.iter_local().map(|(t, o)| (t, *o)).collect();
+            assert_eq!(got, mine, "rank {}: octants moved", comm.rank());
+            assert_eq!(restored, state, "rank {}: state moved", comm.rank());
+        });
     }
 
     /// Save a refined 2D forest from `ranks` ranks and return its global

@@ -13,6 +13,14 @@ use crate::dim::Dim;
 use crate::forest::Forest;
 use crate::octant::Octant;
 
+/// First weight prefix of rank `r` when a curve of weight `total` is cut
+/// into `p` parts: `⌈r·total/p⌉` (u128: no overflow). Rank `r` holds the
+/// prefixes `[cut(r), cut(r+1))`, so prefix `w` lands on `⌊w·p/total⌋`.
+/// Partition and checkpoint restore both cut the curve here.
+pub(crate) fn cut(r: usize, total: u64, p: usize) -> u64 {
+    (r as u128 * total as u128).div_ceil(p as u128) as u64
+}
+
 impl<D: Dim> Forest<D> {
     /// Repartition so every rank holds an equal (±1) number of octants.
     pub fn partition(&mut self, comm: &impl Communicator) {
@@ -56,17 +64,17 @@ impl<D: Dim> Forest<D> {
             return payload;
         }
 
-        // Destination of an octant whose exclusive weight prefix is `w`: the
-        // rank whose bucket [r*W/P, (r+1)*W/P) holds it (u128: no overflow).
-        let dest_of = |w: u64| -> usize {
-            let r = (w as u128 * p as u128 / grand_total as u128) as usize;
-            r.min(p - 1)
-        };
+        // An octant goes to the rank whose interval [cut(r), cut(r+1))
+        // holds its exclusive weight prefix `w`; prefixes only grow, so
+        // the destination is a forward sweep over the cuts.
         let mut outgoing: Vec<Vec<(u32, Octant<D>, T)>> = (0..p).map(|_| Vec::new()).collect();
-        let mut w = my_offset;
+        let (mut w, mut dest) = (my_offset, 0);
         for (((t, o), wt), pl) in self.iter_local().zip(&weights).zip(payload) {
             debug_assert!(*wt > 0, "partition weights must be positive");
-            outgoing[dest_of(w)].push((t, *o, pl));
+            while dest + 1 < p && cut(dest + 1, grand_total, p) <= w {
+                dest += 1;
+            }
+            outgoing[dest].push((t, *o, pl));
             w += wt;
         }
 

@@ -1033,14 +1033,6 @@ pub struct AssemblePending<'a, C: Communicator> {
     pending: PendingExchange<'a, C>,
 }
 
-impl<C: Communicator> AssemblePending<'_, C> {
-    /// Receive whatever has already arrived, without blocking; `true`
-    /// once every peer's partials are in.
-    pub fn poll(&mut self) -> bool {
-        self.pending.poll()
-    }
-}
-
 impl<D: Dim> Nodes<D> {
     /// Node indices of local element `e`, lattice x-fastest.
     pub fn element(&self, e: usize) -> &[u32] {

@@ -13,8 +13,7 @@ use forust::dim::D3;
 use forust::forest::{read_dir, write_dir, BalanceType, Forest, SolverFormat};
 use forust::octant::Octant;
 use forust_comm::{
-    run_spmd, run_spmd_with, ChaosComm, CommConfig, Communicator, FaultPlan, RankCrashed,
-    ThreadComm,
+    run_spmd, run_spmd_with, ChaosComm, Communicator, FaultPlan, RankCrashed, ThreadComm,
 };
 
 fn tmpdir(name: &str) -> PathBuf {
@@ -99,7 +98,7 @@ fn crash_between_exchange_begin_and_end_recovers_from_checkpoint() {
     let pd = probe_dir.clone();
     let probe = run_spmd_with(
         RANKS,
-        CommConfig::default(),
+        None,
         |tc| ChaosComm::new(tc, FaultPlan::new(0)),
         move |comm| program(comm, &pd),
     );
@@ -116,7 +115,7 @@ fn crash_between_exchange_begin_and_end_recovers_from_checkpoint() {
     let caught = std::panic::catch_unwind(move || {
         run_spmd_with(
             RANKS,
-            CommConfig::default(),
+            None,
             move |tc| ChaosComm::new(tc, plan.clone()),
             move |comm| program(comm, &cd),
         );

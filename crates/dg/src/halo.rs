@@ -517,12 +517,6 @@ pub struct HaloPending<'a, C: Communicator, D: Dim, R: HaloLane = f64> {
 }
 
 impl<'a, C: Communicator, D: Dim, R: HaloLane> HaloPending<'a, C, D, R> {
-    /// Receive whatever has already arrived, without blocking; `true`
-    /// once every peer's buffer is in (then `finish` will not block).
-    pub fn poll(&mut self) -> bool {
-        self.pending.poll()
-    }
-
     /// Block until the exchange completes and unpack the ghost traces.
     pub fn finish(self) -> HaloData<'a, D, R> {
         let _span = forust_obs::span!(R::SPAN_FINISH);
@@ -830,11 +824,10 @@ mod tests {
             let full = mesh.exchange_element_data(comm, &u, npe);
             let halo = HaloExchange::build(&mesh);
 
-            let mut pending = halo.begin(comm, &u, 1);
-            // Interior-work stand-ins: a collective plus a poll.
+            let pending = halo.begin(comm, &u, 1);
+            // Interior-work stand-in: a collective.
             let total = comm.allreduce_sum_u64(mesh.num_elements() as u64);
             assert!(total > 0);
-            let _ = pending.poll();
             let data = pending.finish();
 
             let mut out = Vec::new();

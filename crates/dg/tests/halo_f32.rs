@@ -9,10 +9,7 @@ use std::sync::Arc;
 use forust::connectivity::builders;
 use forust::dim::D3;
 use forust::forest::{BalanceType, Forest};
-use forust_comm::{
-    run_spmd, run_spmd_with, ChaosComm, CommConfig, Communicator, FaultPlan, ReliableComm,
-    RetryPolicy,
-};
+use forust_comm::{run_spmd, run_spmd_with, ChaosComm, Communicator, FaultPlan, ReliableComm};
 use forust_dg::mesh::{DgMesh, ElemRef, FaceConn};
 use forust_dg::{HaloExchange, TAG_HALO_EXCHANGE, TAG_HALO_EXCHANGE_F32};
 
@@ -151,17 +148,14 @@ fn f32_exchange_serial_is_silent() {
 fn f32_wire_survives_corruption_under_reliable_comm() {
     let healed = run_spmd_with(
         3,
-        CommConfig::default(),
+        None,
         |tc| {
-            ReliableComm::new(
-                ChaosComm::new(
-                    tc,
-                    FaultPlan::new(42)
-                        .with_corruption(0.3)
-                        .with_retransmit_corruption(0.0),
-                ),
-                RetryPolicy::default(),
-            )
+            ReliableComm::new(ChaosComm::new(
+                tc,
+                FaultPlan::new(42)
+                    .with_corruption(0.3)
+                    .with_retransmit_corruption(0.0),
+            ))
         },
         |comm| {
             for seed in 0..5u64 {

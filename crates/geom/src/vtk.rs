@@ -89,14 +89,16 @@ mod tests {
     use crate::LatticeMap;
     use forust::connectivity::builders;
     use forust::dim::D2;
-    use forust_comm::{run_spmd, Communicator, SerialComm};
+    use forust_comm::{run_spmd, Communicator};
     use std::sync::Arc;
 
     #[test]
     fn writes_parsable_vtk() {
-        let comm = SerialComm::new();
         let conn = Arc::new(builders::moebius());
-        let forest = Forest::<D2>::new_uniform(Arc::clone(&conn), &comm, 1);
+        let forest = run_spmd(1, |comm| {
+            Forest::<D2>::new_uniform(Arc::clone(&conn), comm, 1)
+        })
+        .remove(0);
         let map = LatticeMap::new(conn);
         let dir = std::env::temp_dir().join("forust_vtk_test");
         std::fs::create_dir_all(&dir).unwrap();

@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use forust::connectivity::{builders, Connectivity};
 use forust::dim::D3;
-use forust_comm::{run_spmd, run_spmd_with, ChaosComm, CommConfig, FaultPlan};
+use forust_comm::{run_spmd, run_spmd_with, ChaosComm, FaultPlan};
 use forust_geom::{Mapping, ShellMap};
 use forust_mantle::{MantleAttemptResult, MantleConfig, MantleRecoverySetup};
 use forust_resilience::{attempt, run_with_recovery, RecoveryOptions};
@@ -110,7 +110,7 @@ fn crash_mid_minres_recovery_is_bitwise_identical() {
     let opts = RecoveryOptions::default();
     let calib = run_spmd_with(
         RANKS,
-        CommConfig::default(),
+        None,
         |tc| ChaosComm::new(tc, FaultPlan::new(1)),
         move |comm| (attempt(comm, &s_calib, &calib_dir, &opts).0, comm.calls()),
     );

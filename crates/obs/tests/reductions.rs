@@ -1,7 +1,7 @@
-//! Satellite: cross-rank metric reductions on `SerialComm` and
-//! `ThreadComm` at 1/3/5 ranks, checked against hand computations.
+//! Satellite: cross-rank metric reductions on `ThreadComm` at 1/3/5
+//! ranks, checked against hand computations.
 
-use forust_comm::{run_spmd, Communicator, SerialComm};
+use forust_comm::{run_spmd, Communicator};
 use forust_obs::metrics::{reduce_metrics, MetricSummary, Registry};
 use forust_obs::{hist_bucket, LocalReport, PhaseStat, StepRecord, HIST_BUCKETS};
 
@@ -17,8 +17,10 @@ fn find<'a>(sums: &'a [MetricSummary], name: &str) -> &'a MetricSummary {
 
 #[test]
 fn serial_single_rank_is_identity() {
-    let comm = SerialComm::new();
-    let sums = reduce_metrics(&comm, &[entry("balance", 2.5), entry("ghost", 0.5)]);
+    let sums = run_spmd(1, |comm| {
+        reduce_metrics(comm, &[entry("balance", 2.5), entry("ghost", 0.5)])
+    })
+    .remove(0);
     assert_eq!(sums.len(), 2);
     let b = find(&sums, "balance");
     assert_eq!((b.min, b.mean, b.max), (2.5, 2.5, 2.5));
@@ -29,8 +31,10 @@ fn serial_single_rank_is_identity() {
 
 #[test]
 fn serial_repeated_entries_sum() {
-    let comm = SerialComm::new();
-    let sums = reduce_metrics(&comm, &[entry("x", 1.0), entry("x", 2.0)]);
+    let sums = run_spmd(1, |comm| {
+        reduce_metrics(comm, &[entry("x", 1.0), entry("x", 2.0)])
+    })
+    .remove(0);
     let x = find(&sums, "x");
     assert_eq!((x.min, x.mean, x.max), (3.0, 3.0, 3.0));
 }
@@ -139,7 +143,6 @@ fn registry_collect_from_three_ranks() {
 
 #[test]
 fn phase_table_sums_to_total() {
-    let comm = SerialComm::new();
     let local = LocalReport {
         rank: 0,
         phases: vec![
@@ -161,7 +164,7 @@ fn phase_table_sums_to_total() {
         dropped_events: 0,
         ..Default::default()
     };
-    let rep = Registry::collect_from(&comm, &local);
+    let rep = run_spmd(1, |comm| Registry::collect_from(comm, &local)).remove(0);
     assert!((rep.tracked_self_s() - 0.9).abs() < 1e-9);
     assert!((rep.coverage(1.0) - 0.9).abs() < 1e-9);
     let table = rep.phase_table(1.0);
@@ -172,11 +175,10 @@ fn phase_table_sums_to_total() {
     assert!(table.contains("10.00%"));
 }
 
-/// Histogram reduction, 1 rank on `SerialComm`: the summary is the
-/// identity of the local bucket counts.
+/// Histogram reduction, 1 rank: the summary is the identity of the local
+/// bucket counts.
 #[test]
 fn serial_hist_single_rank_identity() {
-    let comm = SerialComm::new();
     let mut buckets = vec![0u64; HIST_BUCKETS];
     buckets[hist_bucket(3)] = 4; // 4 samples of value 3 → bucket 2
     buckets[hist_bucket(100)] = 1; // value 100 → bucket 7
@@ -185,7 +187,7 @@ fn serial_hist_single_rank_identity() {
         hists: vec![("lat".to_string(), buckets)],
         ..Default::default()
     };
-    let rep = Registry::collect_from(&comm, &local);
+    let rep = run_spmd(1, |comm| Registry::collect_from(comm, &local)).remove(0);
     let h = rep.hist("lat").expect("lat histogram");
     assert_eq!(h.buckets.len(), 2, "only populated buckets ship");
     assert_eq!(h.buckets[0].0, 2);

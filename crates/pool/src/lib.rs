@@ -700,10 +700,18 @@ impl<T> PerLane<T> {
 mod tests {
     use super::*;
     use std::collections::BTreeSet;
-    use std::sync::atomic::AtomicU32;
+    use std::sync::atomic::{AtomicBool, AtomicU32};
+    use std::sync::{MutexGuard, PoisonError};
+    use std::time::Duration;
 
     /// Tests touching the process-global override run serialized.
     static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
+
+    /// Take [`OVERRIDE_LOCK`]; a test that failed while holding it must
+    /// not fail every later one.
+    fn override_lock() -> MutexGuard<'static, ()> {
+        OVERRIDE_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn every_index_runs_exactly_once() {
@@ -797,7 +805,7 @@ mod tests {
 
     #[test]
     fn nested_calls_run_inline() {
-        let _guard = OVERRIDE_LOCK.lock().unwrap();
+        let _guard = override_lock();
         set_worker_override(Some(3));
         let total = AtomicUsize::new(0);
         with(|p| {
@@ -815,7 +823,7 @@ mod tests {
 
     #[test]
     fn worker_counters_drain_into_rank_recorder() {
-        let _guard = OVERRIDE_LOCK.lock().unwrap();
+        let _guard = override_lock();
         set_worker_override(Some(3));
         obs::install(11);
         obs::reset();
@@ -846,18 +854,28 @@ mod tests {
 
     #[test]
     fn reset_hook_clears_pending_worker_drains() {
-        let _guard = OVERRIDE_LOCK.lock().unwrap();
+        let _guard = override_lock();
         set_worker_override(Some(3));
         obs::install(12);
         obs::reset();
         // A job whose rank-lane (lane 0) body panics: the unwind skips
         // the absorb at the end of `run`, so the workers' per-job drains
-        // stay pending in the pool.
+        // stay pending in the pool. The workers hold their first chunk
+        // until lane 0 has one (bounded), or they could steal all of lane
+        // 0's chunks before it starts and the panic would never fire.
+        let lane0_started = AtomicBool::new(false);
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             with(|p| {
                 p.par_for_each(30, 1, |_, lane| {
                     if lane == 0 {
+                        lane0_started.store(true, Ordering::Release);
                         panic!("injected");
+                    }
+                    let t0 = Instant::now();
+                    while !lane0_started.load(Ordering::Acquire)
+                        && t0.elapsed() < Duration::from_secs(10)
+                    {
+                        std::thread::yield_now();
                     }
                     obs::counter_add("pool.leak.visits", 1);
                 });
@@ -892,7 +910,7 @@ mod tests {
 
     #[test]
     fn configured_width_prefers_override() {
-        let _guard = OVERRIDE_LOCK.lock().unwrap();
+        let _guard = override_lock();
         set_worker_override(Some(5));
         assert_eq!(configured_workers(), 5);
         set_worker_override(None);

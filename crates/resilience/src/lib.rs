@@ -35,8 +35,7 @@ use std::time::Duration;
 
 use forust::forest::{read_dir, write_dir, CheckpointError};
 use forust_comm::{
-    run_spmd_with, ChaosComm, CommConfig, Communicator, FaultPlan, RankCrashed, ReliableComm,
-    RetryPolicy, TAG_COLLECTIVE,
+    run_spmd_with, ChaosComm, Communicator, FaultPlan, RankCrashed, ReliableComm, TAG_COLLECTIVE,
 };
 
 /// Reserved tag lane for buddy-checkpoint mirroring (below the collective,
@@ -453,8 +452,9 @@ fn write_crash_postmortem(
 /// buddy memory and the post-mortem bundle.
 ///
 /// Every attempt runs on one stack, `ReliableComm<ChaosComm<ThreadComm>>`
-/// under the default [`RetryPolicy`]: the first with `plan`, restarts with
-/// the empty [`FaultPlan`], under which the chaos layer is a pass-through.
+/// under the transport's 60 s receive deadline: the first with `plan`,
+/// restarts with the empty [`FaultPlan`], under which the chaos layer is a
+/// pass-through.
 pub fn run_with_recovery_opts<R: Recoverable>(
     ranks: usize,
     restart_ranks: usize,
@@ -484,10 +484,8 @@ pub fn run_with_recovery_opts<R: Recoverable>(
         let run = catch_unwind(AssertUnwindSafe(|| -> Vec<RankReport<R::Final>> {
             run_spmd_with(
                 p,
-                CommConfig::with_deadline(DEADLINE),
-                move |tc| {
-                    ReliableComm::new(ChaosComm::new(tc, faults.clone()), RetryPolicy::default())
-                },
+                Some(DEADLINE),
+                move |tc| ReliableComm::new(ChaosComm::new(tc, faults.clone())),
                 |comm| {
                     let (result, source) =
                         flight_guarded_attempt(comm, exp, ckpt_root, opts, || {

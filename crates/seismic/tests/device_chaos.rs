@@ -16,7 +16,7 @@ use std::sync::Arc;
 use forust::connectivity::{builders, Connectivity};
 use forust::dim::D3;
 use forust::forest::{CheckpointError, Forest};
-use forust_comm::{run_spmd, run_spmd_with, ChaosComm, CommConfig, Communicator, FaultPlan};
+use forust_comm::{run_spmd, run_spmd_with, ChaosComm, Communicator, FaultPlan};
 use forust_geom::{Mapping, ShellMap};
 use forust_resilience::{attempt, run_with_recovery, Recoverable, RecoveryOptions};
 use forust_seismic::{
@@ -176,7 +176,7 @@ fn corrupt_and_crash_mid_device_step_recovers_within_bound() {
     let opts = RecoveryOptions::default();
     let calib = run_spmd_with(
         RANKS,
-        CommConfig::default(),
+        None,
         |tc| ChaosComm::new(tc, FaultPlan::new(1)),
         move |comm| (attempt(comm, &s_calib, &calib_dir, &opts).0, comm.calls()),
     );

@@ -1,8 +1,9 @@
-//! Worker-count invariance of the f32 device backend: a device step is
-//! per-lane arithmetic over SoA blocks with a fixed accumulation order,
-//! so the state bits must not depend on how the pool chunks the blocks.
-//! The full f32 state (q and resid arenas) must be **bitwise** identical
-//! at 1, 2 and 4 pool workers on an adapted 3-rank mesh.
+//! Worker-count invariance of the f32 device tier: a device step runs the
+//! host's element kernel at `R = f32`, one element per work unit with a
+//! fixed accumulation order, so the state bits must not depend on how the
+//! pool chunks the elements. The full f32 state (`q` and the RK register)
+//! must be **bitwise** identical at 1, 2 and 4 pool workers on an adapted
+//! 3-rank mesh.
 //!
 //! Own test binary: the worker override is process-global.
 

@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use forust::connectivity::{builders, Connectivity};
 use forust::dim::D3;
-use forust_comm::{run_spmd, run_spmd_with, ChaosComm, CommConfig, FaultPlan, RankCrashed};
+use forust_comm::{run_spmd, run_spmd_with, ChaosComm, FaultPlan, RankCrashed};
 use forust_geom::{Mapping, ShellMap};
 use forust_resilience::{attempt, run_with_recovery, RecoveryOptions};
 use forust_seismic::{prem_like_at, SeismicAttemptResult, SeismicConfig, SeismicRecoverySetup};
@@ -96,7 +96,7 @@ fn crash_mid_rk_recovery_is_bitwise_identical() {
     let opts = RecoveryOptions::default();
     let calib = run_spmd_with(
         RANKS,
-        CommConfig::default(),
+        None,
         |tc| ChaosComm::new(tc, FaultPlan::new(1)),
         move |comm| (attempt(comm, &s_calib, &calib_dir, &opts).0, comm.calls()),
     );

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use extreme_amr::advect::{four_fronts, rotation_velocity, AdvectConfig, RecoverySetup};
-use extreme_amr::comm::{run_spmd_with, ChaosComm, CommConfig, Communicator, FaultPlan};
+use extreme_amr::comm::{run_spmd_with, ChaosComm, Communicator, FaultPlan};
 use extreme_amr::forust::connectivity::{builders, Connectivity};
 use extreme_amr::forust::dim::D3;
 use extreme_amr::geom::{Mapping, ShellMap};
@@ -68,7 +68,7 @@ fn main() {
     let s_ref = setup.clone();
     let reference = run_spmd_with(
         RANKS,
-        CommConfig::default(),
+        None,
         |tc| ChaosComm::new(tc, FaultPlan::new(0)),
         move |comm| {
             obs::install(comm.rank());
@@ -192,7 +192,7 @@ fn main() {
     let s_delay = setup.clone();
     let delay_reports = run_spmd_with(
         RANKS,
-        CommConfig::default(),
+        None,
         |tc| ChaosComm::new(tc, FaultPlan::new(7).with_delay(0.25)),
         move |comm| {
             obs::install(comm.rank());

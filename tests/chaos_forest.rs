@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use extreme_amr::comm::{run_spmd, run_spmd_with, ChaosComm, CommConfig, Communicator, FaultPlan};
+use extreme_amr::comm::{run_spmd, run_spmd_with, ChaosComm, Communicator, FaultPlan};
 use extreme_amr::forust::connectivity::builders;
 use extreme_amr::forust::dim::D3;
 use extreme_amr::forust::forest::{BalanceType, Forest};
@@ -37,7 +37,7 @@ fn forest_pipeline_survives_message_delay_and_reordering() {
         let plan = FaultPlan::new(seed).with_delay(0.3);
         let chaotic = run_spmd_with(
             P,
-            CommConfig::default(),
+            None,
             move |tc| ChaosComm::new(tc, plan.clone()),
             pipeline,
         );
@@ -59,7 +59,7 @@ fn forest_pipeline_detects_injected_corruption() {
         let result = std::panic::catch_unwind(|| {
             run_spmd_with(
                 P,
-                CommConfig::default(),
+                None,
                 move |tc| ChaosComm::new(tc, plan.clone()),
                 pipeline,
             )
