@@ -15,7 +15,9 @@
 //! `"prev"` (same depth-1 cap as `BENCH_core.json`; the longer
 //! trajectory goes to `results/bench_history.jsonl` for the
 //! `bench_sentinel` gate). CI gates on the fused N=3 volume RHS being at
-//! least 2x the oracle path recorded in the same file.
+//! least 2x the oracle path recorded in the same file, and on the
+//! slowest `sweep_axis*` row of each const-`np` degree staying within 2x
+//! of the fastest.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -33,20 +35,20 @@ fn time_us(f: &mut impl FnMut()) -> f64 {
     t0.elapsed().as_secs_f64() * 1e6
 }
 
-/// Best (minimum) wall times of two kernels measured in **interleaved**
-/// reps (a, b, a, b, ...). Scheduling or frequency noise on a shared
+/// Best (minimum) wall times of `K` kernels measured in **interleaved**
+/// reps (a, b, ..., a, b, ...). Scheduling or frequency noise on a shared
 /// machine only ever *adds* time, so the minimum is the robust estimate
-/// of true kernel cost; interleaving keeps both sides in the same noise
+/// of true kernel cost; interleaving keeps every side in the same noise
 /// environment. Timing the sides in separate back-to-back blocks lets
-/// drift between the blocks skew the a/b ratio the CI gates on.
-fn paired_best_us(reps: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
-    let mut ta = f64::MAX;
-    let mut tb = f64::MAX;
+/// drift between the blocks skew the ratios the CI gates on.
+fn interleaved_best_us<const K: usize>(reps: usize, mut fs: [&mut dyn FnMut(); K]) -> [f64; K] {
+    let mut best = [f64::MAX; K];
     for _ in 0..reps {
-        ta = ta.min(time_us(&mut a));
-        tb = tb.min(time_us(&mut b));
+        for (t, f) in best.iter_mut().zip(fs.iter_mut()) {
+            *t = t.min(time_us(f));
+        }
     }
-    (ta, tb)
+    best
 }
 
 /// One benchmark record: kernel, degree, batch size, best wall time over
@@ -91,10 +93,10 @@ fn run_pair(
     np: usize,
     elements: usize,
     reps: usize,
-    a: impl FnMut(),
-    b: impl FnMut(),
+    mut a: impl FnMut(),
+    mut b: impl FnMut(),
 ) {
-    let (us_a, us_b) = paired_best_us(reps, a, b);
+    let [us_a, us_b] = interleaved_best_us(reps, [&mut a, &mut b]);
     record(records, name_a, degree, np, elements, us_a);
     record(records, name_b, degree, np, elements, us_b);
 }
@@ -391,6 +393,36 @@ fn bench_degree(records: &mut Vec<Record>, degree: usize, elements: usize, reps:
             black_box(acc);
         },
     );
+
+    // --- the 9-field sweep of each axis alone, at the const-`np` degrees:
+    // every axis runs the same products, so the slowest may cost at most
+    // 2x the fastest (the CI gate) — a runtime trip count shows here.
+    if kernels::SPECIALIZED_NP.contains(&np) {
+        let (fields, diff) = (&seis_fields, &re.diff);
+        let sweep = |axis: usize| {
+            let mut out = vec![0.0; npe];
+            move || {
+                let mut acc = 0.0;
+                for f in fields.chunks_exact(npe) {
+                    kernels::apply_axis_into(diff, np, 3, axis, f, &mut out);
+                    acc += out[0];
+                }
+                black_box(acc);
+            }
+        };
+        let (mut x, mut y, mut z) = (sweep(0), sweep(1), sweep(2));
+        let best = interleaved_best_us(reps, [&mut x, &mut y, &mut z]);
+        for (axis, us) in best.into_iter().enumerate() {
+            record(
+                records,
+                format!("sweep_axis{axis}_n{degree}"),
+                degree,
+                np,
+                nseis,
+                us,
+            );
+        }
+    }
 
     // --- the same production gradient at the device tier's precision:
     // `batched_gradient_any::<f32>` over demoted operator and fields.

@@ -248,57 +248,19 @@ impl<R: Real> FaceTables<R> {
 
     /// `x ← (H[half[1]] ⊗ H[half[0]]) x` in place on the face lattice of
     /// a `dim`-dimensional element, or the transposed factors when
-    /// `transposed`; `tmp` holds one face.
+    /// `transposed`; `tmp` holds one face. The two factors are the volume
+    /// engine's axis sweeps over a `dim - 1`-dimensional lattice, so at
+    /// the production degrees both run with compile-time trip counts.
     fn sweep(&self, dim: usize, half: [u8; 2], transposed: bool, x: &mut [R], tmp: &mut [R]) {
         let np = self.np;
-        let (m, mt) = if transposed {
-            (&self.half_t, &self.half)
-        } else {
-            (&self.half, &self.half_t)
-        };
+        let m = if transposed { &self.half_t } else { &self.half };
         let (h0, h1) = (half[0] as usize, half[1] as usize);
         if dim == 2 {
             tmp.copy_from_slice(x);
             return apply_axis_any(&m[h0], np, np, 1, 0, tmp, x);
         }
-        match np {
-            4 => sweep_face_fixed::<R, 4>(&mt[h0], &m[h1], x),
-            7 => sweep_face_fixed::<R, 7>(&mt[h0], &m[h1], x),
-            8 => sweep_face_fixed::<R, 8>(&mt[h0], &m[h1], x),
-            _ => {
-                apply_axis_any(&m[h0], np, np, 2, 0, x, tmp);
-                apply_axis_any(&m[h1], np, np, 2, 1, tmp, x);
-            }
-        }
-    }
-}
-
-/// Both tensor sweeps of an `NP x NP` face lattice at a production degree
-/// ([`crate::kernels::SPECIALIZED_NP`]): `x ← (m1 ⊗ m0) x` with `m0`
-/// given transposed. The volume engine's const instances leave the
-/// y-sweep's panel width to run time, which on a lattice this small
-/// costs more than the arithmetic (at `NP = 4` two such sweeps are
-/// slower than the dense `16 x 16` product); here every trip count is
-/// `NP`. Same products, same ascending-`q` accumulation from zero as
-/// [`apply_axis_any`] — bitwise the same result.
-fn sweep_face_fixed<R: Real, const NP: usize>(m0t: &[R], m1: &[R], x: &mut [R]) {
-    let (m0t, m1, x) = (&m0t[..NP * NP], &m1[..NP * NP], &mut x[..NP * NP]);
-    let mut tmp = [[R::ZERO; NP]; NP];
-    for (pencil, acc) in x.chunks_exact(NP).zip(tmp.iter_mut()) {
-        for q in 0..NP {
-            for a in 0..NP {
-                acc[a] += m0t[q * NP + a] * pencil[q];
-            }
-        }
-    }
-    for (a, row) in x.chunks_exact_mut(NP).enumerate() {
-        let mut acc = [R::ZERO; NP];
-        for q in 0..NP {
-            for i in 0..NP {
-                acc[i] += m1[a * NP + q] * tmp[q][i];
-            }
-        }
-        row.copy_from_slice(&acc);
+        apply_axis_any(&m[h0], np, np, 2, 0, x, tmp);
+        apply_axis_any(&m[h1], np, np, 2, 1, tmp, x);
     }
 }
 
@@ -383,32 +345,6 @@ mod tests {
     #[test]
     fn apply_and_transpose_are_adjoint_f32() {
         check_tier::<f32>(2e-5);
-    }
-
-    /// The const-size face sweeps against the volume engine's generic
-    /// sweeps: the same bits, forward and transposed.
-    #[test]
-    fn fixed_face_sweeps_match_apply_axis_bitwise() {
-        for degree in crate::kernels::SPECIALIZED_NP.map(|np| np - 1) {
-            let re = RefElement::new(degree);
-            let (tab, np, npf) = (&re.face_tables, re.np, re.np * re.np);
-            for half in [[0u8, 0], [1, 0], [0, 1], [1, 1]] {
-                for transposed in [false, true] {
-                    let m = if transposed { &tab.half_t } else { &tab.half };
-                    let x: Vec<f64> = synth(npf, degree);
-                    let (mut tmp, mut want) = (vec![0.0; npf], vec![0.0; npf]);
-                    apply_axis_any(&m[half[0] as usize], np, np, 2, 0, &x, &mut tmp);
-                    apply_axis_any(&m[half[1] as usize], np, np, 2, 1, &tmp, &mut want);
-                    let mut got = x.clone();
-                    tab.sweep(3, half, transposed, &mut got, &mut tmp);
-                    assert_eq!(
-                        got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                        want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                        "N={degree} half={half:?} transposed={transposed}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

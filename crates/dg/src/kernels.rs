@@ -17,10 +17,13 @@
 //!   every result **bitwise identical** to `apply_axis`.
 //! - **Degree monomorphization.** The paper's production degrees — N=3
 //!   (tricubic advection, `np = 4`) and N=6/7 (seismic, `np = 7/8`) — are
-//!   compiled as const-generic instances whose loop bounds are known to the
-//!   optimizer (full unroll + vectorization of the dot products). Every
-//!   other degree takes the runtime-`np` fallback, which runs the *same*
-//!   loop body and therefore produces the same bits.
+//!   compiled as const-generic instances in which every trip count is `NP`
+//!   on every axis: the y/z panel is walked in chunks of `NP` into a stack
+//!   accumulator (one body for both axes), so the optimizer fully unrolls
+//!   and vectorizes each axis alike. The face operators' tensor sweeps
+//!   ([`FaceOp`](crate::faceop::FaceOp)) are these sweeps over the face
+//!   lattice. Every other degree takes the runtime-`np` fallback, which
+//!   sums in the same order and therefore produces the same bits.
 //! - **Batching.** [`batched_gradient_into`] differentiates `nf` fields in
 //!   one operator sweep (axis outer, field inner), so seismic's 9
 //!   components and advect's tracer share the operator row traffic.
@@ -37,7 +40,10 @@ use crate::matrix::Matrix;
 use crate::real::Real;
 
 /// Paper production degrees compiled as const-generic instances: N=3
-/// advection (`np = 4`) and N=6/7 seismic (`np = 7/8`).
+/// advection (`np = 4`) and N=6/7 seismic (`np = 7/8`). At these `np`
+/// every square sweep — volume gradients, same-degree interpolation and
+/// the face operators' 2:1 sweeps — runs with compile-time trip counts on
+/// every axis.
 pub const SPECIALIZED_NP: [usize; 3] = [4, 7, 8];
 
 /// Apply a 1D operator (`npo x np`, row-major) along `axis` of a
@@ -96,8 +102,9 @@ pub fn apply_axis_any<R: Real>(
     apply_axis_runtime(op, np, npo, dim, axis, input, out)
 }
 
-/// Const-`NP` instance of the axis sweep: loop bounds known at compile
-/// time. Same loop body as [`apply_axis_runtime`] — bitwise identical.
+/// Const-`NP` instance of the axis sweep: every trip count is `NP`, on
+/// every axis. Same products, summed in the same order as
+/// [`apply_axis_runtime`] — bitwise identical.
 fn apply_axis_fixed<R: Real, const NP: usize>(op: &[R], axis: usize, input: &[R], out: &mut [R]) {
     if axis == 0 {
         // x sweep: one small matvec per pencil. The operator is staged
@@ -125,20 +132,29 @@ fn apply_axis_fixed<R: Real, const NP: usize>(op: &[R], axis: usize, input: &[R]
         }
     } else {
         // y/z sweep: broadcast op[a][q] over the unit-stride panel below
-        // `axis` (np values for y, np^2 for z).
+        // `axis` (NP values for y, NP^2 for z), NP values at a time. The
+        // NP input chunks at offset `k` of the panel are read once and
+        // every output row's chunk `k` is summed from them in a stack
+        // accumulator, so every trip count is NP. Per output the sum is
+        // `op[a][q] * pin[q]` over ascending `q` from 0.0, as in the
+        // oracle.
         let panel = NP.pow(axis as u32);
         let block = NP * panel;
         for (bin, bout) in input.chunks_exact(block).zip(out.chunks_exact_mut(block)) {
-            for a in 0..NP {
-                let o = &mut bout[a * panel..(a + 1) * panel];
-                o.fill(R::ZERO);
-                let row = &op[a * NP..(a + 1) * NP];
-                for q in 0..NP {
-                    let c = row[q];
-                    let pin = &bin[q * panel..(q + 1) * panel];
-                    for (ov, &iv) in o.iter_mut().zip(pin) {
-                        *ov += c * iv;
+            for k in (0..panel).step_by(NP) {
+                let pin: [&[R; NP]; NP] = std::array::from_fn(|q| {
+                    bin[q * panel + k..]
+                        .first_chunk()
+                        .expect("chunk inside the block")
+                });
+                for (a, row) in op.chunks_exact(NP).enumerate() {
+                    let mut acc = [R::ZERO; NP];
+                    for q in 0..NP {
+                        for x in 0..NP {
+                            acc[x] += row[q] * pin[q][x];
+                        }
                     }
+                    bout[a * panel + k..][..NP].copy_from_slice(&acc);
                 }
             }
         }
@@ -146,7 +162,7 @@ fn apply_axis_fixed<R: Real, const NP: usize>(op: &[R], axis: usize, input: &[R]
 }
 
 /// Runtime-`np` fallback (and the only path for rectangular operators).
-/// Same loop structure and accumulation order as the const instances.
+/// Same accumulation order as the const instances.
 fn apply_axis_runtime<R: Real>(
     op: &[R],
     np: usize,

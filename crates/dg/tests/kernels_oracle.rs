@@ -2,10 +2,13 @@
 //! kernel engine must be **bitwise** identical to the retained
 //! `RefElement::apply_axis` oracle for every degree 1–8 (covering both
 //! the const-generic instances np = 4/7/8 and the runtime fallback),
-//! every axis, dimension 2 and 3, and several field counts.
+//! every axis, dimension 2 and 3, and several field counts. The f32
+//! instance the device tier runs, and the face operators' tensor sweeps,
+//! are held bit for bit to an in-test loop of the same sums.
 
 use forust_dg::kernels;
-use forust_dg::{Matrix, RefElement};
+use forust_dg::real::demote_slice;
+use forust_dg::{FaceOp, Matrix, Real, RefElement};
 
 /// SplitMix64: tiny seeded PRNG (no external crates).
 struct SplitMix64(u64);
@@ -29,15 +32,34 @@ impl SplitMix64 {
     }
 }
 
-fn assert_bits_eq(got: &[f64], want: &[f64], ctx: &str) {
+/// Bit equality in either tier (widening to f64 is exact).
+fn assert_bits_eq<R: Real>(got: &[R], want: &[R], ctx: &str) {
     assert_eq!(got.len(), want.len(), "{ctx}: length mismatch");
     for (i, (g, w)) in got.iter().zip(want).enumerate() {
         assert_eq!(
-            g.to_bits(),
-            w.to_bits(),
-            "{ctx}: index {i} differs ({g} vs {w})"
+            g.to_f64().to_bits(),
+            w.to_f64().to_bits(),
+            "{ctx}: index {i} differs ({g:?} vs {w:?})"
         );
     }
+}
+
+/// `out[.., a, ..] = Σ_q op[a][q] · x[.., q, ..]` along `axis` of an
+/// `np^dim` lattice (x fastest), each sum over ascending `q` from zero.
+fn sweep_loop<R: Real>(op: &[R], np: usize, dim: usize, axis: usize, x: &[R]) -> Vec<R> {
+    assert_eq!(x.len(), np.pow(dim as u32));
+    let stride = np.pow(axis as u32);
+    let mut out = vec![R::ZERO; x.len()];
+    for (i, o) in out.iter_mut().enumerate() {
+        let a = i / stride % np;
+        let base = i - a * stride;
+        let mut acc = R::ZERO;
+        for q in 0..np {
+            acc += op[a * np + q] * x[base + q * stride];
+        }
+        *o = acc;
+    }
+    out
 }
 
 #[test]
@@ -129,6 +151,98 @@ fn batched_gradient_matches_oracle_per_field() {
             }
         }
     }
+}
+
+#[test]
+fn f32_sweeps_match_the_loop_bitwise() {
+    // The device tier's instance of the const-`np` sweeps, every axis.
+    let mut rng = SplitMix64(0x5eed_0007);
+    for np in kernels::SPECIALIZED_NP {
+        let re = RefElement::new(np - 1);
+        let mut diff: Vec<f32> = Vec::new();
+        demote_slice(&re.diff.data, &mut diff);
+        for dim in [2usize, 3] {
+            let npe = np.pow(dim as u32);
+            for nf in [1usize, 3, 9] {
+                let mut fields: Vec<f32> = Vec::new();
+                demote_slice(&rng.fill(nf * npe), &mut fields);
+                let mut grad = vec![0.0f32; nf * dim * npe];
+                kernels::batched_gradient_any(&diff, np, dim, &fields, nf, &mut grad);
+                for (f, field) in fields.chunks_exact(npe).enumerate() {
+                    for axis in 0..dim {
+                        let want = sweep_loop(&diff, np, dim, axis, field);
+                        let ctx = format!("np={np} dim={dim} nf={nf} f={f} axis={axis}");
+                        let mut got = vec![0.0f32; npe];
+                        kernels::apply_axis_any(&diff, np, np, dim, axis, field, &mut got);
+                        assert_bits_eq(&got, &want, &ctx);
+                        let at = (f * dim + axis) * npe;
+                        assert_bits_eq(&grad[at..at + npe], &want, &ctx);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `FaceOp::apply` across a 2:1 face is the gather, then `H[half[k]]`
+/// along face axis `k`; `apply_transpose` the transposed factors, then
+/// the scatter. Every orientation and half, in tier `R`.
+fn face_sweeps_match_the_loop<R: Real>(seed: u64) {
+    let mut rng = SplitMix64(seed);
+    for np in kernels::SPECIALIZED_NP {
+        let re = RefElement::new(np - 1);
+        let tab = re.face_tables.cast::<R>();
+        let tier = |m: Matrix| -> Vec<R> { m.data.iter().map(|&v| R::from_f64(v)).collect() };
+        let h = re.interp_half.clone().map(tier);
+        let ht = re.interp_half.each_ref().map(|m| tier(m.transpose()));
+        for dim in [2usize, 3] {
+            let (fd, npf) = (dim - 1, re.nodes_per_face(dim));
+            let (orients, halves): (u8, &[[u8; 2]]) = if dim == 2 {
+                (2, &[[0, 0], [1, 0]])
+            } else {
+                (8, &[[0, 0], [1, 0], [0, 1], [1, 1]])
+            };
+            for orient in 0..orients {
+                for &half in halves {
+                    let op = FaceOp {
+                        orient,
+                        half: Some(half),
+                    };
+                    let ctx = format!("np={np} dim={dim} {op:?}");
+                    let perm = tab.perm(dim, orient);
+                    let x: Vec<R> = rng.fill(npf).into_iter().map(R::from_f64).collect();
+                    let (mut s, mut got) = (vec![R::ZERO; npf], vec![R::ZERO; npf]);
+
+                    let mut want: Vec<R> = perm.iter().map(|&c| x[c as usize]).collect();
+                    for k in 0..fd {
+                        want = sweep_loop(&h[half[k] as usize], np, fd, k, &want);
+                    }
+                    op.apply(&tab, dim, &x, &mut s, &mut got);
+                    assert_bits_eq(&got, &want, &format!("{ctx} apply"));
+
+                    let mut swept = x.clone();
+                    for k in 0..fd {
+                        swept = sweep_loop(&ht[half[k] as usize], np, fd, k, &swept);
+                    }
+                    for (&v, &c) in swept.iter().zip(perm) {
+                        want[c as usize] = v;
+                    }
+                    op.apply_transpose(&tab, dim, &x, &mut s, &mut got);
+                    assert_bits_eq(&got, &want, &format!("{ctx} apply_transpose"));
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn face_sweeps_match_the_loop_bitwise_f64() {
+    face_sweeps_match_the_loop::<f64>(0x5eed_0008);
+}
+
+#[test]
+fn face_sweeps_match_the_loop_bitwise_f32() {
+    face_sweeps_match_the_loop::<f32>(0x5eed_0009);
 }
 
 #[test]

@@ -481,6 +481,29 @@ pub(crate) fn penalty_flux<R: Real>(
     d
 }
 
+/// The penalty flux jumps at every point `j` of one face, handed to
+/// `lift(j, jumps, sj[j])`. `qm` / `qp` are my and the neighbour's traces
+/// in flat component-major slabs (`npf` stride); the material is read at
+/// the volume node `fidx[j]` of the element's `mat_e`. Generic over the
+/// lift so each caller's lift is a static, inlinable call.
+fn face_flux<R: Real>(
+    mat_e: &[[R; 3]],
+    fidx: &[usize],
+    qm: &[R],
+    qp: &[R],
+    normals: &[[R; 3]],
+    sjs: &[R],
+    mut lift: impl FnMut(usize, [R; NCOMP], R),
+) {
+    let npf = fidx.len();
+    for j in 0..npf {
+        let qmj: [R; NCOMP] = std::array::from_fn(|c| qm[c * npf + j]);
+        let qpj: [R; NCOMP] = std::array::from_fn(|c| qp[c * npf + j]);
+        let d = penalty_flux(&qmj, &qpj, normals[j], mat_e[fidx[j]]);
+        lift(j, d, sjs[j]);
+    }
+}
+
 /// A scalar tier the elastic kernel runs in: `f64` on the host, `f32` on
 /// the device ([`crate::device`]), each with the floating-point
 /// environment its pool jobs run under.
@@ -679,42 +702,25 @@ impl<R: Tier> RhsKernel<D3> for Kernel<'_, R> {
             for f in 0..6 {
                 let fg = &self.faces[e * 6 + f];
                 let fidx = &self.face_idx[f];
-                // My face trace of all components.
-                for c in 0..NCOMP {
-                    for (j, &i) in fidx.iter().enumerate() {
-                        face_a[c * npf + j] = q[base + c * npe + i];
+                let conn = self.mesh.face(e, f);
+                // My face trace of all components (a 2:1 face takes it at
+                // the mortar points instead).
+                if !matches!(conn, FaceConn::FineNbrs { .. }) {
+                    for c in 0..NCOMP {
+                        for (j, &i) in fidx.iter().enumerate() {
+                            face_a[c * npf + j] = q[base + c * npe + i];
+                        }
                     }
                 }
-
-                let apply_flux =
-                    |qm: &[R],
-                     qp: &[R],
-                     normals: &[[R; 3]],
-                     sjs: &[R],
-                     lift: &mut dyn FnMut(usize, [R; NCOMP], R)| {
-                        for j in 0..npf {
-                            // Assemble the nodal states from the flat slabs.
-                            let mut qmj = [R::ZERO; NCOMP];
-                            let mut qpj = [R::ZERO; NCOMP];
-                            for c in 0..NCOMP {
-                                qmj[c] = qm[c * npf + j];
-                                qpj[c] = qp[c * npf + j];
-                            }
-                            let m = self.mat[e * npe + fidx[j]]; // at the volume node
-                            let d = penalty_flux(&qmj, &qpj, normals[j], m);
-                            lift(j, d, sjs[j]);
-                        }
-                    };
-
                 // Nodal lift of the flux jumps of a boundary or same-size face.
-                let mut lift_nodal = |j: usize, d: [R; NCOMP], s: R| {
+                let lift_nodal = |j: usize, d: [R; NCOMP], s: R| {
                     let v = fidx[j];
                     let coef = self.wf[j] * s / (self.wv[v] * det[v]);
                     for (c, dc) in d.iter().enumerate() {
                         out_e[c * npe + v] += coef * *dc;
                     }
                 };
-                match self.mesh.face(e, f) {
+                match conn {
                     FaceConn::Boundary => {
                         // Traction-free: mirror with opposite traction.
                         // qp = qm with strain negated gives tp = -tm and
@@ -725,7 +731,7 @@ impl<R: Tier> RhsKernel<D3> for Kernel<'_, R> {
                                 face_b[c * npf + j] = if c >= 3 { -s } else { s };
                             }
                         }
-                        apply_flux(face_a, face_b, &fg.normal, &fg.sj, &mut lift_nodal);
+                        face_flux(mat_e, fidx, face_a, face_b, &fg.normal, &fg.sj, lift_nodal);
                     }
                     FaceConn::Conforming { nbr, nbr_face, op }
                     | FaceConn::CoarseNbr { nbr, nbr_face, op } => {
@@ -733,46 +739,32 @@ impl<R: Tier> RhsKernel<D3> for Kernel<'_, R> {
                         for (c, qp) in face_b.chunks_exact_mut(npf).enumerate() {
                             nbr_trace(*op, *nbr, *nbr_face, c, face_c, qp);
                         }
-                        apply_flux(face_a, face_b, &fg.normal, &fg.sj, &mut lift_nodal);
+                        face_flux(mat_e, fidx, face_a, face_b, &fg.normal, &fg.sj, lift_nodal);
                     }
                     FaceConn::FineNbrs { subs } => {
                         let flux = &mut grad[..NCOMP * npf];
                         for (si, sub) in subs.iter().enumerate() {
                             let sg = &fg.subs[si];
                             // My trace at the fine mortar points, straight
-                            // out of `q` (the raw trace in face_a is not
-                            // read again), against the fine neighbor's
-                            // trace at its own face nodes.
+                            // out of `q`, against the fine neighbor's trace
+                            // at its own face nodes.
                             for c in 0..NCOMP {
                                 let mine = &q[base + c * npe..][..npe];
                                 let at = c * npf..(c + 1) * npf;
-                                sub.op.apply_indexed(
-                                    tab,
-                                    3,
-                                    mine,
-                                    fidx,
-                                    face_c,
-                                    &mut face_a[at.clone()],
-                                );
-                                let their = &mut face_b[at];
-                                nbr_trace(
-                                    FaceOp::IDENTITY,
-                                    sub.nbr,
-                                    sub.nbr_face,
-                                    c,
-                                    face_c,
-                                    their,
-                                );
+                                let (qm, qp) = (&mut face_a[at.clone()], &mut face_b[at]);
+                                sub.op.apply_indexed(tab, 3, mine, fidx, face_c, qm);
+                                nbr_trace(FaceOp::IDENTITY, sub.nbr, sub.nbr_face, c, face_c, qp);
                             }
                             // Quadrature-weighted flux jumps at the mortar
                             // points, then the lift through the mortar
                             // transpose, component by component.
-                            apply_flux(face_a, face_b, &sg.normal, &sg.sj, &mut |j, d, s| {
+                            let weigh = |j: usize, d: [R; NCOMP], s: R| {
                                 let w = self.wf[j] * s;
                                 for (c, dc) in d.iter().enumerate() {
                                     flux[c * npf + j] = w * *dc;
                                 }
-                            });
+                            };
+                            face_flux(mat_e, fidx, face_a, face_b, &sg.normal, &sg.sj, weigh);
                             let lifted = &mut lifted[..npf];
                             for (c, g) in flux.chunks_exact(npf).enumerate() {
                                 sub.op.apply_transpose(tab, 3, g, face_c, lifted);
