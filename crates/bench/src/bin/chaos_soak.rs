@@ -10,8 +10,8 @@
 //! counters, and exits nonzero if any cell diverged, any retransmit cap
 //! overflowed (`comm.retry.exhausted`), or no fault ever actually fired.
 //!
-//! Bounded for CI via `FORUST_SOAK_SEEDS` (default 2) and
-//! `FORUST_SOAK_RANKS` (default `1,3,5`).
+//! Bounded for CI via `FORUST_SOAK_SEEDS` (default 2); the rank counts
+//! are 1, 3 and 5.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -27,6 +27,7 @@ use forust_resilience::{attempt, run_with_recovery, Recoverable, RecoveryOptions
 use forust_seismic::{prem_like_at, SeismicConfig, SeismicRecoverySetup};
 
 const FAULTS: [&str; 3] = ["delay", "corrupt", "crash"];
+const RANKS: [usize; 3] = [1, 3, 5];
 
 fn build_conn() -> Connectivity<D3> {
     builders::cubed_sphere()
@@ -208,27 +209,18 @@ fn soak<R, B>(
     }
 }
 
-fn env_usize(key: &str, default: u64) -> u64 {
-    std::env::var(key)
+fn main() {
+    let seeds: u64 = std::env::var("FORUST_SOAK_SEEDS")
         .ok()
         .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
+        .unwrap_or(2);
 
-fn main() {
-    let seeds = env_usize("FORUST_SOAK_SEEDS", 2);
-    let ranks: Vec<usize> = std::env::var("FORUST_SOAK_RANKS")
-        .unwrap_or_else(|_| "1,3,5".into())
-        .split(',')
-        .filter_map(|s| s.trim().parse().ok())
-        .collect();
-
-    println!("# Chaos soak: seeds x {{delay, corrupt, crash}} x {{advect, seismic, mantle}} x ranks {ranks:?}");
+    println!("# Chaos soak: seeds x {{delay, corrupt, crash}} x {{advect, seismic, mantle}} x ranks {RANKS:?}");
     println!("# oracle: bitwise-identical final state vs fault-free run\n");
 
     let mut cells = Vec::new();
     let mut totals = Totals::default();
-    for &p in &ranks {
+    for p in RANKS {
         soak(
             "advect",
             p,

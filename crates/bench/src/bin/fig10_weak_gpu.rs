@@ -4,10 +4,11 @@
 //! elements per GPU (~24.6K), columns: mesh generation time, CPU->GPU
 //! transfer time, wave-prop time per step normalized by elements per GPU
 //! (microseconds), parallel efficiency (0.997 at 256 GPUs), single
-//! precision Tflops. Substitution: the device is the f32 data-parallel
-//! tier (DESIGN.md §3); "GPUs" are simulated ranks each holding the f32
-//! buffers of its elements, with the halo exchanged on the f32 wire lane
-//! each RHS evaluation.
+//! precision Tflops. Substitution: the device is the f32 tier of the one
+//! element kernel (DESIGN.md §3, §7g); "GPUs" are simulated ranks, each
+//! stepping f32 copies of its elements' state and metric through the
+//! shared stepper at `R = f32`, with the ghost traces exchanged on the
+//! f32 wire lane each RHS evaluation.
 
 use std::sync::Arc;
 
@@ -19,12 +20,9 @@ use forust_geom::{Mapping, ShellMap};
 use forust_seismic::{prem_like_at, DeviceState, SeismicConfig, SeismicSolver};
 use std::time::Instant;
 
-fn main() {
-    let steps: usize = std::env::var("FORUST_FIG10_STEPS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(3);
+const STEPS: usize = 3;
 
+fn main() {
     println!("# Fig. 10 reproduction: weak scaling of the device (f32) backend");
     println!("# shell24, PREM-like model; constant elements per device\n");
     println!(
@@ -46,7 +44,8 @@ fn main() {
                 degree: 3,
                 min_level: 1,
                 // Wavelength-adapted: 2:1 mortar faces run on the device
-                // too (scalar per-lane path), as in the paper's GPU runs.
+                // too, through the host's element kernel, as in the
+                // paper's GPU runs.
                 max_level: 2,
                 f0: 2.0,
                 ..Default::default()
@@ -59,10 +58,10 @@ fn main() {
             let transfer_s = t0.elapsed().as_secs_f64();
 
             let t0 = Instant::now();
-            for _ in 0..steps {
+            for _ in 0..STEPS {
                 dev.step(&solver, comm);
             }
-            let wave_s = t0.elapsed().as_secs_f64() / steps as f64;
+            let wave_s = t0.elapsed().as_secs_f64() / STEPS as f64;
             (
                 solver.mesh.num_elements() as u64,
                 mesh_s,

@@ -6,10 +6,9 @@
 //! exceeding four levels of size difference"; core count x8 per level
 //! increment, ~2.3M octants per core, largest run 5.13e11 octants on
 //! 220,320 cores. Scaled down here: simulated ranks sweep 1..=8 with a
-//! few thousand octants per rank (set `FORUST_FIG4_SCALE` to grow), and
-//! the same two outputs are produced: percentage of runtime per algorithm,
-//! and seconds per (million octants per rank) for Balance and Nodes with
-//! the derived parallel efficiency.
+//! few thousand octants per rank, and the same two outputs are produced:
+//! percentage of runtime per algorithm, and seconds per (million octants
+//! per rank) for Balance and Nodes with the derived parallel efficiency.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -19,17 +18,13 @@ use forust::dim::D3;
 use forust::forest::{BalanceType, Forest};
 use forust_comm::{run_spmd, Communicator};
 
-fn main() {
-    let scale: f64 = std::env::var("FORUST_FIG4_SCALE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1.0);
-    // Per-rank octant target (paper: 2.3e6; default here ~6e3).
-    let per_rank = (4000.0 * scale) as u64;
+/// Per-rank octant target (paper: 2.3e6).
+const PER_RANK: u64 = 4000;
 
+fn main() {
     println!("# Fig. 4 reproduction: weak scaling of p4est algorithms");
     println!("# forest: rotcubes6; fractal refinement of children {{0,3,5,6}}, depth 3");
-    println!("# paper: 2.3e6 octants/core, 12..220,320 cores; here: ~{per_rank} octants/rank\n");
+    println!("# paper: 2.3e6 octants/core, 12..220,320 cores; here: ~{PER_RANK} octants/rank\n");
     println!(
         "{:>5} {:>10} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} | {:>11} {:>11}",
         "P",
@@ -51,9 +46,9 @@ fn main() {
     let mut norms: Vec<(usize, f64, f64)> = Vec::new();
 
     for p in [1usize, 2, 4, 8] {
-        // Base level so total ~ p * per_rank: the depth-3 fractal
+        // Base level so total ~ p * PER_RANK: the depth-3 fractal
         // multiplies the uniform octant count by ~80.
-        let total_target = (p as u64 * per_rank) as f64;
+        let total_target = (p as u64 * PER_RANK) as f64;
         let base = ((total_target / (6.0 * 80.0)).ln() / 8f64.ln())
             .round()
             .max(1.0) as u8;

@@ -5,9 +5,8 @@
 //! 12..220,320 cores; reported: the AMR+projection share of runtime (7%
 //! at 12 cores growing to 27%) and 70% end-to-end weak-scaling
 //! efficiency. Scaled down here: ranks sweep 1..=4 at a few hundred
-//! elements per rank (grow with `FORUST_FIG5_STEPS`/`_LEVEL`), reporting
-//! the same split and the end-to-end efficiency normalized per
-//! element-step per rank.
+//! elements per rank, reporting the same split and the end-to-end
+//! efficiency normalized per element-step per rank.
 
 use std::sync::Arc;
 
@@ -18,16 +17,9 @@ use forust_advect::{four_fronts, rotation_velocity, AdvectConfig, AdvectSolver};
 use forust_comm::run_spmd;
 use forust_geom::ShellMap;
 
-fn main() {
-    let steps: usize = std::env::var("FORUST_FIG5_STEPS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(12);
-    let max_level: u8 = std::env::var("FORUST_FIG5_LEVEL")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2);
+const STEPS: usize = 12;
 
+fn main() {
     println!("# Fig. 5 reproduction: weak scaling of adaptive dG advection");
     println!("# shell24, degree 3, four spherical fronts, adapt every 4 steps");
     println!("# paper: 3200 elem/core, AMR overhead 7%->27%, 70% end-to-end efficiency\n");
@@ -48,7 +40,7 @@ fn main() {
                 degree: 3,
                 initial_level: 1,
                 min_level: 1,
-                max_level,
+                max_level: 2,
                 adapt_every: 4,
                 cfl: 0.4,
                 refine_tol: 0.1,
@@ -57,7 +49,7 @@ fn main() {
             let mut s =
                 AdvectSolver::new(comm, forest, map, config, four_fronts, rotation_velocity);
             let mut elem_steps = 0u64;
-            for _ in 0..steps {
+            for _ in 0..STEPS {
                 elem_steps += s.num_global_elements();
                 s.step(comm);
             }

@@ -9,6 +9,9 @@
 //! interpolation) is completely negligible against the implicit
 //! variable-viscosity Stokes solve. Scaled down: ranks sweep 1..=4 at a
 //! small shell resolution, same three buckets.
+//!
+//! The binary prints its table and writes its CSV, then exits nonzero if
+//! any Picard step's MINRES stopped at its iteration cap.
 
 use std::sync::Arc;
 
@@ -19,12 +22,9 @@ use forust_comm::run_spmd;
 use forust_geom::{Mapping, ShellMap};
 use forust_mantle::{MantleConfig, MantleSolver};
 
-fn main() {
-    let picard: usize = std::env::var("FORUST_FIG7_PICARD")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4);
+const PICARD: usize = 4;
 
+fn main() {
     println!("# Fig. 7 reproduction: runtime split of adaptive mantle convection");
     println!("# shell24, trilinear velocity-pressure, Picard + MINRES + weighted block Jacobi (the vcycle% column)\n");
     println!(
@@ -34,13 +34,14 @@ fn main() {
     let mut csv = String::from(
         "ranks,elements,unknowns,solve_s,vcycle_s,amr_s,krylov_iters,converged,rel_residual\n",
     );
+    let mut not_converged = 0usize;
     for p in [1usize, 2, 4] {
         let results = run_spmd(p, |comm| {
             let conn = Arc::new(builders::cubed_sphere());
             let forest = Forest::<D3>::new_uniform(Arc::clone(&conn), comm, 1);
             let map: Arc<dyn Mapping<D3> + Send + Sync> = Arc::new(ShellMap::new(conn, 0.55, 1.0));
             let config = MantleConfig {
-                picard_iters: picard,
+                picard_iters: PICARD,
                 amr_every: 2,
                 max_level: 2,
                 minres_iters: 150,
@@ -49,8 +50,8 @@ fn main() {
             };
             let mut s = MantleSolver::new(comm, forest, map, config);
             // Every Picard step's MINRES outcome (global, equal on all ranks).
-            let mut outcomes = Vec::with_capacity(picard);
-            while s.picard_done < picard {
+            let mut outcomes = Vec::with_capacity(PICARD);
+            while s.picard_done < PICARD {
                 s.picard_step(comm);
                 outcomes.extend(s.last_krylov);
             }
@@ -82,6 +83,7 @@ fn main() {
             r.5
         );
         for (step, k) in r.6.iter().enumerate().filter(|(_, k)| !k.converged) {
+            not_converged += 1;
             println!(
                 "NOT CONVERGED: P={p} Picard step {}: MINRES stopped after {} iterations at \
                  relative residual {:.3e}",
@@ -101,4 +103,8 @@ fn main() {
     );
     std::fs::write("fig7_mantle_split.csv", csv).expect("write csv");
     println!("wrote fig7_mantle_split.csv");
+    if not_converged > 0 {
+        eprintln!("FAIL: {not_converged} Picard steps stopped MINRES at its iteration cap");
+        std::process::exit(1);
+    }
 }

@@ -16,12 +16,9 @@ use forust_comm::run_spmd;
 use forust_geom::{Mapping, ShellMap};
 use forust_seismic::{prem_like_at, SeismicConfig, SeismicSolver};
 
-fn main() {
-    let steps: usize = std::env::var("FORUST_FIG9_STEPS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4);
+const STEPS: usize = 4;
 
+fn main() {
     println!("# Fig. 9 reproduction: strong scaling of seismic wave propagation");
     println!("# shell24, PREM-like model, wavelength-adapted mesh, fixed global size\n");
     println!(
@@ -45,7 +42,7 @@ fn main() {
                 ..Default::default()
             };
             let mut s = SeismicSolver::new(comm, forest, map, config, prem_like_at);
-            for _ in 0..steps {
+            for _ in 0..STEPS {
                 s.step(comm);
             }
             (

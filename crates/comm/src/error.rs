@@ -96,15 +96,6 @@ impl CommError {
             | CommError::PeerDead { src, tag, .. } => (src, tag),
         }
     }
-
-    /// The index of the rank known to have died, if this failure
-    /// identifies one.
-    pub fn dead_peer(&self) -> Option<usize> {
-        match *self {
-            CommError::PeerDead { peer, .. } => Some(peer),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for CommError {

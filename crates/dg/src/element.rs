@@ -67,11 +67,6 @@ impl RefElement {
         (3 * np + 3 * np * np) * size_of::<f64>() + self.face_tables.heap_bytes()
     }
 
-    /// Evaluate all Lagrange basis functions at reference coordinate `x`.
-    pub fn basis_at(&self, x: f64) -> Vec<f64> {
-        lagrange_eval(&self.nodes, &self.bary, x)
-    }
-
     /// Number of volume nodes in `dim` dimensions.
     pub fn nodes_per_elem(&self, dim: usize) -> usize {
         self.np.pow(dim as u32)

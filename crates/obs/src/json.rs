@@ -1,10 +1,10 @@
 //! Minimal zero-dependency JSON parser shared by the trace validator,
-//! the post-mortem bundle validator, and the bench-history sentinel.
+//! the post-mortem bundle validator, and the bench snapshot tests.
 //!
 //! Not a general-purpose JSON library: no serde, no spans, strings own
 //! their data. Enough to re-parse the JSON this workspace itself emits
-//! (traces, post-mortems, bench history lines) so tests and CI gates
-//! never need external tooling.
+//! (traces, post-mortems, bench snapshots) so tests and CI gates never
+//! need external tooling.
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]

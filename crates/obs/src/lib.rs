@@ -26,9 +26,9 @@
 //! Ranks are OS threads (see `forust-comm`), so the recorder is a
 //! thread-local installed per rank by [`install`]. Until a recorder is
 //! installed the probes are **disabled**: a probe is one relaxed
-//! `AtomicBool` load and a branch (gated below 2% overhead in CI on the
-//! bench_core smoke). Building with `--no-default-features` compiles
-//! every probe out entirely.
+//! `AtomicBool` load and a branch (gated below 2% overhead in CI by
+//! `disabled_overhead_under_two_percent`). Building with
+//! `--no-default-features` compiles every probe out entirely.
 //!
 //! ```
 //! use forust_obs as obs;
