@@ -116,22 +116,10 @@ impl AdvectSolver {
         // rough, up to max_level, then balance and partition.
         let re = RefElement::new(config.degree);
         for _ in config.initial_level..config.max_level {
-            let needs: Vec<(TreeId, Octant<D3>)> = {
-                let mut v = Vec::new();
-                for (t, o) in forest.iter_local() {
-                    if o.level < config.max_level
-                        && element_range_of_fn(&re, &*map, t, o, init) > config.refine_tol
-                    {
-                        v.push((t, *o));
-                    }
-                }
-                v
-            };
-            let set: std::collections::HashSet<(u32, u64, u8)> = needs
-                .iter()
-                .map(|(t, o)| (*t, o.morton(), o.level))
-                .collect();
-            forest.refine(comm, false, |t, o| set.contains(&(t, o.morton(), o.level)));
+            forest.refine(comm, false, |t, o| {
+                o.level < config.max_level
+                    && element_range_of_fn(&re, &*map, t, o, init) > config.refine_tol
+            });
         }
         forest.balance(comm, BalanceType::Full);
         forest.partition(comm);

@@ -12,22 +12,12 @@
 //! exactly what is needed to exchange per-octant payloads
 //! ([`GhostLayer::exchange`], the analogue of `p4est_ghost_exchange_data`).
 
-use std::marker::PhantomData;
-
-use forust_comm::{read_vec, write_vec, Communicator, PendingExchange, Wire, TAG_COLLECTIVE};
+use forust_comm::{Communicator, Wire};
 
 use crate::connectivity::TreeId;
 use crate::dim::Dim;
 use crate::forest::{sfc_pos, Forest, SfcPos};
 use crate::octant::Octant;
-
-/// Message tag of the split-phase ghost-payload exchange, chosen just
-/// below the reserved collective tag space so an in-flight exchange can
-/// never interleave with collectives issued between `begin` and `end`.
-///
-/// At most one ghost-payload exchange may be in flight per communicator
-/// at a time (FIFO matching is per `(source, tag)`).
-pub const TAG_GHOST_EXCHANGE: u32 = TAG_COLLECTIVE - 16;
 
 /// The ghost layer of a forest at one partition state.
 #[derive(Debug, Clone)]
@@ -66,60 +56,30 @@ impl<D: Dim> GhostLayer<D> {
         (*t == tree && g.contains(o)).then_some(idx - 1)
     }
 
-    /// Start the ghost-payload exchange: pack `mirror_values` per
-    /// destination rank and put every message on the wire. The returned
-    /// handle is completed by [`exchange_end`](Self::exchange_end);
-    /// local work done in between overlaps the communication.
-    pub fn exchange_begin<'a, T: Wire + Clone, C: Communicator>(
+    /// Exchange one fixed-size payload per octant across the partition
+    /// boundary: `mirror_values[i]` belongs to `mirrors[i]`; the result is
+    /// aligned with `ghosts` (one value per ghost octant). Blocking: one
+    /// all-to-all.
+    pub fn exchange<T: Wire + Clone>(
         &self,
-        comm: &'a C,
+        comm: &impl Communicator,
         mirror_values: &[T],
-    ) -> GhostDataPending<'a, C, T> {
-        let _span = forust_obs::span!("ghost.exchange_begin");
-        assert_eq!(mirror_values.len(), self.mirrors.len());
-        let p = comm.size();
-        let outgoing: Vec<Vec<u8>> = (0..p)
-            .map(|r| {
-                let vals: Vec<T> = self.mirror_idx_by_rank[r]
-                    .iter()
-                    .map(|&i| mirror_values[i].clone())
-                    .collect();
-                write_vec(&vals)
-            })
-            .collect();
-        forust_obs::counter_add(
-            "ghost.bytes_sent",
-            outgoing.iter().map(|b| b.len() as u64).sum(),
-        );
-        GhostDataPending {
-            pending: comm.start_alltoallv_bytes(outgoing, TAG_GHOST_EXCHANGE),
-            _payload: PhantomData,
-        }
-    }
-
-    /// Complete a ghost-payload exchange started by
-    /// [`exchange_begin`](Self::exchange_begin); the result is aligned
-    /// with `ghosts` (one value per ghost octant).
-    pub fn exchange_end<T: Wire + Clone, C: Communicator>(
-        &self,
-        pending: GhostDataPending<'_, C, T>,
     ) -> Vec<T> {
-        let _span = forust_obs::span!("ghost.exchange_end");
-        let incoming: Vec<Vec<T>> = pending
-            .pending
-            .wait()
-            .into_iter()
-            .map(|b| read_vec(&b))
+        assert_eq!(mirror_values.len(), self.mirrors.len());
+        let outgoing: Vec<Vec<T>> = self
+            .mirror_idx_by_rank
+            .iter()
+            .map(|idx| idx.iter().map(|&i| mirror_values[i].clone()).collect())
             .collect();
+        let incoming = comm.alltoallv(outgoing);
         // Ghosts are grouped by owner rank in ascending rank order (their
         // SFC segments are rank-ordered), so we pop from each rank's
         // incoming buffer in ghost order.
         let mut cursors = vec![0usize; incoming.len()];
         let mut out = Vec::with_capacity(self.ghosts.len());
-        for (&owner, _) in self.ghost_owner.iter().zip(&self.ghosts) {
-            let c = cursors[owner];
-            out.push(incoming[owner][c].clone());
-            cursors[owner] = c + 1;
+        for &owner in &self.ghost_owner {
+            out.push(incoming[owner][cursors[owner]].clone());
+            cursors[owner] += 1;
         }
         for (r, &c) in cursors.iter().enumerate() {
             assert_eq!(
@@ -130,28 +90,6 @@ impl<D: Dim> GhostLayer<D> {
         }
         out
     }
-
-    /// Exchange one fixed-size payload per octant across the partition
-    /// boundary: `mirror_values[i]` belongs to `mirrors[i]`; the result is
-    /// aligned with `ghosts` (one value per ghost octant).
-    ///
-    /// Blocking wrapper: [`exchange_begin`](Self::exchange_begin)
-    /// followed immediately by [`exchange_end`](Self::exchange_end).
-    pub fn exchange<T: Wire + Clone>(
-        &self,
-        comm: &impl Communicator,
-        mirror_values: &[T],
-    ) -> Vec<T> {
-        self.exchange_end(self.exchange_begin(comm, mirror_values))
-    }
-}
-
-/// An in-flight ghost-payload exchange: the typed handle returned by
-/// [`GhostLayer::exchange_begin`].
-#[must_use = "complete the exchange with GhostLayer::exchange_end"]
-pub struct GhostDataPending<'a, C: Communicator, T> {
-    pending: PendingExchange<'a, C>,
-    _payload: PhantomData<T>,
 }
 
 /// Closed-box contact test within one tree frame.
@@ -678,31 +616,6 @@ mod tests {
                 assert_eq!(recv[i].0, ghost.ghost_owner[i] as u64);
                 assert_eq!(recv[i].1, (*t as u64) << 60 | o.morton());
             }
-        });
-    }
-
-    #[test]
-    fn split_phase_exchange_matches_blocking() {
-        run_spmd(4, |comm| {
-            let conn = Arc::new(builders::rotcubes6());
-            let mut f = Forest::<D3>::new_uniform(conn, comm, 1);
-            f.refine(comm, true, |_, o| o.level < 2 && o.x == 0);
-            f.balance(comm, BalanceType::Full);
-            f.partition(comm);
-            let ghost = f.ghost(comm);
-            let values: Vec<u64> = ghost
-                .mirrors
-                .iter()
-                .map(|(t, o)| (*t as u64) << 60 | o.morton())
-                .collect();
-            let blocking = ghost.exchange(comm, &values);
-            // Split-phase with a collective issued while the exchange is
-            // in flight: tags must keep the two apart.
-            let pending = ghost.exchange_begin(comm, &values);
-            let sum = comm.allreduce_sum_u64(1);
-            assert_eq!(sum, comm.size() as u64);
-            let split = ghost.exchange_end(pending);
-            assert_eq!(blocking, split, "rank {}", comm.rank());
         });
     }
 

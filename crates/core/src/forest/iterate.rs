@@ -27,64 +27,21 @@
 //!   frame into the opposite side's frame (`None` when both sides share
 //!   a frame); the `fine` list of a hanging visit is ordered by
 //!   ascending child id in the fine side's own frame.
-//! * `edge` / `corner` (opt-in via `wants_edges` / `wants_corners`)
-//!   fire once per entity with at least one local sharer. A *sharer*
-//!   is a leaf whose own edge/corner coincides exactly with the entity;
-//!   leaves one level coarser whose edge properly contains a hanging
-//!   half-edge are reported in [`EdgeVisit::coarse`]. Visits are
-//!   deduplicated by the canonical sharer set, so a half-edge and its
-//!   parent edge are distinct entities.
 //!
-//! Visits never pair ghost-only participants: an entity all of whose
+//! Visits never pair ghost-only participants: a face all of whose
 //! participants are ghosts is skipped (its owner rank visits it).
+//!
+//! There are no edge or corner visits. An edge/corner pass belongs with
+//! its first caller, `Nodes`, and must be recursive like the face pass:
+//! probing every edge and corner neighbor of every leaf costs far more
+//! than the whole node numbering it would feed.
 
-use crate::connectivity::{EdgeNeighbor, FaceTransform, Route, TreeId};
+use crate::connectivity::{FaceTransform, TreeId};
 use crate::dim::Dim;
-use crate::hash::FxHashSet;
 use crate::linear;
 use crate::octant::Octant;
 
 use super::{Forest, GhostLayer};
-
-/// An owning version of [`Route`] (no borrow of the connectivity).
-///
-/// Hanging face/edge entities never arrive through corner routes, so
-/// this carries the face and edge cases only.
-#[derive(Debug, Clone, Copy)]
-pub enum OwnedRoute {
-    Interior,
-    Face(FaceTransform),
-    Edge {
-        source_edge: usize,
-        nb: EdgeNeighbor,
-    },
-}
-
-impl OwnedRoute {
-    pub fn from_route(r: &Route<'_>) -> Self {
-        match r {
-            Route::Interior => OwnedRoute::Interior,
-            Route::Face(t) => OwnedRoute::Face(**t),
-            Route::Edge { source_edge, nb } => OwnedRoute::Edge {
-                source_edge: *source_edge,
-                nb: *nb,
-            },
-            Route::Corner { .. } => unreachable!("corner routes never carry hanging entities"),
-        }
-    }
-
-    pub fn map_point_scaled<D: Dim>(&self, p: [i32; 3], scale: i32) -> [i32; 3] {
-        match self {
-            OwnedRoute::Interior => p,
-            OwnedRoute::Face(t) => t.apply_point_scaled(p, scale),
-            OwnedRoute::Edge { source_edge, nb } => Route::Edge {
-                source_edge: *source_edge,
-                nb: *nb,
-            }
-            .map_point_scaled::<D>(p, scale),
-        }
-    }
-}
 
 /// A leaf as seen by the traversal: either the `i`-th local leaf (flat
 /// index across trees, i.e. `iter_local` order) or the `i`-th entry of
@@ -131,48 +88,10 @@ pub enum FaceVisit<D: Dim> {
     },
 }
 
-/// One leaf sharing an edge or corner entity; `index` is the entity's
-/// number within `octant` (an edge index for edge visits, a corner
-/// index for corner visits).
-#[derive(Debug, Clone, Copy)]
-pub struct EntitySharer<D: Dim> {
-    pub elem: LeafRef,
-    pub tree: TreeId,
-    pub octant: Octant<D>,
-    pub index: usize,
-}
-
-/// An edge entity (3D only): all leaves whose matching edge coincides
-/// with the entity, sorted by (tree, SFC key, edge index). `coarse`
-/// lists leaves one level up whose edge properly contains this hanging
-/// half-edge.
-#[derive(Debug, Clone)]
-pub struct EdgeVisit<D: Dim> {
-    pub sharers: Vec<EntitySharer<D>>,
-    pub coarse: Vec<EntitySharer<D>>,
-}
-
-/// A corner entity: all leaves (any level) having the point as one of
-/// their corners, sorted by (tree, SFC key, corner index).
-#[derive(Debug, Clone)]
-pub struct CornerVisit<D: Dim> {
-    pub sharers: Vec<EntitySharer<D>>,
-}
-
-/// Callbacks for [`Forest::iterate`]. All default to no-ops; edge and
-/// corner enumeration runs only when the matching `wants_*` returns
-/// true (they cost extra neighborhood searches).
+/// Callbacks for [`Forest::iterate`]; both default to no-ops.
 pub trait Visit<D: Dim> {
     fn volume(&mut self, _elem: LeafRef, _tree: TreeId, _octant: &Octant<D>) {}
     fn face(&mut self, _visit: &FaceVisit<D>) {}
-    fn edge(&mut self, _visit: &EdgeVisit<D>) {}
-    fn corner(&mut self, _visit: &CornerVisit<D>) {}
-    fn wants_edges(&self) -> bool {
-        false
-    }
-    fn wants_corners(&self) -> bool {
-        false
-    }
 }
 
 /// Local leaves of one tree merged with that tree's slice of the ghost
@@ -234,7 +153,6 @@ fn settle<D: Dim>(mt: &MTree<D>, r: &std::ops::Range<usize>, b: &Octant<D>) -> O
 }
 
 struct Trav<'a, D: Dim> {
-    f: &'a Forest<D>,
     m: &'a [MTree<D>],
 }
 
@@ -426,229 +344,6 @@ impl<D: Dim> Trav<'_, D> {
             fine,
         });
     }
-
-    /// Edge and corner entity enumeration, seeded from local leaves.
-    fn entities<V: Visit<D>>(&self, v: &mut V) {
-        let want_e = v.wants_edges() && D::EDGES > 0;
-        let want_c = v.wants_corners();
-        if !want_e && !want_c {
-            return;
-        }
-        let mut seen_e: FxHashSet<EntityKey> = FxHashSet::default();
-        let mut seen_c: FxHashSet<EntityKey> = FxHashSet::default();
-        let mut flat = 0u32;
-        for t in 0..self.f.conn.num_trees() as TreeId {
-            for o in self.f.tree(t) {
-                if want_e {
-                    for e in 0..D::EDGES {
-                        self.edge_entity(t, o, e, flat, &mut seen_e, v);
-                    }
-                }
-                if want_c {
-                    for c in 0..D::CORNERS {
-                        self.corner_entity(t, o, c, flat, &mut seen_c, v);
-                    }
-                }
-                flat += 1;
-            }
-        }
-    }
-
-    /// Collect the sharers of edge `e` of local leaf `o` by probing the
-    /// finest-level atom adjacent to the edge's low end in each of the
-    /// three surrounding quadrants. Alignment makes one probe per
-    /// quadrant sufficient: an equal-level sharer's edge coincides with
-    /// the segment exactly, so it always covers the low-end atom.
-    fn edge_entity<V: Visit<D>>(
-        &self,
-        t: TreeId,
-        o: &Octant<D>,
-        e: usize,
-        flat: u32,
-        seen: &mut FxHashSet<EntityKey>,
-        v: &mut V,
-    ) {
-        let [c0, c1] = D::EDGE_CORNERS[e];
-        let pa = o.corner_coords(c0);
-        let pb = o.corner_coords(c1);
-        let axis = D::edge_axis(e);
-        // Transverse axes in increasing order, each with the edge's
-        // high/low offset bit.
-        let mut tv = [(0usize, 0usize); 2];
-        {
-            let bits = e % 4;
-            let mut j = 0;
-            for d in 0..3 {
-                if d == axis {
-                    continue;
-                }
-                tv[j] = (d, (bits >> j) & 1);
-                j += 1;
-            }
-        }
-        let mut sharers = vec![EntitySharer {
-            elem: LeafRef::Local(flat),
-            tree: t,
-            octant: *o,
-            index: e,
-        }];
-        let mut coarse: Vec<EntitySharer<D>> = Vec::new();
-        for dirsel in 1..4usize {
-            let mut atom = [0i32; 3];
-            atom[axis] = pa[axis].min(pb[axis]);
-            for (j, &(d, off)) in tv.iter().enumerate() {
-                let moved = (dirsel >> j) & 1 == 1;
-                let bc = pa[d];
-                atom[d] = if moved == (off == 1) { bc } else { bc - 1 };
-            }
-            let atom_oct = Octant::<D>::from_coords(atom, D::MAX_LEVEL);
-            for (k2, img, route) in self.f.conn.exterior_images_routed(t, &atom_oct) {
-                let mt = &self.m[k2 as usize];
-                let Some(li) = linear::find_containing(&mt.octs, &img) else {
-                    continue;
-                };
-                let cand = mt.octs[li];
-                let qa = route.map_point_scaled::<D>(pa, 1);
-                let qb = route.map_point_scaled::<D>(pb, 1);
-                let Some(e2) = segment_on_edge(&cand, qa, qb) else {
-                    continue;
-                };
-                let s = EntitySharer {
-                    elem: mt.refs[li],
-                    tree: k2,
-                    octant: cand,
-                    index: e2,
-                };
-                if cand.level == o.level {
-                    sharers.push(s);
-                } else {
-                    debug_assert!(cand.level < o.level);
-                    coarse.push(s);
-                }
-            }
-        }
-        canonicalize(&mut sharers);
-        canonicalize(&mut coarse);
-        if seen.insert(entity_key(&sharers)) {
-            v.edge(&EdgeVisit { sharers, coarse });
-        }
-    }
-
-    /// Collect the sharers of corner `c` of local leaf `o` by probing
-    /// the atom diagonally adjacent to the corner point in each
-    /// surrounding orthant. Any leaf with the point as a corner fills
-    /// its whole orthant, so it contains that orthant's probe atom.
-    fn corner_entity<V: Visit<D>>(
-        &self,
-        t: TreeId,
-        o: &Octant<D>,
-        c: usize,
-        flat: u32,
-        seen: &mut FxHashSet<EntityKey>,
-        v: &mut V,
-    ) {
-        let p = o.corner_coords(c);
-        let off = D::corner_offset(c);
-        let ndirs = (1usize << D::DIM) - 1;
-        let mut sharers = vec![EntitySharer {
-            elem: LeafRef::Local(flat),
-            tree: t,
-            octant: *o,
-            index: c,
-        }];
-        for dirsel in 1..=ndirs {
-            let mut atom = [0i32; 3];
-            for d in 0..D::DIM as usize {
-                let moved = (dirsel >> d) & 1 == 1;
-                atom[d] = if moved == (off[d] == 1) {
-                    p[d]
-                } else {
-                    p[d] - 1
-                };
-            }
-            let atom_oct = Octant::<D>::from_coords(atom, D::MAX_LEVEL);
-            for (k2, img, route) in self.f.conn.exterior_images_routed(t, &atom_oct) {
-                let mt = &self.m[k2 as usize];
-                let Some(li) = linear::find_containing(&mt.octs, &img) else {
-                    continue;
-                };
-                let cand = mt.octs[li];
-                let q = route.map_point_scaled::<D>(p, 1);
-                if let Some(c2) = corner_index_of_point(&cand, q) {
-                    sharers.push(EntitySharer {
-                        elem: mt.refs[li],
-                        tree: k2,
-                        octant: cand,
-                        index: c2,
-                    });
-                }
-            }
-        }
-        canonicalize(&mut sharers);
-        if seen.insert(entity_key(&sharers)) {
-            v.corner(&CornerVisit { sharers });
-        }
-    }
-}
-
-type EntityKey = Vec<(TreeId, u64, u8, usize)>;
-
-fn canonicalize<D: Dim>(list: &mut Vec<EntitySharer<D>>) {
-    list.sort_by_key(|s| {
-        let (m, l) = s.octant.sfc_key();
-        (s.tree, m, l, s.index)
-    });
-    list.dedup_by(|x, y| x.tree == y.tree && x.octant == y.octant && x.index == y.index);
-}
-
-fn entity_key<D: Dim>(list: &[EntitySharer<D>]) -> EntityKey {
-    list.iter()
-        .map(|s| {
-            let (m, l) = s.octant.sfc_key();
-            (s.tree, m, l, s.index)
-        })
-        .collect()
-}
-
-/// If the axis-aligned segment `qa..qb` (at most one octant-edge long)
-/// lies on an edge of `o`, return that edge's index. 3D only.
-fn segment_on_edge<D: Dim>(o: &Octant<D>, qa: [i32; 3], qb: [i32; 3]) -> Option<usize> {
-    let c = o.coords();
-    let h = o.len();
-    let run = (0..3).find(|&d| qa[d] != qb[d])?;
-    let (lo, hi) = (qa[run].min(qb[run]), qa[run].max(qb[run]));
-    if lo < c[run] || hi > c[run] + h {
-        return None;
-    }
-    let mut bits = 0usize;
-    let mut j = 0;
-    for d in 0..3 {
-        if d == run {
-            continue;
-        }
-        if qa[d] == c[d] + h {
-            bits |= 1 << j;
-        } else if qa[d] != c[d] {
-            return None;
-        }
-        j += 1;
-    }
-    Some(run * 4 + bits)
-}
-
-/// If `q` is one of `o`'s corner points, return that corner's index.
-fn corner_index_of_point<D: Dim>(o: &Octant<D>, q: [i32; 3]) -> Option<usize> {
-    let c = o.coords();
-    let h = o.len();
-    let mut idx = 0usize;
-    for d in 0..D::DIM as usize {
-        if q[d] == c[d] + h {
-            idx |= 1 << d;
-        } else if q[d] != c[d] {
-            return None;
-        }
-    }
-    Some(idx)
 }
 
 impl<D: Dim> Forest<D> {
@@ -657,7 +352,7 @@ impl<D: Dim> Forest<D> {
     pub fn iterate<V: Visit<D>>(&self, ghost: &GhostLayer<D>, v: &mut V) {
         let _span = forust_obs::span!("forest.iterate");
         let m = merged_trees(self, ghost);
-        let trav = Trav { f: self, m: &m };
+        let trav = Trav { m: &m };
         let nt = self.conn.num_trees() as TreeId;
         // Volumes and all faces interior to each tree.
         for t in 0..nt {
@@ -718,7 +413,5 @@ impl<D: Dim> Forest<D> {
                 flat += 1;
             }
         }
-        // Edge and corner entities (opt-in).
-        trav.entities(v);
     }
 }

@@ -21,21 +21,22 @@
 //!   corners, within and between trees (see `balance.rs`);
 //! - [`Forest::ghost`] — one layer of remote octants adjacent to the local
 //!   partition (see `ghost.rs`).
+//!
+//! Beside them, [`Forest::iterate`] is the recursive volume and face
+//! traversal the dG mesh is built from (see `iterate.rs`), and
+//! `checkpoint.rs` holds the one segment codec. `Nodes` lives in
+//! [`crate::nodes`].
 
 mod balance;
 mod checkpoint;
 mod ghost;
 mod iterate;
 mod partition;
-mod search;
 
 pub use balance::BalanceType;
 pub use checkpoint::{read_dir, write_dir, CheckpointError, CheckpointMeta, SolverFormat};
-pub use ghost::{GhostDataPending, GhostLayer, TAG_GHOST_EXCHANGE};
-pub use iterate::{
-    CornerVisit, EdgeVisit, EntitySharer, FaceSide, FaceVisit, LeafRef, OwnedRoute, Visit,
-};
-pub use search::Descend;
+pub use ghost::GhostLayer;
+pub use iterate::{FaceSide, FaceVisit, LeafRef, Visit};
 
 use std::sync::Arc;
 
@@ -197,11 +198,6 @@ impl<D: Dim> Forest<D> {
             .iter()
             .enumerate()
             .flat_map(|(t, v)| v.iter().map(move |o| (t as TreeId, o)))
-    }
-
-    /// Maximum local refinement level (0 if empty).
-    pub fn max_local_level(&self) -> u8 {
-        self.iter_local().map(|(_, o)| o.level).max().unwrap_or(0)
     }
 
     /// The rank owning the finest-level atom at the anchor of `o` in tree
@@ -397,17 +393,6 @@ mod tests {
             f.check_valid(comm);
             // All families local to a rank collapse; at most P-1 straddle.
             assert!(f.num_global() <= before + 8);
-        });
-    }
-
-    #[test]
-    fn max_local_level_tracks_refinement() {
-        run_spmd(2, |comm| {
-            let conn = Arc::new(builders::unit2d());
-            let mut f = Forest::<D2>::new_uniform(conn, comm, 1);
-            f.refine(comm, true, |_, o| o.level < 3 && o.child_id() == 3);
-            let max = comm.allreduce_max_u64(f.max_local_level() as u64);
-            assert_eq!(max, 3);
         });
     }
 }

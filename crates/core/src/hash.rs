@@ -1,16 +1,15 @@
 //! A fast, zero-dependency hasher for the hot interning maps.
 //!
 //! `std`'s default SipHash is keyed and DoS-resistant, which the node
-//! interning map ([`crate::nodes`]) and the entity-dedup sets of the
-//! recursive traversal ([`crate::forest::iterate`]) do not need: their
-//! keys are small fixed tuples of integers derived from octant
-//! coordinates, map iteration order is never observed (every ordered
-//! output is driven by the element loop or an explicit sort), and the
-//! inputs are not attacker-controlled. This is the FxHash mixing
+//! interning map of [`crate::nodes`] does not need: its keys are small
+//! fixed tuples of integers derived from octant coordinates, map
+//! iteration order is never observed (every ordered output is driven by
+//! the element loop or an explicit sort), and the inputs are not
+//! attacker-controlled. This is the FxHash mixing
 //! function (a rotate + xor + multiply per word), implemented locally
 //! because the workspace builds without external crates.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// FxHash multiplier (the golden-ratio-derived odd constant).
@@ -86,9 +85,6 @@ pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// `HashMap` keyed by the Fx mixing function.
 pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
-
-/// `HashSet` keyed by the Fx mixing function.
-pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
 
 #[cfg(test)]
 mod tests {

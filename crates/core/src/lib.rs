@@ -17,7 +17,8 @@
 //!   transforms between neighboring trees (paper §II-D, Fig. 3);
 //! - [`forest`]: the distributed forest with the paper's core algorithm
 //!   suite — `New`, `Refine`, `Coarsen`, `Partition`, `Balance`, `Ghost`
-//!   (paper §II-C) — over a [`forust_comm::Communicator`];
+//!   (paper §II-C) — over a [`forust_comm::Communicator`], plus the
+//!   recursive volume/face traversal `iterate` the dG mesh is built from;
 //! - [`nodes`]: `Nodes` — globally unique numbering of continuous-Galerkin
 //!   unknowns with hanging-node constraints (paper §II-E).
 //!
@@ -35,9 +36,6 @@ pub mod octant;
 
 pub use connectivity::{Connectivity, TreeId};
 pub use dim::{Dim, D2, D3};
-pub use forest::{
-    BalanceType, CornerVisit, EdgeVisit, EntitySharer, FaceSide, FaceVisit, Forest, GhostLayer,
-    LeafRef, Visit,
-};
+pub use forest::{BalanceType, FaceSide, FaceVisit, Forest, GhostLayer, LeafRef, Visit};
 pub use nodes::{AssemblePending, NodeKey, NodeStatus, Nodes, TAG_ASSEMBLE};
 pub use octant::Octant;

@@ -126,7 +126,8 @@ pub fn complete_region<D: Dim>(a: &Octant<D>, b: &Octant<D>, out: &mut Vec<Octan
 }
 
 /// Refine every leaf flagged by `mark`, replacing it with its children;
-/// with `recursive`, newly created children are re-tested.
+/// with `recursive`, newly created children are re-tested, without it
+/// `mark` sees only the original leaves.
 ///
 /// Keeps the array linear. Purely local (no communication), mirroring
 /// p4est `Refine`.
@@ -141,7 +142,7 @@ pub fn refine_marked<D: Dim>(
     for &leaf in leaves.iter() {
         stack.push(leaf);
         while let Some(o) = stack.pop() {
-            if o.level < D::MAX_LEVEL && mark(&o) && (recursive || o.level == leaf.level) {
+            if o.level < D::MAX_LEVEL && (recursive || o.level == leaf.level) && mark(&o) {
                 // Push children in reverse so they pop in SFC order.
                 for i in (0..D::CHILDREN).rev() {
                     stack.push(o.child(i));

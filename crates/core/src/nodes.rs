@@ -30,7 +30,7 @@ use forust_comm::{read_vec, write_vec, Communicator, PendingExchange, Wire, TAG_
 
 use crate::connectivity::{Route, TreeId};
 use crate::dim::Dim;
-use crate::forest::{Forest, GhostLayer, OwnedRoute};
+use crate::forest::{Forest, GhostLayer};
 use crate::hash::FxHashMap;
 use crate::octant::Octant;
 
@@ -105,7 +105,7 @@ enum Draft {
 }
 
 /// How one facet of an element hangs, recorded at detection time.
-struct FaceHang<D: Dim> {
+struct FaceHang<'a, D: Dim> {
     /// Tree of the coarse neighbor.
     tree: TreeId,
     /// The coarse neighbor leaf.
@@ -114,17 +114,16 @@ struct FaceHang<D: Dim> {
     /// octant's high side.
     plane_axis: usize,
     plane_high: bool,
-    /// Point map into the coarse tree frame (by value: the face transform
-    /// is copied out of the connectivity).
-    route: OwnedRoute,
+    /// Point map into the coarse tree frame.
+    route: Route<'a>,
 }
 
-struct EdgeHang<D: Dim> {
+struct EdgeHang<'a, D: Dim> {
     tree: TreeId,
     coarse: Octant<D>,
     /// Axis in the coarse tree frame along which the edge runs.
     run_axis: usize,
-    route: OwnedRoute,
+    route: Route<'a>,
 }
 
 impl<D: Dim> Forest<D> {
@@ -149,8 +148,6 @@ impl<D: Dim> Forest<D> {
         let _span = forust_obs::span!("forest.nodes");
         assert!(degree >= 1, "nodes: degree must be at least 1");
         let n = degree as i32;
-        let me = comm.rank();
-        let p = comm.size();
         let npe_1d = degree + 1;
         let nodes_per_elem = npe_1d.pow(D::DIM);
         let big = D::root_len();
@@ -204,7 +201,7 @@ impl<D: Dim> Forest<D> {
             // descendant. Root elements have no coarser side at all. This
             // prunes half the face probes with bit arithmetic.
             let cid = o.child_id();
-            let mut face_hang: Vec<Option<FaceHang<D>>> = (0..D::FACES).map(|_| None).collect();
+            let mut face_hang: Vec<Option<FaceHang<'_, D>>> = (0..D::FACES).map(|_| None).collect();
             for (f, slot) in face_hang.iter_mut().enumerate() {
                 if level == 0 || (((cid >> D::face_axis(f)) & 1) == 1) != D::face_positive(f) {
                     continue;
@@ -232,7 +229,7 @@ impl<D: Dim> Forest<D> {
                                 coarse: leaf,
                                 plane_axis,
                                 plane_high,
-                                route: OwnedRoute::Interior,
+                                route: Route::Interior,
                             });
                         }
                     }
@@ -261,8 +258,7 @@ impl<D: Dim> Forest<D> {
                     };
                     let mut probe = o.coords();
                     probe[D::face_axis(f)] = my_plane;
-                    let probe2 = OwnedRoute::from_route(&route)
-                        .map_point_scaled::<D>([probe[0] * 1, probe[1], probe[2]], 1);
+                    let probe2 = route.map_point_scaled::<D>(probe, 1);
                     let plane_high = if probe2[plane_axis] == leaf.coords()[plane_axis] {
                         false
                     } else {
@@ -277,7 +273,7 @@ impl<D: Dim> Forest<D> {
                         coarse: leaf,
                         plane_axis,
                         plane_high,
-                        route: OwnedRoute::from_route(&route),
+                        route,
                     });
                     break;
                 }
@@ -287,7 +283,7 @@ impl<D: Dim> Forest<D> {
             // Same pruning for edges: a coarser edge neighbor requires the
             // edge to lie on the sibling group's boundary along *both*
             // transverse axes — three of twelve edges on average.
-            let mut edge_hang: Vec<Option<EdgeHang<D>>> = (0..D::EDGES).map(|_| None).collect();
+            let mut edge_hang: Vec<Option<EdgeHang<'_, D>>> = (0..D::EDGES).map(|_| None).collect();
             for (e, slot) in edge_hang.iter_mut().enumerate() {
                 if level == 0 {
                     continue;
@@ -316,7 +312,7 @@ impl<D: Dim> Forest<D> {
                                 tree: t,
                                 coarse: leaf,
                                 run_axis: D::edge_axis(e),
-                                route: OwnedRoute::Interior,
+                                route: Route::Interior,
                             });
                         }
                     }
@@ -331,10 +327,9 @@ impl<D: Dim> Forest<D> {
                     }
                     // Run axis in the coarse frame: map both endpoints of
                     // my edge and see which axis varies.
-                    let owned = OwnedRoute::from_route(&route);
                     let [ca, cb] = D::EDGE_CORNERS[e];
-                    let pa = owned.map_point_scaled::<D>(o.corner_coords(ca), 1);
-                    let pb = owned.map_point_scaled::<D>(o.corner_coords(cb), 1);
+                    let pa = route.map_point_scaled::<D>(o.corner_coords(ca), 1);
+                    let pb = route.map_point_scaled::<D>(o.corner_coords(cb), 1);
                     let run_axis = (0..3)
                         .find(|&d| pa[d] != pb[d])
                         .expect("edge endpoints must differ along one axis");
@@ -342,7 +337,7 @@ impl<D: Dim> Forest<D> {
                         tree: k2,
                         coarse: leaf,
                         run_axis,
-                        route: owned,
+                        route,
                     });
                     break;
                 }
@@ -428,125 +423,15 @@ impl<D: Dim> Forest<D> {
             }
         }
 
-        // --- Ownership and global numbering -------------------------------
-        let num_nodes = keys.len();
-        let mut status: Vec<NodeStatus> = Vec::with_capacity(num_nodes);
-        let mut owners: Vec<usize> = vec![usize::MAX; num_nodes];
-        for (i, d) in drafts.iter().enumerate() {
-            match d {
-                Draft::Independent | Draft::Unset => {
-                    // Unset can only be a parent interned before its own
-                    // element classified it; parents are independent.
-                    let (kt, kp) = keys[i];
-                    let mut anchor = [0i32; 3];
-                    for dd in 0..3 {
-                        let a = (kp[dd] / n).min(big - 1).max(0);
-                        anchor[dd] = a;
-                    }
-                    if D::DIM == 2 {
-                        anchor[2] = 0;
-                    }
-                    let atom = Octant::<D>::from_coords(anchor, D::MAX_LEVEL);
-                    owners[i] = self.owner_of_atom(kt, &atom);
-                    status.push(NodeStatus::Independent {
-                        global: u64::MAX,
-                        owner: owners[i],
-                    });
-                }
-                Draft::Hanging {
-                    parents,
-                    rel,
-                    entity_dim,
-                } => {
-                    status.push(NodeStatus::Hanging {
-                        parents: parents.clone(),
-                        rel: *rel,
-                        entity_dim: *entity_dim,
-                    });
-                }
-            }
-        }
-
-        // Owned nodes in canonical-key order get consecutive global ids.
-        let mut owned: Vec<u32> = (0..num_nodes as u32)
-            .filter(|&i| owners[i as usize] == me)
-            .collect();
-        owned.sort_by_key(|&i| keys[i as usize]);
-        let num_owned = owned.len();
-        let global_offset = comm.exscan_sum_u64(num_owned as u64);
-        let num_global = comm.allreduce_sum_u64(num_owned as u64);
-        for (j, &i) in owned.iter().enumerate() {
-            if let NodeStatus::Independent { global, .. } = &mut status[i as usize] {
-                *global = global_offset + j as u64;
-            }
-        }
-
-        // Borrowed nodes: query owners for ids; owners learn lent lists.
-        let mut borrowed_by_rank: Vec<Vec<u32>> = (0..p).map(|_| Vec::new()).collect();
-        for i in 0..num_nodes as u32 {
-            let r = owners[i as usize];
-            if r != usize::MAX && r != me {
-                borrowed_by_rank[r].push(i);
-            }
-        }
-        for v in &mut borrowed_by_rank {
-            v.sort_by_key(|&i| keys[i as usize]);
-        }
-        let queries: Vec<Vec<(u32, [i32; 3])>> = borrowed_by_rank
-            .iter()
-            .map(|v| v.iter().map(|&i| keys[i as usize]).collect())
-            .collect();
-        let incoming = comm.alltoallv(queries);
-        let mut lent_to_rank: Vec<Vec<u32>> = (0..p).map(|_| Vec::new()).collect();
-        let replies: Vec<Vec<u64>> = incoming
-            .into_iter()
-            .enumerate()
-            .map(|(r, qs)| {
-                qs.into_iter()
-                    .map(|key| {
-                        let &i = key_index.get(&key).unwrap_or_else(|| {
-                            panic!("rank {me}: queried for unknown node {key:?} by rank {r}")
-                        });
-                        lent_to_rank[r].push(i);
-                        match &status[i as usize] {
-                            NodeStatus::Independent { global, owner } => {
-                                assert_eq!(*owner, me, "queried for a node we do not own");
-                                *global
-                            }
-                            _ => panic!("queried for a hanging node"),
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        let answers = comm.alltoallv(replies);
-        for (r, ids) in answers.into_iter().enumerate() {
-            assert_eq!(ids.len(), borrowed_by_rank[r].len());
-            for (&i, id) in borrowed_by_rank[r].iter().zip(ids) {
-                if let NodeStatus::Independent { global, .. } = &mut status[i as usize] {
-                    *global = id;
-                }
-            }
-        }
-
-        Nodes {
-            degree,
-            nodes_per_elem,
-            elements,
-            element_nodes,
-            keys,
-            status,
-            num_owned,
-            global_offset,
-            num_global,
-            borrowed_by_rank,
-            lent_to_rank,
-        }
+        self.nodes_finish(comm, degree, elements, element_nodes, keys, drafts, |k| {
+            key_index.get(k).copied()
+        })
     }
 
-    /// The pre-recursive `Nodes` implementation, retained verbatim as
-    /// the equivalence oracle for [`Forest::nodes`] (the fuzz suite
-    /// asserts node-for-node identity across ranks and worker counts).
+    /// The pre-recursive `Nodes` classification, retained as the
+    /// equivalence oracle for [`Forest::nodes`] (the fuzz suite asserts
+    /// node-for-node identity across ranks and worker counts). Both share
+    /// the numbering tail, which `lent_and_borrowed_are_dual` checks.
     #[doc(hidden)]
     pub fn nodes_reference(
         &self,
@@ -556,8 +441,6 @@ impl<D: Dim> Forest<D> {
     ) -> Nodes<D> {
         assert!(degree >= 1, "nodes: degree must be at least 1");
         let n = degree as i32;
-        let me = comm.rank();
-        let p = comm.size();
         let npe_1d = degree + 1;
         let nodes_per_elem = npe_1d.pow(D::DIM);
 
@@ -598,7 +481,7 @@ impl<D: Dim> Forest<D> {
             let level = o.level;
 
             // --- Detect hanging faces -------------------------------------
-            let mut face_hang: Vec<Option<FaceHang<D>>> = (0..D::FACES).map(|_| None).collect();
+            let mut face_hang: Vec<Option<FaceHang<'_, D>>> = (0..D::FACES).map(|_| None).collect();
             for (f, slot) in face_hang.iter_mut().enumerate() {
                 let nb = o.face_neighbor(f);
                 for (k2, m, route) in self.conn.exterior_images_routed(t, &nb) {
@@ -624,8 +507,7 @@ impl<D: Dim> Forest<D> {
                     };
                     let mut probe = o.coords();
                     probe[D::face_axis(f)] = my_plane;
-                    let probe2 = OwnedRoute::from_route(&route)
-                        .map_point_scaled::<D>([probe[0] * 1, probe[1], probe[2]], 1);
+                    let probe2 = route.map_point_scaled::<D>(probe, 1);
                     let plane_high = if probe2[plane_axis] == leaf.coords()[plane_axis] {
                         false
                     } else {
@@ -640,14 +522,14 @@ impl<D: Dim> Forest<D> {
                         coarse: leaf,
                         plane_axis,
                         plane_high,
-                        route: OwnedRoute::from_route(&route),
+                        route,
                     });
                     break;
                 }
             }
 
             // --- Detect hanging edges (3D) --------------------------------
-            let mut edge_hang: Vec<Option<EdgeHang<D>>> = (0..D::EDGES).map(|_| None).collect();
+            let mut edge_hang: Vec<Option<EdgeHang<'_, D>>> = (0..D::EDGES).map(|_| None).collect();
             for (e, slot) in edge_hang.iter_mut().enumerate() {
                 let nb = o.edge_neighbor(e);
                 for (k2, m, route) in self.conn.exterior_images_routed(t, &nb) {
@@ -659,10 +541,9 @@ impl<D: Dim> Forest<D> {
                     }
                     // Run axis in the coarse frame: map both endpoints of
                     // my edge and see which axis varies.
-                    let owned = OwnedRoute::from_route(&route);
                     let [ca, cb] = D::EDGE_CORNERS[e];
-                    let pa = owned.map_point_scaled::<D>(o.corner_coords(ca), 1);
-                    let pb = owned.map_point_scaled::<D>(o.corner_coords(cb), 1);
+                    let pa = route.map_point_scaled::<D>(o.corner_coords(ca), 1);
+                    let pb = route.map_point_scaled::<D>(o.corner_coords(cb), 1);
                     let run_axis = (0..3)
                         .find(|&d| pa[d] != pb[d])
                         .expect("edge endpoints must differ along one axis");
@@ -670,7 +551,7 @@ impl<D: Dim> Forest<D> {
                         tree: k2,
                         coarse: leaf,
                         run_axis,
-                        route: owned,
+                        route,
                     });
                     break;
                 }
@@ -756,44 +637,58 @@ impl<D: Dim> Forest<D> {
             }
         }
 
-        // --- Ownership and global numbering -------------------------------
+        self.nodes_finish(comm, degree, elements, element_nodes, keys, drafts, |k| {
+            key_index.get(k).copied()
+        })
+    }
+
+    /// Shared tail of [`Forest::nodes`] and [`Forest::nodes_reference`]:
+    /// ownership, global ids, the owner query and the lent/borrowed lists.
+    /// `index_of` maps a key another rank queries back to its local node.
+    #[allow(clippy::too_many_arguments)]
+    fn nodes_finish(
+        &self,
+        comm: &impl Communicator,
+        degree: usize,
+        elements: Vec<(TreeId, Octant<D>)>,
+        element_nodes: Vec<u32>,
+        keys: Vec<NodeKey>,
+        drafts: Vec<Draft>,
+        index_of: impl Fn(&NodeKey) -> Option<u32>,
+    ) -> Nodes<D> {
+        let n = degree as i32;
+        let (me, p) = (comm.rank(), comm.size());
+        let big = D::root_len();
         let num_nodes = keys.len();
-        let mut status: Vec<NodeStatus> = Vec::with_capacity(num_nodes);
         let mut owners: Vec<usize> = vec![usize::MAX; num_nodes];
-        for (i, d) in drafts.iter().enumerate() {
-            match d {
+        let mut status: Vec<NodeStatus> = Vec::with_capacity(num_nodes);
+        for (i, d) in drafts.into_iter().enumerate() {
+            status.push(match d {
+                // Unset can only be a parent interned before its own
+                // element classified it; parents are independent.
                 Draft::Independent | Draft::Unset => {
-                    // Unset can only be a parent interned before its own
-                    // element classified it; parents are independent.
                     let (kt, kp) = keys[i];
-                    let big = D::root_len();
-                    let mut anchor = [0i32; 3];
-                    for dd in 0..3 {
-                        let a = (kp[dd] / n).min(big - 1).max(0);
-                        anchor[dd] = a;
-                    }
+                    let mut anchor = kp.map(|c| (c / n).clamp(0, big - 1));
                     if D::DIM == 2 {
                         anchor[2] = 0;
                     }
                     let atom = Octant::<D>::from_coords(anchor, D::MAX_LEVEL);
                     owners[i] = self.owner_of_atom(kt, &atom);
-                    status.push(NodeStatus::Independent {
+                    NodeStatus::Independent {
                         global: u64::MAX,
                         owner: owners[i],
-                    });
+                    }
                 }
                 Draft::Hanging {
                     parents,
                     rel,
                     entity_dim,
-                } => {
-                    status.push(NodeStatus::Hanging {
-                        parents: parents.clone(),
-                        rel: *rel,
-                        entity_dim: *entity_dim,
-                    });
-                }
-            }
+                } => NodeStatus::Hanging {
+                    parents,
+                    rel,
+                    entity_dim,
+                },
+            });
         }
 
         // Owned nodes in canonical-key order get consecutive global ids.
@@ -833,7 +728,7 @@ impl<D: Dim> Forest<D> {
             .map(|(r, qs)| {
                 qs.into_iter()
                     .map(|key| {
-                        let &i = key_index.get(&key).unwrap_or_else(|| {
+                        let i = index_of(&key).unwrap_or_else(|| {
                             panic!("rank {me}: queried for unknown node {key:?} by rank {r}")
                         });
                         lent_to_rank[r].push(i);
@@ -860,7 +755,7 @@ impl<D: Dim> Forest<D> {
 
         Nodes {
             degree,
-            nodes_per_elem,
+            nodes_per_elem: (degree + 1).pow(D::DIM),
             elements,
             element_nodes,
             keys,
@@ -879,7 +774,7 @@ impl<D: Dim> Forest<D> {
     #[allow(clippy::too_many_arguments)]
     fn hanging_face_node(
         &self,
-        hang: &FaceHang<D>,
+        hang: &FaceHang<'_, D>,
         n: i32,
         pos: [i32; 3],
         intern: &mut impl FnMut(NodeKey, &mut Vec<NodeKey>, &mut Vec<Draft>) -> u32,
@@ -942,7 +837,7 @@ impl<D: Dim> Forest<D> {
     #[allow(clippy::too_many_arguments)]
     fn hanging_edge_node(
         &self,
-        hang: &EdgeHang<D>,
+        hang: &EdgeHang<'_, D>,
         n: i32,
         pos: [i32; 3],
         intern: &mut impl FnMut(NodeKey, &mut Vec<NodeKey>, &mut Vec<Draft>) -> u32,
@@ -1312,6 +1207,58 @@ mod tests {
                 assert_eq!(ids.len() as u64, nodes.num_global);
                 assert_eq!(ids.first(), Some(&0));
                 assert_eq!(ids.last(), Some(&(nodes.num_global - 1)));
+            });
+        }
+    }
+
+    /// The numbering tail on its own terms (the analogue of ghost's
+    /// `mirrors_and_ghosts_are_dual`): what a borrower lists for an owner
+    /// is what that owner lends it, key for key and in order, and every
+    /// rank owns exactly the id range its offset names.
+    #[test]
+    fn lent_and_borrowed_are_dual() {
+        for p in [2usize, 5] {
+            run_spmd(p, |comm| {
+                let (_, nodes) = build(comm, builders::cubed_sphere(), 1, 2, |t, o| {
+                    t == 0 && o.level < 2 && o.x == 0 && o.y == 0 && o.z == 0
+                });
+                let me = comm.rank();
+                let keys_of = |v: &[u32]| -> Vec<NodeKey> {
+                    v.iter().map(|&i| nodes.keys[i as usize]).collect()
+                };
+                let owner_of = |i: u32| match nodes.status[i as usize] {
+                    NodeStatus::Independent { owner, .. } => owner,
+                    NodeStatus::Hanging { .. } => panic!("hanging node {i} is shared"),
+                };
+                let borrowed: Vec<Vec<NodeKey>> =
+                    nodes.borrowed_by_rank.iter().map(|v| keys_of(v)).collect();
+                for (r, (lent, asked)) in nodes
+                    .lent_to_rank
+                    .iter()
+                    .zip(comm.alltoallv(borrowed))
+                    .enumerate()
+                {
+                    assert_eq!(keys_of(lent), asked, "rank {me} lends rank {r}");
+                    assert!(lent.iter().all(|&i| owner_of(i) == me));
+                    assert!(nodes.borrowed_by_rank[r].iter().all(|&i| owner_of(i) == r));
+                }
+                assert!(nodes.lent_to_rank[me].is_empty() && nodes.borrowed_by_rank[me].is_empty());
+
+                let mut owned: Vec<u64> = nodes
+                    .status
+                    .iter()
+                    .filter_map(|s| match s {
+                        NodeStatus::Independent { global, owner } if *owner == me => Some(*global),
+                        _ => None,
+                    })
+                    .collect();
+                owned.sort_unstable();
+                let range = nodes.global_offset..nodes.global_offset + nodes.num_owned as u64;
+                assert_eq!(owned, range.collect::<Vec<u64>>(), "rank {me} owned ids");
+                assert_eq!(
+                    comm.allreduce_sum_u64(nodes.num_owned as u64),
+                    nodes.num_global
+                );
             });
         }
     }

@@ -6,8 +6,7 @@
 //! `(element, face)` appears in exactly one face visit; hanging visits
 //! carry [`Dim::FACE_CHILDREN`] half-size fine sides in ascending
 //! fine-frame child order whose images under the side transforms nest
-//! correctly; and with edges/corners enabled, every local
-//! `(leaf, edge)` / `(leaf, corner)` lands in exactly one sharer list.
+//! correctly.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -16,15 +15,13 @@ use forust::connectivity::{builders, Connectivity, TreeId};
 use forust::dim::{Dim, D2, D3};
 use forust::forest::{BalanceType, FaceSide, FaceVisit, Forest};
 use forust::octant::Octant;
-use forust::{CornerVisit, EdgeVisit, LeafRef, Visit};
+use forust::{LeafRef, Visit};
 use forust_comm::{run_spmd, Communicator};
 
 /// Records every callback and checks per-visit structural invariants.
 struct Recorder<D: Dim> {
     volumes: Vec<(TreeId, Octant<D>)>,
     face_seen: HashMap<(u32, usize), usize>,
-    edge_seen: HashMap<(u32, usize), usize>,
-    corner_seen: HashMap<(u32, usize), usize>,
     hanging: usize,
 }
 
@@ -33,8 +30,6 @@ impl<D: Dim> Recorder<D> {
         Recorder {
             volumes: Vec::new(),
             face_seen: HashMap::new(),
-            edge_seen: HashMap::new(),
-            corner_seen: HashMap::new(),
             hanging: 0,
         }
     }
@@ -117,32 +112,6 @@ impl<D: Dim> Visit<D> for Recorder<D> {
             }
         }
     }
-
-    fn edge(&mut self, visit: &EdgeVisit<D>) {
-        assert!(!visit.sharers.is_empty());
-        for s in &visit.sharers {
-            if let LeafRef::Local(i) = s.elem {
-                *self.edge_seen.entry((i, s.index)).or_insert(0) += 1;
-            }
-        }
-    }
-
-    fn corner(&mut self, visit: &CornerVisit<D>) {
-        assert!(!visit.sharers.is_empty());
-        for s in &visit.sharers {
-            if let LeafRef::Local(i) = s.elem {
-                *self.corner_seen.entry((i, s.index)).or_insert(0) += 1;
-            }
-        }
-    }
-
-    fn wants_edges(&self) -> bool {
-        true
-    }
-
-    fn wants_corners(&self) -> bool {
-        true
-    }
 }
 
 fn exhaustive<D: Dim>(conn_fn: fn() -> Connectivity<D>, name: &str) {
@@ -181,35 +150,6 @@ fn exhaustive<D: Dim>(conn_fn: fn() -> Connectivity<D>, name: &str) {
                         rec.face_seen.get(&(i, face)),
                         Some(&1),
                         "{name}, p={ranks}: elem {i} face {face} seen exactly once"
-                    );
-                }
-            }
-
-            // Edges (3D only): every local (leaf, edge) in exactly one
-            // sharer list.
-            if D::EDGES > 0 {
-                assert_eq!(rec.edge_seen.len(), want.len() * D::EDGES);
-                for i in 0..nlocal {
-                    for e in 0..D::EDGES {
-                        assert_eq!(
-                            rec.edge_seen.get(&(i, e)),
-                            Some(&1),
-                            "{name}, p={ranks}: elem {i} edge {e} seen exactly once"
-                        );
-                    }
-                }
-            } else {
-                assert!(rec.edge_seen.is_empty(), "no edge visits in 2D");
-            }
-
-            // Corners: every local (leaf, corner) in exactly one sharer list.
-            assert_eq!(rec.corner_seen.len(), want.len() * D::CORNERS);
-            for i in 0..nlocal {
-                for c in 0..D::CORNERS {
-                    assert_eq!(
-                        rec.corner_seen.get(&(i, c)),
-                        Some(&1),
-                        "{name}, p={ranks}: elem {i} corner {c} seen exactly once"
                     );
                 }
             }

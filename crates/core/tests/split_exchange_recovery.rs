@@ -1,16 +1,15 @@
-//! Chaos: a rank crash in the *middle* of a split-phase ghost exchange —
-//! after `exchange_begin` put the messages on the wire, before
-//! `exchange_end` drained them — must be survivable. The survivors abort
-//! (poison), the job restarts on fewer ranks, and the checkpoint written
-//! before the exchange restores the forest and its payload
-//! octant-for-octant.
+//! Chaos: a rank crash in the *middle* of a ghost-payload exchange —
+//! after its last send put its messages on the wire, before it drained
+//! its receives — must be survivable. The survivors abort (poison), the
+//! job restarts on fewer ranks, and the checkpoint written before the
+//! exchange restores the forest and its payload octant-for-octant.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use forust::connectivity::builders;
 use forust::dim::D3;
-use forust::forest::{read_dir, write_dir, BalanceType, Forest, SolverFormat};
+use forust::forest::{read_dir, write_dir, BalanceType, Forest, GhostLayer, SolverFormat};
 use forust::octant::Octant;
 use forust_comm::{
     run_spmd, run_spmd_with, ChaosComm, Communicator, FaultPlan, RankCrashed, ThreadComm,
@@ -54,11 +53,33 @@ fn global_signature(comm: &impl Communicator, f: &Forest<D3>) -> Vec<u64> {
     all
 }
 
+/// Ghost payload: the ghost's own identity, so a received value can be
+/// checked against the ghost it lands on.
+fn ghost_payload(t: u32, o: &Octant<D3>) -> u64 {
+    (t as u64) << 60 | o.morton()
+}
+
+/// Run the ghost exchange and check every ghost got its own payload.
+fn exchange_and_check(comm: &impl Communicator, ghost: &GhostLayer<D3>) {
+    let values: Vec<u64> = ghost
+        .mirrors
+        .iter()
+        .map(|(t, o)| ghost_payload(*t, o))
+        .collect();
+    let got = ghost.exchange(comm, &values);
+    let want: Vec<u64> = ghost
+        .ghosts
+        .iter()
+        .map(|(t, o)| ghost_payload(*t, o))
+        .collect();
+    assert_eq!(got, want, "rank {}: ghost payloads", comm.rank());
+}
+
 /// The program under chaos: build an adapted forest, checkpoint it with a
-/// per-leaf payload, then run a split-phase ghost exchange. Returns the
-/// chaos call-clock reading right after `exchange_begin` (to aim the
-/// crash), the exchanged ghost values, and the global forest signature.
-fn program(comm: &ChaosComm<ThreadComm>, dir: &Path) -> (u64, Vec<u64>, Vec<u64>) {
+/// per-leaf payload, then run the ghost exchange. Returns the chaos
+/// call-clock readings right before and right after the exchange (to aim
+/// the crash) and the global forest signature.
+fn program(comm: &ChaosComm<ThreadComm>, dir: &Path) -> (u64, u64, Vec<u64>) {
     let conn = Arc::new(builders::rotcubes6());
     let mut f = Forest::<D3>::new_uniform(conn, comm, 1);
     f.refine(comm, true, |_, o| o.level < 2 && o.x == 0);
@@ -76,24 +97,19 @@ fn program(comm: &ChaosComm<ThreadComm>, dir: &Path) -> (u64, Vec<u64>, Vec<u64>
     .unwrap();
 
     let ghost = f.ghost(comm);
-    let values: Vec<u64> = ghost
-        .mirrors
-        .iter()
-        .map(|(t, o)| (*t as u64) << 60 | o.morton())
-        .collect();
-    let pending = ghost.exchange_begin(comm, &values);
-    let after_begin = comm.calls();
-    let got = ghost.exchange_end(pending);
-    (after_begin, got, global_signature(comm, &f))
+    let before = comm.calls();
+    exchange_and_check(comm, &ghost);
+    let after = comm.calls();
+    (before, after, global_signature(comm, &f))
 }
 
 #[test]
-fn crash_between_exchange_begin_and_end_recovers_from_checkpoint() {
+fn crash_mid_ghost_exchange_recovers_from_checkpoint() {
     const RANKS: usize = 3;
     const VICTIM: usize = 1;
 
-    // Probe run, fault-free: learn the victim's call clock right after
-    // exchange_begin returns, and the reference state.
+    // Probe run, fault-free: learn the victim's call clock around the
+    // exchange, and the reference state.
     let probe_dir = tmpdir("probe");
     let pd = probe_dir.clone();
     let probe = run_spmd_with(
@@ -102,16 +118,22 @@ fn crash_between_exchange_begin_and_end_recovers_from_checkpoint() {
         |tc| ChaosComm::new(tc, FaultPlan::new(0)),
         move |comm| program(comm, &pd),
     );
-    let after_begin = probe[VICTIM].0;
+    let (before, after) = (probe[VICTIM].0, probe[VICTIM].1);
     let reference_signature = probe[0].2.clone();
-    assert!(after_begin > 0);
+    // The exchange sends to every peer first, then receives from each.
+    assert_eq!(
+        after - before,
+        2 * (RANKS as u64 - 1),
+        "one send and one receive per peer"
+    );
+    let last_send = before + (RANKS as u64 - 1);
 
-    // Crash run: the victim dies one communication call after its begin
-    // returned — i.e. on the receive side of exchange_end, with its own
-    // messages already in flight toward the survivors.
+    // Crash run: the victim dies one communication call after its last
+    // send — on its first receive, with its own messages already in
+    // flight toward the survivors.
     let crash_dir = tmpdir("crash");
     let cd = crash_dir.clone();
-    let plan = FaultPlan::new(0).with_crash(VICTIM, after_begin + 1);
+    let plan = FaultPlan::new(0).with_crash(VICTIM, last_send + 1);
     let caught = std::panic::catch_unwind(move || {
         run_spmd_with(
             RANKS,
@@ -125,12 +147,12 @@ fn crash_between_exchange_begin_and_end_recovers_from_checkpoint() {
         .downcast_ref::<RankCrashed>()
         .expect("root cause should be the injected mid-exchange crash");
     assert_eq!(crash.rank, VICTIM);
-    assert_eq!(crash.call, after_begin + 1);
+    assert_eq!(crash.call, last_send + 1);
 
     // Recovery on the survivors (one rank fewer): the checkpoint written
     // before the exchange restores the forest octant-for-octant, every
-    // leaf carries its exact payload, and the split-phase exchange works
-    // on the recovered forest.
+    // leaf carries its exact payload, and the ghost exchange works on the
+    // recovered forest.
     run_spmd(RANKS - 1, move |comm| {
         let conn = Arc::new(builders::rotcubes6());
         let blobs = read_dir(&crash_dir).expect("recoverable");
@@ -145,16 +167,6 @@ fn crash_between_exchange_begin_and_end_recovers_from_checkpoint() {
         for ((t, o), chunk) in f.iter_local().zip(chunks.chunks(3)) {
             assert_eq!(chunk, &leaf_payload(t, o), "payload mismatch at {t}/{o:?}");
         }
-
-        let ghost = f.ghost(comm);
-        let values: Vec<u64> = ghost
-            .mirrors
-            .iter()
-            .map(|(t, o)| (*t as u64) << 60 | o.morton())
-            .collect();
-        let pending = ghost.exchange_begin(comm, &values);
-        let split = ghost.exchange_end(pending);
-        let blocking = ghost.exchange(comm, &values);
-        assert_eq!(split, blocking);
+        exchange_and_check(comm, &f.ghost(comm));
     });
 }

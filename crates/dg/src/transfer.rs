@@ -18,7 +18,6 @@
 
 use forust::dim::Dim;
 use forust::forest::Forest;
-use forust::linear;
 use forust::octant::Octant;
 
 use crate::element::RefElement;
@@ -228,12 +227,6 @@ pub fn reference_integral<D: Dim>(
         }
     }
     total
-}
-
-/// Sanity helper: both forests linear per tree (used in debug asserts).
-#[allow(dead_code)]
-fn check_linear<D: Dim>(f: &Forest<D>) -> bool {
-    (0..f.conn.num_trees() as u32).all(|t| linear::is_linear(f.tree(t)))
 }
 
 #[cfg(test)]

@@ -116,37 +116,31 @@ impl MantleSolver {
         // in the narrow low viscosity zones").
         let t0 = Instant::now();
         for _ in 0..config.max_level {
-            let marks: std::collections::HashSet<(u32, u64, u8)> = forest
-                .iter_local()
-                .filter(|(t, o)| {
-                    if o.level >= config.max_level {
-                        return false;
-                    }
-                    let mut tmin = f64::INFINITY;
-                    let mut tmax = f64::NEG_INFINITY;
-                    let mut weak = false;
-                    for c in 0..8 {
-                        let off = <D3 as forust::dim::Dim>::corner_offset(c);
-                        let xi = forust_geom::octant_ref_coords::<D3>(
-                            o,
-                            [off[0] as f64, off[1] as f64, off[2] as f64],
-                        );
-                        let x = map.map(*t, xi);
-                        let tv = crate::rheology::synthetic_temperature(x);
-                        tmin = tmin.min(tv);
-                        tmax = tmax.max(tv);
-                        weak |= crate::rheology::plate_boundary_factor(&config.rheology, x) < 1.0;
-                    }
-                    weak || tmax - tmin > 0.15
-                })
-                .map(|(t, o)| (t, o.morton(), o.level))
-                .collect();
-            if comm.allreduce_sum_u64(marks.len() as u64) == 0 {
+            let before = forest.num_global();
+            forest.refine(comm, false, |t, o| {
+                if o.level >= config.max_level {
+                    return false;
+                }
+                let mut tmin = f64::INFINITY;
+                let mut tmax = f64::NEG_INFINITY;
+                let mut weak = false;
+                for c in 0..8 {
+                    let off = <D3 as forust::dim::Dim>::corner_offset(c);
+                    let xi = forust_geom::octant_ref_coords::<D3>(
+                        o,
+                        [off[0] as f64, off[1] as f64, off[2] as f64],
+                    );
+                    let x = map.map(t, xi);
+                    let tv = crate::rheology::synthetic_temperature(x);
+                    tmin = tmin.min(tv);
+                    tmax = tmax.max(tv);
+                    weak |= crate::rheology::plate_boundary_factor(&config.rheology, x) < 1.0;
+                }
+                weak || tmax - tmin > 0.15
+            });
+            if forest.num_global() == before {
                 break;
             }
-            forest.refine(comm, false, |t, o| {
-                marks.contains(&(t, o.morton(), o.level))
-            });
         }
         forest.balance(comm, BalanceType::Full);
         forest.partition(comm);

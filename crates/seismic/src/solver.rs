@@ -136,46 +136,40 @@ impl SeismicSolver {
         let fmax = 2.5 * config.f0;
         let n = config.degree as f64;
         for _ in 0..(config.max_level - config.min_level) {
-            let marks: std::collections::HashSet<(u32, u64, u8)> = forest
-                .iter_local()
-                .filter(|(t, o)| {
-                    if o.level >= config.max_level {
-                        return false;
+            let before = forest.num_global();
+            forest.refine(comm, false, |t, o| {
+                if o.level >= config.max_level {
+                    return false;
+                }
+                // Element size and minimum vs from the corner points.
+                let mut h: f64 = 0.0;
+                let mut vs_min = f64::INFINITY;
+                let corners: Vec<[f64; 3]> = (0..8)
+                    .map(|c| {
+                        let off = <D3 as forust::dim::Dim>::corner_offset(c);
+                        let xi = forust_geom::octant_ref_coords::<D3>(
+                            o,
+                            [off[0] as f64, off[1] as f64, off[2] as f64],
+                        );
+                        map.map(t, xi)
+                    })
+                    .collect();
+                for i in 0..8 {
+                    vs_min = vs_min.min(model(corners[i]).vs);
+                    for j in (i + 1)..8 {
+                        let d = (0..3)
+                            .map(|k| (corners[i][k] - corners[j][k]).powi(2))
+                            .sum::<f64>()
+                            .sqrt();
+                        h = h.max(d / 3f64.sqrt()); // diagonal -> edge scale
                     }
-                    // Element size and minimum vs from the corner points.
-                    let mut h: f64 = 0.0;
-                    let mut vs_min = f64::INFINITY;
-                    let corners: Vec<[f64; 3]> = (0..8)
-                        .map(|c| {
-                            let off = <D3 as forust::dim::Dim>::corner_offset(c);
-                            let xi = forust_geom::octant_ref_coords::<D3>(
-                                o,
-                                [off[0] as f64, off[1] as f64, off[2] as f64],
-                            );
-                            map.map(*t, xi)
-                        })
-                        .collect();
-                    for i in 0..8 {
-                        vs_min = vs_min.min(model(corners[i]).vs);
-                        for j in (i + 1)..8 {
-                            let d = (0..3)
-                                .map(|k| (corners[i][k] - corners[j][k]).powi(2))
-                                .sum::<f64>()
-                                .sqrt();
-                            h = h.max(d / 3f64.sqrt()); // diagonal -> edge scale
-                        }
-                    }
-                    let lambda_min = vs_min / fmax;
-                    h > n * lambda_min / config.ppw
-                })
-                .map(|(t, o)| (t, o.morton(), o.level))
-                .collect();
-            if comm.allreduce_sum_u64(marks.len() as u64) == 0 {
+                }
+                let lambda_min = vs_min / fmax;
+                h > n * lambda_min / config.ppw
+            });
+            if forest.num_global() == before {
                 break;
             }
-            forest.refine(comm, false, |t, o| {
-                marks.contains(&(t, o.morton(), o.level))
-            });
         }
         forest.balance(comm, BalanceType::Full);
         forest.partition(comm);
