@@ -133,6 +133,32 @@ fn descend<D: Dim>(
     }
 }
 
+/// The ranks other than `me` owning a leaf that touches leaf `o` of tree
+/// `t`: the owner descent over its 26 (8 in 2D) same-size neighbor
+/// regions, sorted and deduplicated into `ranks`.
+fn owners_touching<D: Dim>(
+    f: &Forest<D>,
+    t: TreeId,
+    o: &Octant<D>,
+    me: usize,
+    ranks: &mut Vec<usize>,
+) {
+    ranks.clear();
+    let zrange: &[i32] = if D::DIM == 3 { &[-1, 0, 1] } else { &[0] };
+    for &dz in zrange {
+        for dy in [-1i32, 0, 1] {
+            for dx in [-1i32, 0, 1] {
+                if dx == 0 && dy == 0 && dz == 0 {
+                    continue;
+                }
+                descend(f, t, o, &o.neighbor(dx, dy, dz), me, &mut |r| ranks.push(r));
+            }
+        }
+    }
+    ranks.sort_unstable();
+    ranks.dedup();
+}
+
 /// Is the entire insulation layer of branch `b` of tree `t` — `b` itself
 /// plus every routed image of its 26 (resp. 8 in 2D) same-size neighbor
 /// regions — owned exclusively by rank `me`?
@@ -234,7 +260,6 @@ impl<D: Dim> Forest<D> {
 
         // Phase 2: exact per-leaf owner descent over the survivors,
         // pool-parallel with deterministic chunking.
-        let zrange: &[i32] = if D::DIM == 3 { &[-1, 0, 1] } else { &[0] };
         let mut per_rank: Vec<Vec<(u32, Octant<D>)>> = (0..p).map(|_| Vec::new()).collect();
         {
             let this: &Self = self;
@@ -246,20 +271,7 @@ impl<D: Dim> Forest<D> {
                     let mut pr: Vec<Vec<(u32, Octant<D>)>> = (0..p).map(|_| Vec::new()).collect();
                     let mut ranks: Vec<usize> = Vec::new();
                     for &(t, o) in &items[range] {
-                        ranks.clear();
-                        for &dz in zrange {
-                            for dy in [-1i32, 0, 1] {
-                                for dx in [-1i32, 0, 1] {
-                                    if dx == 0 && dy == 0 && dz == 0 {
-                                        continue;
-                                    }
-                                    let n = o.neighbor(dx, dy, dz);
-                                    descend(this, t, &o, &n, me, &mut |r| ranks.push(r));
-                                }
-                            }
-                        }
-                        ranks.sort_unstable();
-                        ranks.dedup();
+                        owners_touching(this, t, &o, me, &mut ranks);
                         for &r in &ranks {
                             pr[r].push((t, o));
                         }
@@ -273,64 +285,41 @@ impl<D: Dim> Forest<D> {
                 },
             );
         }
-        for v in &mut per_rank {
-            v.sort_by_cached_key(|(t, o)| sfc_pos(*t, o));
-            v.dedup();
-        }
 
         self.ghost_finish(comm, per_rank)
     }
 
-    /// The original per-leaf formulation of [`Forest::ghost`]: the owner
-    /// descent runs on **every** local leaf, with no insulation pruning.
-    /// Retained verbatim as the equivalence oracle (the
-    /// `morton_reference`/`balance_ripple` pattern); the fuzz suite
+    /// The per-leaf formulation of [`Forest::ghost`], retained as its
+    /// equivalence oracle: the same owner descent on **every** local leaf,
+    /// serially — no insulation pruning and no pool. The fuzz suite
     /// asserts both construct bitwise-identical ghost layers across rank
     /// and worker counts. Not public API.
     #[doc(hidden)]
     pub fn ghost_reference(&self, comm: &impl Communicator) -> GhostLayer<D> {
-        let p = comm.size();
-        let me = comm.rank();
-
-        // Directions: full insulation (faces + edges + corners).
-        let zrange: &[i32] = if D::DIM == 3 { &[-1, 0, 1] } else { &[0] };
-        let mut per_rank: Vec<Vec<(u32, Octant<D>)>> = (0..p).map(|_| Vec::new()).collect();
-        // One scratch buffer for the whole leaf loop, cleared per leaf.
+        let mut per_rank: Vec<Vec<(u32, Octant<D>)>> =
+            (0..comm.size()).map(|_| Vec::new()).collect();
         let mut ranks: Vec<usize> = Vec::new();
         for (t, o) in self.iter_local() {
-            ranks.clear();
-            for &dz in zrange {
-                for dy in [-1i32, 0, 1] {
-                    for dx in [-1i32, 0, 1] {
-                        if dx == 0 && dy == 0 && dz == 0 {
-                            continue;
-                        }
-                        let n = o.neighbor(dx, dy, dz);
-                        descend(self, t, o, &n, me, &mut |r| ranks.push(r));
-                    }
-                }
-            }
-            ranks.sort_unstable();
-            ranks.dedup();
+            owners_touching(self, t, o, comm.rank(), &mut ranks);
             for &r in &ranks {
                 per_rank[r].push((t, *o));
             }
         }
+        self.ghost_finish(comm, per_rank)
+    }
+
+    /// Shared tail of both ghost constructions: each rank's send list in
+    /// curve order, mirrors, per-rank mirror indices, and the one
+    /// all-to-all that delivers the ghost octants.
+    fn ghost_finish(
+        &self,
+        comm: &impl Communicator,
+        mut per_rank: Vec<Vec<(u32, Octant<D>)>>,
+    ) -> GhostLayer<D> {
         for v in &mut per_rank {
             v.sort_by_cached_key(|(t, o)| sfc_pos(*t, o));
             v.dedup();
         }
-
-        self.ghost_finish(comm, per_rank)
-    }
-
-    /// Shared tail of both ghost constructions: mirrors, per-rank mirror
-    /// indices, and the one all-to-all that delivers the ghost octants.
-    fn ghost_finish(
-        &self,
-        comm: &impl Communicator,
-        per_rank: Vec<Vec<(u32, Octant<D>)>>,
-    ) -> GhostLayer<D> {
         // Mirrors: union of all per-rank send lists, with their SFC keys
         // interleaved once and reused for every binary search below.
         let mut mirrors: Vec<(u32, Octant<D>)> = per_rank.iter().flatten().copied().collect();

@@ -9,7 +9,6 @@
 //! function (a rotate + xor + multiply per word), implemented locally
 //! because the workspace builds without external crates.
 
-use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// FxHash multiplier (the golden-ratio-derived odd constant).
@@ -83,16 +82,14 @@ impl Hasher for FxHasher {
 /// `BuildHasher` for [`FxHasher`].
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
-/// `HashMap` keyed by the Fx mixing function.
-pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     #[test]
     fn map_roundtrip() {
-        let mut m: FxHashMap<(u32, [i32; 3]), u32> = FxHashMap::default();
+        let mut m: HashMap<(u32, [i32; 3]), u32, FxBuildHasher> = HashMap::default();
         for i in 0..1000u32 {
             m.insert((i % 7, [i as i32, -(i as i32), 2 * i as i32]), i);
         }

@@ -37,5 +37,5 @@ pub mod octant;
 pub use connectivity::{Connectivity, TreeId};
 pub use dim::{Dim, D2, D3};
 pub use forest::{BalanceType, FaceSide, FaceVisit, Forest, GhostLayer, LeafRef, Visit};
-pub use nodes::{AssemblePending, NodeKey, NodeStatus, Nodes, TAG_ASSEMBLE};
+pub use nodes::{NodeKey, NodeStatus, Nodes, TAG_ASSEMBLE};
 pub use octant::Octant;

@@ -24,14 +24,16 @@
 //! own query the owner once (one all-to-all round trip), which also builds
 //! the scatter/gather plan used by [`Nodes::assemble_add`].
 
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::BuildHasher;
 
-use forust_comm::{read_vec, write_vec, Communicator, PendingExchange, Wire, TAG_COLLECTIVE};
+use forust_comm::{read_vec, write_vec, Communicator, Wire, TAG_COLLECTIVE};
 
 use crate::connectivity::{Route, TreeId};
 use crate::dim::Dim;
 use crate::forest::{Forest, GhostLayer};
-use crate::hash::FxHashMap;
+use crate::hash::FxBuildHasher;
 use crate::octant::Octant;
 
 /// Canonical identity of a node: lowest participating tree, position in
@@ -65,14 +67,13 @@ pub enum NodeStatus {
 
 /// The result of the `Nodes` algorithm on one rank.
 #[derive(Debug, Clone)]
-pub struct Nodes<D: Dim> {
+pub struct Nodes {
     /// Polynomial degree `N >= 1`.
     pub degree: usize,
     /// `(N+1)^d`.
     pub nodes_per_elem: usize,
-    /// Local elements in SFC order (copied from the forest for indexing).
-    pub elements: Vec<(TreeId, Octant<D>)>,
-    /// `elements.len() * nodes_per_elem` local node indices, node lattice
+    /// `nodes_per_elem` local node indices per local element, elements in
+    /// the forest's SFC order (`Forest::iter_local`), node lattice
     /// x-fastest within each element.
     pub element_nodes: Vec<u32>,
     /// Canonical key per local node.
@@ -104,26 +105,125 @@ enum Draft {
     },
 }
 
-/// How one facet of an element hangs, recorded at detection time.
-struct FaceHang<'a, D: Dim> {
-    /// Tree of the coarse neighbor.
+/// The key-to-index map of the walk and, in interning order, each local
+/// node's key and draft classification.
+struct Interner<S> {
+    index: HashMap<NodeKey, u32, S>,
+    keys: Vec<NodeKey>,
+    drafts: Vec<Draft>,
+}
+
+impl<S: BuildHasher> Interner<S> {
+    fn intern(&mut self, key: NodeKey) -> u32 {
+        let (keys, drafts) = (&mut self.keys, &mut self.drafts);
+        *self.index.entry(key).or_insert_with(|| {
+            keys.push(key);
+            drafts.push(Draft::Unset);
+            (keys.len() - 1) as u32
+        })
+    }
+
+    /// Intern `key` as an independent node.
+    fn independent(&mut self, key: NodeKey) -> u32 {
+        let i = self.intern(key);
+        match self.drafts[i as usize] {
+            Draft::Unset => self.drafts[i as usize] = Draft::Independent,
+            Draft::Independent => {}
+            Draft::Hanging { .. } => {
+                panic!("node {i} classified both independent and hanging (constraint chain?)")
+            }
+        }
+        i
+    }
+
+    /// Intern `key` as a node hanging from `parents`.
+    fn hanging(&mut self, key: NodeKey, parents: Vec<u32>, rel: [u16; 2], entity_dim: u8) -> u32 {
+        let i = self.intern(key);
+        match self.drafts[i as usize] {
+            Draft::Independent => {
+                panic!("node {i} classified both hanging and independent (constraint chain?)")
+            }
+            // Another element constrained the same node. The records may
+            // differ structurally — e.g. a node on the shared edge of two
+            // hanging faces is recorded against either coarse face — but
+            // they are functionally identical: the interpolation weights
+            // are supported on the shared coarse edge, whose node keys
+            // coincide. Keep the first record; prefer a face constraint
+            // over an edge constraint when the dimensions differ (the face
+            // form degenerates to the edge form on the boundary).
+            Draft::Hanging { entity_dim: e0, .. } if e0 >= entity_dim => {}
+            _ => {
+                self.drafts[i as usize] = Draft::Hanging {
+                    parents,
+                    rel,
+                    entity_dim,
+                }
+            }
+        }
+        i
+    }
+}
+
+/// How one face or edge of an element hangs: the coarser neighbor leaf
+/// whose full-size entity the element's entity is half of.
+struct Hang<'a, D: Dim> {
+    /// Per element axis, the lattice index every node of the entity has,
+    /// or `-1` along the entity.
+    at: [i32; 3],
+    /// Tree of the coarse neighbor leaf, and the leaf.
     tree: TreeId,
-    /// The coarse neighbor leaf.
     coarse: Octant<D>,
-    /// Plane axis in the coarse tree frame, and whether it is the coarse
-    /// octant's high side.
-    plane_axis: usize,
-    plane_high: bool,
+    /// The entity's axes in the coarse tree frame, ascending: the first
+    /// `dim` entries count (2 for a 3D face, 1 for an edge or a 2D face).
+    axes: [usize; 2],
+    dim: usize,
     /// Point map into the coarse tree frame.
     route: Route<'a>,
 }
 
-struct EdgeHang<'a, D: Dim> {
-    tree: TreeId,
-    coarse: Octant<D>,
-    /// Axis in the coarse tree frame along which the edge runs.
-    run_axis: usize,
-    route: Route<'a>,
+impl<D: Dim> Hang<'_, D> {
+    /// Classify the node at scaled position `pos` of the element's tree:
+    /// intern the coarse entity's `(N+1)^dim` lattice as its parents and
+    /// record its rational position in the coarse entity. A position that
+    /// is even on every axis coincides with a parent and is independent.
+    fn node<S: BuildHasher>(
+        &self,
+        n: i32,
+        pos: [i32; 3],
+        nodes: &mut Interner<S>,
+        canon: &impl Fn(TreeId, [i32; 3]) -> NodeKey,
+    ) -> u32 {
+        let (c, hc) = (self.coarse.coords(), self.coarse.len());
+        let p2 = self.route.map_point_scaled::<D>(pos, n);
+        let axes = &self.axes[..self.dim];
+        // Numerator over 2N per entity axis.
+        let mut rel = [0u16; 2];
+        for (r, &a) in rel.iter_mut().zip(axes) {
+            let delta = p2[a] - n * c[a];
+            debug_assert!(delta >= 0 && delta <= n * hc);
+            debug_assert_eq!((2 * delta) % hc, 0, "node off the half-lattice");
+            *r = (2 * delta / hc) as u16;
+        }
+        if rel.iter().all(|r| r % 2 == 0) {
+            return nodes.independent(canon(self.tree, p2));
+        }
+        // The lattice, first axis fastest. Off the entity axes a parent
+        // keeps the node's coordinates: a hanging face's nodes already lie
+        // in the coarse leaf's boundary plane.
+        let npe_1d = n as usize + 1;
+        let parents = (0..npe_1d.pow(self.dim as u32))
+            .map(|j| {
+                let mut q = p2;
+                let mut rest = j;
+                for &a in axes {
+                    q[a] = n * c[a] + (rest % npe_1d) as i32 * hc;
+                    rest /= npe_1d;
+                }
+                nodes.independent(canon(self.tree, q))
+            })
+            .collect();
+        nodes.hanging(canon(self.tree, p2), parents, rel, self.dim as u8)
+    }
 }
 
 impl<D: Dim> Forest<D> {
@@ -131,28 +231,54 @@ impl<D: Dim> Forest<D> {
     /// unknowns with hanging-node constraints. Requires a 2:1 balanced
     /// forest and its ghost layer.
     ///
-    /// This is the recursive-era formulation: the per-element flow of
-    /// [`Forest::nodes_reference`] with allocation-free fast paths for
-    /// the overwhelmingly common all-interior cases — an interior point
-    /// is its own canonical image, and an in-root neighbor box routes
-    /// through `Route::Interior` only, so neither needs the image
-    /// enumeration. Both paths produce identical keys, classifications
-    /// and interning order, so the result is bitwise identical to the
-    /// oracle (asserted node-for-node by the fuzz suite).
-    pub fn nodes(
+    /// The classification walk with its shortcuts on and an FxHash
+    /// interning map; [`Forest::nodes_reference`] is the same walk with
+    /// them off.
+    pub fn nodes(&self, comm: &impl Communicator, ghost: &GhostLayer<D>, degree: usize) -> Nodes {
+        let _span = forust_obs::span!("forest.nodes");
+        self.nodes_walk::<true, FxBuildHasher>(comm, ghost, degree)
+    }
+
+    /// The equivalence oracle for [`Forest::nodes`]: the same walk with
+    /// its shortcuts off and std's `HashMap`, so the fuzz suite's
+    /// node-for-node comparison checks exactly the shortcuts.
+    #[doc(hidden)]
+    pub fn nodes_reference(
         &self,
         comm: &impl Communicator,
         ghost: &GhostLayer<D>,
         degree: usize,
-    ) -> Nodes<D> {
-        let _span = forust_obs::span!("forest.nodes");
+    ) -> Nodes {
+        self.nodes_walk::<false, RandomState>(comm, ghost, degree)
+    }
+
+    /// The per-element classification walk: find which faces and edges
+    /// of each local element hang, classify and intern its nodes in
+    /// lattice order, then number them in `nodes_finish`.
+    ///
+    /// `FAST` turns on three shortcuts, none of which changes a key, a
+    /// classification or the interning order:
+    /// - *sibling-group pruning*: a coarser neighbor can only sit across
+    ///   a face or edge on the boundary of the element's sibling group
+    ///   (across an inner one the neighbor region lies inside the parent,
+    ///   so a containing leaf at `level - 1` would be the parent itself),
+    ///   and root elements have no coarser side at all. This halves the
+    ///   face probes and cuts the edge probes to a quarter;
+    /// - the *in-root probe*: a neighbor box inside the root is its own
+    ///   single image (`Route::Interior`), with no image enumeration;
+    /// - the *interior-point canon*: a strictly interior point's only
+    ///   image is itself.
+    fn nodes_walk<const FAST: bool, S: BuildHasher + Default>(
+        &self,
+        comm: &impl Communicator,
+        ghost: &GhostLayer<D>,
+        degree: usize,
+    ) -> Nodes {
         assert!(degree >= 1, "nodes: degree must be at least 1");
         let n = degree as i32;
         let npe_1d = degree + 1;
-        let nodes_per_elem = npe_1d.pow(D::DIM);
+        let dim = D::DIM as usize;
         let big = D::root_len();
-
-        let elements: Vec<(TreeId, Octant<D>)> = self.iter_local().map(|(t, o)| (t, *o)).collect();
 
         // Leaf lookup across local storage and the ghost layer.
         let find_leaf = |t: TreeId, region: &Octant<D>| -> Option<Octant<D>> {
@@ -161,12 +287,9 @@ impl<D: Dim> Forest<D> {
             }
             ghost.find_containing(t, region).map(|i| ghost.ghosts[i].1)
         };
-
-        // Canonicalize a scaled position of tree `t`. A strictly interior
-        // point has exactly one image — itself — so only boundary points
-        // pay for the image enumeration.
+        // Canonicalize a scaled position of tree `t`: its least image.
         let canon = |t: TreeId, pos: [i32; 3]| -> NodeKey {
-            if (0..D::DIM as usize).all(|d| pos[d] > 0 && pos[d] < n * big) {
+            if FAST && (0..dim).all(|d| pos[d] > 0 && pos[d] < n * big) {
                 return (t, pos);
             }
             self.conn
@@ -175,179 +298,89 @@ impl<D: Dim> Forest<D> {
                 .min()
                 .expect("point has at least its own image")
         };
+        // Faces, then edges, each as a diagonal pair of element corners.
+        let entities: Vec<[usize; 2]> = D::FACE_CORNERS
+            .iter()
+            .map(|c| [c[0], c[c.len() - 1]])
+            .chain(D::EDGE_CORNERS.iter().copied())
+            .collect();
 
-        let mut key_index: FxHashMap<NodeKey, u32> = FxHashMap::default();
-        let mut keys: Vec<NodeKey> = Vec::new();
-        let mut drafts: Vec<Draft> = Vec::new();
-        let mut intern = |key: NodeKey, keys: &mut Vec<NodeKey>, drafts: &mut Vec<Draft>| -> u32 {
-            *key_index.entry(key).or_insert_with(|| {
-                keys.push(key);
-                drafts.push(Draft::Unset);
-                (keys.len() - 1) as u32
-            })
+        let mut nodes = Interner::<S> {
+            index: HashMap::default(),
+            keys: Vec::new(),
+            drafts: Vec::new(),
         };
+        let mut element_nodes = Vec::with_capacity(self.num_local() * npe_1d.pow(D::DIM));
+        let mut hangs: Vec<Hang<'_, D>> = Vec::new();
+        for (t, o) in self.iter_local() {
+            let (h, level, cid) = (o.len(), o.level, o.child_id());
+            // The leaf one level coarser containing an image, if any.
+            let coarser = |k2: TreeId, m: Octant<D>, route| {
+                find_leaf(k2, &m)
+                    .filter(|leaf| leaf.level + 1 == level)
+                    .map(|leaf| (k2, leaf, route))
+            };
 
-        let mut element_nodes: Vec<u32> = Vec::with_capacity(elements.len() * nodes_per_elem);
-
-        for &(t, o) in &elements {
-            let h = o.len();
-            let level = o.level;
-
-            // --- Detect hanging faces -------------------------------------
-            // A coarser neighbor can only sit across an *outer* face of the
-            // sibling group: across an inner face the neighbor region lies
-            // inside our parent, so a containing leaf at `level - 1` would
-            // have to be the parent itself — impossible while we are its
-            // descendant. Root elements have no coarser side at all. This
-            // prunes half the face probes with bit arithmetic.
-            let cid = o.child_id();
-            let mut face_hang: Vec<Option<FaceHang<'_, D>>> = (0..D::FACES).map(|_| None).collect();
-            for (f, slot) in face_hang.iter_mut().enumerate() {
-                if level == 0 || (((cid >> D::face_axis(f)) & 1) == 1) != D::face_positive(f) {
+            // --- Detect hanging faces and edges ---------------------------
+            hangs.clear();
+            for (ent, &[ca, cb]) in entities.iter().enumerate() {
+                let (lo, hi) = (D::corner_offset(ca), D::corner_offset(cb));
+                // The entity is fixed along the axes its corners agree on.
+                let fixed = |d: usize| d < dim && lo[d] == hi[d];
+                // Sibling-group pruning: skip an entity off the group's
+                // boundary.
+                if FAST
+                    && (level == 0
+                        || (0..dim).any(|d| fixed(d) && lo[d] != ((cid >> d) & 1) as i32))
+                {
                     continue;
                 }
-                let nb = o.face_neighbor(f);
-                if nb.is_inside_root() {
-                    // Fast path: the neighbor box is its own single image
-                    // (`Route::Interior`).
-                    if let Some(leaf) = find_leaf(t, &nb) {
-                        if leaf.level + 1 == level {
-                            let plane_axis = D::face_axis(f);
-                            let my_plane = if D::face_positive(f) {
-                                o.coords()[plane_axis] + h
-                            } else {
-                                o.coords()[plane_axis]
-                            };
-                            let plane_high = if my_plane == leaf.coords()[plane_axis] {
-                                false
-                            } else {
-                                debug_assert_eq!(my_plane, leaf.coords()[plane_axis] + leaf.len());
-                                true
-                            };
-                            *slot = Some(FaceHang {
-                                tree: t,
-                                coarse: leaf,
-                                plane_axis,
-                                plane_high,
-                                route: Route::Interior,
-                            });
-                        }
-                    }
+                let step = |d: usize| if fixed(d) { 2 * lo[d] - 1 } else { 0 };
+                let nb = o.neighbor(step(0), step(1), step(2));
+                // The in-root probe, else the routed image enumeration.
+                let found = if FAST && nb.is_inside_root() {
+                    coarser(t, nb, Route::Interior)
+                } else {
+                    self.conn
+                        .exterior_images_routed(t, &nb)
+                        .into_iter()
+                        .find_map(|(k2, m, route)| coarser(k2, m, route))
+                };
+                let Some((tree, coarse, route)) = found else {
                     continue;
-                }
-                for (k2, m, route) in self.conn.exterior_images_routed(t, &nb) {
-                    let Some(leaf) = find_leaf(k2, &m) else {
-                        continue;
-                    };
-                    if leaf.level + 1 != level {
-                        continue;
+                };
+                // The entity's axes in the coarse frame: where its mapped
+                // corners differ.
+                let pa = route.map_point_scaled::<D>(o.corner_coords(ca), 1);
+                let pb = route.map_point_scaled::<D>(o.corner_coords(cb), 1);
+                let mut hang = Hang {
+                    at: [-1; 3],
+                    tree,
+                    coarse,
+                    axes: [0; 2],
+                    dim: 0,
+                    route,
+                };
+                for d in 0..dim {
+                    if fixed(d) {
+                        hang.at[d] = n * lo[d];
                     }
-                    // Plane of the shared face in the coarse frame: the
-                    // boundary plane of `m` facing back toward us.
-                    let plane_axis = match &route {
-                        Route::Interior => D::face_axis(f),
-                        Route::Face(tr) => tr.perm[D::face_axis(f)],
-                        _ => unreachable!("face neighbor crosses at most a macro-face"),
-                    };
-                    // The shared plane coordinate equals my face plane
-                    // mapped; determine low/high side of the coarse leaf.
-                    let my_plane = if D::face_positive(f) {
-                        o.coords()[D::face_axis(f)] + h
-                    } else {
-                        o.coords()[D::face_axis(f)]
-                    };
-                    let mut probe = o.coords();
-                    probe[D::face_axis(f)] = my_plane;
-                    let probe2 = route.map_point_scaled::<D>(probe, 1);
-                    let plane_high = if probe2[plane_axis] == leaf.coords()[plane_axis] {
-                        false
-                    } else {
-                        debug_assert_eq!(
-                            probe2[plane_axis],
-                            leaf.coords()[plane_axis] + leaf.len()
-                        );
-                        true
-                    };
-                    *slot = Some(FaceHang {
-                        tree: k2,
-                        coarse: leaf,
-                        plane_axis,
-                        plane_high,
-                        route,
-                    });
-                    break;
-                }
-            }
-
-            // --- Detect hanging edges (3D) --------------------------------
-            // Same pruning for edges: a coarser edge neighbor requires the
-            // edge to lie on the sibling group's boundary along *both*
-            // transverse axes — three of twelve edges on average.
-            let mut edge_hang: Vec<Option<EdgeHang<'_, D>>> = (0..D::EDGES).map(|_| None).collect();
-            for (e, slot) in edge_hang.iter_mut().enumerate() {
-                if level == 0 {
-                    continue;
-                }
-                let axis = D::edge_axis(e);
-                let bits = e % 4;
-                let mut outer = true;
-                let mut b = 0;
-                for d in 0..3 {
-                    if d == axis {
-                        continue;
+                    if pa[d] != pb[d] {
+                        hang.axes[hang.dim] = d;
+                        hang.dim += 1;
+                    } else if ent < D::FACES {
+                        let (c0, c1) = (coarse.coords()[d], coarse.coords()[d] + coarse.len());
+                        debug_assert!(pa[d] == c0 || pa[d] == c1, "face off the coarse plane");
                     }
-                    outer &= (((bits >> b) & 1) == 1) == (((cid >> d) & 1) == 1);
-                    b += 1;
                 }
-                if !outer {
-                    continue;
-                }
-                let nb = o.edge_neighbor(e);
-                if nb.is_inside_root() {
-                    // Fast path: single interior image; the run axis is the
-                    // edge's own axis (identity map).
-                    if let Some(leaf) = find_leaf(t, &nb) {
-                        if leaf.level + 1 == level {
-                            *slot = Some(EdgeHang {
-                                tree: t,
-                                coarse: leaf,
-                                run_axis: D::edge_axis(e),
-                                route: Route::Interior,
-                            });
-                        }
-                    }
-                    continue;
-                }
-                for (k2, m, route) in self.conn.exterior_images_routed(t, &nb) {
-                    let Some(leaf) = find_leaf(k2, &m) else {
-                        continue;
-                    };
-                    if leaf.level + 1 != level {
-                        continue;
-                    }
-                    // Run axis in the coarse frame: map both endpoints of
-                    // my edge and see which axis varies.
-                    let [ca, cb] = D::EDGE_CORNERS[e];
-                    let pa = route.map_point_scaled::<D>(o.corner_coords(ca), 1);
-                    let pb = route.map_point_scaled::<D>(o.corner_coords(cb), 1);
-                    let run_axis = (0..3)
-                        .find(|&d| pa[d] != pb[d])
-                        .expect("edge endpoints must differ along one axis");
-                    *slot = Some(EdgeHang {
-                        tree: k2,
-                        coarse: leaf,
-                        run_axis,
-                        route,
-                    });
-                    break;
-                }
+                debug_assert_eq!(hang.dim, (0..dim).filter(|&d| !fixed(d)).count());
+                hangs.push(hang);
             }
 
             // --- Classify every node of this element ----------------------
-            let idx_ranges: [usize; 3] = [npe_1d, npe_1d, if D::DIM == 3 { npe_1d } else { 1 }];
-            for iz in 0..idx_ranges[2] {
-                for iy in 0..idx_ranges[1] {
-                    for ix in 0..idx_ranges[0] {
+            for iz in 0..if dim == 3 { npe_1d } else { 1 } {
+                for iy in 0..npe_1d {
+                    for ix in 0..npe_1d {
                         let idx = [ix as i32, iy as i32, iz as i32];
                         // Scaled position in my tree frame.
                         let pos = [
@@ -355,307 +388,37 @@ impl<D: Dim> Forest<D> {
                             n * o.y + idx[1] * h,
                             n * o.z + idx[2] * h,
                         ];
-                        // Faces this node lies on.
-                        let on_face = |f: usize| -> bool {
-                            let a = D::face_axis(f);
-                            if D::face_positive(f) {
-                                idx[a] == n
-                            } else {
-                                idx[a] == 0
-                            }
-                        };
-                        // First hanging face containing the node wins.
-                        let face_c = (0..D::FACES).find(|&f| on_face(f) && face_hang[f].is_some());
-
-                        let node_idx = if let Some(f) = face_c {
-                            let hang = face_hang[f].as_ref().expect("checked");
-                            self.hanging_face_node(
-                                hang,
-                                n,
-                                pos,
-                                &mut intern,
-                                &mut keys,
-                                &mut drafts,
-                                &canon,
-                            )
-                        } else {
-                            // Hanging edge: node on edge e, no hanging face.
-                            let mut via_edge = None;
-                            for (e, eh) in edge_hang.iter().enumerate() {
-                                let Some(eh) = eh else { continue };
-                                let on_edge = {
-                                    let axis = D::edge_axis(e);
-                                    let bits = e % 4;
-                                    let mut ok = true;
-                                    let mut b = 0;
-                                    for d in 0..3 {
-                                        if d == axis {
-                                            continue;
-                                        }
-                                        let want = if (bits >> b) & 1 == 1 { n } else { 0 };
-                                        ok &= idx[d] == want;
-                                        b += 1;
-                                    }
-                                    ok
-                                };
-                                if on_edge {
-                                    via_edge = Some(self.hanging_edge_node(
-                                        eh,
-                                        n,
-                                        pos,
-                                        &mut intern,
-                                        &mut keys,
-                                        &mut drafts,
-                                        &canon,
-                                    ));
-                                    break;
-                                }
-                            }
-                            via_edge.unwrap_or_else(|| {
-                                let i = intern(canon(t, pos), &mut keys, &mut drafts);
-                                mark_independent(&mut drafts, i);
-                                i
-                            })
-                        };
-                        element_nodes.push(node_idx);
+                        // The first hanging entity containing the node,
+                        // faces before edges, constrains it.
+                        let hang = hangs
+                            .iter()
+                            .find(|g| (0..dim).all(|d| g.at[d] < 0 || g.at[d] == idx[d]));
+                        element_nodes.push(match hang {
+                            Some(g) => g.node(n, pos, &mut nodes, &canon),
+                            None => nodes.independent(canon(t, pos)),
+                        });
                     }
                 }
             }
         }
 
-        self.nodes_finish(comm, degree, elements, element_nodes, keys, drafts, |k| {
-            key_index.get(k).copied()
-        })
+        self.nodes_finish(comm, degree, element_nodes, nodes)
     }
 
-    /// The pre-recursive `Nodes` classification, retained as the
-    /// equivalence oracle for [`Forest::nodes`] (the fuzz suite asserts
-    /// node-for-node identity across ranks and worker counts). Both share
-    /// the numbering tail, which `lent_and_borrowed_are_dual` checks.
-    #[doc(hidden)]
-    pub fn nodes_reference(
-        &self,
-        comm: &impl Communicator,
-        ghost: &GhostLayer<D>,
-        degree: usize,
-    ) -> Nodes<D> {
-        assert!(degree >= 1, "nodes: degree must be at least 1");
-        let n = degree as i32;
-        let npe_1d = degree + 1;
-        let nodes_per_elem = npe_1d.pow(D::DIM);
-
-        let elements: Vec<(TreeId, Octant<D>)> = self.iter_local().map(|(t, o)| (t, *o)).collect();
-
-        // Leaf lookup across local storage and the ghost layer.
-        let find_leaf = |t: TreeId, region: &Octant<D>| -> Option<Octant<D>> {
-            if let Some((_, leaf)) = self.find_local_containing(t, region) {
-                return Some(*leaf);
-            }
-            ghost.find_containing(t, region).map(|i| ghost.ghosts[i].1)
-        };
-
-        // Canonicalize a scaled position of tree `t`.
-        let canon = |t: TreeId, pos: [i32; 3]| -> NodeKey {
-            self.conn
-                .point_images_scaled(t, pos, n)
-                .into_iter()
-                .min()
-                .expect("point has at least its own image")
-        };
-
-        let mut key_index: HashMap<NodeKey, u32> = HashMap::new();
-        let mut keys: Vec<NodeKey> = Vec::new();
-        let mut drafts: Vec<Draft> = Vec::new();
-        let mut intern = |key: NodeKey, keys: &mut Vec<NodeKey>, drafts: &mut Vec<Draft>| -> u32 {
-            *key_index.entry(key).or_insert_with(|| {
-                keys.push(key);
-                drafts.push(Draft::Unset);
-                (keys.len() - 1) as u32
-            })
-        };
-
-        let mut element_nodes: Vec<u32> = Vec::with_capacity(elements.len() * nodes_per_elem);
-
-        for &(t, o) in &elements {
-            let h = o.len();
-            let level = o.level;
-
-            // --- Detect hanging faces -------------------------------------
-            let mut face_hang: Vec<Option<FaceHang<'_, D>>> = (0..D::FACES).map(|_| None).collect();
-            for (f, slot) in face_hang.iter_mut().enumerate() {
-                let nb = o.face_neighbor(f);
-                for (k2, m, route) in self.conn.exterior_images_routed(t, &nb) {
-                    let Some(leaf) = find_leaf(k2, &m) else {
-                        continue;
-                    };
-                    if leaf.level + 1 != level {
-                        continue;
-                    }
-                    // Plane of the shared face in the coarse frame: the
-                    // boundary plane of `m` facing back toward us.
-                    let plane_axis = match &route {
-                        Route::Interior => D::face_axis(f),
-                        Route::Face(tr) => tr.perm[D::face_axis(f)],
-                        _ => unreachable!("face neighbor crosses at most a macro-face"),
-                    };
-                    // The shared plane coordinate equals my face plane
-                    // mapped; determine low/high side of the coarse leaf.
-                    let my_plane = if D::face_positive(f) {
-                        o.coords()[D::face_axis(f)] + h
-                    } else {
-                        o.coords()[D::face_axis(f)]
-                    };
-                    let mut probe = o.coords();
-                    probe[D::face_axis(f)] = my_plane;
-                    let probe2 = route.map_point_scaled::<D>(probe, 1);
-                    let plane_high = if probe2[plane_axis] == leaf.coords()[plane_axis] {
-                        false
-                    } else {
-                        debug_assert_eq!(
-                            probe2[plane_axis],
-                            leaf.coords()[plane_axis] + leaf.len()
-                        );
-                        true
-                    };
-                    *slot = Some(FaceHang {
-                        tree: k2,
-                        coarse: leaf,
-                        plane_axis,
-                        plane_high,
-                        route,
-                    });
-                    break;
-                }
-            }
-
-            // --- Detect hanging edges (3D) --------------------------------
-            let mut edge_hang: Vec<Option<EdgeHang<'_, D>>> = (0..D::EDGES).map(|_| None).collect();
-            for (e, slot) in edge_hang.iter_mut().enumerate() {
-                let nb = o.edge_neighbor(e);
-                for (k2, m, route) in self.conn.exterior_images_routed(t, &nb) {
-                    let Some(leaf) = find_leaf(k2, &m) else {
-                        continue;
-                    };
-                    if leaf.level + 1 != level {
-                        continue;
-                    }
-                    // Run axis in the coarse frame: map both endpoints of
-                    // my edge and see which axis varies.
-                    let [ca, cb] = D::EDGE_CORNERS[e];
-                    let pa = route.map_point_scaled::<D>(o.corner_coords(ca), 1);
-                    let pb = route.map_point_scaled::<D>(o.corner_coords(cb), 1);
-                    let run_axis = (0..3)
-                        .find(|&d| pa[d] != pb[d])
-                        .expect("edge endpoints must differ along one axis");
-                    *slot = Some(EdgeHang {
-                        tree: k2,
-                        coarse: leaf,
-                        run_axis,
-                        route,
-                    });
-                    break;
-                }
-            }
-
-            // --- Classify every node of this element ----------------------
-            let idx_ranges: [usize; 3] = [npe_1d, npe_1d, if D::DIM == 3 { npe_1d } else { 1 }];
-            for iz in 0..idx_ranges[2] {
-                for iy in 0..idx_ranges[1] {
-                    for ix in 0..idx_ranges[0] {
-                        let idx = [ix as i32, iy as i32, iz as i32];
-                        // Scaled position in my tree frame.
-                        let pos = [
-                            n * o.x + idx[0] * h,
-                            n * o.y + idx[1] * h,
-                            n * o.z + idx[2] * h,
-                        ];
-                        // Faces this node lies on.
-                        let on_face = |f: usize| -> bool {
-                            let a = D::face_axis(f);
-                            if D::face_positive(f) {
-                                idx[a] == n
-                            } else {
-                                idx[a] == 0
-                            }
-                        };
-                        // First hanging face containing the node wins.
-                        let face_c = (0..D::FACES).find(|&f| on_face(f) && face_hang[f].is_some());
-
-                        let node_idx = if let Some(f) = face_c {
-                            let hang = face_hang[f].as_ref().expect("checked");
-                            self.hanging_face_node(
-                                hang,
-                                n,
-                                pos,
-                                &mut intern,
-                                &mut keys,
-                                &mut drafts,
-                                &canon,
-                            )
-                        } else {
-                            // Hanging edge: node on edge e, no hanging face.
-                            let mut via_edge = None;
-                            for (e, eh) in edge_hang.iter().enumerate() {
-                                let Some(eh) = eh else { continue };
-                                let on_edge = {
-                                    let axis = D::edge_axis(e);
-                                    let bits = e % 4;
-                                    let mut ok = true;
-                                    let mut b = 0;
-                                    for d in 0..3 {
-                                        if d == axis {
-                                            continue;
-                                        }
-                                        let want = if (bits >> b) & 1 == 1 { n } else { 0 };
-                                        ok &= idx[d] == want;
-                                        b += 1;
-                                    }
-                                    ok
-                                };
-                                if on_edge {
-                                    via_edge = Some(self.hanging_edge_node(
-                                        eh,
-                                        n,
-                                        pos,
-                                        &mut intern,
-                                        &mut keys,
-                                        &mut drafts,
-                                        &canon,
-                                    ));
-                                    break;
-                                }
-                            }
-                            via_edge.unwrap_or_else(|| {
-                                let i = intern(canon(t, pos), &mut keys, &mut drafts);
-                                mark_independent(&mut drafts, i);
-                                i
-                            })
-                        };
-                        element_nodes.push(node_idx);
-                    }
-                }
-            }
-        }
-
-        self.nodes_finish(comm, degree, elements, element_nodes, keys, drafts, |k| {
-            key_index.get(k).copied()
-        })
-    }
-
-    /// Shared tail of [`Forest::nodes`] and [`Forest::nodes_reference`]:
-    /// ownership, global ids, the owner query and the lent/borrowed lists.
-    /// `index_of` maps a key another rank queries back to its local node.
-    #[allow(clippy::too_many_arguments)]
-    fn nodes_finish(
+    /// The numbering tail of the walk: ownership, global ids, the owner
+    /// query and the lent/borrowed lists.
+    fn nodes_finish<S: BuildHasher>(
         &self,
         comm: &impl Communicator,
         degree: usize,
-        elements: Vec<(TreeId, Octant<D>)>,
         element_nodes: Vec<u32>,
-        keys: Vec<NodeKey>,
-        drafts: Vec<Draft>,
-        index_of: impl Fn(&NodeKey) -> Option<u32>,
-    ) -> Nodes<D> {
+        nodes: Interner<S>,
+    ) -> Nodes {
+        let Interner {
+            index,
+            keys,
+            drafts,
+        } = nodes;
         let n = degree as i32;
         let (me, p) = (comm.rank(), comm.size());
         let big = D::root_len();
@@ -728,7 +491,7 @@ impl<D: Dim> Forest<D> {
             .map(|(r, qs)| {
                 qs.into_iter()
                     .map(|key| {
-                        let i = index_of(&key).unwrap_or_else(|| {
+                        let i = *index.get(&key).unwrap_or_else(|| {
                             panic!("rank {me}: queried for unknown node {key:?} by rank {r}")
                         });
                         lent_to_rank[r].push(i);
@@ -756,7 +519,6 @@ impl<D: Dim> Forest<D> {
         Nodes {
             degree,
             nodes_per_elem: (degree + 1).pow(D::DIM),
-            elements,
             element_nodes,
             keys,
             status,
@@ -767,171 +529,22 @@ impl<D: Dim> Forest<D> {
             lent_to_rank,
         }
     }
-
-    /// Classify a node on a hanging face: intern its coarse parents and
-    /// compute its rational position in the coarse face; even lattice
-    /// positions degenerate to the coinciding independent parent.
-    #[allow(clippy::too_many_arguments)]
-    fn hanging_face_node(
-        &self,
-        hang: &FaceHang<'_, D>,
-        n: i32,
-        pos: [i32; 3],
-        intern: &mut impl FnMut(NodeKey, &mut Vec<NodeKey>, &mut Vec<Draft>) -> u32,
-        keys: &mut Vec<NodeKey>,
-        drafts: &mut Vec<Draft>,
-        canon: &impl Fn(TreeId, [i32; 3]) -> NodeKey,
-    ) -> u32 {
-        let coarse = &hang.coarse;
-        let hc = coarse.len();
-        let p2 = hang.route.map_point_scaled::<D>(pos, n);
-        // Tangential axes of the coarse face, ascending.
-        let tang: Vec<usize> = (0..D::DIM as usize)
-            .filter(|&a| a != hang.plane_axis)
-            .collect();
-        // Rational relative position: numerator over 2N per tangential axis.
-        let mut rel = [0u16; 2];
-        for (j, &a) in tang.iter().enumerate() {
-            let delta = p2[a] - n * coarse.coords()[a];
-            debug_assert!(delta >= 0 && delta <= n * hc);
-            debug_assert_eq!((2 * delta) % hc, 0, "node off the half-lattice");
-            rel[j] = (2 * delta / hc) as u16;
-        }
-        // All-even relative position: the node coincides with a coarse
-        // lattice point and is independent.
-        if rel.iter().take(tang.len()).all(|&r| r % 2 == 0) {
-            let i = intern(canon(hang.tree, p2), keys, drafts);
-            mark_independent(drafts, i);
-            return i;
-        }
-        // Intern the full (N+1)^(d-1) coarse-face lattice as parents.
-        let plane_coord = if hang.plane_high {
-            n * (coarse.coords()[hang.plane_axis] + hc)
-        } else {
-            n * coarse.coords()[hang.plane_axis]
-        };
-        let npe_1d = n as usize + 1;
-        let count = if D::DIM == 3 { npe_1d * npe_1d } else { npe_1d };
-        let mut parents = Vec::with_capacity(count);
-        let jb_range = if D::DIM == 3 { npe_1d } else { 1 };
-        for jb in 0..jb_range {
-            for ja in 0..npe_1d {
-                let mut q = [0i32; 3];
-                q[hang.plane_axis] = plane_coord;
-                q[tang[0]] = n * coarse.coords()[tang[0]] + ja as i32 * hc;
-                if D::DIM == 3 {
-                    q[tang[1]] = n * coarse.coords()[tang[1]] + jb as i32 * hc;
-                }
-                let pi = intern(canon(hang.tree, q), keys, drafts);
-                mark_independent(drafts, pi);
-                parents.push(pi);
-            }
-        }
-        let key = canon(hang.tree, p2);
-        let i = intern(key, keys, drafts);
-        set_hanging(drafts, i, parents, rel, (D::DIM - 1) as u8);
-        i
-    }
-
-    /// Classify a node on a hanging edge (3D).
-    #[allow(clippy::too_many_arguments)]
-    fn hanging_edge_node(
-        &self,
-        hang: &EdgeHang<'_, D>,
-        n: i32,
-        pos: [i32; 3],
-        intern: &mut impl FnMut(NodeKey, &mut Vec<NodeKey>, &mut Vec<Draft>) -> u32,
-        keys: &mut Vec<NodeKey>,
-        drafts: &mut Vec<Draft>,
-        canon: &impl Fn(TreeId, [i32; 3]) -> NodeKey,
-    ) -> u32 {
-        let coarse = &hang.coarse;
-        let hc = coarse.len();
-        let p2 = hang.route.map_point_scaled::<D>(pos, n);
-        let a = hang.run_axis;
-        let delta = p2[a] - n * coarse.coords()[a];
-        debug_assert!(delta >= 0 && delta <= n * hc);
-        debug_assert_eq!((2 * delta) % hc, 0, "node off the half-lattice");
-        let rel0 = (2 * delta / hc) as u16;
-        if rel0 % 2 == 0 {
-            let i = intern(canon(hang.tree, p2), keys, drafts);
-            mark_independent(drafts, i);
-            return i;
-        }
-        let npe_1d = n as usize + 1;
-        let mut parents = Vec::with_capacity(npe_1d);
-        for j in 0..npe_1d {
-            let mut q = p2;
-            q[a] = n * coarse.coords()[a] + j as i32 * hc;
-            let pi = intern(canon(hang.tree, q), keys, drafts);
-            mark_independent(drafts, pi);
-            parents.push(pi);
-        }
-        let i = intern(canon(hang.tree, p2), keys, drafts);
-        set_hanging(drafts, i, parents, [rel0, 0], 1);
-        i
-    }
 }
 
-fn mark_independent(drafts: &mut [Draft], i: u32) {
-    match &drafts[i as usize] {
-        Draft::Unset => drafts[i as usize] = Draft::Independent,
-        Draft::Independent => {}
-        Draft::Hanging { .. } => {
-            panic!("node {i} classified both independent and hanging (constraint chain?)")
-        }
-    }
-}
-
-fn set_hanging(drafts: &mut [Draft], i: u32, parents: Vec<u32>, rel: [u16; 2], entity_dim: u8) {
-    match &drafts[i as usize] {
-        Draft::Unset => {
-            drafts[i as usize] = Draft::Hanging {
-                parents,
-                rel,
-                entity_dim,
-            };
-        }
-        Draft::Hanging { entity_dim: e0, .. } => {
-            // Another element constrained the same node. The records may
-            // differ structurally — e.g. a node on the shared edge of two
-            // hanging faces is recorded against either coarse face — but
-            // they are functionally identical: the interpolation weights
-            // are supported on the shared coarse edge, whose node keys
-            // coincide. Keep the first record; prefer a face constraint
-            // over an edge constraint when the dimensions differ (the face
-            // form degenerates to the edge form on the boundary).
-            if entity_dim > *e0 {
-                drafts[i as usize] = Draft::Hanging {
-                    parents,
-                    rel,
-                    entity_dim,
-                };
-            }
-        }
-        Draft::Independent => {
-            panic!("node {i} classified both hanging and independent (constraint chain?)")
-        }
-    }
-}
-
-/// Message tag of the split-phase cG assembly, in the reserved space
-/// below the collective tags so collectives issued between begin and end
-/// cannot steal its messages. One tag: at most one assembly may be in
-/// flight per communicator (multi-component fields travel together).
+/// Message tag of the cG assembly's borrower-to-owner leg, in the reserved
+/// space below the collective tags, so per-tag traffic counts name it.
+/// Multi-component fields travel together, one message per peer.
 pub const TAG_ASSEMBLE: u32 = TAG_COLLECTIVE - 48;
 
-/// An in-flight [`Nodes::assemble_add_begin`] reduction; complete it with
-/// [`Nodes::assemble_add_end`].
-#[must_use = "complete the assembly with Nodes::assemble_add_end"]
-pub struct AssemblePending<'a, C: Communicator> {
-    pending: PendingExchange<'a, C>,
-}
-
-impl<D: Dim> Nodes<D> {
+impl Nodes {
     /// Node indices of local element `e`, lattice x-fastest.
     pub fn element(&self, e: usize) -> &[u32] {
         &self.element_nodes[e * self.nodes_per_elem..(e + 1) * self.nodes_per_elem]
+    }
+
+    /// Number of local elements.
+    pub fn num_elements(&self) -> usize {
+        self.element_nodes.len() / self.nodes_per_elem
     }
 
     /// Number of local nodes (independent + hanging) this rank references.
@@ -972,51 +585,23 @@ impl<D: Dim> Nodes<D> {
     where
         T: Wire + Copy + std::ops::AddAssign,
     {
-        let pending = self.assemble_add_begin(comm, values);
-        self.assemble_add_end(comm, pending, values);
-    }
-
-    /// Start the borrower-to-owner leg of [`Nodes::assemble_add`]: the
-    /// partials of `values` at borrowed dofs go on the wire and the call
-    /// returns immediately. Independent local work proceeds while the
-    /// messages fly; [`Nodes::assemble_add_end`] completes the reduction.
-    /// At most one assembly may be in flight per communicator.
-    pub fn assemble_add_begin<'a, C: Communicator, T: Wire + Copy>(
-        &self,
-        comm: &'a C,
-        values: &[T],
-    ) -> AssemblePending<'a, C> {
-        let _span = forust_obs::span!("nodes.assemble_begin");
         let k = self.components(values.len());
-        // Borrower -> owner partials.
-        let outgoing: Vec<Vec<u8>> = self
-            .borrowed_by_rank
-            .iter()
-            .map(|borrowed| {
-                let partials: Vec<T> = self.wire_order(k, borrowed).map(|i| values[i]).collect();
-                write_vec(&partials)
-            })
-            .collect();
-        AssemblePending {
-            pending: comm.start_alltoallv_bytes(outgoing, TAG_ASSEMBLE),
-        }
-    }
-
-    /// Complete a reduction started by [`Nodes::assemble_add_begin`]: add
-    /// the received partials at the owned dofs and broadcast the totals
-    /// back to every borrower. `values` must be the same field the begin
-    /// call packed (mutations at *shared* dofs in between would be lost).
-    pub fn assemble_add_end<C: Communicator, T>(
-        &self,
-        comm: &C,
-        pending: AssemblePending<'_, C>,
-        values: &mut [T],
-    ) where
-        T: Wire + Copy + std::ops::AddAssign,
-    {
+        let pending = {
+            let _span = forust_obs::span!("nodes.assemble_begin");
+            // Borrower -> owner partials.
+            let outgoing: Vec<Vec<u8>> = self
+                .borrowed_by_rank
+                .iter()
+                .map(|borrowed| {
+                    let partials: Vec<T> =
+                        self.wire_order(k, borrowed).map(|i| values[i]).collect();
+                    write_vec(&partials)
+                })
+                .collect();
+            comm.start_alltoallv_bytes(outgoing, TAG_ASSEMBLE)
+        };
         let _span = forust_obs::span!("nodes.assemble_end");
-        let k = self.components(values.len());
-        for (lent, buf) in self.lent_to_rank.iter().zip(pending.pending.wait()) {
+        for (lent, buf) in self.lent_to_rank.iter().zip(pending.wait()) {
             let partials: Vec<T> = read_vec(&buf);
             assert_eq!(partials.len(), k * lent.len(), "assembly message size");
             for (i, v) in self.wire_order(k, lent).zip(partials) {
@@ -1028,7 +613,7 @@ impl<D: Dim> Nodes<D> {
 
     /// Overwrite every borrowed dof with the owner's value, all components
     /// of a component-major field in one message per peer.
-    pub fn broadcast_owned<T: Wire + Copy>(&self, comm: &impl Communicator, values: &mut [T]) {
+    fn broadcast_owned<T: Wire + Copy>(&self, comm: &impl Communicator, values: &mut [T]) {
         let k = self.components(values.len());
         let out: Vec<Vec<T>> = self
             .lent_to_rank
@@ -1058,7 +643,7 @@ mod tests {
         level: u8,
         degree: usize,
         refine: impl Fn(TreeId, &Octant<D>) -> bool,
-    ) -> (Forest<D>, Nodes<D>) {
+    ) -> (Forest<D>, Nodes) {
         let mut f = Forest::<D>::new_uniform(Arc::new(conn), comm, level);
         f.refine(comm, true, |t, o| refine(t, o));
         f.balance(comm, BalanceType::Full);
@@ -1293,7 +878,7 @@ mod tests {
             // Each element contributes 1 to each of its nodes; after
             // assembly every copy of a node holds the global valence.
             let mut values = vec![0.0f64; nodes.num_local()];
-            for e in 0..nodes.elements.len() {
+            for e in 0..nodes.num_elements() {
                 for &i in nodes.element(e) {
                     values[i as usize] += 1.0;
                 }
@@ -1303,7 +888,7 @@ mod tests {
             let mine: Vec<((u32, [i32; 3]), u64)> = {
                 let mut local: std::collections::HashMap<(u32, [i32; 3]), u64> =
                     std::collections::HashMap::new();
-                for e in 0..nodes.elements.len() {
+                for e in 0..nodes.num_elements() {
                     for &i in nodes.element(e) {
                         *local.entry(nodes.keys[i as usize]).or_default() += 1;
                     }
@@ -1333,7 +918,7 @@ mod tests {
     /// by one, in one `TAG_ASSEMBLE` message per peer instead of `k`.
     #[test]
     fn fused_assembly_is_the_per_component_assembly() {
-        fn check<T>(comm: &impl Communicator, nodes: &Nodes<crate::dim::D3>, mk: impl Fn(u64) -> T)
+        fn check<T>(comm: &impl Communicator, nodes: &Nodes, mk: impl Fn(u64) -> T)
         where
             T: Wire + Copy + PartialEq + std::fmt::Debug + std::ops::AddAssign,
         {
@@ -1445,5 +1030,90 @@ mod tests {
             assert!(te >= 1, "edge-degenerate hangs {te}");
             assert!(tf >= 3, "face hangs {tf}");
         });
+    }
+
+    /// The one hanging record against exact integer geometry, computed
+    /// from the keys alone since the oracle shares the record: on a
+    /// one-tree mesh every key is a position in the same frame, so the
+    /// parents must be the coarse entity's equispaced `(N+1)^dim` lattice
+    /// (first axis fastest), all independent, and the hanging node must
+    /// sit at `rel/(2N)` of it. Three ranks, so the 3D mesh also records
+    /// a pure edge hang.
+    #[test]
+    fn hanging_keys_sit_at_rel_of_their_parents() {
+        fn check<D: Dim>(
+            conn: fn() -> crate::connectivity::Connectivity<D>,
+            refine: fn(TreeId, &Octant<D>) -> bool,
+        ) {
+            for degree in 1..=4 {
+                run_spmd(3, |comm| {
+                    let (_, nodes) = build(comm, conn(), 1, degree, refine);
+                    let (n, npe) = (degree as i64, degree + 1);
+                    let pos = |i: u32| -> [i64; 3] {
+                        let (t, p) = nodes.keys[i as usize];
+                        assert_eq!(t, 0, "one tree");
+                        p.map(i64::from)
+                    };
+                    let mut by_dim = [0u64; 3];
+                    for (i, s) in nodes.status.iter().enumerate() {
+                        let NodeStatus::Hanging {
+                            parents,
+                            rel,
+                            entity_dim,
+                        } = s
+                        else {
+                            continue;
+                        };
+                        let dim = *entity_dim as usize;
+                        by_dim[dim] += 1;
+                        assert_eq!(parents.len(), npe.pow(dim as u32), "node {i}");
+                        assert!(rel[..dim].iter().any(|r| r % 2 == 1), "node {i}: {rel:?}");
+                        assert!(rel[dim..].iter().all(|&r| r == 0), "node {i}: {rel:?}");
+                        for &p in parents {
+                            let parent = &nodes.status[p as usize];
+                            assert!(matches!(parent, NodeStatus::Independent { .. }));
+                        }
+                        // Lattice index of parent `j` along entity axis `k`,
+                        // and the coarse entity's extent along that axis.
+                        let lat = |j: usize, k: usize| (j / npe.pow(k as u32) % npe) as i64;
+                        let p0 = pos(parents[0]);
+                        let extent: Vec<[i64; 3]> = (0..dim)
+                            .map(|k| {
+                                let end = pos(parents[degree * npe.pow(k as u32)]);
+                                std::array::from_fn(|d| end[d] - p0[d])
+                            })
+                            .collect();
+                        assert!(extent
+                            .iter()
+                            .all(|e| e.iter().filter(|&&x| x != 0).count() == 1));
+                        let at = |d: usize, w: &dyn Fn(usize) -> i64| -> i64 {
+                            (0..dim).map(|k| w(k) * extent[k][d]).sum()
+                        };
+                        for (j, &pj) in parents.iter().enumerate() {
+                            let q = pos(pj);
+                            for d in 0..3 {
+                                let want = at(d, &|k| lat(j, k));
+                                assert_eq!(n * (q[d] - p0[d]), want, "parent {j} of node {i}");
+                            }
+                        }
+                        let key = pos(i as u32);
+                        for d in 0..3 {
+                            let want = at(d, &|k| i64::from(rel[k]));
+                            assert_eq!(2 * n * (key[d] - p0[d]), want, "node {i} at {rel:?}");
+                        }
+                    }
+                    // Both records occur: edges (and 2D faces) and 3D faces.
+                    for dim in 1..D::DIM as usize {
+                        let total = comm.allreduce_sum_u64(by_dim[dim]);
+                        assert!(total > 0, "degree {degree}: no hanging {dim}-entities");
+                    }
+                });
+            }
+        }
+        // The mesh of `hanging_edges_3d`, and a corner refined twice.
+        check::<crate::dim::D3>(builders::unit3d, |_, o| {
+            o.level < 2 && o.z == 0 && !(o.x > 0 && o.y > 0)
+        });
+        check::<crate::dim::D2>(builders::unit2d, |_, o| o.level < 3 && o.x == 0 && o.y == 0);
     }
 }

@@ -1,15 +1,16 @@
 //! Seeded randomized AMR-cycle fuzz suite.
 //!
-//! Loops refine → coarsen → balance → partition → ghost over three macro
-//! topologies (`moebius`, `rotcubes6`, `cubed_sphere`) and three rank
-//! counts (1, 3, 5), driven by a SplitMix64-seeded hash so every run is
-//! deterministic. Each iteration asserts the full distributed invariant
+//! Loops refine → coarsen → balance → partition → ghost → nodes over three
+//! macro topologies (`moebius`, `rotcubes6`, `cubed_sphere`) and three
+//! rank counts (1, 3, 5), driven by a SplitMix64-seeded hash so every run
+//! is deterministic. Each iteration asserts the full distributed invariant
 //! set (`check_valid`, `check_balanced`) **and** that every recursive
 //! rewrite matches its retained oracle octant-for-octant: batched
 //! balance vs the one-split-at-a-time ripple (`balance_ripple`), the
 //! pruned insulation-walk ghost vs the per-leaf scan
-//! (`ghost_reference`), and the fast-path node numbering vs the fully
-//! routed construction (`nodes_reference`).
+//! (`ghost_reference`), and, at degrees 1 and 2, the node numbering's
+//! classification walk with its shortcuts on vs the same walk with them
+//! off (`nodes_reference`).
 
 use std::sync::Arc;
 
@@ -96,22 +97,25 @@ fn cycle<D: Dim>(conn_fn: fn() -> Connectivity<D>, name: &str, max_level: u8) {
                 assert_eq!(ghost.mirrors, oracle.mirrors, "{ctx}");
                 assert_eq!(ghost.mirror_idx_by_rank, oracle.mirror_idx_by_rank, "{ctx}");
 
-                // Equivalence: the fast-path node numbering must match the
-                // fully routed oracle node for node.
-                let nodes = f.nodes(comm, &ghost, 1);
-                let nodes_o = f.nodes_reference(comm, &ghost, 1);
-                let ctx = format!(
-                    "nodes != nodes_reference ({name}, p={ranks}, iter={iter}, rank={})",
-                    comm.rank()
-                );
-                assert_eq!(nodes.keys, nodes_o.keys, "{ctx}");
-                assert_eq!(nodes.status, nodes_o.status, "{ctx}");
-                assert_eq!(nodes.element_nodes, nodes_o.element_nodes, "{ctx}");
-                assert_eq!(nodes.num_owned, nodes_o.num_owned, "{ctx}");
-                assert_eq!(nodes.global_offset, nodes_o.global_offset, "{ctx}");
-                assert_eq!(nodes.num_global, nodes_o.num_global, "{ctx}");
-                assert_eq!(nodes.borrowed_by_rank, nodes_o.borrowed_by_rank, "{ctx}");
-                assert_eq!(nodes.lent_to_rank, nodes_o.lent_to_rank, "{ctx}");
+                // Equivalence: the shortcut walk must match the exhaustive
+                // one node for node, at degree 1 and at a degree with
+                // nodes inside faces and edges.
+                for degree in [1, 2] {
+                    let nodes = f.nodes(comm, &ghost, degree);
+                    let nodes_o = f.nodes_reference(comm, &ghost, degree);
+                    let ctx = format!(
+                        "nodes != nodes_reference ({name}, p={ranks}, iter={iter}, N={degree}, rank={})",
+                        comm.rank()
+                    );
+                    assert_eq!(nodes.keys, nodes_o.keys, "{ctx}");
+                    assert_eq!(nodes.status, nodes_o.status, "{ctx}");
+                    assert_eq!(nodes.element_nodes, nodes_o.element_nodes, "{ctx}");
+                    assert_eq!(nodes.num_owned, nodes_o.num_owned, "{ctx}");
+                    assert_eq!(nodes.global_offset, nodes_o.global_offset, "{ctx}");
+                    assert_eq!(nodes.num_global, nodes_o.num_global, "{ctx}");
+                    assert_eq!(nodes.borrowed_by_rank, nodes_o.borrowed_by_rank, "{ctx}");
+                    assert_eq!(nodes.lent_to_rank, nodes_o.lent_to_rank, "{ctx}");
+                }
             }
         });
     }

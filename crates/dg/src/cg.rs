@@ -8,7 +8,6 @@
 //! half-size faces or edges ... are constrained to interpolate neighboring
 //! unknowns associated with full-size faces or edges").
 
-use forust::dim::Dim;
 use forust::nodes::{NodeStatus, Nodes};
 
 use crate::legendre::{barycentric_weights, lagrange_eval, lgl_nodes};
@@ -22,7 +21,7 @@ pub struct HangingInterp {
 
 impl HangingInterp {
     /// Build the weights for all hanging nodes of a numbering.
-    pub fn build<D: Dim>(nodes: &Nodes<D>) -> Self {
+    pub fn build(nodes: &Nodes) -> Self {
         let n = nodes.degree;
         let x = lgl_nodes(n);
         let bary = barycentric_weights(&x);
@@ -187,17 +186,13 @@ mod tests {
             let ghost = f.ghost(comm);
             let nodes = f.nodes(comm, &ghost, 2);
             let interp = HangingInterp::build(&nodes);
-            // Evaluate u = 3x + 2y - 1 at every node: keys are the scaled
-            // LATTICE positions; for the test pick the lattice-linear
-            // function (linear in lattice coords equals linear in space
-            // only for the lattice function, which suffices since degree
-            // >= 1 reproduces linears... using lattice coordinates).
+            // u = 3x + 2y - 1 in the keys' scaled lattice coordinates.
+            // The constraint interpolates at the coarse entity's LGL
+            // points, so it reproduces polynomials of degree N in the node
+            // positions. At degrees 1 and 2 the LGL points are equispaced,
+            // so a key is its node's position up to scale and u is linear
+            // in space: the constraint reproduces it exactly.
             let nval = |key: (u32, [i32; 3])| 3.0 * key.1[0] as f64 + 2.0 * key.1[1] as f64 - 1.0;
-            // Hmm: hanging nodes interpolate in LGL coordinates, which
-            // reproduce *polynomials* of the coarse entity exactly; a
-            // function linear in lattice coordinates is linear in space,
-            // so it is reproduced whenever the key encodes the position —
-            // true for degree 1 and 2 (lattice == physical up to scale).
             let mut values: Vec<f64> = nodes.keys.iter().map(|&k| nval(k)).collect();
             let expect = values.clone();
             // Corrupt hanging entries, then distribute.

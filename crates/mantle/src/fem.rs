@@ -41,7 +41,7 @@ const GP: [f64; 2] = [
 /// Matrix-free Stokes discretization state for one mesh.
 pub struct StokesFem {
     /// The trilinear node numbering.
-    pub nodes: Nodes<D3>,
+    pub nodes: Nodes,
     /// Hanging-node constraint weights.
     pub interp: HangingInterp,
     /// Local node count.
@@ -109,7 +109,7 @@ impl StokesFem {
         let nodes = forest.nodes(comm, &ghost, 1);
         let interp = HangingInterp::build(&nodes);
         let nn = nodes.num_local();
-        let nel = nodes.elements.len();
+        let nel = forest.num_local();
 
         // Quadrature geometry.
         let mut qp_grads = Vec::with_capacity(nel * 8);
@@ -122,7 +122,7 @@ impl StokesFem {
                 *item = phi(j, xi);
             }
         }
-        for &(t, o) in &nodes.elements {
+        for (t, o) in forest.iter_local() {
             for q in 0..8 {
                 let xi = [GP[q & 1], GP[(q >> 1) & 1], GP[(q >> 2) & 1]];
                 let frac = [
@@ -130,7 +130,7 @@ impl StokesFem {
                     0.5 * (xi[1] + 1.0),
                     0.5 * (xi[2] + 1.0),
                 ];
-                let tref = octant_ref_coords(&o, frac);
+                let tref = octant_ref_coords(o, frac);
                 let jt = map.jacobian(t, tref);
                 let scale = o.len() as f64 / (2.0 * D3::root_len() as f64);
                 let mut jac = [[0.0f64; 3]; 3];
@@ -164,11 +164,11 @@ impl StokesFem {
         let mut temp = vec![0.0; nn];
         let mut bc = vec![false; nn];
         // Positions: evaluate through the elements so every node gets one.
-        for (e, &(t, o)) in nodes.elements.iter().enumerate() {
+        for (e, (t, o)) in forest.iter_local().enumerate() {
             let en = nodes.element(e);
             for (c, &ni) in en.iter().enumerate() {
                 let off = D3::corner_offset(c);
-                let xi = octant_ref_coords(&o, [off[0] as f64, off[1] as f64, off[2] as f64]);
+                let xi = octant_ref_coords(o, [off[0] as f64, off[1] as f64, off[2] as f64]);
                 let x = map.map(t, xi);
                 temp[ni as usize] = synthetic_temperature(x);
                 // Shell boundary: tree z at 0 or root_len.
@@ -206,7 +206,7 @@ impl StokesFem {
 
     /// Number of elements.
     pub fn num_elements(&self) -> usize {
-        self.nodes.elements.len()
+        self.nodes.num_elements()
     }
 
     /// Total solution length: `3 nn` velocity + `nn` pressure.

@@ -337,12 +337,10 @@ impl MantleSolver {
             ind.push(hi - lo);
         }
         let map: std::collections::HashMap<(u32, u64, u8), f64> = self
-            .fem
-            .nodes
-            .elements
-            .iter()
+            .forest
+            .iter_local()
             .zip(&ind)
-            .map(|(&(t, o), &v)| ((t, o.morton(), o.level), v))
+            .map(|((t, o), &v)| ((t, o.morton(), o.level), v))
             .collect();
         let max_level = self.config.max_level;
         self.forest.refine(comm, false, |t, o| {
