@@ -205,7 +205,7 @@ impl AdvectSolver {
     /// Advance one RK step; adapt every `adapt_every` steps.
     ///
     /// The stages, the split-phase ghost exchange and the pool sweeps are
-    /// the shared [`Stepper`]'s; this solver contributes [`Kernel`].
+    /// the shared [`Stepper`]'s; this solver contributes `Kernel`.
     /// Steady-state allocation-free.
     pub fn step(&mut self, comm: &impl Communicator) {
         {

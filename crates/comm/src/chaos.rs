@@ -103,8 +103,8 @@ impl FaultPlan {
     }
 }
 
-/// Panic payload of an injected rank crash. [`run_spmd_with`]
-/// (crate::run_spmd_with) resumes this payload (rather than a secondary
+/// Panic payload of an injected rank crash.
+/// [`run_spmd_with`](crate::run_spmd_with) resumes this payload (rather than a secondary
 /// poison panic) on the caller, so recovery drivers can identify an
 /// injected crash by downcasting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

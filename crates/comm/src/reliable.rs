@@ -172,7 +172,7 @@ impl<C: Communicator> ReliableComm<C> {
     }
 
     /// Wall-clock distribution of completed heal loops as log2-bucketed
-    /// microsecond counts (layout of [`LATENCY_BUCKETS`]). Like
+    /// microsecond counts (layout of `LATENCY_BUCKETS`). Like
     /// [`retry_counts`](Self::retry_counts) this cannot reach the obs
     /// layer from here; drivers forward it:
     /// `obs::histogram_merge("comm.retry.heal_us", &comm.retry_latency_buckets())`.

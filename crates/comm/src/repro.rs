@@ -59,6 +59,72 @@ fn exponent_above(v: f64) -> i32 {
     }
 }
 
+/// `x.round() as i128` from the bit pattern of `x`: rounding half away
+/// from zero, saturating at the `i128` range, and `NaN` to 0, exactly as
+/// the cast does.
+///
+/// `x = m · 2^e` with the 53-bit significand `m`. For `e ≥ 0` the value
+/// is an integer and `m << e` is exact; for `-53 ≤ e < 0` adding half an
+/// integer step below the binary point and truncating rounds half away
+/// from zero on the magnitude.
+#[inline]
+fn round_to_i128(x: f64) -> i128 {
+    let bits = x.to_bits();
+    let biased = ((bits >> 52) & 0x7FF) as i32;
+    let negative = bits >> 63 != 0;
+    if biased < 1022 {
+        // |x| < 1/2, including zeros and subnormals.
+        return 0;
+    }
+    if biased >= 1023 + 127 {
+        // |x| ≥ 2^127, infinite or NaN: the cast saturates.
+        return match (x.is_nan(), negative) {
+            (true, _) => 0,
+            (false, true) => i128::MIN,
+            (false, false) => i128::MAX,
+        };
+    }
+    let m = (bits & ((1u64 << 52) - 1)) | (1u64 << 52);
+    let e = biased - 1075;
+    let magnitude = if e >= 0 {
+        (m as i128) << e
+    } else {
+        let s = -e;
+        ((m + (1u64 << (s - 1))) >> s) as i128
+    };
+    if negative {
+        -magnitude
+    } else {
+        magnitude
+    }
+}
+
+/// `q as f64` without the software `i128` conversion: round to nearest,
+/// ties to even.
+///
+/// A magnitude above 64 bits keeps its top 64 bits with the bits shifted
+/// out folded into the lowest as a sticky bit. That bit lies below the
+/// rounding position of the 53-bit significand, so the hardware
+/// `u64 → f64` conversion rounds exactly as the full value would, and
+/// the scaling back by `2^shift` is exact.
+#[inline]
+fn i128_to_f64(q: i128) -> f64 {
+    let m = q.unsigned_abs();
+    let magnitude = if m >> 64 == 0 {
+        m as u64 as f64
+    } else {
+        let shift = 64 - m.leading_zeros();
+        let top = (m >> shift) as u64;
+        let sticky = (m & ((1u128 << shift) - 1) != 0) as u64;
+        (top | sticky) as f64 * pow2(shift as i32)
+    };
+    if q < 0 {
+        -magnitude
+    } else {
+        magnitude
+    }
+}
+
 /// A shared fixed-point grid for one reduction epoch.
 ///
 /// Built from the *global* maximum absolute term, so every rank quantizes
@@ -104,16 +170,24 @@ impl FixedPoint {
 
     /// Quantize one term onto the grid. A deterministic function of the
     /// value alone — identical on every rank regardless of partitioning.
+    ///
+    /// Bitwise `(v * m1 * m2).round() as i128`, computed on the bit
+    /// pattern rather than through the software float-to-`i128`
+    /// conversion.
     #[inline]
     pub fn encode(&self, v: f64) -> i128 {
         debug_assert!(v.is_finite());
-        (((v * self.m1 * self.m2).round()) as i128) << self.shift
+        round_to_i128(v * self.m1 * self.m2) << self.shift
     }
 
     /// Convert an accumulated integer back to `f64` (one final rounding).
+    ///
+    /// Bitwise `(q as f64) * d1 * d2`, converting through a 64-bit
+    /// significand with a sticky bit rather than the software
+    /// `i128`-to-float conversion.
     #[inline]
     pub fn decode(&self, q: i128) -> f64 {
-        (q as f64) * self.d1 * self.d2
+        i128_to_f64(q) * self.d1 * self.d2
     }
 
     /// Multiply an encoded value by an exact quarter-integer weight
@@ -126,24 +200,47 @@ impl FixedPoint {
     }
 }
 
+/// `max(a, b)` that propagates a `NaN` from either side, where
+/// `f64::max` drops it.
+fn max_nan(a: f64, b: f64) -> f64 {
+    if b > a || b.is_nan() {
+        b
+    } else {
+        a
+    }
+}
+
+/// Global maximum of `|t|` over every rank's `terms`; `NaN` if any rank
+/// holds a `NaN` term, so a caller's non-finite branch sees it.
+///
+/// Collective: one allreduce, folded in rank order on every rank.
+pub fn allreduce_max_abs(comm: &impl Communicator, terms: impl IntoIterator<Item = f64>) -> f64 {
+    let local = terms.into_iter().fold(0.0, |m, t| max_nan(m, t.abs()));
+    comm.allreduce(local, max_nan)
+}
+
 /// Sum-allreduce of `f64` terms whose result is bitwise independent of how
 /// the terms are distributed across ranks.
 ///
-/// Collective: every rank must call it, each contributing its local slice
-/// of the global term multiset. Costs one max-allreduce plus one `i128`
-/// sum-allreduce. Falls back to the naive fold if the data contains
+/// Collective: every rank must call it, each contributing its local part
+/// of the global term multiset. `terms` produces that part and is called
+/// twice, once for the grid and once to encode, so a caller never
+/// collects its terms into a buffer. Costs one max-allreduce plus one
+/// `i128` sum-allreduce. Falls back to the naive fold if the data contains
 /// non-finite values (reproducibility is moot then, and the global max
 /// keeps all ranks on the same branch).
-pub fn allreduce_sum_f64_exact(comm: &impl Communicator, terms: &[f64]) -> f64 {
-    let local_max = terms.iter().fold(0.0f64, |m, &t| m.max(t.abs()));
-    let gmax = comm.allreduce_max_f64(local_max);
+pub fn allreduce_sum_f64_exact<I: IntoIterator<Item = f64>>(
+    comm: &impl Communicator,
+    terms: impl Fn() -> I,
+) -> f64 {
+    let gmax = allreduce_max_abs(comm, terms());
     match FixedPoint::for_global_max(gmax, 0) {
         Some(fx) => {
-            let local: i128 = terms.iter().map(|&t| fx.encode(t)).sum();
+            let local: i128 = terms().into_iter().map(|t| fx.encode(t)).sum();
             fx.decode(comm.allreduce(local, |a, b| a + b))
         }
         None if gmax == 0.0 => 0.0,
-        None => comm.allreduce_sum_f64(terms.iter().sum()),
+        None => comm.allreduce_sum_f64(terms().into_iter().sum()),
     }
 }
 
@@ -213,7 +310,7 @@ mod tests {
                     .skip(c.rank())
                     .step_by(c.size())
                     .collect();
-                allreduce_sum_f64_exact(c, &mine)
+                allreduce_sum_f64_exact(c, || mine.iter().copied())
             });
             assert!(results.windows(2).all(|w| w[0].to_bits() == w[1].to_bits()));
             per_p.push(results[0]);
@@ -231,26 +328,140 @@ mod tests {
         let terms = [1e16, 1.0, -1e16, 1.0];
         let exact = run_spmd(2, move |c| {
             let mine: Vec<f64> = terms.iter().copied().skip(c.rank()).step_by(2).collect();
-            allreduce_sum_f64_exact(c, &mine)
+            allreduce_sum_f64_exact(c, || mine.iter().copied())
         });
         assert_eq!(exact[0], 2.0);
     }
 
     #[test]
     fn degenerate_inputs() {
-        let zeros = run_spmd(2, |c| allreduce_sum_f64_exact(c, &[0.0, -0.0]));
+        let zeros = run_spmd(2, |c| allreduce_sum_f64_exact(c, || [0.0, -0.0]));
         assert_eq!(zeros, vec![0.0, 0.0]);
-        let empty = run_spmd(2, |c| allreduce_sum_f64_exact(c, &[]));
+        let empty = run_spmd(2, |c| allreduce_sum_f64_exact(c, || []));
         assert_eq!(empty, vec![0.0, 0.0]);
         // Subnormal-only data still reduces without over/underflowing the
         // scale factors.
         let tiny = f64::from_bits(3);
-        let got = run_spmd(2, move |c| allreduce_sum_f64_exact(c, &[tiny]));
+        let got = run_spmd(2, move |c| allreduce_sum_f64_exact(c, || [tiny]));
         assert_eq!(got[0], tiny + tiny);
         // Huge data near the top of the f64 range.
         let huge = f64::MAX / 4.0;
-        let got = run_spmd(2, move |c| allreduce_sum_f64_exact(c, &[huge]));
+        let got = run_spmd(2, move |c| allreduce_sum_f64_exact(c, || [huge]));
         assert_eq!(got[0], huge + huge);
+    }
+
+    /// A 2-rank exact sum whose second rank holds a `NaN` term. `f64::max`
+    /// dropped the `NaN` from the grid, which then encoded it as 0 and
+    /// returned 6; the sum must take its non-finite branch instead.
+    #[test]
+    fn nan_term_propagates_through_the_exact_sum() {
+        let got = run_spmd(2, |c| {
+            let mine: &[f64] = if c.rank() == 0 {
+                &[3.0]
+            } else {
+                &[1.0, f64::NAN, 2.0]
+            };
+            allreduce_sum_f64_exact(c, || mine.iter().copied())
+        });
+        assert!(got.iter().all(|v| v.is_nan()), "{got:?}");
+        let inf = run_spmd(2, |c| {
+            allreduce_sum_f64_exact(c, || [if c.rank() == 1 { f64::INFINITY } else { 1.0 }])
+        });
+        assert_eq!(inf, vec![f64::INFINITY; 2]);
+    }
+
+    /// Seeded `f64` stream for the conversion tests: ±0, subnormals, every
+    /// binary magnitude from 2^-2 to 2^97 with random significands, `.5`
+    /// ties, and the saturating and non-finite cases of the cast.
+    fn encode_inputs() -> Vec<f64> {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut xs = vec![
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE,
+            0.49999999999999994,
+            2f64.powi(127),
+            -2f64.powi(127),
+            2f64.powi(200),
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        for e in -2..=97 {
+            for _ in 0..64 {
+                let frac = 1.0 + (next() >> 12) as f64 / 2f64.powi(52);
+                xs.push(frac * 2f64.powi(e));
+            }
+        }
+        for _ in 0..4096 {
+            // k + 1/2 is exact up to 2^52.
+            let k = (next() >> (12 + next() % 52)) as f64;
+            xs.push(k + 0.5);
+        }
+        let negated: Vec<f64> = xs.iter().map(|x| -x).collect();
+        xs.extend(negated);
+        xs
+    }
+
+    #[test]
+    fn encode_is_the_rounding_cast() {
+        for x in encode_inputs() {
+            assert_eq!(round_to_i128(x), x.round() as i128, "x = {x:e}");
+        }
+        // Through the grid, as the solvers call it.
+        for (max, shift) in [(1.0, 0), (3.7e9, 2), (1e-300, 2), (f64::MAX / 4.0, 0)] {
+            let fx = FixedPoint::for_global_max(max, shift).unwrap();
+            for v in encode_inputs()
+                .into_iter()
+                .filter(|v| v.abs() < 2f64.powi(98))
+            {
+                let v = v / 2f64.powi(98) * max;
+                let want = ((v * fx.m1 * fx.m2).round() as i128) << shift;
+                assert_eq!(fx.encode(v), want, "v = {v:e} on the grid of {max:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn decode_is_the_conversion_cast() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state
+        };
+        let mut qs = vec![0i128, 1, -1, i128::MAX, i128::MIN, i128::MIN + 1];
+        for bits in 1..=127u32 {
+            for _ in 0..64 {
+                let r = ((next() as u128) << 64) | next() as u128;
+                qs.push((r >> (128 - bits)) as i128 | 1 << (bits - 1));
+            }
+            if bits >= 55 {
+                // Exactly halfway between two doubles (a 53-bit significand,
+                // then a one bit, then zeros), and a hair either side of it.
+                let s = bits - 54;
+                let m = ((next() >> 11) | 1 << 52) as i128;
+                let half = ((m << 1) | 1) << s;
+                qs.extend([half, half - 1, half + 1]);
+            }
+        }
+        let negated: Vec<i128> = qs.iter().map(|q| q.wrapping_neg()).collect();
+        qs.extend(negated);
+        for q in qs {
+            assert_eq!(i128_to_f64(q).to_bits(), (q as f64).to_bits(), "q = {q}");
+        }
+        let fx = FixedPoint::for_global_max(3.7e9, 2).unwrap();
+        for q in [1i128 << 90, -(3 << 100) + 7, 12345] {
+            assert_eq!(fx.decode(q).to_bits(), (q as f64 * fx.d1 * fx.d2).to_bits());
+        }
     }
 
     #[test]

@@ -129,8 +129,11 @@ impl<T: Wire> Wire for Vec<T> {
 }
 
 /// Encode a slice of values into a fresh buffer (without a length prefix).
+///
+/// The buffer is sized for `items.len()` values of `T`'s in-memory size,
+/// which is the exact encoded size of every fixed-width primitive.
 pub fn write_vec<T: Wire>(items: &[T]) -> Vec<u8> {
-    let mut buf = Vec::new();
+    let mut buf = Vec::with_capacity(std::mem::size_of_val(items));
     for x in items {
         x.encode(&mut buf);
     }
@@ -141,9 +144,14 @@ pub fn write_vec<T: Wire>(items: &[T]) -> Vec<u8> {
 // CRC32 integrity framing
 // ----------------------------------------------------------------------
 
-/// The standard IEEE CRC32 lookup table, built at compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// The IEEE CRC32 lookup tables for slicing-by-8, built at compile time.
+///
+/// `CRC_TABLES[0]` is the classic byte-at-a-time table of the reflected
+/// polynomial `0xEDB88320`. `CRC_TABLES[k][b]` is the CRC register after
+/// byte `b` is followed by `k` zero bytes, so eight table lookups advance
+/// the register over eight bytes at once.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -156,17 +164,44 @@ const CRC_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 };
 
 /// IEEE CRC32 of a byte slice (the polynomial used by zip/zlib/ethernet).
+///
+/// Slicing-by-8: the register absorbs eight bytes per step through the
+/// eight tables, then the tail byte by byte. The value is the
+/// byte-at-a-time CRC's, so checksums stored on disk stay valid.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = bytes.chunks_exact(8);
+    for b in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][b[4] as usize]
+            ^ t[2][b[5] as usize]
+            ^ t[1][b[6] as usize]
+            ^ t[0][b[7] as usize];
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -214,13 +249,20 @@ pub fn unframe(buf: &[u8]) -> Result<&[u8], FrameError> {
     Ok(payload)
 }
 
+/// A capacity for decoding `buf` as values of `T`: exact for the
+/// fixed-width primitives, whose encoding is their in-memory size, and
+/// never more memory than `buf` itself.
+fn capacity_hint<T>(buf: &[u8]) -> usize {
+    buf.len() / std::mem::size_of::<T>().max(1)
+}
+
 /// Decode a whole buffer (produced by [`write_vec`]) as consecutive values.
 ///
 /// Panics if the buffer does not decode cleanly to an integral number of
 /// items — inside the SPMD harness a malformed message is a program bug,
 /// not a recoverable condition.
 pub fn read_vec<T: Wire>(mut buf: &[u8]) -> Vec<T> {
-    let mut v = Vec::new();
+    let mut v = Vec::with_capacity(capacity_hint::<T>(buf));
     while !buf.is_empty() {
         let item =
             T::decode(&mut buf).expect("malformed wire buffer: trailing bytes do not decode");
@@ -232,7 +274,7 @@ pub fn read_vec<T: Wire>(mut buf: &[u8]) -> Vec<T> {
 /// Fallible variant of [`read_vec`]: `None` if the buffer does not decode
 /// cleanly to an integral number of items.
 pub fn try_read_vec<T: Wire>(mut buf: &[u8]) -> Option<Vec<T>> {
-    let mut v = Vec::new();
+    let mut v = Vec::with_capacity(capacity_hint::<T>(buf));
     while !buf.is_empty() {
         v.push(T::decode(&mut buf)?);
     }
@@ -310,6 +352,42 @@ mod tests {
         // The canonical IEEE CRC32 check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The textbook bitwise CRC32, one shift per bit, independent of the
+    /// lookup tables.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c ^= b as u32;
+            for _ in 0..8 {
+                c = if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+            }
+        }
+        !c
+    }
+
+    /// The sliced CRC is the byte-at-a-time CRC: at every length that
+    /// exercises the eight-byte body and the tail, at every misaligned
+    /// start, and on a large buffer.
+    #[test]
+    fn sliced_crc32_is_the_bytewise_crc32() {
+        let mut rng = SplitMix64(0xC3C3_2024);
+        let data: Vec<u8> = (0..(1 << 20) + 7).map(|_| rng.next() as u8).collect();
+        for len in 0..=64 {
+            for off in 0..8 {
+                let s = &data[off..off + len];
+                assert_eq!(crc32(s), crc32_bitwise(s), "len {len} offset {off}");
+            }
+        }
+        for off in [0, 3, 7] {
+            let s = &data[off..off + (1 << 20)];
+            assert_eq!(crc32(s), crc32_bitwise(s), "1 MiB at offset {off}");
+        }
     }
 
     #[test]

@@ -236,7 +236,7 @@ impl<D: Dim> Forest<D> {
     ///
     /// Recursive formulation: a top-down walk over each local tree prunes
     /// every subtree whose insulation layer is entirely local
-    /// ([`prune_walk`]), so the exact per-leaf owner descent only runs on
+    /// (`prune_walk`), so the exact per-leaf owner descent only runs on
     /// the partition-boundary leaves that survive — on a single rank the
     /// walk prunes at the tree roots and the whole pass is `O(trees)`.
     /// The surviving leaves fan out across the PR-7 worker pool with a

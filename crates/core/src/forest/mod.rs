@@ -231,7 +231,7 @@ impl<D: Dim> Forest<D> {
     // ------------------------------------------------------------------
 
     /// `Refine`: subdivide local leaves flagged by `mark`, once or
-    /// recursively. Purely local; call [`Forest::update_meta`]-requiring
+    /// recursively. Purely local; call `Forest::update_meta`-requiring
     /// operations (`partition`, `balance`, `ghost`) afterwards — they
     /// refresh metadata themselves, but `refine` already keeps the shared
     /// counts in sync via one allgather.

@@ -21,14 +21,17 @@
 //! the node's canonical position (clamped into the domain) owns the node.
 //! Global ids are assigned per owner in canonical key order, offset by an
 //! exclusive scan of owned counts. Ranks that reference a node they do not
-//! own query the owner once (one all-to-all round trip), which also builds
-//! the scatter/gather plan used by [`Nodes::assemble_add`].
+//! own query the owner once (one all-to-all round trip). The owner's reply
+//! carries the id and every rank that references the node, so each rank
+//! learns, per peer, the nodes both reference: the sharer lists the
+//! one-exchange assembly [`Nodes::assemble_add`] runs on (p4est's
+//! `lnodes` sharers, Isaac et al., arXiv:1406.0089).
 
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::hash::BuildHasher;
 
-use forust_comm::{read_vec, write_vec, Communicator, Wire, TAG_COLLECTIVE};
+use forust_comm::{Communicator, TAG_COLLECTIVE};
 
 use crate::connectivity::{Route, TreeId};
 use crate::dim::Dim;
@@ -86,12 +89,10 @@ pub struct Nodes {
     pub global_offset: u64,
     /// Total dofs across all ranks.
     pub num_global: u64,
-    /// Per rank: local node indices whose dof that rank owns (sorted by
-    /// canonical key).
-    pub borrowed_by_rank: Vec<Vec<u32>>,
-    /// Per rank: local (owned) node indices that rank references, in the
-    /// order of its borrowed list.
-    pub lent_to_rank: Vec<Vec<u32>>,
+    /// Per rank: the local independent nodes that rank also references,
+    /// in ascending global id, so two ranks' lists for each other name
+    /// the same nodes in the same order. Empty for this rank itself.
+    pub shared_with: Vec<Vec<u32>>,
 }
 
 /// Internal draft of a node's classification during construction.
@@ -223,6 +224,14 @@ impl<D: Dim> Hang<'_, D> {
             })
             .collect();
         nodes.hanging(canon(self.tree, p2), parents, rel, self.dim as u8)
+    }
+}
+
+/// The global id of independent node `i`.
+fn global_id(status: &[NodeStatus], i: u32) -> u64 {
+    match status[i as usize] {
+        NodeStatus::Independent { global, .. } => global,
+        NodeStatus::Hanging { .. } => unreachable!("hanging nodes are not shared"),
     }
 }
 
@@ -468,24 +477,21 @@ impl<D: Dim> Forest<D> {
             }
         }
 
-        // Borrowed nodes: query owners for ids; owners learn lent lists.
-        let mut borrowed_by_rank: Vec<Vec<u32>> = (0..p).map(|_| Vec::new()).collect();
+        // Borrowed nodes: query each owner for the id; the queries tell
+        // the owner who borrows each of its nodes.
+        let mut borrowed: Vec<Vec<u32>> = (0..p).map(|_| Vec::new()).collect();
         for i in 0..num_nodes as u32 {
             let r = owners[i as usize];
             if r != usize::MAX && r != me {
-                borrowed_by_rank[r].push(i);
+                borrowed[r].push(i);
             }
         }
-        for v in &mut borrowed_by_rank {
-            v.sort_by_key(|&i| keys[i as usize]);
-        }
-        let queries: Vec<Vec<(u32, [i32; 3])>> = borrowed_by_rank
+        let queries: Vec<Vec<NodeKey>> = borrowed
             .iter()
             .map(|v| v.iter().map(|&i| keys[i as usize]).collect())
             .collect();
-        let incoming = comm.alltoallv(queries);
-        let mut lent_to_rank: Vec<Vec<u32>> = (0..p).map(|_| Vec::new()).collect();
-        let replies: Vec<Vec<u64>> = incoming
+        let lent: Vec<Vec<u32>> = comm
+            .alltoallv(queries)
             .into_iter()
             .enumerate()
             .map(|(r, qs)| {
@@ -494,26 +500,52 @@ impl<D: Dim> Forest<D> {
                         let i = *index.get(&key).unwrap_or_else(|| {
                             panic!("rank {me}: queried for unknown node {key:?} by rank {r}")
                         });
-                        lent_to_rank[r].push(i);
-                        match &status[i as usize] {
-                            NodeStatus::Independent { global, owner } => {
-                                assert_eq!(*owner, me, "queried for a node we do not own");
-                                *global
-                            }
-                            _ => panic!("queried for a hanging node"),
-                        }
+                        assert_eq!(owners[i as usize], me, "queried for a node we do not own");
+                        i
                     })
                     .collect()
             })
             .collect();
-        let answers = comm.alltoallv(replies);
-        for (r, ids) in answers.into_iter().enumerate() {
-            assert_eq!(ids.len(), borrowed_by_rank[r].len());
-            for (&i, id) in borrowed_by_rank[r].iter().zip(ids) {
+        // The borrowers of each owned node.
+        let mut sharers: Vec<Vec<u32>> = vec![Vec::new(); num_nodes];
+        for (r, v) in lent.iter().enumerate() {
+            for &i in v {
+                sharers[i as usize].push(r as u32);
+            }
+        }
+        // The reply carries each node's id and its sharers, so a borrower
+        // learns the other borrowers without another round.
+        let replies: Vec<Vec<(u64, Vec<u32>)>> = lent
+            .iter()
+            .map(|v| {
+                v.iter()
+                    .map(|&i| {
+                        let mut ranks = sharers[i as usize].clone();
+                        ranks.push(me as u32);
+                        (global_id(&status, i), ranks)
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut shared_with: Vec<Vec<u32>> = (0..p).map(|_| Vec::new()).collect();
+        for (i, ranks) in sharers.iter().enumerate() {
+            for &r in ranks {
+                shared_with[r as usize].push(i as u32);
+            }
+        }
+        for (r, answers) in comm.alltoallv(replies).into_iter().enumerate() {
+            assert_eq!(answers.len(), borrowed[r].len());
+            for (&i, (id, ranks)) in borrowed[r].iter().zip(answers) {
                 if let NodeStatus::Independent { global, .. } = &mut status[i as usize] {
                     *global = id;
                 }
+                for q in ranks.into_iter().filter(|&q| q as usize != me) {
+                    shared_with[q as usize].push(i);
+                }
             }
+        }
+        for v in &mut shared_with {
+            v.sort_unstable_by_key(|&i| global_id(&status, i));
         }
 
         Nodes {
@@ -525,14 +557,13 @@ impl<D: Dim> Forest<D> {
             num_owned,
             global_offset,
             num_global,
-            borrowed_by_rank,
-            lent_to_rank,
+            shared_with,
         }
     }
 }
 
-/// Message tag of the cG assembly's borrower-to-owner leg, in the reserved
-/// space below the collective tags, so per-tag traffic counts name it.
+/// Message tag of the cG assembly's one exchange, in the reserved space
+/// below the collective tags, so per-tag traffic counts name it.
 /// Multi-component fields travel together, one message per peer.
 pub const TAG_ASSEMBLE: u32 = TAG_COLLECTIVE - 48;
 
@@ -569,61 +600,40 @@ impl Nodes {
         (0..k).flat_map(move |c| shared.iter().map(move |&i| c * nn + i as usize))
     }
 
-    /// Sum-reduce shared dof values across ranks: every borrower's partial
-    /// is added at the owner, and the total is broadcast back, so all
-    /// copies of each dof agree afterwards. (The cG scatter-gather of
-    /// paper §II-E.) Hanging-node entries are ignored.
+    /// Sum-reduce shared dof values across ranks in one exchange: every
+    /// rank sends each peer its partials of the nodes they share and adds
+    /// the partials it receives, so all copies of each dof hold the total
+    /// afterwards. (The cG scatter-gather of paper §II-E.) Hanging-node
+    /// entries are ignored.
     ///
-    /// `values` is a component-major field of `k · num_local()` entries;
-    /// all `k` components of a shared node travel in one message per peer.
-    ///
-    /// Generic over the scalar so the same plan assembles `f64` fields and
-    /// the fixed-point `i128` fields of the bitwise-reproducible path
-    /// (`forust_comm::repro`) — integer partials make the cross-rank sum
-    /// associative, hence independent of the rank count.
-    pub fn assemble_add<T>(&self, comm: &impl Communicator, values: &mut [T])
-    where
-        T: Wire + Copy + std::ops::AddAssign,
-    {
+    /// `values` is a component-major fixed-point field (`forust_comm::repro`)
+    /// of `k · num_local()` entries; all `k` components of a shared node
+    /// travel in one message per peer. Integer addition is associative, so
+    /// every copy ends with the same bits, independent of the order the
+    /// partials arrive in and of the rank count.
+    pub fn assemble_add(&self, comm: &impl Communicator, values: &mut [i128]) {
+        const BYTES: usize = std::mem::size_of::<i128>();
         let k = self.components(values.len());
         let pending = {
             let _span = forust_obs::span!("nodes.assemble_begin");
-            // Borrower -> owner partials.
             let outgoing: Vec<Vec<u8>> = self
-                .borrowed_by_rank
+                .shared_with
                 .iter()
-                .map(|borrowed| {
-                    let partials: Vec<T> =
-                        self.wire_order(k, borrowed).map(|i| values[i]).collect();
-                    write_vec(&partials)
+                .map(|shared| {
+                    let mut buf = Vec::with_capacity(BYTES * k * shared.len());
+                    for i in self.wire_order(k, shared) {
+                        buf.extend_from_slice(&values[i].to_le_bytes());
+                    }
+                    buf
                 })
                 .collect();
             comm.start_alltoallv_bytes(outgoing, TAG_ASSEMBLE)
         };
         let _span = forust_obs::span!("nodes.assemble_end");
-        for (lent, buf) in self.lent_to_rank.iter().zip(pending.wait()) {
-            let partials: Vec<T> = read_vec(&buf);
-            assert_eq!(partials.len(), k * lent.len(), "assembly message size");
-            for (i, v) in self.wire_order(k, lent).zip(partials) {
-                values[i] += v;
-            }
-        }
-        self.broadcast_owned(comm, values);
-    }
-
-    /// Overwrite every borrowed dof with the owner's value, all components
-    /// of a component-major field in one message per peer.
-    fn broadcast_owned<T: Wire + Copy>(&self, comm: &impl Communicator, values: &mut [T]) {
-        let k = self.components(values.len());
-        let out: Vec<Vec<T>> = self
-            .lent_to_rank
-            .iter()
-            .map(|lent| self.wire_order(k, lent).map(|i| values[i]).collect())
-            .collect();
-        for (borrowed, vals) in self.borrowed_by_rank.iter().zip(comm.alltoallv(out)) {
-            assert_eq!(vals.len(), k * borrowed.len(), "broadcast message size");
-            for (i, v) in self.wire_order(k, borrowed).zip(vals) {
-                values[i] = v;
+        for (shared, buf) in self.shared_with.iter().zip(pending.wait()) {
+            assert_eq!(buf.len(), BYTES * k * shared.len(), "assembly message size");
+            for (i, b) in self.wire_order(k, shared).zip(buf.chunks_exact(BYTES)) {
+                values[i] += i128::from_le_bytes(b.try_into().unwrap());
             }
         }
     }
@@ -797,11 +807,13 @@ mod tests {
     }
 
     /// The numbering tail on its own terms (the analogue of ghost's
-    /// `mirrors_and_ghosts_are_dual`): what a borrower lists for an owner
-    /// is what that owner lends it, key for key and in order, and every
-    /// rank owns exactly the id range its offset names.
+    /// `mirrors_and_ghosts_are_dual`): rank a's sharer list for rank b
+    /// names the same keys in the same order as rank b's list for rank a,
+    /// it holds exactly the independent nodes both reference, in
+    /// ascending global id, and every rank owns exactly the id range its
+    /// offset names.
     #[test]
-    fn lent_and_borrowed_are_dual() {
+    fn sharer_lists_are_symmetric() {
         for p in [2usize, 5] {
             run_spmd(p, |comm| {
                 let (_, nodes) = build(comm, builders::cubed_sphere(), 1, 2, |t, o| {
@@ -811,23 +823,34 @@ mod tests {
                 let keys_of = |v: &[u32]| -> Vec<NodeKey> {
                     v.iter().map(|&i| nodes.keys[i as usize]).collect()
                 };
-                let owner_of = |i: u32| match nodes.status[i as usize] {
-                    NodeStatus::Independent { owner, .. } => owner,
-                    NodeStatus::Hanging { .. } => panic!("hanging node {i} is shared"),
-                };
-                let borrowed: Vec<Vec<NodeKey>> =
-                    nodes.borrowed_by_rank.iter().map(|v| keys_of(v)).collect();
-                for (r, (lent, asked)) in nodes
-                    .lent_to_rank
-                    .iter()
-                    .zip(comm.alltoallv(borrowed))
-                    .enumerate()
+                let independent: Vec<u32> = (0..nodes.num_local() as u32)
+                    .filter(|&i| matches!(nodes.status[i as usize], NodeStatus::Independent { .. }))
+                    .collect();
+                let referenced = comm.allgatherv(&keys_of(&independent));
+                let lists: Vec<Vec<NodeKey>> =
+                    nodes.shared_with.iter().map(|v| keys_of(v)).collect();
+                for (r, (mine, theirs)) in
+                    lists.iter().zip(comm.alltoallv(lists.clone())).enumerate()
                 {
-                    assert_eq!(keys_of(lent), asked, "rank {me} lends rank {r}");
-                    assert!(lent.iter().all(|&i| owner_of(i) == me));
-                    assert!(nodes.borrowed_by_rank[r].iter().all(|&i| owner_of(i) == r));
+                    assert_eq!(*mine, theirs, "rank {me}'s list for rank {r} and its dual");
+                    let ids: Vec<u64> = nodes.shared_with[r]
+                        .iter()
+                        .map(|&i| global_id(&nodes.status, i))
+                        .collect();
+                    assert!(
+                        ids.windows(2).all(|w| w[0] < w[1]),
+                        "rank {me} for {r}: ids"
+                    );
+                    let both: std::collections::HashSet<&NodeKey> = referenced[r].iter().collect();
+                    let mut want: Vec<NodeKey> = keys_of(&independent)
+                        .into_iter()
+                        .filter(|k| r != me && both.contains(k))
+                        .collect();
+                    want.sort_unstable();
+                    let mut got = mine.clone();
+                    got.sort_unstable();
+                    assert_eq!(got, want, "rank {me} for {r}: the nodes both reference");
                 }
-                assert!(nodes.lent_to_rank[me].is_empty() && nodes.borrowed_by_rank[me].is_empty());
 
                 let mut owned: Vec<u64> = nodes
                     .status
@@ -865,88 +888,88 @@ mod tests {
         assert_eq!(counts[0], counts[2]);
     }
 
+    /// A pseudo-random `i128` partial with carries in every limb.
+    fn partial(seed: u64) -> i128 {
+        let h = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (seed >> 29);
+        ((h as i128) << 40) - (1i128 << 90) + (h >> 7) as i128
+    }
+
+    /// Every element adds a partial to each of its nodes: a count in the
+    /// low bits (so the total's low bits are the node's valence) and a
+    /// pseudo-random value keyed by the element and corner. After one
+    /// assembly every copy of every node holds the brute-force total of
+    /// all ranks' partials, bit for bit. The `brick3d` mesh on 4 and 5
+    /// ranks has nodes shared by three and more ranks.
     #[test]
     fn assemble_add_counts_sharers() {
-        run_spmd(4, |comm| {
-            let (_, nodes) = build(
-                comm,
-                builders::brick3d([2, 1, 1], [false; 3]),
-                1,
-                1,
-                |_, _| false,
-            );
-            // Each element contributes 1 to each of its nodes; after
-            // assembly every copy of a node holds the global valence.
-            let mut values = vec![0.0f64; nodes.num_local()];
-            for e in 0..nodes.num_elements() {
-                for &i in nodes.element(e) {
-                    values[i as usize] += 1.0;
-                }
-            }
-            nodes.assemble_add(comm, &mut values);
-            // Check against a gathered brute-force valence by key.
-            let mine: Vec<((u32, [i32; 3]), u64)> = {
-                let mut local: std::collections::HashMap<(u32, [i32; 3]), u64> =
-                    std::collections::HashMap::new();
-                for e in 0..nodes.num_elements() {
-                    for &i in nodes.element(e) {
-                        *local.entry(nodes.keys[i as usize]).or_default() += 1;
+        for p in [4usize, 5] {
+            run_spmd(p, |comm| {
+                let (forest, nodes) = build(
+                    comm,
+                    builders::brick3d([2, 1, 1], [false; 3]),
+                    1,
+                    1,
+                    |_, _| false,
+                );
+                let mut values = vec![0i128; nodes.num_local()];
+                let mut mine: Vec<(NodeKey, i128)> = Vec::new();
+                for (e, (t, o)) in forest.iter_local().enumerate() {
+                    for (j, &i) in nodes.element(e).iter().enumerate() {
+                        let seed = (t as u64) << 48 ^ (o.morton() << 4) ^ j as u64;
+                        let v = (partial(seed) << 8) + 1;
+                        values[i as usize] += v;
+                        mine.push((nodes.keys[i as usize], v));
                     }
                 }
-                local.into_iter().collect()
-            };
-            let mut global: std::collections::HashMap<(u32, [i32; 3]), u64> =
-                std::collections::HashMap::new();
-            for part in comm.allgatherv(&mine) {
-                for (k, c) in part {
-                    *global.entry(k).or_default() += c;
+                nodes.assemble_add(comm, &mut values);
+                let mut total: std::collections::HashMap<NodeKey, (i128, u32)> =
+                    std::collections::HashMap::new();
+                for part in comm.allgatherv(&mine) {
+                    for (k, v) in part {
+                        let (sum, _) = total.entry(k).or_default();
+                        *sum += v;
+                    }
                 }
-            }
-            for (i, s) in nodes.status.iter().enumerate() {
-                if matches!(s, NodeStatus::Independent { .. }) {
-                    let want = global[&nodes.keys[i]] as f64;
-                    assert_eq!(values[i], want, "node {i} valence");
+                for (r, part) in comm.allgatherv(&nodes.keys).into_iter().enumerate() {
+                    for k in part {
+                        if let Some((_, ranks)) = total.get_mut(&k) {
+                            *ranks |= 1 << r;
+                        }
+                    }
                 }
-            }
-            // Interior nodes of a 3D trilinear mesh have valence 8.
-            let max = values.iter().cloned().fold(0.0, f64::max);
-            assert_eq!(max, 8.0);
-        });
+                let mut widest = 0;
+                for (i, s) in nodes.status.iter().enumerate() {
+                    if matches!(s, NodeStatus::Independent { .. }) {
+                        let (want, ranks) = total[&nodes.keys[i]];
+                        assert_eq!(values[i], want, "node {i} total");
+                        widest = widest.max(ranks.count_ones());
+                    }
+                }
+                // Interior nodes of a 3D trilinear mesh have valence 8.
+                assert_eq!(values.iter().map(|v| v & 0xFF).max(), Some(8));
+                assert!(
+                    comm.allreduce_max_u64(widest as u64) >= 3,
+                    "no node on 3+ ranks"
+                );
+                // Every copy of every node agrees.
+                let copies: Vec<(NodeKey, i128)> = (0..nodes.num_local())
+                    .filter(|&i| matches!(nodes.status[i], NodeStatus::Independent { .. }))
+                    .map(|i| (nodes.keys[i], values[i]))
+                    .collect();
+                let mut seen = std::collections::HashMap::new();
+                for (k, v) in comm.allgatherv(&copies).into_iter().flatten() {
+                    assert_eq!(*seen.entry(k).or_insert(v), v, "copies of {k:?} differ");
+                }
+            });
+        }
     }
 
     /// A component-major field assembles exactly like its components one
-    /// by one, in one `TAG_ASSEMBLE` message per peer instead of `k`.
+    /// by one, in one collective and one `TAG_ASSEMBLE` message per peer
+    /// instead of `k` of each.
     #[test]
     fn fused_assembly_is_the_per_component_assembly() {
-        fn check<T>(comm: &impl Communicator, nodes: &Nodes, mk: impl Fn(u64) -> T)
-        where
-            T: Wire + Copy + PartialEq + std::fmt::Debug + std::ops::AddAssign,
-        {
-            const K: usize = 4;
-            let nn = nodes.num_local();
-            let field: Vec<T> = (0..K * nn)
-                .map(|i| {
-                    let h = (i as u64 + 1 + ((comm.rank() as u64) << 40))
-                        .wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                    mk(h >> 20)
-                })
-                .collect();
-            let sent = || comm.stats().tag_traffic(TAG_ASSEMBLE).msgs;
-            let peers = comm.size() as u64 - 1;
-
-            let mut fused = field.clone();
-            let before = sent();
-            nodes.assemble_add(comm, &mut fused);
-            assert_eq!(sent() - before, peers, "one message per peer");
-
-            let mut split = field;
-            let before = sent();
-            for comp in split.chunks_exact_mut(nn) {
-                nodes.assemble_add(comm, comp);
-            }
-            assert_eq!(sent() - before, K as u64 * peers);
-            assert_eq!(fused, split);
-        }
+        const K: usize = 4;
         for p in [1usize, 2, 3] {
             run_spmd(p, |comm| {
                 // The mesh of `hanging_edges_3d`: hanging faces and edges.
@@ -955,8 +978,28 @@ mod tests {
                 });
                 let hangs = |s: &NodeStatus| matches!(s, NodeStatus::Hanging { .. });
                 assert!(comm.allreduce_or(nodes.status.iter().any(hangs)));
-                check(comm, &nodes, |h| h as f64 / 4096.0 - 1e9);
-                check(comm, &nodes, |h| h as i128 - (1 << 43));
+                let nn = nodes.num_local();
+                let field: Vec<i128> = (0..K * nn)
+                    .map(|i| partial(i as u64 + 1 + ((comm.rank() as u64) << 40)))
+                    .collect();
+                let sent = || comm.stats().tag_traffic(TAG_ASSEMBLE).msgs;
+                let calls = || comm.stats().snapshot().coll_calls;
+                let peers = comm.size() as u64 - 1;
+
+                let mut fused = field.clone();
+                let (msgs, colls) = (sent(), calls());
+                nodes.assemble_add(comm, &mut fused);
+                assert_eq!(sent() - msgs, peers, "one message per peer");
+                assert_eq!(calls() - colls, 1, "one collective per assembly");
+
+                let mut split = field;
+                let (msgs, colls) = (sent(), calls());
+                for comp in split.chunks_exact_mut(nn) {
+                    nodes.assemble_add(comm, comp);
+                }
+                assert_eq!(sent() - msgs, K as u64 * peers);
+                assert_eq!(calls() - colls, K as u64);
+                assert_eq!(fused, split);
             });
         }
     }

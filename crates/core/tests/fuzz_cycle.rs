@@ -113,8 +113,7 @@ fn cycle<D: Dim>(conn_fn: fn() -> Connectivity<D>, name: &str, max_level: u8) {
                     assert_eq!(nodes.num_owned, nodes_o.num_owned, "{ctx}");
                     assert_eq!(nodes.global_offset, nodes_o.global_offset, "{ctx}");
                     assert_eq!(nodes.num_global, nodes_o.num_global, "{ctx}");
-                    assert_eq!(nodes.borrowed_by_rank, nodes_o.borrowed_by_rank, "{ctx}");
-                    assert_eq!(nodes.lent_to_rank, nodes_o.lent_to_rank, "{ctx}");
+                    assert_eq!(nodes.shared_with, nodes_o.shared_with, "{ctx}");
                 }
             }
         });

@@ -3,7 +3,7 @@
 //! The paper integrates both the advection equation (§III-B) and the
 //! seismic wave equations (§IV-B) with "an explicit five-stage fourth-order
 //! Runge-Kutta method" — the Carpenter & Kennedy 2N-storage scheme
-//! (paper ref. [38]). Only two registers per unknown are needed.
+//! (paper ref. \[38\]). Only two registers per unknown are needed.
 
 /// Carpenter–Kennedy RK4(5) 2N-storage coefficients.
 pub const LSERK_A: [f64; 5] = [

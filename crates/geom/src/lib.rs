@@ -2,7 +2,7 @@
 //!
 //! p4est computes all topology discretely; "smooth geometries are
 //! represented by subjecting the octrees to diffeomorphic transformations
-//! [which] p4est uses only for visualization, and to pass the geometry to
+//! \[which\] p4est uses only for visualization, and to pass the geometry to
 //! an external application (such as the PDE solver)" (paper §II-D). This
 //! crate provides those transformations:
 //!

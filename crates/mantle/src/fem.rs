@@ -4,7 +4,7 @@
 //! `forust`'s `Nodes` (the paper: "Rhea discretizes the velocity, pressure,
 //! and temperature fields with trilinear hexahedral finite elements");
 //! equal order is stabilized by the polynomial pressure projection
-//! (paper ref. [40]). Everything is matrix-free: the saddle operator
+//! (paper ref. \[40\]). Everything is matrix-free: the saddle operator
 //! `[A Bt; B -C]` is applied element by element with 2x2x2 Gauss
 //! quadrature, with hanging-node constraints and cross-rank assembly
 //! applied around each operator application.
@@ -14,7 +14,7 @@ use std::sync::Arc;
 use forust::dim::{Dim, D3};
 use forust::forest::Forest;
 use forust::nodes::{NodeStatus, Nodes};
-use forust_comm::{allreduce_sum_f64_exact, Communicator, FixedPoint};
+use forust_comm::{allreduce_max_abs, allreduce_sum_f64_exact, Communicator, FixedPoint};
 use forust_dg::cg::HangingInterp;
 use forust_geom::{octant_ref_coords, Mapping};
 
@@ -61,8 +61,8 @@ pub struct StokesFem {
     pub temp: Vec<f64>,
     /// Dirichlet (no-slip) flag per node: shell boundaries.
     pub bc: Vec<bool>,
-    /// Ownership mask for global dot products.
-    owned: Vec<bool>,
+    /// The owned nodes, ascending: the dofs of global dot products.
+    owned: Vec<usize>,
 }
 
 /// Trilinear basis value at a reference point (`xi` in `[-1,1]^3`).
@@ -179,10 +179,10 @@ impl StokesFem {
             }
         }
 
-        let owned: Vec<bool> = nodes
-            .status
-            .iter()
-            .map(|s| matches!(s, NodeStatus::Independent { owner, .. } if *owner == comm.rank()))
+        let owned: Vec<usize> = (0..nn)
+            .filter(|&i| {
+                matches!(nodes.status[i], NodeStatus::Independent { owner, .. } if owner == comm.rank())
+            })
             .collect();
 
         let mut fem = StokesFem {
@@ -224,17 +224,16 @@ impl StokesFem {
     /// Reduced with the fixed-point exact sum, so the result is bitwise
     /// independent of the rank count: the recovery supervisor restarts
     /// mantle runs on fewer ranks and asserts bitwise-identical state, and
-    /// every MINRES recurrence scalar derives from these dots.
+    /// every MINRES recurrence scalar derives from these dots. The terms
+    /// are the products over owned dofs, node by node, recomputed for the
+    /// grid and for the encode rather than stored.
     pub fn dot(&self, comm: &impl Communicator, a: &[f64], b: &[f64]) -> f64 {
-        let mut terms = Vec::with_capacity(4 * self.nn);
-        for i in 0..self.nn {
-            if self.owned[i] {
-                for c in 0..4 {
-                    terms.push(a[c * self.nn + i] * b[c * self.nn + i]);
-                }
-            }
-        }
-        allreduce_sum_f64_exact(comm, &terms)
+        let nn = self.nn;
+        allreduce_sum_f64_exact(comm, || {
+            self.owned.iter().flat_map(move |&i| {
+                std::array::from_fn::<f64, 4, _>(|c| a[c * nn + i] * b[c * nn + i])
+            })
+        })
     }
 
     /// Picard viscosity update from the current velocity. Each element's
@@ -315,9 +314,10 @@ impl StokesFem {
     /// multiset of contributions is rank-count invariant. They are
     /// quantized onto a shared fixed-point grid (`forust_comm::repro`,
     /// `shift = 2` so the dyadic hanging weights `{1/2, 1/4}` stay exact),
-    /// and the scatter, hanging collect, cross-rank reduction (all four
-    /// components in one assembly) and owner broadcast run in `i128`:
-    /// associative, hence identical bits on any rank count.
+    /// and the scatter, hanging collect and cross-rank reduction (all four
+    /// components in one exchange) run in `i128`: associative, hence
+    /// identical bits on any rank count. A non-finite contribution on any
+    /// rank panics on every rank.
     fn integrate(
         &self,
         comm: &impl Communicator,
@@ -330,8 +330,7 @@ impl StokesFem {
         forust_pool::par_chunks_mut(&mut contribs, 32, FEM_GRAIN, |e, window, _| {
             window.copy_from_slice(element(e, &self.element_nodes(e)).as_flattened());
         });
-        let local_max = contribs.iter().fold(0.0f64, |m, &v| m.max(v.abs()));
-        let gmax = comm.allreduce_max_f64(local_max);
+        let gmax = allreduce_max_abs(comm, contribs.iter().copied());
         // All ranks see the same reduced max, so all take the same branch.
         let Some(fx) = FixedPoint::for_global_max(gmax, 2) else {
             assert!(
@@ -704,6 +703,23 @@ mod tests {
             }
             assert_eq!(w[0].1, w[1].1, "dot is rank-count dependent");
         }
+    }
+
+    /// A `NaN` in one rank's state reaches the shared grid on every rank,
+    /// which stops with the non-finite diagnostic rather than encoding the
+    /// `NaN` contributions as zeros.
+    #[test]
+    #[should_panic(expected = "non-finite element contribution")]
+    fn nan_state_stops_the_operator() {
+        run_spmd(2, |comm| {
+            let fem = setup(comm, 1);
+            let mut x = vec![0.5; fem.vec_len()];
+            if comm.rank() == 1 {
+                x[3 * fem.nn..].fill(f64::NAN);
+            }
+            let mut y = vec![0.0; fem.vec_len()];
+            fem.apply(comm, &x, &mut y);
+        });
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! plate-boundary weak zones whose viscosity is reduced by five orders of
 //! magnitude. Velocity and pressure are discretized with equal-order
 //! trilinear elements on the 24-octree shell, stabilized with the
-//! polynomial pressure projection of Dohrmann & Bochev (paper ref. [40]);
+//! polynomial pressure projection of Dohrmann & Bochev (paper ref. \[40\]);
 //! the nonlinear problem is solved by Picard (lagged-viscosity) iterations,
 //! each requiring an implicit variable-viscosity Stokes solve by MINRES
 //! preconditioned with weighted block Jacobi: the inverse diagonal of the

@@ -76,7 +76,7 @@ pub fn enabled() -> bool {
 }
 
 /// One completed span occurrence, for the trace export. Times are
-/// nanoseconds relative to the process [`epoch`].
+/// nanoseconds relative to the process `epoch`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Phase name (static, from the `span!` call site).

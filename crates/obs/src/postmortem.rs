@@ -2,7 +2,7 @@
 //! before a crash, written as one JSON file by the recovery supervisor.
 //!
 //! When the chaos stack kills a rank, each rank (dying and surviving
-//! alike) deposits a [`FlightDump`](crate::FlightDump) — the tail of
+//! alike) deposits a [`FlightDump`] — the tail of
 //! its span timeline, its counter snapshot, and for the dying rank the
 //! innermost span that was in flight — into the process-wide flight
 //! store ([`crate::flight_deposit`]). The supervisor drains the store

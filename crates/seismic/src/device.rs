@@ -8,7 +8,7 @@
 //!
 //! - **One kernel, two precisions.** A device step is the host's: the
 //!   shared [`forust_dg::Stepper`] over the elastic element kernel
-//!   ([`crate::solver::Kernel`]), both instantiated at `R = f32`. Nothing
+//!   (the solver's `Kernel`), both instantiated at `R = f32`. Nothing
 //!   about the RHS is written twice.
 //! - **The transfer.** [`transfer_from_host`](DeviceState::transfer_from_host)
 //!   demotes what the kernel reads — state, metric, material, source
@@ -23,7 +23,7 @@
 //!   ([`forust_dg::halo::TAG_HALO_EXCHANGE_F32`]) — half the payload
 //!   bytes of the f64 lane on top of the existing trace restriction.
 //! - **Flush to zero.** Every pool job of a device step runs under
-//!   [`FtzScope`], as GPU arithmetic does.
+//!   `FtzScope`, as GPU arithmetic does.
 //!
 //! With one element per work unit the f32 arithmetic is element-local
 //! exactly like the f64 tier's, so device steps are bitwise identical
@@ -275,7 +275,7 @@ impl DeviceState {
     }
 
     /// One full LSERK step on the device: the shared [`Stepper`] over the
-    /// element [`Kernel`], both at `R = f32`. The host solver supplies
+    /// element `Kernel`, both at `R = f32`. The host solver supplies
     /// the (static) mesh topology, the halo exchange and `dt`; all state
     /// arithmetic runs in f32 on the transferred copies, and the
     /// per-stage ghost trace exchange travels on the f32 wire lane,

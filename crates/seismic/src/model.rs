@@ -2,7 +2,7 @@
 //!
 //! The paper adapts its seismic meshes "to the size of spatially-variable
 //! wavelengths" of the Preliminary Reference Earth Model (PREM, paper ref.
-//! [44]) and notes that "the mesh aligns with discontinuities in wave speed
+//! \[44\]) and notes that "the mesh aligns with discontinuities in wave speed
 //! present in the PREM model" (Fig. 8). The real PREM tables are not
 //! shipped here; this module provides a piecewise-polynomial radial model
 //! with the same structure — the major mantle discontinuities at the PREM

@@ -5,7 +5,7 @@
 //! the five-stage fourth-order low-storage RK scheme. The numerical flux
 //! is an impedance-weighted central-plus-penalty (Rusanov-type) flux — a
 //! documented substitution for the exact Godunov flux of the paper's
-//! companion reference [8]; it upwinds the same characteristics with the
+//! companion reference \[8\]; it upwinds the same characteristics with the
 //! same maximal wave speed and is what the scaling experiments exercise.
 //!
 //! Both shell boundaries are traction-free (the paper couples the mantle
@@ -299,7 +299,7 @@ impl SeismicSolver {
     /// Advance one RK step.
     ///
     /// The stages, the split-phase ghost exchange and the pool sweeps are
-    /// the shared [`Stepper`]'s; this solver contributes [`Kernel`].
+    /// the shared [`Stepper`]'s; this solver contributes `Kernel`.
     /// Steady-state allocation-free.
     pub fn step(&mut self, comm: &impl Communicator) {
         {
