@@ -4,7 +4,7 @@
 //!
 //! - the core forest algorithms (the building blocks whose scaling Fig. 4
 //!   measures) on the level-2 and level-3 fractal forests, one rank, with
-//!   the recursive Ghost/Nodes rows interleaved against their oracles;
+//!   the Balance/Ghost/Nodes rows interleaved against their oracles;
 //! - octant keys: Morton sums and point location over the level-3 forest;
 //! - the split-phase halo exchange on 4 ranks, with bytes on the wire;
 //! - the 4-rank advect step with the worker pool at 1 and 4 lanes;
@@ -46,8 +46,8 @@ fn fractal_forest(level: u8) -> (ThreadComm, Forest<D3>) {
 }
 
 /// Refine, Balance, Ghost, Nodes and Partition on the fractal forest of
-/// `level`, the recursive Nodes row interleaved with its oracle, and
-/// Ghost too where `ghost_oracle` says so.
+/// `level`, the Balance and Nodes rows interleaved with their oracles,
+/// and Ghost too where `ghost_oracle` says so.
 fn bench_forest(bench: &mut Micro, level: u8, reps: usize, ghost_oracle: bool) -> Forest<D3> {
     let (comm, forest) = fractal_forest(level);
     let n = forest.num_local();
@@ -55,10 +55,18 @@ fn bench_forest(bench: &mut Micro, level: u8, reps: usize, ghost_oracle: bool) -
         let n = fractal_forest(level).1.num_local();
         assert!(n > 0);
     });
-    bench.run(format!("balance_full_l{level}"), n, reps, || {
-        let mut f = forest.clone();
-        f.balance(&comm, BalanceType::Full);
-    });
+    bench.run_interleaved(
+        [
+            format!("balance_full_l{level}"),
+            format!("balance_oracle_l{level}"),
+        ],
+        n,
+        reps,
+        [
+            &mut || forest.clone().balance(&comm, BalanceType::Full),
+            &mut || forest.clone().balance_ripple(&comm, BalanceType::Full),
+        ],
+    );
     let mut balanced = forest.clone();
     balanced.balance(&comm, BalanceType::Full);
     let nb = balanced.num_local();

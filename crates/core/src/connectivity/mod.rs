@@ -341,7 +341,6 @@ impl<D: Dim> Connectivity<D> {
     /// domain boundary.
     pub fn exterior_images(&self, k: TreeId, o: &Octant<D>) -> Vec<(TreeId, Octant<D>)> {
         self.exterior_images_routed(k, o)
-            .into_iter()
             .map(|(t, m, _)| (t, m))
             .collect()
     }
@@ -349,84 +348,41 @@ impl<D: Dim> Connectivity<D> {
     /// As [`Connectivity::exterior_images`], additionally reporting *how*
     /// each image was produced (which macro-entity was crossed), so callers
     /// can transform associated point data with [`Route::map_point_scaled`].
+    /// Allocation-free: the images are generated on demand.
     pub fn exterior_images_routed(
         &self,
         k: TreeId,
         o: &Octant<D>,
-    ) -> Vec<(TreeId, Octant<D>, Route<'_>)> {
+    ) -> impl Iterator<Item = (TreeId, Octant<D>, Route<'_>)> + '_ {
         let big = D::root_len();
-        let c = o.coords();
-        let mut out_axes: Vec<(usize, bool)> = Vec::with_capacity(3); // (axis, high side)
-        for (d, &cd) in c.iter().enumerate().take(D::DIM as usize) {
+        let (mut out, mut high) = (0, 0);
+        for (d, &cd) in o.coords().iter().enumerate().take(D::DIM as usize) {
             debug_assert!(cd >= -big && cd < 2 * big, "octant too far outside tree");
-            if cd < 0 {
-                out_axes.push((d, false));
-            } else if cd >= big {
-                out_axes.push((d, true));
+            if cd < 0 || cd >= big {
+                out |= 1 << d;
+                high |= usize::from(cd >= big) << d;
             }
         }
-        match out_axes.len() {
-            0 => vec![(k, *o, Route::Interior)],
-            1 => {
-                let (axis, high) = out_axes[0];
-                let f = 2 * axis + usize::from(high);
-                match self.face_transform(k, f) {
-                    None => vec![],
-                    Some(t) => vec![(t.target, t.apply_octant(o), Route::Face(t))],
-                }
-            }
-            2 if D::DIM == 3 => {
-                // Across a macro-edge: identify which edge of tree k.
-                let run_axis = (0..3)
-                    .find(|a| !out_axes.iter().any(|&(d, _)| d == *a))
-                    .expect("one axis must remain interior");
-                let mut bits = 0usize;
-                let mut b = 0;
-                for d in 0..3 {
-                    if d != run_axis {
-                        let high = out_axes.iter().find(|&&(a, _)| a == d).expect("axis out").1;
-                        bits |= usize::from(high) << b;
-                        b += 1;
-                    }
-                }
-                let e = run_axis * 4 + bits;
-                self.edge_neighbors(k, e)
-                    .iter()
-                    .filter(|nb| !(nb.tree == k && nb.edge == e))
-                    .map(|nb| {
-                        (
-                            nb.tree,
-                            nb.apply_octant(e, o),
-                            Route::Edge {
-                                source_edge: e,
-                                nb: *nb,
-                            },
-                        )
-                    })
-                    .collect()
-            }
-            _ => {
-                // Across a macro-corner (2 axes out in 2D, 3 in 3D).
-                let mut corner = 0usize;
-                for &(d, high) in &out_axes {
-                    corner |= usize::from(high) << d;
-                }
-                self.corner_neighbors(k, corner)
-                    .iter()
-                    .filter(|nb| !(nb.tree == k && nb.corner == corner))
-                    .map(|nb| {
-                        (
-                            nb.tree,
-                            nb.octant_at_corner(o.level),
-                            Route::Corner {
-                                source_corner: corner,
-                                nb: *nb,
-                            },
-                        )
-                    })
-                    .collect()
-            }
-        }
+        let o = *o;
+        let crossing = self.crossing(k, out, high);
+        let own = match crossing {
+            Crossing::Interior => Some((k, o, Route::Interior)),
+            Crossing::Face(t) => t.map(|t| (t.target, t.apply_octant(&o), Route::Face(t))),
+            _ => None,
+        };
+        let (edges, corners) = crossing.shared(k);
+        own.into_iter()
+            .chain(edges.map(move |(e, nb)| {
+                let route = Route::Edge { source_edge: e, nb };
+                (nb.tree, nb.apply_octant(e, &o), route)
+            }))
+            .chain(corners.map(move |(c, nb)| {
+                let route = Route::Corner {
+                    source_corner: c,
+                    nb,
+                };
+                (nb.tree, nb.octant_at_corner(o.level), route)
+            }))
     }
 
     /// All images of a point of tree `k` (coordinates in `[0, root_len]`),
@@ -434,72 +390,65 @@ impl<D: Dim> Connectivity<D> {
     /// points on tree faces/edges/corners are shared with every touching
     /// tree.
     pub fn point_images(&self, k: TreeId, p: [i32; 3]) -> Vec<(TreeId, [i32; 3])> {
-        self.point_images_scaled(k, p, 1)
+        self.point_images_scaled(k, p, 1).collect()
     }
 
     /// As [`Connectivity::point_images`], with coordinates scaled by
-    /// `scale` (the node-lattice convention: positions are `N * x`).
+    /// `scale` (the node-lattice convention: positions are `N * x`), and
+    /// allocation-free: the images are generated on demand.
     pub fn point_images_scaled(
         &self,
         k: TreeId,
         p: [i32; 3],
         scale: i32,
-    ) -> Vec<(TreeId, [i32; 3])> {
+    ) -> impl Iterator<Item = (TreeId, [i32; 3])> + '_ {
         let big = scale * D::root_len();
-        let mut on: Vec<(usize, bool)> = Vec::new(); // (axis, high side)
+        let (mut on, mut high) = (0, 0);
         for (d, &pd) in p.iter().enumerate().take(D::DIM as usize) {
             debug_assert!((0..=big).contains(&pd), "point outside closed tree cube");
-            if pd == 0 {
-                on.push((d, false));
-            } else if pd == big {
-                on.push((d, true));
+            if pd == 0 || pd == big {
+                on |= 1 << d;
+                high |= usize::from(pd == big) << d;
             }
         }
-        let mut images = vec![(k, p)];
-        match on.len() {
-            0 => {}
+        let crossing = self.crossing(k, on, high);
+        let face = match crossing {
+            Crossing::Face(Some(t)) => Some((t.target, t.apply_point_scaled(p, scale))),
+            _ => None,
+        };
+        let (edges, corners) = crossing.shared(k);
+        std::iter::once((k, p))
+            .chain(face)
+            .chain(edges.map(move |(e, nb)| {
+                (
+                    nb.tree,
+                    nb.apply_edge_point_scaled::<D>(p[D::edge_axis(e)], scale),
+                )
+            }))
+            .chain(corners.map(move |(_, nb)| (nb.tree, nb.corner_point_scaled::<D>(scale))))
+    }
+
+    /// The macro-entity of tree `k` that a box or point lies beyond (or
+    /// on): `out` has a bit per such axis, `high` a bit per axis where
+    /// that is the high side. No axis names the tree itself, one a face,
+    /// two an edge in 3D, and all of them a corner.
+    fn crossing(&self, k: TreeId, out: usize, high: usize) -> Crossing<'_> {
+        match out.count_ones() {
+            0 => Crossing::Interior,
             1 => {
-                let (axis, high) = on[0];
-                let f = 2 * axis + usize::from(high);
-                if let Some(t) = self.face_transform(k, f) {
-                    images.push((t.target, t.apply_point_scaled(p, scale)));
-                }
+                let axis = out.trailing_zeros() as usize;
+                Crossing::Face(self.face_transform(k, 2 * axis + (high >> axis & 1)))
             }
             2 if D::DIM == 3 => {
-                let run_axis = (0..3)
-                    .find(|a| !on.iter().any(|&(d, _)| d == *a))
-                    .expect("one axis must remain interior");
-                let mut bits = 0usize;
-                let mut b = 0;
-                for d in 0..3 {
-                    if d != run_axis {
-                        let high = on.iter().find(|&&(a, _)| a == d).expect("axis on").1;
-                        bits |= usize::from(high) << b;
-                        b += 1;
-                    }
-                }
-                let e = run_axis * 4 + bits;
-                for nb in self.edge_neighbors(k, e) {
-                    if nb.tree == k && nb.edge == e {
-                        continue;
-                    }
-                    images.push((nb.tree, nb.apply_edge_point_scaled::<D>(p[run_axis], scale)));
-                }
+                // The edge runs along the axis left over; the sides of
+                // the two transverse axes, lower axis first, are its bits.
+                let run = (!out & 7).trailing_zeros() as usize;
+                let (lo, hi) = (usize::from(run == 0), 2 - usize::from(run == 2));
+                let e = run * 4 + (high >> lo & 1) + 2 * (high >> hi & 1);
+                Crossing::Edge(e, self.edge_neighbors(k, e))
             }
-            _ => {
-                let mut corner = 0usize;
-                for &(d, high) in &on {
-                    corner |= usize::from(high) << d;
-                }
-                for nb in self.corner_neighbors(k, corner) {
-                    if nb.tree == k && nb.corner == corner {
-                        continue;
-                    }
-                    images.push((nb.tree, nb.corner_point_scaled::<D>(scale)));
-                }
-            }
+            _ => Crossing::Corner(high, self.corner_neighbors(k, high)),
         }
-        images
     }
 
     /// Consistency checks on the derived structure; panics with a
@@ -576,6 +525,49 @@ impl<D: Dim> Connectivity<D> {
                 }
             }
         }
+    }
+}
+
+/// What lies across the macro-entity a box or point of a tree sits
+/// beyond (or on); see [`Connectivity::crossing`].
+#[derive(Clone, Copy)]
+enum Crossing<'a> {
+    /// Inside the tree: nothing is crossed.
+    Interior,
+    /// A face: its transform, `None` at a domain boundary.
+    Face(Option<&'a FaceTransform>),
+    /// A macro-edge (3D): the source tree's edge and every edge sharing it.
+    Edge(usize, &'a [EdgeNeighbor]),
+    /// A macro-corner: the source tree's corner and every corner sharing it.
+    Corner(usize, &'a [CornerNeighbor]),
+}
+
+impl<'a> Crossing<'a> {
+    /// The other trees' entities across a crossed macro-edge and
+    /// macro-corner, each with the source tree `k`'s entity number; both
+    /// are empty for a face or the interior.
+    fn shared(
+        self,
+        k: TreeId,
+    ) -> (
+        impl Iterator<Item = (usize, EdgeNeighbor)> + 'a,
+        impl Iterator<Item = (usize, CornerNeighbor)> + 'a,
+    ) {
+        let (e, edges, c, corners) = match self {
+            Crossing::Edge(e, nbs) => (e, nbs, 0, &[][..]),
+            Crossing::Corner(c, nbs) => (0, &[][..], c, nbs),
+            _ => (0, &[][..], 0, &[][..]),
+        };
+        (
+            edges
+                .iter()
+                .filter(move |nb| !(nb.tree == k && nb.edge == e))
+                .map(move |nb| (e, *nb)),
+            corners
+                .iter()
+                .filter(move |nb| !(nb.tree == k && nb.corner == c))
+                .map(move |nb| (c, *nb)),
+        )
     }
 }
 
@@ -678,6 +670,46 @@ mod tests {
             assert_ne!(*k2, 0);
             assert!(m.is_inside_root());
             assert_eq!(m.level, 2);
+        }
+    }
+
+    /// `crossing`'s bit arithmetic names the macro-entity that the octant
+    /// neighbor API steps across: every image of a level-1 octant's edge
+    /// or corner neighbor beyond a tree edge or corner is routed through
+    /// that edge or corner, on every tree.
+    #[test]
+    fn routes_name_the_entity_crossed() {
+        let big = D3::root_len();
+        let out = |m: &Octant<D3>| m.coords().iter().filter(|&&x| x < 0 || x >= big).count();
+        for c in [rotcubes6(), cubed_sphere()] {
+            let (mut edges, mut corners) = (0, 0);
+            for k in 0..c.num_trees() as TreeId {
+                for child in 0..D3::CORNERS {
+                    let o = Octant::<D3>::root().child(child);
+                    for e in (0..D3::EDGES).filter(|&e| out(&o.edge_neighbor(e)) == 2) {
+                        for (_, _, route) in c.exterior_images_routed(k, &o.edge_neighbor(e)) {
+                            let Route::Edge { source_edge, .. } = route else {
+                                panic!("tree {k} edge {e}: not an edge route");
+                            };
+                            assert_eq!(source_edge, e, "tree {k}");
+                            edges += 1;
+                        }
+                    }
+                    for q in (0..D3::CORNERS).filter(|&q| out(&o.corner_neighbor(q)) == 3) {
+                        for (_, _, route) in c.exterior_images_routed(k, &o.corner_neighbor(q)) {
+                            let Route::Corner { source_corner, .. } = route else {
+                                panic!("tree {k} corner {q}: not a corner route");
+                            };
+                            assert_eq!(source_corner, q, "tree {k}");
+                            corners += 1;
+                        }
+                    }
+                }
+            }
+            assert!(
+                edges > 0 && corners > 0,
+                "{edges} edge and {corners} corner routes"
+            );
         }
     }
 

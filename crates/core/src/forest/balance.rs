@@ -10,15 +10,25 @@
 //! overlaps `n`.
 //!
 //! The algorithm is a worklist-driven ripple iterated to a global fixed
-//! point: every leaf emits *requirements* for its neighbor regions;
-//! requirements whose region is owned locally are enforced immediately
-//! (splitting too-coarse leaves, whose children re-enter the worklist),
-//! remote ones are exchanged with the owner ranks each round; an
-//! `Allreduce` certifies convergence. Refinement is monotone and bounded
-//! by `MAX_LEVEL`, so the ripple terminates. This favors simplicity over
-//! p4est's single-pass formulation but computes the same closure, and its
-//! communication volume likewise scales with the number of octants on
-//! partition boundaries.
+//! point: every sibling family emits *requirements* for its parent's
+//! neighbor regions; requirements whose region is owned locally are
+//! enforced immediately (splitting too-coarse leaves, whose children
+//! re-enter the worklist), remote ones are exchanged with the owner ranks
+//! each round; an `Allreduce` certifies convergence. Refinement is
+//! monotone and bounded by `MAX_LEVEL`, so the ripple terminates. This
+//! favors simplicity over p4est's single-pass formulation but computes the
+//! same closure, and its communication volume likewise scales with the
+//! number of octants on partition boundaries.
+//!
+//! Emitting per family is the parent-insulation argument (Sundar et al.,
+//! SISC 2008): a leaf `o` at level `L` and its siblings constrain exactly
+//! the parent `P`'s neighbor regions `R` of the balance type's
+//! directions. Each sibling's neighbor region outside `P` lies in some
+//! `R`, and inside `R`, "the containing leaf is at most one level coarser
+//! than `o`" says "`R` is not strictly inside a coarser leaf". Conversely
+//! the leaf in `P`'s corner toward `R` implies that constraint, so the
+//! per-family set of constraints is the per-leaf set, and the least fixed
+//! point — the balanced forest — is the same octant for octant.
 
 use forust_comm::Communicator;
 
@@ -38,7 +48,8 @@ const BALANCE_GRAIN: usize = 64;
 pub enum BalanceType {
     /// Balance across faces only.
     Face,
-    /// Balance across faces and edges (3D; equals `Face` in 2D).
+    /// Balance across faces and edges (3D; equals `Full` in 2D, whose
+    /// codimension-2 entities are the corners).
     FaceEdge,
     /// Balance across faces, edges and corners (the paper's setting).
     Full,
@@ -155,18 +166,21 @@ impl<D: Dim> Forest<D> {
     /// This is the recursive-era formulation (Isaac et al.,
     /// arXiv:1406.0089): each **outer** round first drives the *local*
     /// closure to its fixed point without touching the network — worklist
-    /// octants emit insulation requirements (pool-parallel with fixed
-    /// chunking), locally-owned requirements are applied per tree in one
+    /// octants emit their family's insulation requirements (pool-parallel
+    /// with fixed chunking): for each direction, the parent's neighbor
+    /// region is routed to its owner and sent as one of its children, and
+    /// a sibling directly after one of its family emits nothing. Then
+    /// locally-owned requirements are applied per tree in one
     /// linear rebuild pass (`apply_requirements`, whose `expand` recursion
     /// is PR 2's top-down refinement), and the created octants re-enter
     /// the inner loop — while requirements destined for other ranks
     /// accumulate on the side. Only then does one `Alltoallv` ship the
     /// accumulated remote requirements, and an `Allreduce` certifies the
-    /// global fixed point. Interior neighbor regions (the vast majority)
-    /// skip the exterior-image machinery entirely. Refinement is monotone
-    /// and bounded by `MAX_LEVEL`, so the iteration terminates, and the
-    /// closure operator is confluent, so the result is the same least
-    /// fixed point as the retained oracle, the one-split-at-a-time ripple
+    /// global fixed point. Refinement is monotone and bounded by
+    /// `MAX_LEVEL`, so the iteration terminates; the per-family
+    /// constraints are the per-leaf ones (module docs) and the closure
+    /// operator is confluent, so the result is the same least fixed point
+    /// as the retained oracle, the per-leaf one-split-at-a-time ripple
     /// ([`Forest::balance_ripple`], which the fuzz suite compares against).
     pub fn balance(&mut self, comm: &impl Communicator, btype: BalanceType) {
         let _span = forust_obs::span!("forest.balance");
@@ -194,41 +208,39 @@ impl<D: Dim> Forest<D> {
                                 (0..p).map(|_| Vec::new()).collect();
                             let mut pend: Vec<Vec<Octant<D>>> =
                                 vec![Vec::new(); this.conn.num_trees()];
-                            for &(t, o) in &items[range] {
+                            for i in range {
+                                let (t, o) = items[i];
                                 // A requirement at level o.level - 1 <= 0
                                 // never splits.
                                 if o.level <= 1 {
                                     continue;
                                 }
+                                // The family emits once, for its parent.
+                                let parent = o.parent();
+                                let sibling = |&(tp, p): &(TreeId, Octant<D>)| {
+                                    tp == t && p.level == o.level && p.parent() == parent
+                                };
+                                if items[..i].last().is_some_and(sibling) {
+                                    continue;
+                                }
                                 for d in dirs {
-                                    let n = o.neighbor(d[0], d[1], d[2]);
-                                    // Fast path: an interior region is its
-                                    // own (only) image — skip the
-                                    // exterior-image allocation.
-                                    if n.is_inside_root() {
-                                        let (rlo, rhi) = this.owner_range(t, &n);
-                                        if rlo != rhi {
-                                            continue;
-                                        }
-                                        if rlo == me {
-                                            pend[t as usize].push(n);
-                                        } else {
-                                            rem[rlo].push((t, n));
-                                        }
-                                        continue;
-                                    }
-                                    for (k2, m) in this.conn.exterior_images(t, &n) {
+                                    let r = parent.neighbor(d[0], d[1], d[2]);
+                                    for (k2, m, _) in this.conn.exterior_images_routed(t, &r) {
                                         let (rlo, rhi) = this.owner_range(k2, &m);
                                         if rlo != rhi {
-                                            // The region spans ranks, so every
-                                            // overlapping leaf is finer than m:
-                                            // nothing to enforce.
+                                            // The region spans ranks, so no
+                                            // leaf contains it: nothing to
+                                            // enforce.
                                             continue;
                                         }
+                                        // A child of the region, at o's
+                                        // level, asks exactly that no leaf
+                                        // coarser than the region holds it.
+                                        let req = m.child(0);
                                         if rlo == me {
-                                            pend[k2 as usize].push(m);
+                                            pend[k2 as usize].push(req);
                                         } else {
-                                            rem[rlo].push((k2, m));
+                                            rem[rlo].push((k2, req));
                                         }
                                     }
                                 }

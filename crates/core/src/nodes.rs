@@ -250,7 +250,8 @@ impl<D: Dim> Forest<D> {
 
     /// The equivalence oracle for [`Forest::nodes`]: the same walk with
     /// its shortcuts off and std's `HashMap`, so the fuzz suite's
-    /// node-for-node comparison checks exactly the shortcuts.
+    /// node-for-node comparison checks the shortcuts (the routing both
+    /// walks share has tests of its own in `connectivity`).
     #[doc(hidden)]
     pub fn nodes_reference(
         &self,
@@ -265,7 +266,7 @@ impl<D: Dim> Forest<D> {
     /// of each local element hang, classify and intern its nodes in
     /// lattice order, then number them in `nodes_finish`.
     ///
-    /// `FAST` turns on three shortcuts, none of which changes a key, a
+    /// `FAST` turns on these shortcuts, none of which changes a key, a
     /// classification or the interning order:
     /// - *sibling-group pruning*: a coarser neighbor can only sit across
     ///   a face or edge on the boundary of the element's sibling group
@@ -273,6 +274,10 @@ impl<D: Dim> Forest<D> {
     ///   so a containing leaf at `level - 1` would be the parent itself),
     ///   and root elements have no coarser side at all. This halves the
     ///   face probes and cuts the edge probes to a quarter;
+    /// - the *family probe cache*: across an outer face or edge, a
+    ///   neighbor at `level - 1` can only be the parent's same-size
+    ///   neighbor, so each of the parent's faces and edges is probed at
+    ///   most once per family and the siblings share the result;
     /// - the *in-root probe*: a neighbor box inside the root is its own
     ///   single image (`Route::Interior`), with no image enumeration;
     /// - the *interior-point canon*: a strictly interior point's only
@@ -303,7 +308,6 @@ impl<D: Dim> Forest<D> {
             }
             self.conn
                 .point_images_scaled(t, pos, n)
-                .into_iter()
                 .min()
                 .expect("point has at least its own image")
         };
@@ -314,20 +318,40 @@ impl<D: Dim> Forest<D> {
             .chain(D::EDGE_CORNERS.iter().copied())
             .collect();
 
+        // Sized up front for `(N+1)^d` nodes per element: growing the map
+        // from empty rehashes it once per doubling.
+        let cap = self.num_local() * npe_1d.pow(D::DIM);
         let mut nodes = Interner::<S> {
-            index: HashMap::default(),
-            keys: Vec::new(),
-            drafts: Vec::new(),
+            index: HashMap::with_capacity_and_hasher(cap, S::default()),
+            keys: Vec::with_capacity(cap),
+            drafts: Vec::with_capacity(cap),
         };
-        let mut element_nodes = Vec::with_capacity(self.num_local() * npe_1d.pow(D::DIM));
+        let mut element_nodes = Vec::with_capacity(cap);
         let mut hangs: Vec<Hang<'_, D>> = Vec::new();
+        // The family probe cache: per entity, the parent's probe result.
+        let mut family = None;
+        let mut probes = vec![None; entities.len()];
         for (t, o) in self.iter_local() {
             let (h, level, cid) = (o.len(), o.level, o.child_id());
+            if FAST && level > 0 && family != Some((t, o.parent())) {
+                family = Some((t, o.parent()));
+                probes.fill(None);
+            }
             // The leaf one level coarser containing an image, if any.
             let coarser = |k2: TreeId, m: Octant<D>, route| {
                 find_leaf(k2, &m)
                     .filter(|leaf| leaf.level + 1 == level)
                     .map(|leaf| (k2, leaf, route))
+            };
+            // The in-root probe, else the routed image enumeration.
+            let probe = |nb: Octant<D>| {
+                if FAST && nb.is_inside_root() {
+                    coarser(t, nb, Route::Interior)
+                } else {
+                    self.conn
+                        .exterior_images_routed(t, &nb)
+                        .find_map(|(k2, m, route)| coarser(k2, m, route))
+                }
             };
 
             // --- Detect hanging faces and edges ---------------------------
@@ -345,15 +369,12 @@ impl<D: Dim> Forest<D> {
                     continue;
                 }
                 let step = |d: usize| if fixed(d) { 2 * lo[d] - 1 } else { 0 };
-                let nb = o.neighbor(step(0), step(1), step(2));
-                // The in-root probe, else the routed image enumeration.
-                let found = if FAST && nb.is_inside_root() {
-                    coarser(t, nb, Route::Interior)
+                let found = if FAST {
+                    let parent = o.parent();
+                    *probes[ent]
+                        .get_or_insert_with(|| probe(parent.neighbor(step(0), step(1), step(2))))
                 } else {
-                    self.conn
-                        .exterior_images_routed(t, &nb)
-                        .into_iter()
-                        .find_map(|(k2, m, route)| coarser(k2, m, route))
+                    probe(o.neighbor(step(0), step(1), step(2)))
                 };
                 let Some((tree, coarse, route)) = found else {
                     continue;
@@ -1158,5 +1179,59 @@ mod tests {
             o.level < 2 && o.z == 0 && !(o.x > 0 && o.y > 0)
         });
         check::<crate::dim::D2>(builders::unit2d, |_, o| o.level < 3 && o.x == 0 && o.y == 0);
+    }
+
+    /// The family probe cache where it could go wrong: one refined
+    /// level-1 octant of rotcubes6 whose eight children straddle the
+    /// two-rank cut, so each rank holds part of the family and probes its
+    /// parent's neighbors through ghosts, and, for some of the targets,
+    /// through another tree's frame. Shortcuts on and off agree field for
+    /// field at degrees 1 to 3.
+    #[test]
+    fn family_cut_across_ranks_and_trees() {
+        use crate::dim::D3;
+        // Global positions 21..=27 of the 48 level-1 octants: the family
+        // then covers position 28 of 55, the first one rank 1 holds.
+        let targets = [(2, 5), (2, 6), (2, 7), (3, 0), (3, 1), (3, 2), (3, 3)];
+        let conn = builders::rotcubes6();
+        let across_trees = targets.iter().filter(|&&(t, c)| {
+            let parent = Octant::<D3>::root().child(c);
+            (0..D3::FACES).any(|f| {
+                !parent.face_neighbor(f).is_inside_root() && conn.face_transform(t, f).is_some()
+            })
+        });
+        assert!(across_trees.count() > 0, "no family on a tree boundary");
+        for (t, c) in targets {
+            run_spmd(2, |comm| {
+                let mut f = Forest::<D3>::new_uniform(Arc::new(builders::rotcubes6()), comm, 1);
+                f.refine(comm, false, |k, o| k == t && o.child_id() == c);
+                f.partition(comm);
+                let family = Octant::<D3>::root().child(c);
+                let here = f.iter_local().any(|(k, o)| k == t && o.parent() == family);
+                assert_eq!(
+                    comm.allreduce_sum_u64(here as u64),
+                    2,
+                    "family ({t}, {c}) is cut"
+                );
+                let ghost = f.ghost(comm);
+                for degree in 1..=3 {
+                    let a = f.nodes(comm, &ghost, degree);
+                    let b = f.nodes_reference(comm, &ghost, degree);
+                    let ctx = format!("family ({t}, {c}), N={degree}, rank {}", comm.rank());
+                    let hangs = a
+                        .status
+                        .iter()
+                        .any(|s| matches!(s, NodeStatus::Hanging { .. }));
+                    assert!(comm.allreduce_or(hangs), "{ctx}: nothing hangs");
+                    assert_eq!(a.keys, b.keys, "{ctx}");
+                    assert_eq!(a.status, b.status, "{ctx}");
+                    assert_eq!(a.element_nodes, b.element_nodes, "{ctx}");
+                    assert_eq!(a.num_owned, b.num_owned, "{ctx}");
+                    assert_eq!(a.global_offset, b.global_offset, "{ctx}");
+                    assert_eq!(a.num_global, b.num_global, "{ctx}");
+                    assert_eq!(a.shared_with, b.shared_with, "{ctx}");
+                }
+            });
+        }
     }
 }

@@ -5,12 +5,12 @@
 //! rank counts (1, 3, 5), driven by a SplitMix64-seeded hash so every run
 //! is deterministic. Each iteration asserts the full distributed invariant
 //! set (`check_valid`, `check_balanced`) **and** that every recursive
-//! rewrite matches its retained oracle octant-for-octant: batched
-//! balance vs the one-split-at-a-time ripple (`balance_ripple`), the
-//! pruned insulation-walk ghost vs the per-leaf scan
-//! (`ghost_reference`), and, at degrees 1 and 2, the node numbering's
-//! classification walk with its shortcuts on vs the same walk with them
-//! off (`nodes_reference`).
+//! rewrite matches its retained oracle octant-for-octant: per-family
+//! batched balance vs the per-leaf one-split-at-a-time ripple
+//! (`balance_ripple`) for each `BalanceType`, the pruned insulation-walk
+//! ghost vs the per-leaf scan (`ghost_reference`), and, at degrees 1 to
+//! 3, the node numbering's classification walk with its shortcuts on vs
+//! the same walk with them off (`nodes_reference`).
 
 use std::sync::Arc;
 
@@ -49,26 +49,29 @@ fn cycle<D: Dim>(conn_fn: fn() -> Connectivity<D>, name: &str, max_level: u8) {
                 });
                 f.check_valid(comm);
 
-                // Equivalence: batched balance vs the ripple oracle, on
-                // identical inputs, must agree octant for octant.
-                let mut batched = f.clone();
-                batched.balance(comm, BalanceType::Full);
-                let mut oracle = f.clone();
-                oracle.balance_ripple(comm, BalanceType::Full);
-                let got: Vec<(u32, Octant<D>)> =
-                    batched.iter_local().map(|(t, o)| (t, *o)).collect();
-                let want: Vec<(u32, Octant<D>)> =
-                    oracle.iter_local().map(|(t, o)| (t, *o)).collect();
-                assert_eq!(
-                    got,
-                    want,
-                    "batched balance != ripple oracle ({name}, p={ranks}, iter={iter}, rank={})",
-                    comm.rank()
-                );
-
-                f = batched;
-                f.check_valid(comm);
-                f.check_balanced(comm, BalanceType::Full);
+                // Equivalence: per-family balance vs the per-leaf ripple
+                // oracle, on identical inputs, must agree octant for octant
+                // for every balance type. The Full result carries on.
+                let leaves = |f: &Forest<D>| -> Vec<(u32, Octant<D>)> {
+                    f.iter_local().map(|(t, o)| (t, *o)).collect()
+                };
+                for btype in [BalanceType::Face, BalanceType::FaceEdge, BalanceType::Full] {
+                    let mut batched = f.clone();
+                    batched.balance(comm, btype);
+                    let mut oracle = f.clone();
+                    oracle.balance_ripple(comm, btype);
+                    assert_eq!(
+                        leaves(&batched),
+                        leaves(&oracle),
+                        "balance != ripple oracle ({name}, {btype:?}, p={ranks}, iter={iter}, rank={})",
+                        comm.rank()
+                    );
+                    batched.check_valid(comm);
+                    batched.check_balanced(comm, btype);
+                    if btype == BalanceType::Full {
+                        f = batched;
+                    }
+                }
 
                 f.partition(comm);
                 f.check_valid(comm);
@@ -98,9 +101,9 @@ fn cycle<D: Dim>(conn_fn: fn() -> Connectivity<D>, name: &str, max_level: u8) {
                 assert_eq!(ghost.mirror_idx_by_rank, oracle.mirror_idx_by_rank, "{ctx}");
 
                 // Equivalence: the shortcut walk must match the exhaustive
-                // one node for node, at degree 1 and at a degree with
-                // nodes inside faces and edges.
-                for degree in [1, 2] {
+                // one node for node, at degree 1 and at degrees with nodes
+                // inside faces and edges, odd and even.
+                for degree in [1, 2, 3] {
                     let nodes = f.nodes(comm, &ghost, degree);
                     let nodes_o = f.nodes_reference(comm, &ghost, degree);
                     let ctx = format!(
