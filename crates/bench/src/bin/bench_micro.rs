@@ -8,6 +8,8 @@
 //! - octant keys: Morton sums and point location over the level-3 forest;
 //! - the split-phase halo exchange on 4 ranks, with bytes on the wire;
 //! - the 4-rank advect step with the worker pool at 1 and 4 lanes;
+//! - one mantle Stokes operator application on the `mantle_picard`
+//!   workload's 1728-element mesh, one rank;
 //! - the dG kernel engine (DESIGN.md §7d) at N=3/5/6 against the
 //!   `apply_axis` oracle path, the f32 gradient, and the face operators.
 //!
@@ -31,7 +33,8 @@ use forust_dg::kernels::{self, KernelWorkspace};
 use forust_dg::mesh::DgMesh;
 use forust_dg::real::demote_slice;
 use forust_dg::{FaceOp, RefElement};
-use forust_geom::ShellMap;
+use forust_geom::{Mapping, ShellMap};
+use forust_mantle::{MantleConfig, MantleSolver};
 use forust_obs::metrics::Registry;
 
 fn fractal_forest(level: u8) -> (ThreadComm, Forest<D3>) {
@@ -533,6 +536,29 @@ fn bench_degree(bench: &mut Micro, degree: usize, elements: usize, reps: usize) 
     }
 }
 
+/// One `StokesFem::apply` (element kernel, exact-sum max, fixed-point
+/// scatter, hanging collect, assembly) on the mesh the `mantle_picard`
+/// end-to-end workload solves on: level 2 refined to 3 by the solver's
+/// temperature and weak-zone criteria, 1728 elements, on one rank.
+fn bench_mantle_apply(bench: &mut Micro) {
+    let comm = ThreadComm::create(1).pop().unwrap();
+    let conn = Arc::new(builders::cubed_sphere());
+    let forest = Forest::<D3>::new_uniform(Arc::clone(&conn), &comm, 2);
+    let map: Arc<dyn Mapping<D3> + Send + Sync> = Arc::new(ShellMap::new(conn, 0.55, 1.0));
+    let config = MantleConfig {
+        max_level: 3,
+        ..Default::default()
+    };
+    let s = MantleSolver::new(&comm, forest, map, config);
+    let n = s.fem.vec_len();
+    let x: Vec<f64> = (0..n).map(|i| (i % 97) as f64 / 97.0 - 0.5).collect();
+    let mut y = vec![0.0; n];
+    bench.run("mantle_apply_l3", s.fem.num_elements(), 51, || {
+        s.fem.apply(&comm, &x, &mut y);
+        black_box(&y);
+    });
+}
+
 fn main() {
     // The forest bench thread's spans (and the forest ops nested under
     // them) land in the recorder `Micro::start` installs.
@@ -575,6 +601,7 @@ fn main() {
     let sec = forust_obs::span!("bench.spmd_compute");
     bench_spmd_step(&mut bench);
     drop(sec);
+    bench_mantle_apply(&mut bench);
 
     // The paper's production degrees: N=3 (tricubic advection, np=4,
     // const-generic instance) and N=6 (seismic, np=7, const-generic

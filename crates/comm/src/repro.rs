@@ -210,13 +210,28 @@ fn max_nan(a: f64, b: f64) -> f64 {
     }
 }
 
+/// Largest `|t|` over `terms`, as `0.0` when there are none; a `NaN` if
+/// any term is one.
+///
+/// Folds the bit patterns with the sign cleared as `u64`: on non-negative
+/// floats the integer order is the float order, so on finite and infinite
+/// data the result is bitwise the [`max_nan`] fold, and every `NaN`
+/// pattern lies above `+inf`'s. A branch-free integer max vectorises
+/// where the `NaN`-checking float fold does not.
+fn local_max_abs(terms: impl IntoIterator<Item = f64>) -> f64 {
+    const MAGNITUDE: u64 = !(1 << 63);
+    let bits = terms
+        .into_iter()
+        .fold(0, |m, t| m.max(t.to_bits() & MAGNITUDE));
+    f64::from_bits(bits)
+}
+
 /// Global maximum of `|t|` over every rank's `terms`; `NaN` if any rank
 /// holds a `NaN` term, so a caller's non-finite branch sees it.
 ///
 /// Collective: one allreduce, folded in rank order on every rank.
 pub fn allreduce_max_abs(comm: &impl Communicator, terms: impl IntoIterator<Item = f64>) -> f64 {
-    let local = terms.into_iter().fold(0.0, |m, t| max_nan(m, t.abs()));
-    comm.allreduce(local, max_nan)
+    comm.allreduce(local_max_abs(terms), max_nan)
 }
 
 /// Sum-allreduce of `f64` terms whose result is bitwise independent of how
@@ -368,6 +383,60 @@ mod tests {
             allreduce_sum_f64_exact(c, || [if c.rank() == 1 { f64::INFINITY } else { 1.0 }])
         });
         assert_eq!(inf, vec![f64::INFINITY; 2]);
+    }
+
+    /// The bit-pattern fold is the `max_nan` fold, bit for bit, on seeded
+    /// finite streams with ±0, subnormals and ±inf mixed in; a `NaN` at the
+    /// first, a middle or the last position comes out as a `NaN`.
+    #[test]
+    fn bit_pattern_max_is_the_nan_propagating_max() {
+        let max_nan_fold = |xs: &[f64]| xs.iter().fold(0.0, |m: f64, &t| max_nan(m, t.abs()));
+        let mut state = 0x853C_49E6_748F_EA9Bu64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let specials = [
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            -f64::from_bits(0x000F_FFFF_FFFF_FFFF),
+            f64::MIN_POSITIVE,
+            -f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        assert_eq!(local_max_abs([]).to_bits(), 0.0f64.to_bits());
+        for len in [1usize, 2, 7, 8, 9, 31, 64, 257] {
+            for round in 0..64 {
+                let mut xs: Vec<f64> = (0..len)
+                    .map(|_| match next() % 8 {
+                        0 => specials[(next() % 8) as usize],
+                        // Any bit pattern that is not a NaN: every sign,
+                        // exponent and significand, subnormals included.
+                        _ => Some(f64::from_bits(next()))
+                            .filter(|x| !x.is_nan())
+                            .unwrap_or(-0.0),
+                    })
+                    .collect();
+                if round % 2 == 0 {
+                    // Keep infinities out of half the rounds so the finite
+                    // maximum decides.
+                    xs.retain(|x| x.is_finite());
+                }
+                let (want, got) = (max_nan_fold(&xs), local_max_abs(xs.iter().copied()));
+                assert_eq!(got.to_bits(), want.to_bits(), "{xs:?}");
+                for at in [0, len / 2, len - 1] {
+                    let mut with_nan = xs.clone();
+                    with_nan.resize(len, 1.0);
+                    with_nan[at] = if next() % 2 == 0 { f64::NAN } else { -f64::NAN };
+                    assert!(local_max_abs(with_nan.iter().copied()).is_nan());
+                    assert!(max_nan_fold(&with_nan).is_nan());
+                }
+            }
+        }
     }
 
     /// Seeded `f64` stream for the conversion tests: ±0, subnormals, every

@@ -17,6 +17,10 @@ use crate::legendre::{barycentric_weights, lagrange_eval, lgl_nodes};
 pub struct HangingInterp {
     /// For each hanging node: `(node, parents-and-weights)`.
     constraints: Vec<(u32, Vec<(u32, f64)>)>,
+    /// `4w` for every weight, in constraint order, when all of them are
+    /// quarter-integers (degree 1); `None` otherwise. Decided once here,
+    /// so [`HangingInterp::collect_add_i128`] converts no weight per call.
+    quarters: Option<Vec<i128>>,
 }
 
 impl HangingInterp {
@@ -73,7 +77,18 @@ impl HangingInterp {
                 constraints.push((i as u32, pw));
             }
         }
-        HangingInterp { constraints }
+        let weights = || {
+            constraints
+                .iter()
+                .flat_map(|(_, pw)| pw.iter().map(|&(_, w)| w))
+        };
+        let quarters = weights()
+            .all(|w| (w * 4.0).round() / 4.0 == w)
+            .then(|| weights().map(|w| (w * 4.0) as i128).collect());
+        HangingInterp {
+            constraints,
+            quarters,
+        }
     }
 
     /// Number of constrained (hanging) nodes.
@@ -114,35 +129,39 @@ impl HangingInterp {
     /// hangs `1/4`. Only then is [`HangingInterp::collect_add_i128`]
     /// available.
     pub fn is_dyadic_quarters(&self) -> bool {
-        self.constraints
-            .iter()
-            .flat_map(|(_, pw)| pw.iter())
-            .all(|&(_, w)| (w * 4.0).round() / 4.0 == w)
+        self.quarters.is_some()
     }
 
     /// [`HangingInterp::collect_add`] over a fixed-point field
-    /// (`forust_comm::repro`): weights are applied as exact integer
-    /// operations `(v * round(4w)) >> 2`, so the hanging collect commits
-    /// no rounding at all and stays bitwise independent of the partition.
+    /// (`forust_comm::repro`) of `components` equal blocks, all in one
+    /// pass over the constraints: weights are applied as exact integer
+    /// operations `(v * 4w) >> 2`, so the hanging collect commits no
+    /// rounding at all and stays bitwise independent of the partition.
     /// The field must have been encoded with `shift >= 2` so the low two
     /// bits are free for the quarter division.
     ///
-    /// Panics if any weight is not a quarter-integer (degree > 1): callers
-    /// gate on [`HangingInterp::is_dyadic_quarters`].
-    pub fn collect_add_i128(&self, values: &mut [i128]) {
+    /// Panics, in every build, if any weight is not a quarter-integer
+    /// (degree > 1): callers gate on [`HangingInterp::is_dyadic_quarters`].
+    pub fn collect_add_i128(&self, values: &mut [i128], components: usize) {
+        let quarters = self
+            .quarters
+            .as_deref()
+            .expect("collect_add_i128 needs quarter-integer hanging weights (degree 1)");
+        assert_eq!(values.len() % components, 0, "ragged component blocks");
+        let stride = values.len() / components;
+        let mut nums = quarters;
         for (i, pw) in &self.constraints {
-            let v = values[*i as usize];
-            if v != 0 {
-                for &(p, w) in pw {
-                    let num = (w * 4.0).round() as i128;
-                    debug_assert!(
-                        num as f64 * 0.25 == w,
-                        "collect_add_i128 needs quarter-integer weights, got {w}"
-                    );
-                    values[p as usize] += (v * num) >> 2;
+            let (mine, rest) = nums.split_at(pw.len());
+            nums = rest;
+            for c in 0..components {
+                let block = &mut values[c * stride..(c + 1) * stride];
+                let v = std::mem::take(&mut block[*i as usize]);
+                if v != 0 {
+                    for (&(p, _), &num) in pw.iter().zip(mine) {
+                        block[p as usize] += (v * num) >> 2;
+                    }
                 }
             }
-            values[*i as usize] = 0;
         }
     }
 }
@@ -151,7 +170,7 @@ impl HangingInterp {
 mod tests {
     use super::*;
     use forust::connectivity::builders;
-    use forust::dim::D2;
+    use forust::dim::{D2, D3};
     use forust::forest::{BalanceType, Forest};
     use forust_comm::run_spmd;
     use std::sync::Arc;
@@ -208,33 +227,67 @@ mod tests {
         });
     }
 
+    /// The one-pass four-component integer collect agrees bitwise with the
+    /// `f64` collect of each component, on a 3D mesh whose hanging nodes
+    /// weigh `1/2` (edges) and `1/4` (faces).
     #[test]
     fn integer_collect_matches_f64_collect_at_degree_1() {
         run_spmd(1, |comm| {
-            let mut f = Forest::<D2>::new_uniform(Arc::new(builders::unit2d()), comm, 1);
-            f.refine(comm, true, |_, o| o.level < 2 && o.x == 0 && o.y == 0);
+            let mut f = Forest::<D3>::new_uniform(Arc::new(builders::unit3d()), comm, 1);
+            f.refine(comm, true, |_, o| {
+                o.level < 2 && o.x == 0 && o.y == 0 && o.z == 0
+            });
             f.balance(comm, BalanceType::Full);
             let ghost = f.ghost(comm);
             let nodes = f.nodes(comm, &ghost, 1);
             let interp = HangingInterp::build(&nodes);
             assert!(interp.is_dyadic_quarters());
-            assert!(interp.num_hanging() > 0);
+            let weights: Vec<f64> = interp
+                .iter()
+                .flat_map(|(_, pw)| pw.iter().map(|p| p.1))
+                .collect();
+            assert!(
+                weights.contains(&0.5) && weights.contains(&0.25),
+                "{weights:?}"
+            );
             let nn = nodes.num_local();
-            let vals: Vec<f64> = (0..nn).map(|i| (i as f64 - 3.0) * 0.8125).collect();
+            let vals: Vec<f64> = (0..4 * nn)
+                .map(|i| (i as f64 - 3.0 * nn as f64) * 0.8125)
+                .collect();
             let fx = forust_comm::FixedPoint::for_global_max(
                 vals.iter().fold(0.0f64, |m, &v| m.max(v.abs())),
                 2,
             )
             .unwrap();
             let mut as_f64 = vals.clone();
-            interp.collect_add(&mut as_f64);
+            for block in as_f64.chunks_exact_mut(nn) {
+                interp.collect_add(block);
+            }
             let mut as_q: Vec<i128> = vals.iter().map(|&v| fx.encode(v)).collect();
-            interp.collect_add_i128(&mut as_q);
+            interp.collect_add_i128(&mut as_q, 4);
             for (q, v) in as_q.iter().zip(&as_f64) {
                 // The inputs are dyadic, so both paths are exact and agree
                 // bitwise after decoding.
                 assert_eq!(fx.decode(*q).to_bits(), v.to_bits());
             }
+        });
+    }
+
+    /// At degree 3 the weights are not quarter-integers: the integer
+    /// collect refuses in release builds too, instead of rounding `4w`.
+    #[test]
+    #[should_panic(expected = "quarter-integer hanging weights")]
+    fn integer_collect_panics_on_non_quarter_weights() {
+        run_spmd(1, |comm| {
+            let mut f = Forest::<D2>::new_uniform(Arc::new(builders::unit2d()), comm, 1);
+            f.refine(comm, true, |_, o| o.level < 2 && o.x == 0 && o.y == 0);
+            f.balance(comm, BalanceType::Full);
+            let ghost = f.ghost(comm);
+            let nodes = f.nodes(comm, &ghost, 3);
+            let interp = HangingInterp::build(&nodes);
+            assert!(!interp.is_dyadic_quarters());
+            let mut values = vec![4i128; nodes.num_local()];
+            interp.collect_add_i128(&mut values, 1);
         });
     }
 

@@ -9,7 +9,7 @@
 //! quadrature, with hanging-node constraints and cross-rank assembly
 //! applied around each operator application.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use forust::dim::{Dim, D3};
 use forust::forest::Forest;
@@ -38,6 +38,33 @@ const GP: [f64; 2] = [
     0.577350269189625764509148780502,
 ];
 
+/// The eight Gauss points of an element as vector lanes: one value per
+/// quadrature point `q = x + 2y + 4z`.
+type Lanes = [f64; 8];
+
+/// `((0.0 + t[0]) + t[1]) + … + t[7]`: the quadrature sum of one output,
+/// in the order (and from the signed zero) of a scalar `+=` loop.
+///
+/// Kept out of line: inlined, its serial chain is spread through the
+/// element kernel's vector code and the kernel runs about 2× slower.
+#[inline(never)]
+fn qsum(t: Lanes) -> f64 {
+    t.iter().fold(0.0, |s, &v| s + v)
+}
+
+/// Buffers of one operator application, reused across calls. The
+/// element windows (`32` values per element) are not among them: kept
+/// alive between calls, they stayed pinned through every adapt, raised
+/// `mantle_picard`'s peak RSS by 6–13 % and made its step about 4 %
+/// slower than allocating them per call.
+#[derive(Default)]
+struct Scratch {
+    /// The pre-processed input (`pre`).
+    z: Vec<f64>,
+    /// The fixed-point assembly accumulator.
+    acc: Vec<i128>,
+}
+
 /// Matrix-free Stokes discretization state for one mesh.
 pub struct StokesFem {
     /// The trilinear node numbering.
@@ -46,23 +73,25 @@ pub struct StokesFem {
     pub interp: HangingInterp,
     /// Local node count.
     pub nn: usize,
-    /// Per element x quadrature point: physical basis gradients
-    /// (`[basis][xyz]`).
-    qp_grads: Vec<[[f64; 3]; 8]>,
+    /// Per element: physical basis gradients, `[basis][xyz][qp]`, the
+    /// quadrature points as vector lanes.
+    qp_grads: Vec<[[Lanes; 3]; 8]>,
     /// Per element x quadrature point: `w * detJ`.
     qp_wdet: Vec<f64>,
     /// Per element x quadrature point: physical position.
     pub qp_pos: Vec<[f64; 3]>,
-    /// Basis values at quadrature points (`[qp][basis]`, constant).
-    basis: [[f64; 8]; 8],
+    /// Basis values at quadrature points (`[basis][qp]`, constant).
+    basis: [Lanes; 8],
     /// Viscosity at quadrature points (updated by Picard).
     pub eta_qp: Vec<f64>,
     /// Nodal temperature (from the synthetic model).
     pub temp: Vec<f64>,
-    /// Dirichlet (no-slip) flag per node: shell boundaries.
-    pub bc: Vec<bool>,
+    /// The Dirichlet (no-slip) nodes, ascending: shell boundaries.
+    dirichlet: Vec<usize>,
     /// The owned nodes, ascending: the dofs of global dot products.
     owned: Vec<usize>,
+    /// Per-call buffers, like the halo exchange's scratch.
+    scratch: Mutex<Scratch>,
 }
 
 /// Trilinear basis value at a reference point (`xi` in `[-1,1]^3`).
@@ -112,17 +141,14 @@ impl StokesFem {
         let nel = forest.num_local();
 
         // Quadrature geometry.
-        let mut qp_grads = Vec::with_capacity(nel * 8);
+        let mut qp_grads = Vec::with_capacity(nel);
         let mut qp_wdet = Vec::with_capacity(nel * 8);
         let mut qp_pos = Vec::with_capacity(nel * 8);
-        let mut basis = [[0.0; 8]; 8];
-        for (q, row) in basis.iter_mut().enumerate() {
-            let xi = [GP[q & 1], GP[(q >> 1) & 1], GP[(q >> 2) & 1]];
-            for (j, item) in row.iter_mut().enumerate() {
-                *item = phi(j, xi);
-            }
-        }
+        let basis: [Lanes; 8] = std::array::from_fn(|j| {
+            std::array::from_fn(|q| phi(j, [GP[q & 1], GP[(q >> 1) & 1], GP[(q >> 2) & 1]]))
+        });
         for (t, o) in forest.iter_local() {
+            let mut grads = [[[0.0; 8]; 3]; 8];
             for q in 0..8 {
                 let xi = [GP[q & 1], GP[(q >> 1) & 1], GP[(q >> 2) & 1]];
                 let frac = [
@@ -142,20 +168,19 @@ impl StokesFem {
                 let det = det3(&jac);
                 assert!(det != 0.0, "degenerate element");
                 let inv = inv3(&jac, det);
-                let mut grads = [[0.0; 3]; 8];
                 for (j, g) in grads.iter_mut().enumerate() {
                     let dr = dphi(j, xi);
                     for i in 0..3 {
                         // dphi/dx_i = sum_r inv[r][i] dphi/dxi_r.
-                        g[i] = (0..3).map(|r| inv[r][i] * dr[r]).sum();
+                        g[i][q] = (0..3).map(|r| inv[r][i] * dr[r]).sum();
                     }
                 }
-                qp_grads.push(grads);
                 // Gauss weights are all 1; |det| handles left-handed
                 // tree frames (cubed-sphere caps).
                 qp_wdet.push(det.abs());
                 qp_pos.push(map.map(t, tref));
             }
+            qp_grads.push(grads);
         }
 
         // Nodal temperature and boundary flags from the canonical key
@@ -179,6 +204,7 @@ impl StokesFem {
             }
         }
 
+        let dirichlet = (0..nn).filter(|&i| bc[i]).collect();
         let owned: Vec<usize> = (0..nn)
             .filter(|&i| {
                 matches!(nodes.status[i], NodeStatus::Independent { owner, .. } if owner == comm.rank())
@@ -195,8 +221,9 @@ impl StokesFem {
             basis,
             eta_qp: vec![1.0; nel * 8],
             temp,
-            bc,
+            dirichlet,
             owned,
+            scratch: Mutex::default(),
         };
         // Initial viscosity from temperature at a reference strain rate.
         let u0 = vec![0.0; 4 * nn];
@@ -245,32 +272,33 @@ impl StokesFem {
         let mut eta = std::mem::take(&mut self.eta_qp);
         forust_pool::par_chunks_mut(&mut eta, 8, FEM_GRAIN, |e, eta_e, _| {
             let en = self.element_nodes(e);
-            for (q, eta_q) in eta_e.iter_mut().enumerate() {
-                let g = &self.qp_grads[e * 8 + q];
-                // Strain rate second invariant at the quadrature point.
-                let mut grad = [[0.0f64; 3]; 3];
-                for (j, &ni) in en.iter().enumerate() {
-                    for d in 0..3 {
-                        for i in 0..3 {
-                            grad[d][i] += x[d * nn + ni] * g[j][i];
+            let g = &self.qp_grads[e];
+            // Strain rate second invariant and temperature at the
+            // quadrature points.
+            let mut grad = [[[0.0f64; 8]; 3]; 3];
+            let mut t = [0.0; 8];
+            for (j, &ni) in en.iter().enumerate() {
+                for d in 0..3 {
+                    for i in 0..3 {
+                        for q in 0..8 {
+                            grad[d][i][q] += x[d * nn + ni] * g[j][i][q];
                         }
                     }
                 }
+                for q in 0..8 {
+                    t[q] += self.basis[j][q] * self.temp[ni];
+                }
+            }
+            for (q, eta_q) in eta_e.iter_mut().enumerate() {
                 let mut eps2 = 0.0;
                 for d in 0..3 {
                     for i in 0..3 {
-                        let s = 0.5 * (grad[d][i] + grad[i][d]);
+                        let s = 0.5 * (grad[d][i][q] + grad[i][d][q]);
                         eps2 += s * s;
                     }
                 }
                 let eps_ii = eps2.sqrt().max(1e-8);
-                let pos = self.qp_pos[e * 8 + q];
-                // Temperature at the qp from the nodal field.
-                let mut t = 0.0;
-                for (j, &ni) in en.iter().enumerate() {
-                    t += self.basis[q][j] * self.temp[ni];
-                }
-                *eta_q = viscosity(p, pos, t, eps_ii);
+                *eta_q = viscosity(p, self.qp_pos[e * 8 + q], t[q], eps_ii);
             }
         });
         self.eta_qp = eta;
@@ -285,22 +313,31 @@ impl StokesFem {
         en
     }
 
-    /// Apply boundary/hanging pre-state: distribute hanging values,
-    /// zero Dirichlet velocities.
-    fn pre(&self, x: &[f64]) -> Vec<f64> {
+    /// Every hanging node: not an unknown.
+    fn hanging(&self) -> impl Iterator<Item = usize> + '_ {
+        self.interp.iter().map(|(i, _)| i as usize)
+    }
+
+    /// The per-call buffers. A panicking holder leaves nothing that the
+    /// next call does not overwrite, so a poisoned lock is recovered.
+    fn scratch(&self) -> std::sync::MutexGuard<'_, Scratch> {
+        self.scratch.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Apply boundary/hanging pre-state to `x` in `z`: distribute hanging
+    /// values, zero Dirichlet velocities.
+    fn pre(&self, x: &[f64], z: &mut Vec<f64>) {
         let nn = self.nn;
-        let mut z = x.to_vec();
+        z.clear();
+        z.extend_from_slice(x);
         for c in 0..4 {
             self.interp.distribute(&mut z[c * nn..(c + 1) * nn]);
         }
-        for i in 0..nn {
-            if self.bc[i] {
-                for c in 0..3 {
-                    z[c * nn + i] = 0.0;
-                }
+        for &i in &self.dirichlet {
+            for c in 0..3 {
+                z[c * nn + i] = 0.0;
             }
         }
-        z
     }
 
     /// The one element-integration and assembly driver: `out` (component-
@@ -317,7 +354,8 @@ impl StokesFem {
     /// and the scatter, hanging collect and cross-rank reduction (all four
     /// components in one exchange) run in `i128`: associative, hence
     /// identical bits on any rank count. A non-finite contribution on any
-    /// rank panics on every rank.
+    /// rank panics on every rank. The accumulator lives in the scratch, so
+    /// the element windows are a steady-state call's one allocation.
     fn integrate(
         &self,
         comm: &impl Communicator,
@@ -340,7 +378,10 @@ impl StokesFem {
             out.fill(0.0);
             return;
         };
-        let mut acc = vec![0i128; 4 * nn];
+        let mut scratch = self.scratch();
+        let acc = &mut scratch.acc;
+        acc.clear();
+        acc.resize(4 * nn, 0);
         for (e, window) in contribs.chunks_exact(32).enumerate() {
             let en = self.element_nodes(e);
             for (c, w) in window.chunks_exact(8).enumerate() {
@@ -349,11 +390,9 @@ impl StokesFem {
                 }
             }
         }
-        for c in 0..4 {
-            self.interp.collect_add_i128(&mut acc[c * nn..(c + 1) * nn]);
-        }
-        self.nodes.assemble_add(comm, &mut acc);
-        for (o, &q) in out.iter_mut().zip(&acc) {
+        self.interp.collect_add_i128(acc, 4);
+        self.nodes.assemble_add(comm, acc);
+        for (o, &q) in out.iter_mut().zip(acc.iter()) {
             *o = fx.decode(q);
         }
     }
@@ -362,19 +401,15 @@ impl StokesFem {
     /// operator application: `y = x` there (those slots are not unknowns).
     fn identity_rows(&self, x: &[f64], y: &mut [f64]) {
         let nn = self.nn;
-        for i in 0..nn {
-            if self.bc[i] {
-                for c in 0..3 {
-                    y[c * nn + i] = x[c * nn + i];
-                }
+        for &i in &self.dirichlet {
+            for c in 0..3 {
+                y[c * nn + i] = x[c * nn + i];
             }
         }
         // Hanging slots are not unknowns: identity keeps MINRES happy.
-        for (i, s) in self.nodes.status.iter().enumerate() {
-            if matches!(s, NodeStatus::Hanging { .. }) {
-                for c in 0..4 {
-                    y[c * nn + i] = x[c * nn + i];
-                }
+        for i in self.hanging() {
+            for c in 0..4 {
+                y[c * nn + i] = x[c * nn + i];
             }
         }
     }
@@ -382,68 +417,77 @@ impl StokesFem {
     /// The saddle operator: `y = [A Bt; B -C] x` with
     /// `A u = -div(2 eta eps(u))`, `B = div`, and the pressure-projection
     /// stabilization `C`.
+    ///
+    /// The element kernel runs the eight quadrature points as vector
+    /// lanes, and sums each of its 32 outputs over them in point order
+    /// from `0.0`: every output keeps the operation order of a scalar loop
+    /// over the points, so its bits do not depend on the lane layout.
     pub fn apply(&self, comm: &impl Communicator, x: &[f64], y: &mut [f64]) {
         let nn = self.nn;
-        let z = self.pre(x);
+        let mut z = std::mem::take(&mut self.scratch().z);
+        self.pre(x, &mut z);
         self.integrate(comm, y, |e, en| {
-            let mut comp_e = ElemContrib::default();
-            // Element-mean pressure for the stabilization.
-            let (mut pbar, mut vol) = (0.0, 0.0);
-            let mut eta_bar = 0.0;
-            for q in 0..8 {
-                let w = self.qp_wdet[e * 8 + q];
-                let mut pq = 0.0;
-                for (j, &ni) in en.iter().enumerate() {
-                    pq += self.basis[q][j] * z[3 * nn + ni];
+            let g = &self.qp_grads[e];
+            let w: Lanes = self.qp_wdet[e * 8..e * 8 + 8].try_into().unwrap();
+            let eta: Lanes = self.eta_qp[e * 8..e * 8 + 8].try_into().unwrap();
+            // State at the quadrature points.
+            let mut grad = [[[0.0f64; 8]; 3]; 3];
+            let mut pq = [0.0; 8];
+            for (j, &ni) in en.iter().enumerate() {
+                let u = [z[ni], z[nn + ni], z[2 * nn + ni], z[3 * nn + ni]];
+                for q in 0..8 {
+                    pq[q] += self.basis[j][q] * u[3];
                 }
-                pbar += w * pq;
-                vol += w;
-                eta_bar += w * self.eta_qp[e * 8 + q];
-            }
-            pbar /= vol;
-            eta_bar /= vol;
-
-            for q in 0..8 {
-                let w = self.qp_wdet[e * 8 + q];
-                let g = &self.qp_grads[e * 8 + q];
-                let eta = self.eta_qp[e * 8 + q];
-                // State at the quadrature point.
-                let mut grad = [[0.0f64; 3]; 3];
-                let mut pq = 0.0;
-                for (j, &ni) in en.iter().enumerate() {
-                    pq += self.basis[q][j] * z[3 * nn + ni];
-                    for d in 0..3 {
-                        for i in 0..3 {
-                            grad[d][i] += z[d * nn + ni] * g[j][i];
-                        }
-                    }
-                }
-                let divu = grad[0][0] + grad[1][1] + grad[2][2];
-                let mut sym = [[0.0f64; 3]; 3];
                 for d in 0..3 {
                     for i in 0..3 {
-                        sym[d][i] = 0.5 * (grad[d][i] + grad[i][d]);
-                    }
-                }
-                // Test against every basis function.
-                for j in 0..8 {
-                    let gj = g[j];
-                    for (d, comp) in comp_e.iter_mut().take(3).enumerate() {
-                        // 2 eta eps(u) : eps(phi_j e_d) = 2 eta
-                        // sum_i sym[d][i] gj[i] (symmetry halves fold in).
-                        let mut a = 0.0;
-                        for i in 0..3 {
-                            a += sym[d][i] * gj[i];
+                        for q in 0..8 {
+                            grad[d][i][q] += u[d] * g[j][i][q];
                         }
-                        comp[j] += w * (2.0 * eta * a - pq * gj[d]);
                     }
-                    // Pressure row: B u - C p.
-                    let stab = (pq - pbar) * (self.basis[q][j] - 0.125);
-                    comp_e[3][j] += w * (self.basis[q][j] * divu - stab / eta_bar);
                 }
+            }
+            // Element means: pressure for the stabilization, viscosity.
+            let vol = qsum(w);
+            let pbar = qsum(std::array::from_fn(|q| w[q] * pq[q])) / vol;
+            let eta_bar = qsum(std::array::from_fn(|q| w[q] * eta[q])) / vol;
+            let mut divu = [0.0; 8];
+            let mut two_eta = [0.0; 8];
+            let mut sym = [[[0.0f64; 8]; 3]; 3];
+            for q in 0..8 {
+                divu[q] = grad[0][0][q] + grad[1][1][q] + grad[2][2][q];
+                two_eta[q] = 2.0 * eta[q];
+                for d in 0..3 {
+                    for i in 0..3 {
+                        sym[d][i][q] = 0.5 * (grad[d][i][q] + grad[i][d][q]);
+                    }
+                }
+            }
+            // Test against every basis function.
+            let mut comp_e = ElemContrib::default();
+            for (j, gj) in g.iter().enumerate() {
+                for (d, comp) in comp_e.iter_mut().take(3).enumerate() {
+                    // 2 eta eps(u) : eps(phi_j e_d) = 2 eta
+                    // sum_i sym[d][i] gj[i] (symmetry halves fold in).
+                    let mut t = [0.0; 8];
+                    for q in 0..8 {
+                        let s = &sym[d];
+                        let a = 0.0 + s[0][q] * gj[0][q] + s[1][q] * gj[1][q] + s[2][q] * gj[2][q];
+                        t[q] = w[q] * (two_eta[q] * a - pq[q] * gj[d][q]);
+                    }
+                    comp[j] = qsum(t);
+                }
+                // Pressure row: B u - C p.
+                let b = &self.basis[j];
+                let mut t = [0.0; 8];
+                for q in 0..8 {
+                    let stab = (pq[q] - pbar) * (b[q] - 0.125);
+                    t[q] = w[q] * (b[q] * divu[q] - stab / eta_bar);
+                }
+                comp_e[3][j] = qsum(t);
             }
             comp_e
         });
+        self.scratch().z = z;
         self.identity_rows(x, y);
     }
 
@@ -459,13 +503,13 @@ impl StokesFem {
                 let r = (x[0] * x[0] + x[1] * x[1] + x[2] * x[2]).sqrt().max(1e-12);
                 let mut t = 0.0;
                 for (j, &ni) in en.iter().enumerate() {
-                    t += self.basis[q][j] * self.temp[ni];
+                    t += self.basis[j][q] * self.temp[ni];
                 }
                 // Hot material rises: force along +r_hat proportional to T.
                 let f = ra * (t - 0.5);
                 for j in 0..8 {
                     for (d, comp) in comp_e.iter_mut().take(3).enumerate() {
-                        comp[j] += w * self.basis[q][j] * f * x[d] / r;
+                        comp[j] += w * self.basis[j][q] * f * x[d] / r;
                     }
                 }
             }
@@ -490,35 +534,31 @@ impl StokesFem {
                 vol += self.qp_wdet[e * 8 + q];
             }
             eta_bar /= vol;
+            let g = &self.qp_grads[e];
             for q in 0..8 {
                 let w = self.qp_wdet[e * 8 + q];
-                let g = &self.qp_grads[e * 8 + q];
                 let eta = self.eta_qp[e * 8 + q];
-                for j in 0..8 {
-                    let gj = g[j];
-                    let norm2 = gj[0] * gj[0] + gj[1] * gj[1] + gj[2] * gj[2];
+                for (j, gj) in g.iter().enumerate() {
+                    let norm2 = gj[0][q] * gj[0][q] + gj[1][q] * gj[1][q] + gj[2][q] * gj[2][q];
                     for (d, comp) in comp_e.iter_mut().take(3).enumerate() {
-                        comp[j] += w * eta * (norm2 + gj[d] * gj[d]);
+                        comp[j] += w * eta * (norm2 + gj[d][q] * gj[d][q]);
                     }
-                    comp_e[3][j] += w * self.basis[q][j] * self.basis[q][j] / eta_bar;
+                    comp_e[3][j] += w * self.basis[j][q] * self.basis[j][q] / eta_bar;
                 }
             }
             comp_e
         });
         let mut dp = du.split_off(3 * nn);
         // Identity rows.
-        for i in 0..nn {
-            let hanging = matches!(self.nodes.status[i], NodeStatus::Hanging { .. });
-            if self.bc[i] || hanging {
-                for c in 0..3 {
-                    du[c * nn + i] = 1.0;
-                }
-            }
-            if hanging || dp[i] == 0.0 {
-                dp[i] = 1.0;
+        for i in self.dirichlet.iter().copied().chain(self.hanging()) {
+            for c in 0..3 {
+                du[c * nn + i] = 1.0;
             }
         }
-        for v in du.iter_mut() {
+        for i in self.hanging() {
+            dp[i] = 1.0;
+        }
+        for v in du.iter_mut().chain(dp.iter_mut()) {
             if *v == 0.0 {
                 *v = 1.0;
             }
@@ -702,6 +742,101 @@ mod tests {
                 assert_eq!(a, b, "operator output is rank-count dependent");
             }
             assert_eq!(w[0].1, w[1].1, "dot is rank-count dependent");
+        }
+    }
+
+    /// Golden bits of every FEM entry point on the hanging-node mesh of
+    /// `setup(comm, 1)` at 1 and 2 ranks: the viscosity update, the
+    /// operator, one dot, the buoyancy right-hand side and both
+    /// preconditioner diagonals, on a node-keyed input. Each field is
+    /// hashed over its owned values (elements for `eta_qp`) sorted by a
+    /// rank-independent key, so one pinned hash holds at both rank
+    /// counts. A change to any kernel's per-output operation order moves
+    /// a hash even where the result stays rank-count invariant.
+    #[test]
+    fn fem_outputs_match_golden_bits() {
+        fn fnv(h: &mut u64, word: u64) {
+            for b in word.to_le_bytes() {
+                *h = (*h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        fn digest<K: Ord>(mut rows: Vec<(K, Vec<u64>)>) -> u64 {
+            rows.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+            let mut h = 0xcbf2_9ce4_8422_2325;
+            for (_, words) in rows {
+                words.iter().for_each(|&w| fnv(&mut h, w));
+            }
+            h
+        }
+        fn key_hash(key: (u32, [i32; 3]), c: usize) -> f64 {
+            let mut h = (key.0 as u64) << 8 | c as u64;
+            for v in key.1 {
+                h = h.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (v as u64);
+            }
+            h = h.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            ((h >> 33) as f64 / 2f64.powi(31)) - 1.0
+        }
+        // [eta_qp, apply, dot, buoyancy_rhs, diagonal u, diagonal p].
+        const GOLDEN: [u64; 6] = [
+            0x45d8_4bca_5735_41e1,
+            0x4396_6004_39a7_d99b,
+            0x4096_ce2c_59ba_2ae3,
+            0x5473_d584_2d9b_4205,
+            0xf1a5_5ed1_dbab_e7e4,
+            0x3f9c_bbaa_c970_17ea,
+        ];
+        for p in [1usize, 2] {
+            let per_rank = run_spmd(p, |comm| {
+                let mut fem = setup(comm, 1);
+                let nn = fem.nn;
+                let mut x = vec![0.0; 4 * nn];
+                for (i, s) in fem.nodes.status.iter().enumerate() {
+                    if matches!(s, NodeStatus::Independent { .. }) {
+                        for c in 0..4 {
+                            x[c * nn + i] = key_hash(fem.nodes.keys[i], c);
+                        }
+                    }
+                }
+                fem.update_viscosity(&RheologyParams::default(), &x);
+                let eta: Vec<_> = (0..fem.num_elements())
+                    .map(|e| {
+                        let pos = fem.qp_pos[e * 8].map(f64::to_bits);
+                        let bits = fem.eta_qp[e * 8..e * 8 + 8].iter().map(|v| v.to_bits());
+                        (pos, bits.collect::<Vec<_>>())
+                    })
+                    .collect();
+                let mut y = vec![0.0; 4 * nn];
+                fem.apply(comm, &x, &mut y);
+                let d = fem.dot(comm, &x, &y);
+                let b = fem.buoyancy_rhs(comm, 100.0);
+                let (du, dp) = fem.preconditioner_diagonals(comm);
+                let owned = |v: &[f64], k: usize| -> Vec<((u32, [i32; 3]), Vec<u64>)> {
+                    fem.owned
+                        .iter()
+                        .map(|&i| {
+                            let bits = (0..k).map(|c| v[c * nn + i].to_bits());
+                            (fem.nodes.keys[i], bits.collect())
+                        })
+                        .collect()
+                };
+                (
+                    eta,
+                    [owned(&y, 4), owned(&b, 4), owned(&du, 3), owned(&dp, 1)],
+                    d.to_bits(),
+                )
+            });
+            let eta = digest(per_rank.iter().flat_map(|r| r.0.clone()).collect());
+            let field = |k: usize| digest(per_rank.iter().flat_map(|r| r.1[k].clone()).collect());
+            let dot = per_rank[0].2;
+            assert!(
+                per_rank.iter().all(|r| r.2 == dot),
+                "dot differs across ranks"
+            );
+            let got = [eta, field(0), dot, field(1), field(2), field(3)];
+            assert_eq!(
+                got, GOLDEN,
+                "FEM output bits moved at p = {p}: {got:#018x?}"
+            );
         }
     }
 
