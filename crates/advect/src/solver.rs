@@ -187,8 +187,9 @@ impl AdvectSolver {
         let mut lam_max: f64 = 1e-30;
         for e in 0..self.mesh.num_elements() {
             let inv = self.geo.elem_inv(e);
+            let vel = &self.caches.vel_soa[e * 3 * npe..][..3 * npe];
             for v in 0..npe {
-                let u = self.caches.vel[e * npe + v];
+                let u = [vel[v], vel[npe + v], vel[2 * npe + v]];
                 let mut lam = 0.0;
                 for r in 0..3 {
                     let a = u[0] * inv[v][r][0] + u[1] * inv[v][r][1] + u[2] * inv[v][r][2];
@@ -295,9 +296,9 @@ impl RhsKernel<D3> for Kernel<'_> {
     }
 
     /// RHS of a single element via the kernel engine: fused volume pass
-    /// (reference gradient → metric contraction → flux accumulation),
-    /// cached nodal/mortar velocities, and workspace-backed face buffers —
-    /// zero heap allocations.
+    /// (reference gradient → metric contraction → flux accumulation), the
+    /// surface terms from the per-mesh flux records of [`Caches`], and
+    /// workspace-backed face buffers — zero heap allocations.
     fn rhs_unit(
         &self,
         q: &[f64],
@@ -356,7 +357,7 @@ impl RhsKernel<D3> for Kernel<'_> {
             );
             // Surface terms.
             for f in 0..6 {
-                let fg = self.geo.face(e, f, self.mesh.nfaces);
+                let ef = e * self.mesh.nfaces + f;
                 let fidx = &cache.face_idx[f];
                 let cm = &mut face_a[..npf];
                 for (c, &i) in cm.iter_mut().zip(fidx.iter()) {
@@ -370,34 +371,38 @@ impl RhsKernel<D3> for Kernel<'_> {
                     FaceConn::Conforming { nbr, nbr_face, op }
                     | FaceConn::CoarseNbr { nbr, nbr_face, op } => {
                         let cp = &mut face_b[..npf];
-                        nbr_trace(*op, *nbr, *nbr_face, face_c, cp);
-                        for j in 0..npf {
-                            let v = fidx[j];
-                            let u = cache.vel[e * npe + v];
-                            let n = fg.normal[j];
-                            let un = u[0] * n[0] + u[1] * n[1] + u[2] * n[2];
+                        if let ElemRef::Local(_) = nbr {
+                            // One gather through the composed index, then
+                            // a coarse neighbour's 2:1 sweeps.
+                            let at = &cache.nbr_gather[ef * npf..][..npf];
+                            let staged = &mut nbr_buf[..npf];
+                            for (c, &k) in staged.iter_mut().zip(at) {
+                                *c = q[k as usize];
+                            }
+                            FaceOp { orient: 0, ..*op }.apply(tab, 3, staged, face_c, cp);
+                        } else {
+                            nbr_trace(*op, *nbr, *nbr_face, face_c, cp);
+                        }
+                        let rec = &cache.face_rec[ef * npf..][..npf];
+                        for (j, &[un, lift]) in rec.iter().enumerate() {
                             let fstar = if un >= 0.0 { un * cm[j] } else { un * cp[j] };
-                            let coef = cache.wf[j] * fg.sj[j] / (cache.wv[v] * det[v]);
-                            out_e[v] += coef * (un * cm[j] - fstar);
+                            out_e[fidx[j]] += lift * (un * cm[j] - fstar);
                         }
                     }
                     FaceConn::FineNbrs { subs } => {
-                        let moff = cache.mortar_off[e * self.mesh.nfaces + f] as usize;
+                        let moff = cache.mortar_off[ef] as usize;
                         for (s, sub) in subs.iter().enumerate() {
-                            let sg = &fg.subs[s];
                             let mortar = &mut face_b[..npf];
                             let their = &mut nbr_buf[..npf];
                             sub.op.apply(tab, 3, cm, face_c, mortar);
                             nbr_trace(FaceOp::IDENTITY, sub.nbr, sub.nbr_face, face_c, their);
                             // Quadrature-weighted upwind flux difference
                             // at the mortar points, in place of my trace.
-                            for j in 0..npf {
-                                let u = cache.mortar_vel[moff + s * npf + j];
-                                let n = sg.normal[j];
-                                let un = u[0] * n[0] + u[1] * n[1] + u[2] * n[2];
+                            let rec = &cache.mortar_rec[moff + s * npf..][..npf];
+                            for (j, &[un, w]) in rec.iter().enumerate() {
                                 let mine = mortar[j];
                                 let fstar = if un >= 0.0 { un * mine } else { un * their[j] };
-                                mortar[j] = cache.wf[j] * sg.sj[j] * (un * mine - fstar);
+                                mortar[j] = w * (un * mine - fstar);
                             }
                             // Lift back through the mortar transpose.
                             let lifted = their;
@@ -529,18 +534,22 @@ impl AdvectSolver {
         let t0 = Instant::now();
         let npe = self.mesh.re.nodes_per_elem(3);
 
-        // Per-element indicator: nodal range.
+        // Per-element indicator: nodal range, NaN if a node is NaN (where
+        // `f64::min`/`max` would skip it). A NaN compares false against
+        // both tolerances: that element is neither refined nor coarsened.
         let old = self.forest.clone();
         let mut indicator: Vec<f64> = Vec::with_capacity(self.mesh.num_elements());
         for e in 0..self.mesh.num_elements() {
             let ce = &self.c[e * npe..(e + 1) * npe];
             let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
             for &v in ce {
-                lo = lo.min(v);
-                hi = hi.max(v);
+                lo = if v.is_nan() || v < lo { v } else { lo };
+                hi = max_nan(hi, v);
             }
             indicator.push(hi - lo);
         }
+        let nonfinite = indicator.iter().filter(|r| !r.is_finite()).count();
+        forust_obs::counter_add("advect.nonfinite_elements", nonfinite as u64);
         // Indicator lookup for arbitrary octants of the OLD forest.
         let old_offsets: Vec<usize> = {
             let mut v = Vec::with_capacity(old.conn.num_trees() + 1);
@@ -560,7 +569,7 @@ impl AdvectSolver {
             // o is coarser than the old leaves: max over descendants.
             let r = linear::find_overlapping_range(leaves, o);
             r.map(|i| indicator[old_offsets[t as usize] + i])
-                .fold(0.0, f64::max)
+                .fold(0.0, max_nan)
         };
 
         let cfg = self.config.clone();
@@ -695,9 +704,8 @@ fn checkpoint_format(config: &AdvectConfig) -> SolverFormat {
 }
 
 /// Per-mesh caches for the kernel-engine RHS: quadrature weights and face
-/// node tables of the degree, nodal and mortar velocities, plus the
-/// volume metric/velocity repacked as SoA planes for the fused volume
-/// kernel.
+/// node tables of the degree, the volume metric and nodal velocities as
+/// SoA planes for the fused volume kernel, and the surface flux records.
 #[derive(Default)]
 struct Caches {
     /// Volume quadrature weights.
@@ -706,13 +714,19 @@ struct Caches {
     wf: Vec<f64>,
     /// Volume node indices of each face's nodes.
     face_idx: Vec<Vec<usize>>,
-    /// Velocity at every volume node, cached at mesh (re)build instead of a
-    /// fn-pointer evaluation per node per stage.
-    vel: Vec<[f64; 3]>,
-    /// Velocity at every mortar point of 2:1 faces, flat across
+    /// `[u·n, wf·sj / (wv·det)]` per `(element, face, face node)`, all
+    /// six faces whatever their type: the normal velocity and the lift
+    /// coefficient of the node. Both read only the element's own
+    /// velocity and metric, so a carried element keeps its records.
+    face_rec: Vec<[f64; 2]>,
+    /// Per `(element, face, face node)` of a face with a local same-size
+    /// or coarse neighbour, where its trace value sits in the state:
+    /// `nbr * npe + face_idx[nbr_face][perm[j]]` (0 on other faces).
+    nbr_gather: Vec<u32>,
+    /// `[u·n, wf·sj]` per mortar point of 2:1 faces, flat across
     /// `(element, face, sub, face node)`.
-    mortar_vel: Vec<[f64; 3]>,
-    /// Offset into `mortar_vel` per `(element, face)` (`u32::MAX` when the
+    mortar_rec: Vec<[f64; 2]>,
+    /// Offset into `mortar_rec` per `(element, face)` (`u32::MAX` when the
     /// face carries no mortar).
     mortar_off: Vec<u32>,
     /// Inverse Jacobians repacked as SoA planes (`9 * npe` per element,
@@ -734,13 +748,13 @@ impl Caches {
         }
     }
 
-    /// Bring the per-mesh parts to `mesh`, the way `geo` got there: blocks
-    /// of carried elements are moved, the velocity field is evaluated —
-    /// at every volume node and every mortar point of 2:1 faces — and the
-    /// SoA planes of [`kernels::pack_volume_soa`] packed only on fresh
-    /// ones. The points are exactly the ones the per-stage fn-pointer
-    /// path evaluated (`geo.pos`, `FaceGeo::subs[s].pos`), so the cached
-    /// values are bitwise identical to it.
+    /// Bring the per-mesh parts to `mesh`, the way `geo` got there: the
+    /// blocks of carried elements are moved; on fresh ones the velocity
+    /// field is evaluated — at every volume node and every mortar point
+    /// of 2:1 faces — and packed into SoA planes and flux records with
+    /// the expressions the per-stage path evaluated, at the same points
+    /// (`geo.pos`, `FaceGeo::subs[s].pos`), so bitwise identical to it.
+    /// The neighbour gather names element indices: rebuilt everywhere.
     fn rebuild(
         &mut self,
         carry: &Carry,
@@ -749,59 +763,101 @@ impl Caches {
         velocity: fn([f64; 3]) -> [f64; 3],
     ) {
         let (npe, nf) = (mesh.re.nodes_per_elem(3), mesh.nfaces);
-        let per_sub = mesh.re.nodes_per_face(3);
+        let (npf, tab) = (mesh.re.nodes_per_face(3), &mesh.re.face_tables);
         let nel = mesh.num_elements();
+        // Nothing of the gather carries; free it before the new one.
+        self.nbr_gather = Vec::new();
         let old = std::mem::take(self);
         *self = Caches {
             wv: old.wv,
             wf: old.wf,
             face_idx: old.face_idx,
-            vel: Vec::with_capacity(nel * npe),
-            mortar_vel: Vec::with_capacity(old.mortar_vel.len()),
+            face_rec: Vec::with_capacity(nel * nf * npf),
+            nbr_gather: Vec::with_capacity(nel * nf * npf),
+            mortar_rec: Vec::with_capacity(old.mortar_rec.len()),
             mortar_off: Vec::with_capacity(nel * nf),
             metr_soa: Vec::with_capacity(nel * 9 * npe),
             vel_soa: Vec::with_capacity(nel * 3 * npe),
         };
+        assert!(nel * npe <= u32::MAX as usize, "state overflows u32");
+        let mut vel = Vec::with_capacity(npe);
         for (e, &src) in carry.src.iter().enumerate() {
             let from = src.map(|i| i as usize);
             if let Some(i) = from {
-                self.vel.extend_from_slice(&old.vel[i * npe..][..npe]);
                 self.metr_soa
                     .extend_from_slice(&old.metr_soa[i * 9 * npe..][..9 * npe]);
                 self.vel_soa
                     .extend_from_slice(&old.vel_soa[i * 3 * npe..][..3 * npe]);
+                let recs = nf * npf;
+                self.face_rec
+                    .extend_from_slice(&old.face_rec[i * recs..][..recs]);
             } else {
-                self.vel
-                    .extend(geo.elem_pos(e).iter().map(|&x| velocity(x)));
+                vel.clear();
+                vel.extend(geo.elem_pos(e).iter().map(|&x| velocity(x)));
                 let (m, v) = (self.metr_soa.len(), self.vel_soa.len());
                 self.metr_soa.resize(m + 9 * npe, 0.0);
                 self.vel_soa.resize(v + 3 * npe, 0.0);
                 kernels::pack_volume_soa(
                     geo.elem_inv(e),
-                    &self.vel[e * npe..],
+                    &vel,
                     &mut self.metr_soa[m..],
                     &mut self.vel_soa[v..],
                 );
+                let det = geo.elem_det(e);
+                for (f, fidx) in self.face_idx.iter().enumerate() {
+                    let fg = geo.face(e, f, nf);
+                    for (j, &v) in fidx.iter().enumerate() {
+                        let (u, n) = (vel[v], fg.normal[j]);
+                        let un = u[0] * n[0] + u[1] * n[1] + u[2] * n[2];
+                        let lift = self.wf[j] * fg.sj[j] / (self.wv[v] * det[v]);
+                        self.face_rec.push([un, lift]);
+                    }
+                }
             }
             for f in 0..nf {
-                let FaceConn::FineNbrs { subs } = mesh.face(e, f) else {
+                let (at, face) = (self.nbr_gather.len(), mesh.face(e, f));
+                self.nbr_gather.resize(at + npf, 0);
+                if let FaceConn::Conforming { nbr, nbr_face, op }
+                | FaceConn::CoarseNbr { nbr, nbr_face, op } = face
+                {
+                    if let ElemRef::Local(i) = nbr {
+                        let (fidx, perm) = (&self.face_idx[*nbr_face], tab.perm(3, op.orient));
+                        for (k, &c) in self.nbr_gather[at..].iter_mut().zip(perm) {
+                            *k = (*i as usize * npe + fidx[c as usize]) as u32;
+                        }
+                    }
+                }
+                let FaceConn::FineNbrs { subs } = face else {
                     self.mortar_off.push(u32::MAX);
                     continue;
                 };
-                self.mortar_off.push(self.mortar_vel.len() as u32);
+                self.mortar_off.push(self.mortar_rec.len() as u32);
                 // `geo` kept this face's `subs` iff it was a mortar before.
                 let kept = from.map(|i| old.mortar_off[i * nf + f]);
                 if let Some(o) = kept.filter(|&o| o != u32::MAX) {
-                    let n = subs.len() * per_sub;
-                    self.mortar_vel
-                        .extend_from_slice(&old.mortar_vel[o as usize..][..n]);
+                    let n = subs.len() * npf;
+                    self.mortar_rec
+                        .extend_from_slice(&old.mortar_rec[o as usize..][..n]);
                 } else {
                     for sg in &geo.face(e, f, nf).subs {
-                        self.mortar_vel.extend(sg.pos.iter().map(|&x| velocity(x)));
+                        for (j, &x) in sg.pos.iter().enumerate() {
+                            let (u, n) = (velocity(x), sg.normal[j]);
+                            let un = u[0] * n[0] + u[1] * n[1] + u[2] * n[2];
+                            self.mortar_rec.push([un, self.wf[j] * sg.sj[j]]);
+                        }
                     }
                 }
             }
         }
+    }
+}
+
+/// `a.max(b)`, except that a NaN operand wins rather than being skipped.
+fn max_nan(a: f64, b: f64) -> f64 {
+    if b.is_nan() || b > a {
+        b
+    } else {
+        a
     }
 }
 

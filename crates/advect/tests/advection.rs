@@ -198,3 +198,73 @@ fn result_independent_of_rank_count() {
         norms[1]
     );
 }
+
+#[test]
+fn nan_element_is_neither_coarsened_nor_refined() {
+    // Every family one rank owns wholly would coarsen, nothing refines;
+    // one element on rank 1 of 2 holds NaN at every node. Its indicator
+    // must be NaN, so its family stays as it is.
+    run_spmd(2, |comm| {
+        forust_obs::install(comm.rank());
+        let conn = Arc::new(builders::cubed_sphere());
+        let forest = Forest::<D3>::new_uniform(Arc::clone(&conn), comm, 2);
+        let map = Arc::new(ShellMap::new(conn, 0.55, 1.0));
+        let config = AdvectConfig {
+            degree: 2,
+            initial_level: 2,
+            min_level: 1,
+            max_level: 2,
+            adapt_every: usize::MAX,
+            cfl: 0.4,
+            refine_tol: f64::INFINITY,
+            coarsen_tol: f64::MAX,
+        };
+        let mut s = AdvectSolver::new(comm, forest, map, config, smooth_init, rotation_velocity);
+        let npe = s.mesh.re.nodes_per_elem(3);
+        let mut poisoned = Vec::new();
+        if comm.rank() == 1 {
+            // A first child in the middle of the rank: its whole family
+            // is local, so the parent commit would coarsen it.
+            let n = s.local_elements();
+            let e = (n / 2..n).find(|&e| s.mesh.elements[e].1.child_id() == 0);
+            let e = e.expect("a first child on rank 1");
+            s.c[e * npe..(e + 1) * npe].fill(f64::NAN);
+            let (t, o) = s.mesh.elements[e];
+            let c = o.coords();
+            poisoned.push([
+                t as i64,
+                c[0] as i64,
+                c[1] as i64,
+                c[2] as i64,
+                o.level as i64,
+            ]);
+        }
+        s.adapt(comm);
+        let report = forust_obs::uninstall().expect("recorder installed above");
+        let counted = report
+            .counters
+            .iter()
+            .find(|(n, _)| n == "advect.nonfinite_elements")
+            .map_or(0, |c| c.1);
+        assert_eq!(
+            counted >= 1,
+            comm.rank() == 1,
+            "rank {}: {counted}",
+            comm.rank()
+        );
+        let [t, x, y, z, level] = comm.allgatherv(&poisoned).concat()[0];
+        let o = forust::octant::Octant::<D3>::new(x as i32, y as i32, z as i32, level as u8);
+        let swallowed = s
+            .forest
+            .iter_local()
+            .filter(|&(lt, leaf)| lt as i64 == t && leaf.is_ancestor_of(&o))
+            .count();
+        assert_eq!(
+            comm.allreduce_sum_u64(swallowed as u64),
+            0,
+            "NaN family coarsened"
+        );
+        // Elsewhere coarsening did happen: 384 level-2 elements before.
+        assert!(s.num_global_elements() < 384);
+    });
+}

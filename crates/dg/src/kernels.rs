@@ -28,11 +28,13 @@
 //!   one operator sweep (axis outer, field inner), so seismic's 9
 //!   components and advect's tracer share the operator row traffic.
 //!
-//! [`KernelWorkspace`] is the per-solver scratch arena: gradient panels,
-//! face traces, mortar buffers and the RK stage vector are sized once per
-//! mesh (re)build and reused across elements and RK stages. A grow counter
-//! (`kernels.scratch_grow`, mirroring PR-3's `halo.scratch_grow`) proves
-//! the steady state allocates nothing.
+//! [`KernelWorkspace`] is one pool lane's scratch arena: gradient panels,
+//! face traces and mortar buffers, sized by the degree and component
+//! count and reused across elements and RK stages. The
+//! [`Stepper`](crate::stepper::Stepper) owns one per lane, beside the RK
+//! register and stage vector. A grow counter (`kernels.scratch_grow`,
+//! mirroring the halo's `halo.scratch_grow`) proves the steady state
+//! allocates nothing.
 //!
 //! [`RefElement::apply_axis`]: crate::element::RefElement::apply_axis
 
@@ -378,11 +380,13 @@ fn advect_contract<R: Real>(
     }
 }
 
-/// Per-solver scratch arena of the kernel engine, in the scalar tier `R`
-/// of the kernel that works in it.
+/// One pool lane's scratch arena of the kernel engine, in the scalar tier
+/// `R` of the kernel that works in it.
 ///
-/// Created once per solver, sized by [`configure`](Self::configure) at
-/// every mesh (re)build, and reused across elements and RK stages. All
+/// Built by the kernel's `new_scratch` (sized by
+/// [`configure`](Self::configure)) when the stepper first meets that
+/// element shape or pool width, and reused across elements, RK stages and
+/// mesh rebuilds. All
 /// buffers are plain `pub` fields — the solvers split-borrow them — with a
 /// **capacity contract**: `configure` sizes every buffer for the worst
 /// case of one element's RHS (`nf` fields), so no buffer ever regrows
