@@ -47,20 +47,8 @@ pub struct RecoverySetup {
     pub checkpoint_every: usize,
 }
 
-/// What one completed run produced (gathered redundantly on all ranks).
-#[derive(Debug, Clone, PartialEq)]
-pub struct AttemptResult {
-    /// The global solution vector in SFC element order.
-    pub solution: Vec<f64>,
-    /// Final simulated time.
-    pub time: f64,
-    /// Steps taken in total (including steps replayed from a restart).
-    pub steps: usize,
-}
-
 impl Recoverable for RecoverySetup {
     type Solver = AdvectSolver;
-    type Final = AttemptResult;
 
     fn build<C: Communicator>(&self, comm: &C) -> AdvectSolver {
         let conn = Arc::new((self.conn)());
@@ -113,15 +101,7 @@ impl Recoverable for RecoverySetup {
         solver.step(comm);
     }
 
-    fn finish<C: Communicator>(&self, solver: &AdvectSolver, comm: &C) -> AttemptResult {
-        // Ranks own contiguous SFC intervals, so concatenating the
-        // gathered per-rank fields yields the global solution in SFC
-        // element order.
-        let gathered = comm.allgatherv(&solver.c);
-        AttemptResult {
-            solution: gathered.into_iter().flatten().collect(),
-            time: solver.time,
-            steps: solver.timers.steps,
-        }
+    fn state(&self, solver: &AdvectSolver) -> (Vec<f64>, f64) {
+        (solver.c.clone(), solver.time)
     }
 }

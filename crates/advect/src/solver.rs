@@ -8,7 +8,7 @@ use forust::dim::D3;
 use forust::forest::{BalanceType, CheckpointError, Forest, SolverFormat};
 use forust::linear;
 use forust::octant::Octant;
-use forust_comm::Communicator;
+use forust_comm::{max_nan, Communicator};
 use forust_dg::element::RefElement;
 use forust_dg::geometry::{Carry, MeshGeometry};
 use forust_dg::halo::{HaloData, HaloExchange};
@@ -115,12 +115,10 @@ impl AdvectSolver {
         // Static pre-adaptation: refine where the initial condition is
         // rough, up to max_level, then balance and partition.
         let re = RefElement::new(config.degree);
-        for _ in config.initial_level..config.max_level {
-            forest.refine(comm, false, |t, o| {
-                o.level < config.max_level
-                    && element_range_of_fn(&re, &*map, t, o, init) > config.refine_tol
-            });
-        }
+        forest.refine(comm, true, |t, o| {
+            o.level < config.max_level
+                && element_range_of_fn(&re, &*map, t, o, init) > config.refine_tol
+        });
         forest.balance(comm, BalanceType::Full);
         forest.partition(comm);
 
@@ -180,27 +178,21 @@ impl AdvectSolver {
         self.forest.num_global() * self.mesh.re.nodes_per_elem(3) as u64
     }
 
-    /// Largest stable time step on the current mesh.
+    /// Largest stable time step on the current mesh: the node's speed is
+    /// `Σ_r |u · ∇ξ_r|`.
     fn stable_dt(&self, comm: &impl Communicator) -> f64 {
-        let re = &self.mesh.re;
-        let npe = re.nodes_per_elem(3);
-        let mut lam_max: f64 = 1e-30;
-        for e in 0..self.mesh.num_elements() {
-            let inv = self.geo.elem_inv(e);
+        let npe = self.mesh.re.nodes_per_elem(3);
+        let (degree, cfl) = (self.config.degree, self.config.cfl);
+        self.geo.cfl_dt(comm, degree, cfl, |e, v, inv| {
             let vel = &self.caches.vel_soa[e * 3 * npe..][..3 * npe];
-            for v in 0..npe {
-                let u = [vel[v], vel[npe + v], vel[2 * npe + v]];
-                let mut lam = 0.0;
-                for r in 0..3 {
-                    let a = u[0] * inv[v][r][0] + u[1] * inv[v][r][1] + u[2] * inv[v][r][2];
-                    lam += a.abs();
-                }
-                lam_max = lam_max.max(lam);
+            let u = [vel[v], vel[npe + v], vel[2 * npe + v]];
+            let mut lam = 0.0;
+            for r in 0..3 {
+                let a = u[0] * inv[r][0] + u[1] * inv[r][1] + u[2] * inv[r][2];
+                lam += a.abs();
             }
-        }
-        let global = comm.allreduce_max_f64(lam_max);
-        let n = self.config.degree as f64;
-        self.config.cfl * 2.0 / (global * (n + 1.0) * (n + 1.0))
+            lam
+        })
     }
 
     /// Advance one RK step; adapt every `adapt_every` steps.
@@ -639,12 +631,6 @@ impl AdvectSolver {
         comm.allreduce_sum_f64(err).sqrt()
     }
 
-    /// Fractions of elements refined/coarsened in the last adapt cycle are
-    /// not tracked individually; expose element counts for the harness.
-    pub fn local_elements(&self) -> usize {
-        self.mesh.num_elements()
-    }
-
     /// This rank's checkpoint segment ([`Forest::segment_bytes`]): the
     /// solution rides as state, the step count as epoch, `time` as its
     /// bits. Purely local; the same bytes go to disk and to buddy memory.
@@ -849,15 +835,6 @@ impl Caches {
                 }
             }
         }
-    }
-}
-
-/// `a.max(b)`, except that a NaN operand wins rather than being skipped.
-fn max_nan(a: f64, b: f64) -> f64 {
-    if b.is_nan() || b > a {
-        b
-    } else {
-        a
     }
 }
 

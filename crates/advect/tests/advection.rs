@@ -225,7 +225,7 @@ fn nan_element_is_neither_coarsened_nor_refined() {
         if comm.rank() == 1 {
             // A first child in the middle of the rank: its whole family
             // is local, so the parent commit would coarsen it.
-            let n = s.local_elements();
+            let n = s.mesh.num_elements();
             let e = (n / 2..n).find(|&e| s.mesh.elements[e].1.child_id() == 0);
             let e = e.expect("a first child on rank 1");
             s.c[e * npe..(e + 1) * npe].fill(f64::NAN);

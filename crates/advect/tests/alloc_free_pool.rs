@@ -73,7 +73,7 @@ fn steady_state_step_with_pool_allocates_less_than_one_per_element() {
         // threads and the halo scratch all reach steady-state capacity.
         s.step(comm);
         s.step(comm);
-        let nel = s.local_elements() as u64;
+        let nel = s.mesh.num_elements() as u64;
         assert!(nel >= 100, "want a meaningful element count, got {nel}");
         let before = ALLOCS.load(Ordering::Relaxed);
         s.step(comm);

@@ -12,7 +12,8 @@ use forust_advect::{rotation_velocity, AdvectConfig, RecoverySetup};
 use forust_comm::{run_spmd, run_spmd_with, ChaosComm, FaultPlan, RankCrashed};
 use forust_geom::{Mapping, ShellMap};
 use forust_resilience::{
-    attempt, run_with_recovery, run_with_recovery_opts, BuddyStore, RecoveryOptions, RestoreSource,
+    attempt, run_with_recovery, run_with_recovery_opts, AttemptResult, BuddyStore, RecoveryOptions,
+    RestoreSource,
 };
 
 fn build_conn() -> Connectivity<D3> {
@@ -51,7 +52,7 @@ fn tmpdir(name: &str) -> PathBuf {
     d
 }
 
-fn assert_bitwise_equal(a: &forust_advect::AttemptResult, b: &forust_advect::AttemptResult) {
+fn assert_bitwise_equal(a: &AttemptResult, b: &AttemptResult) {
     assert_eq!(a.steps, b.steps);
     assert_eq!(
         a.time.to_bits(),

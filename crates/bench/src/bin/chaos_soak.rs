@@ -23,7 +23,7 @@ use forust_advect::RecoverySetup;
 use forust_comm::{run_spmd, run_spmd_with, ChaosComm, FaultPlan};
 use forust_geom::{Mapping, ShellMap};
 use forust_mantle::{MantleConfig, MantleRecoverySetup};
-use forust_resilience::{attempt, run_with_recovery, Recoverable, RecoveryOptions};
+use forust_resilience::{attempt, run_with_recovery, AttemptResult, Recoverable, RecoveryOptions};
 use forust_seismic::{prem_like_at, SeismicConfig, SeismicRecoverySetup};
 
 const FAULTS: [&str; 3] = ["delay", "corrupt", "crash"];
@@ -131,21 +131,23 @@ fn plan_for(fault: &'static str, seed: u64, crash_rank: usize, at_call: u64) -> 
     }
 }
 
+/// Every bit of an attempt's result: the oracle compares these.
+fn bits(r: &AttemptResult) -> Vec<u64> {
+    let tail = [r.time.to_bits(), r.steps as u64];
+    r.solution.iter().map(|x| x.to_bits()).chain(tail).collect()
+}
+
 /// Soak one solver at one rank count across all fault classes and seeds.
-#[allow(clippy::too_many_arguments)]
-fn soak<R, B>(
+fn soak<R>(
     name: &'static str,
     ranks: usize,
     seeds: u64,
     make: impl Fn(usize) -> R,
     ckpt_every: usize,
-    bits: B,
     cells: &mut Vec<Cell>,
     totals: &mut Totals,
 ) where
     R: Recoverable + Clone + Send + Sync + 'static,
-    R::Final: Send,
-    B: Fn(&R::Final) -> Vec<u64> + Copy,
 {
     // Fault-free reference: no checkpoints, timed.
     let ref_dir = tmpdir(&format!("{name}_{ranks}_ref"));
@@ -221,54 +223,17 @@ fn main() {
     let mut cells = Vec::new();
     let mut totals = Totals::default();
     for p in RANKS {
-        soak(
-            "advect",
-            p,
-            seeds,
-            advect_setup,
-            3,
-            |r: &forust_advect::AttemptResult| {
-                r.solution
-                    .iter()
-                    .map(|x| x.to_bits())
-                    .chain([r.time.to_bits(), r.steps as u64])
-                    .collect()
-            },
-            &mut cells,
-            &mut totals,
-        );
+        soak("advect", p, seeds, advect_setup, 3, &mut cells, &mut totals);
         soak(
             "seismic",
             p,
             seeds,
             seismic_setup,
             2,
-            |r: &forust_seismic::SeismicAttemptResult| {
-                r.solution
-                    .iter()
-                    .map(|x| x.to_bits())
-                    .chain([r.time.to_bits(), r.steps as u64])
-                    .collect()
-            },
             &mut cells,
             &mut totals,
         );
-        soak(
-            "mantle",
-            p,
-            seeds,
-            mantle_setup,
-            2,
-            |r: &forust_mantle::MantleAttemptResult| {
-                r.solution
-                    .iter()
-                    .map(|x| x.to_bits())
-                    .chain([r.norm.to_bits(), r.iters as u64])
-                    .collect()
-            },
-            &mut cells,
-            &mut totals,
-        );
+        soak("mantle", p, seeds, mantle_setup, 2, &mut cells, &mut totals);
     }
 
     println!(

@@ -10,6 +10,7 @@
 //! `(source, tag)` pair, so back-to-back collectives cannot interleave.
 
 use crate::error::CommError;
+use crate::repro::max_nan;
 use crate::stats::TrafficStats;
 use crate::wire::{frame, read_vec, try_read_vec, unframe, write_vec, Wire};
 
@@ -244,9 +245,10 @@ pub trait Communicator {
         self.allreduce(mine, |a, b| a + b)
     }
 
-    /// Max-allreduce of an `f64`.
+    /// Max-allreduce of an `f64`; `NaN` on every rank if any rank holds
+    /// one ([`max_nan`]).
     fn allreduce_max_f64(&self, mine: f64) -> f64 {
-        self.allreduce(mine, f64::max)
+        self.allreduce(mine, max_nan)
     }
 
     /// Exclusive prefix sum: rank `r` receives `sum(values of ranks < r)`.
@@ -312,6 +314,24 @@ impl<C: Communicator + ?Sized> PendingExchange<'_, C> {
 mod default_collective_tests {
     use super::*;
     use crate::thread::run_spmd;
+
+    #[test]
+    fn max_allreduce_propagates_a_nan_from_any_rank() {
+        for nan_rank in 0..2 {
+            let got = run_spmd(2, |c| {
+                let mine = if c.rank() == nan_rank { f64::NAN } else { 1.0 };
+                c.allreduce_max_f64(mine)
+            });
+            assert!(
+                got.iter().all(|v| v.is_nan()),
+                "NaN on rank {nan_rank}: {got:?}"
+            );
+        }
+        assert_eq!(
+            run_spmd(2, |c| c.allreduce_max_f64(c.rank() as f64)),
+            [1.0, 1.0]
+        );
+    }
 
     #[test]
     fn allreduce_is_deterministic_in_rank_order() {

@@ -201,8 +201,9 @@ impl FixedPoint {
 }
 
 /// `max(a, b)` that propagates a `NaN` from either side, where
-/// `f64::max` drops it.
-fn max_nan(a: f64, b: f64) -> f64 {
+/// `f64::max` drops it: a fold with it over values that hold a `NaN`
+/// yields one, so a caller's non-finite branch sees it.
+pub fn max_nan(a: f64, b: f64) -> f64 {
     if b > a || b.is_nan() {
         b
     } else {

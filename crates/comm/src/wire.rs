@@ -128,6 +128,23 @@ impl<T: Wire> Wire for Vec<T> {
     }
 }
 
+/// A `u64` byte length, then the UTF-8 bytes.
+impl Wire for String {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        (self.len() as u64).encode(buf);
+        buf.extend_from_slice(self.as_bytes());
+    }
+    fn decode(buf: &mut &[u8]) -> Option<Self> {
+        let n = u64::decode(buf)? as usize;
+        if buf.len() < n {
+            return None;
+        }
+        let (head, tail) = buf.split_at(n);
+        *buf = tail;
+        String::from_utf8(head.to_vec()).ok()
+    }
+}
+
 /// Encode a slice of values into a fresh buffer (without a length prefix).
 ///
 /// The buffer is sized for `items.len()` values of `T`'s in-memory size,
@@ -315,6 +332,8 @@ mod tests {
         roundtrip(vec![1.0f64, -2.0, 3.0]);
         roundtrip(Vec::<u32>::new());
         roundtrip(vec![vec![1u8], vec![], vec![2, 3]]);
+        roundtrip((String::from("rk.stage é"), 1.5f64));
+        roundtrip(String::new());
     }
 
     #[test]

@@ -177,3 +177,58 @@ fn forest_pipeline_randomized() {
         assert_eq!(totals[0], totals[1], "refinement depends on rank count");
     }
 }
+
+/// One recursive `refine` is the non-recursive `refine` iterated to its
+/// fixpoint: the same local leaves on every rank, on 1 and 3 ranks, over
+/// seeded level-capped predicates of `(tree, octant)` alone — the
+/// property every solver's one-call pre-refinement rests on.
+#[test]
+fn recursive_refine_is_the_iterated_refine_fixpoint() {
+    let conns = [
+        ("rotcubes6", builders::rotcubes6 as fn() -> _),
+        ("shell24", builders::shell24),
+    ];
+    let mut rng = Rng(39);
+    let mut deepest = 0;
+    for (name, build) in conns {
+        for _ in 0..4 {
+            let (seed, cap) = (rng.next(), 2 + rng.below(3) as u8);
+            let mark = move |t: u32, o: &Octant<D3>| {
+                let h = (o.morton() ^ (u64::from(o.level) << 58))
+                    .wrapping_add(u64::from(t).wrapping_mul(0x9E37_79B9))
+                    .wrapping_mul(seed | 1);
+                o.level < cap && (h >> 61) < 3
+            };
+            for ranks in [1usize, 3] {
+                let rounds = run_spmd(ranks, |comm| {
+                    let conn = Arc::new(build());
+                    let mut once = Forest::<D3>::new_uniform(Arc::clone(&conn), comm, 1);
+                    let mut iterated = once.clone();
+                    once.refine(comm, true, mark);
+                    let mut rounds = 0;
+                    loop {
+                        let before = iterated.num_global();
+                        iterated.refine(comm, false, mark);
+                        if iterated.num_global() == before {
+                            break;
+                        }
+                        rounds += 1;
+                    }
+                    let leaves = |f: &Forest<D3>| -> Vec<(u32, Octant<D3>)> {
+                        f.iter_local().map(|(t, o)| (t, *o)).collect()
+                    };
+                    assert_eq!(
+                        leaves(&once),
+                        leaves(&iterated),
+                        "{name}, seed {seed:#x}, cap {cap}, {ranks} ranks"
+                    );
+                    assert_eq!(once.counts(), iterated.counts());
+                    rounds
+                });
+                deepest = deepest.max(rounds[0]);
+            }
+        }
+    }
+    // Some predicate refined a child it had just made.
+    assert!(deepest >= 2, "no case needed more than one round");
+}

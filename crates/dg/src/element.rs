@@ -131,18 +131,11 @@ impl RefElement {
     /// derivatives along each reference axis.
     ///
     /// Allocating oracle form; hot loops use
-    /// [`gradient_into`](Self::gradient_into).
+    /// [`batched_gradient_into`](crate::kernels::batched_gradient_into).
     pub fn gradient(&self, input: &[f64], dim: usize) -> Vec<Vec<f64>> {
         (0..dim)
             .map(|a| self.apply_axis(&self.diff, input, dim, a))
             .collect()
-    }
-
-    /// Reference-space gradient into a caller-owned `dim * npe` panel
-    /// (layout `[axis][node]`), via the specialized kernel engine.
-    /// Bitwise identical to [`gradient`](Self::gradient).
-    pub fn gradient_into(&self, input: &[f64], dim: usize, grad: &mut [f64]) {
-        crate::kernels::batched_gradient_into(&self.diff, self.np, dim, input, 1, grad);
     }
 
     /// Volume node index of lattice point `(i, j, k)` (x-fastest).

@@ -14,6 +14,7 @@
 use forust::connectivity::TreeId;
 use forust::dim::Dim;
 use forust::octant::Octant;
+use forust_comm::{max_nan, Communicator};
 use forust_geom::{octant_ref_coords, Mapping};
 
 use crate::mesh::{tangential, DgMesh, ElemRef, FaceConn, FineSub};
@@ -309,6 +310,30 @@ impl MeshGeometry {
         self.det_jac.len() * (point + size_of::<[[f64; 3]; 3]>())
             + self.faces.len() * size_of::<FaceGeo>()
             + self.faces.iter().map(per_face).sum::<usize>()
+    }
+
+    /// The stable explicit step on this mesh: `cfl · 2 / (λ (N+1)²)`,
+    /// where `λ` is the global maximum over every node of
+    /// `speed(e, v, inv)` — the wave speed the physics reads at node `v` of
+    /// element `e` through its inverse Jacobian `inv` — floored at
+    /// `1e-30`. A `NaN` speed on any rank makes the step `NaN` on every
+    /// rank. Collective: one max-allreduce.
+    pub fn cfl_dt(
+        &self,
+        comm: &impl Communicator,
+        degree: usize,
+        cfl: f64,
+        mut speed: impl FnMut(usize, usize, &[[f64; 3]; 3]) -> f64,
+    ) -> f64 {
+        let mut lam_max: f64 = 1e-30;
+        for (e, inv) in self.inv_jac.chunks_exact(self.npe).enumerate() {
+            for (v, inv_v) in inv.iter().enumerate() {
+                lam_max = max_nan(lam_max, speed(e, v, inv_v));
+            }
+        }
+        let global = comm.allreduce_max_f64(lam_max);
+        let n = degree as f64;
+        cfl * 2.0 / (global * (n + 1.0) * (n + 1.0))
     }
 
     /// Metric slice helpers.

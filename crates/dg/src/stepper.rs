@@ -52,12 +52,6 @@ pub trait RhsKernel<D: Dim>: Sync {
     /// changes.
     fn new_scratch(&self) -> KernelWorkspace<Self::Real>;
 
-    /// Floating-point environment of this tier's arithmetic: the guard is
-    /// held around every pool job the stepper runs for the kernel, the RK
-    /// update included. Nothing at `f64`; the `f32` tier flushes
-    /// subnormals as a GPU does.
-    fn fp_scope() -> impl Sized {}
-
     /// Write the time derivative of element `e` of state `q` at time `t`
     /// into `out`, the element's own window of the RHS vector.
     ///
@@ -161,7 +155,7 @@ impl<R: HaloLane> Stepper<R> {
             let sweep = |list: &[u32], traces: Option<&HaloData<'_, D, R>>, out: &mut [R]| {
                 let slots = DisjointSlice::new(out);
                 forust_pool::par_for_each(list.len(), K::GRAIN, |r, lane| {
-                    let _fp = K::fp_scope();
+                    let _fp = R::fp_scope();
                     // SAFETY: the pool runs each lane on exactly one thread
                     // per job, and nothing else borrows the lanes meanwhile.
                     let ws = unsafe { self.lanes.lane(lane) };
@@ -193,7 +187,7 @@ impl<R: HaloLane> Stepper<R> {
             let k = &self.stage;
             let (qs, rs) = (DisjointSlice::new(q), DisjointSlice::new(&mut self.resid));
             forust_pool::par_for_each(n, UPDATE_GRAIN, |w, _| {
-                let _fp = K::fp_scope();
+                let _fp = R::fp_scope();
                 // SAFETY: the pool hands out pairwise disjoint ranges of
                 // `0..n`, and `q` and the register are `n` long.
                 let (qw, rw) = unsafe { (qs.slice(w.clone()), rs.slice(w.clone())) };

@@ -41,24 +41,11 @@ fn eval_1d<D: Dim>(re: &RefElement, coarse: &Octant<D>, fine: &Octant<D>, axis: 
     m
 }
 
-/// Interpolate a coarse element's nodal values to a descendant.
-pub fn interpolate_to_descendant<D: Dim>(
-    re: &RefElement,
-    coarse: &Octant<D>,
-    fine: &Octant<D>,
-    values: &[f64],
-) -> Vec<f64> {
-    let mut out = values.to_vec();
-    let mut tmp = vec![0.0; values.len()];
-    interpolate_to_descendant_into(re, coarse, fine, &mut out, &mut tmp);
-    out
-}
-
-/// In-place form of [`interpolate_to_descendant`]: `values` is
-/// transformed to the descendant's nodal values using `tmp` (same length)
-/// as the ping-pong buffer, with zero allocations. Each axis sweep goes
-/// through the specialized kernel engine — bitwise identical to the
-/// `apply_axis` oracle path.
+/// Interpolate a coarse element's nodal values to a descendant, in
+/// place: `values` is transformed to the descendant's nodal values using
+/// `tmp` (same length) as the ping-pong buffer, with zero allocations.
+/// Each axis sweep goes through the specialized kernel engine — bitwise
+/// identical to the `apply_axis` oracle path.
 pub fn interpolate_to_descendant_into<D: Dim>(
     re: &RefElement,
     coarse: &Octant<D>,

@@ -340,3 +340,33 @@ fn face_metric_is_the_map_jacobian_at_the_face_points() {
     face_metric_matches_map(builders::rotcubes6(), &LatticeMap::new(cubes), 1);
     face_metric_matches_map::<D2>(builders::moebius(), &MoebiusMap::new(), 2);
 }
+
+/// The CFL step folds the per-node speed and reduces it across ranks
+/// without dropping a `NaN`: one `NaN` node on rank 1 of 2 makes the step
+/// `NaN` on both ranks; without it the step is the formula's.
+#[test]
+fn cfl_dt_is_nan_on_every_rank_when_one_node_is() {
+    for nan in [false, true] {
+        let dts = run_spmd(2, |comm| {
+            let conn = Arc::new(builders::unit3d());
+            let forest = Forest::<D3>::new_uniform(Arc::clone(&conn), comm, 1);
+            let mesh = DgMesh::build(&forest, comm, 2);
+            let geo = MeshGeometry::build(&mesh, &LatticeMap::new(conn));
+            let poisoned = nan && comm.rank() == 1;
+            geo.cfl_dt(comm, 2, 0.5, |e, v, _| {
+                if poisoned && (e, v) == (1, 3) {
+                    f64::NAN
+                } else {
+                    2.0
+                }
+            })
+        });
+        for (rank, dt) in dts.iter().enumerate() {
+            if nan {
+                assert!(dt.is_nan(), "rank {rank}: dt {dt} hides the NaN speed");
+            } else {
+                assert_eq!(*dt, 0.5 * 2.0 / (2.0 * 9.0), "rank {rank}");
+            }
+        }
+    }
+}

@@ -26,6 +26,6 @@ mod rheology;
 mod solver;
 
 pub use fem::StokesFem;
-pub use recovery::{MantleAttemptResult, MantleRecoverySetup};
+pub use recovery::MantleRecoverySetup;
 pub use rheology::{plate_boundary_factor, synthetic_temperature, viscosity, RheologyParams};
 pub use solver::{KrylovOutcome, MantleConfig, MantleSolver, MantleTimers};

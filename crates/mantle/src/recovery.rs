@@ -36,21 +36,8 @@ pub struct MantleRecoverySetup {
     pub checkpoint_every: usize,
 }
 
-/// What one completed run produced (gathered redundantly on all ranks).
-#[derive(Debug, Clone, PartialEq)]
-pub struct MantleAttemptResult {
-    /// Global per-element corner solution values in SFC element order
-    /// (rank-count-invariant layout; see `MantleSolver::corner_values`).
-    pub solution: Vec<f64>,
-    /// Final solution norm (exact reduction, bitwise invariant).
-    pub norm: f64,
-    /// Picard iterations completed in total.
-    pub iters: usize,
-}
-
 impl Recoverable for MantleRecoverySetup {
     type Solver = MantleSolver;
-    type Final = MantleAttemptResult;
 
     fn build<C: Communicator>(&self, comm: &C) -> MantleSolver {
         let conn = Arc::new((self.conn)());
@@ -89,15 +76,10 @@ impl Recoverable for MantleRecoverySetup {
         solver.picard_step(comm);
     }
 
-    fn finish<C: Communicator>(&self, solver: &MantleSolver, comm: &C) -> MantleAttemptResult {
-        // Ranks own contiguous SFC intervals, so concatenating the
-        // gathered per-element corner values yields the global solution
-        // in SFC element order, independent of the partition.
-        let gathered = comm.allgatherv(&solver.corner_values());
-        MantleAttemptResult {
-            solution: gathered.into_iter().flatten().collect(),
-            norm: solver.solution_norm(comm),
-            iters: solver.picard_done,
-        }
+    /// The per-element corner values (a layout independent of the rank
+    /// count; see `MantleSolver::corner_values`) at the time `0.0` the
+    /// checkpoint carries.
+    fn state(&self, solver: &MantleSolver) -> (Vec<f64>, f64) {
+        (solver.corner_values(), 0.0)
     }
 }

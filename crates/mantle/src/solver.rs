@@ -6,7 +6,7 @@ use std::time::{Duration, Instant};
 use forust::connectivity::Connectivity;
 use forust::dim::D3;
 use forust::forest::{BalanceType, CheckpointError, Forest, SolverFormat};
-use forust_comm::Communicator;
+use forust_comm::{max_nan, Communicator};
 use forust_geom::Mapping;
 
 use crate::fem::StokesFem;
@@ -115,33 +115,27 @@ impl MantleSolver {
         // based on temperature variations. Then, the mesh is refined ...
         // in the narrow low viscosity zones").
         let t0 = Instant::now();
-        for _ in 0..config.max_level {
-            let before = forest.num_global();
-            forest.refine(comm, false, |t, o| {
-                if o.level >= config.max_level {
-                    return false;
-                }
-                let mut tmin = f64::INFINITY;
-                let mut tmax = f64::NEG_INFINITY;
-                let mut weak = false;
-                for c in 0..8 {
-                    let off = <D3 as forust::dim::Dim>::corner_offset(c);
-                    let xi = forust_geom::octant_ref_coords::<D3>(
-                        o,
-                        [off[0] as f64, off[1] as f64, off[2] as f64],
-                    );
-                    let x = map.map(t, xi);
-                    let tv = crate::rheology::synthetic_temperature(x);
-                    tmin = tmin.min(tv);
-                    tmax = tmax.max(tv);
-                    weak |= crate::rheology::plate_boundary_factor(&config.rheology, x) < 1.0;
-                }
-                weak || tmax - tmin > 0.15
-            });
-            if forest.num_global() == before {
-                break;
+        forest.refine(comm, true, |t, o| {
+            if o.level >= config.max_level {
+                return false;
             }
-        }
+            let mut tmin = f64::INFINITY;
+            let mut tmax = f64::NEG_INFINITY;
+            let mut weak = false;
+            for c in 0..8 {
+                let off = <D3 as forust::dim::Dim>::corner_offset(c);
+                let xi = forust_geom::octant_ref_coords::<D3>(
+                    o,
+                    [off[0] as f64, off[1] as f64, off[2] as f64],
+                );
+                let x = map.map(t, xi);
+                let tv = crate::rheology::synthetic_temperature(x);
+                tmin = tmin.min(tv);
+                tmax = tmax.max(tv);
+                weak |= crate::rheology::plate_boundary_factor(&config.rheology, x) < 1.0;
+            }
+            weak || tmax - tmin > 0.15
+        });
         forest.balance(comm, BalanceType::Full);
         forest.partition(comm);
         let fem = StokesFem::build(&forest, comm, &map, &config.rheology);
@@ -323,7 +317,9 @@ impl MantleSolver {
     pub fn adapt(&mut self, comm: &impl Communicator) {
         let _span = forust_obs::span!("mantle.adapt");
         let t0 = Instant::now();
-        // Per-element indicator: range of log-viscosity over qps.
+        // Per-element indicator: range of log-viscosity over qps, NaN if
+        // a qp's is (where `f64::min`/`max` would skip it). A NaN compares
+        // false against the threshold: that element is not refined.
         let nel = self.fem.num_elements();
         let mut ind = Vec::with_capacity(nel);
         for e in 0..nel {
@@ -331,11 +327,13 @@ impl MantleSolver {
             let mut hi = f64::NEG_INFINITY;
             for q in 0..8 {
                 let v = self.fem.eta_qp[e * 8 + q].ln();
-                lo = lo.min(v);
-                hi = hi.max(v);
+                lo = if v.is_nan() || v < lo { v } else { lo };
+                hi = max_nan(hi, v);
             }
             ind.push(hi - lo);
         }
+        let nonfinite = ind.iter().filter(|r| !r.is_finite()).count();
+        forust_obs::counter_add("mantle.nonfinite_elements", nonfinite as u64);
         let map: std::collections::HashMap<(u32, u64, u8), f64> = self
             .forest
             .iter_local()
@@ -547,6 +545,55 @@ mod tests {
             let t = s.timers;
             assert!(t.solve + t.vcycle > Duration::ZERO);
             assert!(t.krylov_iters >= 30);
+        });
+    }
+
+    #[test]
+    fn nan_element_is_not_refined() {
+        // Log-viscosity is flat everywhere but in two elements on rank 1
+        // of 2: both span 3 over their qps, and the first also holds a NaN
+        // qp. Its indicator is NaN, so only the second is refined, and
+        // the first is counted.
+        run_spmd(2, |comm| {
+            forust_obs::install(comm.rank());
+            let conn = Arc::new(builders::cubed_sphere());
+            let forest = Forest::<D3>::new_uniform(Arc::clone(&conn), comm, 1);
+            let map: Arc<dyn Mapping<D3> + Send + Sync> = Arc::new(ShellMap::new(conn, 0.55, 1.0));
+            let config = MantleConfig {
+                max_level: 1,
+                ..Default::default()
+            };
+            let mut s = MantleSolver::new(comm, forest, map, config);
+            s.config.max_level = 2;
+            let n0 = s.forest.num_global();
+            s.fem.eta_qp.fill(1.0);
+            let mut poisoned = Vec::new();
+            if comm.rank() == 1 {
+                let (t, o) = s.forest.iter_local().next().expect("rank 1 owns elements");
+                poisoned.push((t, o.morton(), o.level));
+                let eta = &mut s.fem.eta_qp;
+                (eta[1], eta[2], eta[9]) = (3f64.exp(), f64::NAN, 3f64.exp());
+            }
+            s.adapt(comm);
+            let report = forust_obs::uninstall().expect("recorder installed above");
+            let counted = report
+                .counters
+                .iter()
+                .find(|(n, _)| n == "mantle.nonfinite_elements")
+                .map_or(0, |c| c.1);
+            assert_eq!(counted, comm.rank() as u64, "rank {}", comm.rank());
+            let key = comm.allgatherv(&poisoned).concat()[0];
+            let kept = s
+                .forest
+                .iter_local()
+                .filter(|(t, o)| (*t, o.morton(), o.level) == key)
+                .count();
+            assert_eq!(
+                comm.allreduce_sum_u64(kept as u64),
+                1,
+                "NaN element refined"
+            );
+            assert_eq!(s.forest.num_global(), n0 + 7);
         });
     }
 }

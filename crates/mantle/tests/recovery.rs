@@ -12,8 +12,8 @@ use forust::connectivity::{builders, Connectivity};
 use forust::dim::D3;
 use forust_comm::{run_spmd, run_spmd_with, ChaosComm, FaultPlan};
 use forust_geom::{Mapping, ShellMap};
-use forust_mantle::{MantleAttemptResult, MantleConfig, MantleRecoverySetup};
-use forust_resilience::{attempt, run_with_recovery, RecoveryOptions};
+use forust_mantle::{MantleConfig, MantleRecoverySetup};
+use forust_resilience::{attempt, run_with_recovery, AttemptResult, RecoveryOptions};
 
 fn build_conn() -> Connectivity<D3> {
     builders::cubed_sphere()
@@ -49,15 +49,8 @@ fn tmpdir(name: &str) -> PathBuf {
     d
 }
 
-fn assert_bitwise_equal(a: &MantleAttemptResult, b: &MantleAttemptResult) {
-    assert_eq!(a.iters, b.iters);
-    assert_eq!(
-        a.norm.to_bits(),
-        b.norm.to_bits(),
-        "final norm differs: {} vs {}",
-        a.norm,
-        b.norm
-    );
+fn assert_bitwise_equal(a: &AttemptResult, b: &AttemptResult) {
+    assert_eq!(a.steps, b.steps);
     assert_eq!(
         a.solution.len(),
         b.solution.len(),
@@ -76,7 +69,7 @@ fn assert_bitwise_equal(a: &MantleAttemptResult, b: &MantleAttemptResult) {
 fn full_solve_is_rank_count_invariant() {
     // The whole nonlinear pipeline — Picard, MINRES, interleaved AMR —
     // lands on bitwise-identical global state on 1, 2, and 3 ranks.
-    let results: Vec<MantleAttemptResult> = [1usize, 2, 3]
+    let results: Vec<AttemptResult> = [1usize, 2, 3]
         .iter()
         .map(|&p| {
             let dir = tmpdir(&format!("invariance_{p}"));
@@ -85,7 +78,10 @@ fn full_solve_is_rank_count_invariant() {
             run_spmd(p, move |comm| attempt(comm, &s, &dir, &opts).0).remove(0)
         })
         .collect();
-    assert!(results[0].norm > 0.0, "no flow developed");
+    assert!(
+        results[0].solution.iter().any(|&v| v != 0.0),
+        "no flow developed"
+    );
     assert_bitwise_equal(&results[0], &results[1]);
     assert_bitwise_equal(&results[0], &results[2]);
 }

@@ -4,9 +4,9 @@
 //! runtimes, load imbalance); mpiP does the same for MPI call sites.
 //! [`reduce_metrics`] computes min/mean/max/imbalance of any named
 //! per-rank scalar with **one** allgather over the [`Communicator`]
-//! trait — no wire format beyond length-prefixed name/value pairs, and
-//! the fold runs in rank order on every rank, so all ranks hold the
-//! identical summary afterwards.
+//! trait — the `(name, value)` pairs travel as [`forust_comm::Wire`]
+//! tuples — and the fold runs in rank order on every rank, so all ranks
+//! hold the identical summary afterwards.
 //!
 //! [`Registry::collect`] packages the whole per-rank state — every span
 //! phase (inclusive and self time), every counter, and the
@@ -35,49 +35,6 @@ pub struct MetricSummary {
     pub imbalance: f64,
 }
 
-fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-fn get<const N: usize>(buf: &[u8], at: &mut usize) -> [u8; N] {
-    let out: [u8; N] = buf[*at..*at + N].try_into().expect("truncated metrics");
-    *at += N;
-    out
-}
-
-/// Encode one rank's `(name, value)` entries for the allgather.
-fn encode(entries: &[(String, f64)]) -> Vec<u8> {
-    let mut buf = Vec::new();
-    put_u32(&mut buf, entries.len() as u32);
-    for (name, v) in entries {
-        let bytes = name.as_bytes();
-        assert!(bytes.len() <= u16::MAX as usize, "metric name too long");
-        put_u16(&mut buf, bytes.len() as u16);
-        buf.extend_from_slice(bytes);
-        put_u64(&mut buf, v.to_bits());
-    }
-    buf
-}
-
-fn decode(buf: &[u8]) -> Vec<(String, f64)> {
-    let mut at = 0usize;
-    let n = u32::from_le_bytes(get(buf, &mut at)) as usize;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let len = u16::from_le_bytes(get(buf, &mut at)) as usize;
-        let name = String::from_utf8(buf[at..at + len].to_vec()).expect("metric name utf8");
-        at += len;
-        let v = f64::from_bits(u64::from_le_bytes(get(buf, &mut at)));
-        out.push((name, v));
-    }
-    out
-}
-
 /// Reduce per-rank named scalars to cross-rank min/mean/max/imbalance.
 ///
 /// Name sets may differ across ranks: the result covers the union, and
@@ -87,11 +44,11 @@ fn decode(buf: &[u8]) -> Vec<(String, f64)> {
 /// allgather delivers contributions in rank order — bitwise identical
 /// on every rank.
 pub fn reduce_metrics<C: Communicator>(comm: &C, entries: &[(String, f64)]) -> Vec<MetricSummary> {
-    let all = comm.allgather_bytes(encode(entries));
+    let all = comm.allgatherv(entries);
     let p = all.len();
     let mut by_name: BTreeMap<String, Vec<f64>> = BTreeMap::new();
-    for (r, buf) in all.iter().enumerate() {
-        for (name, v) in decode(buf) {
+    for (r, rank_entries) in all.into_iter().enumerate() {
+        for (name, v) in rank_entries {
             by_name.entry(name).or_insert_with(|| vec![0.0; p])[r] += v;
         }
     }

@@ -17,42 +17,6 @@ use forust_comm::Communicator;
 use crate::json::Json;
 use crate::{snapshot_local, LocalReport, TraceEvent};
 
-fn encode_events(rank: usize, report: &LocalReport) -> Vec<u8> {
-    let mut buf = Vec::new();
-    buf.extend_from_slice(&(rank as u32).to_le_bytes());
-    buf.extend_from_slice(&(report.events.len() as u32).to_le_bytes());
-    for ev in &report.events {
-        let name = ev.name.as_bytes();
-        buf.extend_from_slice(&(name.len() as u16).to_le_bytes());
-        buf.extend_from_slice(name);
-        buf.extend_from_slice(&ev.ts_ns.to_le_bytes());
-        buf.extend_from_slice(&ev.dur_ns.to_le_bytes());
-        buf.extend_from_slice(&ev.lane.to_le_bytes());
-    }
-    buf
-}
-
-fn decode_events(buf: &[u8]) -> (usize, Vec<(String, u64, u64, u32)>) {
-    let mut at = 0usize;
-    let take = |at: &mut usize, n: usize| {
-        let s = &buf[*at..*at + n];
-        *at += n;
-        s
-    };
-    let rank = u32::from_le_bytes(take(&mut at, 4).try_into().unwrap()) as usize;
-    let n = u32::from_le_bytes(take(&mut at, 4).try_into().unwrap()) as usize;
-    let mut events = Vec::with_capacity(n);
-    for _ in 0..n {
-        let len = u16::from_le_bytes(take(&mut at, 2).try_into().unwrap()) as usize;
-        let name = String::from_utf8(take(&mut at, len).to_vec()).expect("span name utf8");
-        let ts = u64::from_le_bytes(take(&mut at, 8).try_into().unwrap());
-        let dur = u64::from_le_bytes(take(&mut at, 8).try_into().unwrap());
-        let lane = u32::from_le_bytes(take(&mut at, 4).try_into().unwrap());
-        events.push((name, ts, dur, lane));
-    }
-    (rank, events)
-}
-
 /// Track id of (rank, lane). Lane 0 keeps the bare rank id (the layout
 /// every existing consumer asserts on); worker lanes get disjoint ids
 /// above any plausible rank count.
@@ -141,11 +105,14 @@ pub fn export_trace_from<C: Communicator>(
     path: &Path,
     local: &LocalReport,
 ) -> std::io::Result<()> {
-    let gathered = comm.allgather_bytes(encode_events(comm.rank(), local));
+    let events: Vec<(String, u64, u64, u32)> = local
+        .events
+        .iter()
+        .map(|ev| (ev.name.to_string(), ev.ts_ns, ev.dur_ns, ev.lane))
+        .collect();
+    let gathered = comm.allgatherv(&events);
     if comm.rank() == 0 {
-        let mut per_rank: Vec<(usize, Vec<(String, u64, u64, u32)>)> =
-            gathered.iter().map(|b| decode_events(b)).collect();
-        per_rank.sort_by_key(|(rank, _)| *rank);
+        let per_rank: Vec<_> = gathered.into_iter().enumerate().collect();
         let mut out = std::io::BufWriter::new(std::fs::File::create(path)?);
         write_trace(&mut out, &per_rank)?;
         out.flush()?;

@@ -8,8 +8,9 @@
 //!
 //! - [`Recoverable`] is the contract a solver experiment implements —
 //!   build fresh, checkpoint (one CRC-framed segment blob per rank),
-//!   restore from a set of those blobs, advance one unit, and produce a
-//!   gathered, rank-count-independent final result. All three workspace
+//!   restore from a set of those blobs, advance one unit, and name the
+//!   values it checkpoints, which every attempt gathers into one
+//!   rank-count-independent [`AttemptResult`]. All three workspace
 //!   experiments (advection dG, seismic dG, mantle Stokes cG) implement it.
 //! - [`run_with_recovery`] launches SPMD attempts under an optional
 //!   [`FaultPlan`], stacking [`ReliableComm`] *above* the fault layer so
@@ -56,9 +57,6 @@ const DEADLINE: Duration = Duration::from_secs(60);
 pub trait Recoverable: Sync {
     /// Live per-rank solver state.
     type Solver;
-    /// Gathered, rank-count-independent final product (what the bitwise
-    /// oracle compares).
-    type Final: Clone + Send + 'static;
 
     /// Fresh build on this communicator (no checkpoint found).
     fn build<C: Communicator>(&self, comm: &C) -> Self::Solver;
@@ -81,8 +79,25 @@ pub trait Recoverable: Sync {
     fn checkpoint_every(&self) -> usize;
     /// Advance the solver by one unit. Collective.
     fn advance<C: Communicator>(&self, solver: &mut Self::Solver, comm: &C);
-    /// Gather the final result (redundantly on every rank). Collective.
-    fn finish<C: Communicator>(&self, solver: &Self::Solver, comm: &C) -> Self::Final;
+    /// This rank's part of the values the solver checkpoints, in its SFC
+    /// element order, and the simulated time its checkpoint carries.
+    /// Purely local.
+    fn state(&self, solver: &Self::Solver) -> (Vec<f64>, f64);
+}
+
+/// What one completed attempt produced, gathered redundantly on every
+/// rank: what the bitwise oracle compares.
+#[derive(Debug, Clone, PartialEq)]
+pub struct AttemptResult {
+    /// Every rank's [`Recoverable::state`] values in rank order. Ranks own
+    /// contiguous SFC intervals, so this is the global state in SFC
+    /// element order whatever the rank count.
+    pub solution: Vec<f64>,
+    /// The simulated time at the end of the run.
+    pub time: f64,
+    /// Units completed in total, including units replayed after a
+    /// restart.
+    pub steps: usize,
 }
 
 /// One checkpoint epoch in the buddy store: for each saving rank `i`,
@@ -235,9 +250,9 @@ impl Default for RecoveryOptions {
 
 /// Outcome of [`run_with_recovery`].
 #[derive(Debug, Clone)]
-pub struct RecoveryOutcome<F> {
+pub struct RecoveryOutcome {
     /// The completed run's gathered result.
-    pub result: F,
+    pub result: AttemptResult,
     /// SPMD launches needed (1 = no fault fired).
     pub attempts: usize,
     /// The injected crash that was caught, if any.
@@ -281,7 +296,7 @@ pub fn attempt<C: Communicator, R: Recoverable>(
     exp: &R,
     ckpt_root: &Path,
     opts: &RecoveryOptions,
-) -> (R::Final, RestoreSource) {
+) -> (AttemptResult, RestoreSource) {
     // Every rank scans the same shared state with the same logic, so all
     // ranks agree on the pick without communicating.
     let found = match &opts.buddy {
@@ -315,7 +330,13 @@ pub fn attempt<C: Communicator, R: Recoverable>(
         }
     }
 
-    (exp.finish(&solver, comm), restored)
+    let (mine, time) = exp.state(&solver);
+    let result = AttemptResult {
+        solution: comm.allgatherv(&mine).into_iter().flatten().collect(),
+        time,
+        steps: exp.units_done(&solver),
+    };
+    (result, restored)
 }
 
 /// The buddy mirror round at one checkpoint epoch: send my segment to
@@ -354,7 +375,7 @@ pub fn run_with_recovery<R: Recoverable>(
     ckpt_root: &Path,
     exp: &R,
     max_attempts: usize,
-) -> RecoveryOutcome<R::Final> {
+) -> RecoveryOutcome {
     let opts = RecoveryOptions {
         max_attempts,
         ..RecoveryOptions::default()
@@ -364,8 +385,8 @@ pub fn run_with_recovery<R: Recoverable>(
 
 /// Per-rank product of one attempt: the result plus the healing/fault
 /// counters harvested from that rank's communicator stack.
-struct RankReport<F> {
-    result: F,
+struct RankReport {
+    result: AttemptResult,
     source: RestoreSource,
     retry: Vec<(&'static str, u64)>,
     faults: Vec<(&'static str, u64)>,
@@ -384,7 +405,7 @@ fn flight_guarded_attempt<C: Communicator, R: Recoverable>(
     ckpt_root: &Path,
     opts: &RecoveryOptions,
     on_crash: impl Fn(),
-) -> (R::Final, RestoreSource) {
+) -> (AttemptResult, RestoreSource) {
     if opts.postmortem.is_none() {
         return attempt(comm, exp, ckpt_root, opts);
     }
@@ -462,7 +483,7 @@ pub fn run_with_recovery_opts<R: Recoverable>(
     ckpt_root: &Path,
     exp: &R,
     opts: &RecoveryOptions,
-) -> RecoveryOutcome<R::Final> {
+) -> RecoveryOutcome {
     let mut attempts = 0;
     let mut injected_crash = None;
     let mut failures = Vec::new();
@@ -481,7 +502,7 @@ pub fn run_with_recovery_opts<R: Recoverable>(
             (true, Some(plan)) => plan.clone(),
             _ => FaultPlan::default(),
         };
-        let run = catch_unwind(AssertUnwindSafe(|| -> Vec<RankReport<R::Final>> {
+        let run = catch_unwind(AssertUnwindSafe(|| -> Vec<RankReport> {
             run_spmd_with(
                 p,
                 Some(DEADLINE),

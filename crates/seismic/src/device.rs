@@ -22,8 +22,9 @@
 //!   traces through the split-phase halo on its own f32 wire lane
 //!   ([`forust_dg::halo::TAG_HALO_EXCHANGE_F32`]) — half the payload
 //!   bytes of the f64 lane on top of the existing trace restriction.
-//! - **Flush to zero.** Every pool job of a device step runs under
-//!   `FtzScope`, as GPU arithmetic does.
+//! - **Flush to zero.** Every pool job of a device step runs under the
+//!   f32 lane's [`fp_scope`](forust_dg::HaloLane::fp_scope), as GPU
+//!   arithmetic does.
 //!
 //! With one element per work unit the f32 arithmetic is element-local
 //! exactly like the f64 tier's, so device steps are bitwise identical
@@ -35,66 +36,13 @@
 //! identity — plane-wave closed forms in [`crate::model`] anchor the
 //! absolute error.
 
-use forust_comm::Communicator;
+use forust_comm::{max_nan, Communicator};
 use forust_dg::geometry::FaceGeo;
 use forust_dg::real::refill;
 use forust_dg::stepper::Stepper;
 use forust_dg::FaceTables;
 
-use crate::solver::{Kernel, SeismicSolver, Tier};
-
-/// Flush-to-zero scope for the f32 device sweeps. GPUs flush f32
-/// subnormals by default (CUDA's FTZ mode); on x86 we mirror that by
-/// setting the FTZ and DAZ bits of MXCSR for the duration of one device
-/// job — every pool job the stepper runs at `R = f32`, the RK update
-/// included (its f32 bits depend on it). Without it, the near-zero
-/// fields early in a run (a ramping Ricker source times a Gaussian spatial
-/// decay) are subnormal in f32 — normal in the host's f64 — and every
-/// flux FLOP traps into the microcode assist path, which measured as a
-/// ~5x whole-step slowdown.
-/// The previous control word is restored on drop so host f64 sweeps on
-/// the same pool threads keep strict IEEE subnormals.
-struct FtzScope {
-    #[cfg(target_arch = "x86_64")]
-    saved: u32,
-}
-
-impl FtzScope {
-    fn new() -> Self {
-        #[cfg(target_arch = "x86_64")]
-        {
-            // SAFETY: only toggles the subnormal handling bits (FTZ|DAZ
-            // = 0x8040); rounding mode and exception masks are preserved
-            // and the word is restored when the scope drops.
-            #[allow(deprecated)]
-            unsafe {
-                let saved = std::arch::x86_64::_mm_getcsr();
-                std::arch::x86_64::_mm_setcsr(saved | 0x8040);
-                FtzScope { saved }
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        FtzScope {}
-    }
-}
-
-impl Drop for FtzScope {
-    fn drop(&mut self) {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: restores the exact control word saved by `new`.
-        #[allow(deprecated)]
-        unsafe {
-            std::arch::x86_64::_mm_setcsr(self.saved);
-        }
-    }
-}
-
-/// The device tier: f32 with subnormals flushed.
-impl Tier for f32 {
-    fn fp_scope() -> impl Sized {
-        FtzScope::new()
-    }
-}
+use crate::solver::{Kernel, SeismicSolver};
 
 /// The device-resident state of one solver: f32 copies, in the host's
 /// layout, of everything the element kernel reads, with persistent
@@ -237,15 +185,16 @@ impl DeviceState {
     /// solver's f64 state: `max|q32 − q64| / max|q64|`. This is the
     /// quantity the accuracy tests bound (paper methodology: the f64
     /// run is the reference; single precision is checked against it).
+    /// `NaN` on every rank if either state holds a `NaN` anywhere.
     pub fn rel_error_vs_host(&self, s: &SeismicSolver, comm: &impl Communicator) -> f64 {
         let mut num = 0.0f64;
         let mut den = 0.0f64;
         for (&h, &d) in s.q.iter().zip(&self.q) {
-            num = num.max((d as f64 - h).abs());
-            den = den.max(h.abs());
+            num = max_nan(num, (d as f64 - h).abs());
+            den = max_nan(den, h.abs());
         }
-        let num = comm.allreduce(num, f64::max);
-        let den = comm.allreduce(den, f64::max);
+        let num = comm.allreduce_max_f64(num);
+        let den = comm.allreduce_max_f64(den);
         num / den.max(1e-300)
     }
 
@@ -348,5 +297,58 @@ mod tests {
             dev.to_host(&mut host);
             assert_ne!(host.q, before);
         });
+    }
+
+    /// One `NaN` on rank 1 of 2 — in the device state, then in the host
+    /// state — reaches both ranks' error and velocity maxima, which the
+    /// accuracy gates read, instead of being skipped by the fold.
+    #[test]
+    fn a_nan_on_one_rank_reaches_every_rank() {
+        let out = run_spmd(2, |comm| {
+            let conn = Arc::new(builders::unit3d());
+            let forest = Forest::<D3>::new_uniform(Arc::clone(&conn), comm, 1);
+            let map: Arc<dyn Mapping<D3> + Send + Sync> = Arc::new(LatticeMap::new(conn));
+            let cfg = SeismicConfig {
+                degree: 1,
+                min_level: 1,
+                max_level: 1,
+                ..Default::default()
+            };
+            let model = |_p: [f64; 3]| Material {
+                rho: 1.0,
+                vp: 1.8,
+                vs: 1.0,
+            };
+            let mut host = SeismicSolver::new(comm, forest, map, cfg, model);
+            host.q.iter_mut().for_each(|v| *v = 0.5);
+            let mut dev = DeviceState::from_host(&host);
+            let clean = (dev.rel_error_vs_host(&host, comm), host.max_velocity(comm));
+            if comm.rank() == 1 {
+                dev.q[2] = f32::NAN;
+            }
+            let dev_nan = dev.rel_error_vs_host(&host, comm);
+            if comm.rank() == 1 {
+                dev.q[2] = 0.5;
+                host.q[1] = f64::NAN;
+            }
+            let host_nan = (dev.rel_error_vs_host(&host, comm), host.max_velocity(comm));
+            (clean, dev_nan, host_nan)
+        });
+        for (rank, ((err, vmax), dev_nan, (host_err, host_vmax))) in out.into_iter().enumerate() {
+            assert_eq!(err, 0.0, "rank {rank}");
+            assert_eq!(vmax, 0.75f64.sqrt(), "rank {rank}");
+            assert!(
+                dev_nan.is_nan(),
+                "rank {rank}: device NaN hidden ({dev_nan})"
+            );
+            assert!(
+                host_err.is_nan(),
+                "rank {rank}: host NaN hidden ({host_err})"
+            );
+            assert!(
+                host_vmax.is_nan(),
+                "rank {rank}: velocity NaN hidden ({host_vmax})"
+            );
+        }
     }
 }

@@ -21,6 +21,6 @@ pub mod recovery;
 pub mod solver;
 
 pub use device::DeviceState;
-pub use model::{homogeneous, plane_wave_state, prem_like, prem_like_at, ricker, Material};
-pub use recovery::{SeismicAttemptResult, SeismicRecoverySetup};
+pub use model::{plane_wave_state, prem_like, prem_like_at, ricker, Material};
+pub use recovery::SeismicRecoverySetup;
 pub use solver::{SeismicConfig, SeismicSolver, SeismicTimers, NCOMP};

@@ -93,11 +93,6 @@ pub fn prem_like_at(x: [f64; 3]) -> Material {
     prem_like(r)
 }
 
-/// A homogeneous model (testing: plane waves have closed-form solutions).
-pub fn homogeneous(rho: f64, vp: f64, vs: f64) -> impl Fn([f64; 3]) -> Material {
-    move |_| Material { rho, vp, vs }
-}
-
 /// Ricker wavelet (second derivative of a Gaussian), peak frequency `f0`,
 /// centered at `t0`.
 pub fn ricker(t: f64, f0: f64, t0: f64) -> f64 {

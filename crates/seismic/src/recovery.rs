@@ -38,20 +38,8 @@ pub struct SeismicRecoverySetup {
     pub checkpoint_every: usize,
 }
 
-/// What one completed run produced (gathered redundantly on all ranks).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SeismicAttemptResult {
-    /// The global state vector in SFC element order.
-    pub solution: Vec<f64>,
-    /// Final simulated time.
-    pub time: f64,
-    /// Steps taken in total (including steps replayed from a restart).
-    pub steps: usize,
-}
-
 impl Recoverable for SeismicRecoverySetup {
     type Solver = SeismicSolver;
-    type Final = SeismicAttemptResult;
 
     fn build<C: Communicator>(&self, comm: &C) -> SeismicSolver {
         let conn = Arc::new((self.conn)());
@@ -90,15 +78,7 @@ impl Recoverable for SeismicRecoverySetup {
         solver.step(comm);
     }
 
-    fn finish<C: Communicator>(&self, solver: &SeismicSolver, comm: &C) -> SeismicAttemptResult {
-        // Ranks own contiguous SFC intervals, so concatenating the
-        // gathered per-rank fields yields the global state in SFC
-        // element order.
-        let gathered = comm.allgatherv(&solver.q);
-        SeismicAttemptResult {
-            solution: gathered.into_iter().flatten().collect(),
-            time: solver.time,
-            steps: solver.timers.steps,
-        }
+    fn state(&self, solver: &SeismicSolver) -> (Vec<f64>, f64) {
+        (solver.q.clone(), solver.time)
     }
 }

@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 use forust::connectivity::Connectivity;
 use forust::dim::D3;
 use forust::forest::{BalanceType, CheckpointError, Forest, SolverFormat};
-use forust_comm::Communicator;
+use forust_comm::{max_nan, Communicator};
 use forust_dg::geometry::{FaceGeo, MeshGeometry};
 use forust_dg::halo::{HaloData, HaloExchange, HaloLane};
 use forust_dg::kernels::{self, KernelWorkspace};
@@ -135,42 +135,36 @@ impl SeismicSolver {
         // lambda_min = vs_min / (2.5 f0) (Ricker bandwidth).
         let fmax = 2.5 * config.f0;
         let n = config.degree as f64;
-        for _ in 0..(config.max_level - config.min_level) {
-            let before = forest.num_global();
-            forest.refine(comm, false, |t, o| {
-                if o.level >= config.max_level {
-                    return false;
-                }
-                // Element size and minimum vs from the corner points.
-                let mut h: f64 = 0.0;
-                let mut vs_min = f64::INFINITY;
-                let corners: Vec<[f64; 3]> = (0..8)
-                    .map(|c| {
-                        let off = <D3 as forust::dim::Dim>::corner_offset(c);
-                        let xi = forust_geom::octant_ref_coords::<D3>(
-                            o,
-                            [off[0] as f64, off[1] as f64, off[2] as f64],
-                        );
-                        map.map(t, xi)
-                    })
-                    .collect();
-                for i in 0..8 {
-                    vs_min = vs_min.min(model(corners[i]).vs);
-                    for j in (i + 1)..8 {
-                        let d = (0..3)
-                            .map(|k| (corners[i][k] - corners[j][k]).powi(2))
-                            .sum::<f64>()
-                            .sqrt();
-                        h = h.max(d / 3f64.sqrt()); // diagonal -> edge scale
-                    }
-                }
-                let lambda_min = vs_min / fmax;
-                h > n * lambda_min / config.ppw
-            });
-            if forest.num_global() == before {
-                break;
+        forest.refine(comm, true, |t, o| {
+            if o.level >= config.max_level {
+                return false;
             }
-        }
+            // Element size and minimum vs from the corner points.
+            let mut h: f64 = 0.0;
+            let mut vs_min = f64::INFINITY;
+            let corners: Vec<[f64; 3]> = (0..8)
+                .map(|c| {
+                    let off = <D3 as forust::dim::Dim>::corner_offset(c);
+                    let xi = forust_geom::octant_ref_coords::<D3>(
+                        o,
+                        [off[0] as f64, off[1] as f64, off[2] as f64],
+                    );
+                    map.map(t, xi)
+                })
+                .collect();
+            for i in 0..8 {
+                vs_min = vs_min.min(model(corners[i]).vs);
+                for j in (i + 1)..8 {
+                    let d = (0..3)
+                        .map(|k| (corners[i][k] - corners[j][k]).powi(2))
+                        .sum::<f64>()
+                        .sqrt();
+                    h = h.max(d / 3f64.sqrt()); // diagonal -> edge scale
+                }
+            }
+            let lambda_min = vs_min / fmax;
+            h > n * lambda_min / config.ppw
+        });
         forest.balance(comm, BalanceType::Full);
         forest.partition(comm);
 
@@ -242,35 +236,24 @@ impl SeismicSolver {
                 ..Default::default()
             },
         };
-        s.dt = s.stable_dt(comm);
+        // The node's speed is the P-wave speed times `Σ_r |∇ξ_r|`.
+        let (degree, cfl) = (s.config.degree, s.config.cfl);
+        s.dt = s.geo.cfl_dt(comm, degree, cfl, |e, v, inv| {
+            let m = s.mat[e * npe + v];
+            let cp = ((m[1] + 2.0 * m[2]) / m[0]).sqrt();
+            let mut lam = 0.0;
+            for r in 0..3 {
+                let nrm = (inv[r][0].powi(2) + inv[r][1].powi(2) + inv[r][2].powi(2)).sqrt();
+                lam += cp * nrm;
+            }
+            lam
+        });
         s
     }
 
     /// Global unknown count (9 per node).
     pub fn num_global_unknowns(&self) -> u64 {
         self.forest.num_global() * (self.mesh.re.nodes_per_elem(3) * NCOMP) as u64
-    }
-
-    fn stable_dt(&self, comm: &impl Communicator) -> f64 {
-        let npe = self.mesh.re.nodes_per_elem(3);
-        let mut lam_max: f64 = 1e-30;
-        for e in 0..self.mesh.num_elements() {
-            let inv = self.geo.elem_inv(e);
-            for v in 0..npe {
-                let m = self.mat[e * npe + v];
-                let cp = ((m[1] + 2.0 * m[2]) / m[0]).sqrt();
-                let mut lam = 0.0;
-                for r in 0..3 {
-                    let nrm =
-                        (inv[v][r][0].powi(2) + inv[v][r][1].powi(2) + inv[v][r][2].powi(2)).sqrt();
-                    lam += cp * nrm;
-                }
-                lam_max = lam_max.max(lam);
-            }
-        }
-        let global = comm.allreduce_max_f64(lam_max);
-        let n = self.config.degree as f64;
-        self.config.cfl * 2.0 / (global * (n + 1.0) * (n + 1.0))
     }
 
     /// The disjoint parts of a step: the stepper, the halo, the state,
@@ -498,20 +481,6 @@ fn face_flux<R: Real>(
     }
 }
 
-/// A scalar tier the elastic kernel runs in: `f64` on the host, `f32` on
-/// the device ([`crate::device`]), each with the floating-point
-/// environment its pool jobs run under.
-pub(crate) trait Tier: HaloLane {
-    /// Enter the tier's floating-point environment: the guard is held
-    /// around every pool job of a step in this tier.
-    fn fp_scope() -> impl Sized;
-}
-
-/// The host tier: strict IEEE, nothing to set.
-impl Tier for f64 {
-    fn fp_scope() -> impl Sized {}
-}
-
 /// The elastic element kernel (velocity–strain volume terms, Ricker
 /// source, impedance-weighted penalty flux, mortar-consistent on 2:1
 /// faces): a borrowed view, in scalar tier `R`, of what the RHS of one
@@ -541,7 +510,7 @@ pub(crate) struct Kernel<'a, R = f64> {
 }
 
 /// One unit is one element: `npe * NCOMP` values, component-major.
-impl<R: Tier> RhsKernel<D3> for Kernel<'_, R> {
+impl<R: HaloLane> RhsKernel<D3> for Kernel<'_, R> {
     type Real = R;
     const NCOMP: usize = NCOMP;
     const GRAIN: usize = 4;
@@ -555,10 +524,6 @@ impl<R: Tier> RhsKernel<D3> for Kernel<'_, R> {
         let mut ws = KernelWorkspace::new();
         ws.configure(re.nodes_per_elem(3), re.nodes_per_face(3), NCOMP);
         ws
-    }
-
-    fn fp_scope() -> impl Sized {
-        R::fp_scope()
     }
 
     /// RHS of a single element via the kernel engine: nodal stress in the
@@ -1086,14 +1051,15 @@ impl SeismicSolver {
         ))
     }
 
-    /// Maximum velocity magnitude (diagnostic / wavefront indicator).
+    /// Maximum velocity magnitude (diagnostic / wavefront indicator);
+    /// `NaN` on every rank if any node's velocity is.
     pub fn max_velocity(&self, comm: &impl Communicator) -> f64 {
         let npe = self.mesh.re.nodes_per_elem(3);
         let mut m: f64 = 0.0;
         for e in 0..self.mesh.num_elements() {
             for v in 0..npe {
                 let s = node_state(&self.q, npe, e, v);
-                m = m.max((s[0] * s[0] + s[1] * s[1] + s[2] * s[2]).sqrt());
+                m = max_nan(m, (s[0] * s[0] + s[1] * s[1] + s[2] * s[2]).sqrt());
             }
         }
         comm.allreduce_max_f64(m)
@@ -1123,7 +1089,7 @@ mod tests {
 
     /// One RHS evaluation of every local element through `kernel`, behind
     /// a blocking trace exchange in the kernel's own precision.
-    fn rhs_all<R: Tier>(
+    fn rhs_all<R: HaloLane>(
         kernel: &Kernel<'_, R>,
         halo: &HaloExchange<D3>,
         comm: &impl Communicator,

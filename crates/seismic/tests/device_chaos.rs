@@ -19,9 +19,7 @@ use forust::forest::{CheckpointError, Forest};
 use forust_comm::{run_spmd, run_spmd_with, ChaosComm, Communicator, FaultPlan};
 use forust_geom::{Mapping, ShellMap};
 use forust_resilience::{attempt, run_with_recovery, Recoverable, RecoveryOptions};
-use forust_seismic::{
-    prem_like_at, DeviceState, SeismicAttemptResult, SeismicConfig, SeismicSolver,
-};
+use forust_seismic::{prem_like_at, DeviceState, SeismicConfig, SeismicSolver};
 
 /// Documented device error bound, as in `device_accuracy.rs`.
 const DEVICE_REL_BOUND: f64 = 2e-4;
@@ -52,7 +50,6 @@ fn geom(
 
 impl Recoverable for DeviceRecoverySetup {
     type Solver = (SeismicSolver, DeviceState);
-    type Final = SeismicAttemptResult;
 
     fn build<C: Communicator>(&self, comm: &C) -> Self::Solver {
         let host = build_host(comm, &self.config);
@@ -96,13 +93,8 @@ impl Recoverable for DeviceRecoverySetup {
         dev.to_host(host);
     }
 
-    fn finish<C: Communicator>(&self, solver: &Self::Solver, comm: &C) -> SeismicAttemptResult {
-        let gathered = comm.allgatherv(&solver.0.q);
-        SeismicAttemptResult {
-            solution: gathered.into_iter().flatten().collect(),
-            time: solver.0.time,
-            steps: solver.0.timers.steps,
-        }
+    fn state(&self, solver: &Self::Solver) -> (Vec<f64>, f64) {
+        (solver.0.q.clone(), solver.0.time)
     }
 }
 

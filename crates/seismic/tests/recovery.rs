@@ -10,8 +10,8 @@ use forust::connectivity::{builders, Connectivity};
 use forust::dim::D3;
 use forust_comm::{run_spmd, run_spmd_with, ChaosComm, FaultPlan, RankCrashed};
 use forust_geom::{Mapping, ShellMap};
-use forust_resilience::{attempt, run_with_recovery, RecoveryOptions};
-use forust_seismic::{prem_like_at, SeismicAttemptResult, SeismicConfig, SeismicRecoverySetup};
+use forust_resilience::{attempt, run_with_recovery, AttemptResult, RecoveryOptions};
+use forust_seismic::{prem_like_at, SeismicConfig, SeismicRecoverySetup};
 
 fn build_conn() -> Connectivity<D3> {
     builders::cubed_sphere()
@@ -46,7 +46,7 @@ fn tmpdir(name: &str) -> PathBuf {
     d
 }
 
-fn assert_bitwise_equal(a: &SeismicAttemptResult, b: &SeismicAttemptResult) {
+fn assert_bitwise_equal(a: &AttemptResult, b: &AttemptResult) {
     assert_eq!(a.steps, b.steps);
     assert_eq!(
         a.time.to_bits(),

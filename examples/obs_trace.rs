@@ -2,7 +2,7 @@
 //! per-rank recorder installed, ending in
 //!
 //! - `obs_out/trace.json` — Chrome Trace Event Format, one track per
-//!   rank; load it in <https://ui.perfetto.dev> to see the nested
+//!   rank and one per worker-pool lane that ran a span; load it in <https://ui.perfetto.dev> to see the nested
 //!   RK-stage / exchange / balance spans per rank, and
 //! - a paper-style per-phase percentage table plus cross-rank counter
 //!   statistics (octants moved, halo bytes, per-tag traffic), the
@@ -61,7 +61,7 @@ fn main() {
         let total_wall_s = t_wall.elapsed().as_secs_f64();
 
         // Cross-rank reduction (mpiP-style min/mean/max/imbalance) and
-        // the Perfetto trace, one track per rank.
+        // the Perfetto trace, one track per rank and worker lane.
         let report = Registry::collect(comm);
         export_trace(comm, &tp).expect("write trace.json");
 
@@ -99,10 +99,20 @@ fn main() {
 
             let text = std::fs::read_to_string(&tp).expect("read trace.json");
             let summary = validate_trace(&text).expect("trace.json must parse");
-            assert_eq!(
-                summary.tids.len(),
-                comm.size(),
-                "expected one trace track per rank"
+            // Every rank has its main track; the worker pool adds one
+            // track per lane at tid 4096·L + R.
+            let p = comm.size() as i64;
+            for rank in 0..p {
+                let tids = &summary.tids;
+                assert!(
+                    tids.contains(&rank),
+                    "no main track for rank {rank}: {tids:?}"
+                );
+            }
+            let tids = &summary.tids;
+            assert!(
+                tids.iter().all(|t| t % 4096 < p),
+                "a track maps to no rank: {tids:?}"
             );
             for name in ["advect.step", "rk.stage", "rhs.interior", "forest.balance"] {
                 assert!(summary.names.contains(name), "span {name} missing in trace");

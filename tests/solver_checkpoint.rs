@@ -155,7 +155,6 @@ struct Recording<R> {
 
 impl<R: Recoverable> Recoverable for Recording<R> {
     type Solver = (R::Solver, usize);
-    type Final = R::Final;
 
     fn build<C: Communicator>(&self, comm: &C) -> Self::Solver {
         (self.exp.build(comm), comm.rank())
@@ -184,8 +183,8 @@ impl<R: Recoverable> Recoverable for Recording<R> {
     fn advance<C: Communicator>(&self, solver: &mut Self::Solver, comm: &C) {
         self.exp.advance(&mut solver.0, comm);
     }
-    fn finish<C: Communicator>(&self, solver: &Self::Solver, comm: &C) -> Self::Final {
-        self.exp.finish(&solver.0, comm)
+    fn state(&self, solver: &Self::Solver) -> (Vec<f64>, f64) {
+        self.exp.state(&solver.0)
     }
 }
 
