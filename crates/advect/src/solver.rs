@@ -8,7 +8,7 @@ use forust::dim::D3;
 use forust::forest::{BalanceType, CheckpointError, Forest, SolverFormat};
 use forust::linear;
 use forust::octant::Octant;
-use forust_comm::{max_nan, Communicator};
+use forust_comm::{max_nan, nan_range, Communicator};
 use forust_dg::element::RefElement;
 use forust_dg::geometry::{Carry, MeshGeometry};
 use forust_dg::halo::{HaloData, HaloExchange};
@@ -305,9 +305,10 @@ impl RhsKernel<D3> for Kernel<'_> {
         let npe = re.nodes_per_elem(3);
         let npf = re.nodes_per_face(3);
         // Split-borrow the workspace: cm lives in face_a, the neighbor's
-        // aligned trace (or mine at the mortar points, then the weighted
-        // mortar flux) in face_b, the fine neighbor's trace and the
-        // lifted flux in nbr; face_c is the face operators' scratch.
+        // aligned trace, then the lifted flux (or mine at the mortar
+        // points, then the weighted mortar flux) in face_b, a coarse
+        // neighbor's staged or a fine neighbor's trace and the lifted
+        // mortar flux in nbr; face_c is the face operators' scratch.
         let KernelWorkspace {
             grad,
             face_a,
@@ -347,54 +348,84 @@ impl RhsKernel<D3> for Kernel<'_> {
                 &mut grad[..3 * npe],
                 out_e,
             );
-            // Surface terms.
-            for f in 0..6 {
-                let ef = e * self.mesh.nfaces + f;
-                let fidx = &cache.face_idx[f];
-                let cm = &mut face_a[..npf];
-                for (c, &i) in cm.iter_mut().zip(fidx.iter()) {
+            // Surface terms. A face point adds `lift·(un·cm − un·up)`, `up`
+            // the upwind trace; where `un ≥ 0` that is `lift·(+0.0)` for
+            // every finite `un·cm`, so an all-outflow face reads neither
+            // trace (a non-finite `cm` already made the volume term at that
+            // node non-finite: the LGL derivative's endpoint `D₀₀ ≠ 0`).
+            let own = |cm: &mut [f64], fidx: &[usize]| {
+                for (c, &i) in cm.iter_mut().zip(fidx) {
                     *c = ce[i];
                 }
+            };
+            for f in 0..6 {
+                let ef = e * self.mesh.nfaces + f;
+                let fidx = &cache.face_idx[f][..];
+                let rec = &cache.face_rec[ef * npf..][..npf];
+                let cm = &mut face_a[..npf];
                 match self.mesh.face(e, f) {
                     FaceConn::Boundary => {
                         // Tangential velocity at shell boundaries: the
                         // reflective flux difference vanishes identically.
                     }
+                    FaceConn::Conforming { .. } | FaceConn::CoarseNbr { .. }
+                        if cache.face_out[ef] =>
+                    {
+                        for (&v, &[_, lift]) in fidx.iter().zip(rec) {
+                            out_e[v] += lift * 0.0;
+                        }
+                    }
                     FaceConn::Conforming { nbr, nbr_face, op }
                     | FaceConn::CoarseNbr { nbr, nbr_face, op } => {
+                        // Stage the neighbour's aligned trace in `cp`: one
+                        // gather through the composed index (then a coarse
+                        // neighbour's 2:1 sweeps), or the ghost trace.
                         let cp = &mut face_b[..npf];
                         if let ElemRef::Local(_) = nbr {
-                            // One gather through the composed index, then
-                            // a coarse neighbour's 2:1 sweeps.
                             let at = &cache.nbr_gather[ef * npf..][..npf];
-                            let staged = &mut nbr_buf[..npf];
-                            for (c, &k) in staged.iter_mut().zip(at) {
-                                *c = q[k as usize];
+                            let gather = |to: &mut [f64]| {
+                                for (c, &k) in to.iter_mut().zip(at) {
+                                    *c = q[k as usize];
+                                }
+                            };
+                            if op.half.is_some() {
+                                let staged = &mut nbr_buf[..npf];
+                                gather(staged);
+                                FaceOp { orient: 0, ..*op }.apply(tab, 3, staged, face_c, cp);
+                            } else {
+                                gather(cp);
                             }
-                            FaceOp { orient: 0, ..*op }.apply(tab, 3, staged, face_c, cp);
                         } else {
                             nbr_trace(*op, *nbr, *nbr_face, face_c, cp);
                         }
-                        let rec = &cache.face_rec[ef * npf..][..npf];
-                        for (j, &[un, lift]) in rec.iter().enumerate() {
-                            let fstar = if un >= 0.0 { un * cm[j] } else { un * cp[j] };
-                            out_e[fidx[j]] += lift * (un * cm[j] - fstar);
+                        own(cm, fidx);
+                        // The lifted flux difference replaces the trace,
+                        // then one scatter-add.
+                        for ((x, &m), &[un, lift]) in cp.iter_mut().zip(&*cm).zip(rec) {
+                            let up = if un >= 0.0 { m } else { *x };
+                            *x = lift * (un * m - un * up);
+                        }
+                        for (&v, &x) in fidx.iter().zip(&*cp) {
+                            out_e[v] += x;
                         }
                     }
                     FaceConn::FineNbrs { subs } => {
+                        own(cm, fidx);
                         let moff = cache.mortar_off[ef] as usize;
                         for (s, sub) in subs.iter().enumerate() {
                             let mortar = &mut face_b[..npf];
                             let their = &mut nbr_buf[..npf];
                             sub.op.apply(tab, 3, cm, face_c, mortar);
-                            nbr_trace(FaceOp::IDENTITY, sub.nbr, sub.nbr_face, face_c, their);
+                            // An all-outflow sub-face never selects theirs.
+                            if !cache.mortar_out[moff / npf + s] {
+                                nbr_trace(FaceOp::IDENTITY, sub.nbr, sub.nbr_face, face_c, their);
+                            }
                             // Quadrature-weighted upwind flux difference
                             // at the mortar points, in place of my trace.
                             let rec = &cache.mortar_rec[moff + s * npf..][..npf];
-                            for (j, &[un, w]) in rec.iter().enumerate() {
-                                let mine = mortar[j];
-                                let fstar = if un >= 0.0 { un * mine } else { un * their[j] };
-                                mortar[j] = w * (un * mine - fstar);
+                            for ((x, &t), &[un, w]) in mortar.iter_mut().zip(&*their).zip(rec) {
+                                let up = if un >= 0.0 { *x } else { t };
+                                *x = w * (un * *x - un * up);
                             }
                             // Lift back through the mortar transpose.
                             let lifted = their;
@@ -526,20 +557,15 @@ impl AdvectSolver {
         let t0 = Instant::now();
         let npe = self.mesh.re.nodes_per_elem(3);
 
-        // Per-element indicator: nodal range, NaN if a node is NaN (where
-        // `f64::min`/`max` would skip it). A NaN compares false against
-        // both tolerances: that element is neither refined nor coarsened.
+        // Per-element indicator: nodal range, NaN if a node is NaN. A NaN
+        // compares false against both tolerances: that element is neither
+        // refined nor coarsened.
         let old = self.forest.clone();
-        let mut indicator: Vec<f64> = Vec::with_capacity(self.mesh.num_elements());
-        for e in 0..self.mesh.num_elements() {
-            let ce = &self.c[e * npe..(e + 1) * npe];
-            let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-            for &v in ce {
-                lo = if v.is_nan() || v < lo { v } else { lo };
-                hi = max_nan(hi, v);
-            }
-            indicator.push(hi - lo);
-        }
+        let indicator: Vec<f64> = self
+            .c
+            .chunks_exact(npe)
+            .map(|ce| nan_range(ce.iter().copied()))
+            .collect();
         let nonfinite = indicator.iter().filter(|r| !r.is_finite()).count();
         forust_obs::counter_add("advect.nonfinite_elements", nonfinite as u64);
         // Indicator lookup for arbitrary octants of the OLD forest.
@@ -715,6 +741,11 @@ struct Caches {
     /// Offset into `mortar_rec` per `(element, face)` (`u32::MAX` when the
     /// face carries no mortar).
     mortar_off: Vec<u32>,
+    /// Per `(element, face)`: `u·n ≥ 0` at every node of `face_rec`.
+    face_out: Vec<bool>,
+    /// Per mortar sub-face (`mortar_rec` offset / `npf`): `u·n ≥ 0` at
+    /// every mortar point.
+    mortar_out: Vec<bool>,
     /// Inverse Jacobians repacked as SoA planes (`9 * npe` per element,
     /// [`kernels::pack_volume_soa`] layout) so the fused volume
     /// contraction loads unit-stride.
@@ -762,6 +793,8 @@ impl Caches {
             nbr_gather: Vec::with_capacity(nel * nf * npf),
             mortar_rec: Vec::with_capacity(old.mortar_rec.len()),
             mortar_off: Vec::with_capacity(nel * nf),
+            face_out: Vec::new(),
+            mortar_out: Vec::new(),
             metr_soa: Vec::with_capacity(nel * 9 * npe),
             vel_soa: Vec::with_capacity(nel * 3 * npe),
         };
@@ -835,10 +868,18 @@ impl Caches {
                 }
             }
         }
+        // The outflow flags follow the records, carried or fresh.
+        let outflow = |recs: &[[f64; 2]]| -> Vec<bool> {
+            let all_out = |r: &[[f64; 2]]| r.iter().all(|&[un, _]| un >= 0.0);
+            recs.chunks_exact(npf).map(all_out).collect()
+        };
+        self.face_out = outflow(&self.face_rec);
+        self.mortar_out = outflow(&self.mortar_rec);
     }
 }
 
-/// Nodal range of a function over one element (pre-adaptation indicator).
+/// Nodal range of a function over one element (pre-adaptation
+/// indicator), NaN if the function is NaN at a node.
 fn element_range_of_fn(
     re: &RefElement,
     map: &dyn Mapping<D3>,
@@ -847,21 +888,163 @@ fn element_range_of_fn(
     f: fn([f64; 3]) -> f64,
 ) -> f64 {
     let np = re.np;
-    let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-    for k in 0..np {
-        for j in 0..np {
-            for i in 0..np {
-                let frac = [
-                    0.5 * (re.nodes[i] + 1.0),
-                    0.5 * (re.nodes[j] + 1.0),
-                    0.5 * (re.nodes[k] + 1.0),
-                ];
-                let xi = forust_geom::octant_ref_coords(o, frac);
-                let v = f(map.map(t, xi));
-                lo = lo.min(v);
-                hi = hi.max(v);
+    let x = |i: usize| 0.5 * (re.nodes[i] + 1.0);
+    nan_range((0..np * np * np).map(|n| {
+        let frac = [x(n % np), x(n / np % np), x(n / (np * np))];
+        f(map.map(t, forust_geom::octant_ref_coords(o, frac)))
+    }))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use forust::connectivity::builders;
+    use forust_comm::run_spmd;
+    use forust_geom::ShellMap;
+
+    use crate::{four_fronts, rotation_velocity};
+
+    fn shell_solver(
+        comm: &impl Communicator,
+        conn: Connectivity<D3>,
+        config: AdvectConfig,
+        init: fn([f64; 3]) -> f64,
+    ) -> AdvectSolver {
+        let conn = Arc::new(conn);
+        let forest = Forest::<D3>::new_uniform(Arc::clone(&conn), comm, config.initial_level);
+        let map = Arc::new(ShellMap::new(conn, 0.55, 1.0));
+        AdvectSolver::new(comm, forest, map, config, init, rotation_velocity)
+    }
+
+    /// The `advect_amr` benchmark's mesh and field at degree 3 has every
+    /// kind of face the surface pass tells apart — all-outflow,
+    /// all-inflow and mixed conforming or coarse-neighbour faces, and
+    /// all-outflow as well as other mortar sub-faces — so the bitwise
+    /// suites run the outflow skip.
+    #[test]
+    fn benchmark_mesh_has_every_face_class() {
+        run_spmd(2, |comm| {
+            let config = AdvectConfig {
+                initial_level: 2,
+                max_level: 3,
+                cfl: 0.4,
+                ..AdvectConfig::default()
+            };
+            let s = shell_solver(comm, builders::shell24(), config, four_fronts);
+            let npf = s.mesh.re.nodes_per_face(3);
+            let c = &s.caches;
+            // [all-outflow, all-inflow, mixed] faces, [outflow, other] subs.
+            let (mut faces, mut subs) = ([0u64; 3], [0u64; 2]);
+            for (ef, face) in s.mesh.faces.iter().enumerate() {
+                match face {
+                    FaceConn::Conforming { .. } | FaceConn::CoarseNbr { .. } => {
+                        let rec = &c.face_rec[ef * npf..][..npf];
+                        let inflow = rec.iter().all(|&[un, _]| un < 0.0);
+                        faces[if c.face_out[ef] {
+                            0
+                        } else if inflow {
+                            1
+                        } else {
+                            2
+                        }] += 1;
+                    }
+                    FaceConn::FineNbrs { subs: fine } => {
+                        let first = c.mortar_off[ef] as usize / npf;
+                        for out in &c.mortar_out[first..first + fine.len()] {
+                            subs[usize::from(!out)] += 1;
+                        }
+                    }
+                    FaceConn::Boundary => {}
+                }
             }
+            for (n, what) in faces.into_iter().chain(subs).zip([
+                "all-outflow faces",
+                "all-inflow faces",
+                "mixed faces",
+                "all-outflow mortar sub-faces",
+                "other mortar sub-faces",
+            ]) {
+                assert!(comm.allreduce_sum_u64(n) > 0, "no {what}");
+            }
+        });
+    }
+
+    /// Zero outside a ball, as in the golden tests.
+    fn compact_bump(x: [f64; 3]) -> f64 {
+        let d = (x[0] * x[0] + (x[1] - 0.775).powi(2) + x[2] * x[2]).sqrt();
+        let b = (1.0 - d / 0.3).max(0.0);
+        b * b
+    }
+
+    /// On a conforming mesh the engine RHS is the oracle's bit for bit,
+    /// down to the sign of zero: where the field vanishes the volume term
+    /// is `-0.0`, and every face node of an interior face — all-outflow
+    /// faces included — turns it into `+0.0`.
+    #[test]
+    fn rhs_keeps_the_oracles_zero_signs() {
+        run_spmd(1, |comm| {
+            let config = AdvectConfig {
+                initial_level: 2,
+                min_level: 2,
+                max_level: 2,
+                ..AdvectConfig::default()
+            };
+            let s = shell_solver(comm, builders::cubed_sphere(), config, compact_bump);
+            let kernel = Kernel {
+                mesh: &s.mesh,
+                geo: &s.geo,
+                caches: &s.caches,
+                velocity: s.velocity,
+            };
+            let npe = kernel.unit_len();
+            let (mut engine, mut oracle) = (vec![0.0; s.c.len()], vec![0.0; s.c.len()]);
+            let mut ws = kernel.new_scratch();
+            let mut nbr_buf = Vec::new();
+            for e in 0..s.mesh.num_elements() {
+                let out_e = &mut engine[e * npe..(e + 1) * npe];
+                kernel.rhs_unit(&s.c, e, 0.0, None, &mut ws, out_e);
+                kernel.rhs_element_reference(&s.c, e, None, &mut nbr_buf, &mut oracle);
+            }
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&engine), bits(&oracle));
+            let signed_zeros = |sign: bool| {
+                engine
+                    .iter()
+                    .filter(|&&x| x == 0.0 && x.is_sign_negative() == sign)
+                    .count()
+            };
+            assert!(signed_zeros(true) > 0 && signed_zeros(false) > 0);
+        });
+    }
+
+    /// A NaN or an inf at a node inside one all-outflow face — a node on
+    /// no other face, so the surface pass adds only `lift·(+0.0)` there
+    /// in place of its non-finite jump — stays non-finite after a step:
+    /// the volume term at that node already is.
+    #[test]
+    fn nonfinite_value_survives_a_step() {
+        for bad in [f64::NAN, f64::INFINITY] {
+            run_spmd(2, |comm| {
+                let config = AdvectConfig {
+                    initial_level: 2,
+                    min_level: 2,
+                    max_level: 2,
+                    ..AdvectConfig::default()
+                };
+                let mut s = shell_solver(comm, builders::cubed_sphere(), config, compact_bump);
+                let (npe, nf, np) = (s.mesh.re.nodes_per_elem(3), s.mesh.nfaces, s.mesh.re.np);
+                let interior = |f: &FaceConn| {
+                    matches!(f, FaceConn::Conforming { .. } | FaceConn::CoarseNbr { .. })
+                };
+                let ef = (0..s.mesh.faces.len())
+                    .find(|&ef| s.caches.face_out[ef] && interior(&s.mesh.faces[ef]))
+                    .expect("an all-outflow interior face");
+                // Face-lattice node (1, 1): inside the face.
+                let at = (ef / nf) * npe + s.caches.face_idx[ef % nf][np + 1];
+                s.c[at] = bad;
+                s.step(comm);
+                assert!(!s.c[at].is_finite(), "{bad} healed");
+            });
         }
     }
-    hi - lo
 }

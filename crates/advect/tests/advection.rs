@@ -268,3 +268,42 @@ fn nan_element_is_neither_coarsened_nor_refined() {
         assert!(s.num_global_elements() < 384);
     });
 }
+
+#[test]
+fn nan_initial_value_leaves_its_octant_unrefined() {
+    // Every octant with a finite nodal range would refine; the field is
+    // NaN on the half-space x > 0.5. An octant with a NaN node has a NaN
+    // pre-refinement range, so it stays at the initial level — where a
+    // `f64::min`/`max` fold would see only its finite nodes and refine.
+    run_spmd(2, |comm| {
+        let conn = Arc::new(builders::cubed_sphere());
+        let forest = Forest::<D3>::new_uniform(Arc::clone(&conn), comm, 1);
+        let map = Arc::new(ShellMap::new(conn, 0.55, 1.0));
+        let config = AdvectConfig {
+            degree: 2,
+            initial_level: 1,
+            min_level: 1,
+            max_level: 2,
+            adapt_every: usize::MAX,
+            cfl: 0.4,
+            refine_tol: -1.0,
+            coarsen_tol: -1.0,
+        };
+        let half_nan = |x: [f64; 3]| if x[0] > 0.5 { f64::NAN } else { x[1] };
+        let s = AdvectSolver::new(comm, forest, map, config, half_nan, rotation_velocity);
+        let npe = s.mesh.re.nodes_per_elem(3);
+        let (mut nan_fine, mut nan_coarse, mut fine) = (0u64, 0u64, 0u64);
+        for (e, (_, o)) in s.mesh.elements.iter().enumerate() {
+            let nan = s.c[e * npe..(e + 1) * npe].iter().any(|v| v.is_nan());
+            match (nan, o.level) {
+                (true, 2) => nan_fine += 1,
+                (true, _) => nan_coarse += 1,
+                (false, 2) => fine += 1,
+                _ => {}
+            }
+        }
+        assert_eq!(comm.allreduce_sum_u64(nan_fine), 0, "NaN octant refined");
+        assert!(comm.allreduce_sum_u64(nan_coarse) > 0, "no NaN octant");
+        assert!(comm.allreduce_sum_u64(fine) > 0, "nothing refined");
+    });
+}

@@ -7,7 +7,8 @@
 //!   the Balance/Ghost/Nodes rows interleaved against their oracles;
 //! - octant keys: Morton sums and point location over the level-3 forest;
 //! - the split-phase halo exchange on 4 ranks, with bytes on the wire;
-//! - the 4-rank advect step with the worker pool at 1 and 4 lanes;
+//! - the 4-rank advect step with the worker pool at 1 and 4 lanes, the
+//!   1-lane step interleaved against the pre-engine `step_reference`;
 //! - one mantle Stokes operator application on the `mantle_picard`
 //!   workload's 1728-element mesh, one rank;
 //! - the dG kernel engine (DESIGN.md §7d) at N=3/5/6 against the
@@ -18,6 +19,7 @@
 //! bench thread's phase table go to `BENCH_micro.json` at the repo root
 //! (see `forust_bench::Micro`); the CI bench-smoke job gates on them.
 
+use std::cell::RefCell;
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
@@ -229,11 +231,24 @@ fn bench_spmd_step(bench: &mut Micro) {
                 AdvectSolver::new(comm, forest, map, config, four_fronts, rotation_velocity);
             let elems = comm.allreduce_sum_u64(s.mesh.num_elements() as u64) as usize;
             s.step(comm); // warm caches, pool threads and halo scratch
-            let [us] = best_us_sync(comm, 7, [&mut || s.step(comm)]);
-            (elems, us)
+            let s = RefCell::new(s);
+            let mut step = || s.borrow_mut().step(comm);
+            // One lane: the engine step against the pre-engine oracle
+            // step, interleaved on the same solver.
+            let [us, reference_us] = if workers == 1 {
+                let mut reference = || s.borrow_mut().step_reference(comm);
+                best_us_sync(comm, 7, [&mut step, &mut reference])
+            } else {
+                [best_us_sync(comm, 7, [&mut step])[0], 0.0]
+            };
+            (elems, us, reference_us)
         });
         forust_pool::set_worker_override(None);
-        bench.record(name, out[0].0, out[0].1, None);
+        let (elems, us, reference_us) = out[0];
+        bench.record(name, elems, us, None);
+        if workers == 1 {
+            bench.record("advect_step_reference_w1", elems, reference_us, None);
+        }
     }
 }
 

@@ -70,7 +70,7 @@ pub use chaos::{ChaosComm, CrashPoint, FaultPlan, RankCrashed};
 pub use communicator::{Communicator, PendingExchange, TAG_COLLECTIVE};
 pub use error::CommError;
 pub use reliable::ReliableComm;
-pub use repro::{allreduce_max_abs, allreduce_sum_f64_exact, max_nan, FixedPoint};
+pub use repro::{allreduce_max_abs, allreduce_sum_f64_exact, max_nan, nan_range, FixedPoint};
 pub use stats::{StatsSnapshot, TagTraffic, TrafficStats};
 pub use thread::{run_spmd, run_spmd_with, ThreadComm};
 pub use wire::{crc32, frame, read_vec, try_read_vec, unframe, write_vec, FrameError, Wire};

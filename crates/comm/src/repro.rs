@@ -211,6 +211,18 @@ pub fn max_nan(a: f64, b: f64) -> f64 {
     }
 }
 
+/// `hi − lo` over `values`, or a `NaN` if any value is one, where a
+/// `f64::min`/`max` fold skips it: a range indicator that met a `NaN`
+/// compares false against every threshold. `-inf` when there are none.
+pub fn nan_range(values: impl IntoIterator<Item = f64>) -> f64 {
+    let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+    for v in values {
+        lo = if v.is_nan() || v < lo { v } else { lo };
+        hi = max_nan(hi, v);
+    }
+    hi - lo
+}
+
 /// Largest `|t|` over `terms`, as `0.0` when there are none; a `NaN` if
 /// any term is one.
 ///
@@ -541,5 +553,23 @@ mod tests {
         // 3.5 * 1/2 and 3.5 * 1/4 via integer grid arithmetic.
         assert_eq!(fx.decode(fx.mul_quarters(q, 2)), 1.75);
         assert_eq!(fx.decode(fx.mul_quarters(q, 1)), 0.875);
+    }
+
+    /// `nan_range` is `max − min` on finite and infinite values and a
+    /// `NaN` wherever a `NaN` sits, which a `f64::min`/`max` fold drops.
+    #[test]
+    fn nan_range_is_the_range_unless_a_nan_is_in_it() {
+        assert_eq!(nan_range([2.0, -1.5, 0.5]), 3.5);
+        assert_eq!(nan_range([7.0]), 0.0);
+        assert_eq!(nan_range([1.0, f64::INFINITY]), f64::INFINITY);
+        assert_eq!(nan_range([]), f64::NEG_INFINITY);
+        for at in 0..3 {
+            let mut v = [1.0, 4.0, -2.0];
+            v[at] = f64::NAN;
+            assert!(nan_range(v).is_nan(), "NaN at {at}");
+            let skipping = v.iter().fold(f64::NEG_INFINITY, |m, &x| m.max(x))
+                - v.iter().fold(f64::INFINITY, |m, &x| m.min(x));
+            assert!(!skipping.is_nan());
+        }
     }
 }

@@ -6,7 +6,7 @@ use std::time::{Duration, Instant};
 use forust::connectivity::Connectivity;
 use forust::dim::D3;
 use forust::forest::{BalanceType, CheckpointError, Forest, SolverFormat};
-use forust_comm::{max_nan, Communicator};
+use forust_comm::{nan_range, Communicator};
 use forust_geom::Mapping;
 
 use crate::fem::StokesFem;
@@ -119,22 +119,20 @@ impl MantleSolver {
             if o.level >= config.max_level {
                 return false;
             }
-            let mut tmin = f64::INFINITY;
-            let mut tmax = f64::NEG_INFINITY;
+            // A NaN temperature leaves the octant as it is (unless weak).
+            let mut temp = [0.0; 8];
             let mut weak = false;
-            for c in 0..8 {
+            for (c, tv) in temp.iter_mut().enumerate() {
                 let off = <D3 as forust::dim::Dim>::corner_offset(c);
                 let xi = forust_geom::octant_ref_coords::<D3>(
                     o,
                     [off[0] as f64, off[1] as f64, off[2] as f64],
                 );
                 let x = map.map(t, xi);
-                let tv = crate::rheology::synthetic_temperature(x);
-                tmin = tmin.min(tv);
-                tmax = tmax.max(tv);
+                *tv = crate::rheology::synthetic_temperature(x);
                 weak |= crate::rheology::plate_boundary_factor(&config.rheology, x) < 1.0;
             }
-            weak || tmax - tmin > 0.15
+            weak || nan_range(temp) > 0.15
         });
         forest.balance(comm, BalanceType::Full);
         forest.partition(comm);
@@ -318,20 +316,14 @@ impl MantleSolver {
         let _span = forust_obs::span!("mantle.adapt");
         let t0 = Instant::now();
         // Per-element indicator: range of log-viscosity over qps, NaN if
-        // a qp's is (where `f64::min`/`max` would skip it). A NaN compares
-        // false against the threshold: that element is not refined.
+        // a qp's is. A NaN compares false against the threshold: that
+        // element is not refined.
         let nel = self.fem.num_elements();
-        let mut ind = Vec::with_capacity(nel);
-        for e in 0..nel {
-            let mut lo = f64::INFINITY;
-            let mut hi = f64::NEG_INFINITY;
-            for q in 0..8 {
-                let v = self.fem.eta_qp[e * 8 + q].ln();
-                lo = if v.is_nan() || v < lo { v } else { lo };
-                hi = max_nan(hi, v);
-            }
-            ind.push(hi - lo);
-        }
+        let eta = &self.fem.eta_qp[..nel * 8];
+        let ind: Vec<f64> = eta
+            .chunks_exact(8)
+            .map(|qp| nan_range(qp.iter().map(|v| v.ln())))
+            .collect();
         let nonfinite = ind.iter().filter(|r| !r.is_finite()).count();
         forust_obs::counter_add("mantle.nonfinite_elements", nonfinite as u64);
         let map: std::collections::HashMap<(u32, u64, u8), f64> = self
