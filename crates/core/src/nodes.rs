@@ -127,23 +127,18 @@ impl<S: BuildHasher> Interner<S> {
     /// Intern `key` as an independent node.
     fn independent(&mut self, key: NodeKey) -> u32 {
         let i = self.intern(key);
-        match self.drafts[i as usize] {
-            Draft::Unset => self.drafts[i as usize] = Draft::Independent,
-            Draft::Independent => {}
-            Draft::Hanging { .. } => {
-                panic!("node {i} classified both independent and hanging (constraint chain?)")
-            }
+        if let Draft::Unset = self.drafts[i as usize] {
+            self.drafts[i as usize] = Draft::Independent;
         }
+        self.check(i, false);
         i
     }
 
     /// Intern `key` as a node hanging from `parents`.
     fn hanging(&mut self, key: NodeKey, parents: Vec<u32>, rel: [u16; 2], entity_dim: u8) -> u32 {
         let i = self.intern(key);
+        self.check(i, true);
         match self.drafts[i as usize] {
-            Draft::Independent => {
-                panic!("node {i} classified both hanging and independent (constraint chain?)")
-            }
             // Another element constrained the same node. The records may
             // differ structurally — e.g. a node on the shared edge of two
             // hanging faces is recorded against either coarse face — but
@@ -163,6 +158,19 @@ impl<S: BuildHasher> Interner<S> {
         }
         i
     }
+
+    /// Panic if node `i` is already classified the other way.
+    fn check(&self, i: u32, hanging: bool) {
+        match (&self.drafts[i as usize], hanging) {
+            (Draft::Hanging { .. }, false) => {
+                panic!("node {i} classified both independent and hanging (constraint chain?)")
+            }
+            (Draft::Independent, true) => {
+                panic!("node {i} classified both hanging and independent (constraint chain?)")
+            }
+            _ => {}
+        }
+    }
 }
 
 /// How one face or edge of an element hangs: the coarser neighbor leaf
@@ -180,6 +188,9 @@ struct Hang<'a, D: Dim> {
     dim: usize,
     /// Point map into the coarse tree frame.
     route: Route<'a>,
+    /// The entity's index in the walk's entity list, which is also its
+    /// parent's entity in the family probe cache.
+    ent: usize,
 }
 
 impl<D: Dim> Hang<'_, D> {
@@ -281,7 +292,17 @@ impl<D: Dim> Forest<D> {
     /// - the *in-root probe*: a neighbor box inside the root is its own
     ///   single image (`Route::Interior`), with no image enumeration;
     /// - the *interior-point canon*: a strictly interior point's only
-    ///   image is itself.
+    ///   image is itself;
+    /// - *key-array probes*: leaves are searched on plain Morton keys read
+    ///   once per walk. A leaf's SFC key `(m, l)` is at most a region's
+    ///   finest first descendant `(p, MAX_LEVEL)` exactly when `m <= p`,
+    ///   so the same leaf is found;
+    /// - the *family lattice memo*: a visit to a point of the parent's
+    ///   `(2N+1)^d` lattice that a sibling already made the same way,
+    ///   through no hanging entity or through the same probe cache entry,
+    ///   finds every key it would intern already interned and its draft
+    ///   already recorded, so it takes the node the sibling took. It
+    ///   re-checks the draft, and any other visit takes the full path.
     fn nodes_walk<const FAST: bool, S: BuildHasher + Default>(
         &self,
         comm: &impl Communicator,
@@ -294,8 +315,29 @@ impl<D: Dim> Forest<D> {
         let dim = D::DIM as usize;
         let big = D::root_len();
 
+        // The probe keys: each tree's local-leaf Morton keys, and the
+        // ghosts' `(tree, Morton)`.
+        let (local_keys, ghost_keys): (Vec<Vec<u64>>, Vec<(TreeId, u64)>) = if FAST {
+            let trees = 0..self.conn.num_trees() as TreeId;
+            let local = trees.map(|t| self.tree(t).iter().map(Octant::morton).collect());
+            let ghosts = ghost.ghosts.iter().map(|(t, g)| (*t, g.morton()));
+            (local.collect(), ghosts.collect())
+        } else {
+            Default::default()
+        };
         // Leaf lookup across local storage and the ghost layer.
         let find_leaf = |t: TreeId, region: &Octant<D>| -> Option<Octant<D>> {
+            if FAST {
+                let m = region.morton();
+                let i = local_keys[t as usize].partition_point(|&k| k <= m);
+                let local = i.checked_sub(1).map(|i| self.tree(t)[i]);
+                if let Some(leaf) = local.filter(|leaf| leaf.contains(region)) {
+                    return Some(leaf);
+                }
+                let i = ghost_keys.partition_point(|&k| k <= (t, m));
+                let (k, leaf) = ghost.ghosts[i.checked_sub(1)?];
+                return (k == t && leaf.contains(region)).then_some(leaf);
+            }
             if let Some((_, leaf)) = self.find_local_containing(t, region) {
                 return Some(*leaf);
             }
@@ -331,12 +373,23 @@ impl<D: Dim> Forest<D> {
         // The family probe cache: per entity, the parent's probe result.
         let mut family = None;
         let mut probes = vec![None; entities.len()];
+        // The family lattice memo: per point of the parent's `(2N+1)^d`
+        // lattice, the node a sibling interned there, how it got there
+        // (`1` through no hanging entity, `2 + ent` through entity `ent`,
+        // `0` not yet) and whether it hangs.
+        let side = 2 * npe_1d - 1;
+        let mut memo = vec![(0u32, 0u8, false); if FAST { side.pow(D::DIM) } else { 0 }];
+        let mut reused = 0u64;
         for (t, o) in self.iter_local() {
             let (h, level, cid) = (o.len(), o.level, o.child_id());
             if FAST && level > 0 && family != Some((t, o.parent())) {
                 family = Some((t, o.parent()));
                 probes.fill(None);
+                memo.fill((0, 0, false));
             }
+            // This child's corner on the parent lattice.
+            let base = |d: usize| degree * ((cid >> d) & 1);
+            let memo_on = FAST && level > 0;
             // The leaf one level coarser containing an image, if any.
             let coarser = |k2: TreeId, m: Octant<D>, route| {
                 find_leaf(k2, &m)
@@ -390,6 +443,7 @@ impl<D: Dim> Forest<D> {
                     axes: [0; 2],
                     dim: 0,
                     route,
+                    ent,
                 };
                 for d in 0..dim {
                     if fixed(d) {
@@ -423,13 +477,34 @@ impl<D: Dim> Forest<D> {
                         let hang = hangs
                             .iter()
                             .find(|g| (0..dim).all(|d| g.at[d] < 0 || g.at[d] == idx[d]));
-                        element_nodes.push(match hang {
+                        // A sibling's visit to the same lattice point the
+                        // same way already interned everything this visit
+                        // would: the same key, or through the same probe
+                        // cache entry the same parents and record.
+                        let kind = hang.map_or(1, |g| 2 + g.ent as u8);
+                        let slot = base(0) + ix + side * (base(1) + iy + side * (base(2) + iz));
+                        if memo_on && memo[slot].1 == kind {
+                            let (i, _, hanging) = memo[slot];
+                            nodes.check(i, hanging);
+                            element_nodes.push(i);
+                            reused += 1;
+                            continue;
+                        }
+                        let i = match hang {
                             Some(g) => g.node(n, pos, &mut nodes, &canon),
                             None => nodes.independent(canon(t, pos)),
-                        });
+                        };
+                        if memo_on {
+                            let hanging = matches!(nodes.drafts[i as usize], Draft::Hanging { .. });
+                            memo[slot] = (i, kind, hanging);
+                        }
+                        element_nodes.push(i);
                     }
                 }
             }
+        }
+        if FAST {
+            forust_obs::counter_add("nodes.family_reuse", reused);
         }
 
         self.nodes_finish(comm, degree, element_nodes, nodes)
@@ -1233,5 +1308,82 @@ mod tests {
                 }
             });
         }
+    }
+
+    fn assert_same(a: &Nodes, b: &Nodes, ctx: &str) {
+        assert_eq!(a.keys, b.keys, "{ctx}");
+        assert_eq!(a.status, b.status, "{ctx}");
+        assert_eq!(a.element_nodes, b.element_nodes, "{ctx}");
+        assert_eq!(a.num_owned, b.num_owned, "{ctx}");
+        assert_eq!(a.global_offset, b.global_offset, "{ctx}");
+        assert_eq!(a.num_global, b.num_global, "{ctx}");
+        assert_eq!(a.shared_with, b.shared_with, "{ctx}");
+    }
+
+    /// The family lattice memo and the key-array probes on the
+    /// `forest_fractal` benchmark's forest shape at its quick size:
+    /// rotcubes6 at base level 1, the fractal rule three levels deep with
+    /// either child set, full balance; and the same rule on a row of
+    /// three quadtrees. Each runs
+    /// on 1, 2 and 3 ranks, and at the rank counts `cut_at` names a sibling
+    /// family straddles a cut. Shortcuts on and off agree field for field
+    /// at degrees 1 to 3, and the `nodes.family_reuse` counter shows the
+    /// memo served visits.
+    #[test]
+    fn family_memo_is_exact_on_fractal_forests() {
+        fn check<D: Dim>(
+            conn: fn() -> crate::connectivity::Connectivity<D>,
+            sets: [u8; 2],
+            cut_at: &[usize],
+        ) {
+            for set in sets {
+                for p in [1usize, 2, 3] {
+                    run_spmd(p, |comm| {
+                        forust_obs::install(comm.rank());
+                        let mut f = Forest::<D>::new_uniform(Arc::new(conn()), comm, 1);
+                        f.refine(comm, true, |_, o| {
+                            o.level < 4 && set >> o.child_id() & 1 == 1
+                        });
+                        f.partition(comm);
+                        f.balance(comm, BalanceType::Full);
+                        f.partition(comm);
+                        // The families of each rank's first and last leaf.
+                        let ends: Vec<(TreeId, Octant<D>)> =
+                            [f.first_local(), f.iter_local().last().map(|(t, o)| (t, *o))]
+                                .into_iter()
+                                .flatten()
+                                .filter(|(_, o)| o.level > 0)
+                                .map(|(t, o)| (t, o.parent()))
+                                .collect();
+                        let ends = comm.allgatherv(&ends);
+                        let cut = ends
+                            .windows(2)
+                            .any(|w| w[0].last().is_some() && w[0].last() == w[1].first());
+                        let ctx =
+                            format!("{}D set {set:#b}, {p} ranks, rank {}", D::DIM, comm.rank());
+                        assert_eq!(cut, cut_at.contains(&p), "{ctx}: a family is cut");
+                        let ghost = f.ghost(comm);
+                        for degree in 1..=3 {
+                            let a = f.nodes(comm, &ghost, degree);
+                            let b = f.nodes_reference(comm, &ghost, degree);
+                            assert_same(&a, &b, &format!("{ctx}, N={degree}"));
+                        }
+                        let report = forust_obs::uninstall().expect("a recorder");
+                        let reused = report
+                            .counters
+                            .iter()
+                            .find(|(k, _)| k == "nodes.family_reuse");
+                        assert!(
+                            reused.is_some_and(|&(_, v)| v > 0),
+                            "{ctx}: the memo never served"
+                        );
+                    });
+                }
+            }
+        }
+        check::<crate::dim::D3>(builders::rotcubes6, [0b0110_1001, 0b1001_0110], &[2, 3]);
+        // Two ranks cut this forest between families.
+        let row = || builders::brick2d(3, 1, false, false);
+        check::<crate::dim::D2>(row, [0b1001, 0b0110], &[3]);
     }
 }
