@@ -4,7 +4,8 @@
 //!
 //! - the core forest algorithms (the building blocks whose scaling Fig. 4
 //!   measures) on the level-2 and level-3 fractal forests, one rank, with
-//!   the Balance/Ghost/Nodes rows interleaved against their oracles;
+//!   the Balance/Ghost/Nodes rows interleaved against their oracles, and
+//!   Ghost and Nodes again on the level-3 forest cut across 2 ranks;
 //! - octant keys: Morton sums and point location over the level-3 forest;
 //! - the split-phase halo exchange on 4 ranks, with bytes on the wire;
 //! - the 4-rank advect step with the worker pool at 1 and 4 lanes, the
@@ -39,26 +40,27 @@ use forust_geom::{Mapping, ShellMap};
 use forust_mantle::{MantleConfig, MantleSolver};
 use forust_obs::metrics::Registry;
 
-fn fractal_forest(level: u8) -> (ThreadComm, Forest<D3>) {
-    let comm = ThreadComm::create(1).pop().unwrap();
+/// The rotcubes6 fractal: uniform at `level`, children {0, 3, 5, 6}
+/// refined two levels deeper.
+fn fractal(comm: &impl Communicator, level: u8) -> Forest<D3> {
     let conn = Arc::new(builders::rotcubes6());
-    let mut f = Forest::<D3>::new_uniform(conn, &comm, level);
+    let mut f = Forest::<D3>::new_uniform(conn, comm, level);
     let maxl = level + 2;
-    f.refine(&comm, true, |_, o| {
+    f.refine(comm, true, |_, o| {
         o.level < maxl && matches!(o.child_id(), 0 | 3 | 5 | 6)
     });
-    (comm, f)
+    f
 }
 
 /// Refine, Balance, Ghost, Nodes and Partition on the fractal forest of
 /// `level`, the Balance and Nodes rows interleaved with their oracles,
 /// and Ghost too where `ghost_oracle` says so.
 fn bench_forest(bench: &mut Micro, level: u8, reps: usize, ghost_oracle: bool) -> Forest<D3> {
-    let (comm, forest) = fractal_forest(level);
+    let comm = ThreadComm::create(1).pop().unwrap();
+    let forest = fractal(&comm, level);
     let n = forest.num_local();
     bench.run(format!("refine_fractal_l{level}"), n, reps, || {
-        let n = fractal_forest(level).1.num_local();
-        assert!(n > 0);
+        assert!(fractal(&comm, level).num_local() > 0);
     });
     bench.run_interleaved(
         [
@@ -118,6 +120,45 @@ fn bench_forest(bench: &mut Micro, level: u8, reps: usize, ghost_oracle: bool) -
     balanced
 }
 
+/// Ghost and Nodes on the balanced level-3 fractal forest cut across 2
+/// thread ranks of one worker each, each row interleaved with its
+/// oracle; rank 0's wall. On one rank the ghost layer is empty and every
+/// tree is owned outright, so only these rows time ghost probes and the
+/// owner search in a cut tree.
+fn bench_forest_p2(bench: &mut Micro, reps: usize) {
+    forust_pool::set_worker_override(Some(1));
+    let out = run_spmd(2, |comm| {
+        let mut f = fractal(comm, 3);
+        f.balance(comm, BalanceType::Full);
+        f.partition(comm);
+        let octants = comm.allreduce_sum_u64(f.num_local() as u64) as usize;
+        let ghost = best_us_sync(
+            comm,
+            reps,
+            [
+                &mut || assert!(!f.ghost(comm).ghosts.is_empty()),
+                &mut || assert!(!f.ghost_reference(comm).ghosts.is_empty()),
+            ],
+        );
+        let g = f.ghost(comm);
+        let nodes = best_us_sync(
+            comm,
+            reps,
+            [
+                &mut || assert!(f.nodes(comm, &g, 1).num_local() > 0),
+                &mut || assert!(f.nodes_reference(comm, &g, 1).num_local() > 0),
+            ],
+        );
+        (octants, ghost, nodes)
+    });
+    forust_pool::set_worker_override(None);
+    let (octants, [ghost, ghost_oracle], [nodes, nodes_oracle]) = out[0];
+    bench.record("ghost_p2_l3", octants, ghost, None);
+    bench.record("ghost_oracle_p2_l3", octants, ghost_oracle, None);
+    bench.record("nodes_degree1_p2_l3", octants, nodes, None);
+    bench.record("nodes_oracle_p2_l3", octants, nodes_oracle, None);
+}
+
 /// The per-RK-stage communication of the dG solvers on 4 ranks over the
 /// level-3 fractal forest: full-payload ghost exchange vs the face-trace
 /// pipeline, with bytes on the wire per stage, the same trace exchange
@@ -132,12 +173,7 @@ fn bench_halo(bench: &mut Micro) {
         // and worker-pool busy counters attribute to the right rank. The
         // cross-rank report is returned for the no-cross-talk check.
         forust_obs::install(comm.rank());
-        let conn = Arc::new(builders::rotcubes6());
-        let mut f = Forest::<D3>::new_uniform(conn, comm, 3);
-        let maxl = 5;
-        f.refine(comm, true, |_, o| {
-            o.level < maxl && matches!(o.child_id(), 0 | 3 | 5 | 6)
-        });
+        let mut f = fractal(comm, 3);
         f.balance(comm, BalanceType::Full);
         f.partition(comm);
         let mesh = DgMesh::build(&f, comm, 3);
@@ -584,6 +620,9 @@ fn main() {
     drop(sec);
     let sec = forust_obs::span!("bench.l3");
     let balanced3 = bench_forest(&mut bench, 3, 5, true);
+    drop(sec);
+    let sec = forust_obs::span!("bench.l3_p2");
+    bench_forest_p2(&mut bench, 5);
     drop(sec);
 
     // Pure octant-key throughput: sum of Morton keys over the forest,

@@ -223,25 +223,34 @@ impl<D: Dim> Forest<D> {
                                 if items[..i].last().is_some_and(sibling) {
                                     continue;
                                 }
+                                let mut emit = |k2: TreeId, m: Octant<D>| {
+                                    let (rlo, rhi) = this.owner_range(k2, &m);
+                                    if rlo != rhi {
+                                        // The region spans ranks, so no
+                                        // leaf contains it: nothing to
+                                        // enforce.
+                                        return;
+                                    }
+                                    // A child of the region, at o's level,
+                                    // asks exactly that no leaf coarser
+                                    // than the region holds it.
+                                    let req = m.child(0);
+                                    if rlo == me {
+                                        pend[k2 as usize].push(req);
+                                    } else {
+                                        rem[rlo].push((k2, req));
+                                    }
+                                };
                                 for d in dirs {
                                     let r = parent.neighbor(d[0], d[1], d[2]);
+                                    // A region inside the root is its own
+                                    // single image.
+                                    if r.is_inside_root() {
+                                        emit(t, r);
+                                        continue;
+                                    }
                                     for (k2, m, _) in this.conn.exterior_images_routed(t, &r) {
-                                        let (rlo, rhi) = this.owner_range(k2, &m);
-                                        if rlo != rhi {
-                                            // The region spans ranks, so no
-                                            // leaf contains it: nothing to
-                                            // enforce.
-                                            continue;
-                                        }
-                                        // A child of the region, at o's
-                                        // level, asks exactly that no leaf
-                                        // coarser than the region holds it.
-                                        let req = m.child(0);
-                                        if rlo == me {
-                                            pend[k2 as usize].push(req);
-                                        } else {
-                                            rem[rlo].push((k2, req));
-                                        }
+                                        emit(k2, m);
                                     }
                                 }
                             }

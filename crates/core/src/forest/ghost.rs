@@ -117,7 +117,7 @@ fn descend<D: Dim>(
     if !touch(o, n) {
         return;
     }
-    for (k2, s) in f.conn.exterior_images(t, n) {
+    for (k2, s, _) in f.conn.exterior_images_routed(t, n) {
         let (rlo, rhi) = f.owner_range(k2, &s);
         if rlo == rhi {
             if rlo != me {
@@ -182,7 +182,7 @@ fn insulation_local<D: Dim>(f: &Forest<D>, t: TreeId, b: &Octant<D>, me: usize) 
                     continue;
                 }
                 let n = b.neighbor(dx, dy, dz);
-                for (k2, s) in f.conn.exterior_images(t, &n) {
+                for (k2, s, _) in f.conn.exterior_images_routed(t, &n) {
                     if f.owner_range(k2, &s) != (me, me) {
                         return false;
                     }

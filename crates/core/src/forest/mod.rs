@@ -3,11 +3,13 @@
 //! Octant storage is **fully distributed** (paper §II-B): each rank owns a
 //! contiguous segment of the forest-wide space-filling curve, stored as one
 //! sorted leaf array per tree. The only globally shared, per-rank metadata
-//! is the partition marker — the octant count and the (tree, coordinates,
-//! level) of the first octant of every rank, the paper's "32 bytes per
-//! core". Owner ranks of arbitrary octants are found by binary search over
-//! these markers in `O(log P)`, and local octants by binary search in the
-//! sorted leaf arrays in `O(log N_p)`.
+//! is the partition marker — the octant count and the SFC position (tree,
+//! Morton key, level) of the first octant of every rank, 24 bytes per core
+//! against the paper's 32. Owner ranks of arbitrary octants are found by
+//! binary search over these markers in `O(log P)`, or in `O(1)` in a tree
+//! one rank owns outright (a per-tree table derived from the same markers),
+//! and local octants by binary search in the sorted leaf arrays in
+//! `O(log N_p)`.
 //!
 //! The algorithms of §II-C:
 //! - [`Forest::new_uniform`] — `New`: equi-partitioned uniform forest, no
@@ -56,6 +58,9 @@ pub(crate) fn sfc_pos<D: Dim>(tree: TreeId, o: &Octant<D>) -> SfcPos {
     (tree, m, l)
 }
 
+/// `Forest::tree_owner`'s entry for a tree the partition cuts.
+const CUT: u32 = u32::MAX;
+
 /// The distributed forest of octrees.
 ///
 /// All methods that communicate take the rank's [`Communicator`]; the
@@ -66,10 +71,13 @@ pub struct Forest<D: Dim> {
     pub conn: Arc<Connectivity<D>>,
     /// Local leaves per tree (index = tree id; empty if none owned).
     trees: Vec<Vec<Octant<D>>>,
-    /// First-octant marker of every rank, plus a sentinel
-    /// `(num_trees, root)` at index `P`. Empty ranks repeat their
+    /// SFC position of every rank's first octant, plus a sentinel
+    /// `(num_trees, 0, 0)` at index `P`. Empty ranks repeat their
     /// successor's marker.
-    markers: Vec<(TreeId, Octant<D>)>,
+    markers: Vec<SfcPos>,
+    /// Per tree, the one rank owning all of it, or [`CUT`] where a
+    /// partition boundary runs through it.
+    tree_owner: Vec<u32>,
     /// Octant counts per rank.
     counts: Vec<u64>,
 }
@@ -105,6 +113,7 @@ impl<D: Dim> Forest<D> {
             conn,
             trees,
             markers: Vec::new(),
+            tree_owner: Vec::new(),
             counts: Vec::new(),
         };
         forest.update_meta(comm);
@@ -123,6 +132,7 @@ impl<D: Dim> Forest<D> {
             conn,
             trees,
             markers: Vec::new(),
+            tree_owner: Vec::new(),
             counts: Vec::new(),
         };
         forest.update_meta(comm);
@@ -144,16 +154,39 @@ impl<D: Dim> Forest<D> {
         let all = comm.allgather(mine);
         let p = comm.size();
         self.counts = all.iter().map(|x| x.0).collect();
-        let sentinel = (self.conn.num_trees() as TreeId, Octant::<D>::root());
-        let mut markers = vec![sentinel; p + 1];
+        let k = self.conn.num_trees() as TreeId;
+        let mut markers = vec![(k, 0, 0); p + 1];
         for r in (0..p).rev() {
             markers[r] = if all[r].0 > 0 {
-                (all[r].1, all[r].2)
+                sfc_pos(all[r].1, &all[r].2)
             } else {
                 markers[r + 1]
             };
         }
         self.markers = markers;
+        // Segments are contiguous, so the rank owning a tree's first and
+        // last atom owns the whole tree. Local refinement moves no atom to
+        // another rank, so the table stays valid inside Balance's rounds.
+        self.tree_owner = vec![CUT; k as usize];
+        for t in 0..k {
+            let (lo, hi) = self.owner_range(t, &Octant::root());
+            if lo == hi {
+                self.tree_owner[t as usize] = lo as u32;
+            }
+        }
+    }
+
+    /// The rank whose segment holds SFC position `key`: `O(log P)` binary
+    /// search over the partition markers (paper §II-B).
+    fn owner_by_key(&self, key: SfcPos) -> usize {
+        let markers = &self.markers[..self.markers.len() - 1];
+        markers.partition_point(|m| *m <= key).saturating_sub(1)
+    }
+
+    /// The one rank owning all of tree `t`, if a single rank does.
+    pub(crate) fn tree_owner(&self, t: TreeId) -> Option<usize> {
+        let r = self.tree_owner[t as usize];
+        (r != CUT).then_some(r as usize)
     }
 
     /// First locally owned `(tree, octant)`, in SFC order.
@@ -201,22 +234,24 @@ impl<D: Dim> Forest<D> {
     }
 
     /// The rank owning the finest-level atom at the anchor of `o` in tree
-    /// `t` — `O(log P)` binary search over the partition markers
-    /// (paper §II-B).
+    /// `t` — `O(1)` in a tree one rank owns outright, else `O(log P)`
+    /// binary search over the partition markers (paper §II-B).
     pub fn owner_of_atom(&self, t: TreeId, o: &Octant<D>) -> usize {
         debug_assert!(o.is_inside_root());
-        let key = sfc_pos(t, &o.first_descendant(D::MAX_LEVEL));
-        let idx = self.markers[..self.markers.len() - 1]
-            .partition_point(|(mt, mo)| sfc_pos(*mt, mo) <= key);
-        idx.saturating_sub(1)
+        self.tree_owner(t)
+            .unwrap_or_else(|| self.owner_by_key((t, o.morton(), D::MAX_LEVEL)))
     }
 
     /// The inclusive rank range owning leaves that overlap octant `o` of
     /// tree `t`.
     pub fn owner_range(&self, t: TreeId, o: &Octant<D>) -> (usize, usize) {
-        let lo = self.owner_of_atom(t, &o.first_descendant(D::MAX_LEVEL));
-        let hi = self.owner_of_atom(t, &o.last_descendant(D::MAX_LEVEL));
-        (lo, hi)
+        debug_assert!(o.is_inside_root());
+        if let Some(r) = self.tree_owner(t) {
+            return (r, r);
+        }
+        let last = o.last_descendant(D::MAX_LEVEL).morton();
+        let lo = self.owner_by_key((t, o.morton(), D::MAX_LEVEL));
+        (lo, self.owner_by_key((t, last, D::MAX_LEVEL)))
     }
 
     /// Find the local leaf equal to or containing `o`, if this rank owns
@@ -288,8 +323,8 @@ impl<D: Dim> Forest<D> {
             "shared count out of date"
         );
         // Marker matches first octant.
-        if let Some((t, o)) = self.first_local() {
-            assert_eq!(self.markers[comm.rank()], (t, o), "marker out of date");
+        if let Some(first) = self.first_local().map(|(t, o)| sfc_pos(t, &o)) {
+            assert_eq!(self.markers[comm.rank()], first, "marker out of date");
         }
         // Global completeness per tree, and rank-ordered segments.
         let mine: Vec<(u32, Octant<D>)> = self.iter_local().map(|(t, o)| (t, *o)).collect();

@@ -24,7 +24,8 @@
 //!
 //! Storage is fully distributed: each rank holds one contiguous segment of
 //! the space-filling curve; globally shared metadata is only the partition
-//! markers — the paper's "32 bytes per core".
+//! markers (an SFC position and an octant count, 24 bytes per core against
+//! the paper's 32) and one `u32` per tree naming the rank that owns it whole.
 
 pub mod connectivity;
 pub mod dim;

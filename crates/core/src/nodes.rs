@@ -135,7 +135,7 @@ impl<S: BuildHasher> Interner<S> {
     }
 
     /// Intern `key` as a node hanging from `parents`.
-    fn hanging(&mut self, key: NodeKey, parents: Vec<u32>, rel: [u16; 2], entity_dim: u8) -> u32 {
+    fn hanging(&mut self, key: NodeKey, parents: &[u32], rel: [u16; 2], entity_dim: u8) -> u32 {
         let i = self.intern(key);
         self.check(i, true);
         match self.drafts[i as usize] {
@@ -150,7 +150,7 @@ impl<S: BuildHasher> Interner<S> {
             Draft::Hanging { entity_dim: e0, .. } if e0 >= entity_dim => {}
             _ => {
                 self.drafts[i as usize] = Draft::Hanging {
-                    parents,
+                    parents: parents.to_vec(),
                     rel,
                     entity_dim,
                 }
@@ -195,13 +195,15 @@ struct Hang<'a, D: Dim> {
 
 impl<D: Dim> Hang<'_, D> {
     /// Classify the node at scaled position `pos` of the element's tree:
-    /// intern the coarse entity's `(N+1)^dim` lattice as its parents and
-    /// record its rational position in the coarse entity. A position that
-    /// is even on every axis coincides with a parent and is independent.
+    /// intern the coarse entity's `(N+1)^dim` lattice as its parents into
+    /// `lattice`, unless it holds them already, and record the node's
+    /// rational position in the coarse entity. A position that is even on
+    /// every axis coincides with a parent and is independent.
     fn node<S: BuildHasher>(
         &self,
         n: i32,
         pos: [i32; 3],
+        lattice: &mut Vec<u32>,
         nodes: &mut Interner<S>,
         canon: &impl Fn(TreeId, [i32; 3]) -> NodeKey,
     ) -> u32 {
@@ -216,15 +218,19 @@ impl<D: Dim> Hang<'_, D> {
             debug_assert_eq!((2 * delta) % hc, 0, "node off the half-lattice");
             *r = (2 * delta / hc) as u16;
         }
-        if rel.iter().all(|r| r % 2 == 0) {
-            return nodes.independent(canon(self.tree, p2));
-        }
-        // The lattice, first axis fastest. Off the entity axes a parent
-        // keeps the node's coordinates: a hanging face's nodes already lie
-        // in the coarse leaf's boundary plane.
         let npe_1d = n as usize + 1;
-        let parents = (0..npe_1d.pow(self.dim as u32))
-            .map(|j| {
+        if rel.iter().all(|r| r % 2 == 0) {
+            let Some(&i) = lattice.get(rel[0] as usize / 2 + npe_1d * (rel[1] as usize / 2)) else {
+                return nodes.independent(canon(self.tree, p2));
+            };
+            nodes.check(i, false);
+            return i;
+        }
+        if lattice.is_empty() {
+            // The lattice, first axis fastest. Off the entity axes a
+            // parent keeps the node's coordinates: a hanging face's nodes
+            // already lie in the coarse leaf's boundary plane.
+            lattice.extend((0..npe_1d.pow(self.dim as u32)).map(|j| {
                 let mut q = p2;
                 let mut rest = j;
                 for &a in axes {
@@ -232,9 +238,11 @@ impl<D: Dim> Hang<'_, D> {
                     rest /= npe_1d;
                 }
                 nodes.independent(canon(self.tree, q))
-            })
-            .collect();
-        nodes.hanging(canon(self.tree, p2), parents, rel, self.dim as u8)
+            }));
+        } else {
+            lattice.iter().for_each(|&i| nodes.check(i, false));
+        }
+        nodes.hanging(canon(self.tree, p2), lattice, rel, self.dim as u8)
     }
 }
 
@@ -302,7 +310,15 @@ impl<D: Dim> Forest<D> {
     ///   through no hanging entity or through the same probe cache entry,
     ///   finds every key it would intern already interned and its draft
     ///   already recorded, so it takes the node the sibling took. It
-    ///   re-checks the draft, and any other visit takes the full path.
+    ///   re-checks the draft, and any other visit takes the full path;
+    /// - *ownership-aware probes*: a tree this rank owns outright holds
+    ///   no ghost, so a probe there skips the ghost search;
+    /// - the *family lattice cache*: every node hanging through one probe
+    ///   cache entry has the same coarse entity and so the same parent
+    ///   lattice. The first such node interns it in lattice order; later
+    ///   ones re-check its drafts instead of re-interning keys that
+    ///   exist, and an all-even visit reads its parent from the lattice
+    ///   only once the lattice exists, so no key's interning moves.
     fn nodes_walk<const FAST: bool, S: BuildHasher + Default>(
         &self,
         comm: &impl Communicator,
@@ -333,6 +349,10 @@ impl<D: Dim> Forest<D> {
                 let local = i.checked_sub(1).map(|i| self.tree(t)[i]);
                 if let Some(leaf) = local.filter(|leaf| leaf.contains(region)) {
                     return Some(leaf);
+                }
+                // No ghost lives in a tree this rank owns outright.
+                if self.tree_owner(t) == Some(comm.rank()) {
+                    return None;
                 }
                 let i = ghost_keys.partition_point(|&k| k <= (t, m));
                 let (k, leaf) = ghost.ghosts[i.checked_sub(1)?];
@@ -379,13 +399,17 @@ impl<D: Dim> Forest<D> {
         // `0` not yet) and whether it hangs.
         let side = 2 * npe_1d - 1;
         let mut memo = vec![(0u32, 0u8, false); if FAST { side.pow(D::DIM) } else { 0 }];
-        let mut reused = 0u64;
+        // The family lattice cache: per probe cache entry, the coarse
+        // entity's parent lattice once a node hangs through it.
+        let mut lattices = vec![Vec::new(); entities.len()];
+        let (mut reused, mut lattice_reused) = (0u64, 0u64);
         for (t, o) in self.iter_local() {
             let (h, level, cid) = (o.len(), o.level, o.child_id());
             if FAST && level > 0 && family != Some((t, o.parent())) {
                 family = Some((t, o.parent()));
                 probes.fill(None);
                 memo.fill((0, 0, false));
+                lattices.iter_mut().for_each(Vec::clear);
             }
             // This child's corner on the parent lattice.
             let base = |d: usize| degree * ((cid >> d) & 1);
@@ -491,7 +515,14 @@ impl<D: Dim> Forest<D> {
                             continue;
                         }
                         let i = match hang {
-                            Some(g) => g.node(n, pos, &mut nodes, &canon),
+                            Some(g) => {
+                                let lattice = &mut lattices[g.ent];
+                                if !FAST {
+                                    lattice.clear();
+                                }
+                                lattice_reused += u64::from(!lattice.is_empty());
+                                g.node(n, pos, lattice, &mut nodes, &canon)
+                            }
                             None => nodes.independent(canon(t, pos)),
                         };
                         if memo_on {
@@ -505,6 +536,7 @@ impl<D: Dim> Forest<D> {
         }
         if FAST {
             forust_obs::counter_add("nodes.family_reuse", reused);
+            forust_obs::counter_add("nodes.lattice_reuse", lattice_reused);
         }
 
         self.nodes_finish(comm, degree, element_nodes, nodes)
@@ -563,7 +595,7 @@ impl<D: Dim> Forest<D> {
         let mut owned: Vec<u32> = (0..num_nodes as u32)
             .filter(|&i| owners[i as usize] == me)
             .collect();
-        owned.sort_by_key(|&i| keys[i as usize]);
+        owned.sort_unstable_by_key(|&i| keys[i as usize]);
         let num_owned = owned.len();
         let global_offset = comm.exscan_sum_u64(num_owned as u64);
         let num_global = comm.allreduce_sum_u64(num_owned as u64);
@@ -1385,5 +1417,50 @@ mod tests {
         // Two ranks cut this forest between families.
         let row = || builders::brick2d(3, 1, false, false);
         check::<crate::dim::D2>(row, [0b1001, 0b0110], &[3]);
+    }
+
+    /// The family lattice cache: shortcuts on and off agree field for
+    /// field at degrees 1 to 3 on 1 to 3 ranks, and the cache serves
+    /// visits. On rotcubes6, trees 0, 2 and 4 are refined along their
+    /// edge `y = z = 0`, which in tree 0 is the axis four trees share, so
+    /// faces and edges hang across trees; the 2D forest is the fractal on
+    /// the Möbius strip.
+    #[test]
+    fn lattice_cache_is_exact_and_fires() {
+        fn check<D: Dim>(
+            conn: fn() -> crate::connectivity::Connectivity<D>,
+            refine: fn(TreeId, &Octant<D>) -> bool,
+        ) {
+            for p in [1usize, 2, 3] {
+                run_spmd(p, |comm| {
+                    forust_obs::install(comm.rank());
+                    let mut f = Forest::<D>::new_uniform(Arc::new(conn()), comm, 1);
+                    f.refine(comm, true, refine);
+                    f.balance(comm, BalanceType::Full);
+                    f.partition(comm);
+                    let ghost = f.ghost(comm);
+                    let ctx = format!("{}D, {p} ranks, rank {}", D::DIM, comm.rank());
+                    for degree in 1..=3 {
+                        let a = f.nodes(comm, &ghost, degree);
+                        let b = f.nodes_reference(comm, &ghost, degree);
+                        assert_same(&a, &b, &format!("{ctx}, N={degree}"));
+                    }
+                    let report = forust_obs::uninstall().expect("a recorder");
+                    let reused = report
+                        .counters
+                        .iter()
+                        .find(|(k, _)| k == "nodes.lattice_reuse")
+                        .map_or(0, |&(_, v)| v);
+                    let total = comm.allreduce_sum_u64(reused);
+                    assert!(total > 0, "{ctx}: the lattice cache never served");
+                });
+            }
+        }
+        check::<crate::dim::D3>(builders::rotcubes6, |t, o| {
+            t % 2 == 0 && o.level < 3 && o.y == 0 && o.z == 0
+        });
+        check::<crate::dim::D2>(builders::moebius, |_, o| {
+            o.level < 4 && 0b1001 >> o.child_id() & 1 == 1
+        });
     }
 }

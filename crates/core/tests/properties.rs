@@ -232,3 +232,113 @@ fn recursive_refine_is_the_iterated_refine_fixpoint() {
     // Some predicate refined a child it had just made.
     assert!(deepest >= 2, "no case needed more than one round");
 }
+
+/// A random octant of `level` inside the root.
+fn rand_at_level<D: Dim>(rng: &mut Rng, level: u8) -> Octant<D> {
+    let h = D::root_len() >> level;
+    let mut c = [0; 3];
+    for x in c.iter_mut().take(D::DIM as usize) {
+        *x = rng.below(1 << level) as i32 * h;
+    }
+    Octant::from_coords(c, level)
+}
+
+/// `owner_of_atom` and `owner_range` against a brute-force scan of the
+/// allgathered first octants: an atom belongs to the last rank whose
+/// first octant does not follow it on the curve. Probes every rank's
+/// first atom and the atom before it, random atoms, and random octants
+/// at every level, in every tree. Returns the most ranks one tree spans.
+fn check_owners<D: Dim>(f: &Forest<D>, comm: &impl Communicator, seed: u64, ctx: &str) -> usize {
+    let firsts: Vec<Vec<(u32, Octant<D>)>> = comm.allgatherv(&Vec::from_iter(f.first_local()));
+    let brute = |t: u32, a: Octant<D>| {
+        let mut owner = 0;
+        for (r, first) in firsts.iter().enumerate() {
+            if first.first().is_some_and(|&x| x <= (t, a)) {
+                owner = r;
+            }
+        }
+        owner
+    };
+    let max = D::MAX_LEVEL;
+    let k = f.conn.num_trees() as u32;
+    let mut atoms: Vec<(u32, Octant<D>)> = Vec::new();
+    for &(t, o) in firsts.iter().flatten() {
+        let m = o.morton();
+        atoms.push((t, from_morton(m, max)));
+        atoms.extend(m.checked_sub(1).map(|m| (t, from_morton(m, max))));
+    }
+    let mut rng = Rng(seed);
+    for t in 0..k {
+        let root = Octant::<D>::root();
+        atoms.extend([
+            (t, root.first_descendant(max)),
+            (t, root.last_descendant(max)),
+        ]);
+        atoms.extend((0..16).map(|_| (t, rand_at_level(&mut rng, max))));
+        for level in 0..=max {
+            for _ in 0..4 {
+                let o = rand_at_level::<D>(&mut rng, level);
+                let (lo, hi) = (o.first_descendant(max), o.last_descendant(max));
+                let want = (brute(t, lo), brute(t, hi));
+                assert_eq!(f.owner_range(t, &o), want, "{ctx}: tree {t} {o:?}");
+                assert_eq!(f.owner_of_atom(t, &o), want.0, "{ctx}: tree {t} {o:?}");
+            }
+        }
+    }
+    for (t, a) in atoms {
+        assert_eq!(
+            f.owner_of_atom(t, &a),
+            brute(t, a),
+            "{ctx}: tree {t} atom {a:?}"
+        );
+        assert_eq!(f.owner_range(t, &a), (brute(t, a), brute(t, a)), "{ctx}");
+    }
+    // The ranks holding leaves of each tree.
+    let mine: Vec<u32> = (0..k).filter(|&t| !f.tree(t).is_empty()).collect();
+    let held = comm.allgatherv(&mine);
+    (0..k)
+        .map(|t| held.iter().filter(|ts| ts.contains(&t)).count())
+        .max()
+        .unwrap_or(0)
+}
+
+/// Owner lookup — `O(1)` in a tree one rank owns outright, a binary
+/// search over the markers where the partition cuts it — against the
+/// brute-force scan, on 1, 2, 3, 5 and 7 ranks, for uniform level-0
+/// forests (some ranks empty on 7) and randomly refined, partitioned
+/// ones (some tree cut across three ranks).
+#[test]
+fn owner_lookup_matches_a_scan_of_the_markers() {
+    fn sweep<D: Dim>(name: &str, conn: fn() -> forust::Connectivity<D>, seed: u64) -> usize {
+        let mut widest = 0;
+        for p in [1usize, 2, 3, 5, 7] {
+            for level in [0u8, 1] {
+                let spans = run_spmd(p, |comm| {
+                    let mut f = Forest::<D>::new_uniform(Arc::new(conn()), comm, level);
+                    if level > 0 {
+                        f.refine(comm, true, |t, o| {
+                            let h = (o.morton() ^ (u64::from(t) << 40)).wrapping_mul(seed | 1);
+                            o.level < 3 && (h >> 61) < 4
+                        });
+                        f.partition(comm);
+                    } else if p > f.conn.num_trees() {
+                        assert!(f.counts().contains(&0), "{name}: no empty rank");
+                    }
+                    let ctx = format!("{name}, level {level}, {p} ranks, rank {}", comm.rank());
+                    check_owners(&f, comm, seed ^ comm.rank() as u64, &ctx)
+                });
+                widest = widest.max(spans[0]);
+            }
+        }
+        widest
+    }
+    let widest = [
+        sweep("rotcubes6", builders::rotcubes6, 11),
+        sweep("cubed_sphere", builders::cubed_sphere, 12),
+        sweep::<D2>("moebius", builders::moebius, 13),
+    ];
+    assert!(
+        widest.iter().any(|&w| w >= 3),
+        "no tree cut across 3 ranks: {widest:?}"
+    );
+}
