@@ -16,11 +16,9 @@
 //! rebuild) versus "time integration" (RK stages including ghost
 //! exchanges).
 
-mod recovery;
 mod solver;
 
-pub use recovery::RecoverySetup;
-pub use solver::{AdvectConfig, AdvectSolver, AdvectTimers};
+pub use solver::{AdvectConfig, AdvectSolver, AdvectSpec, AdvectTimers};
 
 /// Initial condition of §III-B: four spherical fronts, implemented as
 /// smoothed spherical bumps centered on four points of the mid-shell

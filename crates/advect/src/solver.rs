@@ -1,5 +1,6 @@
 //! The adaptive dG advection solver driver.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -19,6 +20,7 @@ use forust_dg::stepper::{RhsKernel, Stepper};
 use forust_dg::transfer::transfer_fields;
 use forust_dg::FaceOp;
 use forust_geom::Mapping;
+use forust_resilience::{Carried, Recoverable};
 
 /// Parameters of the advection experiment (defaults follow §III-B).
 #[derive(Debug, Clone)]
@@ -129,7 +131,7 @@ impl AdvectSolver {
 
     /// Put a solver together on `forest` at `(time, steps)`, with the
     /// field given on the freshly built geometry — the common tail of
-    /// [`new`](Self::new) and the two restore paths.
+    /// [`new`](Self::new) and [`Recoverable::restore`].
     #[allow(clippy::too_many_arguments)]
     fn assemble(
         comm: &impl Communicator,
@@ -657,61 +659,90 @@ impl AdvectSolver {
         comm.allreduce_sum_f64(err).sqrt()
     }
 
-    /// This rank's checkpoint segment ([`Forest::segment_bytes`]): the
-    /// solution rides as state, the step count as epoch, `time` as its
-    /// bits. Purely local; the same bytes go to disk and to buddy memory.
-    ///
-    /// Everything else in the solver — mesh, metric terms, `dt`, cached
-    /// quadrature constants — is a deterministic function of the forest
-    /// and configuration and is rebuilt bitwise identically on
-    /// [`AdvectSolver::restore`], even on a different rank count.
+    /// This rank's checkpoint segment ([`Carried::segment`]).
     pub fn checkpoint_segment(&self, saved_ranks: usize) -> Vec<u8> {
-        let fmt = checkpoint_format(&self.config);
-        let steps = self.timers.steps as u64;
-        self.forest
-            .segment_bytes(saved_ranks, fmt, steps, self.time, &self.c)
+        self.carried().segment(saved_ranks)
+    }
+}
+
+/// What an advection run is built from on any rank of any attempt: plain
+/// function pointers, shareable across rank threads and restarts.
+#[derive(Clone)]
+pub struct AdvectSpec {
+    /// Builds the domain connectivity.
+    pub conn: fn() -> Connectivity<D3>,
+    /// Builds the geometry mapping for that connectivity.
+    pub map: fn(Arc<Connectivity<D3>>) -> Arc<dyn Mapping<D3> + Send + Sync>,
+    /// Solver parameters.
+    pub config: AdvectConfig,
+    /// Initial condition.
+    pub init: fn([f64; 3]) -> f64,
+    /// Velocity field.
+    pub velocity: fn([f64; 3]) -> [f64; 3],
+}
+
+/// The solution rides the checkpoint exactly (f64 bits), `time` as its
+/// bits, the step count as epoch. Everything else — mesh, metric terms,
+/// cached quadrature constants, and `dt` by the same exact max-reduction
+/// that produced it — is a deterministic function of the forest and
+/// configuration, rebuilt bitwise identically on restore, even on a
+/// different rank count.
+impl Recoverable for AdvectSolver {
+    type Spec = AdvectSpec;
+
+    fn build<C: Communicator>(spec: &AdvectSpec, comm: &C) -> Self {
+        let conn = Arc::new((spec.conn)());
+        let map = (spec.map)(Arc::clone(&conn));
+        let forest = Forest::<D3>::new_uniform(conn, comm, spec.config.initial_level);
+        let config = spec.config.clone();
+        Self::new(comm, forest, map, config, spec.init, spec.velocity)
     }
 
-    /// Restore a solver from the segments of a checkpoint written by
-    /// [`AdvectSolver::checkpoint_segment`] — read back from disk or from
-    /// buddy memory — possibly onto a different rank count. The restored
-    /// state is bitwise identical to the saved one: the solution rides the
-    /// checkpoint exactly (f64 bits), `time` is restored from its saved
-    /// bits, and `dt` is recomputed by the same exact max-reduction that
-    /// produced it.
-    pub fn restore(
-        comm: &impl Communicator,
-        conn: Arc<Connectivity<D3>>,
-        map: Arc<dyn Mapping<D3> + Send + Sync>,
-        config: AdvectConfig,
-        velocity: fn([f64; 3]) -> [f64; 3],
+    fn restore<C: Communicator>(
+        spec: &AdvectSpec,
+        comm: &C,
         segments: &[Vec<u8>],
     ) -> Result<Self, CheckpointError> {
-        let fmt = checkpoint_format(&config);
-        let (forest, c, meta) = Forest::from_segments(conn, comm, segments, fmt)?;
+        let conn = Arc::new((spec.conn)());
+        let map = (spec.map)(Arc::clone(&conn));
+        let config = spec.config.clone();
+        let (forest, c, meta) = Forest::from_segments(conn, comm, segments, config.format())?;
         let steps = meta.epoch as usize;
         Ok(Self::assemble(
             comm,
             forest,
             map,
             config,
-            velocity,
+            spec.velocity,
             meta.time,
             steps,
             |_| c,
         ))
     }
+
+    fn advance<C: Communicator>(&mut self, comm: &C) {
+        self.step(comm);
+    }
+
+    fn carried(&self) -> Carried<'_> {
+        Carried {
+            forest: &self.forest,
+            format: self.config.format(),
+            units: self.timers.steps,
+            time: self.time,
+            state: Cow::Borrowed(&self.c),
+        }
+    }
 }
 
-/// Magic of the solver's checkpoints.
-const SOLVER_MAGIC: u64 = 0x464f_5255_4144_5653; // "FORU ADVS"
-
-/// Checkpoint format of a run with this configuration: the solver's
-/// magic and one value per volume node.
-fn checkpoint_format(config: &AdvectConfig) -> SolverFormat {
-    SolverFormat {
-        magic: SOLVER_MAGIC,
-        per_element: (config.degree + 1).pow(3),
+impl AdvectConfig {
+    /// The checkpoint format of a run with this configuration: the
+    /// solver's magic and one value per volume node.
+    fn format(&self) -> SolverFormat {
+        SolverFormat {
+            magic: 0x464f_5255_4144_5653, // "FORU ADVS"
+            per_element: (self.degree + 1).pow(3),
+        }
     }
 }
 

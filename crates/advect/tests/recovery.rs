@@ -2,18 +2,17 @@
 //! recovered from the last valid checkpoint — on fewer ranks — and the
 //! final solution is bitwise identical to a fault-free run.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use forust::connectivity::{builders, Connectivity};
 use forust::dim::D3;
 use forust::forest::{read_dir, CheckpointError};
-use forust_advect::{rotation_velocity, AdvectConfig, RecoverySetup};
+use forust_advect::{rotation_velocity, AdvectConfig, AdvectSolver, AdvectSpec};
 use forust_comm::{run_spmd, run_spmd_with, ChaosComm, FaultPlan, RankCrashed};
 use forust_geom::{Mapping, ShellMap};
 use forust_resilience::{
-    attempt, run_with_recovery, run_with_recovery_opts, AttemptResult, BuddyStore, RecoveryOptions,
-    RestoreSource,
+    attempt, run_with_recovery, AttemptResult, BuddyStore, RestoreSource, Run, Store,
 };
 
 fn build_conn() -> Connectivity<D3> {
@@ -24,8 +23,8 @@ fn build_map(conn: Arc<Connectivity<D3>>) -> Arc<dyn Mapping<D3> + Send + Sync> 
     Arc::new(ShellMap::new(conn, 0.55, 1.0))
 }
 
-fn setup(steps: usize, checkpoint_every: usize) -> RecoverySetup {
-    RecoverySetup {
+fn spec() -> AdvectSpec {
+    AdvectSpec {
         conn: build_conn,
         map: build_map,
         config: AdvectConfig {
@@ -40,8 +39,15 @@ fn setup(steps: usize, checkpoint_every: usize) -> RecoverySetup {
         },
         init: forust_advect::four_fronts,
         velocity: rotation_velocity,
-        steps,
+    }
+}
+
+/// `steps` steps on `ranks` ranks with a checkpoint every
+/// `checkpoint_every` into the directory `dir`.
+fn disk_run(ranks: usize, steps: usize, checkpoint_every: usize, dir: &Path) -> Run {
+    Run {
         checkpoint_every,
+        ..Run::new(ranks, steps, Store::Disk(dir.to_path_buf()))
     }
 }
 
@@ -82,26 +88,22 @@ fn crash_recovery_is_bitwise_identical_to_fault_free_run() {
     const RANKS: usize = 3;
 
     // Fault-free reference, no checkpoints taken at all.
-    let ref_dir = tmpdir("reference");
-    let s_nockpt = setup(STEPS, usize::MAX);
-    let reference = run_spmd(RANKS, move |comm| {
-        attempt(comm, &s_nockpt, &ref_dir, &RecoveryOptions::default()).0
-    });
+    let s = spec();
+    let ref_run = disk_run(RANKS, STEPS, usize::MAX, &tmpdir("reference"));
+    let reference = run_spmd(RANKS, |comm| attempt::<AdvectSolver>(comm, &s, &ref_run).0);
 
     // Calibration pass: a transparent ChaosComm (no faults) running the
     // real checkpointing schedule, to learn (a) that checkpointing does
     // not perturb the solution and (b) how many communication calls a
     // full run makes, so the crash can be placed mid-run.
-    let calib_dir = tmpdir("calibration");
-    let s_ckpt = setup(STEPS, CKPT_EVERY);
-    let s_calib = s_ckpt.clone();
+    let calib_run = disk_run(RANKS, STEPS, CKPT_EVERY, &tmpdir("calibration"));
     let calib = run_spmd_with(
         RANKS,
         None,
         |tc| ChaosComm::new(tc, FaultPlan::new(1)),
-        move |comm| {
+        |comm| {
             (
-                attempt(comm, &s_calib, &calib_dir, &RecoveryOptions::default()).0,
+                attempt::<AdvectSolver>(comm, &s, &calib_run).0,
                 comm.calls(),
             )
         },
@@ -113,8 +115,12 @@ fn crash_recovery_is_bitwise_identical_to_fault_free_run() {
     let at_call = calib[1].1 * 3 / 5;
     assert!(at_call > 0);
     let chaos_dir = tmpdir("chaos");
-    let plan = FaultPlan::new(7).with_crash(1, at_call);
-    let outcome = run_with_recovery(RANKS, RANKS - 1, Some(plan), &chaos_dir, &s_ckpt, 3);
+    let run = Run {
+        restart_ranks: RANKS - 1,
+        plan: Some(FaultPlan::new(7).with_crash(1, at_call)),
+        ..disk_run(RANKS, STEPS, CKPT_EVERY, &chaos_dir)
+    };
+    let outcome = run_with_recovery::<AdvectSolver>(&s, &run);
 
     assert_eq!(outcome.attempts, 2, "expected exactly one restart");
     assert_eq!(
@@ -139,17 +145,16 @@ fn crash_before_first_checkpoint_recovers_from_scratch() {
     // restart — still bitwise identical.
     const STEPS: usize = 4;
     const RANKS: usize = 2;
-    let ref_dir = tmpdir("early_ref");
-    let s = setup(STEPS, usize::MAX);
-    let s_ref = s.clone();
-    let reference = run_spmd(RANKS, move |comm| {
-        attempt(comm, &s_ref, &ref_dir, &RecoveryOptions::default()).0
-    });
+    let s = spec();
+    let ref_run = disk_run(RANKS, STEPS, usize::MAX, &tmpdir("early_ref"));
+    let reference = run_spmd(RANKS, |comm| attempt::<AdvectSolver>(comm, &s, &ref_run).0);
 
-    let chaos_dir = tmpdir("early_chaos");
     // Crash very early: call 5 is long before the first step completes.
-    let plan = FaultPlan::new(3).with_crash(0, 5);
-    let outcome = run_with_recovery(RANKS, RANKS, Some(plan), &chaos_dir, &s, 3);
+    let run = Run {
+        plan: Some(FaultPlan::new(3).with_crash(0, 5)),
+        ..disk_run(RANKS, STEPS, usize::MAX, &tmpdir("early_chaos"))
+    };
+    let outcome = run_with_recovery::<AdvectSolver>(&s, &run);
     assert_eq!(outcome.attempts, 2);
     assert_eq!(
         outcome.injected_crash,
@@ -170,27 +175,22 @@ fn buddy_checkpoints_restore_disklessly_after_single_rank_crash() {
     const CKPT_EVERY: usize = 3;
     const RANKS: usize = 3;
 
-    let ref_dir = tmpdir("buddy_ref");
-    let s_nockpt = setup(STEPS, usize::MAX);
-    let reference = run_spmd(RANKS, move |comm| {
-        attempt(comm, &s_nockpt, &ref_dir, &RecoveryOptions::default()).0
-    });
+    let s = spec();
+    let ref_run = disk_run(RANKS, STEPS, usize::MAX, &tmpdir("buddy_ref"));
+    let reference = run_spmd(RANKS, |comm| attempt::<AdvectSolver>(comm, &s, &ref_run).0);
 
     // Calibration under the buddy checkpoint schedule (mirroring adds
     // point-to-point traffic, so call counts differ from disk mode).
-    let s_ckpt = setup(STEPS, CKPT_EVERY);
-    let calib_dir = tmpdir("buddy_calib");
-    let calib_opts = RecoveryOptions {
-        buddy: Some(BuddyStore::new()),
-        ..RecoveryOptions::default()
+    let calib_run = Run {
+        checkpoint_every: CKPT_EVERY,
+        ..Run::new(RANKS, STEPS, Store::Buddy(BuddyStore::new()))
     };
-    let s_calib = s_ckpt.clone();
     let calib = run_spmd_with(
         RANKS,
         None,
         |tc| ChaosComm::new(tc, FaultPlan::new(1)),
-        move |comm| {
-            let (result, _) = attempt(comm, &s_calib, &calib_dir, &calib_opts);
+        |comm| {
+            let (result, _) = attempt::<AdvectSolver>(comm, &s, &calib_run);
             (result, comm.calls())
         },
     );
@@ -201,13 +201,16 @@ fn buddy_checkpoints_restore_disklessly_after_single_rank_crash() {
     let at_call = calib[1].1 * 3 / 5;
     assert!(at_call > 0);
     let store = BuddyStore::new();
-    let opts = RecoveryOptions {
-        buddy: Some(Arc::clone(&store)),
-        ..RecoveryOptions::default()
-    };
+    // A buddy run has no checkpoint root; where a disk run's would be
+    // stays empty.
     let chaos_dir = tmpdir("buddy_chaos");
-    let plan = FaultPlan::new(13).with_crash(1, at_call);
-    let outcome = run_with_recovery_opts(RANKS, RANKS - 1, Some(plan), &chaos_dir, &s_ckpt, &opts);
+    let run = Run {
+        restart_ranks: RANKS - 1,
+        plan: Some(FaultPlan::new(13).with_crash(1, at_call)),
+        checkpoint_every: CKPT_EVERY,
+        ..Run::new(RANKS, STEPS, Store::Buddy(Arc::clone(&store)))
+    };
+    let outcome = run_with_recovery::<AdvectSolver>(&s, &run);
 
     assert_eq!(outcome.attempts, 2, "expected exactly one restart");
     assert_eq!(
@@ -239,16 +242,15 @@ fn corruption_heals_in_band_without_restart() {
     const STEPS: usize = 6;
     const RANKS: usize = 3;
 
-    let ref_dir = tmpdir("heal_ref");
-    let s = setup(STEPS, usize::MAX);
-    let s_ref = s.clone();
-    let reference = run_spmd(RANKS, move |comm| {
-        attempt(comm, &s_ref, &ref_dir, &RecoveryOptions::default()).0
-    });
+    let s = spec();
+    let ref_run = disk_run(RANKS, STEPS, usize::MAX, &tmpdir("heal_ref"));
+    let reference = run_spmd(RANKS, |comm| attempt::<AdvectSolver>(comm, &s, &ref_run).0);
 
-    let chaos_dir = tmpdir("heal_chaos");
-    let plan = FaultPlan::new(23).with_corruption(0.05).with_delay(0.05);
-    let outcome = run_with_recovery(RANKS, RANKS, Some(plan), &chaos_dir, &s, 3);
+    let run = Run {
+        plan: Some(FaultPlan::new(23).with_corruption(0.05).with_delay(0.05)),
+        ..disk_run(RANKS, STEPS, usize::MAX, &tmpdir("heal_chaos"))
+    };
+    let outcome = run_with_recovery::<AdvectSolver>(&s, &run);
 
     assert_eq!(outcome.attempts, 1, "healing must not need a restart");
     assert!(outcome.injected_crash.is_none());
@@ -278,22 +280,18 @@ fn crash_writes_validated_postmortem_bundle() {
     const CKPT_EVERY: usize = 3;
     const RANKS: usize = 3;
 
-    let ref_dir = tmpdir("pm_ref");
-    let s_nockpt = setup(STEPS, usize::MAX);
-    let reference = run_spmd(RANKS, move |comm| {
-        attempt(comm, &s_nockpt, &ref_dir, &RecoveryOptions::default()).0
-    });
+    let s = spec();
+    let ref_run = disk_run(RANKS, STEPS, usize::MAX, &tmpdir("pm_ref"));
+    let reference = run_spmd(RANKS, |comm| attempt::<AdvectSolver>(comm, &s, &ref_run).0);
 
-    let calib_dir = tmpdir("pm_calib");
-    let s_ckpt = setup(STEPS, CKPT_EVERY);
-    let s_calib = s_ckpt.clone();
+    let calib_run = disk_run(RANKS, STEPS, CKPT_EVERY, &tmpdir("pm_calib"));
     let calib = run_spmd_with(
         RANKS,
         None,
         |tc| ChaosComm::new(tc, FaultPlan::new(1)),
-        move |comm| {
+        |comm| {
             (
-                attempt(comm, &s_calib, &calib_dir, &RecoveryOptions::default()).0,
+                attempt::<AdvectSolver>(comm, &s, &calib_run).0,
                 comm.calls(),
             )
         },
@@ -301,14 +299,14 @@ fn crash_writes_validated_postmortem_bundle() {
     let at_call = calib[1].1 * 3 / 5;
     assert!(at_call > 0);
 
-    let chaos_dir = tmpdir("pm_chaos");
     let pm_path = tmpdir("pm_bundle").join("postmortem.json");
-    let opts = RecoveryOptions {
+    let run = Run {
+        restart_ranks: RANKS - 1,
+        plan: Some(FaultPlan::new(7).with_crash(1, at_call)),
         postmortem: Some(pm_path.clone()),
-        ..RecoveryOptions::default()
+        ..disk_run(RANKS, STEPS, CKPT_EVERY, &tmpdir("pm_chaos"))
     };
-    let plan = FaultPlan::new(7).with_crash(1, at_call);
-    let outcome = run_with_recovery_opts(RANKS, RANKS - 1, Some(plan), &chaos_dir, &s_ckpt, &opts);
+    let outcome = run_with_recovery::<AdvectSolver>(&s, &run);
 
     assert_eq!(outcome.attempts, 2, "expected exactly one restart");
     assert_eq!(
@@ -350,18 +348,16 @@ fn damaged_newest_epoch_is_rejected_and_attempt_falls_back() {
     const STEPS: usize = 7;
     const RANKS: usize = 2;
 
-    let ref_dir = tmpdir("damaged_reference");
-    let s_ref = setup(STEPS, usize::MAX);
-    let reference = run_spmd(RANKS, move |comm| {
-        attempt(comm, &s_ref, &ref_dir, &RecoveryOptions::default()).0
-    });
+    let s = spec();
+    let ref_run = disk_run(RANKS, STEPS, usize::MAX, &tmpdir("damaged_reference"));
+    let reference = run_spmd(RANKS, |comm| attempt::<AdvectSolver>(comm, &s, &ref_run).0);
 
     for damage in ["missing", "corrupt"] {
         // Five steps with a checkpoint every two: epochs 2 and 4.
         let root = tmpdir(&format!("damaged_{damage}"));
-        let (s_first, dir) = (setup(5, 2), root.clone());
-        run_spmd(RANKS, move |comm| {
-            attempt(comm, &s_first, &dir, &RecoveryOptions::default());
+        let first = disk_run(RANKS, 5, 2, &root);
+        run_spmd(RANKS, |comm| {
+            attempt::<AdvectSolver>(comm, &s, &first);
         });
         let segment = root.join("epoch_4").join("forest_1.fst");
         assert!(segment.exists() && root.join("epoch_2").exists());
@@ -388,10 +384,8 @@ fn damaged_newest_epoch_is_rejected_and_attempt_falls_back() {
             _ => assert!(matches!(err, CheckpointError::Crc { .. }), "{err:?}"),
         }
 
-        let (s_resume, dir) = (setup(STEPS, usize::MAX), root.clone());
-        let resumed = run_spmd(RANKS, move |comm| {
-            attempt(comm, &s_resume, &dir, &RecoveryOptions::default())
-        });
+        let resume = disk_run(RANKS, STEPS, usize::MAX, &root);
+        let resumed = run_spmd(RANKS, |comm| attempt::<AdvectSolver>(comm, &s, &resume));
         assert_eq!(resumed[0].1, RestoreSource::Disk(2), "{damage}");
         assert_bitwise_equal(&reference[0], &resumed[0].0);
     }

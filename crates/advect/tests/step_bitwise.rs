@@ -16,13 +16,14 @@
 
 use std::sync::Arc;
 
-use forust::connectivity::builders;
+use forust::connectivity::{builders, Connectivity};
 use forust::dim::D3;
 use forust::forest::Forest;
-use forust_advect::{rotation_velocity, AdvectConfig, AdvectSolver};
+use forust_advect::{rotation_velocity, AdvectConfig, AdvectSolver, AdvectSpec};
 use forust_comm::{run_spmd, Communicator};
 use forust_dg::mesh::FaceConn;
-use forust_geom::ShellMap;
+use forust_geom::{Mapping, ShellMap};
+use forust_resilience::Recoverable;
 
 /// Engine vs dense-operator oracle on meshes with 2:1 faces, relative to
 /// the largest field value.
@@ -40,6 +41,10 @@ fn solver(comm: &impl Communicator, config: AdvectConfig) -> AdvectSolver {
         forust_advect::four_fronts,
         rotation_velocity,
     )
+}
+
+fn shell_map(conn: Arc<Connectivity<D3>>) -> Arc<dyn Mapping<D3> + Send + Sync> {
+    Arc::new(ShellMap::new(conn, 0.55, 1.0))
 }
 
 fn adaptive_config(degree: usize, adapt_every: usize) -> AdvectConfig {
@@ -161,24 +166,21 @@ fn carried_geometry_steps_like_one_built_from_scratch() {
     for ranks in [1usize, 3] {
         run_spmd(ranks, |comm| {
             let config = adaptive_config(3, 3);
+            let spec = AdvectSpec {
+                conn: builders::cubed_sphere,
+                map: shell_map,
+                config: config.clone(),
+                init: forust_advect::four_fronts,
+                velocity: rotation_velocity,
+            };
             let mut carried = solver(comm, config.clone());
             let mut scratch = solver(comm, config.clone());
             for _ in 0..10 {
                 carried.step(comm);
                 scratch.step(comm);
                 if scratch.timers.steps % config.adapt_every == 0 {
-                    let conn = Arc::clone(&scratch.forest.conn);
-                    let map = Arc::new(ShellMap::new(Arc::clone(&conn), 0.55, 1.0));
                     let segments = comm.allgather_bytes(scratch.checkpoint_segment(comm.size()));
-                    scratch = AdvectSolver::restore(
-                        comm,
-                        conn,
-                        map,
-                        config.clone(),
-                        rotation_velocity,
-                        &segments,
-                    )
-                    .expect("restore");
+                    scratch = AdvectSolver::restore(&spec, comm, &segments).expect("restore");
                 }
             }
             assert_eq!(carried.timers.adapts, 3);

@@ -19,12 +19,12 @@ use std::time::Instant;
 
 use forust::connectivity::{builders, Connectivity};
 use forust::dim::D3;
-use forust_advect::RecoverySetup;
+use forust_advect::{AdvectSolver, AdvectSpec};
 use forust_comm::{run_spmd, run_spmd_with, ChaosComm, FaultPlan};
 use forust_geom::{Mapping, ShellMap};
-use forust_mantle::{MantleConfig, MantleRecoverySetup};
-use forust_resilience::{attempt, run_with_recovery, AttemptResult, Recoverable, RecoveryOptions};
-use forust_seismic::{prem_like_at, SeismicConfig, SeismicRecoverySetup};
+use forust_mantle::{MantleConfig, MantleSolver, MantleSpec};
+use forust_resilience::{attempt, run_with_recovery, AttemptResult, Recoverable, Run, Store};
+use forust_seismic::{prem_like_at, SeismicConfig, SeismicSolver, SeismicSpec};
 
 const FAULTS: [&str; 3] = ["delay", "corrupt", "crash"];
 const RANKS: [usize; 3] = [1, 3, 5];
@@ -37,8 +37,8 @@ fn build_map(conn: Arc<Connectivity<D3>>) -> Arc<dyn Mapping<D3> + Send + Sync> 
     Arc::new(ShellMap::new(conn, 0.55, 1.0))
 }
 
-fn advect_setup(checkpoint_every: usize) -> RecoverySetup {
-    RecoverySetup {
+fn advect_spec() -> AdvectSpec {
+    AdvectSpec {
         conn: build_conn,
         map: build_map,
         config: forust_advect::AdvectConfig {
@@ -53,13 +53,11 @@ fn advect_setup(checkpoint_every: usize) -> RecoverySetup {
         },
         init: forust_advect::four_fronts,
         velocity: forust_advect::rotation_velocity,
-        steps: 8,
-        checkpoint_every,
     }
 }
 
-fn seismic_setup(checkpoint_every: usize) -> SeismicRecoverySetup {
-    SeismicRecoverySetup {
+fn seismic_spec() -> SeismicSpec {
+    SeismicSpec {
         conn: build_conn,
         map: build_map,
         config: SeismicConfig {
@@ -69,13 +67,11 @@ fn seismic_setup(checkpoint_every: usize) -> SeismicRecoverySetup {
             ..Default::default()
         },
         model: prem_like_at,
-        steps: 6,
-        checkpoint_every,
     }
 }
 
-fn mantle_setup(checkpoint_every: usize) -> MantleRecoverySetup {
-    MantleRecoverySetup {
+fn mantle_spec() -> MantleSpec {
+    MantleSpec {
         conn: build_conn,
         map: build_map,
         config: MantleConfig {
@@ -87,7 +83,6 @@ fn mantle_setup(checkpoint_every: usize) -> MantleRecoverySetup {
             ..Default::default()
         },
         initial_level: 1,
-        checkpoint_every,
     }
 }
 
@@ -137,38 +132,45 @@ fn bits(r: &AttemptResult) -> Vec<u64> {
     r.solution.iter().map(|x| x.to_bits()).chain(tail).collect()
 }
 
-/// Soak one solver at one rank count across all fault classes and seeds.
-fn soak<R>(
+/// Soak one solver at one rank count across all fault classes and seeds:
+/// `units` units, a checkpoint every `ckpt_every`.
+#[allow(clippy::too_many_arguments)]
+fn soak<R: Recoverable>(
     name: &'static str,
     ranks: usize,
     seeds: u64,
-    make: impl Fn(usize) -> R,
+    spec: &R::Spec,
+    units: usize,
     ckpt_every: usize,
     cells: &mut Vec<Cell>,
     totals: &mut Totals,
-) where
-    R: Recoverable + Clone + Send + Sync + 'static,
-{
+) {
     // Fault-free reference: no checkpoints, timed.
-    let ref_dir = tmpdir(&format!("{name}_{ranks}_ref"));
-    let s_ref = make(usize::MAX);
-    let opts = RecoveryOptions::default();
+    let ref_run = Run::new(
+        ranks,
+        units,
+        Store::Disk(tmpdir(&format!("{name}_{ranks}_ref"))),
+    );
     let t0 = Instant::now();
-    let reference = run_spmd(ranks, move |comm| attempt(comm, &s_ref, &ref_dir, &opts).0);
+    let reference = run_spmd(ranks, |comm| attempt::<R>(comm, spec, &ref_run).0);
     let ref_time = t0.elapsed().as_secs_f64();
     let ref_bits = bits(&reference[0]);
 
     // Calibration: transparent ChaosComm under the real checkpoint
     // schedule, to count communication calls for crash placement.
-    let calib_dir = tmpdir(&format!("{name}_{ranks}_calib"));
-    let s = make(ckpt_every);
-    let s_calib = s.clone();
-    let opts = RecoveryOptions::default();
+    let calib_run = Run {
+        checkpoint_every: ckpt_every,
+        ..Run::new(
+            ranks,
+            units,
+            Store::Disk(tmpdir(&format!("{name}_{ranks}_calib"))),
+        )
+    };
     let calib = run_spmd_with(
         ranks,
         None,
         |tc| ChaosComm::new(tc, FaultPlan::new(1)),
-        move |comm| (attempt(comm, &s_calib, &calib_dir, &opts).0, comm.calls()),
+        |comm| (attempt::<R>(comm, spec, &calib_run).0, comm.calls()),
     );
     assert_eq!(
         bits(&calib[0].0),
@@ -182,11 +184,19 @@ fn soak<R>(
         for seed in 0..seeds {
             // Vary the crash point across seeds: 40%..70% of the run.
             let at_call = calib_calls * (4 + seed % 4) / 10;
-            let plan = plan_for(fault, 1 + seed * 7, crash_rank, at_call.max(1));
-            let dir = tmpdir(&format!("{name}_{ranks}_{fault}_{seed}"));
-            let restart = ranks.saturating_sub(1).max(1);
+            let run = Run {
+                restart_ranks: ranks.saturating_sub(1).max(1),
+                plan: Some(plan_for(fault, 1 + seed * 7, crash_rank, at_call.max(1))),
+                checkpoint_every: ckpt_every,
+                max_attempts: 4,
+                ..Run::new(
+                    ranks,
+                    units,
+                    Store::Disk(tmpdir(&format!("{name}_{ranks}_{fault}_{seed}"))),
+                )
+            };
             let t0 = Instant::now();
-            let outcome = run_with_recovery(ranks, restart, Some(plan), &dir, &s, 4);
+            let outcome = run_with_recovery::<R>(spec, &run);
             let elapsed = t0.elapsed().as_secs_f64();
 
             let count = |pairs: &[(&'static str, u64)], key: &str| {
@@ -222,18 +232,13 @@ fn main() {
 
     let mut cells = Vec::new();
     let mut totals = Totals::default();
+    let (advect, seismic, mantle) = (advect_spec(), seismic_spec(), mantle_spec());
     for p in RANKS {
-        soak("advect", p, seeds, advect_setup, 3, &mut cells, &mut totals);
-        soak(
-            "seismic",
-            p,
-            seeds,
-            seismic_setup,
-            2,
-            &mut cells,
-            &mut totals,
-        );
-        soak("mantle", p, seeds, mantle_setup, 2, &mut cells, &mut totals);
+        let (c, t) = (&mut cells, &mut totals);
+        soak::<AdvectSolver>("advect", p, seeds, &advect, 8, 3, c, t);
+        soak::<SeismicSolver>("seismic", p, seeds, &seismic, 6, 2, c, t);
+        let picard = mantle.config.picard_iters;
+        soak::<MantleSolver>("mantle", p, seeds, &mantle, picard, 2, c, t);
     }
 
     println!(

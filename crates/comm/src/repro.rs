@@ -189,15 +189,6 @@ impl FixedPoint {
     pub fn decode(&self, q: i128) -> f64 {
         i128_to_f64(q) * self.d1 * self.d2
     }
-
-    /// Multiply an encoded value by an exact quarter-integer weight
-    /// (`num / 4`), staying on the integer grid. Requires the grid to have
-    /// been built with `shift >= 2`.
-    #[inline]
-    pub fn mul_quarters(&self, q: i128, num: i128) -> i128 {
-        debug_assert!(self.shift >= 2, "quarter weights need shift >= 2");
-        (q * num) >> 2
-    }
 }
 
 /// `max(a, b)` that propagates a `NaN` from either side, where
@@ -544,15 +535,6 @@ mod tests {
         for q in [1i128 << 90, -(3 << 100) + 7, 12345] {
             assert_eq!(fx.decode(q).to_bits(), (q as f64 * fx.d1 * fx.d2).to_bits());
         }
-    }
-
-    #[test]
-    fn quarter_weights_are_exact_on_the_grid() {
-        let fx = FixedPoint::for_global_max(8.0, 2).unwrap();
-        let q = fx.encode(3.5);
-        // 3.5 * 1/2 and 3.5 * 1/4 via integer grid arithmetic.
-        assert_eq!(fx.decode(fx.mul_quarters(q, 2)), 1.75);
-        assert_eq!(fx.decode(fx.mul_quarters(q, 1)), 0.875);
     }
 
     /// `nan_range` is `max − min` on finite and infinite values and a

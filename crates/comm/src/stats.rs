@@ -150,11 +150,6 @@ impl StatsSnapshot {
             retrans_bytes: self.retrans_bytes - earlier.retrans_bytes,
         }
     }
-
-    /// Total bytes moved by this rank (p2p + collective contributions).
-    pub fn total_bytes(&self) -> u64 {
-        self.p2p_bytes + self.coll_bytes
-    }
 }
 
 #[cfg(test)]
@@ -172,7 +167,6 @@ mod tests {
         assert_eq!(snap.p2p_bytes, 30);
         assert_eq!(snap.coll_calls, 1);
         assert_eq!(snap.coll_bytes, 8);
-        assert_eq!(snap.total_bytes(), 38);
     }
 
     #[test]

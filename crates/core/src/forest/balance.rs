@@ -204,10 +204,11 @@ impl<D: Dim> Forest<D> {
                         items.len(),
                         BALANCE_GRAIN,
                         |range, _| {
-                            let mut rem: Vec<Vec<(u32, Octant<D>)>> =
-                                (0..p).map(|_| Vec::new()).collect();
-                            let mut pend: Vec<Vec<Octant<D>>> =
-                                vec![Vec::new(); this.conn.num_trees()];
+                            // Flat `(rank, …)` / `(tree, …)` lists, bucketed
+                            // in the ordered fold: per rank and per tree,
+                            // chunk order then item order.
+                            let mut rem: Vec<(u32, u32, Octant<D>)> = Vec::new();
+                            let mut pend: Vec<(TreeId, Octant<D>)> = Vec::new();
                             for i in range {
                                 let (t, o) = items[i];
                                 // A requirement at level o.level - 1 <= 0
@@ -236,9 +237,9 @@ impl<D: Dim> Forest<D> {
                                     // than the region holds it.
                                     let req = m.child(0);
                                     if rlo == me {
-                                        pend[k2 as usize].push(req);
+                                        pend.push((k2, req));
                                     } else {
-                                        rem[rlo].push((k2, req));
+                                        rem.push((rlo as u32, k2, req));
                                     }
                                 };
                                 for d in dirs {
@@ -257,11 +258,11 @@ impl<D: Dim> Forest<D> {
                             (rem, pend)
                         },
                         |(rem, pend)| {
-                            for (dst, src) in remote.iter_mut().zip(rem) {
-                                dst.extend(src);
+                            for (r, t, o) in rem {
+                                remote[r as usize].push((t, o));
                             }
-                            for (dst, src) in pending.iter_mut().zip(pend) {
-                                dst.extend(src);
+                            for (t, o) in pend {
+                                pending[t as usize].push(o);
                             }
                         },
                     );

@@ -268,19 +268,19 @@ impl<D: Dim> Forest<D> {
                 items.len(),
                 GHOST_GRAIN,
                 |range, _| {
-                    let mut pr: Vec<Vec<(u32, Octant<D>)>> = (0..p).map(|_| Vec::new()).collect();
+                    // One flat `(rank, tree, leaf)` list, bucketed in the
+                    // ordered fold: per rank, chunk order then item order.
+                    let mut routed: Vec<(u32, u32, Octant<D>)> = Vec::new();
                     let mut ranks: Vec<usize> = Vec::new();
                     for &(t, o) in &items[range] {
                         owners_touching(this, t, &o, me, &mut ranks);
-                        for &r in &ranks {
-                            pr[r].push((t, o));
-                        }
+                        routed.extend(ranks.iter().map(|&r| (r as u32, t, o)));
                     }
-                    pr
+                    routed
                 },
-                |pr| {
-                    for (dst, src) in per_rank.iter_mut().zip(pr) {
-                        dst.extend(src);
+                |routed| {
+                    for (r, t, o) in routed {
+                        per_rank[r as usize].push((t, o));
                     }
                 },
             );

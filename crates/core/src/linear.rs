@@ -97,34 +97,6 @@ pub fn linearize<D: Dim>(octs: &mut Vec<Octant<D>>) {
     *octs = out;
 }
 
-/// Fill the gap strictly between octants `a` and `b` (exclusive on both
-/// sides) with the coarsest possible octants, appending to `out`.
-///
-/// `a < b` must hold and neither may contain the other. This is p4est's
-/// `complete_region`, used to construct complete octrees from partial data.
-pub fn complete_region<D: Dim>(a: &Octant<D>, b: &Octant<D>, out: &mut Vec<Octant<D>>) {
-    assert!(a < b && !a.contains(b) && !b.contains(a));
-    // Work on finest-level "atom" keys: the gap is the open interval of
-    // atoms strictly after a's subtree and strictly before b's anchor.
-    let lo = a.last_descendant(D::MAX_LEVEL).morton();
-    let hi = b.morton();
-    fn recurse<D: Dim>(cur: &Octant<D>, lo: u64, hi: u64, out: &mut Vec<Octant<D>>) {
-        let first = cur.first_descendant(D::MAX_LEVEL).morton();
-        let last = cur.last_descendant(D::MAX_LEVEL).morton();
-        if last <= lo || first >= hi {
-            return; // wholly outside the gap
-        }
-        if first > lo && last < hi {
-            out.push(*cur); // wholly inside: emit at coarsest possible size
-            return;
-        }
-        for k in cur.children() {
-            recurse(&k, lo, hi, out);
-        }
-    }
-    recurse(&Octant::<D>::root(), lo, hi, out);
-}
-
 /// Refine every leaf flagged by `mark`, replacing it with its children;
 /// with `recursive`, newly created children are re-tested, without it
 /// `mark` sees only the original leaves.
@@ -326,44 +298,5 @@ mod tests {
         v.pop();
         assert!(is_linear(&v));
         assert!(!is_complete(&v));
-    }
-}
-
-#[cfg(test)]
-mod complete_region_tests {
-    use super::*;
-    use crate::dim::D3;
-
-    #[test]
-    fn fills_gap_exactly() {
-        let a = Octant::<D3>::root().child(0).child(0);
-        let b = Octant::<D3>::root().child(7);
-        let mut gap = Vec::new();
-        complete_region(&a, &b, &mut gap);
-        // a + gap + b must form a complete linear octree.
-        let mut all = vec![a];
-        all.extend(gap);
-        all.push(b);
-        assert!(is_complete(&all), "a+gap+b not complete: {all:?}");
-    }
-
-    #[test]
-    fn adjacent_octants_empty_gap() {
-        let a = Octant::<D3>::root().child(0);
-        let b = Octant::<D3>::root().child(1);
-        let mut gap = Vec::new();
-        complete_region(&a, &b, &mut gap);
-        assert!(gap.is_empty());
-    }
-
-    #[test]
-    fn gap_is_coarsest_possible() {
-        let a = Octant::<D3>::root().child(0).child(0);
-        let b = Octant::<D3>::root().child(2);
-        let mut gap = Vec::new();
-        complete_region(&a, &b, &mut gap);
-        // Gap should contain the 7 siblings of a, then child 1 of root.
-        assert_eq!(gap.len(), 8);
-        assert_eq!(gap[7], Octant::<D3>::root().child(1));
     }
 }

@@ -393,18 +393,6 @@ pub fn from_morton<D: Dim>(key: u64, level: u8) -> Octant<D> {
     Octant::new(c[0] & mask, c[1] & mask, c[2] & mask, level)
 }
 
-/// The nearest common ancestor of two interior octants of one tree.
-pub fn nearest_common_ancestor<D: Dim>(a: &Octant<D>, b: &Octant<D>) -> Octant<D> {
-    let mut level = a.level.min(b.level);
-    loop {
-        let (aa, ba) = (a.ancestor(level), b.ancestor(level));
-        if aa == ba {
-            return aa;
-        }
-        level -= 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -536,17 +524,6 @@ mod tests {
         }
         let vol: u128 = all.iter().map(Octant::volume_atoms).sum();
         assert_eq!(vol, Octant::<D3>::root().volume_atoms());
-    }
-
-    #[test]
-    fn nca_of_siblings_is_parent() {
-        let p = Octant::<D3>::root().child(2).child(6);
-        let a = p.child(1).child(3);
-        let b = p.child(4);
-        assert_eq!(nearest_common_ancestor(&a, &b), p);
-        assert_eq!(nearest_common_ancestor(&a, &a), a);
-        let r = Octant::<D3>::root();
-        assert_eq!(nearest_common_ancestor(&a, &r.child(7)), r);
     }
 
     #[test]

@@ -26,15 +26,6 @@ impl Matrix {
         }
     }
 
-    /// Identity matrix.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Self::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
-    }
-
     /// Wrap an existing row-major buffer.
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
         assert_eq!(data.len(), rows * cols);
@@ -58,24 +49,6 @@ impl Matrix {
             let row = &self.data[i * self.cols..(i + 1) * self.cols];
             out[i] = row.iter().zip(x).map(|(a, b)| a * b).sum();
         }
-    }
-
-    /// Matrix product `self * other`.
-    pub fn matmul(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.rows);
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.data[i * self.cols + k];
-                if a == 0.0 {
-                    continue;
-                }
-                for j in 0..other.cols {
-                    out.data[i * other.cols + j] += a * other.data[k * other.cols + j];
-                }
-            }
-        }
-        out
     }
 
     /// Transpose.
@@ -115,19 +88,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn matvec_and_matmul() {
+    fn matvec() {
         let a = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         assert_eq!(a.matvec(&[1.0, 0.0, -1.0]), vec![-2.0, -2.0]);
-        let b = a.transpose();
-        let c = a.matmul(&b); // 2x2: [[14, 32], [32, 77]]
-        assert_eq!(c.data, vec![14.0, 32.0, 32.0, 77.0]);
-    }
-
-    #[test]
-    fn identity_is_neutral() {
-        let a = Matrix::from_vec(2, 2, vec![3.0, -1.0, 2.0, 5.0]);
-        let i = Matrix::identity(2);
-        assert_eq!(a.matmul(&i), a);
-        assert_eq!(i.matmul(&a), a);
     }
 }

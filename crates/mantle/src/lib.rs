@@ -21,11 +21,9 @@
 //! (the preconditioner and its diagonal set-up), and `amr`.
 
 mod fem;
-pub mod recovery;
 mod rheology;
 mod solver;
 
 pub use fem::StokesFem;
-pub use recovery::MantleRecoverySetup;
 pub use rheology::{plate_boundary_factor, synthetic_temperature, viscosity, RheologyParams};
-pub use solver::{KrylovOutcome, MantleConfig, MantleSolver, MantleTimers};
+pub use solver::{KrylovOutcome, MantleConfig, MantleSolver, MantleSpec, MantleTimers};

@@ -1,5 +1,6 @@
 //! Picard + MINRES driver with interleaved dynamic AMR (paper §IV-A).
 
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -8,6 +9,7 @@ use forust::dim::D3;
 use forust::forest::{BalanceType, CheckpointError, Forest, SolverFormat};
 use forust_comm::{nan_range, Communicator};
 use forust_geom::Mapping;
+use forust_resilience::{Carried, Recoverable};
 
 use crate::fem::StokesFem;
 use crate::rheology::RheologyParams;
@@ -361,34 +363,48 @@ impl MantleSolver {
             })
             .collect()
     }
+}
 
-    /// This rank's checkpoint segment ([`Forest::segment_bytes`]): the
-    /// corner values ride as state under the mantle magic, the Picard
-    /// iterations completed as epoch. Everything else — FEM state,
-    /// viscosity, preconditioner — is a deterministic function of
-    /// `(forest, x)` and is rebuilt bitwise identically on
-    /// [`MantleSolver::restore`], even on a different rank count. Purely
-    /// local; the same bytes go to disk and to buddy memory.
-    pub fn checkpoint_segment(&self, saved_ranks: usize) -> Vec<u8> {
-        let epoch = self.picard_done as u64;
-        self.forest
-            .segment_bytes(saved_ranks, CHECKPOINT, epoch, 0.0, &self.corner_values())
+/// What a mantle run is built from on any rank of any attempt.
+#[derive(Clone)]
+pub struct MantleSpec {
+    /// Builds the domain connectivity.
+    pub conn: fn() -> Connectivity<D3>,
+    /// Builds the geometry mapping for that connectivity.
+    pub map: fn(Arc<Connectivity<D3>>) -> Arc<dyn Mapping<D3> + Send + Sync>,
+    /// Solver parameters.
+    pub config: MantleConfig,
+    /// Level of the uniform forest the static refinement starts from.
+    pub initial_level: u8,
+}
+
+/// One Picard iteration per unit. The cross-iteration state is exactly
+/// `(forest, x, picard_done)`, carried as the per-element corner values
+/// at time `0.0`; viscosity, the buoyancy RHS and the preconditioner are
+/// rebuilt from it at the start of every iteration, and every
+/// sum-reduction feeding the solver state goes through the exact
+/// fixed-point path, so a restored solver — on any rank count —
+/// continues bitwise identically to an uninterrupted run.
+impl Recoverable for MantleSolver {
+    type Spec = MantleSpec;
+
+    fn build<C: Communicator>(spec: &MantleSpec, comm: &C) -> Self {
+        let conn = Arc::new((spec.conn)());
+        let map = (spec.map)(Arc::clone(&conn));
+        let forest = Forest::<D3>::new_uniform(conn, comm, spec.initial_level);
+        Self::new(comm, forest, map, spec.config.clone())
     }
 
-    /// Restore a solver from the segments of a checkpoint written by
-    /// [`MantleSolver::checkpoint_segment`] — read back from disk or from
-    /// buddy memory — possibly onto a different rank count. The restored
-    /// solver continues bitwise identically to an uninterrupted run: the
-    /// solution rides the checkpoint exactly and the FEM state is a
-    /// deterministic rebuild. Shared corners are written once per element
-    /// that holds them, all with the same value.
-    pub fn restore(
-        comm: &impl Communicator,
-        conn: Arc<Connectivity<D3>>,
-        map: Arc<dyn Mapping<D3> + Send + Sync>,
-        config: MantleConfig,
+    /// Shared corners are written once per element that holds them, all
+    /// with the same value.
+    fn restore<C: Communicator>(
+        spec: &MantleSpec,
+        comm: &C,
         segments: &[Vec<u8>],
     ) -> Result<Self, CheckpointError> {
+        let conn = Arc::new((spec.conn)());
+        let map = (spec.map)(Arc::clone(&conn));
+        let config = spec.config.clone();
         let (forest, corners, meta) = Forest::from_segments(conn, comm, segments, CHECKPOINT)?;
         let fem = StokesFem::build(&forest, comm, &map, &config.rheology);
         let nn = fem.nn;
@@ -411,6 +427,20 @@ impl MantleSolver {
             timers: MantleTimers::default(),
             last_krylov: None,
         })
+    }
+
+    fn advance<C: Communicator>(&mut self, comm: &C) {
+        self.picard_step(comm);
+    }
+
+    fn carried(&self) -> Carried<'_> {
+        Carried {
+            forest: &self.forest,
+            format: CHECKPOINT,
+            units: self.picard_done,
+            time: 0.0,
+            state: Cow::Owned(self.corner_values()),
+        }
     }
 }
 

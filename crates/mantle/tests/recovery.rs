@@ -12,8 +12,8 @@ use forust::connectivity::{builders, Connectivity};
 use forust::dim::D3;
 use forust_comm::{run_spmd, run_spmd_with, ChaosComm, FaultPlan};
 use forust_geom::{Mapping, ShellMap};
-use forust_mantle::{MantleConfig, MantleRecoverySetup};
-use forust_resilience::{attempt, run_with_recovery, AttemptResult, RecoveryOptions};
+use forust_mantle::{MantleConfig, MantleSolver, MantleSpec};
+use forust_resilience::{attempt, run_with_recovery, AttemptResult, Run, Store};
 
 fn build_conn() -> Connectivity<D3> {
     builders::cubed_sphere()
@@ -23,8 +23,8 @@ fn build_map(conn: Arc<Connectivity<D3>>) -> Arc<dyn Mapping<D3> + Send + Sync> 
     Arc::new(ShellMap::new(conn, 0.55, 1.0))
 }
 
-fn setup(checkpoint_every: usize) -> MantleRecoverySetup {
-    MantleRecoverySetup {
+fn spec() -> MantleSpec {
+    MantleSpec {
         conn: build_conn,
         map: build_map,
         config: MantleConfig {
@@ -36,7 +36,15 @@ fn setup(checkpoint_every: usize) -> MantleRecoverySetup {
             ..Default::default()
         },
         initial_level: 1,
+    }
+}
+
+/// The spec's Picard iterations on `ranks` ranks with a checkpoint every
+/// `checkpoint_every` into the directory `dir`.
+fn disk_run(s: &MantleSpec, ranks: usize, checkpoint_every: usize, dir: PathBuf) -> Run {
+    Run {
         checkpoint_every,
+        ..Run::new(ranks, s.config.picard_iters, Store::Disk(dir))
     }
 }
 
@@ -72,10 +80,9 @@ fn full_solve_is_rank_count_invariant() {
     let results: Vec<AttemptResult> = [1usize, 2, 3]
         .iter()
         .map(|&p| {
-            let dir = tmpdir(&format!("invariance_{p}"));
-            let s = setup(usize::MAX);
-            let opts = RecoveryOptions::default();
-            run_spmd(p, move |comm| attempt(comm, &s, &dir, &opts).0).remove(0)
+            let s = spec();
+            let run = disk_run(&s, p, usize::MAX, tmpdir(&format!("invariance_{p}")));
+            run_spmd(p, |comm| attempt::<MantleSolver>(comm, &s, &run).0).remove(0)
         })
         .collect();
     assert!(
@@ -92,23 +99,24 @@ fn crash_mid_minres_recovery_is_bitwise_identical() {
     const CKPT_EVERY: usize = 2;
 
     // Fault-free reference, no checkpoints.
-    let ref_dir = tmpdir("reference");
-    let s_ref = setup(usize::MAX);
-    let opts = RecoveryOptions::default();
-    let reference = run_spmd(RANKS, move |comm| attempt(comm, &s_ref, &ref_dir, &opts).0);
+    let s = spec();
+    let ref_run = disk_run(&s, RANKS, usize::MAX, tmpdir("reference"));
+    let reference = run_spmd(RANKS, |comm| attempt::<MantleSolver>(comm, &s, &ref_run).0);
 
     // Calibration: count communication calls of a fault-free run under
     // the real checkpoint schedule, to place the crash mid-run (well
     // inside a MINRES solve).
-    let calib_dir = tmpdir("calibration");
-    let s = setup(CKPT_EVERY);
-    let s_calib = s.clone();
-    let opts = RecoveryOptions::default();
+    let calib_run = disk_run(&s, RANKS, CKPT_EVERY, tmpdir("calibration"));
     let calib = run_spmd_with(
         RANKS,
         None,
         |tc| ChaosComm::new(tc, FaultPlan::new(1)),
-        move |comm| (attempt(comm, &s_calib, &calib_dir, &opts).0, comm.calls()),
+        |comm| {
+            (
+                attempt::<MantleSolver>(comm, &s, &calib_run).0,
+                comm.calls(),
+            )
+        },
     );
     assert_bitwise_equal(&reference[0], &calib[0].0);
 
@@ -117,8 +125,12 @@ fn crash_mid_minres_recovery_is_bitwise_identical() {
     let at_call = calib[1].1 * 3 / 5;
     assert!(at_call > 0);
     let chaos_dir = tmpdir("chaos");
-    let plan = FaultPlan::new(11).with_crash(1, at_call);
-    let outcome = run_with_recovery(RANKS, RANKS - 1, Some(plan), &chaos_dir, &s, 3);
+    let run = Run {
+        restart_ranks: RANKS - 1,
+        plan: Some(FaultPlan::new(11).with_crash(1, at_call)),
+        ..disk_run(&s, RANKS, CKPT_EVERY, chaos_dir.clone())
+    };
+    let outcome = run_with_recovery::<MantleSolver>(&s, &run);
 
     assert_eq!(outcome.attempts, 2, "expected exactly one restart");
     assert!(outcome.injected_crash.is_some());

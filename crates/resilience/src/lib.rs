@@ -2,39 +2,46 @@
 //!
 //! The SC10 *Extreme-Scale AMR* pipeline runs for hours across hundreds of
 //! thousands of cores; at that scale rank loss and link corruption are
-//! expected events, not exceptions. This crate lifts the checkpoint/restart
-//! driver that grew inside `forust-advect` into a solver-generic
-//! supervisor:
+//! expected events, not exceptions. This crate is the checkpoint/restart
+//! supervisor every solver of the workspace runs under:
 //!
-//! - [`Recoverable`] is the contract a solver experiment implements —
-//!   build fresh, checkpoint (one CRC-framed segment blob per rank),
-//!   restore from a set of those blobs, advance one unit, and name the
-//!   values it checkpoints, which every attempt gathers into one
-//!   rank-count-independent [`AttemptResult`]. All three workspace
-//!   experiments (advection dG, seismic dG, mantle Stokes cG) implement it.
-//! - [`run_with_recovery`] launches SPMD attempts under an optional
-//!   [`FaultPlan`], stacking [`ReliableComm`] *above* the fault layer so
-//!   transient corruption heals in-band (NACK/retransmit), while crashes
-//!   surface as panics that the supervisor catches; restarts — possibly on
-//!   fewer ranks — resume from the newest checkpoint that validates.
-//! - Checkpoints go to disk ([`write_dir`], one directory per epoch) or,
-//!   with a [`BuddyStore`], nowhere but memory: at each checkpoint epoch
-//!   every rank mirrors its segment to a partner rank (`(r+1) % p`) over a
-//!   reserved tag, so a single-rank crash restores entirely from surviving
-//!   memory. Both restore through the same [`Recoverable::restore`].
+//! - [`Recoverable`] is the contract a solver implements: build fresh from
+//!   its [`Recoverable::Spec`], restore from the segment blobs of one
+//!   checkpoint, advance one unit, and say what it carries
+//!   ([`Carried`]: the forest, its [`SolverFormat`], the units done, the
+//!   time and its per-element state in SFC order). The supervisor derives
+//!   everything else from that one view: the segment blob
+//!   ([`Carried::segment`]), the unit count, and the gathered,
+//!   rank-count-independent [`AttemptResult`]. The advection dG, seismic
+//!   dG and mantle Stokes cG solvers implement it.
+//! - [`run_with_recovery`] launches SPMD attempts as one [`Run`] says:
+//!   ranks, restart ranks, an optional [`FaultPlan`], units and checkpoint
+//!   cadence, the attempt budget, a post-mortem path and a [`Store`]. It
+//!   stacks [`ReliableComm`] *above* the fault layer so transient
+//!   corruption heals in-band (NACK/retransmit), while crashes surface as
+//!   panics that the supervisor catches; restarts — possibly on fewer
+//!   ranks — resume from the newest checkpoint that validates.
+//! - A [`Store`] is where checkpoints go: [`Store::Disk`] writes one
+//!   directory per epoch ([`write_dir`]); [`Store::Buddy`] keeps them in
+//!   memory only, every rank mirroring its segment to a partner rank
+//!   (`(r+1) % p`) over a reserved tag, so a single-rank crash restores
+//!   entirely from surviving memory. Both restore through the same
+//!   [`Recoverable::restore`].
 //!
 //! Because every solver carries its cross-epoch state bitwise in the
 //! checkpoint and rebuilds the rest by exact deterministic reductions, a
 //! recovered run finishes bitwise identical to a fault-free run — the
 //! property the chaos soak harness asserts.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use forust::forest::{read_dir, write_dir, CheckpointError};
+use forust::dim::D3;
+use forust::forest::{read_dir, write_dir, CheckpointError, Forest, SolverFormat};
 use forust_comm::{
     run_spmd_with, ChaosComm, Communicator, FaultPlan, RankCrashed, ReliableComm, TAG_COLLECTIVE,
 };
@@ -47,49 +54,65 @@ pub const TAG_BUDDY: u32 = TAG_COLLECTIVE - 64;
 /// diagnostic panic (and thus a restart) instead of a hang.
 const DEADLINE: Duration = Duration::from_secs(60);
 
-/// The contract between a solver experiment and the recovery supervisor.
+/// The contract between a solver and the recovery supervisor.
 ///
-/// Implementors are *experiment specs* (configuration + closures/fn
-/// pointers), cheap to clone and shared across rank threads and restart
-/// attempts; the associated [`Recoverable::Solver`] is the per-rank live
-/// state. Units are whatever the solver advances by (RK steps, Picard
-/// iterations); checkpoints are taken at unit boundaries.
-pub trait Recoverable: Sync {
-    /// Live per-rank solver state.
-    type Solver;
+/// The implementor is the per-rank live solver; its [`Recoverable::Spec`]
+/// holds what every rank of every attempt builds it from, shared across
+/// rank threads. Units are whatever the solver advances by (RK steps,
+/// Picard iterations); checkpoints are taken at unit boundaries. How many
+/// units a run takes and how often it checkpoints are the [`Run`]'s.
+pub trait Recoverable: Sized {
+    /// The build inputs: constructors of the domain, the configuration
+    /// and the initial data.
+    type Spec: Sync;
 
     /// Fresh build on this communicator (no checkpoint found).
-    fn build<C: Communicator>(&self, comm: &C) -> Self::Solver;
+    fn build<C: Communicator>(spec: &Self::Spec, comm: &C) -> Self;
     /// Restore from the segment blobs of one checkpoint, in saved-rank
     /// order — read back from disk or from buddy memory. Collective; must
     /// fail identically on every rank for a given blob set.
     fn restore<C: Communicator>(
-        &self,
+        spec: &Self::Spec,
         comm: &C,
         segments: &[Vec<u8>],
-    ) -> Result<Self::Solver, CheckpointError>;
-    /// This rank's checkpoint as one CRC-framed segment blob. Purely
-    /// local.
-    fn checkpoint_segment(&self, solver: &Self::Solver, saved_ranks: usize) -> Vec<u8>;
-    /// Units completed so far (restored bitwise by the checkpoint).
-    fn units_done(&self, solver: &Self::Solver) -> usize;
-    /// Units the experiment runs to.
-    fn total_units(&self) -> usize;
-    /// Checkpoint cadence in units.
-    fn checkpoint_every(&self) -> usize;
-    /// Advance the solver by one unit. Collective.
-    fn advance<C: Communicator>(&self, solver: &mut Self::Solver, comm: &C);
-    /// This rank's part of the values the solver checkpoints, in its SFC
-    /// element order, and the simulated time its checkpoint carries.
-    /// Purely local.
-    fn state(&self, solver: &Self::Solver) -> (Vec<f64>, f64);
+    ) -> Result<Self, CheckpointError>;
+    /// Advance by one unit. Collective.
+    fn advance<C: Communicator>(&mut self, comm: &C);
+    /// What this rank's checkpoint carries. Purely local.
+    fn carried(&self) -> Carried<'_>;
+}
+
+/// Everything a solver carries across a checkpoint, as one rank sees it;
+/// the rest it rebuilds on [`Recoverable::restore`].
+pub struct Carried<'a> {
+    /// The forest.
+    pub forest: &'a Forest<D3>,
+    /// The solver's magic and values per element.
+    pub format: SolverFormat,
+    /// Units completed (the checkpoint's epoch).
+    pub units: usize,
+    /// Simulated time.
+    pub time: f64,
+    /// This rank's per-element state in its SFC element order.
+    pub state: Cow<'a, [f64]>,
+}
+
+impl Carried<'_> {
+    /// This rank's checkpoint as one CRC-framed segment blob
+    /// ([`Forest::segment_bytes`], the units as epoch); the same bytes go
+    /// to disk and to buddy memory.
+    pub fn segment(&self, saved_ranks: usize) -> Vec<u8> {
+        let units = self.units as u64;
+        self.forest
+            .segment_bytes(saved_ranks, self.format, units, self.time, &self.state)
+    }
 }
 
 /// What one completed attempt produced, gathered redundantly on every
 /// rank: what the bitwise oracle compares.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AttemptResult {
-    /// Every rank's [`Recoverable::state`] values in rank order. Ranks own
+    /// Every rank's [`Carried::state`] in rank order. Ranks own
     /// contiguous SFC intervals, so this is the global state in SFC
     /// element order whatever the rank count.
     pub solution: Vec<f64>,
@@ -220,15 +243,79 @@ pub enum RestoreSource {
     Disk(u64),
 }
 
-/// Tuning of [`run_with_recovery_opts`].
+/// Where checkpoints go.
 #[derive(Clone)]
-pub struct RecoveryOptions {
+pub enum Store {
+    /// One directory `epoch_<units>` per checkpoint under this root.
+    Disk(PathBuf),
+    /// Diskless: every checkpoint is mirrored into this buddy memory and
+    /// restored from it alone.
+    Buddy(Arc<BuddyStore>),
+}
+
+impl Store {
+    /// The newest checkpoint that restores, and where it came from. Every
+    /// rank scans the same shared state with the same logic, so all ranks
+    /// agree on the pick without communicating.
+    fn restore_newest<R: Recoverable>(
+        &self,
+        spec: &R::Spec,
+        comm: &impl Communicator,
+    ) -> Option<(R, RestoreSource)> {
+        match self {
+            Store::Buddy(store) => {
+                store
+                    .epochs_newest_first()
+                    .into_iter()
+                    .find_map(|(n, segments)| {
+                        let solver = R::restore(spec, comm, &segments).ok()?;
+                        Some((solver, RestoreSource::Buddy(n)))
+                    })
+            }
+            Store::Disk(root) => epochs_newest_first(root).into_iter().find_map(|(n, dir)| {
+                let solver = read_dir(&dir)
+                    .and_then(|s| R::restore(spec, comm, &s))
+                    .ok()?;
+                Some((solver, RestoreSource::Disk(n)))
+            }),
+        }
+    }
+
+    /// Save this rank's segment as the checkpoint of epoch `units`.
+    /// Collective.
+    fn save(&self, comm: &impl Communicator, units: usize, own: Vec<u8>) {
+        match self {
+            Store::Buddy(store) => mirror_segment(comm, store, units as u64, own),
+            Store::Disk(root) => write_dir(comm, &root.join(format!("epoch_{units}")), &own)
+                .unwrap_or_else(|e| panic!("rank {}: checkpoint failed: {e}", comm.rank())),
+        }
+    }
+
+    /// The newest epoch still available for restore.
+    fn newest_epoch(&self) -> Option<u64> {
+        match self {
+            Store::Buddy(store) => store.epochs_newest_first().first().map(|&(n, _)| n),
+            Store::Disk(root) => epochs_newest_first(root).first().map(|&(n, _)| n),
+        }
+    }
+}
+
+/// One supervised run: every value [`run_with_recovery`] and [`attempt`]
+/// take besides the solver's spec.
+#[derive(Clone)]
+pub struct Run {
+    /// Ranks of the first attempt.
+    pub ranks: usize,
+    /// Ranks of every restart.
+    pub restart_ranks: usize,
+    /// Faults injected into the first attempt; restarts run fault-free.
+    pub plan: Option<FaultPlan>,
+    /// Units the run advances to.
+    pub units: usize,
+    /// Checkpoint after every this many units (`usize::MAX`: never).
+    pub checkpoint_every: usize,
     /// SPMD launches before the last failure is resumed to the caller.
     pub max_attempts: usize,
-    /// Diskless checkpointing: `Some` mirrors every checkpoint into this
-    /// buddy memory and restores from it alone, never touching the
-    /// checkpoint root; `None` writes one directory per epoch there.
-    pub buddy: Option<Arc<BuddyStore>>,
     /// Where to write the crash post-mortem bundle. `Some(path)` turns
     /// the flight recorder on: every rank records spans/counters during
     /// attempts, deposits its last
@@ -236,14 +323,24 @@ pub struct RecoveryOptions {
     /// supervisor writes the bundle when it catches an injected rank
     /// death.
     pub postmortem: Option<PathBuf>,
+    /// Where checkpoints go.
+    pub store: Store,
 }
 
-impl Default for RecoveryOptions {
-    fn default() -> Self {
-        RecoveryOptions {
+impl Run {
+    /// `units` units on `ranks` ranks, checkpointing into `store`: no
+    /// faults, no checkpoints, restarts on `ranks` ranks, three attempts,
+    /// no post-mortem.
+    pub fn new(ranks: usize, units: usize, store: Store) -> Self {
+        Run {
+            ranks,
+            restart_ranks: ranks,
+            plan: None,
+            units,
+            checkpoint_every: usize::MAX,
             max_attempts: 3,
-            buddy: None,
             postmortem: None,
+            store,
         }
     }
 }
@@ -270,7 +367,7 @@ pub struct RecoveryOutcome {
 }
 
 /// Epoch subdirectories of the checkpoint root, newest first.
-pub fn epochs_newest_first(root: &Path) -> Vec<(u64, PathBuf)> {
+fn epochs_newest_first(root: &Path) -> Vec<(u64, PathBuf)> {
     let mut found: Vec<(u64, PathBuf)> = Vec::new();
     if let Ok(entries) = std::fs::read_dir(root) {
         for e in entries.flatten() {
@@ -287,54 +384,41 @@ pub fn epochs_newest_first(root: &Path) -> Vec<(u64, PathBuf)> {
     found
 }
 
-/// One SPMD attempt: restore from the newest checkpoint that validates
-/// (buddy memory with a [`BuddyStore`], the epoch directories under
-/// `ckpt_root` without; fresh build if nothing validates), run to
-/// completion with periodic checkpoints, and gather the final result.
-pub fn attempt<C: Communicator, R: Recoverable>(
-    comm: &C,
-    exp: &R,
-    ckpt_root: &Path,
-    opts: &RecoveryOptions,
+/// One SPMD attempt: restore from the newest checkpoint in `run.store`
+/// that validates (fresh build if none does), advance to `run.units` with
+/// a checkpoint every `run.checkpoint_every` units, and gather the final
+/// result. The rank counts, fault plan, attempt budget and post-mortem of
+/// `run` are [`run_with_recovery`]'s and play no part here.
+pub fn attempt<R: Recoverable>(
+    comm: &impl Communicator,
+    spec: &R::Spec,
+    run: &Run,
 ) -> (AttemptResult, RestoreSource) {
-    // Every rank scans the same shared state with the same logic, so all
-    // ranks agree on the pick without communicating.
-    let found = match &opts.buddy {
-        Some(store) => store
-            .epochs_newest_first()
-            .into_iter()
-            .find_map(|(n, segments)| {
-                let solver = exp.restore(comm, &segments).ok()?;
-                Some((solver, RestoreSource::Buddy(n)))
-            }),
-        None => epochs_newest_first(ckpt_root)
-            .into_iter()
-            .find_map(|(n, dir)| {
-                let solver = read_dir(&dir).and_then(|s| exp.restore(comm, &s)).ok()?;
-                Some((solver, RestoreSource::Disk(n)))
-            }),
-    };
-    let (mut solver, restored) = found.unwrap_or_else(|| (exp.build(comm), RestoreSource::Fresh));
+    let (mut solver, restored) = run
+        .store
+        .restore_newest::<R>(spec, comm)
+        .unwrap_or_else(|| (R::build(spec, comm), RestoreSource::Fresh));
 
-    while exp.units_done(&solver) < exp.total_units() {
-        exp.advance(&mut solver, comm);
-        let done = exp.units_done(&solver);
-        if done % exp.checkpoint_every() == 0 && done < exp.total_units() {
+    let mut done = solver.carried().units;
+    while done < run.units {
+        solver.advance(comm);
+        let carried = solver.carried();
+        done = carried.units;
+        if done % run.checkpoint_every == 0 && done < run.units {
             let _span = forust_obs::span!("resilience.checkpoint");
-            let own = exp.checkpoint_segment(&solver, comm.size());
-            match &opts.buddy {
-                Some(store) => mirror_segment(comm, store, done as u64, own),
-                None => write_dir(comm, &ckpt_root.join(format!("epoch_{done}")), &own)
-                    .unwrap_or_else(|e| panic!("rank {}: checkpoint failed: {e}", comm.rank())),
-            }
+            run.store.save(comm, done, carried.segment(comm.size()));
         }
     }
 
-    let (mine, time) = exp.state(&solver);
+    let carried = solver.carried();
     let result = AttemptResult {
-        solution: comm.allgatherv(&mine).into_iter().flatten().collect(),
-        time,
-        steps: exp.units_done(&solver),
+        solution: comm
+            .allgatherv(&carried.state)
+            .into_iter()
+            .flatten()
+            .collect(),
+        time: carried.time,
+        steps: carried.units,
     };
     (result, restored)
 }
@@ -359,30 +443,6 @@ fn mirror_segment<C: Communicator>(comm: &C, store: &BuddyStore, epoch: u64, own
     store.put(epoch, p, r, own, mirrored);
 }
 
-/// Run an experiment under fault injection with checkpoint/restart
-/// recovery, with default options (disk checkpoints, no post-mortem).
-///
-/// The first attempt launches `ranks` ranks, each wrapped in a
-/// [`ChaosComm`] running `plan` underneath a [`ReliableComm`]; corruption
-/// and delay heal in-band, crashes kill the attempt. If the run dies,
-/// subsequent attempts launch `restart_ranks` ranks *without* fault
-/// injection and resume from the newest valid checkpoint. Panics beyond
-/// `max_attempts` launches are resumed to the caller.
-pub fn run_with_recovery<R: Recoverable>(
-    ranks: usize,
-    restart_ranks: usize,
-    plan: Option<FaultPlan>,
-    ckpt_root: &Path,
-    exp: &R,
-    max_attempts: usize,
-) -> RecoveryOutcome {
-    let opts = RecoveryOptions {
-        max_attempts,
-        ..RecoveryOptions::default()
-    };
-    run_with_recovery_opts(ranks, restart_ranks, plan, ckpt_root, exp, &opts)
-}
-
 /// Per-rank product of one attempt: the result plus the healing/fault
 /// counters harvested from that rank's communicator stack.
 struct RankReport {
@@ -392,28 +452,27 @@ struct RankReport {
     faults: Vec<(&'static str, u64)>,
 }
 
-/// [`attempt`] wrapped in the crash flight recorder. When the options
-/// carry a post-mortem path this installs a per-rank obs recorder for
+/// [`attempt`] wrapped in the crash flight recorder. When the run
+/// carries a post-mortem path this installs a per-rank obs recorder for
 /// the attempt, and on a panic — the rank's own injected crash, or the
 /// deadline/peer-death panic a survivor hits once the victim is gone —
 /// forwards the stack's counters (`on_crash`) and deposits the rank's
 /// last flight window of spans and counters into the process-wide
 /// flight store before resuming the unwind to the supervisor.
-fn flight_guarded_attempt<C: Communicator, R: Recoverable>(
-    comm: &C,
-    exp: &R,
-    ckpt_root: &Path,
-    opts: &RecoveryOptions,
+fn flight_guarded_attempt<R: Recoverable>(
+    comm: &impl Communicator,
+    spec: &R::Spec,
+    run: &Run,
     on_crash: impl Fn(),
 ) -> (AttemptResult, RestoreSource) {
-    if opts.postmortem.is_none() {
-        return attempt(comm, exp, ckpt_root, opts);
+    if run.postmortem.is_none() {
+        return attempt::<R>(comm, spec, run);
     }
     let had_recorder = forust_obs::installed();
     if !had_recorder {
         forust_obs::install(comm.rank());
     }
-    let out = catch_unwind(AssertUnwindSafe(|| attempt(comm, exp, ckpt_root, opts)));
+    let out = catch_unwind(AssertUnwindSafe(|| attempt::<R>(comm, spec, run)));
     match out {
         Ok(v) => {
             if !had_recorder {
@@ -448,19 +507,14 @@ fn write_crash_postmortem(
     path: &Path,
     rc: &RankCrashed,
     attempt_idx: usize,
-    ckpt_root: &Path,
-    opts: &RecoveryOptions,
+    store: &Store,
     dumps: Vec<forust_obs::FlightDump>,
 ) {
-    let newest_epoch = match &opts.buddy {
-        Some(store) => store.epochs_newest_first().first().map(|&(n, _)| n),
-        None => epochs_newest_first(ckpt_root).first().map(|&(n, _)| n),
-    };
     let pm = forust_obs::postmortem::Postmortem {
         dead_rank: rc.rank,
         dead_call: format!("call {}", rc.call),
         attempt: attempt_idx,
-        checkpoint_epoch: newest_epoch,
+        checkpoint_epoch: store.newest_epoch(),
         window_ms: forust_obs::DEFAULT_FLIGHT_WINDOW_MS,
         ranks: dumps,
     };
@@ -469,21 +523,20 @@ fn write_crash_postmortem(
     }
 }
 
-/// [`run_with_recovery`] with full control over checkpoint placement,
-/// buddy memory and the post-mortem bundle.
+/// Run a solver under fault injection with checkpoint/restart recovery,
+/// as `run` says.
+///
+/// The first attempt launches `run.ranks` ranks under `run.plan`;
+/// corruption and delay heal in-band, crashes kill the attempt. If the
+/// run dies, subsequent attempts launch `run.restart_ranks` ranks without
+/// fault injection and resume from the newest valid checkpoint. Panics
+/// beyond `run.max_attempts` launches are resumed to the caller.
 ///
 /// Every attempt runs on one stack, `ReliableComm<ChaosComm<ThreadComm>>`
-/// under the transport's 60 s receive deadline: the first with `plan`,
+/// under the transport's 60 s receive deadline: the first with the plan,
 /// restarts with the empty [`FaultPlan`], under which the chaos layer is a
 /// pass-through.
-pub fn run_with_recovery_opts<R: Recoverable>(
-    ranks: usize,
-    restart_ranks: usize,
-    plan: Option<FaultPlan>,
-    ckpt_root: &Path,
-    exp: &R,
-    opts: &RecoveryOptions,
-) -> RecoveryOutcome {
+pub fn run_with_recovery<R: Recoverable>(spec: &R::Spec, run: &Run) -> RecoveryOutcome {
     let mut attempts = 0;
     let mut injected_crash = None;
     let mut failures = Vec::new();
@@ -492,31 +545,30 @@ pub fn run_with_recovery_opts<R: Recoverable>(
     loop {
         attempts += 1;
         let first = attempts == 1;
-        let p = if first { ranks } else { restart_ranks };
+        let p = if first { run.ranks } else { run.restart_ranks };
         let _recover_span = if first {
             None
         } else {
             Some(forust_obs::span!("comm.recover"))
         };
-        let faults = match (first, &plan) {
+        let faults = match (first, &run.plan) {
             (true, Some(plan)) => plan.clone(),
             _ => FaultPlan::default(),
         };
-        let run = catch_unwind(AssertUnwindSafe(|| -> Vec<RankReport> {
+        let launched = catch_unwind(AssertUnwindSafe(|| -> Vec<RankReport> {
             run_spmd_with(
                 p,
                 Some(DEADLINE),
                 move |tc| ReliableComm::new(ChaosComm::new(tc, faults.clone())),
                 |comm| {
-                    let (result, source) =
-                        flight_guarded_attempt(comm, exp, ckpt_root, opts, || {
-                            forward_counter_pairs(&comm.retry_counts());
-                            forust_obs::histogram_merge(
-                                "comm.retry.heal_us",
-                                &comm.retry_latency_buckets(),
-                            );
-                            forward_counter_pairs(&comm.inner().fault_counts());
-                        });
+                    let (result, source) = flight_guarded_attempt::<R>(comm, spec, run, || {
+                        forward_counter_pairs(&comm.retry_counts());
+                        forust_obs::histogram_merge(
+                            "comm.retry.heal_us",
+                            &comm.retry_latency_buckets(),
+                        );
+                        forward_counter_pairs(&comm.inner().fault_counts());
+                    });
                     RankReport {
                         result,
                         source,
@@ -526,7 +578,7 @@ pub fn run_with_recovery_opts<R: Recoverable>(
                 },
             )
         }));
-        match run {
+        match launched {
             Ok(mut reports) => {
                 for rep in &reports {
                     for &(k, v) in &rep.retry {
@@ -563,11 +615,11 @@ pub fn run_with_recovery_opts<R: Recoverable>(
                 let dumps = forust_obs::flight_take_all();
                 let why = if let Some(rc) = payload.downcast_ref::<RankCrashed>() {
                     injected_crash = Some(*rc);
-                    if let Some(store) = &opts.buddy {
+                    if let Store::Buddy(store) = &run.store {
                         store.mark_dead(rc.rank);
                     }
-                    if let Some(path) = &opts.postmortem {
-                        write_crash_postmortem(path, rc, attempts - 1, ckpt_root, opts, dumps);
+                    if let Some(path) = &run.postmortem {
+                        write_crash_postmortem(path, rc, attempts - 1, &run.store, dumps);
                     }
                     format!("rank {} crashed at communication call {}", rc.rank, rc.call)
                 } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -579,12 +631,13 @@ pub fn run_with_recovery_opts<R: Recoverable>(
                 };
                 let line = format!(
                     "recovery: attempt {attempts} on {p} ranks failed ({why}); \
-                     restarting on {restart_ranks} ranks"
+                     restarting on {} ranks",
+                    run.restart_ranks
                 );
                 eprintln!("{line}");
                 forust_obs::counter_add("resilience.attempts_failed", 1);
                 failures.push(line);
-                if attempts >= opts.max_attempts {
+                if attempts >= run.max_attempts {
                     resume_unwind(payload);
                 }
             }

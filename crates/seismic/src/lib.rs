@@ -17,10 +17,8 @@
 
 pub mod device;
 pub mod model;
-pub mod recovery;
 pub mod solver;
 
 pub use device::DeviceState;
 pub use model::{plane_wave_state, prem_like, prem_like_at, ricker, Material};
-pub use recovery::SeismicRecoverySetup;
-pub use solver::{SeismicConfig, SeismicSolver, SeismicTimers, NCOMP};
+pub use solver::{SeismicConfig, SeismicSolver, SeismicSpec, SeismicTimers, NCOMP};

@@ -11,6 +11,7 @@
 //! Both shell boundaries are traction-free (the paper couples the mantle
 //! to an acoustic core; the truncation is documented in DESIGN.md).
 
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -27,6 +28,7 @@ use forust_dg::real::Real;
 use forust_dg::stepper::{RhsKernel, Stepper};
 use forust_dg::{FaceOp, FaceTables};
 use forust_geom::Mapping;
+use forust_resilience::{Carried, Recoverable};
 
 use crate::model::{ricker, Material};
 
@@ -1016,41 +1018,6 @@ impl SeismicSolver {
         }
     }
 
-    /// This rank's checkpoint segment ([`Forest::segment_bytes`]): the
-    /// state rides as state, the step count as epoch, `time` as its bits.
-    /// Purely local; the same bytes go to disk and to buddy memory.
-    ///
-    /// Everything else — mesh, metric terms, nodal material, `dt` — is a
-    /// deterministic function of the forest, configuration, and material
-    /// model, and is rebuilt bitwise identically on
-    /// [`SeismicSolver::restore`], even on a different rank count.
-    pub fn checkpoint_segment(&self, saved_ranks: usize) -> Vec<u8> {
-        let fmt = checkpoint_format(&self.config);
-        let steps = self.timers.steps as u64;
-        self.forest
-            .segment_bytes(saved_ranks, fmt, steps, self.time, &self.q)
-    }
-
-    /// Restore a solver from the segments of a checkpoint written by
-    /// [`SeismicSolver::checkpoint_segment`] — read back from disk or from
-    /// buddy memory — possibly onto a different rank count; the restored
-    /// state continues bitwise identically to an uninterrupted run.
-    pub fn restore(
-        comm: &impl Communicator,
-        conn: Arc<Connectivity<D3>>,
-        map: Arc<dyn Mapping<D3> + Send + Sync>,
-        config: SeismicConfig,
-        model: impl Fn([f64; 3]) -> Material + Copy,
-        segments: &[Vec<u8>],
-    ) -> Result<Self, CheckpointError> {
-        let fmt = checkpoint_format(&config);
-        let (forest, q, meta) = Forest::from_segments(conn, comm, segments, fmt)?;
-        let restored = Some((q, meta.time, meta.epoch as usize));
-        Ok(Self::assemble(
-            comm, forest, map, config, model, None, restored,
-        ))
-    }
-
     /// Maximum velocity magnitude (diagnostic / wavefront indicator);
     /// `NaN` on every rank if any node's velocity is.
     pub fn max_velocity(&self, comm: &impl Communicator) -> f64 {
@@ -1066,15 +1033,72 @@ impl SeismicSolver {
     }
 }
 
-/// Magic of the solver's checkpoints.
-const SOLVER_MAGIC: u64 = 0x464f_5255_5345_4953; // "FORU SEIS"
+/// What a seismic run is built from on any rank of any attempt: plain
+/// function pointers, shareable across rank threads and restarts.
+#[derive(Clone)]
+pub struct SeismicSpec {
+    /// Builds the domain connectivity.
+    pub conn: fn() -> Connectivity<D3>,
+    /// Builds the geometry mapping for that connectivity.
+    pub map: fn(Arc<Connectivity<D3>>) -> Arc<dyn Mapping<D3> + Send + Sync>,
+    /// Solver parameters.
+    pub config: SeismicConfig,
+    /// The material model.
+    pub model: fn([f64; 3]) -> Material,
+}
 
-/// Checkpoint format of a run with this configuration: the solver's
-/// magic and `NCOMP` values per volume node.
-fn checkpoint_format(config: &SeismicConfig) -> SolverFormat {
-    SolverFormat {
-        magic: SOLVER_MAGIC,
-        per_element: (config.degree + 1).pow(3) * NCOMP,
+/// The cross-step state is exactly `(forest, q, time, steps)`; everything
+/// else — mesh, metric terms, nodal material, `dt` — is a deterministic
+/// function of the forest, configuration and material model, rebuilt
+/// bitwise identically on restore, even on a different rank count.
+impl Recoverable for SeismicSolver {
+    type Spec = SeismicSpec;
+
+    fn build<C: Communicator>(spec: &SeismicSpec, comm: &C) -> Self {
+        let conn = Arc::new((spec.conn)());
+        let map = (spec.map)(Arc::clone(&conn));
+        let forest = Forest::<D3>::new_uniform(conn, comm, spec.config.min_level);
+        Self::new(comm, forest, map, spec.config.clone(), spec.model)
+    }
+
+    fn restore<C: Communicator>(
+        spec: &SeismicSpec,
+        comm: &C,
+        segments: &[Vec<u8>],
+    ) -> Result<Self, CheckpointError> {
+        let conn = Arc::new((spec.conn)());
+        let map = (spec.map)(Arc::clone(&conn));
+        let config = spec.config.clone();
+        let (forest, q, meta) = Forest::from_segments(conn, comm, segments, config.format())?;
+        let restored = Some((q, meta.time, meta.epoch as usize));
+        Ok(Self::assemble(
+            comm, forest, map, config, spec.model, None, restored,
+        ))
+    }
+
+    fn advance<C: Communicator>(&mut self, comm: &C) {
+        self.step(comm);
+    }
+
+    fn carried(&self) -> Carried<'_> {
+        Carried {
+            forest: &self.forest,
+            format: self.config.format(),
+            units: self.timers.steps,
+            time: self.time,
+            state: Cow::Borrowed(&self.q),
+        }
+    }
+}
+
+impl SeismicConfig {
+    /// The checkpoint format of a run with this configuration: the
+    /// solver's magic and `NCOMP` values per volume node.
+    fn format(&self) -> SolverFormat {
+        SolverFormat {
+            magic: 0x464f_5255_5345_4953, // "FORU SEIS"
+            per_element: (self.degree + 1).pow(3) * NCOMP,
+        }
     }
 }
 

@@ -15,86 +15,60 @@ use std::sync::Arc;
 
 use forust::connectivity::{builders, Connectivity};
 use forust::dim::D3;
-use forust::forest::{CheckpointError, Forest};
+use forust::forest::CheckpointError;
 use forust_comm::{run_spmd, run_spmd_with, ChaosComm, Communicator, FaultPlan};
 use forust_geom::{Mapping, ShellMap};
-use forust_resilience::{attempt, run_with_recovery, Recoverable, RecoveryOptions};
-use forust_seismic::{prem_like_at, DeviceState, SeismicConfig, SeismicSolver};
+use forust_resilience::{attempt, run_with_recovery, Carried, Recoverable, Run, Store};
+use forust_seismic::{prem_like_at, DeviceState, SeismicConfig, SeismicSolver, SeismicSpec};
 
 /// Documented device error bound, as in `device_accuracy.rs`.
 const DEVICE_REL_BOUND: f64 = 2e-4;
 
 /// A seismic run whose time stepping happens on the f32 device tier.
-#[derive(Clone)]
-struct DeviceRecoverySetup {
-    config: SeismicConfig,
-    steps: usize,
-    checkpoint_every: usize,
+struct Device(SeismicSolver, DeviceState);
+
+fn build_map(conn: Arc<Connectivity<D3>>) -> Arc<dyn Mapping<D3> + Send + Sync> {
+    Arc::new(ShellMap::new(conn, 0.55, 1.0))
 }
 
-fn build_host<C: Communicator>(comm: &C, config: &SeismicConfig) -> SeismicSolver {
-    let conn = Arc::new(builders::shell24());
-    let map: Arc<dyn Mapping<D3> + Send + Sync> =
-        Arc::new(ShellMap::new(Arc::clone(&conn), 0.55, 1.0));
-    let forest = Forest::<D3>::new_uniform(conn, comm, config.min_level);
-    SeismicSolver::new(comm, forest, map, config.clone(), prem_like_at)
+fn spec(config: SeismicConfig) -> SeismicSpec {
+    SeismicSpec {
+        conn: builders::shell24,
+        map: build_map,
+        config,
+        model: prem_like_at,
+    }
 }
 
-fn geom(
-    conn: Arc<Connectivity<D3>>,
-) -> (Arc<Connectivity<D3>>, Arc<dyn Mapping<D3> + Send + Sync>) {
-    let map: Arc<dyn Mapping<D3> + Send + Sync> =
-        Arc::new(ShellMap::new(Arc::clone(&conn), 0.55, 1.0));
-    (conn, map)
-}
+impl Recoverable for Device {
+    type Spec = SeismicSpec;
 
-impl Recoverable for DeviceRecoverySetup {
-    type Solver = (SeismicSolver, DeviceState);
-
-    fn build<C: Communicator>(&self, comm: &C) -> Self::Solver {
-        let host = build_host(comm, &self.config);
+    fn build<C: Communicator>(spec: &SeismicSpec, comm: &C) -> Self {
+        let host = SeismicSolver::build(spec, comm);
         let dev = DeviceState::from_host(&host);
-        (host, dev)
+        Device(host, dev)
     }
 
     fn restore<C: Communicator>(
-        &self,
+        spec: &SeismicSpec,
         comm: &C,
         segments: &[Vec<u8>],
-    ) -> Result<Self::Solver, CheckpointError> {
-        let (conn, map) = geom(Arc::new(builders::shell24()));
-        let host =
-            SeismicSolver::restore(comm, conn, map, self.config.clone(), prem_like_at, segments)?;
+    ) -> Result<Self, CheckpointError> {
+        let host = SeismicSolver::restore(spec, comm, segments)?;
         let dev = DeviceState::from_host(&host);
-        Ok((host, dev))
+        Ok(Device(host, dev))
     }
 
-    fn checkpoint_segment(&self, solver: &Self::Solver, saved_ranks: usize) -> Vec<u8> {
-        // `advance` mirrors the device state into the host after every
-        // step, so the host checkpoint *is* the device checkpoint.
-        solver.0.checkpoint_segment(saved_ranks)
-    }
-
-    fn units_done(&self, solver: &Self::Solver) -> usize {
-        solver.0.timers.steps
-    }
-
-    fn total_units(&self) -> usize {
-        self.steps
-    }
-
-    fn checkpoint_every(&self) -> usize {
-        self.checkpoint_every
-    }
-
-    fn advance<C: Communicator>(&self, solver: &mut Self::Solver, comm: &C) {
-        let (host, dev) = solver;
+    fn advance<C: Communicator>(&mut self, comm: &C) {
+        let Device(host, dev) = self;
         dev.step(host, comm);
         dev.to_host(host);
     }
 
-    fn state(&self, solver: &Self::Solver) -> (Vec<f64>, f64) {
-        (solver.0.q.clone(), solver.0.time)
+    fn carried(&self) -> Carried<'_> {
+        // `advance` mirrors the device state into the host after every
+        // step, so the host checkpoint *is* the device checkpoint.
+        self.0.carried()
     }
 }
 
@@ -118,28 +92,21 @@ fn corrupt_and_crash_mid_device_step_recovers_within_bound() {
     };
 
     // Fault-free device reference (no checkpoints).
-    let setup = DeviceRecoverySetup {
-        config: config.clone(),
-        steps: STEPS,
-        checkpoint_every: usize::MAX,
-    };
-    let ref_dir = tmpdir("reference");
-    let s_ref = setup.clone();
-    let opts = RecoveryOptions::default();
-    let reference = run_spmd(RANKS, move |comm| attempt(comm, &s_ref, &ref_dir, &opts).0);
+    let s = spec(config);
+    let ref_run = Run::new(RANKS, STEPS, Store::Disk(tmpdir("reference")));
+    let reference = run_spmd(RANKS, |comm| attempt::<Device>(comm, &s, &ref_run).0);
     assert!(
         reference[0].solution.iter().any(|&x| x != 0.0),
         "source never excited the device wavefield"
     );
 
     // f64 engine reference for the accuracy bound.
-    let cfg = config.clone();
-    let host_ref = run_spmd(RANKS, move |comm| {
-        let mut s = build_host(comm, &cfg);
+    let host_ref = run_spmd(RANKS, |comm| {
+        let mut host = SeismicSolver::build(&s, comm);
         for _ in 0..STEPS {
-            s.step(comm);
+            host.step(comm);
         }
-        comm.allgatherv(&s.q)
+        comm.allgatherv(&host.q)
             .into_iter()
             .flatten()
             .collect::<Vec<f64>>()
@@ -158,19 +125,15 @@ fn corrupt_and_crash_mid_device_step_recovers_within_bound() {
 
     // Calibration pass under a transparent ChaosComm: count comm calls
     // so the crash lands mid-run, past the first checkpoint.
-    let calib_dir = tmpdir("calibration");
-    let setup_ckpt = DeviceRecoverySetup {
-        config,
-        steps: STEPS,
+    let calib_run = Run {
         checkpoint_every: CKPT_EVERY,
+        ..Run::new(RANKS, STEPS, Store::Disk(tmpdir("calibration")))
     };
-    let s_calib = setup_ckpt.clone();
-    let opts = RecoveryOptions::default();
     let calib = run_spmd_with(
         RANKS,
         None,
         |tc| ChaosComm::new(tc, FaultPlan::new(1)),
-        move |comm| (attempt(comm, &s_calib, &calib_dir, &opts).0, comm.calls()),
+        |comm| (attempt::<Device>(comm, &s, &calib_run).0, comm.calls()),
     );
     assert_eq!(calib[0].0.solution, reference[0].solution);
 
@@ -179,12 +142,18 @@ fn corrupt_and_crash_mid_device_step_recovers_within_bound() {
     // a device step; the supervisor restarts on RANKS-1 ranks.
     let at_call = calib[1].1 * 3 / 5;
     assert!(at_call > 0);
-    let chaos_dir = tmpdir("chaos");
     let plan = FaultPlan::new(7)
         .with_corruption(0.02)
         .with_retransmit_corruption(0.0)
         .with_crash(1, at_call);
-    let outcome = run_with_recovery(RANKS, RANKS - 1, Some(plan), &chaos_dir, &setup_ckpt, 4);
+    let run = Run {
+        restart_ranks: RANKS - 1,
+        plan: Some(plan),
+        max_attempts: 4,
+        store: Store::Disk(tmpdir("chaos")),
+        ..calib_run
+    };
+    let outcome = run_with_recovery::<Device>(&s, &run);
 
     assert!(
         outcome.injected_crash.is_some(),

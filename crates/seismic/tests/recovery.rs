@@ -10,8 +10,8 @@ use forust::connectivity::{builders, Connectivity};
 use forust::dim::D3;
 use forust_comm::{run_spmd, run_spmd_with, ChaosComm, FaultPlan, RankCrashed};
 use forust_geom::{Mapping, ShellMap};
-use forust_resilience::{attempt, run_with_recovery, AttemptResult, RecoveryOptions};
-use forust_seismic::{prem_like_at, SeismicConfig, SeismicRecoverySetup};
+use forust_resilience::{attempt, run_with_recovery, AttemptResult, Run, Store};
+use forust_seismic::{prem_like_at, SeismicConfig, SeismicSolver, SeismicSpec};
 
 fn build_conn() -> Connectivity<D3> {
     builders::cubed_sphere()
@@ -21,8 +21,8 @@ fn build_map(conn: Arc<Connectivity<D3>>) -> Arc<dyn Mapping<D3> + Send + Sync> 
     Arc::new(ShellMap::new(conn, 0.55, 1.0))
 }
 
-fn setup(steps: usize, checkpoint_every: usize) -> SeismicRecoverySetup {
-    SeismicRecoverySetup {
+fn spec() -> SeismicSpec {
+    SeismicSpec {
         conn: build_conn,
         map: build_map,
         config: SeismicConfig {
@@ -32,8 +32,6 @@ fn setup(steps: usize, checkpoint_every: usize) -> SeismicRecoverySetup {
             ..Default::default()
         },
         model: prem_like_at,
-        steps,
-        checkpoint_every,
     }
 }
 
@@ -76,12 +74,9 @@ fn crash_mid_rk_recovery_is_bitwise_identical() {
     const RANKS: usize = 3;
 
     // Fault-free reference, no checkpoints taken at all.
-    let ref_dir = tmpdir("reference");
-    let s_nockpt = setup(STEPS, usize::MAX);
-    let opts = RecoveryOptions::default();
-    let reference = run_spmd(RANKS, move |comm| {
-        attempt(comm, &s_nockpt, &ref_dir, &opts).0
-    });
+    let s = spec();
+    let ref_run = Run::new(RANKS, STEPS, Store::Disk(tmpdir("reference")));
+    let reference = run_spmd(RANKS, |comm| attempt::<SeismicSolver>(comm, &s, &ref_run).0);
     assert!(
         reference[0].solution.iter().any(|&x| x != 0.0),
         "source never excited the wavefield"
@@ -90,23 +85,33 @@ fn crash_mid_rk_recovery_is_bitwise_identical() {
     // Calibration pass: transparent ChaosComm under the real checkpoint
     // schedule, counting communication calls so the crash lands mid-run
     // (inside an RK stage's halo exchange, past the first checkpoint).
-    let calib_dir = tmpdir("calibration");
-    let s_ckpt = setup(STEPS, CKPT_EVERY);
-    let s_calib = s_ckpt.clone();
-    let opts = RecoveryOptions::default();
+    let calib_run = Run {
+        checkpoint_every: CKPT_EVERY,
+        ..Run::new(RANKS, STEPS, Store::Disk(tmpdir("calibration")))
+    };
     let calib = run_spmd_with(
         RANKS,
         None,
         |tc| ChaosComm::new(tc, FaultPlan::new(1)),
-        move |comm| (attempt(comm, &s_calib, &calib_dir, &opts).0, comm.calls()),
+        |comm| {
+            (
+                attempt::<SeismicSolver>(comm, &s, &calib_run).0,
+                comm.calls(),
+            )
+        },
     );
     assert_bitwise_equal(&reference[0], &calib[0].0);
 
     let at_call = calib[1].1 * 3 / 5;
     assert!(at_call > 0);
     let chaos_dir = tmpdir("chaos");
-    let plan = FaultPlan::new(9).with_crash(1, at_call);
-    let outcome = run_with_recovery(RANKS, RANKS - 1, Some(plan), &chaos_dir, &s_ckpt, 3);
+    let run = Run {
+        restart_ranks: RANKS - 1,
+        plan: Some(FaultPlan::new(9).with_crash(1, at_call)),
+        store: Store::Disk(chaos_dir.clone()),
+        ..calib_run
+    };
+    let outcome = run_with_recovery::<SeismicSolver>(&s, &run);
 
     assert_eq!(outcome.attempts, 2, "expected exactly one restart");
     assert_eq!(

@@ -10,7 +10,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use extreme_amr::advect::{four_fronts, rotation_velocity, AdvectConfig, RecoverySetup};
+use extreme_amr::advect::{four_fronts, rotation_velocity, AdvectConfig, AdvectSolver, AdvectSpec};
 use extreme_amr::comm::{run_spmd_with, ChaosComm, Communicator, FaultPlan};
 use extreme_amr::forust::connectivity::{builders, Connectivity};
 use extreme_amr::forust::dim::D3;
@@ -18,7 +18,7 @@ use extreme_amr::geom::{Mapping, ShellMap};
 use extreme_amr::obs;
 use extreme_amr::obs::metrics::Registry;
 use extreme_amr::obs::postmortem::validate_postmortem;
-use extreme_amr::resilience::{attempt, run_with_recovery_opts, RecoveryOptions};
+use extreme_amr::resilience::{attempt, run_with_recovery, Run, Store};
 
 fn build_conn() -> Connectivity<D3> {
     builders::cubed_sphere()
@@ -34,7 +34,7 @@ fn main() {
     const CKPT_EVERY: usize = 3;
     const CRASH_RANK: usize = 1;
 
-    let setup = RecoverySetup {
+    let spec = AdvectSpec {
         conn: build_conn,
         map: build_map,
         config: AdvectConfig {
@@ -49,8 +49,10 @@ fn main() {
         },
         init: four_fronts,
         velocity: rotation_velocity,
-        steps: STEPS,
+    };
+    let run = |dir| Run {
         checkpoint_every: CKPT_EVERY,
+        ..Run::new(RANKS, STEPS, Store::Disk(dir))
     };
 
     let root = std::env::temp_dir().join("forust_chaos_recovery_example");
@@ -64,18 +66,17 @@ fn main() {
     // communication calls so the crash can be placed mid-run.  Each
     // rank installs an observability recorder, so the fault-free run
     // also yields the paper-style per-phase breakdown.
-    let ref_dir = root.join("reference");
-    let s_ref = setup.clone();
+    let ref_run = run(root.join("reference"));
     let reference = run_spmd_with(
         RANKS,
         None,
         |tc| ChaosComm::new(tc, FaultPlan::new(0)),
-        move |comm| {
+        |comm| {
             obs::install(comm.rank());
             let t_wall = Instant::now();
             let result = {
                 let _span = obs::span!("recovery.attempt");
-                attempt(comm, &s_ref, &ref_dir, &RecoveryOptions::default()).0
+                attempt::<AdvectSolver>(comm, &spec, &ref_run).0
             };
             // Fault-site counters (zero on the fault-free reference)
             // flow through the same counter API as everything else.
@@ -120,15 +121,17 @@ fn main() {
     // bundle before restarting.
     std::fs::create_dir_all("obs_out").expect("create output dir");
     let pm_path = std::path::PathBuf::from("obs_out/postmortem.json");
-    let opts = RecoveryOptions {
+    let chaos_run = Run {
+        restart_ranks: RANKS - 1,
+        plan: Some(plan),
         postmortem: Some(pm_path.clone()),
-        ..RecoveryOptions::default()
+        ..run(chaos_dir.clone())
     };
     // The injected crash panics inside rank threads; keep the demo
     // output readable by muting the default hook's backtrace while the
     // recovery driver is catching panics on purpose.
     std::panic::set_hook(Box::new(|_| {}));
-    let outcome = run_with_recovery_opts(RANKS, RANKS - 1, Some(plan), &chaos_dir, &setup, &opts);
+    let outcome = run_with_recovery::<AdvectSolver>(&spec, &chaos_run);
     let _ = std::panic::take_hook();
 
     match outcome.injected_crash {
@@ -188,17 +191,16 @@ fn main() {
     // transport's internal timing but not delivery order, so the run
     // still completes — and the `chaos.*` fault-site counters show up
     // in the cross-rank counter statistics.
-    let delay_dir = root.join("delayed");
-    let s_delay = setup.clone();
+    let delay_run = run(root.join("delayed"));
     let delay_reports = run_spmd_with(
         RANKS,
         None,
         |tc| ChaosComm::new(tc, FaultPlan::new(7).with_delay(0.25)),
-        move |comm| {
+        |comm| {
             obs::install(comm.rank());
             let _ = {
                 let _span = obs::span!("recovery.attempt");
-                attempt(comm, &s_delay, &delay_dir, &RecoveryOptions::default()).0
+                attempt::<AdvectSolver>(comm, &spec, &delay_run).0
             };
             for (name, n) in comm.fault_counts() {
                 obs::counter_add(name, n);

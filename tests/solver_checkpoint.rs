@@ -1,5 +1,5 @@
 //! One checkpoint format for every solver, checked on both paths: a
-//! checkpoint is the segment blob `checkpoint_segment` returns, the disk
+//! checkpoint is the segment blob `Carried::segment` returns, the disk
 //! copy the supervisor writes holds exactly those bytes, and one solver
 //! never restores another's checkpoint — the header carries the writer's
 //! magic, and a restore under a different magic is a typed `Format` error
@@ -8,22 +8,22 @@
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-use extreme_amr::advect::{four_fronts, rotation_velocity, AdvectConfig, RecoverySetup};
+use extreme_amr::advect::{four_fronts, rotation_velocity, AdvectConfig, AdvectSolver, AdvectSpec};
 use extreme_amr::comm::{run_spmd, Communicator, ThreadComm};
 use extreme_amr::forust::connectivity::{builders, Connectivity};
 use extreme_amr::forust::dim::D3;
 use extreme_amr::forust::forest::{read_dir, write_dir, CheckpointError};
 use extreme_amr::geom::{Mapping, ShellMap};
-use extreme_amr::mantle::{MantleConfig, MantleRecoverySetup};
-use extreme_amr::resilience::{run_with_recovery, Recoverable};
-use extreme_amr::seismic::{prem_like_at, SeismicConfig, SeismicRecoverySetup};
+use extreme_amr::mantle::{MantleConfig, MantleSolver, MantleSpec};
+use extreme_amr::resilience::{run_with_recovery, Carried, Recoverable, Run, Store};
+use extreme_amr::seismic::{prem_like_at, SeismicConfig, SeismicSolver, SeismicSpec};
 
 fn build_map(conn: Arc<Connectivity<D3>>) -> Arc<dyn Mapping<D3> + Send + Sync> {
     Arc::new(ShellMap::new(conn, 0.55, 1.0))
 }
 
-fn advect(checkpoint_every: usize) -> RecoverySetup {
-    RecoverySetup {
+fn advect() -> AdvectSpec {
+    AdvectSpec {
         conn: builders::cubed_sphere,
         map: build_map,
         config: AdvectConfig {
@@ -35,13 +35,11 @@ fn advect(checkpoint_every: usize) -> RecoverySetup {
         },
         init: four_fronts,
         velocity: rotation_velocity,
-        steps: 2,
-        checkpoint_every,
     }
 }
 
-fn seismic(checkpoint_every: usize) -> SeismicRecoverySetup {
-    SeismicRecoverySetup {
+fn seismic() -> SeismicSpec {
+    SeismicSpec {
         conn: builders::cubed_sphere,
         map: build_map,
         config: SeismicConfig {
@@ -51,13 +49,11 @@ fn seismic(checkpoint_every: usize) -> SeismicRecoverySetup {
             ..Default::default()
         },
         model: prem_like_at,
-        steps: 2,
-        checkpoint_every,
     }
 }
 
-fn mantle(checkpoint_every: usize) -> MantleRecoverySetup {
-    MantleRecoverySetup {
+fn mantle() -> MantleSpec {
+    MantleSpec {
         conn: builders::cubed_sphere,
         map: build_map,
         config: MantleConfig {
@@ -69,7 +65,6 @@ fn mantle(checkpoint_every: usize) -> MantleRecoverySetup {
             ..Default::default()
         },
         initial_level: 1,
-        checkpoint_every,
     }
 }
 
@@ -90,13 +85,20 @@ struct Case<'a> {
     restore: Box<dyn Fn(&[Vec<u8>]) -> Result<Vec<u8>, CheckpointError> + 'a>,
 }
 
-fn case<'a, R: Recoverable + 'a>(name: &'static str, exp: R, comm: &'a ThreadComm) -> Case<'a> {
-    let mut solver = exp.build(comm);
-    exp.advance(&mut solver, comm);
-    let blob = exp.checkpoint_segment(&solver, 1);
+fn case<'a, R: Recoverable + 'a>(
+    name: &'static str,
+    spec: R::Spec,
+    comm: &'a ThreadComm,
+) -> Case<'a>
+where
+    R::Spec: 'a,
+{
+    let mut solver = R::build(&spec, comm);
+    solver.advance(comm);
+    let blob = solver.carried().segment(1);
     let restore = move |segments: &[Vec<u8>]| {
-        let s = exp.restore(comm, segments)?;
-        Ok(exp.checkpoint_segment(&s, 1))
+        let s = R::restore(&spec, comm, segments)?;
+        Ok(s.carried().segment(1))
     };
     Case {
         name,
@@ -121,9 +123,9 @@ fn assert_foreign_state(err: Option<CheckpointError>) {
 fn restoring_another_solvers_checkpoint_is_a_format_error() {
     run_spmd(1, |comm| {
         let cases = [
-            case("advect", advect(usize::MAX), comm),
-            case("seismic", seismic(usize::MAX), comm),
-            case("mantle", mantle(usize::MAX), comm),
+            case::<AdvectSolver>("advect", advect(), comm),
+            case::<SeismicSolver>("seismic", seismic(), comm),
+            case::<MantleSolver>("mantle", mantle(), comm),
         ];
         for writer in &cases {
             let dir = tmpdir(writer.name);
@@ -146,61 +148,69 @@ fn restoring_another_solvers_checkpoint_is_a_format_error() {
     });
 }
 
-/// Forwards to `R`, keeping every blob `checkpoint_segment` returns with
-/// the rank that returned it.
+/// `R`, keeping the segment blob of every unit it completes with the
+/// rank and the unit count that produced it.
 struct Recording<R> {
-    exp: R,
-    blobs: Mutex<Vec<(usize, Vec<u8>)>>,
+    solver: R,
+    rank: usize,
+    blobs: Arc<Blobs>,
 }
+
+type Blobs = Mutex<Vec<(usize, usize, Vec<u8>)>>;
 
 impl<R: Recoverable> Recoverable for Recording<R> {
-    type Solver = (R::Solver, usize);
+    type Spec = (R::Spec, Arc<Blobs>);
 
-    fn build<C: Communicator>(&self, comm: &C) -> Self::Solver {
-        (self.exp.build(comm), comm.rank())
+    fn build<C: Communicator>((spec, blobs): &Self::Spec, comm: &C) -> Self {
+        let solver = R::build(spec, comm);
+        let (rank, blobs) = (comm.rank(), Arc::clone(blobs));
+        Recording {
+            solver,
+            rank,
+            blobs,
+        }
     }
     fn restore<C: Communicator>(
-        &self,
+        (spec, blobs): &Self::Spec,
         comm: &C,
         segments: &[Vec<u8>],
-    ) -> Result<Self::Solver, CheckpointError> {
-        Ok((self.exp.restore(comm, segments)?, comm.rank()))
+    ) -> Result<Self, CheckpointError> {
+        let solver = R::restore(spec, comm, segments)?;
+        let (rank, blobs) = (comm.rank(), Arc::clone(blobs));
+        Ok(Recording {
+            solver,
+            rank,
+            blobs,
+        })
     }
-    fn checkpoint_segment(&self, (solver, rank): &Self::Solver, saved_ranks: usize) -> Vec<u8> {
-        let blob = self.exp.checkpoint_segment(solver, saved_ranks);
-        self.blobs.lock().unwrap().push((*rank, blob.clone()));
-        blob
+    fn advance<C: Communicator>(&mut self, comm: &C) {
+        self.solver.advance(comm);
+        let carried = self.solver.carried();
+        let blob = carried.segment(comm.size());
+        let mut blobs = self.blobs.lock().unwrap();
+        blobs.push((self.rank, carried.units, blob));
     }
-    fn units_done(&self, solver: &Self::Solver) -> usize {
-        self.exp.units_done(&solver.0)
-    }
-    fn total_units(&self) -> usize {
-        self.exp.total_units()
-    }
-    fn checkpoint_every(&self) -> usize {
-        self.exp.checkpoint_every()
-    }
-    fn advance<C: Communicator>(&self, solver: &mut Self::Solver, comm: &C) {
-        self.exp.advance(&mut solver.0, comm);
-    }
-    fn state(&self, solver: &Self::Solver) -> (Vec<f64>, f64) {
-        self.exp.state(&solver.0)
+    fn carried(&self) -> Carried<'_> {
+        self.solver.carried()
     }
 }
 
-/// Run `exp` (two units, checkpoint after the first) through the
+/// Run `spec` (two units, checkpoint after the first) through the
 /// supervisor on `ranks` ranks and compare the epoch it wrote to disk
-/// with the blobs it was handed.
-fn disk_holds_the_segments<R: Recoverable>(name: &str, exp: R, ranks: usize) {
+/// with the blobs the solver's state encodes to after that unit.
+fn disk_holds_the_segments<R: Recoverable>(name: &str, spec: R::Spec, ranks: usize) {
     let root = tmpdir(&format!("supervisor_{name}_{ranks}"));
-    let rec = Recording {
-        exp,
-        blobs: Mutex::new(Vec::new()),
+    let blobs = Arc::new(Mutex::new(Vec::new()));
+    let run = Run {
+        checkpoint_every: 1,
+        max_attempts: 1,
+        ..Run::new(ranks, 2, Store::Disk(root.clone()))
     };
-    run_with_recovery(ranks, ranks, None, &root, &rec, 1);
-    let mut handed = rec.blobs.into_inner().unwrap();
-    handed.sort_by_key(|(rank, _)| *rank);
-    let handed: Vec<Vec<u8>> = handed.into_iter().map(|(_, blob)| blob).collect();
+    run_with_recovery::<Recording<R>>(&(spec, Arc::clone(&blobs)), &run);
+    let mut handed = std::mem::take(&mut *blobs.lock().unwrap());
+    handed.retain(|(_, units, _)| *units == 1);
+    handed.sort_by_key(|(rank, _, _)| *rank);
+    let handed: Vec<Vec<u8>> = handed.into_iter().map(|(_, _, blob)| blob).collect();
     assert_eq!(handed.len(), ranks, "{name}: one checkpoint per rank");
     let on_disk = read_dir(&root.join("epoch_1")).unwrap();
     assert!(
@@ -212,8 +222,57 @@ fn disk_holds_the_segments<R: Recoverable>(name: &str, exp: R, ranks: usize) {
 #[test]
 fn supervisor_disk_save_is_the_segment_blobs() {
     for ranks in [1, 3] {
-        disk_holds_the_segments("advect", advect(1), ranks);
-        disk_holds_the_segments("seismic", seismic(1), ranks);
-        disk_holds_the_segments("mantle", mantle(1), ranks);
+        disk_holds_the_segments::<AdvectSolver>("advect", advect(), ranks);
+        disk_holds_the_segments::<SeismicSolver>("seismic", seismic(), ranks);
+        disk_holds_the_segments::<MantleSolver>("mantle", mantle(), ranks);
     }
+}
+
+/// Every rank's segment blob after two units on `ranks` ranks, in rank
+/// order.
+fn blobs_after_two_units<R: Recoverable>(spec: &R::Spec, ranks: usize) -> Vec<Vec<u8>> {
+    run_spmd(ranks, |comm| {
+        let mut solver = R::build(spec, comm);
+        for _ in 0..2 {
+            solver.advance(comm);
+        }
+        solver.carried().segment(comm.size())
+    })
+}
+
+/// FNV-1a over the blobs in order, each prefixed by its length.
+fn digest(blobs: &[Vec<u8>]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325_u64;
+    for blob in blobs {
+        for &b in (blob.len() as u64).to_le_bytes().iter().chain(blob) {
+            h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+#[test]
+fn checkpoint_bytes_are_pinned() {
+    // The encoding itself, not only its round trip: every solver's
+    // segment blobs after two units, on one and on three ranks.
+    const PINNED: [(&str, usize, u64); 6] = [
+        ("advect", 1, 0xcf88_6785_d9a7_07f6),
+        ("advect", 3, 0x186a_dce3_3c6c_1fe2),
+        ("seismic", 1, 0x1a45_c50d_feb3_e41c),
+        ("seismic", 3, 0x4dc8_a03b_72e4_baf5),
+        ("mantle", 1, 0xee6a_4f8a_5070_e59a),
+        ("mantle", 3, 0xc030_6acb_b591_cda9),
+    ];
+    let mut got = Vec::new();
+    for (name, ranks, _) in PINNED {
+        let blobs = match name {
+            "advect" => blobs_after_two_units::<AdvectSolver>(&advect(), ranks),
+            "seismic" => blobs_after_two_units::<SeismicSolver>(&seismic(), ranks),
+            _ => blobs_after_two_units::<MantleSolver>(&mantle(), ranks),
+        };
+        assert_eq!(blobs.len(), ranks);
+        got.push((name, ranks, digest(&blobs)));
+    }
+    let want: Vec<_> = PINNED.to_vec();
+    assert_eq!(got, want, "checkpoint bytes moved");
 }
