@@ -720,7 +720,7 @@ impl Recoverable for AdvectSolver {
         ))
     }
 
-    fn advance<C: Communicator>(&mut self, comm: &C) {
+    fn advance<C: Communicator>(&mut self, comm: &C, _last: bool) {
         self.step(comm);
     }
 

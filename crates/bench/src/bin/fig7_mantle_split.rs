@@ -21,6 +21,7 @@ use forust::forest::Forest;
 use forust_comm::run_spmd;
 use forust_geom::{Mapping, ShellMap};
 use forust_mantle::{MantleConfig, MantleSolver};
+use forust_resilience::Recoverable;
 
 const PICARD: usize = 4;
 
@@ -49,10 +50,11 @@ fn main() {
                 ..Default::default()
             };
             let mut s = MantleSolver::new(comm, forest, map, config);
-            // Every Picard step's MINRES outcome (global, equal on all ranks).
+            // Every Picard step's MINRES outcome (global, equal on all ranks);
+            // the last step skips its adapt, as `solve` does.
             let mut outcomes = Vec::with_capacity(PICARD);
             while s.picard_done < PICARD {
-                s.picard_step(comm);
+                s.advance(comm, s.picard_done + 1 == PICARD);
                 outcomes.extend(s.last_krylov);
             }
             (

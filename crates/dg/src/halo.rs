@@ -87,7 +87,7 @@ pub trait HaloLane: Real + sealed::Lane {
 
     /// Enter the floating-point environment of this precision's
     /// arithmetic: the [`Stepper`](crate::Stepper) holds the guard around
-    /// every pool job of a step, the RK update included. Nothing at
+    /// every element window of a step, the RK update included. Nothing at
     /// `f64`; the `f32` tier flushes subnormals as a GPU does.
     fn fp_scope() -> impl Sized;
 }
@@ -117,8 +117,8 @@ impl HaloLane for f32 {
 
 /// Flush-to-zero scope for the f32 tier's sweeps. GPUs flush f32
 /// subnormals by default (CUDA's FTZ mode); on x86 we mirror that by
-/// setting the FTZ and DAZ bits of MXCSR for the duration of one job —
-/// every pool job the stepper runs at `R = f32`, the RK update included
+/// setting the FTZ and DAZ bits of MXCSR for the duration of one element
+/// window — every one the stepper runs at `R = f32`, the RK update included
 /// (its f32 bits depend on it). Without it, the near-zero fields early in
 /// a seismic run (a ramping Ricker source times a Gaussian spatial decay)
 /// are subnormal in f32 — normal in the host's f64 — and every flux FLOP
@@ -478,7 +478,9 @@ impl<D: Dim> HaloExchange<D> {
         // One message buffer per destination rank, each packed serially
         // from read-only state: fanning the per-rank packs out over the
         // worker pool leaves every byte of every buffer unchanged.
-        let outgoing: Vec<Vec<u8>> = forust_pool::par_map(self.send_entries.len(), 1, |r| {
+        let mut outgoing: Vec<Vec<u8>> = vec![Vec::new(); self.send_entries.len()];
+        let no_scratch = &mut [(); forust_pool::MAX_LANES];
+        forust_pool::par_chunks_mut(&mut outgoing, 1, 1, None, no_scratch, |r, out, _| {
             let entries = &self.send_entries[r];
             let payload: usize = entries.iter().map(|en| en.nodes.len()).sum();
             let mut buf = vec![0u8; entries.len() + payload * ncomp * R::WIRE_BYTES];
@@ -495,7 +497,7 @@ impl<D: Dim> HaloExchange<D> {
                     }
                 }
             }
-            buf
+            out[0] = buf;
         });
         let bytes_sent: u64 = outgoing.iter().map(|b| b.len() as u64).sum();
         forust_obs::counter_add("halo.bytes_sent", bytes_sent);

@@ -31,8 +31,8 @@
 //! [`KernelWorkspace`] is one pool lane's scratch arena: gradient panels,
 //! face traces and mortar buffers, sized by the degree and component
 //! count and reused across elements and RK stages. The
-//! [`Stepper`](crate::stepper::Stepper) owns one per lane, beside the RK
-//! register and stage vector. A grow counter (`kernels.scratch_grow`,
+//! [`Stepper`](crate::stepper::Stepper) owns one per lane, beside the
+//! lane's one-element stage buffer and the RK register. A grow counter (`kernels.scratch_grow`,
 //! mirroring the halo's `halo.scratch_grow`) proves the steady state
 //! allocates nothing.
 //!

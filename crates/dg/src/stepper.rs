@@ -4,30 +4,32 @@
 //! the ghost exchange behind volume work (SC10 §III), and dGea runs that
 //! same loop on CPUs and GPUs, swapping only the element kernels (§IV-B);
 //! the solvers supply physics. [`Stepper`] is that layer: it owns the
-//! 2N-storage register, the stage buffer and one [`KernelWorkspace`] per
-//! worker-pool lane, and its [`step`](Stepper::step) runs the five stages.
-//! Each stage puts the face-trace exchange on the wire, sweeps the
-//! *interior* elements (which read no ghost) while the messages fly,
-//! completes the exchange, sweeps the *boundary* elements and updates the
-//! state on the pool. A solver is an [`RhsKernel`]: the right-hand side of
+//! 2N-storage register and, per worker-pool lane, one [`KernelWorkspace`]
+//! and one element's stage buffer, and its [`step`](Stepper::step) runs
+//! the five stages. Each stage puts the face-trace exchange on the wire,
+//! sweeps the *interior* elements (which read no ghost) while the
+//! messages fly, completes the exchange, sweeps the *boundary* elements —
+//! each element's RHS goes straight into its register window — and
+//! updates the state on the pool. A solver is an [`RhsKernel`]: the right-hand side of
 //! one element, in the precision of its tier (`f64` host, `f32` device).
 //!
 //! Sweeps and update fan out over the rank's worker pool in chunks fixed
-//! by the element count or the state length alone, and elements write
-//! disjoint windows of the stage buffer, so a step is bitwise identical to
-//! the serial exchange-then-sweep loop through
+//! by the element count and shape alone, and every element writes only its
+//! own windows through `forust_pool::par_chunks_mut`, so a step is bitwise
+//! identical to the serial exchange-then-sweep loop through
 //! [`lserk_step`](crate::lserk::lserk_step) at any worker count.
 
 use forust::dim::Dim;
 use forust_comm::Communicator;
-use forust_pool::{DisjointSlice, PerLane};
+use forust_pool::par_chunks_mut;
 
 use crate::halo::{HaloData, HaloExchange, HaloLane};
 use crate::kernels::KernelWorkspace;
 use crate::lserk::{LSERK_A, LSERK_B, LSERK_C};
 
-/// State values per pool chunk of the RK update: a function of the state
-/// length only, like every other chunk boundary of a step.
+/// State values per pool chunk of the RK update, rounded up to whole
+/// elements: a function of the element shape only, like every other chunk
+/// boundary of a step.
 const UPDATE_GRAIN: usize = 8192;
 
 /// What a solver hands to [`Stepper::step`]: the dG right-hand side of one
@@ -55,8 +57,8 @@ pub trait RhsKernel<D: Dim>: Sync {
     /// Write the time derivative of element `e` of state `q` at time `t`
     /// into `out`, the element's own window of the RHS vector.
     ///
-    /// Every entry of `out` must be assigned (it holds the previous
-    /// stage's values on entry) and nothing outside it may be written —
+    /// Every entry of `out` must be assigned (it holds another element's
+    /// values on entry) and nothing outside it may be written —
     /// that is what lets the sweeps run elements concurrently. `traces`
     /// carries the received ghost face traces; it is `None` for interior
     /// elements. `ws` is the calling lane's workspace.
@@ -80,22 +82,20 @@ pub struct Stepper<R = f64> {
     /// step is a pure function of `(q, t)` — a restart from a checkpoint
     /// of `q` alone continues bit for bit.
     resid: Vec<R>,
-    /// The RHS of the current stage.
-    stage: Vec<R>,
-    /// One workspace per pool lane (lane 0 is the rank thread), built for
-    /// elements of `unit` values.
-    lanes: PerLane<KernelWorkspace<R>>,
+    /// Per pool lane (lane 0 is the rank thread): a workspace and the
+    /// stage RHS of the element in hand, built for elements of `unit`
+    /// values.
+    lanes: Vec<(KernelWorkspace<R>, Vec<R>)>,
     unit: usize,
     grow_events: u64,
 }
 
 impl<R: HaloLane> Stepper<R> {
-    /// Size the registers for a state of `n` values and zero the 2N
-    /// register; `true` if that had to allocate. Every step starts here;
-    /// a tier that accounts for its allocations calls it ahead of time.
+    /// Size the 2N register for a state of `n` values and zero it; `true`
+    /// if that had to allocate. Every step starts here; a tier that
+    /// accounts for its allocations calls it ahead of time.
     pub fn fit(&mut self, n: usize) -> bool {
-        let grew = self.resid.capacity() < n || self.stage.capacity() < n;
-        self.stage.resize(n, R::ZERO);
+        let grew = self.resid.capacity() < n;
         self.resid.clear();
         self.resid.resize(n, R::ZERO);
         grew
@@ -132,7 +132,8 @@ impl<R: HaloLane> Stepper<R> {
         // step and when the pool width (the worker-matrix tests flip it
         // between runs) or the element shape changed since the last.
         if self.lanes.len() != width || self.unit != unit {
-            self.lanes = PerLane::new(width, |_| kernel.new_scratch());
+            let lane = || (kernel.new_scratch(), vec![R::ZERO; unit]);
+            self.lanes = (0..width).map(|_| lane()).collect();
             self.unit = unit;
         }
         let n = q.len();
@@ -147,29 +148,27 @@ impl<R: HaloLane> Stepper<R> {
         for s in 0..5 {
             let _stage = forust_obs::span!("rk.stage");
             let ts = t + LSERK_C[s] * dt;
+            let (a, b) = (R::from_f64(LSERK_A[s]), R::from_f64(LSERK_B[s]));
+            let h = R::from_f64(dt);
             let pending = halo.begin(comm, q, K::NCOMP);
             let span = forust_obs::span!("rhs.interior");
             let q_in = &*q;
-            // Pool sweep over one element list: each lane works in its own
-            // workspace, and every element writes only its own window.
-            let sweep = |list: &[u32], traces: Option<&HaloData<'_, D, R>>, out: &mut [R]| {
-                let slots = DisjointSlice::new(out);
-                forust_pool::par_for_each(list.len(), K::GRAIN, |r, lane| {
+            // Pool sweep over one element list: each element's RHS lands
+            // in its lane's stage buffer and goes straight into the
+            // element's own register window. `q` is not written until
+            // both lists are done, so every RHS reads this stage's state.
+            let (resid, lanes) = (&mut self.resid, &mut self.lanes);
+            let mut sweep = |list: &[u32], traces: Option<&HaloData<'_, D, R>>| {
+                let only = Some(list);
+                par_chunks_mut(resid, unit, K::GRAIN, only, lanes, |e, rw, (ws, k)| {
                     let _fp = R::fp_scope();
-                    // SAFETY: the pool runs each lane on exactly one thread
-                    // per job, and nothing else borrows the lanes meanwhile.
-                    let ws = unsafe { self.lanes.lane(lane) };
-                    for i in r {
-                        let e = list[i] as usize;
-                        // SAFETY: `list` is one side of the halo's
-                        // interior/boundary partition, which names each
-                        // element at most once, so the windows are disjoint.
-                        let out_e = unsafe { slots.slice(e * unit..(e + 1) * unit) };
-                        kernel.rhs_unit(q_in, e, ts, traces, ws, out_e);
+                    kernel.rhs_unit(q_in, e, ts, traces, ws, k);
+                    for (rv, kv) in rw.iter_mut().zip(k.iter()) {
+                        *rv = a * *rv + h * *kv;
                     }
                 });
             };
-            sweep(interior, None, &mut self.stage);
+            sweep(interior, None);
             drop(span);
             let traces = {
                 let _span = forust_obs::span!("rhs.exchange_wait");
@@ -177,27 +176,21 @@ impl<R: HaloLane> Stepper<R> {
             };
             {
                 let _span = forust_obs::span!("rhs.boundary");
-                sweep(boundary, Some(&traces), &mut self.stage);
+                sweep(boundary, Some(&traces));
                 forust_obs::counter_add("kernels.rhs_elements", elements as u64);
             }
             drop(traces);
             let _update = forust_obs::span!("rk.update");
-            let (a, b) = (R::from_f64(LSERK_A[s]), R::from_f64(LSERK_B[s]));
-            let h = R::from_f64(dt);
-            let k = &self.stage;
-            let (qs, rs) = (DisjointSlice::new(q), DisjointSlice::new(&mut self.resid));
-            forust_pool::par_for_each(n, UPDATE_GRAIN, |w, _| {
+            let (resid, no_scratch) = (&self.resid, &mut [(); forust_pool::MAX_LANES]);
+            let grain = UPDATE_GRAIN.div_ceil(unit);
+            par_chunks_mut(q, unit, grain, None, no_scratch, |e, qw, _| {
                 let _fp = R::fp_scope();
-                // SAFETY: the pool hands out pairwise disjoint ranges of
-                // `0..n`, and `q` and the register are `n` long.
-                let (qw, rw) = unsafe { (qs.slice(w.clone()), rs.slice(w.clone())) };
-                for ((qv, rv), kv) in qw.iter_mut().zip(rw).zip(&k[w]) {
-                    *rv = a * *rv + h * *kv;
+                for (qv, rv) in qw.iter_mut().zip(&resid[e * unit..(e + 1) * unit]) {
                     *qv += b * *rv;
                 }
             });
         }
-        let regrown = |ws: &mut KernelWorkspace<R>| {
+        let regrown = |(ws, _): &mut (KernelWorkspace<R>, Vec<R>)| {
             ws.check_steady();
             ws.grow_events()
         };

@@ -270,7 +270,8 @@ impl StokesFem {
     pub fn update_viscosity(&mut self, p: &RheologyParams, x: &[f64]) {
         let nn = self.nn;
         let mut eta = std::mem::take(&mut self.eta_qp);
-        forust_pool::par_chunks_mut(&mut eta, 8, FEM_GRAIN, |e, eta_e, _| {
+        let no_scratch = &mut [(); forust_pool::MAX_LANES];
+        forust_pool::par_chunks_mut(&mut eta, 8, FEM_GRAIN, None, no_scratch, |e, eta_e, _| {
             let en = self.element_nodes(e);
             let g = &self.qp_grads[e];
             // Strain rate second invariant and temperature at the
@@ -365,8 +366,9 @@ impl StokesFem {
         let nn = self.nn;
         assert_eq!(out.len(), 4 * nn);
         let mut contribs = vec![0.0f64; self.num_elements() * 32];
-        forust_pool::par_chunks_mut(&mut contribs, 32, FEM_GRAIN, |e, window, _| {
-            window.copy_from_slice(element(e, &self.element_nodes(e)).as_flattened());
+        let no_scratch = &mut [(); forust_pool::MAX_LANES];
+        forust_pool::par_chunks_mut(&mut contribs, 32, FEM_GRAIN, None, no_scratch, |e, w, _| {
+            w.copy_from_slice(element(e, &self.element_nodes(e)).as_flattened());
         });
         let gmax = allreduce_max_abs(comm, contribs.iter().copied());
         // All ranks see the same reduced max, so all take the same branch.

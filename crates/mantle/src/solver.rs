@@ -21,7 +21,7 @@ pub struct MantleConfig {
     pub ra: f64,
     /// Rheology parameters.
     pub rheology: RheologyParams,
-    /// Picard (lagged-viscosity) iterations.
+    /// Picard (lagged-viscosity) iterations of [`MantleSolver::solve`].
     pub picard_iters: usize,
     /// Dynamic AMR every this many Picard iterations (2–8 in the paper).
     pub amr_every: usize,
@@ -159,17 +159,25 @@ impl MantleSolver {
     pub fn solve(&mut self, comm: &impl Communicator) -> f64 {
         let _span = forust_obs::span!("mantle.solve");
         while self.picard_done < self.config.picard_iters {
-            self.picard_step(comm);
+            let last = self.picard_done + 1 == self.config.picard_iters;
+            self.iterate(comm, last);
         }
         self.solution_norm(comm)
     }
 
     /// One Picard (lagged-viscosity) iteration: refresh the viscosity from
     /// the current solution, rebuild the buoyancy RHS, solve with MINRES,
-    /// and run dynamic AMR when the schedule says so. The cross-iteration
-    /// state is exactly `(forest, x, picard_done)`, so checkpoints taken
-    /// between calls restore bitwise.
+    /// and run dynamic AMR every `amr_every` iterations. The
+    /// cross-iteration state is exactly `(forest, x, picard_done)`, so
+    /// checkpoints taken between calls restore bitwise.
     pub fn picard_step(&mut self, comm: &impl Communicator) {
+        self.iterate(comm, false);
+    }
+
+    /// [`picard_step`](Self::picard_step), skipping the scheduled adapt
+    /// when the caller says this is the run's `last` iteration: no later
+    /// solve would use the adapted mesh.
+    fn iterate(&mut self, comm: &impl Communicator, last: bool) {
         let it = self.picard_done;
         // Picard operator construction: refresh viscosity.
         let t0 = Instant::now();
@@ -183,7 +191,7 @@ impl MantleSolver {
         forust_obs::gauge_set("mantle.krylov_rel_residual", rel);
         self.last_krylov = Some(outcome);
 
-        if (it + 1) % self.config.amr_every == 0 && it + 1 < self.config.picard_iters {
+        if (it + 1) % self.config.amr_every == 0 && !last {
             self.adapt(comm);
         }
         self.picard_done = it + 1;
@@ -429,8 +437,8 @@ impl Recoverable for MantleSolver {
         })
     }
 
-    fn advance<C: Communicator>(&mut self, comm: &C) {
-        self.picard_step(comm);
+    fn advance<C: Communicator>(&mut self, comm: &C, last: bool) {
+        self.iterate(comm, last);
     }
 
     fn carried(&self) -> Carried<'_> {

@@ -10,10 +10,10 @@ use std::sync::Arc;
 
 use forust::connectivity::{builders, Connectivity};
 use forust::dim::D3;
-use forust_comm::{run_spmd, run_spmd_with, ChaosComm, FaultPlan};
+use forust_comm::{run_spmd, run_spmd_with, ChaosComm, Communicator, FaultPlan};
 use forust_geom::{Mapping, ShellMap};
 use forust_mantle::{MantleConfig, MantleSolver, MantleSpec};
-use forust_resilience::{attempt, run_with_recovery, AttemptResult, Run, Store};
+use forust_resilience::{attempt, run_with_recovery, AttemptResult, Recoverable, Run, Store};
 
 fn build_conn() -> Connectivity<D3> {
     builders::cubed_sphere()
@@ -91,6 +91,29 @@ fn full_solve_is_rank_count_invariant() {
     );
     assert_bitwise_equal(&results[0], &results[1]);
     assert_bitwise_equal(&results[0], &results[2]);
+}
+
+#[test]
+fn supervised_run_ends_without_the_adapt_after_its_last_unit() {
+    // The run's length, not `picard_iters`, is the horizon: two supervised
+    // units of a four-iteration config (adapting every second) end where a
+    // two-iteration `solve()` ends, whose last iteration does not adapt.
+    let mut s = spec();
+    (s.config.picard_iters, s.config.amr_every) = (4, 2);
+    let run = Run::new(2, 2, Store::Disk(tmpdir("horizon")));
+    let supervised = run_with_recovery::<MantleSolver>(&s, &run).result;
+    s.config.picard_iters = 2;
+    let solved = run_spmd(2, |comm| {
+        let mut solver = MantleSolver::build(&s, comm);
+        solver.solve(comm);
+        let carried = solver.carried();
+        AttemptResult {
+            solution: comm.allgatherv(&carried.state).concat(),
+            time: carried.time,
+            steps: carried.units,
+        }
+    });
+    assert_bitwise_equal(&solved[0], &supervised);
 }
 
 #[test]

@@ -10,19 +10,22 @@
 //!
 //! ## Determinism contract
 //!
-//! Every API here is bitwise deterministic regardless of worker count
-//! and steal schedule:
+//! Both parallel forms are bitwise deterministic regardless of worker
+//! count and steal schedule:
 //!
 //! - **Fixed chunking.** An iteration space `0..n` is split into chunks
 //!   of a caller-chosen `grain`; the chunk boundaries are a function of
 //!   `(n, grain)` only — never of the worker count or of which worker
 //!   runs a chunk.
-//! - **Ordered reduction.** [`Pool::par_map_reduce`] stores one result
-//!   slot per chunk and folds the slots in ascending chunk order on the
-//!   calling thread, so floating-point reductions associate identically
-//!   on any schedule. [`Pool::par_for_each`] requires the body to write
-//!   only to locations owned by its indices (disjoint writes), which
-//!   makes the memory image schedule-independent by construction.
+//! - **Ordered reduction.** [`par_map_reduce`] stores one result slot per
+//!   chunk and folds the slots in ascending chunk order on the calling
+//!   thread, so floating-point reductions associate identically on any
+//!   schedule.
+//! - **Owned windows.** [`par_chunks_mut`] is the only way to write in
+//!   parallel: the pool cuts the caller's slice into disjoint windows and
+//!   hands each body call its own window plus its lane's own scratch, so
+//!   the memory image is schedule-independent by construction and no
+//!   caller needs `unsafe`.
 //!
 //! The step-bitwise oracle suites of the dG solvers run at
 //! `FORUST_WORKERS ∈ {1, 2, 4}` and assert identical bits.
@@ -51,9 +54,8 @@
 //! `pool.busy` trace events on per-worker Perfetto tracks plus
 //! `pool.worker.<i>.busy_us` counters.
 
-use std::cell::{Cell, RefCell, UnsafeCell};
+use std::cell::{Cell, RefCell};
 use std::marker::PhantomData;
-use std::mem::MaybeUninit;
 use std::ops::Range;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -101,10 +103,8 @@ pub fn configured_workers() -> usize {
 
 thread_local! {
     /// This thread's pool (rank threads get one lazily; worker threads
-    /// never create nested pools — see `LANE`/`IS_WORKER`).
+    /// never create nested pools — see `IS_WORKER`).
     static POOL: RefCell<Option<Rc<Pool>>> = const { RefCell::new(None) };
-    /// The lane this thread runs as (0 on rank threads).
-    static LANE: Cell<usize> = const { Cell::new(0) };
     /// True on pool worker threads: parallel calls run inline there.
     static IS_WORKER: Cell<bool> = const { Cell::new(false) };
     /// True while this thread is executing a job body (worker or the
@@ -160,9 +160,8 @@ pub fn with<R>(f: impl FnOnce(&Pool) -> R) -> R {
 /// Discard any worker-lane observability drains the calling thread's
 /// pool is still holding (left behind by a job that unwound before its
 /// absorb ran). Registered as an `obs` reset hook so `obs::reset()`
-/// clears worker-lane state along with the rank recorder; callable
-/// directly for the same effect without a full reset.
-pub fn clear_pending_drains() {
+/// clears worker-lane state along with the rank recorder.
+fn clear_pending_drains() {
     if IS_WORKER.with(|w| w.get()) {
         return;
     }
@@ -173,14 +172,11 @@ pub fn clear_pending_drains() {
     });
 }
 
-/// Convenience: fixed-chunk parallel loop on the calling thread's pool.
-/// See [`Pool::par_for_each`].
-pub fn par_for_each(n: usize, grain: usize, body: impl Fn(Range<usize>, usize) + Sync) {
-    with(|p| p.par_for_each(n, grain, body));
-}
-
-/// Convenience: ordered-reduction parallel map on the calling thread's
-/// pool. See [`Pool::par_map_reduce`].
+/// Parallel map with ordered reduction on the calling thread's pool:
+/// `map(chunk_range, lane)` runs once per fixed chunk of `0..n`, and
+/// `fold` consumes the chunk results **in ascending chunk order** on the
+/// calling thread. Bitwise deterministic for any worker count because
+/// both the chunk boundaries and the fold order are schedule-independent.
 pub fn par_map_reduce<T: Send>(
     n: usize,
     grain: usize,
@@ -190,21 +186,28 @@ pub fn par_map_reduce<T: Send>(
     with(|p| p.par_map_reduce(n, grain, map, fold));
 }
 
-/// Convenience: parallel index map collecting a `Vec` in index order.
-/// See [`Pool::par_map`].
-pub fn par_map<T: Send>(n: usize, grain: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    with(|p| p.par_map(n, grain, f))
-}
-
-/// Convenience: parallel sweep over disjoint `chunk`-sized windows of
-/// `data` on the calling thread's pool. See [`Pool::par_chunks_mut`].
-pub fn par_chunks_mut<T: Send>(
+/// Parallel sweep over disjoint `chunk`-sized windows of `data` on the
+/// calling thread's pool: `body(index, window, scratch)` runs once per
+/// window (`window = data[index * chunk..(index + 1) * chunk]`; the
+/// length must be whole windows), or, given `only`, once per window it
+/// names. `only` must be strictly ascending and in range — the pool
+/// panics before running any body otherwise — and an empty list submits
+/// no job.
+///
+/// Pool chunks hold `grain` windows (listed windows, given `only`), so
+/// their boundaries depend on the window count and `grain` only. `scratch`
+/// is `lanes[l]` of the lane `l` running the call, never shared with
+/// another lane; the job runs on at most `lanes.len()` lanes. A caller
+/// without scratch passes `&mut [(); MAX_LANES]`.
+pub fn par_chunks_mut<T: Send, S: Send>(
     data: &mut [T],
     chunk: usize,
     grain: usize,
-    body: impl Fn(usize, &mut [T], usize) + Sync,
+    only: Option<&[u32]>,
+    lanes: &mut [S],
+    body: impl Fn(usize, &mut [T], &mut S) + Sync,
 ) {
-    with(|p| p.par_chunks_mut(data, chunk, grain, body));
+    with(|p| p.par_chunks_mut(data, chunk, grain, only, lanes, body));
 }
 
 /// Cache-line padding for the per-lane cursors (steals hammer them).
@@ -309,11 +312,6 @@ impl Pool {
         }
     }
 
-    /// Number of lanes, including the calling rank thread (lane 0).
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
     /// Cumulative busy nanoseconds per lane since pool creation.
     pub fn busy_ns(&self) -> Vec<u64> {
         self.shared
@@ -396,22 +394,10 @@ impl Pool {
         }
     }
 
-    /// Run `body(chunk_range, lane)` over fixed chunks of `0..n`.
-    ///
-    /// Chunk boundaries depend on `(n, grain)` only. The body MUST
-    /// confine its writes to state owned by the indices it is given
-    /// (e.g. through [`DisjointSlice`]/[`PerLane`]); under that contract
-    /// the result is bitwise independent of worker count and schedule.
-    pub fn par_for_each(&self, n: usize, grain: usize, body: impl Fn(Range<usize>, usize) + Sync) {
-        self.run_chunked(n, grain, |_, r, lane| body(r, lane));
-    }
-
-    /// Parallel map with ordered reduction: `map` runs per fixed chunk
-    /// on the pool, `fold` consumes the chunk results **in ascending
-    /// chunk order** on the calling thread. Bitwise deterministic for
-    /// any worker count because both the chunk boundaries and the fold
-    /// order are schedule-independent.
-    pub fn par_map_reduce<T: Send>(
+    /// See the free [`par_map_reduce`]: one result window per chunk,
+    /// written through [`Pool::par_chunks_mut`] with the lane ids as the
+    /// lanes' scratch.
+    fn par_map_reduce<T: Send>(
         &self,
         n: usize,
         grain: usize,
@@ -419,103 +405,97 @@ impl Pool {
         mut fold: impl FnMut(T),
     ) {
         let grain = grain.max(1);
-        let chunks = n.div_ceil(grain);
         let mut slots: Vec<Option<T>> = Vec::new();
-        slots.resize_with(chunks, || None);
-        {
-            let out = DisjointSlice::new(&mut slots);
-            self.run_chunked(n, grain, |c, r, lane| {
-                // SAFETY: each chunk index is executed exactly once.
-                let slot = unsafe { out.slice(c..c + 1) };
-                slot[0] = Some(map(r, lane));
-            });
-        }
+        slots.resize_with(n.div_ceil(grain), || None);
+        let mut lane_ids: [usize; MAX_LANES] = std::array::from_fn(|l| l);
+        self.par_chunks_mut(&mut slots, 1, 1, None, &mut lane_ids, |c, slot, lane| {
+            slot[0] = Some(map(c * grain..n.min((c + 1) * grain), *lane));
+        });
         for s in slots {
             fold(s.expect("every chunk produced a result"));
         }
     }
 
-    /// Parallel index map into a `Vec` in index order (each element
-    /// computed independently, so the result is schedule-independent).
-    pub fn par_map<T: Send>(
-        &self,
-        n: usize,
-        grain: usize,
-        f: impl Fn(usize) -> T + Sync,
-    ) -> Vec<T> {
-        let mut out: Vec<MaybeUninit<T>> = Vec::with_capacity(n);
-        out.resize_with(n, MaybeUninit::uninit);
-        {
-            let slots = DisjointSlice::new(&mut out);
-            self.run_chunked(n, grain, |_, r, _| {
-                // SAFETY: chunk ranges are pairwise disjoint.
-                let dst = unsafe { slots.slice(r.clone()) };
-                for (slot, i) in dst.iter_mut().zip(r) {
-                    slot.write(f(i));
-                }
-            });
-        }
-        // SAFETY: run_chunked covered every index exactly once (it
-        // panics otherwise), so all n slots are initialized.
-        let mut out = std::mem::ManuallyDrop::new(out);
-        unsafe { Vec::from_raw_parts(out.as_mut_ptr() as *mut T, n, out.capacity()) }
-    }
-
-    /// Run `body(index, window, lane)` once per `chunk`-sized window of
-    /// `data` (`window = data[index * chunk..(index + 1) * chunk]`; the
-    /// length must be a multiple of `chunk`). The safe form of the
-    /// disjoint-write contract of [`Pool::par_for_each`]: each index owns
-    /// exactly its window. Pool chunks hold `grain` windows and depend on
-    /// `(data.len() / chunk, grain)` only.
-    pub fn par_chunks_mut<T: Send>(
+    /// See the free [`par_chunks_mut`].
+    fn par_chunks_mut<T: Send, S: Send>(
         &self,
         data: &mut [T],
         chunk: usize,
         grain: usize,
-        body: impl Fn(usize, &mut [T], usize) + Sync,
+        only: Option<&[u32]>,
+        lanes: &mut [S],
+        body: impl Fn(usize, &mut [T], &mut S) + Sync,
     ) {
         assert!(
             chunk > 0 && data.len() % chunk == 0,
             "par_chunks_mut: {} values are not whole windows of {chunk}",
             data.len()
         );
-        let n = data.len() / chunk;
-        let windows = DisjointSlice::new(data);
-        self.run_chunked(n, grain, |_, r, lane| {
+        assert!(!lanes.is_empty(), "par_chunks_mut: no lane scratch");
+        let count = data.len() / chunk;
+        if let Some(list) = only {
+            assert!(
+                list.windows(2).all(|p| p[0] < p[1])
+                    && list.last().is_none_or(|&e| (e as usize) < count),
+                "par_chunks_mut: the window list is not strictly ascending below {count}"
+            );
+        }
+        let n = only.map_or(count, <[u32]>::len);
+        let width = self.width.min(lanes.len());
+        let (data, lanes) = (Windows::new(data), Windows::new(lanes));
+        self.run_chunked(n, grain, width, |r, lane| {
             for i in r {
-                // SAFETY: `run_chunked` hands every index to exactly one
-                // call, and windows of distinct indices do not overlap.
-                let window = unsafe { windows.slice(i * chunk..(i + 1) * chunk) };
-                body(i, window, lane);
+                let e = only.map_or(i, |list| list[i] as usize);
+                // SAFETY: `run_chunked` hands every position to exactly
+                // one call, a strictly ascending list names each window
+                // once, and windows of distinct indices do not overlap.
+                // It runs lane `lane` (below `width <= lanes.len()`) on
+                // one thread at a time, and this borrow of the lane's
+                // scratch ends with `body`, before the lane's next one.
+                let (window, scratch) = unsafe {
+                    (
+                        data.slice(e * chunk..(e + 1) * chunk),
+                        &mut lanes.slice(lane..lane + 1)[0],
+                    )
+                };
+                body(e, window, scratch);
             }
         });
     }
 
-    /// The chunked scheduler behind the public APIs: `cb(chunk, range,
-    /// lane)` runs exactly once per chunk. Small or width-1 iterations
-    /// run inline with the same chunk boundaries.
-    fn run_chunked(&self, n: usize, grain: usize, cb: impl Fn(usize, Range<usize>, usize) + Sync) {
+    /// The chunked scheduler behind both forms: `cb(chunk_range, lane)`
+    /// runs exactly once per chunk of `0..n`, on lanes `0..w`. Small,
+    /// nested or width-1 iterations run inline as lane 0 with the same
+    /// chunk boundaries.
+    fn run_chunked(
+        &self,
+        n: usize,
+        grain: usize,
+        w: usize,
+        cb: impl Fn(Range<usize>, usize) + Sync,
+    ) {
         if n == 0 {
             return;
         }
         let grain = grain.max(1);
         let chunks = n.div_ceil(grain);
         let chunk_range = |c: usize| c * grain..n.min((c + 1) * grain);
-        if self.width <= 1 || chunks <= 1 || IN_JOB.with(|j| j.get()) {
-            let lane = LANE.with(|l| l.get());
+        if w <= 1 || chunks <= 1 || IN_JOB.with(|j| j.get()) {
             for c in 0..chunks {
-                cb(c, chunk_range(c), lane);
+                cb(chunk_range(c), 0);
             }
             return;
         }
-        let w = self.width;
         // Contiguous per-lane chunk ranges; lane l owns
         // [l*chunks/w, (l+1)*chunks/w).
-        for (lane, cur) in self.shared.cursors.iter().enumerate() {
+        for (lane, cur) in self.shared.cursors.iter().take(w).enumerate() {
             cur.0.store(lane * chunks / w, Ordering::Relaxed);
         }
         let shared = &self.shared;
         let body = move |lane: usize| {
+            if lane >= w {
+                return;
+            }
             // Drain the lane's own range, then steal from the others.
             for k in 0..w {
                 let victim = (lane + k) % w;
@@ -525,7 +505,7 @@ impl Pool {
                     if c >= end {
                         break;
                     }
-                    cb(c, chunk_range(c), lane);
+                    cb(chunk_range(c), lane);
                 }
             }
         };
@@ -548,7 +528,6 @@ impl Drop for Pool {
 
 fn worker_loop(lane: usize, shared: &Shared) {
     IS_WORKER.with(|w| w.set(true));
-    LANE.with(|l| l.set(lane));
     let mut seen = 0u64;
     loop {
         let job = {
@@ -600,10 +579,9 @@ fn worker_loop(lane: usize, shared: &Shared) {
     }
 }
 
-/// A shared-slice window that hands out `&mut` subslices to concurrent
-/// workers. The caller promises the ranges requested concurrently are
-/// pairwise disjoint (element RHS writes, per-chunk result slots).
-pub struct DisjointSlice<'a, T> {
+/// `&mut` windows of one slice handed to concurrent lanes; the caller
+/// promises the windows live at once are pairwise disjoint.
+struct Windows<'a, T> {
     ptr: *mut T,
     len: usize,
     _marker: PhantomData<&'a mut [T]>,
@@ -611,97 +589,37 @@ pub struct DisjointSlice<'a, T> {
 
 // SAFETY: disjoint `&mut` windows into a slice may move across threads
 // exactly like disjoint `split_at_mut` halves.
-unsafe impl<T: Send> Sync for DisjointSlice<'_, T> {}
-unsafe impl<T: Send> Send for DisjointSlice<'_, T> {}
+unsafe impl<T: Send> Sync for Windows<'_, T> {}
 
-impl<'a, T> DisjointSlice<'a, T> {
-    /// Wrap a slice for disjoint concurrent writes.
-    pub fn new(s: &'a mut [T]) -> Self {
-        DisjointSlice {
+impl<'a, T> Windows<'a, T> {
+    fn new(s: &'a mut [T]) -> Self {
+        Windows {
             ptr: s.as_mut_ptr(),
             len: s.len(),
             _marker: PhantomData,
         }
     }
 
-    /// Length of the underlying slice.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
     /// Borrow `range` mutably.
     ///
     /// # Safety
     ///
-    /// Ranges requested while another borrow from this wrapper is live
-    /// (on any thread) must not overlap it.
+    /// No other live borrow from this wrapper (on any thread) may
+    /// overlap `range`.
     #[allow(clippy::mut_from_ref)]
-    pub unsafe fn slice(&self, range: Range<usize>) -> &mut [T] {
+    unsafe fn slice(&self, range: Range<usize>) -> &mut [T] {
         assert!(range.start <= range.end && range.end <= self.len);
         std::slice::from_raw_parts_mut(self.ptr.add(range.start), range.end - range.start)
-    }
-}
-
-/// Per-lane mutable state (scratch workspaces): slot `l` may only be
-/// touched by the thread currently running as lane `l`, which the pool
-/// guarantees is unique per job.
-pub struct PerLane<T> {
-    slots: Vec<UnsafeCell<T>>,
-}
-
-// SAFETY: each slot is accessed by at most one thread at a time (the
-// pool runs one thread per lane per job).
-unsafe impl<T: Send> Sync for PerLane<T> {}
-
-/// No lanes provisioned yet.
-impl<T> Default for PerLane<T> {
-    fn default() -> Self {
-        PerLane { slots: Vec::new() }
-    }
-}
-
-impl<T> PerLane<T> {
-    /// Build `width` slots with `mk(lane)`.
-    pub fn new(width: usize, mut mk: impl FnMut(usize) -> T) -> Self {
-        PerLane {
-            slots: (0..width).map(|l| UnsafeCell::new(mk(l))).collect(),
-        }
-    }
-
-    /// Number of lanes provisioned.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Borrow lane `l`'s slot mutably.
-    ///
-    /// # Safety
-    ///
-    /// The caller must be the only thread using lane `l` for the
-    /// lifetime of the borrow (true inside a pool job body for its own
-    /// lane argument).
-    #[allow(clippy::mut_from_ref)]
-    pub unsafe fn lane(&self, l: usize) -> &mut T {
-        &mut *self.slots[l].get()
-    }
-
-    /// Unique-access iteration (outside any job).
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> {
-        self.slots.iter_mut().map(|s| s.get_mut())
-    }
-
-    /// Unique access to one slot (outside any job).
-    pub fn get_mut(&mut self, l: usize) -> &mut T {
-        self.slots[l].get_mut()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeSet;
+    use std::collections::{BTreeSet, HashSet};
     use std::sync::atomic::{AtomicBool, AtomicU32};
     use std::sync::{MutexGuard, PoisonError};
+    use std::thread::ThreadId;
     use std::time::Duration;
 
     /// Tests touching the process-global override run serialized.
@@ -718,11 +636,16 @@ mod tests {
         let pool = Pool::new(4);
         let n = 1013;
         let hits: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-        pool.par_for_each(n, 7, |r, _| {
-            for i in r {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            }
-        });
+        pool.par_map_reduce(
+            n,
+            7,
+            |r, _| {
+                for i in r {
+                    hits[i].fetch_add(1, Ordering::Relaxed);
+                }
+            },
+            |()| {},
+        );
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
     }
 
@@ -750,19 +673,11 @@ mod tests {
     }
 
     #[test]
-    fn par_map_preserves_index_order() {
-        let pool = Pool::new(3);
-        let v = pool.par_map(257, 10, |i| i * i);
-        assert_eq!(v.len(), 257);
-        assert!(v.iter().enumerate().all(|(i, &x)| x == i * i));
-    }
-
-    #[test]
     fn par_chunks_mut_hands_each_index_its_window() {
         for width in [1, 3] {
             let pool = Pool::new(width);
             let mut data = vec![0usize; 5 * 203];
-            pool.par_chunks_mut(&mut data, 5, 8, |i, w, _| {
+            pool.par_chunks_mut(&mut data, 5, 8, None, &mut [(); MAX_LANES], |i, w, _| {
                 assert_eq!(w.len(), 5);
                 for (j, v) in w.iter_mut().enumerate() {
                     *v += 10 * i + j;
@@ -776,12 +691,73 @@ mod tests {
     }
 
     #[test]
+    fn listed_windows_run_once_and_scratch_stays_on_its_lane() {
+        // 103 windows of 3, every one not divisible by 3 listed: 68
+        // entries, so grain 5 leaves a ragged last chunk of 3.
+        let list: Vec<u32> = (0..103).filter(|e| e % 3 != 0).collect();
+        assert_ne!(list.len() % 5, 0);
+        for width in 1..=4 {
+            let pool = Pool::new(width);
+            let mut data = vec![0u32; 3 * 103];
+            // Each lane's scratch: the thread that first touched it and
+            // how many windows it saw.
+            let mut lanes: Vec<(Option<ThreadId>, usize)> = vec![(None, 0); width];
+            pool.par_chunks_mut(&mut data, 3, 5, Some(&list), &mut lanes, |e, w, s| {
+                let me = std::thread::current().id();
+                assert_eq!(*s.0.get_or_insert(me), me, "scratch crossed lanes");
+                s.1 += 1;
+                for v in w {
+                    *v += 1 + e as u32;
+                }
+            });
+            for (k, &v) in data.iter().enumerate() {
+                let e = k / 3;
+                let want = if e % 3 != 0 { 1 + e as u32 } else { 0 };
+                assert_eq!(v, want, "width {width}: window {e}");
+            }
+            let seen: usize = lanes.iter().map(|s| s.1).sum();
+            assert_eq!(seen, list.len(), "width {width}");
+            let threads: HashSet<_> = lanes.iter().filter_map(|s| s.0).collect();
+            assert_eq!(
+                threads.len(),
+                lanes.iter().filter(|s| s.0.is_some()).count(),
+                "width {width}: two lanes ran on one thread"
+            );
+        }
+    }
+
+    #[test]
+    fn bad_window_list_panics_before_any_body_runs() {
+        let pool = Pool::new(2);
+        let ran = AtomicBool::new(false);
+        for list in [&[1u32, 0][..], &[2, 2], &[0, 1, 5]] {
+            let mut data = vec![0u8; 5 * 4];
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                pool.par_chunks_mut(&mut data, 4, 1, Some(list), &mut [(); 2], |_, _, _| {
+                    ran.store(true, Ordering::Relaxed);
+                });
+            }));
+            assert!(caught.is_err(), "{list:?} was accepted");
+        }
+        // An empty list is valid and runs nothing.
+        pool.par_chunks_mut(&mut [0u8; 4], 4, 1, Some(&[]), &mut [(); 2], |_, _, _| {
+            ran.store(true, Ordering::Relaxed);
+        });
+        assert!(!ran.load(Ordering::Relaxed));
+    }
+
+    #[test]
     fn lanes_are_unique_per_job() {
         let pool = Pool::new(4);
         let seen = Mutex::new(BTreeSet::new());
-        pool.par_for_each(4096, 1, |_, lane| {
-            seen.lock().unwrap().insert(lane);
-        });
+        pool.par_map_reduce(
+            4096,
+            1,
+            |_, lane| {
+                seen.lock().unwrap().insert(lane);
+            },
+            |()| {},
+        );
         let seen = seen.into_inner().unwrap();
         assert!(!seen.is_empty());
         assert!(seen.iter().all(|&l| l < 4));
@@ -791,15 +767,21 @@ mod tests {
     fn worker_panic_propagates_and_pool_survives() {
         let pool = Pool::new(2);
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.par_for_each(100, 1, |r, _| {
-                if r.contains(&63) {
-                    panic!("injected");
-                }
-            });
+            pool.par_map_reduce(
+                100,
+                1,
+                |r, _| {
+                    if r.contains(&63) {
+                        panic!("injected");
+                    }
+                },
+                |()| {},
+            );
         }));
         assert!(caught.is_err(), "panic in a chunk body must propagate");
         // The pool must still work after a panicked job.
-        let v = pool.par_map(10, 1, |i| i + 1);
+        let mut v = vec![0; 10];
+        pool.par_chunks_mut(&mut v, 1, 1, None, &mut [(); 2], |i, w, _| w[0] = i + 1);
         assert_eq!(v, (1..=10).collect::<Vec<_>>());
     }
 
@@ -809,13 +791,23 @@ mod tests {
         set_worker_override(Some(3));
         let total = AtomicUsize::new(0);
         with(|p| {
-            p.par_for_each(64, 4, |r, _| {
-                // Nested parallel call from inside a job: must not
-                // deadlock or nest pools.
-                par_for_each(r.len(), 2, |inner, _| {
-                    total.fetch_add(inner.len(), Ordering::Relaxed);
-                });
-            });
+            p.par_map_reduce(
+                64,
+                4,
+                |r, _| {
+                    // Nested parallel call from inside a job: must not
+                    // deadlock or nest pools.
+                    par_map_reduce(
+                        r.len(),
+                        2,
+                        |inner, _| {
+                            total.fetch_add(inner.len(), Ordering::Relaxed);
+                        },
+                        |()| {},
+                    );
+                },
+                |()| {},
+            );
         });
         assert_eq!(total.load(Ordering::Relaxed), 64);
         set_worker_override(None);
@@ -828,10 +820,13 @@ mod tests {
         obs::install(11);
         obs::reset();
         with(|p| {
-            assert_eq!(p.width(), 3);
-            p.par_for_each(300, 10, |_, _| {
-                obs::counter_add("pool.test.visits", 1);
-            });
+            assert_eq!(p.width, 3);
+            p.par_map_reduce(
+                300,
+                10,
+                |_, _| obs::counter_add("pool.test.visits", 1),
+                |()| {},
+            );
         });
         let rep = obs::uninstall().expect("recorder installed");
         let visits = rep
@@ -866,19 +861,24 @@ mod tests {
         let lane0_started = AtomicBool::new(false);
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             with(|p| {
-                p.par_for_each(30, 1, |_, lane| {
-                    if lane == 0 {
-                        lane0_started.store(true, Ordering::Release);
-                        panic!("injected");
-                    }
-                    let t0 = Instant::now();
-                    while !lane0_started.load(Ordering::Acquire)
-                        && t0.elapsed() < Duration::from_secs(10)
-                    {
-                        std::thread::yield_now();
-                    }
-                    obs::counter_add("pool.leak.visits", 1);
-                });
+                p.par_map_reduce(
+                    30,
+                    1,
+                    |_, lane| {
+                        if lane == 0 {
+                            lane0_started.store(true, Ordering::Release);
+                            panic!("injected");
+                        }
+                        let t0 = Instant::now();
+                        while !lane0_started.load(Ordering::Acquire)
+                            && t0.elapsed() < Duration::from_secs(10)
+                        {
+                            std::thread::yield_now();
+                        }
+                        obs::counter_add("pool.leak.visits", 1);
+                    },
+                    |()| {},
+                );
             });
         }));
         assert!(caught.is_err());
@@ -899,7 +899,7 @@ mod tests {
         });
         // … and the next section's report carries nothing recorded by the
         // pre-reset job's workers.
-        with(|p| p.par_for_each(8, 4, |_, _| {}));
+        with(|p| p.par_map_reduce(8, 4, |_, _| {}, |()| {}));
         let rep = obs::uninstall().expect("recorder installed");
         assert!(
             rep.counters.iter().all(|(k, _)| k != "pool.leak.visits"),

@@ -7,7 +7,8 @@
 //!
 //! - [`Recoverable`] is the contract a solver implements: build fresh from
 //!   its [`Recoverable::Spec`], restore from the segment blobs of one
-//!   checkpoint, advance one unit, and say what it carries
+//!   checkpoint, advance one unit (told whether it is the run's last),
+//!   and say what it carries
 //!   ([`Carried`]: the forest, its [`SolverFormat`], the units done, the
 //!   time and its per-element state in SFC order). The supervisor derives
 //!   everything else from that one view: the segment blob
@@ -76,8 +77,9 @@ pub trait Recoverable: Sized {
         comm: &C,
         segments: &[Vec<u8>],
     ) -> Result<Self, CheckpointError>;
-    /// Advance by one unit. Collective.
-    fn advance<C: Communicator>(&mut self, comm: &C);
+    /// Advance by one unit; `last` says it is the run's final one (a
+    /// solver may skip work only later units would use). Collective.
+    fn advance<C: Communicator>(&mut self, comm: &C, last: bool);
     /// What this rank's checkpoint carries. Purely local.
     fn carried(&self) -> Carried<'_>;
 }
@@ -401,7 +403,7 @@ pub fn attempt<R: Recoverable>(
 
     let mut done = solver.carried().units;
     while done < run.units {
-        solver.advance(comm);
+        solver.advance(comm, done + 1 == run.units);
         let carried = solver.carried();
         done = carried.units;
         if done % run.checkpoint_every == 0 && done < run.units {

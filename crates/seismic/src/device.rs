@@ -68,8 +68,8 @@ pub struct DeviceState {
     wf: Vec<f32>,
     diff: Vec<f32>,
     face_tab: FaceTables<f32>,
-    /// The shared LSERK driver at `R = f32`: RK register, stage buffer
-    /// and one kernel workspace per pool lane.
+    /// The shared LSERK driver at `R = f32`: RK register and, per pool
+    /// lane, one kernel workspace and one element's stage buffer.
     stepper: Stepper<f32>,
     /// Device clock (f64 so the Ricker stage times match the host's).
     pub time: f64,

@@ -1076,7 +1076,7 @@ impl Recoverable for SeismicSolver {
         ))
     }
 
-    fn advance<C: Communicator>(&mut self, comm: &C) {
+    fn advance<C: Communicator>(&mut self, comm: &C, _last: bool) {
         self.step(comm);
     }
 

@@ -59,7 +59,7 @@ impl Recoverable for Device {
         Ok(Device(host, dev))
     }
 
-    fn advance<C: Communicator>(&mut self, comm: &C) {
+    fn advance<C: Communicator>(&mut self, comm: &C, _last: bool) {
         let Device(host, dev) = self;
         dev.step(host, comm);
         dev.to_host(host);

@@ -94,7 +94,7 @@ where
     R::Spec: 'a,
 {
     let mut solver = R::build(&spec, comm);
-    solver.advance(comm);
+    solver.advance(comm, false);
     let blob = solver.carried().segment(1);
     let restore = move |segments: &[Vec<u8>]| {
         let s = R::restore(&spec, comm, segments)?;
@@ -183,8 +183,8 @@ impl<R: Recoverable> Recoverable for Recording<R> {
             blobs,
         })
     }
-    fn advance<C: Communicator>(&mut self, comm: &C) {
-        self.solver.advance(comm);
+    fn advance<C: Communicator>(&mut self, comm: &C, last: bool) {
+        self.solver.advance(comm, last);
         let carried = self.solver.carried();
         let blob = carried.segment(comm.size());
         let mut blobs = self.blobs.lock().unwrap();
@@ -233,8 +233,8 @@ fn supervisor_disk_save_is_the_segment_blobs() {
 fn blobs_after_two_units<R: Recoverable>(spec: &R::Spec, ranks: usize) -> Vec<Vec<u8>> {
     run_spmd(ranks, |comm| {
         let mut solver = R::build(spec, comm);
-        for _ in 0..2 {
-            solver.advance(comm);
+        for unit in 0..2 {
+            solver.advance(comm, unit == 1);
         }
         solver.carried().segment(comm.size())
     })
